@@ -31,9 +31,10 @@ bench-ingest:
 	$(GO) test ./payg -run TestIngestBenchArtifact -bench-artifact=true
 
 # Per-arrival assignment: incremental feature-space extension vs full
-# rebuild at n = 300 and 1000, then the per-vectorizer-backend online-path
-# rows (term exact vs ngram ANN-pruned). Both steps write BENCH_assign.json;
-# the second merges into the first's output.
+# rebuild at n = 300 and 1000, then the per-vectorizer online-path rows
+# (term: every domain scored; ngram: ANN-pruned online paths — the build is
+# the same under both). Both steps write BENCH_assign.json; the second merges
+# into the first's output.
 bench-assign:
 	$(GO) test ./internal/ingest -run TestAssignBenchArtifact -bench-assign-artifact=true
 	$(GO) test ./payg -run TestAssignBackendBenchArtifact -bench-assign-backends=true

@@ -9,8 +9,7 @@
 // Experiments: all (default), table6.1, fig6.2, fig6.3, fig6.4, fig6.5,
 // fig6.6, table6.2, ddh, med-coherence, med-threshold, fig6.7, ddh-queries,
 // approx, ablate-tsim, ablate-features, ablate-mediation, ablate-theta,
-// ablate-vectorizer, baselines, sensitivity,
-// consistency.
+// baselines, sensitivity, consistency.
 package main
 
 import (
@@ -242,17 +241,6 @@ func run(exp string, seed int64, perSize int, outDir string) error {
 			return err
 		}
 		fmt.Print(experiments.RenderThetaAblation(rows, 0.25))
-		return nil
-	}); err != nil {
-		return err
-	}
-
-	if err := runExp("ablate-vectorizer", func() error {
-		rows, err := experiments.VectorizerAblation(c.Both, 0.25, seed)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.RenderVectorizerAblation(rows, 0.25))
 		return nil
 	}); err != nil {
 		return err

@@ -95,13 +95,7 @@ type options struct {
 	in, addr         string
 	tau              float64
 	candGen          string
-	lshBands         int
-	lshRows          int
-	candThreshold    float64
 	vectorizer       string
-	annM             int
-	annEf            int
-	annK             int
 	tuples           int
 	sourceTimeout    time.Duration
 	retries          int
@@ -126,13 +120,7 @@ func main() {
 	flag.StringVar(&o.addr, "addr", ":8080", "listen address")
 	flag.Float64Var(&o.tau, "tau", 0.25, "clustering threshold tau_c_sim")
 	flag.StringVar(&o.candGen, "candgen", "auto", "clustering candidate generation: auto, exact, or lsh (sub-quadratic blocked build)")
-	flag.IntVar(&o.lshBands, "lsh-bands", 128, "LSH bands for the blocked build")
-	flag.IntVar(&o.lshRows, "lsh-rows", 2, "MinHash rows per LSH band")
-	flag.Float64Var(&o.candThreshold, "cand-threshold", 0, "minimum estimated Jaccard for an LSH candidate pair (0 keeps every collision)")
-	flag.StringVar(&o.vectorizer, "vectorizer", "term", "embedding backend: term (exact, thesis behavior) or ngram (dense char-3-gram embeddings with ANN-pruned assignment and classification)")
-	flag.IntVar(&o.annM, "ann-m", 0, "HNSW graph degree for -vectorizer=ngram (0 = default 16)")
-	flag.IntVar(&o.annEf, "ann-ef", 0, "HNSW search beam width for -vectorizer=ngram (0 = default 64)")
-	flag.IntVar(&o.annK, "ann-k", 0, "ANN shortlist size before exact verification for -vectorizer=ngram (0 = default 32, negative disables pruning)")
+	flag.StringVar(&o.vectorizer, "vectorizer", "term", "online pruning: term (none — every domain scored, thesis behavior) or ngram (ANN shortlist over char-3-gram embeddings, then exact scoring, for classification and ingest)")
 	flag.IntVar(&o.tuples, "tuples", 20, "synthetic tuples per source for /query (0 disables data)")
 	flag.DurationVar(&o.sourceTimeout, "source-timeout", 2*time.Second, "per-attempt timeout for each data-source fetch")
 	flag.IntVar(&o.retries, "retries", 2, "retries per data-source fetch after the first failure")
@@ -291,15 +279,9 @@ func buildApp(logger *slog.Logger, o options) (*app, error) {
 	}
 	start := time.Now()
 	sys, err := payg.Build(set, payg.Options{
-		TauCSim:            o.tau,
-		CandidateGen:       o.candGen,
-		LSHBands:           o.lshBands,
-		LSHRows:            o.lshRows,
-		CandidateThreshold: o.candThreshold,
-		Vectorizer:         o.vectorizer,
-		ANNM:               o.annM,
-		ANNEfSearch:        o.annEf,
-		ANNShortlistK:      o.annK,
+		TauCSim:      o.tau,
+		CandidateGen: o.candGen,
+		Vectorizer:   o.vectorizer,
 	})
 	if err != nil {
 		return nil, err

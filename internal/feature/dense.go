@@ -1,16 +1,13 @@
 package feature
 
 import (
-	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	"schemaflow/internal/ann"
-	"schemaflow/internal/candgen"
 )
 
-// NGramConfig tunes the dense hashed character-n-gram backend.
+// NGramConfig tunes the dense hashed character-n-gram index.
 type NGramConfig struct {
 	// Dim is the embedding dimensionality (hashing-trick buckets). Zero
 	// means 256 — wide enough that 3-gram collisions stay rare at schema
@@ -19,22 +16,11 @@ type NGramConfig struct {
 	Dim int
 	// ANN configures the HNSW index built over the embeddings.
 	ANN ann.Config
-	// CandidateK is the per-schema neighbor count used by CandidatePairs
-	// (each schema contributes its CandidateK nearest neighbors as
-	// candidate pairs). Zero means 64 — wide enough that average linkage,
-	// which needs low-similarity pairs for its cluster-to-cluster means,
-	// sees the bulk of each schema's true neighborhood; too small a K
-	// fragments large domains because the missing intra-domain pairs
-	// count as zero similarity in the sparse averages.
-	CandidateK int
 }
 
 func (c NGramConfig) normalized() NGramConfig {
 	if c.Dim <= 0 {
 		c.Dim = 256
-	}
-	if c.CandidateK <= 0 {
-		c.CandidateK = 64
 	}
 	return c
 }
@@ -43,32 +29,27 @@ func (c NGramConfig) normalized() NGramConfig {
 // hashed character 3-grams and answers neighbor queries from an HNSW index
 // over those embeddings. Cosine similarity in this space is a cheap proxy
 // for the term-space similarity: schemas sharing (fuzzily matching) terms
-// share most of their 3-grams. The backend is used only to propose —
-// candidate pairs for offline clustering and shortlists for online
-// assignment/classification — and every proposal is re-scored exactly in
-// term space, so embedding noise costs recall, never precision.
+// share most of their 3-grams. The index is used only to shortlist for the
+// online paths (classification and incremental assignment) and every
+// shortlisted schema is re-scored exactly in term space, so embedding noise
+// costs recall, never precision. It plays no part in the offline build.
 type NGramVectorizer struct {
 	cfg NGramConfig
 
-	sp    *Space
 	vecs  [][]float32
 	index *ann.Index
 }
 
-// NewNGramVectorizer returns an unfitted dense backend.
+// NewNGramVectorizer returns an unfitted index.
 func NewNGramVectorizer(cfg NGramConfig) *NGramVectorizer {
 	return &NGramVectorizer{cfg: cfg.normalized()}
 }
 
-// Name implements Vectorizer.
-func (v *NGramVectorizer) Name() string { return "ngram" }
-
-// Fit implements Vectorizer: it embeds every schema term set and builds the
-// HNSW index. Embeddings are a pure function of the term sets and the
-// config, so re-fitting after a Space rebuild (or snapshot load) is
-// deterministic.
+// Fit embeds every schema term set of sp and builds the HNSW index. It must
+// be called before Shortlist, and again whenever the Space is rebuilt —
+// fitted state is derived, never persisted. Embeddings are a pure function
+// of the term sets and the config, so re-fitting is deterministic.
 func (v *NGramVectorizer) Fit(sp *Space) error {
-	v.sp = sp
 	v.vecs = make([][]float32, len(sp.TermSets))
 	for i, ts := range sp.TermSets {
 		terms := make([]string, 0, len(ts))
@@ -138,51 +119,10 @@ func hashGram(g string) uint64 {
 	return h
 }
 
-// CandidatePairs implements Vectorizer: each schema proposes its
-// CandidateK approximate nearest neighbors. The union (deduplicated,
-// A < B, sorted) replaces the MinHash-LSH candidate set; downstream sparse
-// linkage scores these pairs exactly in term space.
-func (v *NGramVectorizer) CandidatePairs(ctx context.Context) ([]candgen.Pair, error) {
-	if v.index == nil {
-		return nil, fmt.Errorf("feature: ngram vectorizer not fitted")
-	}
-	n := v.index.Len()
-	seen := make(map[candgen.Pair]bool)
-	for i := 0; i < n; i++ {
-		if i%1024 == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		// k+1 because the query point is in the index and ranks first.
-		for _, r := range v.index.Search(v.vecs[i], v.cfg.CandidateK+1, 0) {
-			if r.ID == i {
-				continue
-			}
-			p := candgen.Pair{A: int32(i), B: int32(r.ID)}
-			if p.B < p.A {
-				p.A, p.B = p.B, p.A
-			}
-			seen[p] = true
-		}
-	}
-	pairs := make([]candgen.Pair, 0, len(seen))
-	for p := range seen {
-		pairs = append(pairs, p)
-	}
-	sort.Slice(pairs, func(a, b int) bool {
-		if pairs[a].A != pairs[b].A {
-			return pairs[a].A < pairs[b].A
-		}
-		return pairs[a].B < pairs[b].B
-	})
-	return pairs, nil
-}
-
-// Shortlist implements Vectorizer: the ANN top-k schemas for the query's
-// canonical terms, most-similar-first. The caller re-scores the shortlist
-// exactly (restricted assignment or subset classification), preserving
-// ranked output.
+// Shortlist returns the ANN top-k schema indices for the query's canonical
+// terms, most-similar-first. The caller re-scores the shortlist exactly
+// (restricted assignment or subset classification), preserving ranked
+// output.
 func (v *NGramVectorizer) Shortlist(terms []string, k int) []int {
 	if v.index == nil || k <= 0 {
 		return nil

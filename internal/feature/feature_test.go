@@ -177,7 +177,7 @@ func TestDefaultStrategyFallback(t *testing.T) {
 	// An unrecognized similarity function must fall back to the
 	// full-scan strategy and still produce correct matches.
 	set := smallSet()
-	full := Build(set, Config{TermOpts: terms.DefaultOptions(), Sim: strsim.JaroWinklerSim{}, Tau: 0.95})
+	full := Build(set, Config{TermOpts: terms.DefaultOptions(), Sim: strsim.LCSeqSim{}, Tau: 0.95})
 	for i := range set {
 		for term := range full.TermSets[i] {
 			if !full.Vectors[i].Get(full.VocabIndex[term]) {

@@ -7,48 +7,11 @@ import (
 	"schemaflow/internal/candgen"
 )
 
-// Vectorizer is a pluggable embedding backend layered over the canonical
-// term-match Space. The Space remains ground truth — clustering,
-// classification, and mediation all score against its binary vectors — and
-// a Vectorizer supplies the two operations whose cost dominates at scale:
-//
-//   - CandidatePairs: which schema pairs are similar enough to influence
-//     offline clustering (the sub-quadratic blocking step);
-//   - Shortlist: which schemas are plausible neighbors of a keyword query
-//     or arriving schema (the online pruning step — callers verify the
-//     shortlist exactly in term space, so a backend only affects recall,
-//     never the scoring of what it returns).
-//
-// The term backend (TermVectorizer) reproduces the historical behavior
-// bit for bit; the dense backend (NGramVectorizer) trades exactness for an
-// ANN index over hashed character-n-gram embeddings.
-type Vectorizer interface {
-	// Name identifies the backend ("term", "ngram") in flags, ablation
-	// rows, and benchmark labels.
-	Name() string
-
-	// Fit binds the vectorizer to a built Space, computing whatever
-	// derived state (embeddings, indexes) the backend needs. It must be
-	// called before CandidatePairs or Shortlist, and again whenever the
-	// Space is rebuilt — fitted state is derived, never persisted.
-	Fit(sp *Space) error
-
-	// CandidatePairs returns the candidate schema pairs (A < B, sorted,
-	// deduplicated) for sub-quadratic clustering. Only pairs returned here
-	// can influence linkage; absent pairs are treated as zero-similarity.
-	CandidatePairs(ctx context.Context) ([]candgen.Pair, error)
-
-	// Shortlist returns up to k schema indices ranked most-similar-first
-	// for the given canonical query terms, or nil to request no pruning
-	// (the caller then scores every schema, the exact path).
-	Shortlist(terms []string, k int) []int
-}
-
-// TermVectorizer is the default backend: the term-match space itself. Its
-// embedding IS the Space's binary vectors, candidate generation is the
-// MinHash-LSH pipeline the blocked build path always used (bit-identical
-// for equal Config), and it never shortlists — exact scoring over all
-// schemas is the thesis' behavior and stays the default.
+// TermVectorizer is the blocked build path's candidate generator: MinHash-
+// LSH over the term-match Space's binary vectors. Candidate generation is
+// only blocking — every proposed pair is re-scored exactly in term space,
+// and absent pairs count as zero similarity — so it must not depend on how
+// the online paths prune (see NGramVectorizer).
 type TermVectorizer struct {
 	// Cand configures the MinHash-LSH candidate generation.
 	Cand candgen.Config
@@ -56,30 +19,24 @@ type TermVectorizer struct {
 	sp *Space
 }
 
-// NewTermVectorizer returns the term backend with the given MinHash-LSH
-// tuning (zero-value fields default inside candgen).
+// NewTermVectorizer returns the candidate generator with the given MinHash-
+// LSH tuning (zero-value fields default inside candgen).
 func NewTermVectorizer(cfg candgen.Config) *TermVectorizer {
 	return &TermVectorizer{Cand: cfg}
 }
 
-// Name implements Vectorizer.
-func (v *TermVectorizer) Name() string { return "term" }
-
-// Fit implements Vectorizer; the term backend has no derived state beyond
-// the Space itself.
+// Fit binds the generator to a built Space. It must be called before
+// CandidatePairs.
 func (v *TermVectorizer) Fit(sp *Space) error {
 	v.sp = sp
 	return nil
 }
 
-// CandidatePairs implements Vectorizer via MinHash-LSH over the binary
-// feature vectors.
+// CandidatePairs returns the candidate schema pairs (A < B, sorted,
+// deduplicated) for sub-quadratic clustering.
 func (v *TermVectorizer) CandidatePairs(ctx context.Context) ([]candgen.Pair, error) {
 	if v.sp == nil {
 		return nil, fmt.Errorf("feature: term vectorizer not fitted")
 	}
 	return candgen.Pairs(ctx, v.sp.Vectors, v.Cand)
 }
-
-// Shortlist implements Vectorizer; the term backend never prunes.
-func (v *TermVectorizer) Shortlist(terms []string, k int) []int { return nil }

@@ -11,8 +11,8 @@ import (
 )
 
 func TestTermVectorizerMatchesCandgen(t *testing.T) {
-	// The term backend must be a bit-identical relocation of the blocked
-	// build path's candgen call, not a reimplementation.
+	// The build's candidate generator must be a bit-identical relocation of
+	// the candgen call, not a reimplementation.
 	set := dataset.Large(dataset.LargeConfig{N: 400, Domains: 8, Seed: 3})
 	sp := BuildLite(set, DefaultConfig())
 	cfg := candgen.Config{Bands: 64, Rows: 2, Threshold: 0.1}
@@ -36,9 +36,6 @@ func TestTermVectorizerMatchesCandgen(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("pair %d = %v, want %v", i, got[i], want[i])
 		}
-	}
-	if v.Shortlist([]string{"anything"}, 5) != nil {
-		t.Fatal("term backend must never shortlist (nil = exact path)")
 	}
 }
 
@@ -68,37 +65,6 @@ func TestNGramEmbedProperties(t *testing.T) {
 	simAD := ann.Dot(a, d)
 	if simAC <= simAD {
 		t.Fatalf("overlap sim %v not above disjoint sim %v", simAC, simAD)
-	}
-}
-
-func TestNGramCandidatePairsDeterministic(t *testing.T) {
-	set := dataset.Large(dataset.LargeConfig{N: 300, Domains: 6, Seed: 11})
-	sp := BuildLite(set, DefaultConfig())
-	run := func() []candgen.Pair {
-		v := NewNGramVectorizer(NGramConfig{Dim: 128, CandidateK: 6})
-		if err := v.Fit(sp); err != nil {
-			t.Fatal(err)
-		}
-		ps, err := v.CandidatePairs(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ps
-	}
-	a, b := run(), run()
-	if len(a) != len(b) {
-		t.Fatalf("pair counts differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("pair %d differs: %v vs %v", i, a[i], b[i])
-		}
-		if a[i].A >= a[i].B {
-			t.Fatalf("pair %d not ordered: %v", i, a[i])
-		}
-	}
-	if len(a) == 0 {
-		t.Fatal("no candidate pairs proposed")
 	}
 }
 

@@ -4,7 +4,7 @@ import "testing"
 
 // Term-similarity cost dominates feature construction; these benchmarks pin
 // the relative cost of the DP and suffix-automaton LCS paths on term-sized
-// and long inputs, and of the supporting metrics.
+// and long inputs, and of the stemmer.
 
 const (
 	termA = "publication"
@@ -62,17 +62,5 @@ func BenchmarkPorterStem(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = Stem(words[i%len(words)])
-	}
-}
-
-func BenchmarkLevenshtein(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_ = Levenshtein(termA, termB)
-	}
-}
-
-func BenchmarkJaroWinkler(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_ = JaroWinkler(termA, termB)
 	}
 }

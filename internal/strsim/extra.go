@@ -1,11 +1,8 @@
 package strsim
 
-import "strings"
-
 // Additional metrics from the name-matching literature the thesis cites
 // (Cohen, Ravikumar & Fienberg 2003): longest common *subsequence*
-// similarity, Soundex phonetic equality, and the Monge-Elkan combinator for
-// multi-token attribute names.
+// similarity and the Monge-Elkan combinator for multi-token attribute names.
 
 // LCSeqSim is similarity by longest common subsequence (non-contiguous, in
 // contrast to the thesis' contiguous-substring t_sim):
@@ -51,86 +48,6 @@ func LongestCommonSubsequence(a, b string) int {
 		}
 	}
 	return prev[len(b)]
-}
-
-// SoundexSim recognizes two terms as similar iff they share a Soundex code —
-// phonetic matching, occasionally useful for form fields transcribed by ear.
-type SoundexSim struct{}
-
-// Sim implements TermSim.
-func (SoundexSim) Sim(a, b string) float64 {
-	if a == b {
-		return 1
-	}
-	ca, cb := Soundex(a), Soundex(b)
-	if ca != "" && ca == cb {
-		return 1
-	}
-	return 0
-}
-
-// Name implements TermSim.
-func (SoundexSim) Name() string { return "soundex" }
-
-// soundexCode maps a letter to its Soundex digit, or 0 for vowels and the
-// ignored letters h, w, y.
-func soundexCode(c byte) byte {
-	switch c {
-	case 'b', 'f', 'p', 'v':
-		return '1'
-	case 'c', 'g', 'j', 'k', 'q', 's', 'x', 'z':
-		return '2'
-	case 'd', 't':
-		return '3'
-	case 'l':
-		return '4'
-	case 'm', 'n':
-		return '5'
-	case 'r':
-		return '6'
-	}
-	return 0
-}
-
-// Soundex returns the 4-character American Soundex code of a word, or ""
-// when the word has no leading letter.
-func Soundex(word string) string {
-	w := strings.ToLower(word)
-	// Find the first ASCII letter.
-	start := -1
-	for i := 0; i < len(w); i++ {
-		if w[i] >= 'a' && w[i] <= 'z' {
-			start = i
-			break
-		}
-	}
-	if start < 0 {
-		return ""
-	}
-	out := []byte{w[start] - 'a' + 'A'}
-	lastCode := soundexCode(w[start])
-	for i := start + 1; i < len(w) && len(out) < 4; i++ {
-		c := w[i]
-		if c < 'a' || c > 'z' {
-			lastCode = 0
-			continue
-		}
-		code := soundexCode(c)
-		switch {
-		case code == 0:
-			// Vowels reset the adjacency rule; h/w do not.
-			if c != 'h' && c != 'w' {
-				lastCode = 0
-			}
-		case code != lastCode:
-			out = append(out, code)
-			lastCode = code
-		}
-	}
-	for len(out) < 4 {
-		out = append(out, '0')
-	}
-	return string(out)
 }
 
 // MongeElkan scores two token lists with the Monge-Elkan combinator: for

@@ -52,45 +52,6 @@ func TestLCSeqSim(t *testing.T) {
 	}
 }
 
-func TestSoundex(t *testing.T) {
-	// Canonical examples from the Soundex specification.
-	tests := map[string]string{
-		"Robert":   "R163",
-		"Rupert":   "R163",
-		"Ashcraft": "A261", // h does not reset adjacency
-		"Ashcroft": "A261",
-		"Tymczak":  "T522",
-		"Pfister":  "P236",
-		"Honeyman": "H555",
-		"Smith":    "S530",
-		"Smyth":    "S530",
-	}
-	for in, want := range tests {
-		if got := Soundex(in); got != want {
-			t.Errorf("Soundex(%q) = %q, want %q", in, got, want)
-		}
-	}
-	if Soundex("12345") != "" {
-		t.Error("non-alphabetic input should give empty code")
-	}
-}
-
-func TestSoundexSim(t *testing.T) {
-	s := SoundexSim{}
-	if s.Sim("smith", "smyth") != 1 {
-		t.Fatal("phonetic match missed")
-	}
-	if s.Sim("smith", "jones") != 0 {
-		t.Fatal("distinct names matched")
-	}
-	if s.Sim("123", "123") != 1 {
-		t.Fatal("identity must match even without a code")
-	}
-	if s.Sim("123", "456") != 0 {
-		t.Fatal("codeless distinct inputs matched")
-	}
-}
-
 func TestMongeElkan(t *testing.T) {
 	inner := LCSSim{}
 	a := []string{"year", "publish"}

@@ -7,9 +7,7 @@
 //
 // i.e. the length of the longest common substring divided by the average
 // length of the two terms. The thesis also suggests stem equality as an
-// alternative; both are provided behind the TermSim interface, along with
-// classic metrics (Levenshtein, Jaro-Winkler, n-gram Jaccard) that are useful
-// for comparison experiments.
+// alternative; both are provided behind the TermSim interface.
 package strsim
 
 // TermSim measures the similarity of two terms on a [0, 1] scale, where 1
@@ -155,16 +153,4 @@ func longestCommonSubstringRunes(a, b []rune) int {
 		prev, cur = cur, prev
 	}
 	return best
-}
-
-// Threshold wraps a TermSim as a boolean predicate at threshold tau: two
-// terms match when sim >= tau. This is the τ_t_sim gate of Algorithm 1.
-type Threshold struct {
-	Measure TermSim
-	Tau     float64
-}
-
-// Match reports whether the two terms are sufficiently similar.
-func (t Threshold) Match(a, b string) bool {
-	return t.Measure.Sim(a, b) >= t.Tau
 }

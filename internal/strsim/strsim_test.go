@@ -79,7 +79,7 @@ func TestLCSSimRuneSemantics(t *testing.T) {
 func TestLCSSimThesisThreshold(t *testing.T) {
 	// The τ=0.8 gate should match close rephrasings and reject unrelated
 	// terms; these pairs pin the intended behavior of the default matcher.
-	th := Threshold{Measure: LCSSim{}, Tau: 0.8}
+	match := func(a, b string) bool { return LCSSim{}.Sim(a, b) >= 0.8 }
 	matches := [][2]string{
 		{"professor", "professors"},
 		{"author", "authors"},
@@ -91,12 +91,12 @@ func TestLCSSimThesisThreshold(t *testing.T) {
 		{"name", "game"},
 	}
 	for _, p := range matches {
-		if !th.Match(p[0], p[1]) {
+		if !match(p[0], p[1]) {
 			t.Errorf("expected %q ~ %q at 0.8", p[0], p[1])
 		}
 	}
 	for _, p := range rejects {
-		if th.Match(p[0], p[1]) {
+		if match(p[0], p[1]) {
 			t.Errorf("did not expect %q ~ %q at 0.8", p[0], p[1])
 		}
 	}
@@ -164,7 +164,7 @@ func TestPropertyLCSBounds(t *testing.T) {
 }
 
 func TestPropertySimSymmetricAndBounded(t *testing.T) {
-	measures := []TermSim{LCSSim{}, ExactSim{}, StemSim{}, LevenshteinSim{}, JaroWinklerSim{}, NGramSim{N: 3}}
+	measures := []TermSim{LCSSim{}, ExactSim{}, StemSim{}, LCSeqSim{}}
 	f := func(a, b string) bool {
 		for _, m := range measures {
 			s1, s2 := m.Sim(a, b), m.Sim(b, a)
@@ -180,7 +180,7 @@ func TestPropertySimSymmetricAndBounded(t *testing.T) {
 }
 
 func TestPropertyIdentityGivesOne(t *testing.T) {
-	measures := []TermSim{LCSSim{}, ExactSim{}, StemSim{}, LevenshteinSim{}, JaroWinklerSim{}}
+	measures := []TermSim{LCSSim{}, ExactSim{}, StemSim{}, LCSeqSim{}}
 	f := func(a string) bool {
 		for _, m := range measures {
 			if m.Sim(a, a) != 1 {
@@ -191,5 +191,19 @@ func TestPropertyIdentityGivesOne(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestMeasureNames(t *testing.T) {
+	named := map[string]TermSim{
+		"lcs":           LCSSim{},
+		"exact":         ExactSim{},
+		"stem":          StemSim{},
+		"lcsubsequence": LCSeqSim{},
+	}
+	for want, m := range named {
+		if m.Name() != want {
+			t.Errorf("%T.Name() = %q, want %q", m, m.Name(), want)
+		}
 	}
 }

@@ -17,22 +17,21 @@ func assignOf(s *System) []int {
 func TestAutoSwitch(t *testing.T) {
 	for _, tc := range []struct {
 		gen     string
-		autoMin int
 		n       int
 		blocked bool
 	}{
-		{"auto", 4096, 100, false},
-		{"auto", 50, 100, true},
-		{"exact", 50, 100, false},
-		{"lsh", 4096, 100, true},
+		{"auto", blockedAutoMin - 1, false},
+		{"auto", blockedAutoMin, true},
+		{"exact", blockedAutoMin, false},
+		{"lsh", 100, true},
 	} {
-		o := Options{CandidateGen: tc.gen, CandidateAutoMin: tc.autoMin}.withDefaults()
+		o := Options{CandidateGen: tc.gen}.withDefaults()
 		got, err := o.useBlockedPath(tc.n)
 		if err != nil {
 			t.Fatalf("%+v: %v", tc, err)
 		}
 		if got != tc.blocked {
-			t.Errorf("gen=%s autoMin=%d n=%d: blocked=%v, want %v", tc.gen, tc.autoMin, tc.n, got, tc.blocked)
+			t.Errorf("gen=%s n=%d: blocked=%v, want %v", tc.gen, tc.n, got, tc.blocked)
 		}
 	}
 	o := Options{CandidateGen: "bogus"}.withDefaults()
@@ -41,7 +40,7 @@ func TestAutoSwitch(t *testing.T) {
 	}
 }
 
-// TestSmallCorpusDefaultStaysExact: below CandidateAutoMin the default
+// TestSmallCorpusDefaultStaysExact: below blockedAutoMin the default
 // "auto" build must be bit-identical to a forced exact build — the blocked
 // machinery must not perturb small corpora at all.
 func TestSmallCorpusDefaultStaysExact(t *testing.T) {
@@ -193,8 +192,5 @@ func TestBlockedOptionsValidation(t *testing.T) {
 	set := dataset.Large(dataset.LargeConfig{N: 50, Domains: 2, Seed: 1})
 	if _, err := Build(set, Options{CandidateGen: "bogus"}); err == nil {
 		t.Error("unknown CandidateGen accepted")
-	}
-	if _, err := Build(set, Options{CandidateGen: "lsh", LSHBands: 64, LSHRows: 65}); err == nil {
-		t.Error("oversized signature accepted")
 	}
 }

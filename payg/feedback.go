@@ -98,13 +98,10 @@ func (s *System) rebuildFromModel(m *core.Model) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Fit a fresh backend instance against the updated space — the old
+	// Fit a fresh shortlist index against the updated space — the old
 	// system may still be serving queries from its own fitted state.
-	vec, err := s.opts.newVectorizer()
+	vec, err := s.opts.fitShortlist(m.Space)
 	if err != nil {
-		return nil, err
-	}
-	if err := vec.Fit(m.Space); err != nil {
 		return nil, err
 	}
 	sys := &System{

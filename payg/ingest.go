@@ -44,7 +44,7 @@ type Assignment struct {
 // Execute. To actually grow a serving system use Manager.Ingest, which
 // journals the schema and folds it into the next background rebuild.
 func (s *System) Ingest(sch Schema) (*Assignment, error) {
-	// A pruning backend (ngram) restricts Algorithm 3 to the domains
+	// The ngram index restricts Algorithm 3 to the domains
 	// holding the arrival's ANN-nearest schemas; the restricted comparison
 	// is exact, so Best/BestSim match the unrestricted answer whenever the
 	// true winner's domain made the shortlist. nil include = compare all.
@@ -60,17 +60,13 @@ func (s *System) Ingest(sch Schema) (*Assignment, error) {
 }
 
 // shortlistInclude builds the domain-include predicate for an arriving
-// schema from the backend's ANN shortlist over the schema's attribute
-// terms, or nil when the backend does not prune (then every domain is
-// compared — the exact path).
+// schema from the ANN shortlist over the schema's attribute terms, or nil
+// without an ngram index (then every domain is compared — the exact path).
 func (s *System) shortlistInclude(sch Schema) func(r int) bool {
 	if s.vectorizer == nil {
 		return nil
 	}
-	sl := s.vectorizer.Shortlist(s.space.QueryTerms(sch.Attributes), s.opts.ANNShortlistK)
-	if sl == nil {
-		return nil
-	}
+	sl := s.vectorizer.Shortlist(s.space.QueryTerms(sch.Attributes), annShortlistK)
 	set := make([]bool, s.model.NumDomains())
 	for _, si := range sl {
 		for _, mem := range s.model.DomainsOf(si) {

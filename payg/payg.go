@@ -59,7 +59,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"schemaflow/internal/ann"
 	"schemaflow/internal/candgen"
 	"schemaflow/internal/classify"
 	"schemaflow/internal/cluster"
@@ -147,71 +146,62 @@ type Options struct {
 	MediationFreqThreshold float64
 
 	// CandidateGen selects how the clustering stage finds pairs worth
-	// comparing: "auto" (default — exact below CandidateAutoMin schemas,
-	// MinHash-LSH blocking at or above it), "exact" (always the dense
-	// all-pairs HAC), or "lsh" (always the blocked sub-quadratic path).
-	// The blocked path skips the O(n²) similarity memo and clusters over
-	// a sparse candidate-pair set; see docs/DESIGN.md.
+	// comparing: "auto" (default — exact below 4096 schemas, MinHash-LSH
+	// blocking at or above it), "exact" (always the dense all-pairs HAC),
+	// or "lsh" (always the blocked sub-quadratic path). The blocked path
+	// skips the O(n²) similarity memo and clusters over a sparse
+	// candidate-pair set; see docs/DESIGN.md.
 	CandidateGen string
-	// LSHBands and LSHRows shape the MinHash signature: LSHBands bands of
-	// LSHRows rows each (defaults 128 and 2). The defaults put the
-	// banding threshold at (1/128)^(1/2) ≈ 0.09 — deliberately well below
-	// τ_c_sim = 0.25, because average linkage needs the low-similarity
-	// pairs too: a pair at 0.1 never merges on its own but still pulls
-	// cluster-to-cluster averages, and dropping it skews merge decisions
-	// near the threshold.
-	LSHBands int
-	LSHRows  int
-	// CandidateThreshold drops LSH candidate pairs whose signature-
-	// estimated Jaccard falls below it. The default 0 keeps every banding
-	// collision (recommended for average and total linkage, which are
-	// sensitive to missing low-similarity pairs); raise it to shrink the
-	// pairwise pass when memory is tight. Negative also means 0.
-	CandidateThreshold float64
-	// CandidateAutoMin is the schema count at which CandidateGen "auto"
-	// switches from the exact to the blocked path (default 4096). Below
-	// it the dense path is both fast and bit-exact, so auto never trades
-	// accuracy for speed on corpora where exact is cheap.
-	CandidateAutoMin int
-	// Workers bounds the goroutines used by the blocked path's pairwise
-	// and clustering stages. Zero means GOMAXPROCS. Results do not depend
-	// on it.
-	Workers int
 
-	// Vectorizer selects the embedding backend: "term" (default — the
-	// thesis' term-match space: exact scoring over every domain, MinHash-
-	// LSH candidate generation on the blocked path) or "ngram" (dense
-	// hashed character-3-gram embeddings with an HNSW ANN index: ANN
-	// candidate pairs, and ANN-pruned assignment and classification —
-	// shortlist approximately, verify exactly). The term backend is
-	// bit-identical to builds that predate backends.
+	// Vectorizer selects how the online paths find the domains worth
+	// scoring: "term" (default — the thesis' behavior, every domain is
+	// scored exactly) or "ngram" (an HNSW index over hashed character-
+	// 3-gram embeddings shortlists the nearest schemas, and only their
+	// domains are scored exactly by Classify and Ingest). The built model
+	// does not depend on it: both values cluster identically.
 	Vectorizer string
-	// ANNM is the HNSW graph degree for the ngram backend (0 means 16;
-	// ignored by the term backend).
-	ANNM int
-	// ANNEfSearch is the HNSW search beam width for the ngram backend
-	// (0 means 64; ignored by the term backend).
-	ANNEfSearch int
-	// ANNShortlistK is how many nearest schemas the ngram backend
-	// shortlists before exact verification of classification and
-	// incremental assignment. Zero means 32; negative disables pruning
-	// (the ngram backend then only accelerates candidate generation).
-	// Ignored by the term backend.
-	ANNShortlistK int
+
+	// resolved marks a value withDefaults has already processed: its zero
+	// thresholds are requested literals, not unset sentinels.
+	resolved bool
 }
+
+// Fixed tuning of the blocked build path and the ngram shortlist: constants
+// rather than options because no caller, benchmark or runbook needs a second
+// value, and each one's effect is pinned by a test instead.
+const (
+	// lshBands × lshRows shape the MinHash signature. They put the banding
+	// threshold at (1/128)^(1/2) ≈ 0.09 — deliberately well below τ_c_sim =
+	// 0.25, because average linkage needs the low-similarity pairs too: a
+	// pair at 0.1 never merges on its own but still pulls cluster-to-cluster
+	// averages, and dropping it skews merge decisions near the threshold.
+	lshBands = 128
+	lshRows  = 2
+	// blockedAutoMin is the schema count at which CandidateGen "auto"
+	// switches from the exact to the blocked path. Below it the dense path
+	// is both fast and bit-exact, so auto never trades accuracy for speed
+	// on corpora where exact is cheap.
+	blockedAutoMin = 4096
+	// annShortlistK is how many nearest schemas the ngram index shortlists
+	// before exact verification; the pruned-agreement tests pin its recall.
+	// The HNSW degree and beam width are internal/ann's defaults (16, 64).
+	annShortlistK = 32
+)
 
 // withDefaults resolves the zero-value sentinels: 0 becomes the documented
 // default, negative values become a literal 0 (see the Options doc), and
 // anything else passes through untouched (including NaN and out-of-range
 // values, which the downstream validators reject with an error rather than
-// silently repairing).
+// silently repairing). Resolving is idempotent: a System's stored options
+// pass through again on every recluster and snapshot load, and a literal 0
+// must not turn back into the default there.
 func (o Options) withDefaults() Options {
 	def := func(v, d float64) float64 {
 		switch {
-		case v == 0:
-			return d
 		case v < 0:
 			return 0
+		case v == 0 && !o.resolved:
+			return d
 		}
 		return v
 	}
@@ -219,6 +209,7 @@ func (o Options) withDefaults() Options {
 	o.TauCSim = def(o.TauCSim, 0.25)
 	o.Theta = def(o.Theta, 0.02)
 	o.MediationFreqThreshold = def(o.MediationFreqThreshold, 0.1)
+	o.resolved = true
 	if o.TermSimilarity == "" {
 		o.TermSimilarity = "lcs"
 	}
@@ -228,57 +219,38 @@ func (o Options) withDefaults() Options {
 	if o.CandidateGen == "" {
 		o.CandidateGen = "auto"
 	}
-	if o.LSHBands == 0 {
-		o.LSHBands = 128
-	}
-	if o.LSHRows == 0 {
-		o.LSHRows = 2
-	}
-	if o.CandidateThreshold < 0 {
-		o.CandidateThreshold = 0
-	}
-	if o.CandidateAutoMin == 0 {
-		o.CandidateAutoMin = 4096
-	}
 	if o.Vectorizer == "" {
 		o.Vectorizer = "term"
-	}
-	switch {
-	case o.ANNShortlistK == 0:
-		o.ANNShortlistK = 32
-	case o.ANNShortlistK < 0:
-		o.ANNShortlistK = 0
 	}
 	return o
 }
 
-// candgenConfig is the MinHash-LSH tuning the blocked build path has always
-// used; the term backend carries it so its candidate pairs stay
-// bit-identical to pre-backend builds.
-func (o Options) candgenConfig() candgen.Config {
-	return candgen.Config{
-		Bands:     o.LSHBands,
-		Rows:      o.LSHRows,
-		Threshold: o.CandidateThreshold,
-		Workers:   o.Workers,
+// usesShortlist decides, after withDefaults, whether the online paths
+// prune through an ngram index.
+func (o Options) usesShortlist() (bool, error) {
+	switch o.Vectorizer {
+	case "term":
+		return false, nil
+	case "ngram":
+		return true, nil
+	default:
+		return false, fmt.Errorf("payg: unknown vectorizer %q (want term or ngram)", o.Vectorizer)
 	}
 }
 
-// newVectorizer constructs an unfitted backend from the resolved options.
-// Every System owns a private fitted instance (fitting binds it to that
-// system's feature space), so rebuilds never mutate a backend another
-// generation is serving from.
-func (o Options) newVectorizer() (feature.Vectorizer, error) {
-	switch o.Vectorizer {
-	case "term":
-		return feature.NewTermVectorizer(o.candgenConfig()), nil
-	case "ngram":
-		return feature.NewNGramVectorizer(feature.NGramConfig{
-			ANN: ann.Config{M: o.ANNM, EfSearch: o.ANNEfSearch},
-		}), nil
-	default:
-		return nil, fmt.Errorf("payg: unknown vectorizer %q (want term or ngram)", o.Vectorizer)
+// fitShortlist returns the fitted ngram index over sp when the options ask
+// for online pruning, nil for the exact "term" default. Every System owns a
+// private instance (fitting binds it to that system's feature space), so
+// rebuilds never mutate an index another generation is serving from.
+func (o Options) fitShortlist(sp *feature.Space) (*feature.NGramVectorizer, error) {
+	if on, err := o.usesShortlist(); !on {
+		return nil, err
 	}
+	vec := feature.NewNGramVectorizer(feature.NGramConfig{})
+	if err := vec.Fit(sp); err != nil {
+		return nil, err
+	}
+	return vec, nil
 }
 
 // useBlockedPath decides, after withDefaults, whether a build of n schemas
@@ -290,7 +262,7 @@ func (o Options) useBlockedPath(n int) (bool, error) {
 	case "lsh":
 		return true, nil
 	case "auto":
-		return n >= o.CandidateAutoMin, nil
+		return n >= blockedAutoMin, nil
 	default:
 		return false, fmt.Errorf("payg: unknown candidate generator %q (want auto, exact, or lsh)", o.CandidateGen)
 	}
@@ -341,10 +313,11 @@ type System struct {
 	classifier *classify.Classifier
 	mediated   []*mediate.Mediated
 
-	// vectorizer is the fitted embedding backend (see Options.Vectorizer).
-	// It is bound to space and immutable once the System is published;
-	// rebuilds fit a fresh instance.
-	vectorizer feature.Vectorizer
+	// vectorizer is the fitted ngram shortlist index; nil under the default
+	// Options.Vectorizer "term", where every domain is scored. It is bound
+	// to space and immutable once the System is published; rebuilds fit a
+	// fresh instance.
+	vectorizer *feature.NGramVectorizer
 
 	// local / localSet are set only on sharded systems (see Shard): the
 	// sorted domain ids held locally and the same set as a bitmap over the
@@ -388,9 +361,8 @@ func BuildContext(ctx context.Context, schemas []Schema, opts Options) (*System,
 	if err != nil {
 		return nil, err
 	}
-	vec, err := opts.newVectorizer()
-	if err != nil {
-		return nil, err
+	if _, err := opts.usesShortlist(); err != nil {
+		return nil, err // before the pipeline, not after it
 	}
 
 	// Each pipeline phase reports its wall-clock cost to the metrics
@@ -402,22 +374,19 @@ func BuildContext(ctx context.Context, schemas []Schema, opts Options) (*System,
 	var sp *feature.Space
 	var model *core.Model
 	if blocked {
-		sp, _, model, err = buildBlocked(ctx, set, fcfg, method, opts, vec)
+		sp, _, model, err = buildBlocked(ctx, set, fcfg, method, opts)
 	} else {
 		sp, _, model, err = buildExact(ctx, set, fcfg, method, opts)
 	}
 	if err != nil {
 		return nil, err
 	}
-	// The blocked path fits the vectorizer before candidate generation;
-	// the exact path never called it, so fit here.
-	if !blocked {
-		t := time.Now()
-		if err := vec.Fit(sp); err != nil {
-			return nil, err
-		}
-		mBuildPhase.With("vectorizer").Observe(time.Since(t).Seconds())
+	t := time.Now()
+	vec, err := opts.fitShortlist(sp)
+	if err != nil {
+		return nil, err
 	}
+	mBuildPhase.With("vectorizer").Observe(time.Since(t).Seconds())
 
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -429,7 +398,7 @@ func BuildContext(ctx context.Context, schemas []Schema, opts Options) (*System,
 	if opts.ExactClassifier {
 		ccfg.MaxExactUncertain = -1
 	}
-	t := time.Now()
+	t = time.Now()
 	cls, err := classify.New(model, ccfg)
 	if err != nil {
 		return nil, err
@@ -502,12 +471,11 @@ func buildExact(ctx context.Context, set schema.Set, fcfg feature.Config, method
 }
 
 // buildBlocked is the sub-quadratic pipeline for large corpora: a lite
-// feature space (no O(n²) similarity memo), backend candidate generation
-// (MinHash-LSH on the term backend, ANN neighbors on the ngram backend),
-// exact similarities over only the candidates, sparse agglomerative
-// clustering, and sparse domain assignment. Every stage honors ctx and fans
-// out across opts.Workers.
-func buildBlocked(ctx context.Context, set schema.Set, fcfg feature.Config, method cluster.Method, opts Options, vec feature.Vectorizer) (*feature.Space, *cluster.Result, *core.Model, error) {
+// feature space (no O(n²) similarity memo), MinHash-LSH candidate
+// generation, exact similarities over only the candidates, sparse
+// agglomerative clustering, and sparse domain assignment. Every stage honors
+// ctx and fans out across GOMAXPROCS goroutines.
+func buildBlocked(ctx context.Context, set schema.Set, fcfg feature.Config, method cluster.Method, opts Options) (*feature.Space, *cluster.Result, *core.Model, error) {
 	mBuildMode.With("blocked").Inc()
 	n := len(set)
 	t := time.Now()
@@ -516,19 +484,16 @@ func buildBlocked(ctx context.Context, set schema.Set, fcfg feature.Config, meth
 	if err := ctx.Err(); err != nil {
 		return nil, nil, nil, err
 	}
+
+	// MinHash-LSH runs over the binary feature vectors (in term-frequency
+	// mode those are the binary projection — the exact generalized-Jaccard
+	// similarity decides in the next stage).
 	t = time.Now()
-	if err := vec.Fit(sp); err != nil {
+	cand := feature.NewTermVectorizer(candgen.Config{Bands: lshBands, Rows: lshRows})
+	if err := cand.Fit(sp); err != nil {
 		return nil, nil, nil, err
 	}
-	mBuildPhase.With("vectorizer").Observe(time.Since(t).Seconds())
-
-	// Candidate generation is the backend's call: the term backend runs
-	// MinHash-LSH over the binary feature vectors (in term-frequency mode
-	// those are the binary projection — the exact generalized-Jaccard
-	// similarity decides in the next stage); the ngram backend proposes
-	// each schema's ANN neighbors.
-	t = time.Now()
-	pairs, err := vec.CandidatePairs(ctx)
+	pairs, err := cand.CandidatePairs(ctx)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("payg: candidate generation: %w", err)
 	}
@@ -539,22 +504,17 @@ func buildBlocked(ctx context.Context, set schema.Set, fcfg feature.Config, meth
 	if n > 1 {
 		mBuildCandidateFraction.Set(float64(len(pairs)) / (float64(n) * float64(n-1) / 2))
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	mBuildHACWorkers.Set(float64(workers))
+	mBuildHACWorkers.Set(float64(runtime.GOMAXPROCS(0)))
 
 	t = time.Now()
-	ps, err := cluster.PairwiseSims(ctx, sp, pairs, opts.Workers)
+	ps, err := cluster.PairwiseSims(ctx, sp, pairs, 0)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("payg: pairwise similarities: %w", err)
 	}
 	mBuildPhase.With("pairwise").Observe(time.Since(t).Seconds())
 
 	t = time.Now()
-	cl, err := cluster.AgglomerativeSparse(ctx, sp, cluster.NewLinkage(method), opts.TauCSim, ps,
-		cluster.SparseOptions{Workers: opts.Workers})
+	cl, err := cluster.AgglomerativeSparse(ctx, sp, cluster.NewLinkage(method), opts.TauCSim, ps, cluster.SparseOptions{})
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("payg: %w", err)
 	}
@@ -664,10 +624,7 @@ func (s *System) shortlistDomains(keywords []string) []int {
 	if s.vectorizer == nil {
 		return nil
 	}
-	sl := s.vectorizer.Shortlist(s.space.QueryTerms(keywords), s.opts.ANNShortlistK)
-	if sl == nil {
-		return nil
-	}
+	sl := s.vectorizer.Shortlist(s.space.QueryTerms(keywords), annShortlistK)
 	seen := make(map[int]bool)
 	var doms []int
 	for _, si := range sl {
@@ -685,9 +642,9 @@ func (s *System) shortlistDomains(keywords []string) []int {
 // CPU-parallel fan-out, returning one ranking per query in input order.
 // Results are identical to calling ClassifyKeywords per query.
 func (s *System) ClassifyBatch(queries [][]string) [][]Score {
-	if s.vectorizer == nil || s.vectorizer.Shortlist(nil, s.opts.ANNShortlistK) == nil {
-		// Exact backend (or pruning disabled): the classifier's own batch
-		// path shares scratch state and one flat allocation.
+	if s.vectorizer == nil {
+		// Exact scoring: the classifier's own batch path shares scratch
+		// state and one flat allocation.
 		return s.classifier.ClassifyBatch(queries)
 	}
 	out := make([][]Score, len(queries))

@@ -2,6 +2,7 @@ package payg
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -334,6 +335,67 @@ func TestLiteralZeroTauCSimMergesEverything(t *testing.T) {
 	if sys.NumDomains() != 1 {
 		t.Fatalf("τ_c_sim = 0 built %d domains, want 1 (agglomeration runs to a single cluster)", sys.NumDomains())
 	}
+}
+
+// TestLiteralZeroSurvivesReresolution: a System stores resolved options and
+// hands them back to withDefaults on snapshot load and on every recluster
+// (also after WAL recovery). The literal zeros must stay zeros there
+// instead of reverting to the defaults, which would split the single
+// τ_c_sim = 0 domain apart.
+func TestLiteralZeroSurvivesReresolution(t *testing.T) {
+	lit := Options{TauTSim: -1, TauCSim: -1, Theta: -1, MediationFreqThreshold: -1}
+	check := func(stage string, sys *System) {
+		t.Helper()
+		o := sys.opts
+		if o.TauTSim != 0 || o.TauCSim != 0 || o.Theta != 0 || o.MediationFreqThreshold != 0 {
+			t.Fatalf("%s: literal-zero thresholds reverted: %+v", stage, o)
+		}
+		if sys.NumDomains() != 1 {
+			t.Fatalf("%s: %d domains, want the single τ_c_sim = 0 domain", stage, sys.NumDomains())
+		}
+	}
+	recluster := func(stage string, mgr *Manager, arrival Schema) {
+		t.Helper()
+		if _, err := mgr.Ingest(arrival); err != nil {
+			t.Fatal(err)
+		}
+		if err := mgr.Recluster(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		check(stage, mgr.System())
+	}
+	sys := build(t, lit)
+	check("build", sys)
+
+	var buf bytes.Buffer
+	if err := sys.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("save/load", loaded)
+
+	dir := t.TempDir()
+	mgr, err := NewManager(sys, nil, ManagerOptions{DataDir: dir, DriftThreshold: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	arrivals := newcomerSchemas()
+	recluster("recluster", mgr, arrivals[0])
+	if _, err := mgr.Ingest(arrivals[1]); err != nil { // stays in the WAL
+		t.Fatal(err)
+	}
+	mgr.Close()
+
+	recovered, err := LoadManagerDir(dir, ManagerOptions{DriftThreshold: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recovered.Close()
+	check("wal recovery", recovered.System())
+	recluster("recluster after wal recovery", recovered, arrivals[2])
 }
 
 func TestNaNTauCSimRejected(t *testing.T) {

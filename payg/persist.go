@@ -113,6 +113,11 @@ func LoadWithPending(r io.Reader) (*System, []Schema, error) {
 	if snap.Version < 1 || snap.Version > snapshotVersion {
 		return nil, nil, fmt.Errorf("payg: snapshot version %d, want 1–%d", snap.Version, snapshotVersion)
 	}
+	// A snapshot holds a built system's options, so its float thresholds
+	// are already resolved (gob drops the unexported marker): a stored 0 is
+	// a requested literal. withDefaults still fills the string fields that
+	// postdate the snapshot's version.
+	snap.Opts.resolved = true
 	opts := snap.Opts.withDefaults()
 	// featureConfig applies the same sentinel translation Build used —
 	// notably TauTSim 0 (a requested literal threshold) must become
@@ -131,13 +136,10 @@ func LoadWithPending(r io.Reader) (*System, []Schema, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	// Fitted vectorizer state (embeddings, ANN graph) is derived, never
+	// Fitted shortlist state (embeddings, ANN graph) is derived, never
 	// persisted: re-fit deterministically against the rebuilt space.
-	vec, err := opts.newVectorizer()
+	vec, err := opts.fitShortlist(sp)
 	if err != nil {
-		return nil, nil, err
-	}
-	if err := vec.Fit(sp); err != nil {
 		return nil, nil, err
 	}
 	sys := &System{opts: opts, schemas: snap.Schemas, space: sp, model: model, classifier: cls, vectorizer: vec}

@@ -54,8 +54,8 @@ func (s *System) Shard(local []int) (*System, error) {
 		space:      s.space,
 		model:      s.model,
 		classifier: cls,
-		// The fitted backend is bound to the shared (immutable) feature
-		// space, so the shard reuses it rather than re-fitting.
+		// The fitted shortlist index is bound to the shared (immutable)
+		// feature space, so the shard reuses it rather than re-fitting.
 		vectorizer: s.vectorizer,
 		local:      sorted,
 		localSet:   set,

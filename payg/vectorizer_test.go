@@ -3,18 +3,20 @@ package payg
 import (
 	"bytes"
 	"context"
+	"encoding/gob"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
+	"schemaflow/internal/classify"
+	"schemaflow/internal/core"
 	"schemaflow/internal/dataset"
+	"schemaflow/internal/schema"
 )
 
-// TestTermBackendDefaultEquivalence guards the refactor's central promise:
-// moving MinHash-LSH candidate generation behind the Vectorizer interface
-// changed nothing about the default backend — a blocked build with an
-// explicit "term" backend is bit-identical to one with the backend left
-// unset.
+// TestTermBackendDefaultEquivalence: a blocked build with an explicit "term"
+// vectorizer is bit-identical to one with the field left unset.
 func TestTermBackendDefaultEquivalence(t *testing.T) {
 	set := dataset.Large(dataset.LargeConfig{N: 400, Domains: 8, Seed: 21})
 	base, err := Build(set, Options{CandidateGen: "lsh", SkipMediation: true})
@@ -51,14 +53,12 @@ func TestUnknownVectorizerRejected(t *testing.T) {
 	}
 }
 
-// TestNGramBlockedBuildClusters exercises the dense backend end to end on
-// the blocked path: ANN candidate pairs must recover essentially the same
-// domain structure as the MinHash path (exact term-space similarity still
-// decides every merge; the backends differ only in which pairs they
-// propose, so domain counts may drift slightly).
+// TestNGramBlockedBuildClusters: candidate generation is blocking, not
+// approximation — the ngram index only prunes the online paths, so a blocked
+// build must cluster identically whichever vectorizer is selected.
 func TestNGramBlockedBuildClusters(t *testing.T) {
 	set := dataset.Large(dataset.LargeConfig{N: 400, Domains: 8, Seed: 21})
-	term, err := Build(set, Options{CandidateGen: "lsh", SkipMediation: true})
+	term, err := Build(set, Options{CandidateGen: "lsh", SkipMediation: true, Vectorizer: "term"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,10 +66,11 @@ func TestNGramBlockedBuildClusters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nTerm, nGram := term.NumDomains(), sys.NumDomains()
-	t.Logf("blocked domains: term=%d ngram=%d", nTerm, nGram)
-	if lo, hi := nTerm*8/10, nTerm*12/10+2; nGram < lo || nGram > hi {
-		t.Fatalf("ngram blocked build found %d domains, term backend found %d (want within [%d,%d])", nGram, nTerm, lo, hi)
+	if !reflect.DeepEqual(term.Model().Clustering.Assign, sys.Model().Clustering.Assign) {
+		t.Fatal("ngram blocked build clusters differently from term")
+	}
+	if nTerm, nGram := term.NumDomains(), sys.NumDomains(); nTerm != nGram {
+		t.Fatalf("ngram blocked build found %d domains, term found %d", nGram, nTerm)
 	}
 	if got := sys.Classify("anything at all"); len(got) == 0 {
 		t.Fatal("classification returned no scores")
@@ -89,7 +90,7 @@ func TestNGramPrunedTop1Agreement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Both take the exact (dense) build path below CandidateAutoMin, so the
+	// Both take the exact (dense) build path below blockedAutoMin, so the
 	// models are identical and the only difference is classification
 	// pruning. Verify the premise before measuring agreement.
 	a, b := exact.Model().Clustering.Assign, pruned.Model().Clustering.Assign
@@ -173,8 +174,8 @@ func TestNGramPersistRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.vectorizer == nil || got.vectorizer.Name() != "ngram" {
-		t.Fatal("loaded system lost its ngram backend")
+	if got.vectorizer == nil {
+		t.Fatal("loaded system lost its ngram index")
 	}
 	for qi := 0; qi < 40; qi++ {
 		kw := set[qi*7%len(set)].Attributes
@@ -185,6 +186,72 @@ func TestNGramPersistRoundTrip(t *testing.T) {
 		for j := range sa {
 			if sa[j].Domain != sb[j].Domain {
 				t.Fatalf("query %d rank %d: domain %d vs %d after reload", qi, j, sa[j].Domain, sb[j].Domain)
+			}
+		}
+	}
+}
+
+// TestLoadsSnapshotWithRemovedOptions: snapshots written before the eight
+// tuning fields left Options still carry them (gob matches fields by name
+// and skips the ones the receiver lacks). Such a snapshot must load, serve
+// behind a Manager, and classify exactly like a freshly built system.
+func TestLoadsSnapshotWithRemovedOptions(t *testing.T) {
+	type oldOptions struct {
+		TauTSim, TauCSim, Theta, MediationFreqThreshold float64
+		TermSimilarity, Linkage, CandidateGen           string
+		SkipMediation                                   bool
+		LSHBands, LSHRows                               int
+		CandidateThreshold                              float64
+		CandidateAutoMin, Workers                       int
+		Vectorizer                                      string
+		ANNM, ANNEfSearch, ANNShortlistK                int
+	}
+	type oldSnapshot struct {
+		Version     int
+		Opts        oldOptions
+		Schemas     schema.Set
+		Assign      []int
+		Memberships [][]core.Membership
+		Classifier  *classify.Snapshot
+	}
+	set := dataset.Large(dataset.LargeConfig{N: 300, Domains: 6, Seed: 4})
+	for _, vec := range []string{"term", "ngram"} {
+		fresh, err := Build(set, Options{SkipMediation: true, Vectorizer: vec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		old := oldSnapshot{
+			Version: snapshotVersion,
+			Opts: oldOptions{
+				TauTSim: 0.8, TauCSim: 0.25, Theta: 0.02, MediationFreqThreshold: 0.1,
+				TermSimilarity: "lcs", Linkage: "avg-jaccard", CandidateGen: "auto", SkipMediation: true,
+				LSHBands: 128, LSHRows: 2, CandidateThreshold: 0.05, CandidateAutoMin: 4096, Workers: 3,
+				Vectorizer: vec, ANNM: 16, ANNEfSearch: 64, ANNShortlistK: 32,
+			},
+			Schemas:     fresh.schemas,
+			Assign:      fresh.model.Clustering.Assign,
+			Memberships: make([][]core.Membership, len(set)),
+			Classifier:  fresh.classifier.Snapshot(),
+		}
+		for i := range set {
+			old.Memberships[i] = fresh.model.DomainsOf(i)
+		}
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(&old); err != nil {
+			t.Fatal(err)
+		}
+		mgr, err := LoadManager(&buf, nil, ManagerOptions{DriftThreshold: -1})
+		if err != nil {
+			t.Fatalf("%s: old snapshot did not load: %v", vec, err)
+		}
+		defer mgr.Close()
+		if got := mgr.System().vectorizer != nil; got != (vec == "ngram") {
+			t.Fatalf("%s: loaded system has ngram index = %v", vec, got)
+		}
+		for qi := 0; qi < 40; qi++ {
+			kw := set[qi*7%len(set)].Attributes
+			if want, got := fresh.ClassifyKeywords(kw), mgr.System().ClassifyKeywords(kw); !reflect.DeepEqual(want, got) {
+				t.Fatalf("%s query %d: loaded system ranks %+v, fresh build %+v", vec, qi, got, want)
 			}
 		}
 	}
@@ -252,7 +319,7 @@ func TestNGramConcurrentClassifyDuringReclusterSwap(t *testing.T) {
 		t.Fatal(err)
 	default:
 	}
-	if mgr.System().vectorizer == nil || mgr.System().vectorizer.Name() != "ngram" {
-		t.Fatal("rebuilt generation lost the ngram backend")
+	if mgr.System().vectorizer == nil {
+		t.Fatal("rebuilt generation lost the ngram index")
 	}
 }
