@@ -379,7 +379,6 @@ func recoverServer(logger *slog.Logger, o options, cfg server.Config, man *shard
 	opts := payg.ManagerOptions{
 		Policy:           cfg.Policy,
 		DriftThreshold:   o.driftThreshold,
-		DriftWindow:      cfg.DriftWindow,
 		RebuildInterval:  o.rebuildInterval,
 		QueryCacheSize:   o.queryCache,
 		DataDir:          o.dataDir,

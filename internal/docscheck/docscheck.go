@@ -4,12 +4,18 @@
 // binaries so tests (run by `make docs-check` and CI) can diff them
 // against the live metric registry, the file tree, and the operator
 // runbook. Documentation that cannot drift silently is the only kind
-// worth shipping.
+// worth shipping. The same tests ratchet the serving configuration surface
+// (ExportedFields) and the one-definition rule of the HTTP contract
+// (ProductionSources).
 package docscheck
 
 import (
 	"bufio"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
 	"regexp"
 	"strings"
@@ -164,4 +170,61 @@ func RelativeLinks(path string) ([]Link, error) {
 		}
 	}
 	return links, nil
+}
+
+// ExportedFields counts the exported fields of the struct type typeName
+// declared in the Go source file at path — each one is an independently
+// settable option.
+func ExportedFields(path, typeName string) (int, error) {
+	file, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+	if err != nil {
+		return 0, err
+	}
+	n := -1
+	ast.Inspect(file, func(node ast.Node) bool {
+		ts, ok := node.(*ast.TypeSpec)
+		if !ok {
+			return true
+		}
+		if st, ok := ts.Type.(*ast.StructType); ok && ts.Name.Name == typeName {
+			n = 0
+			for _, f := range st.Fields.List {
+				for _, name := range f.Names {
+					if name.IsExported() {
+						n++
+					}
+				}
+			}
+		}
+		return false
+	})
+	if n < 0 {
+		return 0, fmt.Errorf("%s: no struct type %s", path, typeName)
+	}
+	return n, nil
+}
+
+// ProductionSources reads every non-test .go file under root except the
+// fenced bench/ tree, keyed by root-relative path.
+func ProductionSources(root string) (map[string]string, error) {
+	out := make(map[string]string)
+	fsys := os.DirFS(root)
+	err := fs.WalkDir(fsys, ".", func(rel string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if rel == "bench" || strings.HasPrefix(d.Name(), ".") && rel != "." {
+				return fs.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(rel, ".go") || strings.HasSuffix(rel, "_test.go") {
+			return nil
+		}
+		data, err := fs.ReadFile(fsys, rel)
+		out[rel] = string(data)
+		return err
+	})
+	return out, err
 }

@@ -3,6 +3,7 @@ package docscheck
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"schemaflow/internal/obs"
@@ -130,6 +131,70 @@ func TestFlagsDocumented(t *testing.T) {
 		if _, ok := registered[name]; !ok {
 			t.Errorf("%s:%d documents flag -%s, which no binary registers", docPath, line, name)
 		}
+	}
+}
+
+// TestConfigSurfaceRatchet is maxServerFlags for the serving config
+// structs: each may lose fields freely, but growing one means editing its
+// number on purpose (ROADMAP item 3).
+func TestConfigSurfaceRatchet(t *testing.T) {
+	for _, c := range []struct {
+		file, typ string
+		max       int
+	}{
+		{filepath.Join("internal", "server", "server.go"), "Config", 12},
+		{filepath.Join("internal", "shard", "router.go"), "RouterConfig", 3},
+		{filepath.Join("payg", "manager.go"), "ManagerOptions", 13},
+	} {
+		n, err := ExportedFields(filepath.Join(repoRoot, c.file), c.typ)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n > c.max {
+			t.Errorf("%s: %s has %d exported fields, ratchet is %d", c.file, c.typ, n, c.max)
+		}
+	}
+}
+
+// TestOneHTTPContract keeps the HTTP contract in one place: each validator
+// error string is spelled in exactly one production file (internal/httpapi)
+// and the mediated-schema wire tag at most three times (httpapi.Score,
+// httpapi.Domain, shard.PartialScore), so a second copy of a validator or a
+// wire type cannot reappear unnoticed.
+func TestOneHTTPContract(t *testing.T) {
+	sources, err := ProductionSources(repoRoot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, msg := range []string{
+		"missing q parameter",
+		"bad top parameter",
+		"empty query list",
+		"too many queries: ",
+		"empty query at index ",
+		"bad top value",
+		"missing schema name",
+		"empty attribute list",
+		"bad request body: ",
+		"trailing data after JSON body",
+	} {
+		var files []string
+		for rel, src := range sources {
+			if strings.Contains(src, msg) {
+				files = append(files, rel)
+			}
+		}
+		if len(files) != 1 {
+			t.Errorf("%q is spelled in %d files %v, want exactly one", msg, len(files), files)
+		}
+	}
+	const tag = `json:"mediated_schema,omitempty"`
+	tags := 0
+	for _, src := range sources {
+		tags += strings.Count(src, tag)
+	}
+	if tags > 3 {
+		t.Errorf("%s occurs %d times, want at most 3", tag, tags)
 	}
 }
 

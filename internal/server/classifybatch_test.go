@@ -7,6 +7,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"schemaflow/internal/httpapi"
 )
 
 func postJSON(t *testing.T, s *Server, path, body string) (int, string) {
@@ -75,7 +77,7 @@ func TestClassifyBatchValidation(t *testing.T) {
 	// Over the per-request width cap.
 	var sb strings.Builder
 	sb.WriteString(`{"queries": [`)
-	for i := 0; i < maxBatchQueries+1; i++ {
+	for i := 0; i < httpapi.MaxBatchQueries+1; i++ {
 		if i > 0 {
 			sb.WriteString(",")
 		}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"schemaflow/internal/engine"
+	"schemaflow/internal/httpapi"
 	"schemaflow/payg"
 )
 
@@ -202,8 +203,7 @@ func TestOversizedBodyRejected(t *testing.T) {
 }
 
 func TestRecoverMiddleware(t *testing.T) {
-	s := &Server{logger: discardLogger()}
-	h := s.withRecover(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+	h := httpapi.Recover(discardLogger(), http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
 		panic("boom")
 	}))
 	req := httptest.NewRequest(http.MethodGet, "/x", nil)
@@ -215,23 +215,6 @@ func TestRecoverMiddleware(t *testing.T) {
 	var v map[string]string
 	if err := json.Unmarshal(rec.Body.Bytes(), &v); err != nil || v["error"] == "" {
 		t.Fatalf("panic response %q is not the JSON error shape", rec.Body.String())
-	}
-}
-
-func TestRequestTimeoutMiddleware(t *testing.T) {
-	h := withRequestTimeout(time.Millisecond, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		select {
-		case <-r.Context().Done():
-			w.WriteHeader(http.StatusGatewayTimeout)
-		case <-time.After(time.Second):
-			w.WriteHeader(http.StatusOK)
-		}
-	}))
-	req := httptest.NewRequest(http.MethodGet, "/x", nil)
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	if rec.Code != http.StatusGatewayTimeout {
-		t.Fatalf("code %d, want bounded request context to fire", rec.Code)
 	}
 }
 

@@ -48,7 +48,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -56,13 +55,15 @@ import (
 	"net/http/pprof"
 	"os"
 	"strconv"
-	"strings"
 	"time"
 
 	"schemaflow/internal/engine"
-	"schemaflow/internal/obs"
+	"schemaflow/internal/httpapi"
 	"schemaflow/payg"
 )
+
+// requestTimeout bounds each request's context.
+const requestTimeout = 30 * time.Second
 
 // Config tunes the server's robustness envelope. The zero value of every
 // field selects a sensible default.
@@ -75,17 +76,12 @@ type Config struct {
 	// circuit breaker) applied to query fan-out. The zero value selects
 	// payg.DefaultPolicy.
 	Policy payg.Policy
-	// RequestTimeout bounds each request's context (default 30s; negative
-	// disables).
-	RequestTimeout time.Duration
 	// MaxBodyBytes caps POST bodies (default 1 MiB).
 	MaxBodyBytes int64
 	// DriftThreshold is the fresh-arrival fraction that triggers a
 	// background recluster (payg.ManagerOptions.DriftThreshold: 0 means
 	// the default 0.5, negative disables drift-triggered rebuilds).
 	DriftThreshold float64
-	// DriftWindow is the drift sliding-window size (0 = default 16).
-	DriftWindow int
 	// RebuildInterval, when positive, periodically rebuilds while schemas
 	// are pending.
 	RebuildInterval time.Duration
@@ -118,12 +114,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Policy == (payg.Policy{}) {
-		c.Policy = payg.DefaultPolicy()
-	}
-	if c.RequestTimeout == 0 {
-		c.RequestTimeout = 30 * time.Second
-	}
 	if c.MaxBodyBytes == 0 {
 		c.MaxBodyBytes = 1 << 20
 	}
@@ -143,7 +133,6 @@ type Server struct {
 	mgr *payg.Manager
 
 	cfg     Config
-	logger  *slog.Logger
 	handler http.Handler
 
 	// epoch identifies this server incarnation for snapshot polling; see
@@ -177,7 +166,6 @@ func NewWithConfig(sys *payg.System, cfg Config) (*Server, error) {
 	mgr, err := payg.NewManager(sys, cfg.Sources, payg.ManagerOptions{
 		Policy:           cfg.Policy,
 		DriftThreshold:   cfg.DriftThreshold,
-		DriftWindow:      cfg.DriftWindow,
 		RebuildInterval:  cfg.RebuildInterval,
 		QueryCacheSize:   cfg.QueryCacheSize,
 		DataDir:          cfg.DataDir,
@@ -200,7 +188,7 @@ func NewWithConfig(sys *payg.System, cfg Config) (*Server, error) {
 // manager (Sources, DataDir, drift tuning) are ignored.
 func NewWithManager(mgr *payg.Manager, cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	s := &Server{mgr: mgr, cfg: cfg, logger: cfg.Logger, epoch: newRequestID()}
+	s := &Server{mgr: mgr, cfg: cfg, epoch: newRequestID()}
 	// mutating wraps a handler with the read-only guard: follower
 	// replicas answer every read but refuse writes, which belong on the
 	// leader.
@@ -209,12 +197,12 @@ func NewWithManager(mgr *payg.Manager, cfg Config) *Server {
 			return h
 		}
 		return func(w http.ResponseWriter, r *http.Request) {
-			writeError(w, http.StatusForbidden, "read-only follower: send writes to the leader")
+			httpapi.WriteError(w, http.StatusForbidden, "read-only follower: send writes to the leader")
 		}
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", route("/healthz", s.handleHealth))
-	mux.HandleFunc("GET /metrics", route("/metrics", s.handleMetrics))
+	mux.HandleFunc("GET /metrics", route("/metrics", httpapi.Metrics))
 	mux.HandleFunc("GET /domains", route("/domains", s.handleDomains))
 	mux.HandleFunc("GET /classify", route("/classify", s.handleClassify))
 	mux.HandleFunc("POST /classify/batch", route("/classify/batch", s.handleClassifyBatch))
@@ -235,7 +223,7 @@ func NewWithManager(mgr *payg.Manager, cfg Config) *Server {
 		mux.HandleFunc("/debug/pprof/symbol", route("/debug/pprof", pprof.Symbol))
 		mux.HandleFunc("/debug/pprof/trace", route("/debug/pprof", pprof.Trace))
 	}
-	s.handler = withObserve(cfg.Logger, s.withRecover(withRequestTimeout(cfg.RequestTimeout, mux)))
+	s.handler = withObserve(cfg.Logger, httpapi.Recover(cfg.Logger, httpapi.Timeout(requestTimeout, mux)))
 	return s
 }
 
@@ -247,76 +235,9 @@ func (s *Server) Manager() *payg.Manager { return s.mgr }
 // rebuild). The handler keeps answering reads.
 func (s *Server) Close() { s.mgr.Close() }
 
-// system returns the current serving system (lock-free atomic load).
-func (s *Server) system() *payg.System { return s.mgr.System() }
-
-// executor returns the current query executor (nil when no sources are
-// attached).
-func (s *Server) executor() *payg.Executor { return s.mgr.Executor() }
-
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.handler.ServeHTTP(w, r)
-}
-
-// withRecover converts handler panics into logged 500s instead of killing
-// the connection (and, under some servers, the process).
-func (s *Server) withRecover(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		defer func() {
-			rec := recover()
-			if rec == nil {
-				return
-			}
-			if rec == http.ErrAbortHandler {
-				panic(rec)
-			}
-			id := ""
-			if m := metaFrom(r.Context()); m != nil {
-				id = m.id
-			}
-			s.logger.Error("panic serving request",
-				slog.String("request_id", id),
-				slog.String("method", r.Method),
-				slog.String("path", r.URL.Path),
-				slog.Any("panic", rec))
-			writeError(w, http.StatusInternalServerError, "internal error")
-		}()
-		next.ServeHTTP(w, r)
-	})
-}
-
-// withRequestTimeout bounds every request's context so a slow downstream
-// cannot pin a connection forever. d <= 0 disables the bound. The pprof
-// subtree is exempt: a 30s CPU profile is supposed to outlive a 30s
-// request budget.
-func withRequestTimeout(d time.Duration, next http.Handler) http.Handler {
-	if d <= 0 {
-		return next
-	}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.HasPrefix(r.URL.Path, "/debug/pprof/") {
-			next.ServeHTTP(w, r)
-			return
-		}
-		ctx, cancel := context.WithTimeout(r.Context(), d)
-		defer cancel()
-		next.ServeHTTP(w, r.WithContext(ctx))
-	})
-}
-
-// decodeStrict decodes a size-capped JSON body, rejecting unknown fields
-// and trailing garbage.
-func (s *Server) decodeStrict(w http.ResponseWriter, r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	if dec.More() {
-		return errors.New("trailing data after JSON body")
-	}
-	return nil
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -350,92 +271,43 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 			resp["status"] = "degraded"
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// handleMetrics serves the process metrics registry: Prometheus text
-// format by default, JSON when the client asks for it (Accept:
-// application/json or ?format=json).
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	reg := obs.Default()
-	wantJSON := r.URL.Query().Get("format") == "json" ||
-		strings.Contains(r.Header.Get("Accept"), "application/json")
-	if wantJSON {
-		w.Header().Set("Content-Type", "application/json")
-		if err := reg.WriteJSON(w); err != nil {
-			s.logger.Warn("writing metrics", slog.Any("error", err))
-		}
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := reg.WritePrometheus(w); err != nil {
-		s.logger.Warn("writing metrics", slog.Any("error", err))
-	}
-}
-
-// domainJSON is the wire form of one domain.
-type domainJSON struct {
-	ID          int          `json:"id"`
-	Unclustered bool         `json:"unclustered,omitempty"`
-	Schemas     []memberJSON `json:"schemas"`
-	Mediated    []string     `json:"mediated_schema,omitempty"`
-}
-
-type memberJSON struct {
-	Name string  `json:"name"`
-	Prob float64 `json:"prob"`
+	httpapi.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleDomains(w http.ResponseWriter, r *http.Request) {
-	var out []domainJSON
-	for _, d := range s.system().Domains() {
-		dj := domainJSON{ID: d.ID, Unclustered: d.Unclustered, Mediated: d.MediatedAttributes}
+	var out []httpapi.Domain
+	for _, d := range s.mgr.System().Domains() {
+		dj := httpapi.Domain{ID: d.ID, Unclustered: d.Unclustered, Mediated: d.MediatedAttributes}
 		for _, m := range d.Schemas {
-			dj.Schemas = append(dj.Schemas, memberJSON{Name: m.Name, Prob: m.Prob})
+			dj.Schemas = append(dj.Schemas, httpapi.Member{Name: m.Name, Prob: m.Prob})
 		}
 		out = append(out, dj)
 	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-// scoreJSON is the wire form of one classified domain.
-type scoreJSON struct {
-	Domain    int      `json:"domain"`
-	Posterior float64  `json:"posterior"`
-	Mediated  []string `json:"mediated_schema,omitempty"`
+	httpapi.WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query().Get("q")
-	if q == "" {
-		writeError(w, http.StatusBadRequest, "missing q parameter")
+	q, top, err := httpapi.ParseClassify(r)
+	if err != nil {
+		httpapi.BadRequest(w, err)
 		return
-	}
-	top := 3
-	if t := r.URL.Query().Get("top"); t != "" {
-		v, err := strconv.Atoi(t)
-		if err != nil || v < 1 {
-			writeError(w, http.StatusBadRequest, "bad top parameter")
-			return
-		}
-		top = v
 	}
 	// The manager's generation-keyed cache answers repeated queries without
 	// running the classifier; results are identical to System().Classify.
-	scores := s.mgr.Classify(q)
-	writeJSON(w, http.StatusOK, s.scoresJSON(scores, top))
+	v := s.mgr.View()
+	httpapi.WriteJSON(w, http.StatusOK, scoresJSON(v.System(), v.Classify(q), top))
 }
 
-// scoresJSON converts a ranking to wire form, truncated to the top k and
-// decorated with each domain's mediated schema when available.
-func (s *Server) scoresJSON(scores []payg.Score, top int) []scoreJSON {
-	sys := s.system()
+// scoresJSON converts a ranking computed on sys to wire form, truncated to
+// the top k and decorated with each domain's mediated schema when
+// available.
+func scoresJSON(sys *payg.System, scores []payg.Score, top int) []httpapi.Score {
 	if top < len(scores) {
 		scores = scores[:top]
 	}
-	out := make([]scoreJSON, 0, len(scores))
+	out := make([]httpapi.Score, 0, len(scores))
 	for _, sc := range scores {
-		sj := scoreJSON{Domain: sc.Domain, Posterior: sc.Posterior}
+		sj := httpapi.Score{Domain: sc.Domain, Posterior: sc.Posterior}
 		if attrs, err := sys.MediatedAttributes(sc.Domain); err == nil {
 			sj.Mediated = attrs
 		}
@@ -444,81 +316,49 @@ func (s *Server) scoresJSON(scores []payg.Score, top int) []scoreJSON {
 	return out
 }
 
-// classifyBatchRequest is the /classify/batch body.
-type classifyBatchRequest struct {
-	Queries []string `json:"queries"`
-	Top     int      `json:"top"`
-}
-
-// maxBatchQueries caps one /classify/batch request; wider workloads should
-// shard into several requests (the body size cap would bite soon anyway).
-const maxBatchQueries = 1024
-
 func (s *Server) handleClassifyBatch(w http.ResponseWriter, r *http.Request) {
-	var req classifyBatchRequest
-	if err := s.decodeStrict(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	req, err := httpapi.DecodeBatch(w, r, s.cfg.MaxBodyBytes)
+	if err != nil {
+		httpapi.BadRequest(w, err)
 		return
 	}
-	if len(req.Queries) == 0 {
-		writeError(w, http.StatusBadRequest, "empty query list")
-		return
-	}
-	if len(req.Queries) > maxBatchQueries {
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("too many queries: %d > %d", len(req.Queries), maxBatchQueries))
-		return
-	}
-	for i, q := range req.Queries {
-		if strings.TrimSpace(q) == "" {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("empty query at index %d", i))
-			return
-		}
-	}
-	top := req.Top
-	if top == 0 {
-		top = 3
-	}
-	if top < 1 {
-		writeError(w, http.StatusBadRequest, "bad top value")
-		return
-	}
-	rankings := s.mgr.ClassifyBatch(req.Queries)
-	results := make([][]scoreJSON, len(rankings))
+	v := s.mgr.View()
+	rankings := v.ClassifyBatch(req.Queries)
+	results := make([][]httpapi.Score, len(rankings))
 	for i, scores := range rankings {
-		results[i] = s.scoresJSON(scores, top)
+		results[i] = scoresJSON(v.System(), scores, req.Top)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"results": results})
+	httpapi.WriteJSON(w, http.StatusOK, map[string]any{"results": results})
 }
 
 func (s *Server) handleSchema(w http.ResponseWriter, r *http.Request) {
 	domain, err := strconv.Atoi(r.URL.Query().Get("domain"))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad domain parameter")
+		httpapi.WriteError(w, http.StatusBadRequest, "bad domain parameter")
 		return
 	}
-	attrs, err := s.system().MediatedAttributes(domain)
+	attrs, err := s.mgr.System().MediatedAttributes(domain)
 	if err != nil {
-		writeError(w, http.StatusNotFound, err.Error())
+		httpapi.WriteError(w, http.StatusNotFound, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"domain": domain, "mediated_schema": attrs})
+	httpapi.WriteJSON(w, http.StatusOK, map[string]any{"domain": domain, "mediated_schema": attrs})
 }
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query().Get("q")
-	if q == "" {
-		writeError(w, http.StatusBadRequest, "missing q parameter")
+	q, err := httpapi.QueryParam(r)
+	if err != nil {
+		httpapi.BadRequest(w, err)
 		return
 	}
 	domain, err := strconv.Atoi(r.URL.Query().Get("domain"))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad domain parameter")
+		httpapi.WriteError(w, http.StatusBadRequest, "bad domain parameter")
 		return
 	}
-	ex, err := s.system().Explain(q, domain)
+	ex, err := s.mgr.System().Explain(q, domain)
 	if err != nil {
-		writeError(w, http.StatusNotFound, err.Error())
+		httpapi.WriteError(w, http.StatusNotFound, err.Error())
 		return
 	}
 	type termJSON struct {
@@ -529,7 +369,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	for _, t := range ex.Terms {
 		terms = append(terms, termJSON{Term: t.Term, Delta: t.Delta})
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	httpapi.WriteJSON(w, http.StatusOK, map[string]any{
 		"domain":    ex.Domain,
 		"log_prior": ex.LogPrior,
 		"baseline":  ex.Baseline,
@@ -550,8 +390,8 @@ type feedbackRequest struct {
 
 func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	var req feedbackRequest
-	if err := s.decodeStrict(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	if err := httpapi.DecodeStrict(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
+		httpapi.BadRequest(w, err)
 		return
 	}
 	fb := payg.Feedback{Merges: req.Merges, Splits: req.Splits}
@@ -559,7 +399,7 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		fb.Moves = append(fb.Moves, payg.Move{Schema: mv.Schema, Domain: mv.Domain})
 	}
 	if len(fb.Moves)+len(fb.Merges)+len(fb.Splits) == 0 {
-		writeError(w, http.StatusBadRequest, "empty feedback")
+		httpapi.WriteError(w, http.StatusBadRequest, "empty feedback")
 		return
 	}
 	// The manager serializes feedback against rebuild publication and
@@ -567,20 +407,14 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	// state carries over) in atomically.
 	res, err := s.mgr.ApplyFeedback(fb)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		httpapi.BadRequest(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	httpapi.WriteJSON(w, http.StatusOK, map[string]any{
 		"domains":       res.System.NumDomains(),
 		"domain_map":    res.DomainMap,
 		"new_domain_of": res.NewDomainOf,
 	})
-}
-
-// ingestRequest is the /schemas body: one new source schema.
-type ingestRequest struct {
-	Name       string   `json:"name"`
-	Attributes []string `json:"attributes"`
 }
 
 // domainProbJSON is one (domain, probability) entry of an assignment.
@@ -601,22 +435,14 @@ type ingestResponse struct {
 }
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	var req ingestRequest
-	if err := s.decodeStrict(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return
-	}
-	if req.Name == "" {
-		writeError(w, http.StatusBadRequest, "missing schema name")
-		return
-	}
-	if len(req.Attributes) == 0 {
-		writeError(w, http.StatusBadRequest, "empty attribute list")
+	req, err := httpapi.DecodeSchema(w, r, s.cfg.MaxBodyBytes)
+	if err != nil {
+		httpapi.BadRequest(w, err)
 		return
 	}
 	res, err := s.mgr.Ingest(payg.Schema{Name: req.Name, Attributes: req.Attributes})
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		httpapi.BadRequest(w, err)
 		return
 	}
 	out := ingestResponse{
@@ -631,7 +457,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	for _, d := range res.Assignment.Domains {
 		out.Domains = append(out.Domains, domainProbJSON{Domain: d.Domain, Prob: d.Prob})
 	}
-	writeJSON(w, http.StatusAccepted, out)
+	httpapi.WriteJSON(w, http.StatusAccepted, out)
 }
 
 // generationHeader carries the serving generation a snapshot was taken
@@ -659,7 +485,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	if after := r.URL.Query().Get("after"); after != "" {
 		gen, err := strconv.Atoi(after)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad after parameter")
+			httpapi.WriteError(w, http.StatusBadRequest, "bad after parameter")
 			return
 		}
 		epoch := r.URL.Query().Get("epoch")
@@ -675,7 +501,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	// never blocks ingests or swaps.
 	snap, gen, err := s.mgr.SnapshotBytes()
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
+		httpapi.WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	mSnapshotsServed.Inc()
@@ -684,21 +510,21 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set(generationHeader, strconv.Itoa(gen))
 	w.Header().Set(epochHeader, s.epoch)
 	if _, err := w.Write(snap); err != nil {
-		s.logger.Warn("streaming snapshot", slog.Any("error", err))
+		s.cfg.Logger.Warn("streaming snapshot", slog.Any("error", err))
 	}
 }
 
 func (s *Server) handleRecluster(w http.ResponseWriter, r *http.Request) {
 	if err := s.mgr.Recluster(r.Context()); err != nil {
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			writeError(w, http.StatusGatewayTimeout, "recluster timed out")
+			httpapi.WriteError(w, http.StatusGatewayTimeout, "recluster timed out")
 			return
 		}
-		writeError(w, http.StatusInternalServerError, err.Error())
+		httpapi.WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	st := s.mgr.Status()
-	writeJSON(w, http.StatusOK, map[string]any{
+	httpapi.WriteJSON(w, http.StatusOK, map[string]any{
 		"status":          "ok",
 		"schemas":         st.Schemas,
 		"domains":         st.Domains,
@@ -745,32 +571,32 @@ type queryResponse struct {
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	exec := s.executor()
+	exec := s.mgr.Executor()
 	if exec == nil {
-		writeError(w, http.StatusServiceUnavailable, "no data sources attached")
+		httpapi.WriteError(w, http.StatusServiceUnavailable, "no data sources attached")
 		return
 	}
 	var req queryRequest
-	if err := s.decodeStrict(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	if err := httpapi.DecodeStrict(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
+		httpapi.BadRequest(w, err)
 		return
 	}
 	if len(req.Select) == 0 {
-		writeError(w, http.StatusBadRequest, "empty select list")
+		httpapi.WriteError(w, http.StatusBadRequest, "empty select list")
 		return
 	}
 	if req.Limit < 0 {
-		writeError(w, http.StatusBadRequest, "negative limit")
+		httpapi.WriteError(w, http.StatusBadRequest, "negative limit")
 		return
 	}
 	res, err := exec.Execute(r.Context(), req.Domain,
 		engine.Query{Select: req.Select, Where: req.Where, Limit: req.Limit})
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			writeError(w, http.StatusGatewayTimeout, "query timed out")
+			httpapi.WriteError(w, http.StatusGatewayTimeout, "query timed out")
 			return
 		}
-		writeError(w, http.StatusBadRequest, err.Error())
+		httpapi.BadRequest(w, err)
 		return
 	}
 	out := queryResponse{Tuples: make([]tupleJSON, 0, len(res.Tuples))}
@@ -792,18 +618,5 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		out.Degraded = d
 	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		// Headers are gone; nothing useful left to do but note it.
-		slog.Warn("server: encoding response", slog.Any("error", err))
-	}
-}
-
-func writeError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, map[string]string{"error": msg})
+	httpapi.WriteJSON(w, http.StatusOK, out)
 }

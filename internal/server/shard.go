@@ -1,11 +1,9 @@
 package server
 
 import (
-	"fmt"
 	"net/http"
-	"strconv"
-	"strings"
 
+	"schemaflow/internal/httpapi"
 	"schemaflow/internal/shard"
 	"schemaflow/payg"
 )
@@ -31,110 +29,57 @@ func (s *Server) registerShardRoutes(mux *http.ServeMux) {
 	mux.HandleFunc("POST /shard/assign", route("/shard/assign", s.handleShardAssign))
 }
 
-// servingState loads a consistent (system, generation) pair: the manager
-// publishes both in one atomic swap, but exposes them through separate
-// loads, so re-check the generation and retry on the (rare) race with a
-// concurrent swap.
-func (s *Server) servingState() (*payg.System, int) {
-	for {
-		gen := s.mgr.Generation()
-		sys := s.mgr.System()
-		if s.mgr.Generation() == gen {
-			return sys, gen
-		}
-	}
-}
-
 func (s *Server) handleShardClassify(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query().Get("q")
-	if q == "" {
-		writeError(w, http.StatusBadRequest, "missing q parameter")
+	q, top, err := httpapi.ParseClassify(r)
+	if err != nil {
+		httpapi.BadRequest(w, err)
 		return
 	}
-	top := 3
-	if t := r.URL.Query().Get("top"); t != "" {
-		v, err := strconv.Atoi(t)
-		if err != nil || v < 1 {
-			writeError(w, http.StatusBadRequest, "bad top parameter")
-			return
-		}
-		top = v
-	}
-	sys, gen := s.servingState()
-	scores := s.mgr.Classify(q)
-	writeJSON(w, http.StatusOK, shard.ClassifyPartial{
-		Generation:   gen,
+	v := s.mgr.View()
+	sys := v.System()
+	httpapi.WriteJSON(w, http.StatusOK, shard.ClassifyPartial{
+		Generation:   v.Generation(),
 		TotalDomains: sys.NumDomains(),
-		Scores:       shard.PartialScores(scores, sys, top),
+		Scores:       shard.PartialScores(v.Classify(q), sys, top),
 	})
 }
 
 func (s *Server) handleShardClassifyBatch(w http.ResponseWriter, r *http.Request) {
-	var req classifyBatchRequest
-	if err := s.decodeStrict(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	req, err := httpapi.DecodeBatch(w, r, s.cfg.MaxBodyBytes)
+	if err != nil {
+		httpapi.BadRequest(w, err)
 		return
 	}
-	if len(req.Queries) == 0 {
-		writeError(w, http.StatusBadRequest, "empty query list")
-		return
-	}
-	if len(req.Queries) > maxBatchQueries {
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("too many queries: %d > %d", len(req.Queries), maxBatchQueries))
-		return
-	}
-	for i, q := range req.Queries {
-		if strings.TrimSpace(q) == "" {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("empty query at index %d", i))
-			return
-		}
-	}
-	top := req.Top
-	if top == 0 {
-		top = 3
-	}
-	if top < 1 {
-		writeError(w, http.StatusBadRequest, "bad top value")
-		return
-	}
-	sys, gen := s.servingState()
-	rankings := s.mgr.ClassifyBatch(req.Queries)
+	v := s.mgr.View()
+	sys := v.System()
+	rankings := v.ClassifyBatch(req.Queries)
 	out := shard.BatchPartial{
-		Generation:   gen,
+		Generation:   v.Generation(),
 		TotalDomains: sys.NumDomains(),
 		Results:      make([][]shard.PartialScore, len(rankings)),
 	}
 	for i, scores := range rankings {
-		out.Results[i] = shard.PartialScores(scores, sys, top)
+		out.Results[i] = shard.PartialScores(scores, sys, req.Top)
 	}
-	writeJSON(w, http.StatusOK, out)
+	httpapi.WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleShardAssign(w http.ResponseWriter, r *http.Request) {
-	var req ingestRequest
-	if err := s.decodeStrict(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	req, err := httpapi.DecodeSchema(w, r, s.cfg.MaxBodyBytes)
+	if err != nil {
+		httpapi.BadRequest(w, err)
 		return
 	}
-	if req.Name == "" {
-		writeError(w, http.StatusBadRequest, "missing schema name")
-		return
-	}
-	if len(req.Attributes) == 0 {
-		writeError(w, http.StatusBadRequest, "empty attribute list")
-		return
-	}
-	sys, gen := s.servingState()
+	v := s.mgr.View()
 	// Read-only probe: nothing is journaled or WAL-logged — the router
 	// decides where (and whether) the arrival is actually ingested.
-	a, err := sys.IngestLocal(payg.Schema{Name: req.Name, Attributes: req.Attributes})
+	a, err := v.System().IngestLocal(payg.Schema{Name: req.Name, Attributes: req.Attributes})
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		httpapi.BadRequest(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, shard.AssignProbe{
-		Generation: gen,
+	httpapi.WriteJSON(w, http.StatusOK, shard.AssignProbe{
+		Generation: v.Generation(),
 		BestDomain: a.BestDomain,
 		BestSim:    a.BestSim,
 		Fresh:      a.Fresh,

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -33,12 +34,15 @@ type UnroutableArrival struct {
 type ArrivalJournal struct {
 	mu    sync.Mutex
 	f     *os.File
-	path  string
 	count int
+	torn  int64
 }
 
 // OpenArrivalJournal opens (creating if needed) the journal in dir and
-// counts the entries already present.
+// counts the entries already present. A final line without its newline is
+// the record a crash interrupted — never acked — so it is truncated away
+// (see TornBytes); left in place, the next Append would be glued onto it
+// and an acked arrival would become one unparseable line.
 func OpenArrivalJournal(dir string) (*ArrivalJournal, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("shard: creating journal dir: %w", err)
@@ -48,20 +52,40 @@ func OpenArrivalJournal(dir string) (*ArrivalJournal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("shard: opening arrival journal: %w", err)
 	}
-	count := 0
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	for sc.Scan() {
-		if len(sc.Bytes()) > 0 {
-			count++
+	j := &ArrivalJournal{f: f}
+	var whole int64 // bytes in newline-terminated lines
+	rd := bufio.NewReader(f)
+	for {
+		line, err := rd.ReadBytes('\n')
+		if err == io.EOF {
+			j.torn = int64(len(line))
+			break
+		}
+		if err != nil {
+			f.Close()
+			return nil, fmt.Errorf("shard: scanning arrival journal: %w", err)
+		}
+		whole += int64(len(line))
+		if len(line) > 1 {
+			j.count++
 		}
 	}
-	if err := sc.Err(); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("shard: scanning arrival journal: %w", err)
+	if j.torn > 0 {
+		err := f.Truncate(whole)
+		if err == nil {
+			err = f.Sync()
+		}
+		if err != nil {
+			f.Close()
+			return nil, fmt.Errorf("shard: truncating torn arrival journal tail: %w", err)
+		}
 	}
-	return &ArrivalJournal{f: f, path: path, count: count}, nil
+	return j, nil
 }
+
+// TornBytes reports how many bytes of a torn final record were dropped
+// when the journal was opened (0 after a clean shutdown).
+func (j *ArrivalJournal) TornBytes() int64 { return j.torn }
 
 // Append journals one arrival, fsynced.
 func (j *ArrivalJournal) Append(a UnroutableArrival) error {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -15,12 +14,20 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"schemaflow/internal/classify"
-	"schemaflow/internal/obs"
+	"schemaflow/internal/httpapi"
 	"schemaflow/internal/resilience"
+)
+
+const (
+	// clientTimeout bounds one backend call.
+	clientTimeout = 10 * time.Second
+	// requestTimeout bounds each router request including its fan-out.
+	requestTimeout = 30 * time.Second
+	// maxBodyBytes caps POST bodies and proxied responses.
+	maxBodyBytes = 1 << 20
 )
 
 // RouterConfig wires a Router to its shard replicas.
@@ -30,53 +37,24 @@ type RouterConfig struct {
 	// Index), or the rendezvous partition and the replicas disagree about
 	// ownership.
 	Shards []string
-	// Client is the HTTP client for backend calls. Nil selects a client
-	// with a 10s timeout.
-	Client *http.Client
-	// Logger receives one structured line per request. Nil selects a JSON
+	// Logger receives handler panics and the journal's torn-tail report;
+	// the router writes no per-request line (its request counts and
+	// latencies are the schemaflow_router_* metrics). Nil selects a JSON
 	// handler on stderr.
 	Logger *slog.Logger
 	// JournalDir is where unroutable arrivals are journaled (required —
 	// without it a fresh arrival could only be dropped or refused).
 	JournalDir string
-	// RequestTimeout bounds each router request including its fan-out
-	// (default 30s; negative disables).
-	RequestTimeout time.Duration
-	// MaxBodyBytes caps POST bodies and proxied responses (default 1 MiB).
-	MaxBodyBytes int64
-	// Policy supplies the per-shard circuit breaker (threshold, cooldown,
-	// probes); its retry/timeout fields are unused — the router prefers a
-	// fast degraded answer over retrying into a sick shard. The zero value
-	// selects resilience.DefaultPolicy.
-	Policy resilience.Policy
 }
 
-func (c RouterConfig) withDefaults() RouterConfig {
-	if c.Client == nil {
-		c.Client = &http.Client{Timeout: 10 * time.Second}
-	}
-	if c.Logger == nil {
-		c.Logger = slog.New(slog.NewJSONHandler(os.Stderr, nil))
-	}
-	if c.RequestTimeout == 0 {
-		c.RequestTimeout = 30 * time.Second
-	}
-	if c.MaxBodyBytes == 0 {
-		c.MaxBodyBytes = 1 << 20
-	}
-	if c.Policy == (resilience.Policy{}) {
-		c.Policy = resilience.DefaultPolicy()
-	}
-	return c
-}
-
-// backend is one shard replica as seen from the router: its base URL, a
-// circuit breaker, and the last serving generation observed on it.
+// backend is one shard replica as seen from the router: its base URL and
+// a circuit breaker (resilience.DefaultPolicy's threshold, cooldown and
+// probes; the router never retries — it prefers a fast degraded answer
+// over retrying into a sick shard).
 type backend struct {
 	index   int
 	base    string
 	breaker *resilience.Breaker
-	gen     atomic.Int64
 }
 
 // Router is the scatter-gather front-end of a sharded topology. It speaks
@@ -90,8 +68,7 @@ type backend struct {
 // `degraded`, queries return an empty degraded result, arrivals fall back
 // to the router's journal — the SLO posture is "partial answer now".
 type Router struct {
-	cfg      RouterConfig
-	logger   *slog.Logger
+	client   *http.Client
 	backends []*backend
 	journal  *ArrivalJournal
 	handler  http.Handler
@@ -100,7 +77,9 @@ type Router struct {
 // NewRouter builds a router over cfg.Shards. Call Close to release the
 // arrival journal.
 func NewRouter(cfg RouterConfig) (*Router, error) {
-	cfg = cfg.withDefaults()
+	if cfg.Logger == nil {
+		cfg.Logger = slog.New(slog.NewJSONHandler(os.Stderr, nil))
+	}
 	if len(cfg.Shards) == 0 {
 		return nil, fmt.Errorf("shard: router needs at least one shard URL")
 	}
@@ -111,12 +90,16 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if err != nil {
 		return nil, err
 	}
-	rt := &Router{cfg: cfg, logger: cfg.Logger, journal: journal}
+	if torn := journal.TornBytes(); torn > 0 {
+		cfg.Logger.Warn("arrival journal: dropped a torn tail (the record being written at crash time; it was never acked)",
+			slog.Int64("bytes", torn))
+	}
+	rt := &Router{client: &http.Client{Timeout: clientTimeout}, journal: journal}
 	for i, base := range cfg.Shards {
 		rt.backends = append(rt.backends, &backend{
 			index:   i,
 			base:    strings.TrimRight(base, "/"),
-			breaker: cfg.Policy.NewBreaker(),
+			breaker: resilience.DefaultPolicy().NewBreaker(),
 		})
 	}
 	mux := http.NewServeMux()
@@ -129,7 +112,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		})
 	}
 	handle("GET /healthz", "/healthz", rt.handleHealth)
-	handle("GET /metrics", "/metrics", rt.handleMetrics)
+	handle("GET /metrics", "/metrics", httpapi.Metrics)
 	handle("GET /classify", "/classify", rt.handleClassify)
 	handle("POST /classify/batch", "/classify/batch", rt.handleClassifyBatch)
 	handle("GET /domains", "/domains", rt.handleDomains)
@@ -139,10 +122,10 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	handle("POST /feedback", "/feedback", rt.handleFeedback)
 	handle("POST /schemas", "/schemas", rt.handleIngest)
 	handle("POST /admin/recluster", "/admin/recluster", func(w http.ResponseWriter, r *http.Request) {
-		writeError(w, http.StatusNotImplemented,
+		httpapi.WriteError(w, http.StatusNotImplemented,
 			"recluster is a topology-wide operation: rebuild a single-node checkpoint and re-split it (see docs/OPERATIONS.md)")
 	})
-	rt.handler = rt.withRecover(withTimeout(cfg.RequestTimeout, mux))
+	rt.handler = httpapi.Recover(cfg.Logger, httpapi.Timeout(requestTimeout, mux))
 	return rt, nil
 }
 
@@ -153,37 +136,6 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // Close releases the arrival journal.
 func (rt *Router) Close() error { return rt.journal.Close() }
-
-func (rt *Router) withRecover(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		defer func() {
-			rec := recover()
-			if rec == nil {
-				return
-			}
-			if rec == http.ErrAbortHandler {
-				panic(rec)
-			}
-			rt.logger.Error("panic serving router request",
-				slog.String("method", r.Method),
-				slog.String("path", r.URL.Path),
-				slog.Any("panic", rec))
-			writeError(w, http.StatusInternalServerError, "internal error")
-		}()
-		next.ServeHTTP(w, r)
-	})
-}
-
-func withTimeout(d time.Duration, next http.Handler) http.Handler {
-	if d <= 0 {
-		return next
-	}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ctx, cancel := context.WithTimeout(r.Context(), d)
-		defer cancel()
-		next.ServeHTTP(w, r.WithContext(ctx))
-	})
-}
 
 // callResult is one shard's answer to a fan-out call.
 type callResult struct {
@@ -203,7 +155,7 @@ func (c callResult) failed() bool { return c.err != nil }
 // not the shard's) counts as success.
 func (rt *Router) call(ctx context.Context, b *backend, method, pathAndQuery string, body []byte) callResult {
 	res := callResult{index: b.index}
-	if b.breaker != nil && !b.breaker.Allow() {
+	if !b.breaker.Allow() {
 		mRouterShardSkipped.With(strconv.Itoa(b.index)).Inc()
 		mRouterShardUp.With(strconv.Itoa(b.index)).Set(0)
 		res.err = fmt.Errorf("shard %d: circuit breaker open", b.index)
@@ -222,22 +174,22 @@ func (rt *Router) call(ctx context.Context, b *backend, method, pathAndQuery str
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	resp, err := rt.cfg.Client.Do(req)
+	resp, err := rt.client.Do(req)
 	if err != nil {
 		rt.observeFailure(b)
 		res.err = fmt.Errorf("shard %d: %w", b.index, err)
 		return res
 	}
 	defer resp.Body.Close()
-	p, err := io.ReadAll(io.LimitReader(resp.Body, rt.cfg.MaxBodyBytes+1))
+	p, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes+1))
 	if err != nil {
 		rt.observeFailure(b)
 		res.err = fmt.Errorf("shard %d: reading response: %w", b.index, err)
 		return res
 	}
-	if int64(len(p)) > rt.cfg.MaxBodyBytes {
+	if len(p) > maxBodyBytes {
 		rt.observeFailure(b)
-		res.err = fmt.Errorf("shard %d: response exceeds %d bytes", b.index, rt.cfg.MaxBodyBytes)
+		res.err = fmt.Errorf("shard %d: response exceeds %d bytes", b.index, maxBodyBytes)
 		return res
 	}
 	if resp.StatusCode >= 500 {
@@ -245,9 +197,7 @@ func (rt *Router) call(ctx context.Context, b *backend, method, pathAndQuery str
 		res.err = fmt.Errorf("shard %d: status %s", b.index, resp.Status)
 		return res
 	}
-	if b.breaker != nil {
-		b.breaker.Success()
-	}
+	b.breaker.Success()
 	mRouterShardUp.With(strconv.Itoa(b.index)).Set(1)
 	res.status = resp.StatusCode
 	res.body = p
@@ -256,9 +206,7 @@ func (rt *Router) call(ctx context.Context, b *backend, method, pathAndQuery str
 }
 
 func (rt *Router) observeFailure(b *backend) {
-	if b.breaker != nil {
-		b.breaker.Failure()
-	}
+	b.breaker.Failure()
 	mRouterShardErrors.With(strconv.Itoa(b.index)).Inc()
 	mRouterShardUp.With(strconv.Itoa(b.index)).Set(0)
 }
@@ -280,8 +228,7 @@ func (rt *Router) scatter(ctx context.Context, method, pathAndQuery string, body
 }
 
 // noteGeneration records a shard's reported serving generation.
-func (rt *Router) noteGeneration(index, gen int) {
-	rt.backends[index].gen.Store(int64(gen))
+func noteGeneration(index, gen int) {
 	mRouterShardGeneration.With(strconv.Itoa(index)).Set(float64(gen))
 }
 
@@ -309,71 +256,79 @@ func degradedReport(results []callResult, covered, total int) *degradedJSON {
 	return d
 }
 
-// scoreJSON mirrors the single-node /classify wire form exactly — same
-// fields, same tags, same order — so a healthy router response is
-// byte-identical to the unsharded server's.
-type scoreJSON struct {
-	Domain    int      `json:"domain"`
-	Posterior float64  `json:"posterior"`
-	Mediated  []string `json:"mediated_schema,omitempty"`
-}
-
-// gatherClassify decodes classify partials from a fan-out, keeps only the
-// newest-generation group (a shard mid-swap must not be merged with the
-// rest — its log posteriors come from a different model), and reports the
-// survivors plus the total domain count.
-func (rt *Router) gatherClassify(results []callResult) (partials []*ClassifyPartial, use []bool, total int, err error) {
-	use = make([]bool, len(results))
-	partials = make([]*ClassifyPartial, len(results))
+// gatherClassify is the newest-generation gather: it decodes each shard's
+// answer to an n-query fan-out (decodeSingle or decodeBatch), keeps only
+// the newest-generation group (a shard mid-swap must not be merged with
+// the rest — its log posteriors come from a different model), and returns
+// the survivors indexed by shard, how many there are, and the total domain
+// count. A dropped shard's slot is nil and results[i].err says why.
+func (rt *Router) gatherClassify(results []callResult, n int, decode func(body []byte) (*BatchPartial, error)) (batches []*BatchPartial, alive, total int, err error) {
+	batches = make([]*BatchPartial, len(results))
 	maxGen := -1
 	for i := range results {
 		if results[i].failed() {
 			continue
 		}
-		var p ClassifyPartial
-		if e := json.Unmarshal(results[i].body, &p); e != nil {
+		p, e := decode(results[i].body)
+		if e == nil && len(p.Results) != n {
+			e = fmt.Errorf("%d results for %d queries", len(p.Results), n)
+		}
+		if e != nil {
 			rt.observeFailure(rt.backends[i])
-			results[i].err = fmt.Errorf("shard %d: decoding partial: %w", i, e)
+			results[i].err = fmt.Errorf("shard %d: %w", i, e)
 			continue
 		}
-		partials[i] = &p
-		rt.noteGeneration(i, p.Generation)
+		batches[i] = p
+		noteGeneration(i, p.Generation)
 		if p.Generation > maxGen {
 			maxGen = p.Generation
 		}
 	}
-	used := 0
-	for i, p := range partials {
+	for i, p := range batches {
 		if p == nil {
 			continue
 		}
 		if p.Generation != maxGen {
 			results[i].err = fmt.Errorf("shard %d: stale generation %d (newest %d)", i, p.Generation, maxGen)
-			partials[i] = nil
+			batches[i] = nil
 			continue
 		}
-		if used > 0 && p.TotalDomains != total {
-			return nil, nil, 0, fmt.Errorf("shards disagree on domain count (%d vs %d); topology misconfigured", p.TotalDomains, total)
+		if alive > 0 && p.TotalDomains != total {
+			return nil, 0, 0, fmt.Errorf("shards disagree on domain count (%d vs %d); topology misconfigured", p.TotalDomains, total)
 		}
-		use[i] = true
 		total = p.TotalDomains
-		used++
+		alive++
 	}
-	return partials, use, total, nil
+	return batches, alive, total, nil
 }
 
-// mergeRanking turns the usable partials into the final ranked wire form,
+// decodeSingle adapts a /shard/classify answer to the gather's batch form.
+func decodeSingle(body []byte) (*BatchPartial, error) {
+	var p ClassifyPartial
+	if err := json.Unmarshal(body, &p); err != nil {
+		return nil, fmt.Errorf("decoding partial: %w", err)
+	}
+	return &BatchPartial{Generation: p.Generation, TotalDomains: p.TotalDomains, Results: [][]PartialScore{p.Scores}}, nil
+}
+
+// decodeBatch decodes a /shard/classify/batch answer.
+func decodeBatch(body []byte) (*BatchPartial, error) {
+	var p BatchPartial
+	if err := json.Unmarshal(body, &p); err != nil {
+		return nil, fmt.Errorf("decoding batch partial: %w", err)
+	}
+	return &p, nil
+}
+
+// mergeRanking turns one query's partial lists (indexed by shard, empty
+// where the shard contributed nothing) into the final ranked wire form,
 // checking that no domain is claimed by two shards.
-func mergeRanking(partials []*ClassifyPartial, pick func(*ClassifyPartial) []PartialScore, top int) ([]scoreJSON, int, error) {
+func mergeRanking(partials [][]PartialScore, top int) ([]httpapi.Score, int, error) {
 	var lists [][]classify.Score
 	mediated := make(map[int][]string)
 	seen := make(map[int]int)
 	covered := 0
-	for i, p := range partials {
-		if p == nil {
-			continue
-		}
-		ps := pick(p)
+	for i, ps := range partials {
 		for _, s := range ps {
 			if prev, dup := seen[s.Domain]; dup {
 				return nil, 0, fmt.Errorf("domain %d claimed by shards %d and %d; topology misconfigured", s.Domain, prev, i)
@@ -390,192 +345,90 @@ func mergeRanking(partials []*ClassifyPartial, pick func(*ClassifyPartial) []Par
 	if top < len(merged) {
 		merged = merged[:top]
 	}
-	out := make([]scoreJSON, 0, len(merged))
+	out := make([]httpapi.Score, 0, len(merged))
 	for _, sc := range merged {
-		out = append(out, scoreJSON{Domain: sc.Domain, Posterior: sc.Posterior, Mediated: mediated[sc.Domain]})
+		out = append(out, httpapi.Score{Domain: sc.Domain, Posterior: sc.Posterior, Mediated: mediated[sc.Domain]})
 	}
 	return out, covered, nil
 }
 
-func (rt *Router) handleClassify(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query().Get("q")
-	if q == "" {
-		writeError(w, http.StatusBadRequest, "missing q parameter")
-		return
+// gatherRankings is the read path /classify and /classify/batch share: gather
+// the n-query fan-out's newest generation and merge each query's ranking.
+// degraded is nil under full coverage. On failure it has answered 502 and
+// ok is false.
+func (rt *Router) gatherRankings(w http.ResponseWriter, results []callResult, n, top int, decode func([]byte) (*BatchPartial, error)) (rankings [][]httpapi.Score, degraded *degradedJSON, ok bool) {
+	fail := func(msg string) ([][]httpapi.Score, *degradedJSON, bool) {
+		httpapi.WriteError(w, http.StatusBadGateway, msg)
+		return nil, nil, false
 	}
-	top := 3
-	if t := r.URL.Query().Get("top"); t != "" {
-		v, err := strconv.Atoi(t)
-		if err != nil || v < 1 {
-			writeError(w, http.StatusBadRequest, "bad top parameter")
-			return
+	batches, alive, total, err := rt.gatherClassify(results, n, decode)
+	if err != nil {
+		return fail(err.Error())
+	}
+	if alive == 0 {
+		return fail("no shard answered: " + joinErrors(results))
+	}
+	rankings = make([][]httpapi.Score, n)
+	covered := 0
+	for qi := range rankings {
+		partials := make([][]PartialScore, len(batches))
+		for i, p := range batches {
+			if p != nil {
+				partials[i] = p.Results[qi]
+			}
 		}
-		top = v
+		if rankings[qi], covered, err = mergeRanking(partials, top); err != nil {
+			return fail(err.Error())
+		}
+	}
+	if alive < len(rt.backends) {
+		mRouterDegraded.Inc()
+		degraded = degradedReport(results, covered, total)
+	}
+	return rankings, degraded, true
+}
+
+func (rt *Router) handleClassify(w http.ResponseWriter, r *http.Request) {
+	q, top, err := httpapi.ParseClassify(r)
+	if err != nil {
+		httpapi.BadRequest(w, err)
+		return
 	}
 	path := "/shard/classify?q=" + url.QueryEscape(q) + "&top=" + strconv.Itoa(top)
 	results := rt.scatter(r.Context(), http.MethodGet, path, nil)
-	partials, use, total, err := rt.gatherClassify(results)
-	if err != nil {
-		writeError(w, http.StatusBadGateway, err.Error())
+	rankings, degraded, ok := rt.gatherRankings(w, results, 1, top, decodeSingle)
+	if !ok {
 		return
 	}
-	alive := 0
-	for _, ok := range use {
-		if ok {
-			alive++
-		}
-	}
-	if alive == 0 {
-		writeError(w, http.StatusBadGateway, "no shard answered: "+joinErrors(results))
-		return
-	}
-	ranked, covered, err := mergeRanking(partials, func(p *ClassifyPartial) []PartialScore { return p.Scores }, top)
-	if err != nil {
-		writeError(w, http.StatusBadGateway, err.Error())
-		return
-	}
-	if alive == len(rt.backends) {
+	if degraded == nil {
 		// Full coverage: answer exactly as a single node would.
-		writeJSON(w, http.StatusOK, ranked)
+		httpapi.WriteJSON(w, http.StatusOK, rankings[0])
 		return
 	}
-	mRouterDegraded.Inc()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"results":  ranked,
-		"degraded": degradedReport(results, covered, total),
-	})
+	httpapi.WriteJSON(w, http.StatusOK, map[string]any{"results": rankings[0], "degraded": degraded})
 }
-
-// classifyBatchRequest mirrors the single-node body.
-type classifyBatchRequest struct {
-	Queries []string `json:"queries"`
-	Top     int      `json:"top"`
-}
-
-const maxBatchQueries = 1024
 
 func (rt *Router) handleClassifyBatch(w http.ResponseWriter, r *http.Request) {
-	var req classifyBatchRequest
-	if err := rt.decodeStrict(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return
-	}
-	if len(req.Queries) == 0 {
-		writeError(w, http.StatusBadRequest, "empty query list")
-		return
-	}
-	if len(req.Queries) > maxBatchQueries {
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("too many queries: %d > %d", len(req.Queries), maxBatchQueries))
-		return
-	}
-	for i, q := range req.Queries {
-		if strings.TrimSpace(q) == "" {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("empty query at index %d", i))
-			return
-		}
-	}
-	top := req.Top
-	if top == 0 {
-		top = 3
-	}
-	if top < 1 {
-		writeError(w, http.StatusBadRequest, "bad top value")
-		return
-	}
-	body, err := json.Marshal(map[string]any{"queries": req.Queries, "top": top})
+	req, err := httpapi.DecodeBatch(w, r, maxBodyBytes)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
+		httpapi.BadRequest(w, err)
+		return
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		httpapi.WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	results := rt.scatter(r.Context(), http.MethodPost, "/shard/classify/batch", body)
-
-	// Decode batch partials, newest-generation group only (same protocol
-	// as gatherClassify, different payload shape).
-	batches := make([]*BatchPartial, len(rt.backends))
-	maxGen, total := -1, 0
-	for i := range results {
-		if results[i].failed() {
-			continue
-		}
-		var p BatchPartial
-		if e := json.Unmarshal(results[i].body, &p); e != nil {
-			rt.observeFailure(rt.backends[i])
-			results[i].err = fmt.Errorf("shard %d: decoding batch partial: %w", i, e)
-			continue
-		}
-		if len(p.Results) != len(req.Queries) {
-			rt.observeFailure(rt.backends[i])
-			results[i].err = fmt.Errorf("shard %d: %d results for %d queries", i, len(p.Results), len(req.Queries))
-			continue
-		}
-		batches[i] = &p
-		rt.noteGeneration(i, p.Generation)
-		if p.Generation > maxGen {
-			maxGen = p.Generation
-		}
-	}
-	alive := 0
-	for i, p := range batches {
-		if p == nil {
-			continue
-		}
-		if p.Generation != maxGen {
-			results[i].err = fmt.Errorf("shard %d: stale generation %d (newest %d)", i, p.Generation, maxGen)
-			batches[i] = nil
-			continue
-		}
-		if alive > 0 && p.TotalDomains != total {
-			writeError(w, http.StatusBadGateway,
-				fmt.Sprintf("shards disagree on domain count (%d vs %d); topology misconfigured", p.TotalDomains, total))
-			return
-		}
-		total = p.TotalDomains
-		alive++
-	}
-	if alive == 0 {
-		writeError(w, http.StatusBadGateway, "no shard answered: "+joinErrors(results))
+	rankings, degraded, ok := rt.gatherRankings(w, results, len(req.Queries), req.Top, decodeBatch)
+	if !ok {
 		return
 	}
-	out := make([][]scoreJSON, len(req.Queries))
-	covered := 0
-	for qi := range req.Queries {
-		partials := make([]*ClassifyPartial, len(batches))
-		for i, p := range batches {
-			if p != nil {
-				partials[i] = &ClassifyPartial{Scores: p.Results[qi]}
-			}
-		}
-		ranked, c, err := mergeRanking(partials, func(p *ClassifyPartial) []PartialScore { return p.Scores }, top)
-		if err != nil {
-			writeError(w, http.StatusBadGateway, err.Error())
-			return
-		}
-		out[qi] = ranked
-		covered = c
+	resp := map[string]any{"results": rankings}
+	if degraded != nil {
+		resp["degraded"] = degraded
 	}
-	if alive == len(rt.backends) {
-		writeJSON(w, http.StatusOK, map[string]any{"results": out})
-		return
-	}
-	mRouterDegraded.Inc()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"results":  out,
-		"degraded": degradedReport(results, covered, total),
-	})
-}
-
-// domainJSON mirrors the single-node /domains entry.
-type domainJSON struct {
-	ID          int          `json:"id"`
-	Unclustered bool         `json:"unclustered,omitempty"`
-	Schemas     []memberJSON `json:"schemas"`
-	Mediated    []string     `json:"mediated_schema,omitempty"`
-}
-
-type memberJSON struct {
-	Name string  `json:"name"`
-	Prob float64 `json:"prob"`
+	httpapi.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (rt *Router) handleDomains(w http.ResponseWriter, r *http.Request) {
@@ -585,13 +438,13 @@ func (rt *Router) handleDomains(w http.ResponseWriter, r *http.Request) {
 	// owner-preference below only matters for unsharded backends (a 1-node
 	// "topology" fronting a full server), where every shard lists
 	// everything.
-	byID := make(map[int]domainJSON)
+	byID := make(map[int]httpapi.Domain)
 	alive := 0
 	for i := range results {
 		if results[i].failed() {
 			continue
 		}
-		var list []domainJSON
+		var list []httpapi.Domain
 		if err := json.Unmarshal(results[i].body, &list); err != nil {
 			rt.observeFailure(rt.backends[i])
 			results[i].err = fmt.Errorf("shard %d: decoding domains: %w", i, err)
@@ -606,7 +459,7 @@ func (rt *Router) handleDomains(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if alive == 0 {
-		writeError(w, http.StatusBadGateway, "no shard answered: "+joinErrors(results))
+		httpapi.WriteError(w, http.StatusBadGateway, "no shard answered: "+joinErrors(results))
 		return
 	}
 	ids := make([]int, 0, len(byID))
@@ -614,16 +467,16 @@ func (rt *Router) handleDomains(w http.ResponseWriter, r *http.Request) {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
-	var out []domainJSON
+	var out []httpapi.Domain
 	for _, id := range ids {
 		out = append(out, byID[id])
 	}
 	if alive == len(rt.backends) {
-		writeJSON(w, http.StatusOK, out)
+		httpapi.WriteJSON(w, http.StatusOK, out)
 		return
 	}
 	mRouterDegraded.Inc()
-	writeJSON(w, http.StatusOK, map[string]any{
+	httpapi.WriteJSON(w, http.StatusOK, map[string]any{
 		"results":  out,
 		"degraded": degradedReport(results, len(out), len(out)),
 	})
@@ -634,13 +487,13 @@ func (rt *Router) handleDomains(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) proxyToOwnerByQuery(w http.ResponseWriter, r *http.Request) {
 	domain, err := strconv.Atoi(r.URL.Query().Get("domain"))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad domain parameter")
+		httpapi.WriteError(w, http.StatusBadRequest, "bad domain parameter")
 		return
 	}
 	b := rt.backends[Owner(domain, len(rt.backends))]
 	res := rt.call(r.Context(), b, http.MethodGet, r.URL.Path+"?"+r.URL.RawQuery, nil)
 	if res.failed() {
-		writeError(w, http.StatusBadGateway, res.err.Error())
+		httpapi.WriteError(w, http.StatusBadGateway, res.err.Error())
 		return
 	}
 	copyResponse(w, res)
@@ -653,14 +506,14 @@ type queryRequest struct {
 }
 
 func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		httpapi.BadRequest(w, httpapi.BadBody(err))
 		return
 	}
 	var req queryRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		httpapi.BadRequest(w, httpapi.BadBody(err))
 		return
 	}
 	b := rt.backends[Owner(req.Domain, len(rt.backends))]
@@ -670,7 +523,7 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// plus the failure report — rather than turning one shard outage
 		// into a hard error for every query touching its domains.
 		mRouterDegraded.Inc()
-		writeJSON(w, http.StatusOK, map[string]any{
+		httpapi.WriteJSON(w, http.StatusOK, map[string]any{
 			"tuples": []any{},
 			"degraded": map[string]any{
 				"failed":  []failureJSON{{Shard: b.index, Error: res.err.Error()}},
@@ -683,9 +536,9 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 func (rt *Router) handleFeedback(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		httpapi.BadRequest(w, httpapi.BadBody(err))
 		return
 	}
 	// Feedback must land on every shard or on none that matters: each
@@ -716,10 +569,10 @@ func (rt *Router) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if okCount == 0 {
-		writeError(w, http.StatusBadGateway, "no shard applied feedback: "+joinErrors(results))
+		httpapi.WriteError(w, http.StatusBadGateway, "no shard applied feedback: "+joinErrors(results))
 		return
 	}
-	writeJSON(w, http.StatusBadGateway, map[string]any{
+	httpapi.WriteJSON(w, http.StatusBadGateway, map[string]any{
 		"error":     fmt.Sprintf("feedback applied on %d/%d shards; replicas have diverged — restore the topology from a re-split checkpoint (see docs/OPERATIONS.md)", okCount, len(rt.backends)),
 		"diverged":  true,
 		"applied":   okCount,
@@ -728,33 +581,18 @@ func (rt *Router) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// ingestRequest mirrors the single-node /schemas body.
-type ingestRequest struct {
-	Name       string   `json:"name"`
-	Attributes []string `json:"attributes"`
-}
-
 func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
-	var req ingestRequest
-	if err := rt.decodeStrict(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return
-	}
-	if req.Name == "" {
-		writeError(w, http.StatusBadRequest, "missing schema name")
-		return
-	}
-	if len(req.Attributes) == 0 {
-		writeError(w, http.StatusBadRequest, "empty attribute list")
+	req, err := httpapi.DecodeSchema(w, r, maxBodyBytes)
+	if err != nil {
+		httpapi.BadRequest(w, err)
 		return
 	}
 	body, err := json.Marshal(req)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
+		httpapi.WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	results := rt.scatter(r.Context(), http.MethodPost, "/shard/assign", body)
-	probes := make([]*AssignProbe, len(results))
 	alive, allFresh := 0, true
 	bestShard, bestSim := -1, -1.0
 	for i := range results {
@@ -773,8 +611,7 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 			results[i].err = fmt.Errorf("shard %d: decoding probe: %w", i, e)
 			continue
 		}
-		probes[i] = &p
-		rt.noteGeneration(i, p.Generation)
+		noteGeneration(i, p.Generation)
 		alive++
 		if !p.Fresh {
 			allFresh = false
@@ -784,14 +621,14 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if alive == 0 {
-		writeError(w, http.StatusBadGateway, "no shard answered the assignment probe: "+joinErrors(results))
+		httpapi.WriteError(w, http.StatusBadGateway, "no shard answered the assignment probe: "+joinErrors(results))
 		return
 	}
 	journalAck := func(reason string, degraded bool) {
 		if err := rt.journal.Append(UnroutableArrival{Name: req.Name, Attributes: req.Attributes, Reason: reason}); err != nil {
 			// The journal is the ack's durability; if it fails, the arrival
 			// must be refused, not silently dropped.
-			writeError(w, http.StatusInternalServerError, err.Error())
+			httpapi.WriteError(w, http.StatusInternalServerError, err.Error())
 			return
 		}
 		mRouterUnroutable.Inc()
@@ -807,7 +644,7 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 			mRouterDegraded.Inc()
 			resp["degraded"] = degradedReport(results, 0, 0)
 		}
-		writeJSON(w, http.StatusAccepted, resp)
+		httpapi.WriteJSON(w, http.StatusAccepted, resp)
 	}
 	if alive < len(rt.backends) {
 		// Partial probe coverage: the true best domain may live on a dead
@@ -866,7 +703,7 @@ func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) {
 			domains = int(v)
 		}
 		if v, ok := h["generation"].(float64); ok {
-			rt.noteGeneration(i, int(v))
+			noteGeneration(i, int(v))
 			if int(v) > maxGen {
 				maxGen = int(v)
 			}
@@ -876,7 +713,7 @@ func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if alive < len(rt.backends) {
 		status = "degraded"
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	httpapi.WriteJSON(w, http.StatusOK, map[string]any{
 		"status":          status,
 		"router":          true,
 		"shards":          shards,
@@ -888,29 +725,6 @@ func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) {
 		"generation":      maxGen,
 		"router_journal":  rt.journal.Len(),
 	})
-}
-
-func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	reg := obs.Default()
-	if r.URL.Query().Get("format") == "json" || strings.Contains(r.Header.Get("Accept"), "application/json") {
-		w.Header().Set("Content-Type", "application/json")
-		reg.WriteJSON(w) //nolint:errcheck
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	reg.WritePrometheus(w) //nolint:errcheck
-}
-
-func (rt *Router) decodeStrict(w http.ResponseWriter, r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	if dec.More() {
-		return errors.New("trailing data after JSON body")
-	}
-	return nil
 }
 
 // copyResponse relays a backend answer (status, content type, body)
@@ -935,16 +749,4 @@ func joinErrors(results []callResult) string {
 		}
 	}
 	return strings.Join(parts, "; ")
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		slog.Warn("shard: encoding response", slog.Any("error", err))
-	}
-}
-
-func writeError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, map[string]string{"error": msg})
 }

@@ -10,7 +10,6 @@ import (
 	"sort"
 	"time"
 
-	"schemaflow/internal/ingest"
 	"schemaflow/internal/wal"
 )
 
@@ -166,26 +165,6 @@ func listCheckpoints(dir string) ([]int, error) {
 	return gens, nil
 }
 
-// NewestCheckpoint returns the generation and path of the newest
-// checkpoint snapshot in dir. Tools that operate on checkpoints offline —
-// the shard splitter, backup verifiers — use it to find the same file
-// LoadManagerDir would recover from. The error wraps os.ErrNotExist when
-// dir has no checkpoint (or does not exist).
-func NewestCheckpoint(dir string) (gen int, path string, err error) {
-	gens, err := listCheckpoints(dir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return 0, "", fmt.Errorf("payg: no checkpoint in %s: %w", dir, os.ErrNotExist)
-		}
-		return 0, "", fmt.Errorf("payg: scanning data dir %s: %w", dir, err)
-	}
-	if len(gens) == 0 {
-		return 0, "", fmt.Errorf("payg: no checkpoint in %s: %w", dir, os.ErrNotExist)
-	}
-	gen = gens[len(gens)-1]
-	return gen, filepath.Join(dir, checkpointName(gen)), nil
-}
-
 // CheckpointFileName renders the canonical generation-stamped checkpoint
 // filename ("checkpoint-000000012.snap" for generation 12), for tools that
 // write checkpoints a durable manager will later recover.
@@ -269,13 +248,9 @@ func LoadManagerDir(dir string, opts ManagerOptions) (*Manager, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, sch := range pending {
-		a, err := sys.Ingest(sch)
-		if err != nil {
-			m.Close()
-			return nil, fmt.Errorf("payg: re-assigning journaled schema %q: %w", sch.Name, err)
-		}
-		m.journal.Append(journalEntry(sch, a))
+	if m.journal, err = rejournal(sys, pending); err != nil {
+		m.Close()
+		return nil, err
 	}
 	m.setGeneration(gen)
 	opts.DataDir = dir
@@ -330,7 +305,7 @@ func (m *Manager) initDurable(opts ManagerOptions) error {
 	if err != nil {
 		return err
 	}
-	l, err := wal.Open(filepath.Join(opts.DataDir, walFileName), wal.Options{Mode: mode, Interval: opts.FsyncInterval})
+	l, err := wal.Open(filepath.Join(opts.DataDir, walFileName), wal.Options{Mode: mode})
 	if err != nil {
 		return err
 	}
@@ -483,28 +458,21 @@ func (m *Manager) Restore(r io.Reader, gen int) error {
 	if err != nil {
 		return err
 	}
-	var entries []ingest.Entry
-	for _, sch := range pending {
-		a, err := sys.Ingest(sch)
-		if err != nil {
-			return fmt.Errorf("payg: re-assigning journaled schema %q: %w", sch.Name, err)
-		}
-		entries = append(entries, journalEntry(sch, a))
+	journal, err := rejournal(sys, pending)
+	if err != nil {
+		return err
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
 		return fmt.Errorf("payg: manager closed")
 	}
-	m.journal = ingest.Journal{}
-	for _, e := range entries {
-		m.journal.Append(e)
-	}
+	m.journal = journal
 	m.drift.Reset()
 	m.gen = gen
 	m.cur.Store(&managedState{sys: sys, gen: gen})
 	mSwapGeneration.Set(float64(gen))
-	mIngestPending.Set(float64(len(entries)))
+	mIngestPending.Set(float64(journal.Len()))
 	mIngestDrift.Set(0)
 	return nil
 }

@@ -61,11 +61,9 @@ type ManagerOptions struct {
 	DataDir string
 	// FsyncMode selects the WAL fsync policy: "always" (default — an
 	// acked arrival survives an immediate power cut), "interval"
-	// (background fsync every FsyncInterval), or "none" (the OS decides).
+	// (background fsync every 100ms, internal/wal's period), or "none"
+	// (the OS decides).
 	FsyncMode string
-	// FsyncInterval is the background fsync period under
-	// FsyncMode "interval" (default 100ms).
-	FsyncInterval time.Duration
 	// CheckpointRetain is how many checkpoint snapshots rotation keeps in
 	// DataDir (default 3, minimum 1). Recovery always uses the newest;
 	// older ones are manual-disaster spares.
@@ -237,14 +235,25 @@ func LoadManager(r io.Reader, sources []TupleSource, opts ManagerOptions) (*Mana
 	if err != nil {
 		return nil, err
 	}
+	if m.journal, err = rejournal(sys, pending); err != nil {
+		m.Close()
+		return nil, err
+	}
+	return m, nil
+}
+
+// rejournal re-assigns a snapshot's pending schemas against the restored
+// system and returns them as a journal, in arrival order.
+func rejournal(sys *System, pending []Schema) (ingest.Journal, error) {
+	var j ingest.Journal
 	for _, sch := range pending {
 		a, err := sys.Ingest(sch)
 		if err != nil {
-			return nil, fmt.Errorf("payg: re-assigning journaled schema %q: %w", sch.Name, err)
+			return j, fmt.Errorf("payg: re-assigning journaled schema %q: %w", sch.Name, err)
 		}
-		m.journal.Append(journalEntry(sch, a))
+		j.Append(journalEntry(sch, a))
 	}
-	return m, nil
+	return j, nil
 }
 
 // journalEntry converts a public Assignment back to the journal's form.
@@ -267,32 +276,34 @@ func (m *Manager) System() *System { return m.cur.Load().sys }
 // serves without data (lock-free).
 func (m *Manager) Executor() *Executor { return m.cur.Load().exec }
 
+// View is one serving generation pinned by a single atomic load: rankings,
+// the system that decorates them and the generation stamp all describe the
+// same model, however many swaps land while a handler assembles its reply.
+type View struct {
+	st    *managedState
+	cache *queryCache // the manager's; nil when caching is disabled
+}
+
+// View pins the current serving generation (lock-free).
+func (m *Manager) View() View { return View{st: m.cur.Load(), cache: m.queries} }
+
+// System returns the pinned serving system.
+func (v View) System() *System { return v.st.sys }
+
+// Generation returns the generation the pinned system was published at.
+func (v View) Generation() int { return v.st.gen }
+
 // Classify ranks all domains for a free-text keyword query, answering from
 // the generation-keyed result cache when the same canonical term set was
 // classified against the current serving generation before. Results are
 // always identical to System().Classify: a swap (rebuild publication or
 // feedback apply) bumps the generation, which invalidates every older
 // entry for free — stale rankings are structurally unservable.
-func (m *Manager) Classify(query string) []Score {
-	return m.ClassifyKeywords(strings.Fields(query))
-}
+func (m *Manager) Classify(query string) []Score { return m.View().Classify(query) }
 
 // ClassifyKeywords is Classify for an already-tokenized query.
 func (m *Manager) ClassifyKeywords(keywords []string) []Score {
-	st := m.cur.Load()
-	if m.queries == nil {
-		return st.sys.ClassifyKeywords(keywords)
-	}
-	key := cacheKey(st.sys.space.QueryTerms(keywords))
-	if scores, ok := m.queries.get(key, st.gen); ok {
-		return scores
-	}
-	scores := st.sys.ClassifyKeywords(keywords)
-	// The entry is tagged with the generation the ranking was computed
-	// against; if a swap raced this call, the tag no longer matches the
-	// serving generation and the entry is simply never served.
-	m.queries.put(key, st.gen, scores)
-	return scores
+	return m.View().ClassifyKeywords(keywords)
 }
 
 // ClassifyBatch ranks domains for many free-text queries in one call,
@@ -300,10 +311,39 @@ func (m *Manager) ClassifyKeywords(keywords []string) []Score {
 // through the classifier's CPU-parallel batch path against a single
 // consistent serving generation and populate the cache for next time.
 func (m *Manager) ClassifyBatch(queries []string) [][]Score {
+	return m.View().ClassifyBatch(queries)
+}
+
+// Classify is Manager.Classify against the pinned generation.
+func (v View) Classify(query string) []Score {
+	return v.ClassifyKeywords(strings.Fields(query))
+}
+
+// ClassifyKeywords is Manager.ClassifyKeywords against the pinned
+// generation.
+func (v View) ClassifyKeywords(keywords []string) []Score {
+	st, cache := v.st, v.cache
+	if cache == nil {
+		return st.sys.ClassifyKeywords(keywords)
+	}
+	key := cacheKey(st.sys.space.QueryTerms(keywords))
+	if scores, ok := cache.get(key, st.gen); ok {
+		return scores
+	}
+	scores := st.sys.ClassifyKeywords(keywords)
+	// The entry is tagged with the generation the ranking was computed
+	// against; if a swap raced this call, the tag no longer matches the
+	// serving generation and the entry is simply never served.
+	cache.put(key, st.gen, scores)
+	return scores
+}
+
+// ClassifyBatch is Manager.ClassifyBatch against the pinned generation.
+func (v View) ClassifyBatch(queries []string) [][]Score {
 	mQueryBatchWidth.Observe(float64(len(queries)))
-	st := m.cur.Load()
+	st, cache := v.st, v.cache
 	out := make([][]Score, len(queries))
-	if m.queries == nil {
+	if cache == nil {
 		kws := make([][]string, len(queries))
 		for i, q := range queries {
 			kws[i] = strings.Fields(q)
@@ -316,7 +356,7 @@ func (m *Manager) ClassifyBatch(queries []string) [][]Score {
 	for i, q := range queries {
 		kw := strings.Fields(q)
 		keys[i] = cacheKey(st.sys.space.QueryTerms(kw))
-		if scores, ok := m.queries.get(keys[i], st.gen); ok {
+		if scores, ok := cache.get(keys[i], st.gen); ok {
 			out[i] = scores
 			continue
 		}
@@ -327,7 +367,7 @@ func (m *Manager) ClassifyBatch(queries []string) [][]Score {
 		res := st.sys.ClassifyBatch(missKws)
 		for k, i := range missIdx {
 			out[i] = res[k]
-			m.queries.put(keys[i], st.gen, res[k])
+			cache.put(keys[i], st.gen, res[k])
 		}
 	}
 	return out
