@@ -2,12 +2,16 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-ingest bench-assign bench-query bench-build bench-build-smoke bench-serve loadgen-smoke repro fuzz fuzz-smoke docs-check integration clean
+.PHONY: all build fmt-check vet test race bench bench-ingest bench-assign bench-query bench-build bench-build-smoke bench-serve loadgen-smoke repro fuzz fuzz-smoke docs-check integration clean
 
-all: build vet test
+all: build fmt-check vet test
 
 build:
 	$(GO) build ./...
+
+# Every tracked Go file must already be gofmt-formatted; lists the offenders.
+fmt-check:
+	@out="$$(gofmt -l $$(git ls-files '*.go'))"; test -z "$$out" || { echo "not gofmt-formatted:"; echo "$$out"; exit 1; }
 
 vet:
 	$(GO) vet ./...

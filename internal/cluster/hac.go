@@ -4,6 +4,12 @@
 // (Algorithm 2), plus the baseline clusterers the background chapter
 // discusses (k-means, DBSCAN) and a He–Tao–Chang-style model-based HAC
 // baseline (CIKM 2004) for comparison experiments.
+//
+// Algorithm 2 has one implementation, AgglomerativeSparse, which clusters
+// over a PairSims adjacency. What varies is where the pairs come from:
+// CompletePairSims stores every pair of the space (the thesis' exact
+// clustering, which Agglomerative wraps), PairwiseSims only the candidates a
+// generator such as MinHash-LSH proposed.
 package cluster
 
 import (
@@ -51,7 +57,8 @@ func (r *Result) Singletons() []int {
 
 // Agglomerative runs Algorithm 2: start from singleton clusters, repeatedly
 // merge the globally most similar pair of clusters under the linkage, and
-// stop when the best pair's similarity falls below tau (τ_c_sim).
+// stop when the best pair's similarity falls below tau (τ_c_sim). It is
+// AgglomerativeSparse over the complete pair set of sp.
 //
 // tau must be a real number in [0,1]; anything else — in particular NaN,
 // whose comparisons are all false and would silently disable the stop
@@ -62,163 +69,29 @@ func Agglomerative(sp *feature.Space, link Linkage, tau float64) (*Result, error
 	return AgglomerativeContext(context.Background(), sp, link, tau)
 }
 
-// AgglomerativeContext is Agglomerative with cooperative cancellation: ctx
-// is polled on every merge round, so a Manager shutting down mid-recluster
-// gets ctx.Err() back promptly instead of waiting out the remaining
-// O(n) rounds of a large build.
+// AgglomerativeContext is Agglomerative with cooperative cancellation: the
+// pair-set construction and the merge loop both poll ctx, so a Manager
+// shutting down mid-recluster gets ctx.Err() back promptly instead of
+// waiting out the remaining O(n) rounds of a large build.
+//
+// The complete pair set is built for this run alone, so the engine takes it
+// over as its working rows rather than copying it: the run's quadratic memory
+// is 12 bytes per positive-similarity pair and direction, beside the space's
+// own memo.
 func AgglomerativeContext(ctx context.Context, sp *feature.Space, link Linkage, tau float64) (*Result, error) {
+	// Before the O(n²) pair scan, not after it.
 	if err := validateTau(tau); err != nil {
 		return nil, err
 	}
-	n := sp.NumSchemas()
-	if n == 0 {
-		return &Result{}, nil
+	ps, err := CompletePairSims(ctx, sp)
+	if err != nil {
+		return nil, err
 	}
-	st := newHACState(sp, link)
-
-	var merges []Merge
-	for st.numActive > 1 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		a, b, s := st.bestPair()
-		if s < tau {
-			break
-		}
-		merges = append(merges, Merge{A: a, B: b, Sim: s})
-		st.merge(a, b)
-	}
-	return st.result(merges), nil
-}
-
-// hacState holds the active-cluster similarity matrix and per-row best
-// caches. Cluster ids are the index of one member schema (the smaller index
-// of the two merged ids survives a merge).
-type hacState struct {
-	n         int
-	link      Linkage
-	active    []bool
-	size      []int
-	sim       [][]float64 // sim[i][j] valid for active i, j; symmetric
-	best      []int       // best[i]: active j maximizing sim[i][j], or -1
-	bestSim   []float64
-	numActive int
-	parent    []int // union-find style final assignment aid
-}
-
-func newHACState(sp *feature.Space, link Linkage) *hacState {
-	n := sp.NumSchemas()
-	st := &hacState{
-		n:         n,
-		link:      link,
-		active:    make([]bool, n),
-		size:      make([]int, n),
-		sim:       make([][]float64, n),
-		best:      make([]int, n),
-		bestSim:   make([]float64, n),
-		numActive: n,
-		parent:    make([]int, n),
-	}
-	link.init(sp)
-	for i := 0; i < n; i++ {
-		st.active[i] = true
-		st.size[i] = 1
-		st.sim[i] = make([]float64, n)
-		st.parent[i] = i
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			s := sp.Similarity(i, j)
-			st.sim[i][j] = s
-			st.sim[j][i] = s
-		}
-	}
-	for i := 0; i < n; i++ {
-		st.recomputeBest(i)
-	}
-	return st
-}
-
-func (st *hacState) recomputeBest(i int) {
-	st.best[i] = -1
-	st.bestSim[i] = -1
-	for j := 0; j < st.n; j++ {
-		if j == i || !st.active[j] {
-			continue
-		}
-		if st.sim[i][j] > st.bestSim[i] {
-			st.bestSim[i] = st.sim[i][j]
-			st.best[i] = j
-		}
-	}
-}
-
-// bestPair returns the most similar active pair (a < b) and its similarity.
-func (st *hacState) bestPair() (int, int, float64) {
-	bi, bs := -1, -1.0
-	for i := 0; i < st.n; i++ {
-		if st.active[i] && st.best[i] >= 0 && st.bestSim[i] > bs {
-			bs = st.bestSim[i]
-			bi = i
-		}
-	}
-	if bi < 0 {
-		return -1, -1, -1
-	}
-	a, b := bi, st.best[bi]
-	if a > b {
-		a, b = b, a
-	}
-	return a, b, bs
-}
-
-// merge folds cluster b into cluster a, updating similarities via the
-// linkage's O(1)-per-neighbor rule and repairing best caches.
-func (st *hacState) merge(a, b int) {
-	for c := 0; c < st.n; c++ {
-		if c == a || c == b || !st.active[c] {
-			continue
-		}
-		s := st.link.merged(st.sim[c][a], st.sim[c][b], st.size[a], st.size[b], c, a, b)
-		st.sim[c][a] = s
-		st.sim[a][c] = s
-	}
-	st.link.onMerge(a, b)
-	st.active[b] = false
-	st.numActive--
-	st.size[a] += st.size[b]
-	st.parent[b] = a
-
-	st.recomputeBest(a)
-	for c := 0; c < st.n; c++ {
-		if !st.active[c] || c == a {
-			continue
-		}
-		// A row's best is stale if it pointed into the merged pair or if
-		// the updated sim to a beats it. On an exact tie the lower index
-		// wins, keeping the invariant that best[c] is the SMALLEST index
-		// among the row's maxima — without it the equal-similarity merge
-		// order would depend on merge history (a linkage update can raise
-		// sim[c][a] into a tie with a cached best of higher index), which
-		// the sparse path could not reproduce.
-		if st.best[c] == a || st.best[c] == b {
-			st.recomputeBest(c)
-		} else if st.sim[c][a] > st.bestSim[c] ||
-			(st.sim[c][a] == st.bestSim[c] && a < st.best[c]) {
-			st.best[c] = a
-			st.bestSim[c] = st.sim[c][a]
-		}
-	}
-}
-
-func (st *hacState) result(merges []Merge) *Result {
-	return assembleResult(st.n, st.parent, merges)
+	return agglomerate(ctx, sp, link, tau, ps, SparseOptions{}, true)
 }
 
 // assembleResult turns a union-find parent forest and merge trace into a
-// Result with dense, first-occurrence-ordered cluster ids. Shared by the
-// dense and sparse agglomerative paths so both produce structurally
-// identical results for identical merge sequences.
+// Result with dense, first-occurrence-ordered cluster ids.
 func assembleResult(n int, parent []int, merges []Merge) *Result {
 	root := func(i int) int {
 		for parent[i] != i {

@@ -13,14 +13,14 @@ import (
 	"schemaflow/internal/feature"
 )
 
-// PairSims holds exact pairwise similarities for a sparse candidate-pair
-// set, stored symmetrically in CSR form. Pairs absent from the structure
-// are treated as zero-similarity everywhere downstream (sparse linkage,
-// sparse domain assignment). Zero-similarity candidates are dropped during
-// construction — they are indistinguishable from absent pairs.
+// PairSims holds exact pairwise similarities for a set of schema pairs,
+// stored symmetrically in CSR form. Pairs absent from the structure are
+// treated as zero-similarity everywhere downstream (linkage updates, domain
+// assignment). Zero-similarity pairs are dropped during construction — they
+// are indistinguishable from absent pairs.
 //
-// A PairSims is immutable after PairwiseSims returns and safe for
-// concurrent readers.
+// A PairSims is immutable once its constructor (CompletePairSims or
+// PairwiseSims) returns and safe for concurrent readers.
 type PairSims struct {
 	n        int
 	rowStart []int64
@@ -141,44 +141,100 @@ func PairwiseSims(ctx context.Context, sp *feature.Space, pairs []candgen.Pair, 
 		return nil, err
 	}
 
-	// Assemble the symmetric CSR, skipping zero similarities.
-	deg := make([]int64, n+1)
-	kept := 0
+	// Two passes over the same stream, sizing the rows and then filling them,
+	// so nothing is buffered between the two.
+	ps := newPairSims(n)
 	for k, p := range pairs {
-		if sims[k] == 0 {
-			continue
-		}
-		kept++
-		deg[p.A+1]++
-		deg[p.B+1]++
+		ps.count(p.A, p.B, sims[k])
 	}
-	for i := 0; i < n; i++ {
-		deg[i+1] += deg[i]
-	}
-	ps := &PairSims{
-		n:        n,
-		rowStart: deg,
-		nbr:      make([]int32, 2*kept),
-		sim:      make([]float64, 2*kept),
-		numPairs: kept,
-	}
-	fill := make([]int64, n)
+	ps.alloc()
 	for k, p := range pairs {
-		if sims[k] == 0 {
-			continue
-		}
-		ka := ps.rowStart[p.A] + fill[p.A]
-		ps.nbr[ka], ps.sim[ka] = p.B, sims[k]
-		fill[p.A]++
-		kb := ps.rowStart[p.B] + fill[p.B]
-		ps.nbr[kb], ps.sim[kb] = p.A, sims[k]
-		fill[p.B]++
+		ps.put(p.A, p.B, sims[k])
 	}
-	// Rows come out sorted by construction: row i receives its B-side
-	// neighbors first (pairs (a, i) with a < i, streamed in ascending a)
-	// and its A-side neighbors after (pairs (i, b), ascending b > i), so
-	// the concatenation ascends without a per-row sort.
 	return ps, nil
+}
+
+// CompletePairSims stores the similarity of every schema pair of sp: the
+// complete candidate set, over which AgglomerativeSparse and
+// core.AssignDomainsSparse are the thesis' exact Algorithms 2 and 3. The
+// similarities are read straight out of the space — the memo's rows when sp
+// came from feature.Build, computed on demand (twice per pair) on a lite
+// space — so neither a pair list nor a second similarity array is
+// materialised beside the CSR. ctx is polled between rows.
+func CompletePairSims(ctx context.Context, sp *feature.Space) (*PairSims, error) {
+	n := sp.NumSchemas()
+	var buf []float64
+	rows := func(visit func(i int32, above []float64)) error {
+		for i := 0; i < n; i++ {
+			if i%64 == 0 {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+			}
+			buf = sp.SimilaritiesAbove(i, buf)
+			visit(int32(i), buf)
+		}
+		return nil
+	}
+	ps := newPairSims(n)
+	if err := rows(func(i int32, above []float64) {
+		for d, s := range above {
+			ps.count(i, i+1+int32(d), s)
+		}
+	}); err != nil {
+		return nil, err
+	}
+	ps.alloc()
+	if err := rows(func(i int32, above []float64) {
+		for d, s := range above {
+			ps.put(i, i+1+int32(d), s)
+		}
+	}); err != nil {
+		return nil, err
+	}
+	return ps, nil
+}
+
+// newPairSims starts the assembly of a symmetric CSR over n schemas. The
+// constructor streams its (a < b, sim) triples twice, in (a, b) order both
+// times: count sizes the rows, alloc turns the sizes into offsets, put fills.
+// Zero similarities are dropped by both passes.
+func newPairSims(n int) *PairSims {
+	return &PairSims{n: n, rowStart: make([]int64, n+1)}
+}
+
+func (ps *PairSims) count(a, b int32, s float64) {
+	if s != 0 {
+		ps.numPairs++
+		ps.rowStart[a+1]++
+		ps.rowStart[b+1]++
+	}
+}
+
+// alloc leaves rowStart[i+1] at row i's start — the slot put advances, so
+// that after the last put it is row i's end, which is what rowStart[i+1]
+// means.
+func (ps *PairSims) alloc() {
+	start := int64(0)
+	for i := 1; i <= ps.n; i++ {
+		start, ps.rowStart[i] = start+ps.rowStart[i], start
+	}
+	ps.nbr = make([]int32, 2*ps.numPairs)
+	ps.sim = make([]float64, 2*ps.numPairs)
+}
+
+// put appends the pair to both rows. Rows come out sorted by construction:
+// row i receives its B-side neighbors first (pairs (a, i) with a < i,
+// streamed in ascending a) and its A-side neighbors after (pairs (i, b),
+// ascending b > i), so the concatenation ascends without a per-row sort.
+func (ps *PairSims) put(a, b int32, s float64) {
+	if s == 0 {
+		return
+	}
+	ka, kb := ps.rowStart[a+1], ps.rowStart[b+1]
+	ps.nbr[ka], ps.sim[ka] = b, s
+	ps.nbr[kb], ps.sim[kb] = a, s
+	ps.rowStart[a+1], ps.rowStart[b+1] = ka+1, kb+1
 }
 
 // parallelRange splits [0,n) into one contiguous chunk per worker and runs
@@ -376,26 +432,39 @@ func (h *bestHeap) remove(c int32) {
 
 func (h *bestHeap) top() int32 { return h.ids[0] }
 
-// AgglomerativeSparse runs Algorithm 2 over a sparse similarity structure:
-// identical agglomerative semantics to Agglomerative, except that schema
-// pairs absent from ps are treated as zero-similarity — they can never
-// trigger a merge themselves, and they contribute 0 to linkage updates.
-// When ps covers every positive-similarity pair (candgen.AllPairs), the
-// result is identical to the dense path for any tau > 0, including the
-// order of equal-similarity merges (lowest-index tie-break); with an LSH
-// candidate set the result differs only by the pairs LSH missed.
+// AgglomerativeSparse runs Algorithm 2 over a pair-similarity adjacency:
+// start from singleton clusters, repeatedly merge the globally most similar
+// pair of clusters under the linkage (the lexicographically lowest pair on
+// equal similarity), and stop when the best similarity falls below tau.
+// Schema pairs absent from ps are zero-similarity: they contribute 0 to
+// linkage updates and never order a merge. Over CompletePairSims this is the
+// thesis' exact clustering; over an LSH candidate set the result differs only
+// by the pairs LSH missed.
 //
-// With tau == 0 the dense path agglomerates to a single cluster; the
-// sparse path merges only within connected components of the
-// positive-similarity graph, since zero-similarity merges carry no
-// information to order them by.
+// Zero-similarity merges clear the threshold only at tau == 0, where
+// agglomeration runs until a single cluster remains. They carry no
+// information to order them by, so they come last, after every
+// positive-similarity merge, in index order: the lowest remaining cluster
+// absorbs the others ascending, each recorded at Sim 0 — the order the
+// lowest-pair tie rule gives when every remaining similarity is 0.
 //
 // The merge loop is sequential (each round depends on the last), but the
 // per-round linkage updates — the O(degree) dominant cost — fan out across
 // opts.Workers when the round is wide enough and the linkage permits
 // concurrent evaluation. Ties are index-ordered, so every worker count
-// yields a bit-identical clustering. ctx is polled every round.
+// yields a bit-identical clustering. ctx is polled every 1024 rounds.
+//
+// ps is only read: the run works on its own copy of the rows.
 func AgglomerativeSparse(ctx context.Context, sp *feature.Space, link Linkage, tau float64, ps *PairSims, opts SparseOptions) (*Result, error) {
+	return agglomerate(ctx, sp, link, tau, ps, opts, false)
+}
+
+// agglomerate is AgglomerativeSparse; with consume set, the run takes ps'
+// storage as its working rows instead of copying it and leaves it scrambled.
+// That is for a caller that built ps for this run alone (AgglomerativeContext):
+// over a complete pair set of a dense corpus the CSR is the largest structure
+// of the build, and a second copy of it is most of the peak.
+func agglomerate(ctx context.Context, sp *feature.Space, link Linkage, tau float64, ps *PairSims, opts SparseOptions, consume bool) (*Result, error) {
 	if err := validateTau(tau); err != nil {
 		return nil, err
 	}
@@ -415,19 +484,12 @@ func AgglomerativeSparse(ctx context.Context, sp *feature.Space, link Linkage, t
 		tau:    tau,
 		active: make([]bool, n),
 		size:   make([]int, n),
-		rows:   make([]*sparseRow, n),
+		rows:   make([]sparseRow, n),
 		parent: make([]int, n),
 		best:   newBestHeap(n),
 		opts:   opts,
-	}
-	for i := 0; i < n; i++ {
-		st.active[i] = true
-		st.size[i] = 1
-		st.parent[i] = i
-		if d := ps.Degree(i); d > 0 {
-			k, v := st.carve(d)
-			st.rows[i] = &sparseRow{keys: k, vals: v}
-		}
+		tailV:  make([]float64, n),
+		inTail: make([]bool, n),
 	}
 	for i := 0; i < n; i++ {
 		if i%4096 == 0 {
@@ -435,17 +497,26 @@ func AgglomerativeSparse(ctx context.Context, sp *feature.Space, link Linkage, t
 				return nil, err
 			}
 		}
+		st.active[i] = true
+		st.size[i] = 1
+		st.parent[i] = i
+		// CSR rows ascend by neighbor, as rows must. Capacity is pinned so
+		// that a row outgrowing its slot reallocates instead of running into
+		// the next one.
+		lo, hi := ps.rowStart[i], ps.rowStart[i+1]
+		keys, vals := ps.nbr[lo:hi:hi], ps.sim[lo:hi:hi]
+		if !consume {
+			keys, vals = st.allocKV(keys, vals)
+		}
+		st.rows[i] = sparseRow{keys: keys, vals: vals}
 		bs, bp := -1.0, int32(-1)
-		ps.ForEach(i, func(j int32, s float64) {
-			r := st.rows[i]
-			r.keys = append(r.keys, j) // CSR rows iterate ascending
-			r.vals = append(r.vals, s)
+		for k, s := range vals {
 			// Strict > on an ascending scan keeps the lowest partner,
 			// which is the lexicographically smallest pair at this sim.
 			if s > bs {
-				bs, bp = s, j
+				bs, bp = s, keys[k]
 			}
-		})
+		}
 		st.best.sim[i], st.best.partner[i] = bs, bp
 	}
 	st.best.build()
@@ -481,6 +552,22 @@ func AgglomerativeSparse(ctx context.Context, sp *feature.Space, link Linkage, t
 		st.merge(a, b)
 		numActive--
 	}
+	if tau == 0 && numActive > 1 {
+		// The heap drained: every remaining cluster pair is at similarity 0,
+		// which still clears tau.
+		rep := -1
+		for c := 0; c < n; c++ {
+			if !st.active[c] {
+				continue
+			}
+			if rep < 0 {
+				rep = c
+				continue
+			}
+			merges = append(merges, Merge{A: rep, B: c, Sim: 0})
+			st.parent[c] = rep
+		}
+	}
 	return assembleResult(n, st.parent, merges), nil
 }
 
@@ -496,7 +583,7 @@ type sparseState struct {
 	// iff rows[j] stores sim(j,i) with the same value, whenever both are
 	// active. Entries keyed by inactive clusters are stale leftovers —
 	// deleting them eagerly is expensive, so readers filter on active[].
-	rows   []*sparseRow
+	rows   []sparseRow
 	parent []int
 	best   *bestHeap
 	opts   SparseOptions
@@ -504,13 +591,17 @@ type sparseState struct {
 	union        []int32
 	sims         []float64
 	simsA, simsB []float64
-	nk           []uint64
 	normK        [2][]int32
 	normV        [2][]float64
-	// Bump-allocation slabs for the fresh rows merges produce. A build
-	// performs ~n merges, each allocating two union-sized slices; carving
-	// them out of pointer-free slabs turns tens of thousands of small GC-
-	// visible allocations into a few dozen large ones.
+	// Tail-fold scratch: a cluster-indexed table that collapses repeated
+	// tail keys to their latest value, and the distinct keys (see normalized).
+	tailV  []float64
+	inTail []bool
+	added  []int32
+	// Bump-allocation slabs for the rows the run allocates: its copy of the
+	// input rows, and the merged rows that outgrow the slot of the row they
+	// replace. Carving them out of pointer-free slabs turns tens of
+	// thousands of small GC-visible allocations into a few dozen large ones.
 	slabK []int32
 	slabV []float64
 }
@@ -543,11 +634,12 @@ func (st *sparseState) allocKV(srcK []int32, srcV []float64) ([]int32, []float64
 }
 
 // sparseRow is one cluster's neighbor row: keys ascending with vals
-// parallel, plus an appended tail of (xk, xv) updates from merges this row
-// didn't lead. The tail may repeat keys (including keys already in the
-// sorted part); the latest append wins. Rows are only read when they lead
-// a merge or their best edge needs refreshing, so the tail is folded in
-// lazily at those points, via normalized.
+// parallel, plus an appended tail (xk, xv) of the edges that merges this row
+// didn't lead created — keys the sorted part lacks; an update to an edge the
+// row already holds is written in place (find). The tail may repeat a key;
+// the latest append wins. Rows are only read when they lead a merge or their
+// best edge needs refreshing, so the tail is folded in lazily at those
+// points, via normalized.
 type sparseRow struct {
 	keys []int32
 	vals []float64
@@ -555,71 +647,84 @@ type sparseRow struct {
 	xv   []float64
 }
 
-// normalized returns r's current neighbor row as sorted parallel slices:
-// the tail is sorted by (key, append order) and merged over the base, tail
-// entries overriding base entries of the same key and later appends
-// overriding earlier ones. Rows with an empty tail are returned as-is;
-// otherwise the result lives in state scratch and nothing is written back
-// — callers that keep the row (refreshBest) copy the result in themselves.
+// normalized returns r's current neighbor row as sorted parallel slices, the
+// tail folded into the base. Rows with an empty tail are returned as-is;
+// otherwise the result lives in state scratch and nothing is written back —
+// callers that keep the row (refreshBest) copy the result in themselves.
+//
+// Entries keyed by inactive clusters are dead weight — those clusters never
+// revive, and every reader filters on active[] — so each fold also compacts
+// them away, keeping long-lived hub rows from accreting one stale entry per
+// lost neighbor.
 func (st *sparseState) normalized(r *sparseRow, which int) ([]int32, []float64) {
 	if len(r.xk) == 0 {
 		return r.keys, r.vals
 	}
-	// Tail entries pack as (key << 32 | append position): the ordered
-	// sort yields (key asc, position asc), so within a key run the last
-	// element is the latest append — the one that wins.
-	st.nk = st.nk[:0]
+	// The distinct live tail keys, each at its latest value.
+	added := st.added[:0]
 	for t, k := range r.xk {
-		st.nk = append(st.nk, uint64(uint32(k))<<32|uint64(uint32(t)))
+		if !st.active[k] {
+			continue
+		}
+		if !st.inTail[k] {
+			st.inTail[k] = true
+			added = append(added, k)
+		}
+		st.tailV[k] = r.xv[t]
 	}
-	slices.Sort(st.nk)
+	slices.Sort(added)
+	st.added = added
 	outK := st.normK[which][:0]
 	outV := st.normV[which][:0]
 	i, j := 0, 0
-	for i < len(r.keys) || j < len(st.nk) {
-		var tk int32
-		if j < len(st.nk) {
-			// Collapse a run of equal tail keys to its last append.
-			for j+1 < len(st.nk) && st.nk[j+1]>>32 == st.nk[j]>>32 {
-				j++
-			}
-			tk = int32(st.nk[j] >> 32)
-		}
-		// Entries keyed by inactive clusters are dead weight — those
-		// clusters never revive, and every reader filters on active[] —
-		// so each fold also compacts them away, keeping long-lived hub
-		// rows from accreting one stale entry per lost neighbor.
-		switch {
-		case j >= len(st.nk) || (i < len(r.keys) && r.keys[i] < tk):
-			if st.active[r.keys[i]] {
-				outK = append(outK, r.keys[i])
+	for i < len(r.keys) || j < len(added) {
+		if j >= len(added) || (i < len(r.keys) && r.keys[i] < added[j]) {
+			if k := r.keys[i]; st.active[k] {
+				outK = append(outK, k)
 				outV = append(outV, r.vals[i])
 			}
 			i++
-		case i >= len(r.keys) || tk < r.keys[i]:
-			if st.active[tk] {
-				outK = append(outK, tk)
-				outV = append(outV, r.xv[int32(uint32(st.nk[j]))])
-			}
-			j++
-		default: // equal key: the tail write supersedes the base entry
-			if st.active[tk] {
-				outK = append(outK, tk)
-				outV = append(outV, r.xv[int32(uint32(st.nk[j]))])
-			}
-			i++
-			j++
+			continue
 		}
+		k := added[j]
+		if i < len(r.keys) && r.keys[i] == k {
+			i++ // a tail entry supersedes the base entry of its key
+		}
+		outK = append(outK, k)
+		outV = append(outV, st.tailV[k])
+		st.inTail[k] = false
+		j++
 	}
 	st.normK[which], st.normV[which] = outK, outV
 	return outK, outV
+}
+
+// find returns the position of key c in the sorted part of the row, or -1.
+// Keys are distinct cluster ids below n in ascending order, so keys[t] >= t
+// and at most n-len(keys) ids are missing before any position: c can only
+// sit in [c-(n-len), c]. On a near-complete row that window is a handful of
+// slots; on a sparse one it is the whole row and this is a binary search.
+func (r *sparseRow) find(c int32, n int) int {
+	lo, hi := max(0, int(c)-(n-len(r.keys))), min(int(c), len(r.keys)-1)
+	for lo <= hi {
+		m := int(uint(lo+hi) >> 1)
+		switch k := r.keys[m]; {
+		case k < c:
+			lo = m + 1
+		case k > c:
+			hi = m - 1
+		default:
+			return m
+		}
+	}
+	return -1
 }
 
 // refreshBest recomputes cluster x's exact best edge from its row and
 // restores the heap order. Called lazily, only when x reaches the heap top
 // with a key that can no longer be trusted (dirty, or a dead partner).
 func (st *sparseState) refreshBest(x int32) {
-	r := st.rows[x]
+	r := &st.rows[x]
 	k, v := st.normalized(r, 0)
 	if len(r.xk) > 0 {
 		// Unlike in merge — where both rows are discarded — x's row
@@ -632,8 +737,8 @@ func (st *sparseState) refreshBest(x int32) {
 	}
 	bs, bp := -1.0, int32(-1)
 	for t, c := range k {
-		// Explicit zeros mean "pair absent" and can never merge; skipping
-		// them here keeps tau == 0 from agglomerating across components.
+		// Explicit zeros mean "pair absent" and never order a merge; at
+		// tau == 0 they are folded in once the heap has drained.
 		if st.active[c] && v[t] > 0 && v[t] > bs {
 			bs, bp = v[t], c
 		}
@@ -648,8 +753,8 @@ func (st *sparseState) merge(a, b int32) {
 	// Fold both rows' tails, then walk the two sorted rows in lockstep:
 	// the union comes out sorted for free, and each neighbor's (sa, sb)
 	// pair falls out of the walk with no lookups at all.
-	aK, aV := st.normalized(st.rows[a], 0)
-	bK, bV := st.normalized(st.rows[b], 1)
+	aK, aV := st.normalized(&st.rows[a], 0)
+	bK, bV := st.normalized(&st.rows[b], 1)
 	st.union = st.union[:0]
 	st.simsA = st.simsA[:0]
 	st.simsB = st.simsB[:0]
@@ -695,21 +800,33 @@ func (st *sparseState) merge(a, b int32) {
 		_ = update(0, len(st.union))
 	}
 
-	// Rebuild row a from scratch: the sorted union is exactly its live
-	// neighbor set, so the fresh row drops every stale inactive-keyed
-	// entry. Neighbors record the new similarity in their tails and have
-	// their best-edge keys reconciled in place.
-	fk, fv := st.allocKV(st.union, st.sims)
-	fresh := &sparseRow{keys: fk, vals: fv}
+	// Rewrite row a: the sorted union is exactly its live neighbor set, so
+	// the new row drops every stale inactive-keyed entry. It goes where the
+	// old one was when it fits — it always does once rows are near complete,
+	// which keeps a dense corpus from allocating a row per merge. Neighbors
+	// take the new similarity where they already hold the edge, in their
+	// tails where the merge just created it, and have their best-edge keys
+	// reconciled in place.
+	ra := &st.rows[a]
+	if cap(ra.keys) >= len(st.union) {
+		ra.keys = append(ra.keys[:0], st.union...)
+		ra.vals = append(ra.vals[:0], st.sims...)
+	} else {
+		ra.keys, ra.vals = st.allocKV(st.union, st.sims)
+	}
+	ra.xk, ra.xv = ra.xk[:0], ra.xv[:0]
 	na, ns := int32(-1), -1.0
 	for k, c := range st.union {
 		s := st.sims[k]
-		rc := st.rows[c]
-		rc.xk = append(rc.xk, a)
-		rc.xv = append(rc.xv, s)
+		rc := &st.rows[c]
+		if t := rc.find(a, st.n); t >= 0 {
+			rc.vals[t] = s
+		} else {
+			rc.xk = append(rc.xk, a)
+			rc.xv = append(rc.xv, s)
+		}
 		// A zero similarity means the pair is semantically absent; the
-		// explicit 0 supersedes any stale value but is never a best edge
-		// (it could not trigger a merge even at tau == 0).
+		// explicit 0 supersedes any stale value but is never a best edge.
 		if s > 0 && s > ns {
 			// Strict > over the ascending union keeps the lowest partner.
 			ns, na = s, c
@@ -736,8 +853,7 @@ func (st *sparseState) merge(a, b int32) {
 	st.best.dirty[a] = false
 	st.best.fix(a)
 	st.best.remove(b)
-	st.rows[a] = fresh
-	st.rows[b] = nil
+	st.rows[b] = sparseRow{}
 	st.link.onMerge(int(a), int(b))
 	st.active[b] = false
 	st.size[a] += st.size[b]

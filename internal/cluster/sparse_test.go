@@ -2,6 +2,12 @@ package cluster
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	"schemaflow/internal/candgen"
@@ -93,33 +99,154 @@ func TestPairwiseSimsRejectsBadInput(t *testing.T) {
 	}
 }
 
-// TestSparseMatchesDenseOnAllPairs is the core equivalence guarantee: with
-// a complete candidate set the sparse path must reproduce the dense
-// Agglomerative bit for bit — same merges in the same order, same
-// assignment — for every linkage, on corpora with plenty of ties.
+// TestSparseMatchesDenseOnAllPairs is the core equivalence guarantee: over
+// a complete pair set the engine must reproduce Algorithm 2 as defined —
+// oracleAgglomerative — bit for bit: same merges in the same order at the
+// same similarities, same assignment, for every linkage, down to tau = 0
+// and on corpora with plenty of exact ties. Both ways in are held to it:
+// AgglomerativeSparse over PairwiseSims(AllPairs) and the Agglomerative
+// entry point. The oracle costs O(n²) or more per round, so this stops at a
+// few hundred schemas; TestAgglomerativeMatchesDeletedDenseDriver covers the
+// corpora of a few thousand.
 func TestSparseMatchesDenseOnAllPairs(t *testing.T) {
-	corpora := map[string]schema.Set{
-		"two-domain": twoDomainSet(),
-		"large-240":  dataset.Large(dataset.LargeConfig{N: 240, Domains: 6, Seed: 3}),
+	type corpus struct {
+		name string
+		set  schema.Set
+		taus []float64
 	}
+	grid := []float64{0, 0.2, 0.5}
 	// Duplicated schemas manufacture exact similarity ties, stressing the
 	// tie-break order.
-	dup := twoDomainSet()
-	dup = append(dup, twoDomainSet()...)
-	corpora["duplicated"] = dup
-
-	for name, set := range corpora {
-		sp := buildSpace(t, set)
+	dup := append(twoDomainSet(), twoDomainSet()...)
+	corpora := []corpus{
+		{"two-domain", twoDomainSet(), grid},
+		{"large-240", dataset.Large(dataset.LargeConfig{N: 240, Domains: 6, Seed: 3}), grid},
+		{"duplicated", dup, grid},
+		{"dw+ss", dataset.Union(dataset.DW(1), dataset.SS(1)), grid},
+	}
+	for _, c := range corpora {
+		sp := buildSpace(t, c.set)
 		ps := allPairSims(t, sp, 4)
 		for _, m := range Methods() {
-			for _, tau := range []float64{0.2, 0.5} {
-				dense := mustAgg(t, sp, NewLinkage(m), tau)
+			for _, tau := range c.taus {
+				label := fmt.Sprintf("%s/%v/tau=%v", c.name, m, tau)
+				want := oracleAgglomerative(sp, m, tau)
 				sparse, err := AgglomerativeSparse(context.Background(), sp, NewLinkage(m), tau, ps, SparseOptions{Workers: 1})
 				if err != nil {
-					t.Fatalf("%s/%v/tau=%v: %v", name, m, tau, err)
+					t.Fatalf("%s: %v", label, err)
 				}
-				resultsEqual(t, name+"/"+m.String(), dense, sparse)
+				resultsEqual(t, label+" sparse", want, sparse)
+				resultsEqual(t, label+" entry point", want, mustAgg(t, sp, NewLinkage(m), tau))
 			}
+		}
+	}
+}
+
+// TestAgglomerativeMatchesDeletedDenseDriver pins the engine, on the two
+// corpora too large for the oracle, to what the dense n×n driver produced
+// before it was deleted: the digests below were recorded at commit 0938270
+// from cluster.Agglomerative (then hacState) and cover every assignment and
+// every merge with its similarity's bits. Both ways into the engine must
+// reproduce them; the oracle run over these corpora once, by hand (about five
+// minutes), agreed as well.
+func TestAgglomerativeMatchesDeletedDenseDriver(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sixteen clusterings of 1.5k–2.3k schemas")
+	}
+	digest := func(r *Result) string {
+		h := sha256.New()
+		put := func(v uint64) { _ = binary.Write(h, binary.LittleEndian, v) }
+		for _, a := range r.Assign {
+			put(uint64(a))
+		}
+		for _, m := range r.Merges {
+			put(uint64(m.A))
+			put(uint64(m.B))
+			put(math.Float64bits(m.Sim))
+		}
+		return fmt.Sprintf("%x", h.Sum(nil)[:8])
+	}
+	for _, c := range []struct {
+		name string
+		set  schema.Set
+		want map[Method]string
+	}{
+		{"ddh", dataset.DDH(1), map[Method]string{
+			MinJaccard:   "3bed540ddd37aaad", // 2210 merges, 113 clusters
+			MaxJaccard:   "89ed3efbf9ed3561", // 2322 merges, 1 cluster
+			AvgJaccard:   "aba038bce0016c16", // 2302 merges, 21 clusters
+			TotalJaccard: "b0149a557eccb361", // 2037 merges, 286 clusters
+		}},
+		{"large-1500", dataset.Large(dataset.LargeConfig{N: 1500, Seed: 1}), map[Method]string{
+			MinJaccard:   "5a79cac5573d015a", // 1285 merges, 215 clusters
+			MaxJaccard:   "741ad9b892e0294f", // 1493 merges, 7 clusters
+			AvgJaccard:   "b833f9a58e27d9f1", // 1433 merges, 67 clusters
+			TotalJaccard: "9b5772208ca4f539", // 1115 merges, 385 clusters
+		}},
+	} {
+		sp := buildSpace(t, c.set)
+		ps := allPairSims(t, sp, 0)
+		for _, m := range Methods() {
+			if got := digest(mustAgg(t, sp, NewLinkage(m), 0.25)); got != c.want[m] {
+				t.Errorf("%s/%v: Agglomerative digest %s, want %s", c.name, m, got, c.want[m])
+			}
+			sparse, err := AgglomerativeSparse(context.Background(), sp, NewLinkage(m), 0.25, ps, SparseOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := digest(sparse); got != c.want[m] {
+				t.Errorf("%s/%v: AgglomerativeSparse digest %s, want %s", c.name, m, got, c.want[m])
+			}
+		}
+	}
+}
+
+// TestAgglomerativeSparseOnlyReadsPairSims: a PairSims is shared — the
+// blocked build hands the same one to Algorithm 3 after clustering — so the
+// engine, which rewrites rows in place, must be doing that to its own copy.
+func TestAgglomerativeSparseOnlyReadsPairSims(t *testing.T) {
+	set := dataset.Large(dataset.LargeConfig{N: 240, Domains: 6, Seed: 3})
+	sp := buildSpace(t, append(set, set[:40]...))
+	ps := allPairSims(t, sp, 2)
+	rowStart, nbr, sim := slices.Clone(ps.rowStart), slices.Clone(ps.nbr), slices.Clone(ps.sim)
+	for _, m := range Methods() {
+		if _, err := AgglomerativeSparse(context.Background(), sp, NewLinkage(m), 0.1, ps, SparseOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(ps.rowStart, rowStart) || !slices.Equal(ps.nbr, nbr) || !slices.Equal(ps.sim, sim) {
+			t.Fatalf("%v: AgglomerativeSparse wrote to its PairSims", m)
+		}
+	}
+}
+
+// TestCompletePairSimsSameFromEverySource: the complete pair set must be
+// the same structure whether it is read from the similarity memo, computed
+// on demand over a lite space, or assembled by PairwiseSims from the
+// AllPairs list (whose binary-mode similarity is a different routine,
+// bitvec.JaccardIndices) — otherwise "exact" would depend on how the space
+// was built.
+func TestCompletePairSimsSameFromEverySource(t *testing.T) {
+	set := dataset.Large(dataset.LargeConfig{N: 240, Domains: 6, Seed: 3})
+	for _, mode := range []feature.Mode{feature.Binary, feature.TermFrequency} {
+		cfg := feature.DefaultConfig()
+		cfg.Mode = mode
+		memo, lite := feature.Build(set, cfg), feature.BuildLite(set, cfg)
+		want, err := CompletePairSims(context.Background(), memo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fromLite, err := CompletePairSims(context.Background(), lite)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for label, got := range map[string]*PairSims{"lite space": fromLite, "PairwiseSims(AllPairs)": allPairSims(t, lite, 3)} {
+			if got.n != want.n || got.numPairs != want.numPairs ||
+				!slices.Equal(got.rowStart, want.rowStart) || !slices.Equal(got.nbr, want.nbr) || !slices.Equal(got.sim, want.sim) {
+				t.Errorf("%v features: complete pair set from %s differs from the memoised one", mode, label)
+			}
+		}
+		if want.numPairs == 0 || want.numPairs == len(set)*(len(set)-1)/2 {
+			t.Fatalf("%v features: %d stored pairs — the corpus should have both zero and positive similarities", mode, want.numPairs)
 		}
 	}
 }
@@ -195,24 +322,39 @@ func TestSparseMissingPairsAreZero(t *testing.T) {
 	}
 }
 
-// TestSparseTauZeroMergesComponents documents the sparse tau=0 semantics:
-// only positive-similarity connected components merge (the dense path
-// would merge everything into one cluster).
+// TestSparseTauZeroMergesComponents pins the tau = 0 semantics: once the
+// positive-similarity merges are exhausted the remaining components still
+// clear the threshold at similarity 0, and are folded into the lowest one in
+// ascending index order — a single cluster, whichever pairs the candidate
+// set held.
 func TestSparseTauZeroMergesComponents(t *testing.T) {
 	set := schema.Set{
 		{Name: "a1", Attributes: []string{"title", "author"}},
-		{Name: "a2", Attributes: []string{"title", "author", "year"}},
 		{Name: "b1", Attributes: []string{"mileage", "price"}},
+		{Name: "a2", Attributes: []string{"title", "author", "year"}},
+		{Name: "c1", Attributes: []string{"telescope aperture"}},
 		{Name: "b2", Attributes: []string{"mileage", "price", "color"}},
 	}
 	sp := buildSpace(t, set)
-	ps := allPairSims(t, sp, 1)
-	res, err := AgglomerativeSparse(context.Background(), sp, NewLinkage(AvgJaccard), 0, ps, SparseOptions{})
+	withinComponents, err := PairwiseSims(context.Background(), sp, []candgen.Pair{{A: 0, B: 2}, {A: 1, B: 4}}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.NumClusters() != 2 {
-		t.Errorf("tau=0 sparse produced %d clusters, want 2 connected components: %v", res.NumClusters(), res.Members)
+	for label, ps := range map[string]*PairSims{"complete": allPairSims(t, sp, 1), "within components only": withinComponents} {
+		res, err := AgglomerativeSparse(context.Background(), sp, NewLinkage(AvgJaccard), 0, ps, SparseOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.NumClusters() != 1 {
+			t.Errorf("%s: tau=0 produced %d clusters, want 1: %v", label, res.NumClusters(), res.Members)
+		}
+		if len(res.Merges) != 4 {
+			t.Fatalf("%s: %d merges, want 4: %+v", label, len(res.Merges), res.Merges)
+		}
+		// Components {0,2}, {1,4}, {3}: 0 absorbs 1, then 3.
+		if fold := res.Merges[2:]; fold[0] != (Merge{A: 0, B: 1, Sim: 0}) || fold[1] != (Merge{A: 0, B: 3, Sim: 0}) {
+			t.Errorf("%s: zero-similarity fold %+v, want (0,1) then (0,3) at Sim 0", label, fold)
+		}
 	}
 }
 
@@ -241,6 +383,13 @@ func TestSparseRejectsBadTauAndSizeMismatch(t *testing.T) {
 	ps := allPairSims(t, sp, 1)
 	if _, err := AgglomerativeSparse(context.Background(), sp, NewLinkage(AvgJaccard), 1.5, ps, SparseOptions{}); err == nil {
 		t.Error("accepted tau outside [0,1]")
+	}
+	// A bad threshold is reported as such, before the O(n²) pair scan has a
+	// chance to notice the context instead.
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := AgglomerativeContext(canceled, sp, NewLinkage(AvgJaccard), math.NaN()); err == nil || errors.Is(err, context.Canceled) {
+		t.Errorf("AgglomerativeContext(canceled ctx, NaN tau) = %v, want the tau error", err)
 	}
 	other := buildSpace(t, twoDomainSet()[:3])
 	if _, err := AgglomerativeSparse(context.Background(), other, NewLinkage(AvgJaccard), 0.2, ps, SparseOptions{}); err == nil {

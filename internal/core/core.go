@@ -92,14 +92,70 @@ type Model struct {
 }
 
 // AssignDomains runs Algorithm 3 over a clustering result and returns the
-// probabilistic model.
+// probabilistic model, every schema-to-cluster similarity exact: each
+// schema's similarities are read through sp.Similarity, one row at a time, so
+// the working memory is one value per cluster whatever the corpus size — it
+// runs on the serving path (feedback, AddSchema), over spaces of any size
+// with or without the similarity memo.
+func AssignDomains(set schema.Set, sp *feature.Space, cl *cluster.Result, opts Options) (*Model, error) {
+	return assignDomains(set, sp, cl, opts, func(i int, sums []float64) {
+		for j := 0; j < i; j++ {
+			sums[cl.Assign[j]] += sp.Similarity(i, j)
+		}
+		sums[cl.Assign[i]]++
+		for j := i + 1; j < len(set); j++ {
+			sums[cl.Assign[j]] += sp.Similarity(i, j)
+		}
+	})
+}
+
+// AssignDomainsSparse runs Algorithm 3 from a pair-similarity adjacency. A
+// schema's similarity to cluster C_r, s_c_sim(S_i, C_r), is the average of
+// s_sim(S_i, S_j) over the members of C_r, computed from only its stored
+// neighbors inside C_r (plus the self-similarity 1 toward its own cluster);
+// pairs absent from ps contribute 0, exactly the AgglomerativeSparse
+// convention. The per-schema cost is O(degree(i)) rather than O(n), which
+// is what makes Algorithm 3 feasible at 100k schemas.
+//
+// Over a complete pair set the result equals AssignDomains' to the last bit.
+// Over a candidate set, similarities to clusters that the generator found no
+// pair into are underestimated (as 0). Those are precisely the similarities
+// below the LSH threshold — far under τ_c_sim — so the membership gates are
+// unaffected for any pair the generator recalled.
+func AssignDomainsSparse(set schema.Set, sp *feature.Space, cl *cluster.Result, ps *cluster.PairSims, opts Options) (*Model, error) {
+	if ps.N() != len(set) {
+		return nil, fmt.Errorf("core: pair sims cover %d schemas, set has %d", ps.N(), len(set))
+	}
+	return assignDomains(set, sp, cl, opts, func(i int, sums []float64) {
+		// The self term goes in at position i, before the first neighbor
+		// above i or after the last one when there is none.
+		own, selfAdded := cl.Assign[i], false
+		ps.ForEach(i, func(j int32, s float64) {
+			if !selfAdded && int(j) > i {
+				sums[own]++
+				selfAdded = true
+			}
+			sums[cl.Assign[j]] += s
+		})
+		if !selfAdded {
+			sums[own]++
+		}
+	})
+}
+
+// assignDomains is Algorithm 3. addRow(i, sums) adds schema i's similarity
+// to every schema S_j into sums[cluster of j], in ascending j with the self
+// term (cluster.SchemaClusterSim counts i's own membership as similarity 1)
+// at position i, not after the rest: float addition does not commute with
+// the reorder, and the sums must equal the definition's to the last bit
+// from every source. Schemas a source leaves out count as similarity 0.
 //
 // Deviation from the thesis text, for robustness: if a schema fails the
 // τ_c_sim gate against every cluster (possible when its own cluster grew
 // large and diffuse after the schema joined), D(S_i) would be empty and the
 // probabilities undefined; such a schema is assigned to its own cluster's
 // domain with probability 1.
-func AssignDomains(set schema.Set, sp *feature.Space, cl *cluster.Result, opts Options) (*Model, error) {
+func assignDomains(set schema.Set, sp *feature.Space, cl *cluster.Result, opts Options, addRow func(i int, sums []float64)) (*Model, error) {
 	if sp.NumSchemas() != len(set) {
 		return nil, fmt.Errorf("core: feature space has %d schemas, set has %d", sp.NumSchemas(), len(set))
 	}
@@ -110,23 +166,18 @@ func AssignDomains(set schema.Set, sp *feature.Space, cl *cluster.Result, opts O
 		return nil, fmt.Errorf("core: theta %v outside [0,1]", opts.Theta)
 	}
 
-	m := &Model{
-		Schemas:    set,
-		Space:      sp,
-		Clustering: cl,
-		Opts:       opts,
-		bySchema:   make([][]Membership, len(set)),
-	}
-	m.Domains = make([]Domain, cl.NumClusters())
-	for r := range m.Domains {
-		m.Domains[r] = Domain{ID: r, Cluster: cl.Members[r]}
-	}
+	m := newModel(set, sp, cl, opts)
 
 	nC := cl.NumClusters()
 	sims := make([]float64, nC)
 	for i := range set {
+		for r := range sims {
+			sims[r] = 0
+		}
+		// s_c_sim(S_i, C_r) = Σ_{j ∈ C_r} s_sim(S_i, S_j) / |C_r|.
+		addRow(i, sims)
 		for r := 0; r < nC; r++ {
-			sims[r] = cluster.SchemaClusterSim(sp, i, cl.Members[r])
+			sims[r] /= float64(len(cl.Members[r]))
 		}
 		m.assignFromSims(i, sims, cl.Assign[i], opts)
 	}
@@ -135,33 +186,9 @@ func AssignDomains(set schema.Set, sp *feature.Space, cl *cluster.Result, opts O
 	return m, nil
 }
 
-// AssignDomainsSparse runs Algorithm 3 using a sparse candidate-pair
-// similarity structure instead of on-demand pairwise similarities. A
-// schema's similarity to cluster C_r is computed from only its stored
-// neighbors inside C_r (plus the self-similarity 1 toward its own
-// cluster); pairs absent from ps contribute 0, exactly the sparse-HAC
-// convention. The per-schema cost is O(degree(i)) rather than O(n), which
-// is what makes Algorithm 3 feasible at 100k schemas.
-//
-// Relative to the exact AssignDomains, similarities to clusters that the
-// candidate generator found no pair into are underestimated (as 0). Those
-// are precisely the similarities below the LSH threshold — far under
-// τ_c_sim — so the membership gates are unaffected for any pair the
-// generator recalled. The same τ_c_sim-gate robustness fallback applies.
-func AssignDomainsSparse(set schema.Set, sp *feature.Space, cl *cluster.Result, ps *cluster.PairSims, opts Options) (*Model, error) {
-	if sp.NumSchemas() != len(set) {
-		return nil, fmt.Errorf("core: feature space has %d schemas, set has %d", sp.NumSchemas(), len(set))
-	}
-	if len(cl.Assign) != len(set) {
-		return nil, fmt.Errorf("core: clustering covers %d schemas, set has %d", len(cl.Assign), len(set))
-	}
-	if ps.N() != len(set) {
-		return nil, fmt.Errorf("core: pair sims cover %d schemas, set has %d", ps.N(), len(set))
-	}
-	if opts.Theta < 0 || opts.Theta > 1 {
-		return nil, fmt.Errorf("core: theta %v outside [0,1]", opts.Theta)
-	}
-
+// newModel returns the model of a clustering with one empty domain per
+// cluster, ready for addMembership.
+func newModel(set schema.Set, sp *feature.Space, cl *cluster.Result, opts Options) *Model {
 	m := &Model{
 		Schemas:    set,
 		Space:      sp,
@@ -173,29 +200,7 @@ func AssignDomainsSparse(set schema.Set, sp *feature.Space, cl *cluster.Result, 
 	for r := range m.Domains {
 		m.Domains[r] = Domain{ID: r, Cluster: cl.Members[r]}
 	}
-
-	nC := cl.NumClusters()
-	sims := make([]float64, nC)
-	for i := range set {
-		for r := range sims {
-			sims[r] = 0
-		}
-		// Accumulate Σ_{j ∈ C_r} s_sim(S_i, S_j) from the adjacency, then
-		// add the self term (SchemaClusterSim counts i's own membership as
-		// similarity 1) and divide by |C_r|.
-		ps.ForEach(i, func(j int32, s float64) {
-			sims[cl.Assign[j]] += s
-		})
-		own := cl.Assign[i]
-		sims[own]++
-		for r := 0; r < nC; r++ {
-			sims[r] /= float64(len(cl.Members[r]))
-		}
-		m.assignFromSims(i, sims, own, opts)
-	}
-
-	m.sortDomainMembers()
-	return m, nil
+	return m
 }
 
 // assignFromSims applies Algorithm 3's membership gates to one schema's
@@ -219,7 +224,7 @@ func (m *Model) assignFromSims(i int, sims []float64, own int, opts Options) {
 		}
 	}
 	if len(ds) == 0 {
-		// Robustness fallback described in the AssignDomains comment.
+		// Robustness fallback described in the assignDomains comment.
 		m.addMembership(i, own, 1)
 		return
 	}
@@ -249,17 +254,7 @@ func RestoreModel(set schema.Set, sp *feature.Space, cl *cluster.Result, members
 	if len(memberships) != len(set) {
 		return nil, fmt.Errorf("core: %d membership lists for %d schemas", len(memberships), len(set))
 	}
-	m := &Model{
-		Schemas:    set,
-		Space:      sp,
-		Clustering: cl,
-		Opts:       opts,
-		bySchema:   make([][]Membership, len(set)),
-	}
-	m.Domains = make([]Domain, cl.NumClusters())
-	for r := range m.Domains {
-		m.Domains[r] = Domain{ID: r, Cluster: cl.Members[r]}
-	}
+	m := newModel(set, sp, cl, opts)
 	for i, ms := range memberships {
 		for _, mem := range ms {
 			if mem.Schema < 0 || mem.Schema >= len(m.Domains) {

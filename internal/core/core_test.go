@@ -1,12 +1,15 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"schemaflow/internal/cluster"
+	"schemaflow/internal/dataset"
 	"schemaflow/internal/feature"
 	"schemaflow/internal/schema"
 )
@@ -359,5 +362,65 @@ func TestPropertyInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAssignDomainsMatchesDefinition holds Algorithm 3's one implementation
+// to the definition of s_c_sim from both of its similarity sources, the space
+// read row by row (AssignDomains) and a pair adjacency holding every pair
+// (AssignDomainsSparse): every membership probability must equal — with ==,
+// not to a tolerance — what the gates produce from a plain
+// cluster.SchemaClusterSim loop over every (schema, cluster) pair. Both sum
+// the same terms; this pins that they sum them in the same order, self term
+// included. θ is wide so
+// that most schemas carry several memberships: a schema with one domain has
+// probability 1 whatever the last bits of its similarities are.
+func TestAssignDomainsMatchesDefinition(t *testing.T) {
+	corpora := map[string]schema.Set{
+		"dw+ss":      dataset.Union(dataset.DW(1), dataset.SS(1)),
+		"ddh":        dataset.DDH(1),
+		"large-1500": dataset.Large(dataset.LargeConfig{N: 1500, Seed: 1}),
+	}
+	for name, set := range corpora {
+		sp := feature.Build(set, feature.DefaultConfig())
+		for _, method := range cluster.Methods() {
+			cl, err := cluster.Agglomerative(sp, cluster.NewLinkage(method), 0.25)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := Options{TauCSim: 0.25, Theta: 0.3}
+			fromSpace, err := AssignDomains(set, sp, cl, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ps, err := cluster.CompletePairSims(context.Background(), sp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fromPairs, err := AssignDomainsSparse(set, sp, cl, ps, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := newModel(set, sp, cl, opts)
+			sims := make([]float64, cl.NumClusters())
+			uncertain := 0
+			for i := range set {
+				for r := range sims {
+					sims[r] = cluster.SchemaClusterSim(sp, i, cl.Members[r])
+				}
+				want.assignFromSims(i, sims, cl.Assign[i], opts)
+				if len(want.DomainsOf(i)) > 1 {
+					uncertain++
+				}
+			}
+			for source, got := range map[string]*Model{"AssignDomains": fromSpace, "AssignDomainsSparse": fromPairs} {
+				for i := range set {
+					if g, w := got.DomainsOf(i), want.DomainsOf(i); !slices.Equal(g, w) {
+						t.Fatalf("%s/%v: %s gives schema %d memberships %+v, the definition %+v", name, method, source, i, g, w)
+					}
+				}
+			}
+			t.Logf("%s/%v: %d of %d schemas in several domains", name, method, uncertain, len(set))
+		}
 	}
 }

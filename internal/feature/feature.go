@@ -189,10 +189,11 @@ func (sp *Space) fillSimRow(i int) {
 }
 
 // BuildLite constructs the space without the O(n²) pairwise-similarity
-// memo. Similarity still works (computed on demand), but clustering over a
-// lite space recomputes Jaccards repeatedly; use Build for clustering and
-// BuildLite when only vocabulary and query embedding are needed (e.g. when
-// loading a persisted model).
+// memo. Similarity still works, computed on demand. Use it when only
+// vocabulary and query embedding are needed (e.g. when loading a persisted
+// model) or when clustering over a candidate-pair subset; clustering over
+// every pair (cluster.CompletePairSims) reads each similarity twice, which
+// is what Build's memo is for.
 func BuildLite(set schema.Set, cfg Config) *Space {
 	cfg = cfg.normalized()
 	sp := &Space{cfg: cfg, set: set}
@@ -424,6 +425,25 @@ func (sp *Space) Similarity(i, j int) float64 {
 		return sp.pairSim(i, j)
 	}
 	return sp.sims.get(i, j)
+}
+
+// SimilaritiesAbove returns s_sim(S_i, S_j) for j = i+1, …, n-1, in that
+// order: the memo's own row when the space has one — a view, not to be
+// written — and otherwise computed into buf, which is grown as needed.
+func (sp *Space) SimilaritiesAbove(i int, buf []float64) []float64 {
+	n := len(sp.Vectors)
+	if sp.sims != nil {
+		if i >= n-1 {
+			return nil
+		}
+		lo := sp.sims.idx(i, i+1)
+		return sp.sims.data[lo : lo+n-1-i : lo+n-1-i]
+	}
+	buf = buf[:0]
+	for j := i + 1; j < n; j++ {
+		buf = append(buf, sp.pairSim(i, j))
+	}
+	return buf
 }
 
 // pairSim computes one pairwise similarity according to the mode.

@@ -2,11 +2,13 @@ package feedback
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"schemaflow/internal/classify"
 	"schemaflow/internal/cluster"
 	"schemaflow/internal/core"
+	"schemaflow/internal/dataset"
 	"schemaflow/internal/engine"
 	"schemaflow/internal/feature"
 	"schemaflow/internal/mediate"
@@ -350,5 +352,50 @@ func TestAddSchemaPreservesDomainIDs(t *testing.T) {
 		if domain >= m.NumDomains() && domain != m.NumDomains() {
 			t.Fatalf("%s: fresh domain id %d, want %d", s.Name, domain, m.NumDomains())
 		}
+	}
+}
+
+// TestServingPathAllocatesPerClusterNotPerPair holds AddSchema and Apply —
+// what POST /feedback and ingest run, on the served space, which after a
+// Load, an Extend or a blocked build carries no similarity memo and can be any
+// size — to working memory that does not grow with the number of schema
+// pairs. DDH is the corpus to check it on: 89% of its 2.7M pairs have positive
+// similarity, so a pair adjacency (12 B per pair and direction) would be 58 MB.
+func TestServingPathAllocatesPerClusterNotPerPair(t *testing.T) {
+	set := dataset.DDH(1)
+	sp := feature.BuildLite(set, feature.DefaultConfig())
+	assign := make([]int, len(set))
+	for i := range assign {
+		assign[i] = i % 40
+	}
+	m, err := core.AssignDomains(set, sp, cluster.FromAssignment(assign), core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocated := func(fn func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	const limit = 16 << 20
+	if got := allocated(func() {
+		if _, _, err := AddSchema(m, schema.Schema{Name: "late", Attributes: set[0].Attributes}); err != nil {
+			t.Fatal(err)
+		}
+	}); got > limit {
+		t.Errorf("AddSchema over %d schemas allocated %d MB, want under %d MB", len(set), got>>20, limit>>20)
+	}
+	s := NewSession(m)
+	if err := s.SplitSchema(0); err != nil {
+		t.Fatal(err)
+	}
+	if got := allocated(func() {
+		if _, err := s.Apply(); err != nil {
+			t.Fatal(err)
+		}
+	}); got > limit {
+		t.Errorf("Apply over %d schemas allocated %d MB, want under %d MB", len(set), got>>20, limit>>20)
 	}
 }

@@ -14,8 +14,8 @@ import (
 // family's label names) plus either a scalar value or a histogram.
 type Sample struct {
 	LabelValues []string
-	Value       float64        // counter/gauge
-	Hist        *HistSnapshot  // histogram
+	Value       float64       // counter/gauge
+	Hist        *HistSnapshot // histogram
 }
 
 // HistSnapshot is a point-in-time histogram reading.

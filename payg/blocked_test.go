@@ -2,9 +2,15 @@ package payg
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+	"math"
 	"testing"
 	"time"
 
+	"schemaflow/internal/cluster"
+	"schemaflow/internal/core"
 	"schemaflow/internal/dataset"
 	"schemaflow/internal/eval"
 )
@@ -71,6 +77,69 @@ func TestSmallCorpusDefaultStaysExact(t *testing.T) {
 		for k := range da {
 			if da[k] != de[k] {
 				t.Fatalf("schema %d membership %d differs: %+v vs %+v", i, k, da[k], de[k])
+			}
+		}
+	}
+}
+
+// TestBuildExactMatchesDeletedDensePipeline pins Build under CandidateGen
+// "exact" to what it produced through the dense n×n clustering driver and the
+// dense Algorithm-3 loop before both were deleted: the digests were recorded
+// at commit 0938270 and cover every cluster assignment, every merge with its
+// similarity's bits, and every (schema, domain, probability bits) membership.
+// internal/cluster and internal/core hold the one engine to the definitions
+// of Algorithms 2 and 3; this holds the assembled build — space, linkage,
+// τ_c_sim, θ, both algorithms — to the pipeline it replaced, on every linkage
+// for DW∪SS and the default one at the two larger scales.
+func TestBuildExactMatchesDeletedDensePipeline(t *testing.T) {
+	if testing.Short() {
+		t.Skip("paper-scale corpora; skipped in -short")
+	}
+	digest := func(m *core.Model) string {
+		h := sha256.New()
+		put := func(v uint64) { _ = binary.Write(h, binary.LittleEndian, v) }
+		for _, a := range m.Clustering.Assign {
+			put(uint64(a))
+		}
+		for _, mg := range m.Clustering.Merges {
+			put(uint64(mg.A))
+			put(uint64(mg.B))
+			put(math.Float64bits(mg.Sim))
+		}
+		for i := range m.Schemas {
+			for _, mem := range m.DomainsOf(i) {
+				put(uint64(i))
+				put(uint64(mem.Schema))
+				put(math.Float64bits(mem.Prob))
+			}
+		}
+		return fmt.Sprintf("%x", h.Sum(nil)[:8])
+	}
+	for _, tc := range []struct {
+		name string
+		set  []Schema
+		want map[cluster.Method]string
+	}{
+		{"dw+ss", dataset.Union(dataset.DW(1), dataset.SS(1)), map[cluster.Method]string{
+			cluster.MinJaccard:   "d4daf1be2230898c", // 188 domains
+			cluster.MaxJaccard:   "64c9443b0aef81d9", // 99 domains
+			cluster.AvgJaccard:   "46e5eaf9b11952a5", // 161 domains, 2 uncertain schemas
+			cluster.TotalJaccard: "770951f373c0908a", // 207 domains
+		}},
+		{"ddh", dataset.DDH(1), map[cluster.Method]string{
+			cluster.AvgJaccard: "9755b99a008e3426", // 21 domains, 63 uncertain schemas
+		}},
+		{"large-1500", dataset.Large(dataset.LargeConfig{N: 1500, Seed: 1}), map[cluster.Method]string{
+			cluster.AvgJaccard: "cc5e05890bd1f525", // 67 domains, 131 uncertain schemas
+		}},
+	} {
+		for method, want := range tc.want {
+			sys, err := Build(tc.set, Options{SkipMediation: true, CandidateGen: "exact", Linkage: method.String()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := digest(sys.Model()); got != want {
+				t.Errorf("%s/%v: model digest %s, want %s", tc.name, method, got, want)
 			}
 		}
 	}

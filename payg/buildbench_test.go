@@ -21,7 +21,7 @@ var (
 )
 
 // exactBuildMaxN bounds the O(n²) exact arm of the sweep. Past 10k schemas
-// the dense pipeline takes long enough that the sweep only runs the blocked
+// the all-pairs build takes long enough that the sweep only runs the blocked
 // arm and reports absolute time.
 const exactBuildMaxN = 10000
 

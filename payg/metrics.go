@@ -91,7 +91,7 @@ var (
 
 	mBuildMode = obs.Default().CounterVec(
 		"schemaflow_build_mode_total",
-		"Builds by clustering pipeline: exact (dense all-pairs HAC) or blocked (MinHash-LSH candidates + sparse HAC).",
+		"Builds by where the clustering's schema pairs came from: exact (every pair) or blocked (MinHash-LSH candidates).",
 		"mode")
 	mBuildCandidatePairs = obs.Default().Gauge(
 		"schemaflow_build_candidate_pairs",

@@ -119,7 +119,8 @@ type Options struct {
 	TermSimilarity string
 	// TauCSim is the clustering stop / membership threshold τ_c_sim
 	// (default 0.25; the thesis recommends 0.2–0.3; negative means a
-	// literal 0 — agglomeration runs until a single cluster remains).
+	// literal 0 — agglomeration runs until a single cluster remains, under
+	// every CandidateGen).
 	TauCSim float64
 	// Linkage selects c_sim: "avg-jaccard" (default), "min-jaccard",
 	// "max-jaccard", or "total-jaccard".
@@ -145,12 +146,13 @@ type Options struct {
 	// mediated schemas (default 0.1).
 	MediationFreqThreshold float64
 
-	// CandidateGen selects how the clustering stage finds pairs worth
-	// comparing: "auto" (default — exact below 4096 schemas, MinHash-LSH
-	// blocking at or above it), "exact" (always the dense all-pairs HAC),
-	// or "lsh" (always the blocked sub-quadratic path). The blocked path
-	// skips the O(n²) similarity memo and clusters over a sparse
-	// candidate-pair set; see docs/DESIGN.md.
+	// CandidateGen selects which schema pairs the clustering stage
+	// compares: "auto" (default — every pair below 4096 schemas, MinHash-LSH
+	// candidates at or above it), "exact" (always every pair — the thesis'
+	// clustering), or "lsh" (always LSH candidates, the sub-quadratic
+	// blocked build). Both feed the same clustering and domain assignment;
+	// the blocked build also skips the O(n²) similarity memo. See
+	// docs/DESIGN.md §10.
 	CandidateGen string
 
 	// Vectorizer selects how the online paths find the domains worth
@@ -178,9 +180,9 @@ const (
 	lshBands = 128
 	lshRows  = 2
 	// blockedAutoMin is the schema count at which CandidateGen "auto"
-	// switches from the exact to the blocked path. Below it the dense path
-	// is both fast and bit-exact, so auto never trades accuracy for speed
-	// on corpora where exact is cheap.
+	// switches from every pair to LSH candidates. Below it the complete
+	// pair set is both fast and bit-exact, so auto never trades accuracy
+	// for speed on corpora where exact is cheap.
 	blockedAutoMin = 4096
 	// annShortlistK is how many nearest schemas the ngram index shortlists
 	// before exact verification; the pruned-agreement tests pin its recall.
@@ -254,7 +256,7 @@ func (o Options) fitShortlist(sp *feature.Space) (*feature.NGramVectorizer, erro
 }
 
 // useBlockedPath decides, after withDefaults, whether a build of n schemas
-// takes the sub-quadratic blocked pipeline.
+// clusters over LSH candidates instead of every pair.
 func (o Options) useBlockedPath(n int) (bool, error) {
 	switch o.CandidateGen {
 	case "exact":
@@ -371,13 +373,7 @@ func BuildContext(ctx context.Context, schemas []Schema, opts Options) (*System,
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	var sp *feature.Space
-	var model *core.Model
-	if blocked {
-		sp, _, model, err = buildBlocked(ctx, set, fcfg, method, opts)
-	} else {
-		sp, _, model, err = buildExact(ctx, set, fcfg, method, opts)
-	}
+	sp, model, err := buildModel(ctx, set, fcfg, method, opts, blocked)
 	if err != nil {
 		return nil, err
 	}
@@ -438,98 +434,103 @@ func (o Options) featureConfig() (feature.Config, error) {
 	return cfg, nil
 }
 
-// buildExact is the thesis pipeline: precompute all O(n²) pairwise
-// similarities, run the dense agglomerative clustering, and assign domains
-// against the full similarity matrix.
-func buildExact(ctx context.Context, set schema.Set, fcfg feature.Config, method cluster.Method, opts Options) (*feature.Space, *cluster.Result, *core.Model, error) {
-	mBuildMode.With("exact").Inc()
+// buildModel is the clustering pipeline: feature space → agglomerative
+// clustering (Algorithm 2) → probabilistic domains (Algorithm 3). Its only
+// branch is where the pair similarities come from, each computed once per
+// build. The exact source is every pair, memoised in a full feature space
+// that both algorithms read; the blocked source, for large corpora, is
+// MinHash-LSH candidates verified over a lite space that never builds the
+// O(n²) memo. Every stage honors ctx.
+func buildModel(ctx context.Context, set schema.Set, fcfg feature.Config, method cluster.Method, opts Options, blocked bool) (*feature.Space, *core.Model, error) {
+	link := cluster.NewLinkage(method)
+	copts := core.Options{TauCSim: opts.TauCSim, Theta: opts.Theta}
+	var (
+		sp         *feature.Space
+		clusterAll func() (*cluster.Result, error)
+		assign     func(cl *cluster.Result) (*core.Model, error)
+	)
 	t := time.Now()
-	sp, err := feature.BuildContext(ctx, set, fcfg)
-	if err != nil {
-		return nil, nil, nil, err
+	if blocked {
+		mBuildMode.With("blocked").Inc()
+		mBuildHACWorkers.Set(float64(runtime.GOMAXPROCS(0)))
+		sp = feature.BuildLite(set, fcfg)
+		mBuildPhase.With("features").Observe(time.Since(t).Seconds())
+		pairs, err := lshCandidates(ctx, sp)
+		if err != nil {
+			return nil, nil, err
+		}
+		t = time.Now()
+		ps, err := cluster.PairwiseSims(ctx, sp, pairs, 0)
+		if err != nil {
+			return nil, nil, fmt.Errorf("payg: pairwise similarities: %w", err)
+		}
+		mBuildPhase.With("pairwise").Observe(time.Since(t).Seconds())
+		clusterAll = func() (*cluster.Result, error) {
+			return cluster.AgglomerativeSparse(ctx, sp, link, opts.TauCSim, ps, cluster.SparseOptions{})
+		}
+		assign = func(cl *cluster.Result) (*core.Model, error) {
+			return core.AssignDomainsSparse(set, sp, cl, ps, copts)
+		}
+	} else {
+		mBuildMode.With("exact").Inc()
+		// The memo outlives the build on purpose: see docs/DESIGN.md §10.
+		var err error
+		if sp, err = feature.BuildContext(ctx, set, fcfg); err != nil {
+			return nil, nil, err
+		}
+		mBuildPhase.With("features").Observe(time.Since(t).Seconds())
+		clusterAll = func() (*cluster.Result, error) {
+			return cluster.AgglomerativeContext(ctx, sp, link, opts.TauCSim)
+		}
+		assign = func(cl *cluster.Result) (*core.Model, error) {
+			return core.AssignDomains(set, sp, cl, copts)
+		}
 	}
-	mBuildPhase.With("features").Observe(time.Since(t).Seconds())
-	if err := ctx.Err(); err != nil {
-		return nil, nil, nil, err
-	}
+
 	t = time.Now()
-	cl, err := cluster.AgglomerativeContext(ctx, sp, cluster.NewLinkage(method), opts.TauCSim)
+	cl, err := clusterAll()
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("payg: %w", err)
+		return nil, nil, fmt.Errorf("payg: %w", err)
 	}
 	mBuildPhase.With("cluster").Observe(time.Since(t).Seconds())
 	if err := ctx.Err(); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
+
 	t = time.Now()
-	model, err := core.AssignDomains(set, sp, cl, core.Options{TauCSim: opts.TauCSim, Theta: opts.Theta})
+	model, err := assign(cl)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	mBuildPhase.With("domains").Observe(time.Since(t).Seconds())
-	return sp, cl, model, nil
+	return sp, model, nil
 }
 
-// buildBlocked is the sub-quadratic pipeline for large corpora: a lite
-// feature space (no O(n²) similarity memo), MinHash-LSH candidate
-// generation, exact similarities over only the candidates, sparse
-// agglomerative clustering, and sparse domain assignment. Every stage honors
-// ctx and fans out across GOMAXPROCS goroutines.
-func buildBlocked(ctx context.Context, set schema.Set, fcfg feature.Config, method cluster.Method, opts Options) (*feature.Space, *cluster.Result, *core.Model, error) {
-	mBuildMode.With("blocked").Inc()
-	n := len(set)
-	t := time.Now()
-	sp := feature.BuildLite(set, fcfg)
-	mBuildPhase.With("features").Observe(time.Since(t).Seconds())
+// lshCandidates proposes the blocked build's candidate pairs and reports the
+// candidate-generation metrics. MinHash-LSH runs over the binary feature
+// vectors (in term-frequency mode those are the binary projection — the
+// exact generalized-Jaccard similarity decides in the next stage).
+func lshCandidates(ctx context.Context, sp *feature.Space) ([]candgen.Pair, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-
-	// MinHash-LSH runs over the binary feature vectors (in term-frequency
-	// mode those are the binary projection — the exact generalized-Jaccard
-	// similarity decides in the next stage).
-	t = time.Now()
+	t := time.Now()
 	cand := feature.NewTermVectorizer(candgen.Config{Bands: lshBands, Rows: lshRows})
 	if err := cand.Fit(sp); err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	pairs, err := cand.CandidatePairs(ctx)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("payg: candidate generation: %w", err)
+		return nil, fmt.Errorf("payg: candidate generation: %w", err)
 	}
 	d := time.Since(t)
 	mBuildPhase.With("candidates").Observe(d.Seconds())
 	mBuildCandidateDuration.Observe(d.Seconds())
 	mBuildCandidatePairs.Set(float64(len(pairs)))
-	if n > 1 {
-		mBuildCandidateFraction.Set(float64(len(pairs)) / (float64(n) * float64(n-1) / 2))
+	if n := float64(sp.NumSchemas()); n > 1 {
+		mBuildCandidateFraction.Set(float64(len(pairs)) / (n * (n - 1) / 2))
 	}
-	mBuildHACWorkers.Set(float64(runtime.GOMAXPROCS(0)))
-
-	t = time.Now()
-	ps, err := cluster.PairwiseSims(ctx, sp, pairs, 0)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("payg: pairwise similarities: %w", err)
-	}
-	mBuildPhase.With("pairwise").Observe(time.Since(t).Seconds())
-
-	t = time.Now()
-	cl, err := cluster.AgglomerativeSparse(ctx, sp, cluster.NewLinkage(method), opts.TauCSim, ps, cluster.SparseOptions{})
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("payg: %w", err)
-	}
-	mBuildPhase.With("cluster").Observe(time.Since(t).Seconds())
-	if err := ctx.Err(); err != nil {
-		return nil, nil, nil, err
-	}
-
-	t = time.Now()
-	model, err := core.AssignDomainsSparse(set, sp, cl, ps, core.Options{TauCSim: opts.TauCSim, Theta: opts.Theta})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	mBuildPhase.With("domains").Observe(time.Since(t).Seconds())
-	return sp, cl, model, nil
+	return pairs, nil
 }
 
 func (s *System) buildMediation() error {

@@ -7,6 +7,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"schemaflow/internal/dataset"
 )
 
 func demoSchemas() []Schema {
@@ -334,6 +336,18 @@ func TestLiteralZeroTauCSimMergesEverything(t *testing.T) {
 	sys := build(t, Options{TauCSim: -1, SkipMediation: true})
 	if sys.NumDomains() != 1 {
 		t.Fatalf("τ_c_sim = 0 built %d domains, want 1 (agglomeration runs to a single cluster)", sys.NumDomains())
+	}
+	// One answer whichever pairs the build compared: on DW∪SS the LSH
+	// candidate graph has several components, and they must merge too.
+	set := dataset.Union(dataset.DW(1), dataset.SS(1))
+	for _, gen := range []string{"exact", "lsh"} {
+		sys, err := Build(set, Options{TauCSim: -1, CandidateGen: gen, SkipMediation: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sys.NumDomains() != 1 {
+			t.Errorf("τ_c_sim = 0 under CandidateGen %q built %d domains, want 1", gen, sys.NumDomains())
+		}
 	}
 }
 
