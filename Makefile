@@ -70,8 +70,9 @@ loadgen-smoke:
 	$(GO) test ./internal/loadgen -count=1 -loadgen-secs=5
 	$(GO) test ./internal/obs -count=1 -race -run 'TestReservoir|TestConcurrent'
 
-# Short fuzz pass over every hand-written parser. FUZZTIME is overridable;
-# CI's fuzz-smoke job uses 10s per target.
+# Short fuzz pass over every hand-written parser and the threshold LCS the
+# matcher's losslessness rests on. FUZZTIME is overridable; CI's fuzz-smoke
+# job uses 10s per target.
 FUZZTIME ?= 30s
 
 fuzz:
@@ -81,6 +82,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzParseTriple -fuzztime=$(FUZZTIME) ./internal/extract
 	$(GO) test -fuzz=FuzzSpreadsheet -fuzztime=$(FUZZTIME) ./internal/extract
 	$(GO) test -fuzz=FuzzFromAttribute -fuzztime=$(FUZZTIME) ./internal/terms
+	$(GO) test -fuzz=FuzzLCSAtLeast -fuzztime=$(FUZZTIME) ./internal/strsim
 
 fuzz-smoke:
 	$(MAKE) fuzz FUZZTIME=10s

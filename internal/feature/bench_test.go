@@ -66,3 +66,17 @@ func BenchmarkQueryVector(b *testing.B) {
 		_ = sp.QueryVector(keywords)
 	}
 }
+
+// BenchmarkQueryVectorCompound embeds a typo-carrying three-term query into
+// a vocabulary of 8,000 glued 18-letter terms (compoundSet) — the shape on
+// which g-gram candidates are plentiful and true matches few.
+func BenchmarkQueryVectorCompound(b *testing.B) {
+	set, term := compoundSet(50, 8, 20)
+	sp := BuildLite(set, DefaultConfig())
+	keywords := compoundQuery(term, 7)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = sp.QueryVector(keywords)
+	}
+}

@@ -187,51 +187,6 @@ func TestDefaultStrategyFallback(t *testing.T) {
 	}
 }
 
-// TestGramPrefilterSound verifies that the n-gram candidate prefilter never
-// loses a true match: the LCS-built space must equal a brute-force
-// construction on random schema sets.
-func TestGramPrefilterSound(t *testing.T) {
-	words := []string{
-		"title", "titles", "subtitle", "author", "authors", "authorship",
-		"year", "years", "yearly", "name", "names", "rename",
-		"price", "prices", "priced", "location", "locations", "relocation",
-	}
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		var set schema.Set
-		for i := 0; i < 4; i++ {
-			n := 1 + rng.Intn(5)
-			attrs := make([]string, n)
-			for k := range attrs {
-				attrs[k] = words[rng.Intn(len(words))]
-			}
-			set = append(set, schema.Schema{Name: "s", Attributes: attrs})
-		}
-		fast := Build(set, DefaultConfig())
-		// Brute force: for every schema term and vocab term, test directly.
-		sim := strsim.LCSSim{}
-		for i := range set {
-			want := make(map[int]bool)
-			for term := range fast.TermSets[i] {
-				for j, v := range fast.Vocab {
-					if sim.Sim(term, v) >= 0.8 {
-						want[j] = true
-					}
-				}
-			}
-			for j := range fast.Vocab {
-				if fast.Vectors[i].Get(j) != want[j] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestTermFrequencyMode(t *testing.T) {
 	set := schema.Set{
 		// "departure" occurs in two attributes here — TF sees 2, binary 1.

@@ -2,6 +2,8 @@ package feature
 
 import (
 	"math"
+	"sync"
+	"unicode/utf8"
 
 	"schemaflow/internal/strsim"
 )
@@ -10,17 +12,13 @@ import (
 //
 // The naive answer compares the term against every vocabulary entry, which
 // makes feature construction O(dim L · total terms) similarity calls. For
-// the default LCS similarity a sound prefilter exists: t_sim(a,b) ≥ τ
-// requires a common substring of length ≥ ⌈τ·(len(a)+len(b))/2⌉, so with a
-// minimum term length of L_min any matching pair shares a substring of
-// length g = min(3, ⌈τ·L_min⌉). Indexing vocabulary terms by their g-grams
-// turns matching into candidate lookup plus verification. Stem and exact
-// similarities get their own exact-bucket indexes; any other similarity
-// function falls back to a full scan.
+// the default LCS similarity the question has a lossless filter-and-verify
+// answer (gramStrategy). Stem and exact similarities get their own
+// exact-bucket indexes; any other similarity function falls back to a full
+// scan.
 type matchIndex struct {
-	vocab  []string
-	sim    strsim.TermSim
-	tau    float64
+	vocab []string
+	threshold
 	minLen int
 
 	// vocabMatches[j] caches the match list of vocabulary term j.
@@ -30,16 +28,16 @@ type matchIndex struct {
 }
 
 type matchStrategy interface {
-	// candidates returns vocabulary indices that may match term; it must be
-	// a superset of the true matches.
-	candidates(term string) []int32
+	// matches returns, in the strategy's own stable order, exactly the
+	// indices j of its term list with term == terms[j] or
+	// sim(term, terms[j]) ≥ τ.
+	matches(term string) []int32
 }
 
 func newMatchIndex(vocab []string, sim strsim.TermSim, tau float64, minLen int) *matchIndex {
 	m := &matchIndex{
 		vocab:        vocab,
-		sim:          sim,
-		tau:          tau,
+		threshold:    threshold{sim: sim, tau: tau},
 		minLen:       minLen,
 		vocabMatches: make([][]int32, len(vocab)),
 	}
@@ -47,25 +45,41 @@ func newMatchIndex(vocab []string, sim strsim.TermSim, tau float64, minLen int) 
 	return m
 }
 
-// newStrategy builds the candidate index appropriate for the similarity
-// function over the given term list.
+// newStrategy builds the lookup appropriate for the similarity function
+// over the given term list.
 func (m *matchIndex) newStrategy(vocab []string) matchStrategy {
 	if m.tau <= 0 {
 		// At τ = 0 every pair of terms matches (similarities live in [0,1]),
-		// so any bucketed prefilter would be unsound — only a full scan
-		// returns the required superset.
-		return fullScan{n: len(vocab)}
+		// so any bucketed filter would be unsound — only a full scan returns
+		// every match.
+		return fullScan{vocab, m.threshold}
 	}
 	switch m.sim.(type) {
 	case strsim.LCSSim:
-		return newGramStrategy(vocab, m.tau, m.minLen)
+		return newGramStrategy(vocab, m.threshold, m.minLen)
 	case strsim.StemSim:
-		return newStemStrategy(vocab)
+		return newStemStrategy(vocab, m.threshold)
 	case strsim.ExactSim:
 		return newExactStrategy(vocab)
 	default:
-		return fullScan{n: len(vocab)}
+		return fullScan{vocab, m.threshold}
 	}
+}
+
+// threshold is the match predicate: a similarity and its τ. Strategies hold
+// it by value, so an index keeps no earlier matchIndex alive.
+type threshold struct {
+	sim strsim.TermSim
+	tau float64
+}
+
+// similar reports sim(a, b) ≥ τ. The LCS similarity decides it by threshold
+// (strsim.LCSSim.AtLeast) rather than by computing the similarity.
+func (t threshold) similar(a, b string) bool {
+	if lcs, ok := t.sim.(strsim.LCSSim); ok {
+		return lcs.AtLeast(a, b, t.tau)
+	}
+	return t.sim.Sim(a, b) >= t.tau
 }
 
 // symmetricSim reports whether the similarity function is known to satisfy
@@ -82,7 +96,7 @@ func symmetricSim(s strsim.TermSim) bool {
 
 // extended returns a new matchIndex over newVocab = m.vocab ++ newTerms
 // (the appended terms occupy indices len(m.vocab)...), without rebuilding
-// the base candidate index: the new terms are probed against the existing
+// the base index: the new terms are probed against the existing
 // index for cross-matches and layered on top of it (overlayStrategy). The
 // receiver is never mutated; shared structures are copied on write.
 //
@@ -94,8 +108,7 @@ func (m *matchIndex) extended(newVocab []string, newTerms []string) (*matchIndex
 	oldDim := len(m.vocab)
 	nm := &matchIndex{
 		vocab:        newVocab,
-		sim:          m.sim,
-		tau:          m.tau,
+		threshold:    m.threshold,
 		minLen:       m.minLen,
 		vocabMatches: make([][]int32, len(newVocab)),
 	}
@@ -113,18 +126,15 @@ func (m *matchIndex) extended(newVocab []string, newTerms []string) (*matchIndex
 	fwd := make([][]int32, len(newTerms)) // sim(newTerm, vocab[j]) ≥ τ
 	rev := make([][]int32, len(newTerms)) // sim(vocab[j], newTerm) ≥ τ
 	for i, u := range newTerms {
-		for _, j := range m.strategy.candidates(u) {
-			v := m.vocab[j]
-			f := m.sim.Sim(u, v) >= m.tau
-			r := f
-			if !sym {
-				r = m.sim.Sim(v, u) >= m.tau
-			}
-			if f {
-				fwd[i] = append(fwd[i], j)
-			}
-			if r {
-				rev[i] = append(rev[i], j)
+		fwd[i] = m.strategy.matches(u)
+		rev[i] = fwd[i]
+		if !sym {
+			// Only a full scan serves a similarity not known to be symmetric.
+			rev[i] = nil
+			for j, v := range m.vocab {
+				if m.similar(v, u) {
+					rev[i] = append(rev[i], int32(j))
+				}
 			}
 		}
 	}
@@ -142,10 +152,10 @@ func (m *matchIndex) extended(newVocab []string, newTerms []string) (*matchIndex
 	for i := 0; i < n; i++ {
 		pair[i*n+i] = true // a term always matches itself
 		for k := i + 1; k < n; k++ {
-			f := m.sim.Sim(newTerms[i], newTerms[k]) >= m.tau
+			f := m.similar(newTerms[i], newTerms[k])
 			r := f
 			if !sym {
-				r = m.sim.Sim(newTerms[k], newTerms[i]) >= m.tau
+				r = m.similar(newTerms[k], newTerms[i])
 			}
 			pair[i*n+k] = f
 			pair[k*n+i] = r
@@ -177,18 +187,18 @@ func (m *matchIndex) extended(newVocab []string, newTerms []string) (*matchIndex
 		nm.vocabMatches[j] = list
 	}
 
-	nm.strategy = m.extendStrategy(newTerms)
+	nm.strategy = m.extendStrategy(newVocab, newTerms)
 	return nm, rev
 }
 
-// extendStrategy layers the appended terms onto the base candidate index.
-func (m *matchIndex) extendStrategy(newTerms []string) matchStrategy {
+// extendStrategy layers the appended terms onto the base index.
+func (m *matchIndex) extendStrategy(newVocab, newTerms []string) matchStrategy {
 	if len(newTerms) == 0 {
 		return m.strategy
 	}
 	switch s := m.strategy.(type) {
 	case fullScan:
-		return fullScan{n: s.n + len(newTerms)}
+		return fullScan{newVocab, s.threshold}
 	case *overlayStrategy:
 		// Extension of an extension: keep the original base, grow the
 		// (small) overlay. The overlay index is rebuilt from the
@@ -213,9 +223,9 @@ func (m *matchIndex) extendStrategy(newTerms []string) matchStrategy {
 	}
 }
 
-// overlayStrategy answers candidate queries over a vocabulary that grew
-// after its base index was built: the immutable base index covers indices
-// [0, baseDim) and a small secondary index covers the appended terms at
+// overlayStrategy answers lookups over a vocabulary that grew after its base
+// index was built: the immutable base index covers indices [0, baseDim) and
+// a small secondary index covers the appended terms at
 // [baseDim, baseDim+len(extraTerms)). Incremental space extension layers at
 // most one overlay — extending again grows extraTerms rather than nesting —
 // so lookups stay two probes regardless of how many schemas arrived since
@@ -227,15 +237,9 @@ type overlayStrategy struct {
 	extra      matchStrategy
 }
 
-func (s *overlayStrategy) candidates(term string) []int32 {
-	bc := s.base.candidates(term)
-	ec := s.extra.candidates(term)
-	if len(ec) == 0 {
-		return bc
-	}
-	out := make([]int32, 0, len(bc)+len(ec))
-	out = append(out, bc...)
-	for _, j := range ec {
+func (s *overlayStrategy) matches(term string) []int32 {
+	out := s.base.matches(term)
+	for _, j := range s.extra.matches(term) {
 		out = append(out, int32(s.baseDim)+j)
 	}
 	return out
@@ -244,15 +248,7 @@ func (s *overlayStrategy) candidates(term string) []int32 {
 // matchesOf returns the vocabulary indices whose terms match the given term
 // at τ. The term need not be in the vocabulary.
 func (m *matchIndex) matchesOf(term string) []int32 {
-	cands := m.strategy.candidates(term)
-	out := make([]int32, 0, 4)
-	for _, j := range cands {
-		v := m.vocab[j]
-		if term == v || m.sim.Sim(term, v) >= m.tau {
-			out = append(out, j)
-		}
-	}
-	return out
+	return m.strategy.matches(term)
 }
 
 // matchesOfVocab is matchesOf for a term already in the vocabulary,
@@ -269,92 +265,188 @@ func (m *matchIndex) matchesOfVocab(j int) []int32 {
 	return matches
 }
 
-// gramStrategy indexes vocabulary terms by character g-grams.
+// gramStrategy is the LCS similarity's lossless filter-and-verify lookup
+// over byte g-grams; DESIGN §5a has the soundness arguments. Sim(p,v) ≥ τ
+// iff p and v share a substring of need = LCSSim.Need(|p|+|v|, τ) runes, so
+// v can match a probe p only if min(|p|,|v|) ≥ need (length filter) and v
+// holds at least as many of p's distinct grams as the poorest need-byte
+// window of p does (count filter: the shared substring starts with one such
+// window). What survives both is decided by LCSSim.Shares at the same need.
 type gramStrategy struct {
-	gram  int
-	index map[string][]int32
-	all   []int32 // used when the prefilter is unsound for a given term
+	threshold
+	gram   int
+	terms  []string
+	runes  []int32 // rune length of each term
+	maxLen int     // longest term, in runes
+	index  map[string][]int32
+
+	// scratch holds *gramScratch values sized to this term list; the space
+	// is read concurrently, so each lookup takes its own.
+	scratch sync.Pool
 }
 
-func newGramStrategy(vocab []string, tau float64, minLen int) *gramStrategy {
-	if minLen <= 0 {
-		// A literal MinLength of 0 (terms.Options' negative escape hatch)
-		// admits single-letter terms, so the soundness argument below must
-		// assume length ≥ 1 — clamping to the default 3 here would pick a
-		// gram width that misses short-term matches.
-		minLen = 1
-	}
+// gramScratch is one lookup's working memory, reused across lookups.
+type gramScratch struct {
+	// cells[j] = epoch<<8 | saturating count of the probe's grams term j
+	// holds; a cell below epoch<<8 is stale, so nothing is cleared between
+	// lookups.
+	cells   []uint32
+	epoch   uint32
+	touched []int32 // terms in first-seen order
+	prev    []int32 // gramPrev of the probe
+	plans   []lenPlan
+}
+
+// lenPlan is what a lookup requires of vocabulary terms of one rune length.
+type lenPlan struct {
+	need  int32  // common-substring runes; 0 = not yet planned
+	grams uint32 // shared grams; above any count when need exceeds a length
+}
+
+const maxGramCount = 0xff
+
+func newGramStrategy(vocab []string, th threshold, minLen int) *gramStrategy {
 	// Any pair of terms of length >= minLen matching at tau shares a common
 	// substring of length >= ceil(tau*minLen), since (len(a)+len(b))/2 >=
-	// minLen. Using that (capped at 3) as the gram size keeps the filter
-	// sound while pruning hard.
-	need := int(math.Ceil(tau * float64(minLen)))
-	g := need
-	if g > 3 {
-		g = 3
-	}
-	if g < 1 {
-		g = 1
-	}
-	s := &gramStrategy{gram: g, index: make(map[string][]int32)}
+	// minLen; that (capped at 3) as the gram size makes every pair's need at
+	// least one gram wide. A literal MinLength of 0 (terms.Options' negative
+	// escape hatch) admits single-letter terms, so the argument must assume
+	// length 1, not the default 3.
+	g := min(max(int(math.Ceil(th.tau*float64(max(minLen, 1)))), 1), 3)
+	s := &gramStrategy{threshold: th, gram: g, terms: vocab,
+		runes: make([]int32, len(vocab)), index: make(map[string][]int32)}
+	var prev []int32
 	for j, t := range vocab {
-		for _, gr := range gramsOf(t, g) {
-			s.index[gr] = append(s.index[gr], int32(j))
+		s.runes[j] = int32(utf8.RuneCountInString(t))
+		s.maxLen = max(s.maxLen, int(s.runes[j]))
+		prev = gramPrev(prev, t, g, len(t))
+		for i, p := range prev {
+			if p < 0 {
+				s.index[t[i:i+g]] = append(s.index[t[i:i+g]], int32(j))
+			}
 		}
-		s.all = append(s.all, int32(j))
+	}
+	s.scratch.New = func() any {
+		return &gramScratch{cells: make([]uint32, len(vocab)), touched: make([]int32, len(vocab)), plans: make([]lenPlan, s.maxLen+1)}
 	}
 	return s
 }
 
-// gramsOf returns the distinct byte windows of width g in t. Byte windows
-// remain a sound prefilter even for terms containing multi-byte runes: a
-// pair matching at τ under the (rune-measured) LCS similarity shares a
-// common rune substring of ≥ ⌈τ·minLen⌉ runes, whose UTF-8 encoding is an
-// identical byte substring of at least that many bytes in both terms — so
-// both contain all of its byte g-windows. Mid-rune windows merely enlarge
-// the candidate superset; verification runs the real similarity.
-func gramsOf(t string, g int) []string {
-	if len(t) < g {
-		return []string{t}
-	}
-	out := make([]string, 0, len(t)-g+1)
-	seen := make(map[string]bool, len(t))
+// gramPrev fills prev[i], for each byte window of width g in t, with the
+// start of the nearest earlier equal window at most reach bytes back, or -1:
+// the -1 positions are t's distinct grams, and a gram is new to a window iff
+// its prev lies before the window. A reach shorter than t keeps a very long
+// probe linear; a gram it misses is merged and tallied twice, consistently.
+func gramPrev(prev []int32, t string, g, reach int) []int32 {
+	prev = prev[:0]
 	for i := 0; i+g <= len(t); i++ {
-		gr := t[i : i+g]
-		if !seen[gr] {
-			seen[gr] = true
-			out = append(out, gr)
+		p := int32(-1)
+		for k := i - 1; k >= 0 && k >= i-reach; k-- {
+			if t[k:k+g] == t[i:i+g] {
+				p = int32(k)
+				break
+			}
 		}
+		prev = append(prev, p)
 	}
-	return out
+	return prev
 }
 
-func (s *gramStrategy) candidates(term string) []int32 {
+func (s *gramStrategy) matches(term string) []int32 {
 	if len(term) < s.gram {
-		// Shorter than a gram: the prefilter argument does not apply, and
-		// such terms are filtered out upstream anyway; scan everything.
-		return s.all
+		// Shorter than a gram: the filter argument does not apply, and such
+		// terms are filtered out upstream anyway; scan everything.
+		return fullScan{s.terms, s.threshold}.matches(term)
 	}
-	var out []int32
-	seen := make(map[int32]bool)
-	for _, gr := range gramsOf(term, s.gram) {
-		for _, j := range s.index[gr] {
-			if !seen[j] {
-				seen[j] = true
-				out = append(out, j)
+	sc := s.scratch.Get().(*gramScratch)
+	defer s.scratch.Put(sc)
+	if sc.epoch++; sc.epoch == 1<<24 {
+		clear(sc.cells)
+		sc.epoch = 1
+	}
+	base := sc.epoch << 8
+
+	// Merge the postings of the probe's distinct grams.
+	sc.prev = gramPrev(sc.prev, term, s.gram, s.maxLen)
+	n, merged := 0, uint32(0)
+	for i, p := range sc.prev {
+		if p >= 0 {
+			continue
+		}
+		merged = min(merged+1, maxGramCount)
+		for _, j := range s.index[term[i:i+s.gram]] {
+			switch c := sc.cells[j]; {
+			case c < base:
+				sc.cells[j] = base | 1
+				sc.touched[n] = j
+				n++
+			case c&maxGramCount != maxGramCount:
+				sc.cells[j] = c + 1
 			}
 		}
 	}
+
+	clear(sc.plans)
+	probeRunes := utf8.RuneCountInString(term)
+	out := make([]int32, 0, 4)
+	verified := 0
+	for _, j := range sc.touched[:n] {
+		count, v := sc.cells[j]&maxGramCount, s.terms[j]
+		if count == merged && term == v { // only a term holding every merged gram can be the probe itself
+			verified++
+			out = append(out, j)
+			continue
+		}
+		plan := &sc.plans[s.runes[j]]
+		if plan.need == 0 {
+			*plan = s.plan(sc.prev, probeRunes, int(s.runes[j]))
+		}
+		if count < plan.grams {
+			continue
+		}
+		verified++
+		if (strsim.LCSSim{}).Shares(term, v, int(plan.need)) {
+			out = append(out, j)
+		}
+	}
+	mMatchVerifications.Add(uint64(verified))
+	mMatchHits.Add(uint64(len(out)))
 	return out
+}
+
+// plan computes what vocabulary terms of termRunes runes must satisfy to
+// match a probe of probeRunes runes whose grams prev describes.
+func (s *gramStrategy) plan(prev []int32, probeRunes, termRunes int) lenPlan {
+	need := (strsim.LCSSim{}).Need(probeRunes+termRunes, s.tau)
+	if need > probeRunes || need > termRunes {
+		return lenPlan{need: int32(need), grams: maxGramCount + 1}
+	}
+	// The poorest window: fewest distinct grams among the width gram
+	// positions of any need-byte window of the probe. (A need under one gram
+	// takes a term shorter than MinLength; it gets the floor of one gram.)
+	width := max(need-s.gram+1, 0)
+	poorest := width
+	for start := 0; start+width <= len(prev); start++ {
+		distinct := 0
+		for _, p := range prev[start : start+width] {
+			if int(p) < start {
+				distinct++
+			}
+		}
+		poorest = min(poorest, distinct)
+	}
+	return lenPlan{need: int32(need), grams: uint32(min(max(poorest, 1), maxGramCount))}
 }
 
 // stemStrategy buckets vocabulary terms by Porter stem.
 type stemStrategy struct {
+	terms []string
+	threshold
 	byStem map[string][]int32
 }
 
-func newStemStrategy(vocab []string) *stemStrategy {
-	s := &stemStrategy{byStem: make(map[string][]int32, len(vocab))}
+func newStemStrategy(vocab []string, th threshold) *stemStrategy {
+	s := &stemStrategy{terms: vocab, threshold: th, byStem: make(map[string][]int32, len(vocab))}
 	for j, t := range vocab {
 		st := strsim.Stem(t)
 		s.byStem[st] = append(s.byStem[st], int32(j))
@@ -362,8 +454,14 @@ func newStemStrategy(vocab []string) *stemStrategy {
 	return s
 }
 
-func (s *stemStrategy) candidates(term string) []int32 {
-	return s.byStem[strsim.Stem(term)]
+func (s *stemStrategy) matches(term string) []int32 {
+	var out []int32
+	for _, j := range s.byStem[strsim.Stem(term)] {
+		if v := s.terms[j]; term == v || s.similar(term, v) {
+			out = append(out, j)
+		}
+	}
+	return out
 }
 
 // exactStrategy is a plain map lookup.
@@ -379,20 +477,25 @@ func newExactStrategy(vocab []string) *exactStrategy {
 	return s
 }
 
-func (s *exactStrategy) candidates(term string) []int32 {
+func (s *exactStrategy) matches(term string) []int32 {
 	if j, ok := s.byTerm[term]; ok {
 		return []int32{j}
 	}
 	return nil
 }
 
-// fullScan compares against every vocabulary term.
-type fullScan struct{ n int }
+// fullScan compares against every term.
+type fullScan struct {
+	terms []string
+	threshold
+}
 
-func (f fullScan) candidates(string) []int32 {
-	out := make([]int32, f.n)
-	for i := range out {
-		out[i] = int32(i)
+func (f fullScan) matches(term string) []int32 {
+	var out []int32
+	for j, v := range f.terms {
+		if term == v || f.similar(term, v) {
+			out = append(out, int32(j))
+		}
 	}
 	return out
 }

@@ -11,3 +11,17 @@ import "schemaflow/internal/obs"
 var mExtendFallback = obs.Default().Counter(
 	"schemaflow_ingest_extend_fallback_total",
 	"Incremental feature-space extensions that fell back to a full rebuild (TermFrequency mode cannot be patched in place).")
+
+// mMatchVerifications and mMatchHits count, once per g-gram lookup, the
+// vocabulary terms that survived the length and count filters and were
+// checked, and the ones that matched. hits ÷ verifications is the matcher's
+// useful-outcomes-per-attempt ratio: near 1 the filters leave almost only
+// true matches, a low ratio means lookups pay for LCS runs that reject.
+var (
+	mMatchVerifications = obs.Default().Counter(
+		"schemaflow_feature_match_verifications_total",
+		"Vocabulary terms that passed the g-gram matcher's length and count filters and were checked against the term (equality, else the threshold LCS).")
+	mMatchHits = obs.Default().Counter(
+		"schemaflow_feature_match_hits_total",
+		"Checks that confirmed a match; divide by schemaflow_feature_match_verifications_total for the share of verifications that were useful.")
+)

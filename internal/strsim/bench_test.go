@@ -3,8 +3,8 @@ package strsim
 import "testing"
 
 // Term-similarity cost dominates feature construction; these benchmarks pin
-// the relative cost of the DP and suffix-automaton LCS paths on term-sized
-// and long inputs, and of the stemmer.
+// the cost of the LCS on term-sized and long inputs, of the threshold
+// verifier beside the full similarity, and of the stemmer.
 
 const (
 	termA = "publication"
@@ -13,40 +13,17 @@ const (
 	longB = "a quick brown dog jumps over the lazy foxes again and again and once more"
 )
 
-func BenchmarkLCSDynamicShort(b *testing.B) {
+func BenchmarkLCSShort(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = LongestCommonSubstring(termA, termB)
 	}
 }
 
-func BenchmarkLCSAutomatonShort(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = LongestCommonSubstringLinear(termA, termB)
-	}
-}
-
-func BenchmarkLCSDynamicLong(b *testing.B) {
+func BenchmarkLCSLong(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = LongestCommonSubstring(longA, longB)
-	}
-}
-
-func BenchmarkLCSAutomatonLong(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = LongestCommonSubstringLinear(longA, longB)
-	}
-}
-
-func BenchmarkLCSAutomatonReused(b *testing.B) {
-	sa := NewSuffixAutomaton(longA)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = sa.LongestCommonWith(longB)
 	}
 }
 
@@ -54,6 +31,14 @@ func BenchmarkTSim(b *testing.B) {
 	s := LCSSim{}
 	for i := 0; i < b.N; i++ {
 		_ = s.Sim(termA, termB)
+	}
+}
+
+func BenchmarkLCSAtLeast(b *testing.B) {
+	s := LCSSim{}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = s.AtLeast(termA, termB, 0.8)
 	}
 }
 

@@ -10,6 +10,11 @@
 // alternative; both are provided behind the TermSim interface.
 package strsim
 
+import (
+	"math"
+	"unicode/utf8"
+)
+
 // TermSim measures the similarity of two terms on a [0, 1] scale, where 1
 // means identical. Implementations must be symmetric: Sim(a,b) == Sim(b,a).
 type TermSim interface {
@@ -23,12 +28,11 @@ type TermSim interface {
 // length divided by the average of the two term lengths. The zero value is
 // ready to use.
 //
-// Lengths are measured in runes. For ASCII terms — the overwhelmingly common
-// case after canonicalization — rune and byte semantics coincide and the
-// byte-DP fast path is taken; terms containing multi-byte runes (extraction
-// keeps Unicode letters, e.g. "unité") fall back to a rune DP so that a
-// partial byte match inside one code point never earns credit and lengths
-// are not inflated by encoding width.
+// Lengths and the common substring are measured in runes — for ASCII terms,
+// the overwhelmingly common case after canonicalization, that is bytes — so
+// that a partial byte match inside one code point never earns credit and
+// lengths are not inflated by encoding width (extraction keeps Unicode
+// letters, e.g. "unité").
 type LCSSim struct{}
 
 // Sim implements TermSim.
@@ -39,22 +43,8 @@ func (LCSSim) Sim(a, b string) float64 {
 	if len(a) == 0 || len(b) == 0 {
 		return 0
 	}
-	if isASCII(a) && isASCII(b) {
-		l := LongestCommonSubstring(a, b)
-		return 2 * float64(l) / float64(len(a)+len(b))
-	}
 	ra, rb := []rune(a), []rune(b)
-	l := longestCommonSubstringRunes(ra, rb)
-	return 2 * float64(l) / float64(len(ra)+len(rb))
-}
-
-func isASCII(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if s[i] >= 0x80 {
-			return false
-		}
-	}
-	return true
+	return 2 * float64(commonRun(ra, rb, 0, math.MaxInt)) / float64(len(ra)+len(rb))
 }
 
 // Name implements TermSim.
@@ -90,67 +80,69 @@ func (StemSim) Sim(a, b string) float64 {
 // Name implements TermSim.
 func (StemSim) Name() string { return "stem" }
 
-// LongestCommonSubstring returns the length of the longest contiguous
-// substring common to a and b. It operates on bytes, which for ASCII input
-// coincides with rune semantics; callers comparing terms that may contain
-// multi-byte runes should measure in runes instead (LCSSim.Sim does this
-// automatically).
-//
-// The dynamic-programming formulation runs in O(len(a)·len(b)) time and
-// O(min) space. For the short terms this system compares (attribute-name
-// fragments, typically < 20 bytes) it is faster in practice than the
-// suffix-automaton path; use LongestCommonSubstringLinear for long inputs.
+// LongestCommonSubstring returns the length, in runes, of the longest
+// contiguous substring common to a and b.
 func LongestCommonSubstring(a, b string) int {
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	// Keep the inner dimension the smaller string to minimize the DP row.
-	if len(b) > len(a) {
-		a, b = b, a
-	}
-	prev := make([]int, len(b)+1)
-	cur := make([]int, len(b)+1)
-	best := 0
-	for i := 1; i <= len(a); i++ {
-		for j := 1; j <= len(b); j++ {
-			if a[i-1] == b[j-1] {
-				cur[j] = prev[j-1] + 1
-				if cur[j] > best {
-					best = cur[j]
-				}
-			} else {
-				cur[j] = 0
-			}
-		}
-		prev, cur = cur, prev
-	}
-	return best
+	return commonRun([]rune(a), []rune(b), 0, math.MaxInt)
 }
 
-// longestCommonSubstringRunes is the rune-level analogue of
-// LongestCommonSubstring, used by LCSSim when either term is non-ASCII.
-func longestCommonSubstringRunes(a, b []rune) int {
-	if len(a) == 0 || len(b) == 0 {
+// Need returns the fewest common-substring runes at which two non-empty
+// terms whose rune lengths sum to n reach Sim ≥ tau: the least l with
+// 2·float64(l)/float64(n) ≥ tau, the expression Sim itself evaluates, so
+// Sim(a,b) ≥ tau iff Shares(a, b, Need(|a|+|b|, tau)) with no rounding gap.
+// A result above n/2 means no such pair can match.
+func (LCSSim) Need(n int, tau float64) int {
+	if !(tau <= 1) { // also NaN: Sim ≥ NaN is false
+		return n + 1
+	}
+	if tau <= 0 {
 		return 0
 	}
-	if len(b) > len(a) {
-		a, b = b, a
+	l := int(math.Ceil(tau * float64(n) / 2))
+	for l > 0 && 2*float64(l-1)/float64(n) >= tau {
+		l--
 	}
-	prev := make([]int, len(b)+1)
-	cur := make([]int, len(b)+1)
-	best := 0
-	for i := 1; i <= len(a); i++ {
-		for j := 1; j <= len(b); j++ {
-			if a[i-1] == b[j-1] {
-				cur[j] = prev[j-1] + 1
-				if cur[j] > best {
-					best = cur[j]
+	for 2*float64(l)/float64(n) < tau {
+		l++
+	}
+	return l
+}
+
+// Shares reports whether a and b have a common substring of at least l
+// runes. It stops at the first run of l and never reads a stretch too short
+// to hold one, so it costs a fraction of the full LCS.
+func (LCSSim) Shares(a, b string, l int) bool {
+	return l <= 0 || commonRun([]rune(a), []rune(b), l-1, l) >= l
+}
+
+// AtLeast reports Sim(a, b) ≥ tau without computing the similarity.
+func (s LCSSim) AtLeast(a, b string, tau float64) bool {
+	if len(a) == 0 || len(b) == 0 {
+		return s.Sim(a, b) >= tau // 1 or 0, nothing to scan
+	}
+	return s.Shares(a, b, s.Need(utf8.RuneCountInString(a)+utf8.RuneCountInString(b), tau))
+}
+
+// commonRun returns the length of the longest common substring of a and b
+// if it exceeds best, else best; it returns early with the first run of
+// stop or more. A common substring is a run of equal runes along one
+// diagonal of the comparison grid, so diagonals — and tails of diagonals —
+// too short to beat best are never read. Callers convert with []rune(s),
+// which stays on the stack for terms of up to 32 runes.
+func commonRun(a, b []rune, best, stop int) int {
+	for d := 1 - len(b); d < len(a); d++ { // diagonal d pairs a[i] with b[i-d]
+		i, j := max(d, 0), max(-d, 0)
+		n := min(len(a)-i, len(b)-j)
+		run := 0
+		for k := 0; k < n && run+n-k > best; k++ {
+			if a[i+k] != b[j+k] {
+				run = 0
+			} else if run++; run > best {
+				if best = run; best >= stop {
+					return best
 				}
-			} else {
-				cur[j] = 0
 			}
 		}
-		prev, cur = cur, prev
 	}
 	return best
 }

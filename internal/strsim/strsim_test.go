@@ -26,9 +26,6 @@ func TestLongestCommonSubstring(t *testing.T) {
 		if got := LongestCommonSubstring(tc.a, tc.b); got != tc.want {
 			t.Errorf("LCS(%q,%q) = %d, want %d", tc.a, tc.b, got, tc.want)
 		}
-		if got := LongestCommonSubstringLinear(tc.a, tc.b); got != tc.want {
-			t.Errorf("LCS-linear(%q,%q) = %d, want %d", tc.a, tc.b, got, tc.want)
-		}
 	}
 }
 
@@ -53,7 +50,7 @@ func TestLCSSim(t *testing.T) {
 func TestLCSSimRuneSemantics(t *testing.T) {
 	s := LCSSim{}
 	// "unité" vs "unite": common rune substring "unit" (4 runes), both
-	// terms 5 runes → 2·4/10 = 0.8. The byte DP would count "unité" as 6
+	// terms 5 runes → 2·4/10 = 0.8. A byte scan would count "unité" as 6
 	// bytes and return 8/11 ≈ 0.727 — under the thesis' τ = 0.8 gate that
 	// is the difference between matching and not.
 	if got := s.Sim("unité", "unite"); got != 0.8 {
@@ -115,21 +112,23 @@ func TestExactAndStemSims(t *testing.T) {
 	}
 }
 
-func TestSuffixAutomatonContains(t *testing.T) {
-	sa := NewSuffixAutomaton("publication")
-	for _, sub := range []string{"", "p", "pub", "cation", "publication", "lica"} {
-		if !sa.Contains(sub) {
-			t.Errorf("Contains(%q) = false", sub)
+// lcsByDefinition enumerates every substring of a and returns the length of
+// the longest one that occurs in b — the definition, with no scan to share a
+// bug with.
+func lcsByDefinition(a, b string) int {
+	best := 0
+	for i := 0; i < len(a); i++ {
+		for j := i + best + 1; j <= len(a); j++ {
+			if !strings.Contains(b, a[i:j]) {
+				break
+			}
+			best = j - i
 		}
 	}
-	for _, sub := range []string{"x", "pq", "publications", "cationz"} {
-		if sa.Contains(sub) {
-			t.Errorf("Contains(%q) = true", sub)
-		}
-	}
+	return best
 }
 
-func TestPropertyDPMatchesAutomaton(t *testing.T) {
+func TestPropertyLCSMatchesDefinition(t *testing.T) {
 	const alphabet = "abcde"
 	gen := func(rng *rand.Rand) string {
 		n := rng.Intn(15)
@@ -142,7 +141,7 @@ func TestPropertyDPMatchesAutomaton(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		a, b := gen(rng), gen(rng)
-		return LongestCommonSubstring(a, b) == LongestCommonSubstringLinear(a, b)
+		return LongestCommonSubstring(a, b) == lcsByDefinition(a, b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
