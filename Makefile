@@ -70,9 +70,12 @@ loadgen-smoke:
 	$(GO) test ./internal/loadgen -count=1 -loadgen-secs=5
 	$(GO) test ./internal/obs -count=1 -race -run 'TestReservoir|TestConcurrent'
 
-# Short fuzz pass over every hand-written parser and the threshold LCS the
-# matcher's losslessness rests on. FUZZTIME is overridable; CI's fuzz-smoke
-# job uses 10s per target.
+# Short fuzz pass over every hand-written parser, the threshold LCS the
+# matcher's losslessness rests on, and the snapshot decoder (bytes from disk
+# or a peer). FUZZTIME is overridable; CI's fuzz-smoke job uses 10s per
+# target. FuzzLoadSnapshot's inputs are whole snapshots and every execution
+# a Load, so minimising one interesting input would eat the default 60s
+# budget — more than the whole smoke run; 1s keeps the time on new inputs.
 FUZZTIME ?= 30s
 
 fuzz:
@@ -83,6 +86,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzSpreadsheet -fuzztime=$(FUZZTIME) ./internal/extract
 	$(GO) test -fuzz=FuzzFromAttribute -fuzztime=$(FUZZTIME) ./internal/terms
 	$(GO) test -fuzz=FuzzLCSAtLeast -fuzztime=$(FUZZTIME) ./internal/strsim
+	$(GO) test -fuzz=FuzzLoadSnapshot -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./payg
 
 fuzz-smoke:
 	$(MAKE) fuzz FUZZTIME=10s

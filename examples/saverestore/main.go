@@ -1,7 +1,8 @@
-// Save/restore: the pay-as-you-go lifecycle across process restarts. All
-// expensive work (clustering, exact classifier construction) happens once at
-// Build; Save persists the model and Load restores it without redoing that
-// work — queries answer identically before and after. On-disk snapshots go
+// Save/restore: the pay-as-you-go lifecycle across process restarts. Save
+// persists the decisions Build made (clusters, domain memberships, any user
+// corrections) and Load rebuilds everything derived from them — the
+// classifier's tables included — without re-clustering, so queries answer
+// identically before and after. On-disk snapshots go
 // through SaveFile, which writes a temp file, fsyncs, and renames, so a
 // crash mid-save can never leave a truncated snapshot behind.
 //
@@ -42,7 +43,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("restored in %s (no re-clustering, no classifier setup)\n",
+	fmt.Printf("restored in %s (no re-clustering)\n",
 		time.Since(start).Round(time.Millisecond))
 
 	// The same snapshot, written to disk atomically: SaveFile stages a temp

@@ -63,6 +63,11 @@ type Config struct {
 	// (Section 5.2). Set to 0.5 for the unbiased variant the thesis
 	// considers and rejects.
 	P float64
+	// Local restricts setup to the listed domains — a shard's share. Every
+	// other domain gets no table row and a log prior of -Inf, the form Prune
+	// gives a remote domain, without its statistics ever being computed. Nil
+	// means every domain.
+	Local []int
 }
 
 // Score is one ranked domain.
@@ -87,8 +92,6 @@ type Classifier struct {
 	delta    [][]float64
 	// delta[r][j] = log Pr(F_j=1|D_r) − log Pr(F_j=0|D_r): the score
 	// adjustment when query feature j is set.
-
-	skipped []int // domains with zero prior (possible-empty-only domains)
 
 	// scratch pools per-call working state (query vector + set-bit list) so
 	// the hot path does not allocate a fresh vector per classification. The
@@ -115,7 +118,7 @@ type statsScratch struct {
 }
 
 // initScratch arms the scratch pool for the given feature dimensionality.
-// Every construction path (New, Restore) must call it.
+// Every construction path (New, Prune) must call it.
 func (c *Classifier) initScratch(dim int) {
 	c.scratch.New = func() any {
 		return &queryScratch{vec: bitvec.New(dim)}
@@ -149,9 +152,23 @@ func New(m *core.Model, cfg Config) (*Classifier, error) {
 		delta:    make([][]float64, m.NumDomains()),
 	}
 	c.initScratch(dim)
+	var local []bool // nil: every domain
+	if cfg.Local != nil {
+		local = make([]bool, m.NumDomains())
+		for _, r := range cfg.Local {
+			if r < 0 || r >= len(local) {
+				return nil, fmt.Errorf("classify: local domain %d out of range [0,%d)", r, len(local))
+			}
+			local[r] = true
+		}
+	}
 	total := len(m.Schemas)
 	sc := &statsScratch{count: make([]float64, dim), p1: make([]float64, dim)}
 	for r := range m.Domains {
+		if local != nil && !local[r] {
+			c.logPrior[r] = math.Inf(-1)
+			continue
+		}
 		d := &m.Domains[r]
 		var prior float64
 		var p1 []float64
@@ -178,7 +195,6 @@ func New(m *core.Model, cfg Config) (*Classifier, error) {
 			// A domain whose every possible content is empty (all members
 			// uncertain and the empty subset dominates) carries no signal;
 			// rank it last unconditionally.
-			c.skipped = append(c.skipped, r)
 			c.logPrior[r] = math.Inf(-1)
 			continue
 		}

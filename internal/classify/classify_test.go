@@ -377,37 +377,55 @@ func TestPropertyExactMatchesReference(t *testing.T) {
 	}
 }
 
-func TestSnapshotRestoreRoundTrip(t *testing.T) {
-	m := buildModel(t, travelBibSet(), 0.2)
-	c, err := New(m, Config{})
+// TestNewLocalMatchesPrune pins the shard form of setup: New restricted to a
+// local set holds, bit for bit, what Prune cuts out of the full classifier,
+// computes nothing for the remote domains (no table row), and rejects ids
+// outside the model.
+func TestNewLocalMatchesPrune(t *testing.T) {
+	set := travelBibSet()
+	memberships := [][]core.Membership{
+		{{Schema: 0, Prob: 1}},
+		{{Schema: 0, Prob: 0.6}, {Schema: 1, Prob: 0.4}},
+		{{Schema: 0, Prob: 0.7}, {Schema: 1, Prob: 0.3}},
+		{{Schema: 1, Prob: 1}},
+		{{Schema: 2, Prob: 1}},
+	}
+	m := modelWithMemberships(t, set, []int{0, 0, 0, 1, 2}, memberships)
+	full, err := New(m, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := Restore(m, c.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := []string{"departure", "airline"}
-	a, b := c.Classify(q), restored.Classify(q)
-	for k := range a {
-		if a[k] != b[k] {
-			t.Fatalf("restored classifier differs at %d: %+v vs %+v", k, a[k], b[k])
+	for _, local := range [][]int{{}, {1}, {0, 2}, {0, 1, 2}} {
+		want, err := full.Prune(local)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := New(m, Config{Local: local})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := 0
+		for _, row := range got.delta {
+			if row != nil {
+				rows++
+			}
+		}
+		if rows != len(local) {
+			t.Fatalf("local %v: %d table rows, want %d", local, rows, len(local))
+		}
+		for _, q := range [][]string{{"departure", "airline"}, {"title", "year"}, {"zzzz"}} {
+			g, w := got.Classify(q), want.Classify(q)
+			for k := range w {
+				if g[k] != w[k] {
+					t.Fatalf("local %v query %v rank %d: %+v, pruned full classifier %+v", local, q, k, g[k], w[k])
+				}
+			}
 		}
 	}
-}
-
-func TestRestoreValidation(t *testing.T) {
-	m := buildModel(t, travelBibSet(), 0.2)
-	c, _ := New(m, Config{})
-	snap := c.Snapshot()
-	snap.Dim++
-	if _, err := Restore(m, snap); err == nil {
-		t.Fatal("dim mismatch accepted")
-	}
-	snap.Dim--
-	snap.LogPrior = snap.LogPrior[:1]
-	if _, err := Restore(m, snap); err == nil {
-		t.Fatal("domain-count mismatch accepted")
+	for _, bad := range []int{-1, m.NumDomains()} {
+		if _, err := New(m, Config{Local: []int{bad}}); err == nil {
+			t.Fatalf("local domain %d accepted", bad)
+		}
 	}
 }
 

@@ -24,7 +24,7 @@ import (
 // domains. The pruned classifier still scores the full domain-id range —
 // remote domains simply rank last at -Inf — so Score.Domain ids remain
 // globally meaningful. Memory for a shard is O(|local| · dim) instead of
-// O(|D| · dim). Snapshot/Restore round-trips the pruned form unchanged.
+// O(|D| · dim). New with Config.Local builds the same form directly.
 func (c *Classifier) Prune(local []int) (*Classifier, error) {
 	nD := c.model.NumDomains()
 	keep := make([]bool, nD)
@@ -48,11 +48,6 @@ func (c *Classifier) Prune(local []int) (*Classifier, error) {
 			p.delta[r] = c.delta[r]
 		} else {
 			p.logPrior[r] = math.Inf(-1)
-		}
-	}
-	for _, r := range c.skipped {
-		if keep[r] {
-			p.skipped = append(p.skipped, r)
 		}
 	}
 	p.initScratch(c.model.Space.Dim())

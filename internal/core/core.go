@@ -203,33 +203,59 @@ func newModel(set schema.Set, sp *feature.Space, cl *cluster.Result, opts Option
 	return m
 }
 
-// assignFromSims applies Algorithm 3's membership gates to one schema's
-// schema-to-cluster similarity vector: the absolute τ_c_sim gate, the
-// relative θ gate against the best cluster, probability normalization, and
-// the empty-D(S_i) fallback to the schema's own cluster.
-func (m *Model) assignFromSims(i int, sims []float64, own int, opts Options) {
+// Gate is Algorithm 3's membership rule for one schema, the only copy: given
+// sims[r] = s_c_sim(S_i, C_r), it returns D(S_i) — the candidate domains
+// passing the absolute τ_c_sim gate and lying within a factor 1−θ of the best
+// candidate — as (domain id, probability) entries in candidate order, the
+// probabilities proportional to similarity and summing to 1. cands lists the
+// domains considered; nil means every r in range of sims. A domain left out
+// of cands contributes nothing, not even as the best one — with a literal
+// τ_c_sim of 0 its zero similarity would otherwise pass. An empty result
+// means no domain claims the schema; what happens then is the caller's
+// decision (its own cluster at build time, "fresh" online).
+func Gate(sims []float64, cands []int, opts Options) []Membership {
+	n := len(sims)
+	if cands != nil {
+		n = len(cands)
+	}
+	at := func(k int) int {
+		if cands != nil {
+			return cands[k]
+		}
+		return k
+	}
 	maxSim := 0.0
-	for _, s := range sims {
-		if s > maxSim {
+	for k := 0; k < n; k++ {
+		if s := sims[at(k)]; s > maxSim {
 			maxSim = s
 		}
 	}
-	// D(S_i): clusters passing both the absolute and relative gates.
-	var ds []int
+	var ds []Membership
 	total := 0.0
-	for r := range sims {
+	for k := 0; k < n; k++ {
+		r := at(k)
 		if sims[r] >= opts.TauCSim && maxSim > 0 && sims[r]/maxSim >= 1-opts.Theta {
-			ds = append(ds, r)
+			ds = append(ds, Membership{Schema: r, Prob: sims[r]})
 			total += sims[r]
 		}
 	}
+	for k := range ds {
+		ds[k].Prob /= total
+	}
+	return ds
+}
+
+// assignFromSims records schema i's memberships from its schema-to-cluster
+// similarity vector: whatever Gate admits, or — the empty-D(S_i) fallback
+// described in the assignDomains comment — its own cluster with probability 1.
+func (m *Model) assignFromSims(i int, sims []float64, own int, opts Options) {
+	ds := Gate(sims, nil, opts)
 	if len(ds) == 0 {
-		// Robustness fallback described in the assignDomains comment.
 		m.addMembership(i, own, 1)
 		return
 	}
-	for _, r := range ds {
-		m.addMembership(i, r, sims[r]/total)
+	for _, d := range ds {
+		m.addMembership(i, d.Schema, d.Prob)
 	}
 }
 

@@ -60,6 +60,7 @@ func FuzzParseTriple(f *testing.F) {
 		`<unclosed <p> <o> .`,
 		`"starts with literal" <p> <o> .`,
 		``,
+		`"" "" "" .`,
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -103,7 +103,7 @@ func parseTriple(line string) (subj, pred, obj string, ok bool) {
 		return "", "", "", false
 	}
 	pred, rest, ok = parseTerm(rest)
-	if !ok {
+	if !ok || pred == "" { // an empty literal parses as a term; it names no property
 		return "", "", "", false
 	}
 	obj, rest, ok = parseTerm(rest)

@@ -3,7 +3,7 @@
 // must be routed to its domains immediately — without re-running clustering,
 // classifier setup, or mediation.
 //
-// The package supplies the three mechanisms the online pipeline composes:
+// The package supplies the two mechanisms the online pipeline composes:
 //
 //   - Assign places one new schema against the *current* probabilistic
 //     domain model using exactly the gates of Algorithm 3 (Section 4.3):
@@ -16,12 +16,10 @@
 //     arrivals that no existing domain could claim. A high ratio means the
 //     model no longer covers the incoming schema distribution and a full
 //     recluster is warranted.
-//   - Journal holds the pending arrivals between rebuilds so they can be
-//     folded into the next full Build (and persisted across restarts).
 //
-// The lifecycle that ties these together — background rebuild, single
-// flight, copy-on-write atomic swap — lives in payg.Manager; this package
-// is pure model-level mechanism with no locking of its own. Assign times
+// The lifecycle that ties these together — the pending list, background
+// rebuild, single flight, copy-on-write atomic swap — lives in payg.Manager;
+// this package is pure model-level mechanism with no locking of its own. Assign times
 // itself into the schemaflow_ingest_assign_duration_seconds histogram
 // (internal/obs), the number to weigh against a full rebuild's
 // schemaflow_build_phase_duration_seconds when tuning drift thresholds.
@@ -87,37 +85,26 @@ func AssignRestricted(m *core.Model, s schema.Schema, include func(r int) bool) 
 
 	nD := m.NumDomains()
 	sims := make([]float64, nD)
+	// cands stays nil (every domain) without a restriction; with one it is
+	// the included domains, non-nil even when there are none.
+	var cands []int
+	if include != nil {
+		cands = make([]int, 0, nD)
+	}
 	a := &Assignment{Best: -1}
 	for r := 0; r < nD; r++ {
-		if include != nil && !include(r) {
-			continue
+		if include != nil {
+			if !include(r) {
+				continue
+			}
+			cands = append(cands, r)
 		}
 		sims[r] = cluster.SchemaClusterSim(sp, newIdx, m.Clustering.Members[r])
 		if sims[r] > a.BestSim {
 			a.BestSim, a.Best = sims[r], r
 		}
 	}
-
-	// D(S_i): every cluster passing the absolute and relative gates. The
-	// include check is needed here too: with a literal τ_c_sim of 0, an
-	// excluded domain's zero similarity would otherwise pass the gate.
-	var ds []int
-	total := 0.0
-	for r := 0; r < nD; r++ {
-		if include != nil && !include(r) {
-			continue
-		}
-		if sims[r] >= m.Opts.TauCSim && a.BestSim > 0 && sims[r]/a.BestSim >= 1-m.Opts.Theta {
-			ds = append(ds, r)
-			total += sims[r]
-		}
-	}
-	if len(ds) == 0 {
-		a.Fresh = true
-		return a, nil
-	}
-	for _, r := range ds {
-		a.Domains = append(a.Domains, core.Membership{Schema: r, Prob: sims[r] / total})
-	}
+	a.Domains = core.Gate(sims, cands, m.Opts)
+	a.Fresh = len(a.Domains) == 0
 	return a, nil
 }

@@ -151,29 +151,6 @@ func TestWindow(t *testing.T) {
 	}
 }
 
-func TestJournal(t *testing.T) {
-	var j Journal
-	j.Append(Entry{Schema: schema.Schema{Name: "a", Attributes: []string{"x"}}})
-	j.Append(Entry{Schema: schema.Schema{Name: "b", Attributes: []string{"y"}}})
-	j.Append(Entry{Schema: schema.Schema{Name: "c", Attributes: []string{"z"}}})
-	if j.Len() != 3 {
-		t.Fatalf("len %d, want 3", j.Len())
-	}
-	snap := j.Snapshot()
-	j.Append(Entry{Schema: schema.Schema{Name: "d", Attributes: []string{"w"}}})
-	if len(snap) != 3 {
-		t.Fatalf("snapshot len %d, want 3 (must not see later appends)", len(snap))
-	}
-	j.DrainFirst(len(snap))
-	if j.Len() != 1 || j.Schemas()[0].Name != "d" {
-		t.Fatalf("drain left %v, want just d", j.Schemas())
-	}
-	j.DrainFirst(10)
-	if j.Len() != 0 {
-		t.Fatalf("over-drain left %d entries", j.Len())
-	}
-}
-
 // An arrival sharing no vocabulary with any domain has similarity exactly 0
 // everywhere. Best must stay -1 — there is no meaningful "most similar"
 // domain to report — rather than arbitrarily naming domain 0.

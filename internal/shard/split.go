@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -54,14 +53,7 @@ func SplitCheckpoint(srcDir, outDir string, n int) (*SplitSummary, error) {
 		return nil, fmt.Errorf("shard: recovering %s: %w", srcDir, err)
 	}
 	defer mgr.Close()
-	snap, gen, err := mgr.SnapshotBytes()
-	if err != nil {
-		return nil, fmt.Errorf("shard: snapshotting recovered state: %w", err)
-	}
-	sys, pending, err := payg.LoadWithPending(bytes.NewReader(snap))
-	if err != nil {
-		return nil, fmt.Errorf("shard: restoring snapshot at generation %d: %w", gen, err)
-	}
+	sys, gen, pending := mgr.System(), mgr.Generation(), mgr.Pending()
 	if sys.LocalDomains() != nil {
 		return nil, fmt.Errorf("shard: checkpoint in %s is already sharded; split the original single-node checkpoint", srcDir)
 	}

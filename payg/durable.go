@@ -229,34 +229,22 @@ func LoadManagerDir(dir string, opts ManagerOptions) (*Manager, error) {
 	if err != nil {
 		return nil, fmt.Errorf("payg: opening checkpoint: %w", err)
 	}
-	sys, pending, err := LoadWithPending(f)
-	f.Close()
-	if err != nil {
-		return nil, fmt.Errorf("payg: restoring checkpoint generation %d: %w", gen, err)
-	}
-	opts = opts.withDefaults()
-	var sources []TupleSource
+	defer f.Close()
+	var sources func(*System) []TupleSource
 	if opts.ServeData {
-		sources = make([]TupleSource, 0, sys.NumSchemas())
-		for _, sch := range sys.Schemas() {
-			sources = append(sources, opts.MakeSource(sch))
+		makeSource := opts.withDefaults().MakeSource
+		sources = func(sys *System) []TupleSource {
+			out := make([]TupleSource, 0, sys.NumSchemas())
+			for _, sch := range sys.Schemas() {
+				out = append(out, makeSource(sch))
+			}
+			return out
 		}
 	}
-	loadOpts := opts
-	loadOpts.DataDir = "" // durability is attached below, after replay
-	m, err := NewManager(sys, sources, loadOpts)
-	if err != nil {
-		return nil, err
-	}
-	if m.journal, err = rejournal(sys, pending); err != nil {
-		m.Close()
-		return nil, err
-	}
-	m.setGeneration(gen)
 	opts.DataDir = dir
-	if err := m.initDurable(opts); err != nil {
-		m.Close()
-		return nil, err
+	m, err := loadManager(f, gen, sources, opts)
+	if err != nil {
+		return nil, fmt.Errorf("payg: recovering checkpoint generation %d: %w", gen, err)
 	}
 	return m, nil
 }
@@ -269,23 +257,7 @@ func LoadManagerAt(r io.Reader, gen int, sources []TupleSource, opts ManagerOpti
 	if opts.DataDir != "" {
 		return nil, fmt.Errorf("payg: LoadManagerAt does not attach durability; use LoadManagerDir")
 	}
-	m, err := LoadManager(r, sources, opts)
-	if err != nil {
-		return nil, err
-	}
-	m.setGeneration(gen)
-	return m, nil
-}
-
-// setGeneration republishes the current state at gen. Only used during
-// construction and restore, never concurrently with swaps.
-func (m *Manager) setGeneration(gen int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	st := m.cur.Load()
-	m.gen = gen
-	m.cur.Store(&managedState{sys: st.sys, exec: st.exec, sources: st.sources, gen: gen})
-	mSwapGeneration.Set(float64(gen))
+	return loadManager(r, gen, func(*System) []TupleSource { return sources }, opts)
 }
 
 // Generation returns the serving generation (lock-free): 0 at build,
@@ -293,19 +265,19 @@ func (m *Manager) setGeneration(gen int) {
 // Durable checkpoints and shipped snapshots are stamped with it.
 func (m *Manager) Generation() int { return m.cur.Load().gen }
 
-// initDurable opens the WAL in opts.DataDir, replays any records a
+// initDurable opens the WAL in the data dir, replays any records a
 // previous process acked but never checkpointed, and attaches the log so
 // subsequent arrivals are persisted before their ack. It finishes with a
 // checkpoint, which compacts the replayed records away.
-func (m *Manager) initDurable(opts ManagerOptions) error {
-	if err := os.MkdirAll(opts.DataDir, 0o755); err != nil {
+func (m *Manager) initDurable() error {
+	if err := os.MkdirAll(m.opts.DataDir, 0o755); err != nil {
 		return fmt.Errorf("payg: creating data dir: %w", err)
 	}
-	mode, err := wal.ParseSyncMode(opts.FsyncMode)
+	mode, err := wal.ParseSyncMode(m.opts.FsyncMode)
 	if err != nil {
 		return err
 	}
-	l, err := wal.Open(filepath.Join(opts.DataDir, walFileName), wal.Options{Mode: mode})
+	l, err := wal.Open(filepath.Join(m.opts.DataDir, walFileName), wal.Options{Mode: mode})
 	if err != nil {
 		return err
 	}
@@ -323,10 +295,8 @@ func (m *Manager) initDurable(opts ManagerOptions) error {
 		m.opts.Logf("payg: replayed %d WAL record(s) on top of the checkpoint", len(recovered))
 	}
 	m.mu.Lock()
-	m.dataDir = opts.DataDir
-	m.retain = opts.CheckpointRetain
 	m.wal = l
-	mIngestPending.Set(float64(m.journal.Len()))
+	mIngestPending.Set(float64(len(m.pending)))
 	// Compact immediately: the replayed records are re-persisted inside
 	// this checkpoint, so the log restarts empty.
 	m.checkpointLocked()
@@ -335,10 +305,10 @@ func (m *Manager) initDurable(opts ManagerOptions) error {
 }
 
 // replayRecord applies one WAL record to the recovering manager. Ingest
-// records are re-assigned against the current system and journaled
-// (without re-logging — they are already in the WAL being replayed);
-// feedback records are re-applied, bumping the generation exactly as the
-// original apply did.
+// records are validated and made pending again (without re-logging — they
+// are already in the WAL being replayed — and without assigning them: which
+// domains they join is the next rebuild's decision); feedback records are
+// re-applied, bumping the generation exactly as the original apply did.
 func (m *Manager) replayRecord(p []byte) error {
 	var rec walRecord
 	if err := json.Unmarshal(p, &rec); err != nil {
@@ -349,13 +319,11 @@ func (m *Manager) replayRecord(p []byte) error {
 		if rec.Schema == nil {
 			return fmt.Errorf("ingest record without schema")
 		}
-		a, err := m.System().Ingest(*rec.Schema)
-		if err != nil {
-			return fmt.Errorf("re-assigning %q: %w", rec.Schema.Name, err)
+		if err := rec.Schema.Validate(); err != nil {
+			return err
 		}
 		m.mu.Lock()
-		m.journal.Append(journalEntry(*rec.Schema, a))
-		mIngestPending.Set(float64(m.journal.Len()))
+		m.pending = append(m.pending, *rec.Schema)
 		m.mu.Unlock()
 		return nil
 	case walKindFeedback:
@@ -402,10 +370,9 @@ func (m *Manager) checkpointLocked() {
 	}
 	start := time.Now()
 	st := m.cur.Load()
-	pending := m.journal.Schemas()
-	path := filepath.Join(m.dataDir, checkpointName(m.gen))
+	path := filepath.Join(m.opts.DataDir, checkpointName(m.gen))
 	err := SaveFile(path, func(w io.Writer) error {
-		return st.sys.saveWithPending(w, pending)
+		return st.sys.SaveWithPending(w, m.pending)
 	})
 	if err != nil {
 		mCheckpointErrors.Inc()
@@ -420,13 +387,13 @@ func (m *Manager) checkpointLocked() {
 		mCheckpointErrors.Inc()
 		m.opts.Logf("payg: truncating WAL after checkpoint: %v", err)
 	}
-	if err := pruneCheckpoints(m.dataDir, m.retain); err != nil {
+	if err := pruneCheckpoints(m.opts.DataDir, m.opts.CheckpointRetain); err != nil {
 		m.opts.Logf("payg: pruning old checkpoints: %v", err)
 	}
 	mCheckpointsWritten.Inc()
 	mCheckpointGeneration.Set(float64(m.gen))
 	mCheckpointDuration.Observe(time.Since(start).Seconds())
-	m.opts.Logf("payg: checkpoint written: generation %d (%d pending in snapshot)", m.gen, len(pending))
+	m.opts.Logf("payg: checkpoint written: generation %d (%d pending in snapshot)", m.gen, len(m.pending))
 }
 
 // SnapshotBytes serializes the serving state (system + pending journal)
@@ -438,7 +405,7 @@ func (m *Manager) SnapshotBytes() ([]byte, int, error) {
 	defer m.mu.Unlock()
 	st := m.cur.Load()
 	var buf bytes.Buffer
-	if err := st.sys.saveWithPending(&buf, m.journal.Schemas()); err != nil {
+	if err := st.sys.SaveWithPending(&buf, m.pending); err != nil {
 		return nil, 0, err
 	}
 	return buf.Bytes(), m.gen, nil
@@ -448,31 +415,11 @@ func (m *Manager) SnapshotBytes() ([]byte, int, error) {
 // leader, publishing it at the leader's generation via the usual atomic
 // swap — the follower half of snapshot shipping. The restoring manager
 // must serve without data sources (followers are read-only). Pending
-// schemas in the snapshot are re-assigned and journaled, exactly as
+// schemas in the snapshot become this manager's pending list, exactly as
 // LoadManager does.
 func (m *Manager) Restore(r io.Reader, gen int) error {
 	if m.pool != nil {
 		return fmt.Errorf("payg: cannot restore into a manager serving data sources")
 	}
-	sys, pending, err := LoadWithPending(r)
-	if err != nil {
-		return err
-	}
-	journal, err := rejournal(sys, pending)
-	if err != nil {
-		return err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return fmt.Errorf("payg: manager closed")
-	}
-	m.journal = journal
-	m.drift.Reset()
-	m.gen = gen
-	m.cur.Store(&managedState{sys: sys, gen: gen})
-	mSwapGeneration.Set(float64(gen))
-	mIngestPending.Set(float64(journal.Len()))
-	mIngestDrift.Set(0)
-	return nil
+	return m.restore(r, gen, nil)
 }

@@ -1,7 +1,8 @@
 package payg
 
 import (
-	"schemaflow/internal/classify"
+	"context"
+
 	"schemaflow/internal/core"
 	"schemaflow/internal/feedback"
 )
@@ -87,35 +88,5 @@ func (s *System) AddSchema(sch Schema) (*System, int, error) {
 // rebuildFromModel constructs a complete System around an updated model,
 // reusing the original options.
 func (s *System) rebuildFromModel(m *core.Model) (*System, error) {
-	ccfg := classify.Config{}
-	if s.opts.ApproximateClassifier {
-		ccfg.Mode = classify.Approximate
-	}
-	if s.opts.ExactClassifier {
-		ccfg.MaxExactUncertain = -1
-	}
-	cls, err := classify.New(m, ccfg)
-	if err != nil {
-		return nil, err
-	}
-	// Fit a fresh shortlist index against the updated space — the old
-	// system may still be serving queries from its own fitted state.
-	vec, err := s.opts.fitShortlist(m.Space)
-	if err != nil {
-		return nil, err
-	}
-	sys := &System{
-		opts:       s.opts,
-		schemas:    m.Schemas,
-		space:      m.Space,
-		model:      m,
-		classifier: cls,
-		vectorizer: vec,
-	}
-	if !s.opts.SkipMediation {
-		if err := sys.buildMediation(); err != nil {
-			return nil, err
-		}
-	}
-	return sys, nil
+	return assemble(context.Background(), s.opts, m, nil)
 }

@@ -5,12 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"schemaflow/internal/core"
 	"schemaflow/internal/ingest"
 	"schemaflow/internal/wal"
 )
@@ -137,7 +137,7 @@ type flight struct {
 
 // Manager owns a serving System and grows it online — the pay-as-you-go
 // loop as a subsystem. Arriving schemas are assigned to current domains
-// immediately (Ingest, read-only against the serving model), journaled,
+// immediately (Ingest, read-only against the serving model), kept pending,
 // and folded into a full recluster+rebuild that runs in a background
 // goroutine when assignment quality drifts, when a rebuild interval
 // elapses, or on demand (Recluster). The rebuilt system is published by a
@@ -152,8 +152,11 @@ type Manager struct {
 	cur  atomic.Pointer[managedState]
 	pool *BreakerPool // nil when serving without data
 
-	mu        sync.Mutex
-	journal   ingest.Journal
+	mu sync.Mutex
+	// pending holds the schemas accepted since the last published rebuild,
+	// in arrival order. A rebuild captures a prefix and, on success, drains
+	// exactly that prefix — arrivals during the flight stay pending.
+	pending   []Schema
 	drift     *ingest.Window
 	gen       int     // bumped on every swap; a rebuild whose base generation is stale is discarded
 	inflight  *flight // non-nil while a background rebuild runs
@@ -169,9 +172,7 @@ type Manager struct {
 	// Durability (nil/zero when ManagerOptions.DataDir is empty). wal is
 	// appended under mu before an arrival is acked; checkpointLocked
 	// truncates it after a snapshot lands.
-	wal     *wal.Log
-	dataDir string
-	retain  int
+	wal *wal.Log
 
 	stopInterval context.CancelFunc
 	wg           sync.WaitGroup
@@ -183,90 +184,136 @@ type Manager struct {
 // from opts.MakeSource at rebuild time. Call Close to stop background
 // work.
 func NewManager(sys *System, sources []TupleSource, opts ManagerOptions) (*Manager, error) {
+	if err := requireFreshDataDir(opts.DataDir); err != nil {
+		return nil, err
+	}
+	m := emptyManager(opts)
+	st, err := m.bind(sys, sources, 0)
+	if err != nil {
+		return nil, err
+	}
+	m.cur.Store(st)
+	if err := m.start(); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// requireFreshDataDir refuses to bootstrap durability in a data dir that
+// already holds a checkpoint: it belongs to a previous incarnation and is
+// recovered, not clobbered. An empty dir (no durability) passes.
+func requireFreshDataDir(dir string) error {
+	if dir == "" {
+		return nil
+	}
+	if ok, err := HasCheckpoint(dir); err != nil {
+		return fmt.Errorf("payg: scanning data dir %s: %w", dir, err)
+	} else if ok {
+		return fmt.Errorf("payg: data dir %s already holds a checkpoint; recover it with LoadManagerDir", dir)
+	}
+	return nil
+}
+
+// emptyManager returns a manager with no serving state yet; the caller
+// publishes one (bind or restore) and then calls start.
+func emptyManager(opts ManagerOptions) *Manager {
 	opts = opts.withDefaults()
-	m := &Manager{
+	return &Manager{
 		opts:    opts,
 		drift:   ingest.NewWindow(opts.DriftWindow),
 		queries: newQueryCache(opts.QueryCacheSize),
 	}
-	st := &managedState{sys: sys}
+}
+
+// bind wraps a system as serving generation gen, with a query executor
+// over sources when there are any (one per schema in build order).
+func (m *Manager) bind(sys *System, sources []TupleSource, gen int) (*managedState, error) {
+	st := &managedState{sys: sys, gen: gen}
 	if sources != nil {
-		m.pool = NewBreakerPool(opts.Policy)
-		exec, err := sys.NewExecutorShared(sources, opts.Policy, m.pool)
+		if m.pool == nil {
+			m.pool = NewBreakerPool(m.opts.Policy)
+		}
+		exec, err := sys.NewExecutorShared(sources, m.opts.Policy, m.pool)
 		if err != nil {
 			return nil, err
 		}
 		st.exec = exec
 		st.sources = sources
 	}
-	m.cur.Store(st)
-	if opts.DataDir != "" {
-		// Bootstrap durability for a freshly built system. A data dir
-		// that already holds a checkpoint belongs to a previous
-		// incarnation — refuse to clobber it.
-		if ok, err := HasCheckpoint(opts.DataDir); err != nil {
-			return nil, fmt.Errorf("payg: scanning data dir %s: %w", opts.DataDir, err)
-		} else if ok {
-			return nil, fmt.Errorf("payg: data dir %s already holds a checkpoint; recover it with LoadManagerDir", opts.DataDir)
-		}
-		if err := m.initDurable(opts); err != nil {
-			return nil, err
+	return st, nil
+}
+
+// start attaches durability when a data dir is configured (replaying its
+// WAL on top of the published state) and launches the interval loop.
+func (m *Manager) start() error {
+	if m.opts.DataDir != "" {
+		if err := m.initDurable(); err != nil {
+			return err
 		}
 	}
-	if opts.RebuildInterval > 0 {
+	if every := m.opts.RebuildInterval; every > 0 {
 		ctx, cancel := context.WithCancel(context.Background())
 		m.stopInterval = cancel
 		m.wg.Add(1)
-		go m.intervalLoop(ctx, opts.RebuildInterval)
+		go m.intervalLoop(ctx, every)
 	}
-	return m, nil
+	return nil
 }
 
 // LoadManager reconstructs a manager from a snapshot written by
-// Manager.Save: the system is rebuilt as by Load, and every journaled
-// pending schema is re-assigned against it and restored to the journal —
-// a restart loses nothing. sources and opts are as for NewManager.
+// Manager.Save: the system is rebuilt as by Load and the snapshot's pending
+// schemas are pending again — a restart loses nothing. sources and opts are
+// as for NewManager.
 func LoadManager(r io.Reader, sources []TupleSource, opts ManagerOptions) (*Manager, error) {
-	sys, pending, err := LoadWithPending(r)
-	if err != nil {
+	if err := requireFreshDataDir(opts.DataDir); err != nil {
 		return nil, err
 	}
-	m, err := NewManager(sys, sources, opts)
-	if err != nil {
+	return loadManager(r, 0, func(*System) []TupleSource { return sources }, opts)
+}
+
+// loadManager is the constructor behind LoadManager, LoadManagerAt and
+// LoadManagerDir: an empty manager, the one restore step, then start.
+func loadManager(r io.Reader, gen int, sources func(*System) []TupleSource, opts ManagerOptions) (*Manager, error) {
+	m := emptyManager(opts)
+	if err := m.restore(r, gen, sources); err != nil {
 		return nil, err
 	}
-	if m.journal, err = rejournal(sys, pending); err != nil {
-		m.Close()
+	if err := m.start(); err != nil {
 		return nil, err
 	}
 	return m, nil
 }
 
-// rejournal re-assigns a snapshot's pending schemas against the restored
-// system and returns them as a journal, in arrival order.
-func rejournal(sys *System, pending []Schema) (ingest.Journal, error) {
-	var j ingest.Journal
-	for _, sch := range pending {
-		a, err := sys.Ingest(sch)
-		if err != nil {
-			return j, fmt.Errorf("payg: re-assigning journaled schema %q: %w", sch.Name, err)
-		}
-		j.Append(journalEntry(sch, a))
+// restore is the one step from snapshot bytes to this manager's serving
+// state: decode and rebuild (LoadWithPending), bind the sources chosen for
+// the decoded system (nil: serve without data), adopt the snapshot's pending
+// schemas, and publish the lot at gen by the usual atomic swap.
+func (m *Manager) restore(r io.Reader, gen int, sources func(*System) []TupleSource) error {
+	sys, pending, err := LoadWithPending(r)
+	if err != nil {
+		return err
 	}
-	return j, nil
-}
-
-// journalEntry converts a public Assignment back to the journal's form.
-func journalEntry(sch Schema, a *Assignment) ingest.Entry {
-	e := ingest.Entry{Schema: sch, Assignment: ingest.Assignment{
-		Best:    a.BestDomain,
-		BestSim: a.BestSim,
-		Fresh:   a.Fresh,
-	}}
-	for _, d := range a.Domains {
-		e.Assignment.Domains = append(e.Assignment.Domains, core.Membership{Schema: d.Domain, Prob: d.Prob})
+	var srcs []TupleSource
+	if sources != nil {
+		srcs = sources(sys)
 	}
-	return e
+	st, err := m.bind(sys, srcs, gen)
+	if err != nil {
+		return err
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.closed {
+		return fmt.Errorf("payg: manager closed")
+	}
+	m.pending = pending
+	m.drift.Reset()
+	m.gen = gen
+	m.cur.Store(st)
+	mSwapGeneration.Set(float64(gen))
+	mIngestPending.Set(float64(len(pending)))
+	mIngestDrift.Set(0)
+	return nil
 }
 
 // System returns the current serving system (lock-free).
@@ -416,17 +463,17 @@ func (m *Manager) Ingest(sch Schema) (*IngestResult, error) {
 	if err := m.appendWALLocked(walRecord{Kind: walKindIngest, Schema: &sch}); err != nil {
 		return nil, err
 	}
-	m.journal.Append(journalEntry(sch, a))
+	m.pending = append(m.pending, sch)
 	m.drift.Record(a.Fresh)
 	mIngestArrivals.Inc()
 	if a.Fresh {
 		mIngestFresh.Inc()
 	}
-	mIngestPending.Set(float64(m.journal.Len()))
+	mIngestPending.Set(float64(len(m.pending)))
 	mIngestDrift.Set(m.drift.Ratio())
 	res := &IngestResult{
 		Assignment: a,
-		Pending:    m.journal.Len(),
+		Pending:    len(m.pending),
 		DriftRatio: m.drift.Ratio(),
 	}
 	if m.inflight == nil &&
@@ -468,7 +515,9 @@ func (m *Manager) Recluster(ctx context.Context) error {
 // Callers must hold m.mu and have checked that no flight is running.
 func (m *Manager) startRebuildLocked(reason string) *flight {
 	st := m.cur.Load()
-	entries := m.journal.Snapshot()
+	// The capped view is safe to read outside the lock: later arrivals
+	// append past it and a drain replaces the slice, never its elements.
+	entries := m.pending[:len(m.pending):len(m.pending)]
 	ctx, cancel := context.WithCancel(context.Background())
 	f := &flight{done: make(chan struct{})}
 	m.inflight = f
@@ -487,7 +536,7 @@ func (m *Manager) startRebuildLocked(reason string) *flight {
 // atomic swap — unless the serving generation changed underneath it (a
 // feedback apply), in which case the result is discarded and the journal
 // kept for the next flight.
-func (m *Manager) runRebuild(ctx context.Context, cancel context.CancelFunc, st *managedState, entries []ingest.Entry, startGen int, f *flight) {
+func (m *Manager) runRebuild(ctx context.Context, cancel context.CancelFunc, st *managedState, entries []Schema, startGen int, f *flight) {
 	defer m.wg.Done()
 	defer close(f.done)
 	defer cancel()
@@ -496,9 +545,7 @@ func (m *Manager) runRebuild(ctx context.Context, cancel context.CancelFunc, st 
 
 	union := make([]Schema, 0, st.sys.NumSchemas()+len(entries))
 	union = append(union, st.sys.Schemas()...)
-	for _, e := range entries {
-		union = append(union, e.Schema)
-	}
+	union = append(union, entries...)
 	newSys, err := BuildContext(ctx, union, st.sys.opts)
 	if err == nil && m.opts.Transform != nil {
 		newSys, err = m.opts.Transform(newSys)
@@ -536,8 +583,8 @@ func (m *Manager) runRebuild(ctx context.Context, cancel context.CancelFunc, st 
 	if st.sources != nil {
 		sources := make([]TupleSource, 0, len(union))
 		sources = append(sources, st.sources...)
-		for _, e := range entries {
-			sources = append(sources, m.opts.MakeSource(e.Schema))
+		for _, sch := range entries {
+			sources = append(sources, m.opts.MakeSource(sch))
 		}
 		exec, err := newSys.NewExecutorShared(sources, m.opts.Policy, m.pool)
 		if err != nil {
@@ -548,17 +595,19 @@ func (m *Manager) runRebuild(ctx context.Context, cancel context.CancelFunc, st 
 		next.exec = exec
 		next.sources = sources
 	}
-	m.journal.DrainFirst(len(entries))
+	// Clamped: a Restore that lands mid-flight at this same generation may
+	// have swapped in a shorter list.
+	m.pending = slices.Clone(m.pending[min(len(entries), len(m.pending)):])
 	m.drift.Reset()
 	m.gen++
 	m.rebuilds++
 	m.cur.Store(next)
 	mRebuildsPublished.Inc()
 	mSwapGeneration.Set(float64(m.gen))
-	mIngestPending.Set(float64(m.journal.Len()))
+	mIngestPending.Set(float64(len(m.pending)))
 	mIngestDrift.Set(m.drift.Ratio())
 	m.opts.Logf("payg: rebuild published: %d schemas, %d domains (%d still pending)",
-		newSys.NumSchemas(), newSys.NumDomains(), m.journal.Len())
+		newSys.NumSchemas(), newSys.NumDomains(), len(m.pending))
 	// Make the swap durable: a checkpoint stamped with the new generation
 	// supersedes every WAL record (drained arrivals are in the system,
 	// undrained ones in the snapshot's journal), so the log truncates.
@@ -649,6 +698,14 @@ type ManagerStatus struct {
 	Generation int
 }
 
+// Pending returns the schemas accepted but not yet folded into the serving
+// model by a rebuild, in arrival order. The slice is a copy.
+func (m *Manager) Pending() []Schema {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return slices.Clone(m.pending)
+}
+
 // Status reports the pipeline's current state.
 func (m *Manager) Status() ManagerStatus {
 	st := m.cur.Load()
@@ -657,7 +714,7 @@ func (m *Manager) Status() ManagerStatus {
 	return ManagerStatus{
 		Schemas:    st.sys.NumSchemas(),
 		Domains:    st.sys.NumDomains(),
-		Pending:    m.journal.Len(),
+		Pending:    len(m.pending),
 		Rebuilding: m.inflight != nil,
 		DriftRatio: m.drift.Ratio(),
 		Rebuilds:   m.rebuilds,
@@ -677,7 +734,7 @@ func (m *Manager) intervalLoop(ctx context.Context, every time.Duration) {
 			return
 		case <-t.C:
 			m.mu.Lock()
-			if !m.closed && m.inflight == nil && m.journal.Len() > 0 {
+			if !m.closed && m.inflight == nil && len(m.pending) > 0 {
 				m.startRebuildLocked("interval")
 			}
 			m.mu.Unlock()

@@ -340,6 +340,47 @@ func TestManagerFeedbackSwapSerializesWithIngestion(t *testing.T) {
 	}
 }
 
+// TestRebuildDrainsOnlyWhatItCaptured: a rebuild folds in the pending schemas
+// it captured when it started and drains exactly those — an arrival acked
+// while the flight was building stays pending, in order, for the next one.
+func TestRebuildDrainsOnlyWhatItCaptured(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	var first sync.Once
+	mgr := newManager(t, nil, ManagerOptions{DriftThreshold: -1, Transform: func(sys *System) (*System, error) {
+		// The rebuilt system exists and is about to be published.
+		first.Do(func() { close(entered); <-release })
+		return sys, nil
+	}})
+	early, late := newcomerSchemas()[:2], newcomerSchemas()[2]
+	for _, sch := range early {
+		if _, err := mgr.Ingest(sch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	done := make(chan error, 1)
+	go func() { done <- mgr.Recluster(context.Background()) }()
+	<-entered
+	if _, err := mgr.Ingest(late); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got := mgr.System().NumSchemas(); got != len(demoSchemas())+len(early) {
+		t.Fatalf("serving %d schemas, want the base plus the %d captured arrivals", got, len(early))
+	}
+	if got := mgr.Pending(); len(got) != 1 || got[0].Name != late.Name {
+		t.Fatalf("pending after the publish = %+v, want just %q", got, late.Name)
+	}
+	if err := mgr.Recluster(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got, n := mgr.Pending(), mgr.System().NumSchemas(); len(got) != 0 || n != len(demoSchemas())+3 {
+		t.Fatalf("second flight left %d pending and serves %d schemas", len(got), n)
+	}
+}
+
 func TestManagerSaveLoadKeepsPendingJournal(t *testing.T) {
 	mgr := newManager(t, nil, ManagerOptions{DriftThreshold: -1})
 	for _, sch := range newcomerSchemas()[:2] {

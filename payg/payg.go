@@ -373,37 +373,53 @@ func BuildContext(ctx context.Context, schemas []Schema, opts Options) (*System,
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	sp, model, err := buildModel(ctx, set, fcfg, method, opts, blocked)
+	model, err := buildModel(ctx, set, fcfg, method, opts, blocked)
 	if err != nil {
 		return nil, err
 	}
-	t := time.Now()
-	vec, err := opts.fitShortlist(sp)
-	if err != nil {
-		return nil, err
-	}
-	mBuildPhase.With("vectorizer").Observe(time.Since(t).Seconds())
+	return assemble(ctx, opts, model, nil)
+}
 
+// assemble is the only way from a domain model to a serving System:
+// classifier config from the (resolved) options → classify.New → shortlist fit
+// → mediation, the classifier's tables and the mediation restricted to local
+// on a shard (nil = a full system). Build, feedback/AddSchema and Load all end
+// here, so whatever a System holds beyond its model is a function of that
+// model — never of bytes read back from a snapshot.
+func assemble(ctx context.Context, opts Options, model *core.Model, local []int) (*System, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	ccfg := classify.Config{}
+	ccfg := classify.Config{Local: local}
 	if opts.ApproximateClassifier {
 		ccfg.Mode = classify.Approximate
 	}
 	if opts.ExactClassifier {
 		ccfg.MaxExactUncertain = -1
 	}
-	t = time.Now()
+	t := time.Now()
 	cls, err := classify.New(model, ccfg)
 	if err != nil {
 		return nil, err
 	}
 	mBuildPhase.With("classifier").Observe(time.Since(t).Seconds())
 
-	sys := &System{opts: opts, schemas: set, space: sp, model: model, classifier: cls, vectorizer: vec}
+	t = time.Now()
+	vec, err := opts.fitShortlist(model.Space)
+	if err != nil {
+		return nil, err
+	}
+	mBuildPhase.With("vectorizer").Observe(time.Since(t).Seconds())
+
+	sys := &System{opts: opts, schemas: model.Schemas, space: model.Space, model: model, classifier: cls, vectorizer: vec, local: local}
+	if local != nil {
+		sys.localSet = make([]bool, model.NumDomains())
+		for _, r := range local {
+			sys.localSet[r] = true // in range: classify.New checked
+		}
+	}
 	if !opts.SkipMediation {
-		if err := sys.buildMediationContext(ctx); err != nil {
+		if err := sys.buildMediation(ctx); err != nil {
 			return nil, err
 		}
 	}
@@ -441,7 +457,7 @@ func (o Options) featureConfig() (feature.Config, error) {
 // that both algorithms read; the blocked source, for large corpora, is
 // MinHash-LSH candidates verified over a lite space that never builds the
 // O(n²) memo. Every stage honors ctx.
-func buildModel(ctx context.Context, set schema.Set, fcfg feature.Config, method cluster.Method, opts Options, blocked bool) (*feature.Space, *core.Model, error) {
+func buildModel(ctx context.Context, set schema.Set, fcfg feature.Config, method cluster.Method, opts Options, blocked bool) (*core.Model, error) {
 	link := cluster.NewLinkage(method)
 	copts := core.Options{TauCSim: opts.TauCSim, Theta: opts.Theta}
 	var (
@@ -457,12 +473,12 @@ func buildModel(ctx context.Context, set schema.Set, fcfg feature.Config, method
 		mBuildPhase.With("features").Observe(time.Since(t).Seconds())
 		pairs, err := lshCandidates(ctx, sp)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		t = time.Now()
 		ps, err := cluster.PairwiseSims(ctx, sp, pairs, 0)
 		if err != nil {
-			return nil, nil, fmt.Errorf("payg: pairwise similarities: %w", err)
+			return nil, fmt.Errorf("payg: pairwise similarities: %w", err)
 		}
 		mBuildPhase.With("pairwise").Observe(time.Since(t).Seconds())
 		clusterAll = func() (*cluster.Result, error) {
@@ -476,7 +492,7 @@ func buildModel(ctx context.Context, set schema.Set, fcfg feature.Config, method
 		// The memo outlives the build on purpose: see docs/DESIGN.md §10.
 		var err error
 		if sp, err = feature.BuildContext(ctx, set, fcfg); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		mBuildPhase.With("features").Observe(time.Since(t).Seconds())
 		clusterAll = func() (*cluster.Result, error) {
@@ -490,20 +506,20 @@ func buildModel(ctx context.Context, set schema.Set, fcfg feature.Config, method
 	t = time.Now()
 	cl, err := clusterAll()
 	if err != nil {
-		return nil, nil, fmt.Errorf("payg: %w", err)
+		return nil, fmt.Errorf("payg: %w", err)
 	}
 	mBuildPhase.With("cluster").Observe(time.Since(t).Seconds())
 	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	t = time.Now()
 	model, err := assign(cl)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	mBuildPhase.With("domains").Observe(time.Since(t).Seconds())
-	return sp, model, nil
+	return model, nil
 }
 
 // lshCandidates proposes the blocked build's candidate pairs and reports the
@@ -533,11 +549,7 @@ func lshCandidates(ctx context.Context, sp *feature.Space) ([]candgen.Pair, erro
 	return pairs, nil
 }
 
-func (s *System) buildMediation() error {
-	return s.buildMediationContext(context.Background())
-}
-
-func (s *System) buildMediationContext(ctx context.Context) error {
+func (s *System) buildMediation(ctx context.Context) error {
 	start := time.Now()
 	defer func() { mBuildPhase.With("mediation").Observe(time.Since(start).Seconds()) }()
 	mopts := mediate.DefaultOptions()

@@ -1,84 +1,78 @@
 package payg
 
 import (
+	"context"
 	"encoding/gob"
 	"fmt"
 	"io"
 
-	"schemaflow/internal/classify"
 	"schemaflow/internal/cluster"
 	"schemaflow/internal/core"
 	"schemaflow/internal/feature"
 	"schemaflow/internal/schema"
 )
 
-// snapshot is the on-disk form of a System (gob-encoded). It stores the
-// schemas, options, cluster assignment, probabilistic memberships, and the
-// classifier's precomputed tables — everything whose recomputation is
-// expensive. The feature space and mediated schemas are rebuilt
-// deterministically on load (cheap relative to clustering and exact
-// classifier setup).
+// snapshot is the on-disk form of a System (gob-encoded): exactly the
+// decisions that cannot be recomputed. The schemas and options are the
+// input; the cluster assignment is what Algorithm 2 decided; the memberships
+// are what Algorithm 3 decided and what user feedback may since have pinned;
+// the pending schemas were acked but not yet reclustered; the local-domain
+// slice is the splitter's partitioning. Everything else a System holds — the
+// feature space, the classifier's tables, the shortlist index, the mediated
+// schemas — is a function of these and is derived on load by the same
+// assemble step Build ends in, so Load is Build minus clustering and a
+// loaded system cannot disagree with its own model. See docs/DESIGN.md §8
+// (Persistence).
 //
-// Version 2 adds Pending: schemas accepted by the online ingestion
-// pipeline but not yet folded into the model by a recluster, so a restart
-// keeps the journal. Version-1 snapshots decode with an empty journal.
-//
-// Version 3 adds the sharding fields: Sharded marks a snapshot of a
-// sharded (domain-pruned) system and LocalDomains lists the domains it
-// holds. Both are needed — gob encodes an empty slice as nil, so a bare
-// LocalDomains could not distinguish "full system" from "shard owning
-// zero domains" (possible when shards outnumber domains). Version-1/2
-// snapshots decode as full systems.
+// Version 2 added Pending, version 3 Sharded and LocalDomains. Both sharding
+// fields are needed — gob encodes an empty slice as nil, so a bare
+// LocalDomains could not distinguish "full system" from "shard owning zero
+// domains" (possible when shards outnumber domains). Versions 1–3 also
+// carried the classifier's tables in a field this struct no longer has; gob
+// skips it, so they still load — as full systems with an empty pending list
+// where their version lacked the field.
 type snapshot struct {
 	Version      int
 	Opts         Options
 	Schemas      schema.Set
 	Assign       []int
 	Memberships  [][]core.Membership
-	Classifier   *classify.Snapshot
 	Pending      schema.Set
 	Sharded      bool
 	LocalDomains []int
 }
 
-const snapshotVersion = 3
+const snapshotVersion = 4
 
 // Save serializes the system so that Load can reconstruct it without
-// re-running clustering or classifier setup. The snapshot carries no
-// pending ingestion journal; to persist a live ingestion pipeline use
-// Manager.Save.
+// re-running clustering. The snapshot carries no pending schemas; to persist
+// a live ingestion pipeline use Manager.Save.
 func (s *System) Save(w io.Writer) error {
-	return s.saveWithPending(w, nil)
+	return s.SaveWithPending(w, nil)
 }
 
 // Save serializes the manager's serving system together with its pending
-// ingestion journal. LoadManager restores both.
+// schemas. LoadManager restores both.
 func (m *Manager) Save(w io.Writer) error {
-	// Hold the swap lock so the (system, journal) pair is consistent: a
+	// Hold the swap lock so the (system, pending) pair is consistent: a
 	// rebuild publishing mid-save could otherwise drain schemas into the
-	// system while we snapshot the old journal (duplicating them) or vice
+	// system while we snapshot the old list (duplicating them) or vice
 	// versa.
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	st := m.cur.Load()
-	return st.sys.saveWithPending(w, m.journal.Schemas())
+	return m.cur.Load().sys.SaveWithPending(w, m.pending)
 }
 
 // SaveWithPending serializes the system together with an explicit pending
-// journal — the primitive tools like the checkpoint splitter use to write
-// a (possibly sharded) system plus its routed share of the journal.
+// list — the primitive tools like the checkpoint splitter use to write a
+// (possibly sharded) system plus its routed share of the arrivals.
 func (s *System) SaveWithPending(w io.Writer, pending []Schema) error {
-	return s.saveWithPending(w, pending)
-}
-
-func (s *System) saveWithPending(w io.Writer, pending schema.Set) error {
 	snap := snapshot{
 		Version:      snapshotVersion,
 		Opts:         s.opts,
 		Schemas:      s.schemas,
 		Assign:       s.model.Clustering.Assign,
 		Memberships:  make([][]core.Membership, len(s.schemas)),
-		Classifier:   s.classifier.Snapshot(),
 		Pending:      pending,
 		Sharded:      s.localSet != nil,
 		LocalDomains: s.local,
@@ -92,19 +86,19 @@ func (s *System) saveWithPending(w io.Writer, pending schema.Set) error {
 	return nil
 }
 
-// Load reconstructs a System previously written by Save. The feature space
-// is rebuilt (vocabulary and vectors are deterministic given the schemas and
-// options); clustering and classifier tables come from the snapshot. Any
-// pending ingestion journal in the snapshot is dropped — use LoadWithPending
-// or LoadManager to recover it.
+// Load reconstructs a System previously written by Save. Clustering and
+// memberships come from the snapshot; the feature space, classifier and
+// mediation are rebuilt from them. Any pending schemas in the snapshot are
+// dropped — use LoadWithPending or LoadManager to recover them.
 func Load(r io.Reader) (*System, error) {
 	sys, _, err := LoadWithPending(r)
 	return sys, err
 }
 
-// LoadWithPending is Load plus the snapshot's pending ingestion journal:
-// schemas accepted online but not yet reclustered into the model when the
-// snapshot was taken. LoadManager re-journals them automatically.
+// LoadWithPending is Load plus the snapshot's pending schemas: accepted
+// online but not yet reclustered into the model when the snapshot was taken.
+// The bytes may come from disk or from a peer, so the snapshot's shape is
+// checked before anything is built from it.
 func LoadWithPending(r io.Reader) (*System, []Schema, error) {
 	var snap snapshot
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
@@ -112,6 +106,41 @@ func LoadWithPending(r io.Reader) (*System, []Schema, error) {
 	}
 	if snap.Version < 1 || snap.Version > snapshotVersion {
 		return nil, nil, fmt.Errorf("payg: snapshot version %d, want 1–%d", snap.Version, snapshotVersion)
+	}
+	n := len(snap.Schemas)
+	if len(snap.Assign) != n {
+		return nil, nil, fmt.Errorf("payg: snapshot assigns %d schemas to clusters, holds %d", len(snap.Assign), n)
+	}
+	if len(snap.Memberships) != n {
+		return nil, nil, fmt.Errorf("payg: snapshot holds memberships for %d schemas, schemas for %d", len(snap.Memberships), n)
+	}
+	for i, c := range snap.Assign {
+		if c < 0 {
+			return nil, nil, fmt.Errorf("payg: snapshot schema %d has negative cluster id %d", i, c)
+		}
+	}
+	for _, set := range []schema.Set{snap.Schemas, snap.Pending} {
+		for i := range set {
+			if err := set[i].Validate(); err != nil {
+				return nil, nil, fmt.Errorf("payg: snapshot: %w", err)
+			}
+		}
+	}
+	cl := cluster.FromAssignment(snap.Assign)
+	var local []int // nil: a full system
+	if snap.Sharded {
+		local = snap.LocalDomains
+		if local == nil {
+			local = []int{} // gob nil/empty collapse; Sharded says pruned
+		}
+		for k, r := range local {
+			if r < 0 || r >= cl.NumClusters() {
+				return nil, nil, fmt.Errorf("payg: snapshot local domain %d out of range [0,%d)", r, cl.NumClusters())
+			}
+			if k > 0 && local[k-1] >= r {
+				return nil, nil, fmt.Errorf("payg: snapshot local domains not strictly ascending at %d", r)
+			}
+		}
 	}
 	// A snapshot holds a built system's options, so its float thresholds
 	// are already resolved (gob drops the unexported marker): a stored 0 is
@@ -127,42 +156,13 @@ func LoadWithPending(r io.Reader) (*System, []Schema, error) {
 		return nil, nil, err
 	}
 	sp := feature.BuildLite(snap.Schemas, fcfg)
-	cl := cluster.FromAssignment(snap.Assign)
 	model, err := core.RestoreModel(snap.Schemas, sp, cl, snap.Memberships, core.Options{TauCSim: opts.TauCSim, Theta: opts.Theta})
 	if err != nil {
 		return nil, nil, err
 	}
-	cls, err := classify.Restore(model, snap.Classifier)
+	sys, err := assemble(context.Background(), opts, model, local)
 	if err != nil {
 		return nil, nil, err
-	}
-	// Fitted shortlist state (embeddings, ANN graph) is derived, never
-	// persisted: re-fit deterministically against the rebuilt space.
-	vec, err := opts.fitShortlist(sp)
-	if err != nil {
-		return nil, nil, err
-	}
-	sys := &System{opts: opts, schemas: snap.Schemas, space: sp, model: model, classifier: cls, vectorizer: vec}
-	if snap.Sharded {
-		// Restore the local-domain view before mediation so only local
-		// domains are re-mediated — the whole point of the pruned form.
-		nD := model.NumDomains()
-		sys.local = snap.LocalDomains
-		if sys.local == nil {
-			sys.local = []int{} // gob nil/empty collapse; Sharded says pruned
-		}
-		sys.localSet = make([]bool, nD)
-		for _, r := range sys.local {
-			if r < 0 || r >= nD {
-				return nil, nil, fmt.Errorf("payg: snapshot local domain %d out of range [0,%d)", r, nD)
-			}
-			sys.localSet[r] = true
-		}
-	}
-	if !opts.SkipMediation {
-		if err := sys.buildMediation(); err != nil {
-			return nil, nil, err
-		}
 	}
 	return sys, snap.Pending, nil
 }

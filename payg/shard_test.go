@@ -212,6 +212,13 @@ func TestShardPersistRoundTrip(t *testing.T) {
 		for _, q := range shardQueries {
 			sameScores(t, got.Classify(q), sh.Classify(q))
 		}
+		// A loaded shard holds table rows for its local domains only.
+		if rows := tableRows(t, got); rows != len(local) {
+			t.Fatalf("shard %d: loaded classifier holds %d table rows, want its %d local domains'", i, rows, len(local))
+		}
+	}
+	if rows := tableRows(t, full); rows != full.NumDomains() {
+		t.Fatalf("full classifier holds %d table rows for %d domains", rows, full.NumDomains())
 	}
 
 	empty, err := full.Shard(nil)
@@ -232,6 +239,23 @@ func TestShardPersistRoundTrip(t *testing.T) {
 	if got.NumLocalDomains() != 0 {
 		t.Fatalf("zero-domain shard owns %d domains after reload", got.NumLocalDomains())
 	}
+}
+
+// tableRows counts the domains whose classifier table row the system holds,
+// as Explain shows them: a domain without a row explains no matched term.
+func tableRows(t *testing.T, sys *System) int {
+	t.Helper()
+	rows := 0
+	for r := 0; r < sys.NumDomains(); r++ {
+		ex, err := sys.Explain("departure", r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ex.Terms) > 0 {
+			rows++
+		}
+	}
+	return rows
 }
 
 func TestShardRefusesBadInput(t *testing.T) {

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"testing"
 
-	"schemaflow/internal/classify"
 	"schemaflow/internal/core"
 	"schemaflow/internal/dataset"
 	"schemaflow/internal/schema"
@@ -192,9 +191,11 @@ func TestNGramPersistRoundTrip(t *testing.T) {
 }
 
 // TestLoadsSnapshotWithRemovedOptions: snapshots written before the eight
-// tuning fields left Options still carry them (gob matches fields by name
-// and skips the ones the receiver lacks). Such a snapshot must load, serve
-// behind a Manager, and classify exactly like a freshly built system.
+// tuning fields left Options still carry them, and snapshots up to version 3
+// carry the classifier's tables (gob matches fields by name and skips the
+// ones the receiver lacks). Such a snapshot must load, serve behind a
+// Manager, and classify exactly like a freshly built system — whatever the
+// stored tables said, since they are recomputed.
 func TestLoadsSnapshotWithRemovedOptions(t *testing.T) {
 	type oldOptions struct {
 		TauTSim, TauCSim, Theta, MediationFreqThreshold float64
@@ -206,13 +207,21 @@ func TestLoadsSnapshotWithRemovedOptions(t *testing.T) {
 		Vectorizer                                      string
 		ANNM, ANNEfSearch, ANNShortlistK                int
 	}
+	// The shape classify.Snapshot had when it was persisted.
+	type oldClassifier struct {
+		Mode              int
+		Dim               int
+		LogPrior, SumLog0 []float64
+		Delta             [][]float64
+		Skipped           []int
+	}
 	type oldSnapshot struct {
 		Version     int
 		Opts        oldOptions
 		Schemas     schema.Set
 		Assign      []int
 		Memberships [][]core.Membership
-		Classifier  *classify.Snapshot
+		Classifier  *oldClassifier
 	}
 	set := dataset.Large(dataset.LargeConfig{N: 300, Domains: 6, Seed: 4})
 	for _, vec := range []string{"term", "ngram"} {
@@ -221,7 +230,7 @@ func TestLoadsSnapshotWithRemovedOptions(t *testing.T) {
 			t.Fatal(err)
 		}
 		old := oldSnapshot{
-			Version: snapshotVersion,
+			Version: 3,
 			Opts: oldOptions{
 				TauTSim: 0.8, TauCSim: 0.25, Theta: 0.02, MediationFreqThreshold: 0.1,
 				TermSimilarity: "lcs", Linkage: "avg-jaccard", CandidateGen: "auto", SkipMediation: true,
@@ -231,7 +240,11 @@ func TestLoadsSnapshotWithRemovedOptions(t *testing.T) {
 			Schemas:     fresh.schemas,
 			Assign:      fresh.model.Clustering.Assign,
 			Memberships: make([][]core.Membership, len(set)),
-			Classifier:  fresh.classifier.Snapshot(),
+			Classifier: &oldClassifier{
+				Dim:      fresh.space.Dim() + 1, // stale on purpose: nothing may read it
+				LogPrior: make([]float64, fresh.NumDomains()),
+				Delta:    [][]float64{{1, 2, 3}},
+			},
 		}
 		for i := range set {
 			old.Memberships[i] = fresh.model.DomainsOf(i)
