@@ -20,7 +20,7 @@ package ann
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Config controls index construction and search defaults. The zero value
@@ -237,7 +237,7 @@ func (ix *Index) linkBack(node, newNb, l int) {
 		for i, nb := range lst {
 			cands[i] = Result{ID: int(nb), Sim: Dot(v, ix.vecs[nb])}
 		}
-		sort.SliceStable(cands, func(a, b int) bool { return betterThan(cands[a], cands[b]) })
+		slices.SortFunc(cands, compareResults)
 		lst = ix.selectHeuristic(v, cands, m, node)
 	}
 	ix.links[node][l] = lst
@@ -295,7 +295,7 @@ func (ix *Index) searchLayer(q []float32, ep, ef, l int) []Result {
 		}
 	}
 	out := res.items
-	sort.SliceStable(out, func(a, b int) bool { return betterThan(out[a], out[b]) })
+	slices.SortFunc(out, compareResults)
 	return out
 }
 
@@ -339,7 +339,7 @@ func BruteForce(vecs [][]float32, q []float32, k int) []Result {
 	for i, v := range vecs {
 		out = append(out, Result{ID: i, Sim: Dot(q, v)})
 	}
-	sort.SliceStable(out, func(a, b int) bool { return betterThan(out[a], out[b]) })
+	slices.SortFunc(out, compareResults)
 	if len(out) > k {
 		out = out[:k]
 	}
@@ -353,6 +353,18 @@ func betterThan(a, b Result) bool {
 		return a.Sim > b.Sim
 	}
 	return a.ID < b.ID
+}
+
+// compareResults is betterThan for slices.SortFunc. Ids are unique within
+// every sorted list, so the order is total and needs no stable sort.
+func compareResults(a, b Result) int {
+	switch {
+	case betterThan(a, b):
+		return -1
+	case betterThan(b, a):
+		return 1
+	}
+	return 0
 }
 
 func worseThan(a, b Result) bool    { return betterThan(b, a) }

@@ -3,9 +3,11 @@ package classify
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"schemaflow/internal/cluster"
 	"schemaflow/internal/core"
+	"schemaflow/internal/dataset"
 	"schemaflow/internal/feature"
 	"schemaflow/internal/schema"
 )
@@ -86,5 +88,78 @@ func BenchmarkClassifyQuery(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = c.Classify(q)
+	}
+}
+
+// wideModel is a model at the scale where scoring, normalizing and ranking
+// show beside term matching: n dataset.Large schemas, every per consecutive
+// ones (they share a ground-truth domain) made one certain domain. At
+// (6000, 10) that is 600 domains over a ~3.6k-term vocabulary, the
+// over-split shape clustering gives the benchmark's classify-wide corpus.
+// The queries are 2–4 attributes of one random schema each.
+func wideModel(tb testing.TB, n, per int) (*core.Model, [][]string) {
+	tb.Helper()
+	set := dataset.Large(dataset.LargeConfig{N: n, Domains: n / (5 * per), Seed: 7})
+	sp := feature.BuildLite(set, feature.DefaultConfig())
+	assign := make([]int, len(set))
+	memberships := make([][]core.Membership, len(set))
+	for i := range set {
+		assign[i] = i / per
+		memberships[i] = []core.Membership{{Schema: assign[i], Prob: 1}}
+	}
+	m, err := core.RestoreModel(set, sp, cluster.FromAssignment(assign), memberships, core.DefaultOptions())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(8))
+	queries := make([][]string, 256)
+	for i := range queries {
+		attrs := set[rng.Intn(len(set))].Attributes
+		for _, j := range rng.Perm(len(attrs))[:min(len(attrs), 2+rng.Intn(3))] {
+			queries[i] = append(queries[i], attrs[j])
+		}
+	}
+	return m, queries
+}
+
+var sinkScores []Score
+
+// BenchmarkClassifyQuery's 50 domains hide everything but term matching;
+// this one runs Classify at the benchmark's classify-wide scale and then
+// splits one more pass over the same queries into the phases classifyInto
+// runs, so a regression names its phase.
+func BenchmarkClassifyWide(b *testing.B) {
+	m, queries := wideModel(b, 6000, 10)
+	c, err := New(m, Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkScores = c.Classify(queries[i%len(queries)])
+	}
+	b.StopTimer()
+
+	var embed, score, norm, sorted time.Duration
+	sc := c.scratch.Get().(*queryScratch)
+	scores := make([]Score, 0, m.NumDomains())
+	for i := 0; i < b.N; i++ {
+		t0 := time.Now()
+		c.embed(queries[i%len(queries)], sc)
+		t1 := time.Now()
+		c.score(sc)
+		scores = scores[:0]
+		for r := range c.row {
+			scores = append(scores, Score{Domain: r, LogPosterior: c.logPosterior(sc, r)})
+		}
+		t2 := time.Now()
+		normalize(scores)
+		t3 := time.Now()
+		rank(scores)
+		embed, score, norm, sorted = embed+t1.Sub(t0), score+t2.Sub(t1), norm+t3.Sub(t2), sorted+time.Since(t3)
+	}
+	for name, d := range map[string]time.Duration{"embed-ns": embed, "score-ns": score, "normalize-ns": norm, "rank-ns": sorted} {
+		b.ReportMetric(float64(d.Nanoseconds())/float64(b.N), name)
 	}
 }

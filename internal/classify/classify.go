@@ -16,11 +16,12 @@
 package classify
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -64,9 +65,9 @@ type Config struct {
 	// considers and rejects.
 	P float64
 	// Local restricts setup to the listed domains — a shard's share. Every
-	// other domain gets no table row and a log prior of -Inf, the form Prune
-	// gives a remote domain, without its statistics ever being computed. Nil
-	// means every domain.
+	// other domain gets no table row and scores -Inf, without its statistics
+	// ever being computed, so a shard holds O(|Local| · dim L). Nil means
+	// every domain.
 	Local []int
 }
 
@@ -87,23 +88,31 @@ type Classifier struct {
 	model *core.Model
 	mode  Mode
 
-	logPrior []float64 // per domain: log Pr(D_r)
-	sumLog0  []float64 // per domain: Σ_j log Pr(F_j=0 | D_r)
-	delta    [][]float64
-	// delta[r][j] = log Pr(F_j=1|D_r) − log Pr(F_j=0|D_r): the score
-	// adjustment when query feature j is set.
+	// The score table, one row per local domain, stored term-major: a query
+	// streams one contiguous column per set feature instead of chasing one
+	// row pointer per domain. Row i belongs to domain r with row[r] == i;
+	// row[r] < 0 marks a domain that is not local, which scores -Inf.
+	row      []int32
+	logPrior []float64 // per row: log Pr(D_r); -Inf if every possible content is empty
+	sumLog0  []float64 // per row: Σ_j log Pr(F_j=0 | D_r)
+	base     []float64 // per row: logPrior + sumLog0, the score of a query matching nothing
+	delta    []float64
+	// delta[j·rows + i] = log Pr(F_j=1|D_r) − log Pr(F_j=0|D_r): the score
+	// adjustment of row i when query feature j is set.
 
-	// scratch pools per-call working state (query vector + set-bit list) so
-	// the hot path does not allocate a fresh vector per classification. The
-	// pooled vectors are sized to the model's dimensionality, which is fixed
-	// for the lifetime of the classifier.
+	// scratch pools per-call working state (query vector, set-bit list,
+	// per-row scores) so the hot path does not allocate it per
+	// classification. The pooled vectors are sized to the model's
+	// dimensionality, which is fixed for the lifetime of the classifier.
 	scratch sync.Pool
 }
 
 // queryScratch is the reusable per-call working state.
 type queryScratch struct {
-	vec *bitvec.Vector
-	idx []int
+	vec  *bitvec.Vector
+	idx  []int
+	lp   []float64 // per table row: the query's raw log posterior (score)
+	seen []bool    // per domain, ClassifySubset's duplicate filter; all false between calls
 }
 
 // statsScratch carries the dim-sized working buffers of the per-domain
@@ -115,14 +124,6 @@ type statsScratch struct {
 	p1    []float64
 	accU  []float64
 	idx   []int
-}
-
-// initScratch arms the scratch pool for the given feature dimensionality.
-// Every construction path (New, Prune) must call it.
-func (c *Classifier) initScratch(dim int) {
-	c.scratch.New = func() any {
-		return &queryScratch{vec: bitvec.New(dim)}
-	}
 }
 
 // New builds the classifier from a probabilistic domain model. This is the
@@ -144,29 +145,40 @@ func New(m *core.Model, cfg Config) (*Classifier, error) {
 		return nil, fmt.Errorf("classify: m-estimate p=%v outside (0,1)", p)
 	}
 
-	c := &Classifier{
-		model:    m,
-		mode:     cfg.Mode,
-		logPrior: make([]float64, m.NumDomains()),
-		sumLog0:  make([]float64, m.NumDomains()),
-		delta:    make([][]float64, m.NumDomains()),
+	nD := m.NumDomains()
+	c := &Classifier{model: m, mode: cfg.Mode, row: make([]int32, nD)}
+	c.scratch.New = func() any {
+		return &queryScratch{vec: bitvec.New(dim)}
 	}
-	c.initScratch(dim)
-	var local []bool // nil: every domain
 	if cfg.Local != nil {
-		local = make([]bool, m.NumDomains())
+		for r := range c.row {
+			c.row[r] = -1
+		}
 		for _, r := range cfg.Local {
-			if r < 0 || r >= len(local) {
-				return nil, fmt.Errorf("classify: local domain %d out of range [0,%d)", r, len(local))
+			if r < 0 || r >= nD {
+				return nil, fmt.Errorf("classify: local domain %d out of range [0,%d)", r, nD)
 			}
-			local[r] = true
+			c.row[r] = 0
 		}
 	}
+	rows := 0
+	for r, i := range c.row {
+		if i == 0 {
+			c.row[r] = int32(rows)
+			rows++
+		}
+	}
+	// The table's size is known before any statistic is computed, so it is
+	// allocated once and filled in place: there is never a second copy.
+	c.logPrior = make([]float64, rows)
+	c.sumLog0 = make([]float64, rows)
+	c.base = make([]float64, rows)
+	c.delta = make([]float64, dim*rows)
+
 	total := len(m.Schemas)
 	sc := &statsScratch{count: make([]float64, dim), p1: make([]float64, dim)}
-	for r := range m.Domains {
-		if local != nil && !local[r] {
-			c.logPrior[r] = math.Inf(-1)
+	for r, i := range c.row {
+		if i < 0 {
 			continue
 		}
 		d := &m.Domains[r]
@@ -194,20 +206,26 @@ func New(m *core.Model, cfg Config) (*Classifier, error) {
 		if prior <= 0 {
 			// A domain whose every possible content is empty (all members
 			// uncertain and the empty subset dominates) carries no signal;
-			// rank it last unconditionally.
-			c.logPrior[r] = math.Inf(-1)
+			// rank it last unconditionally. Its column entries stay zero, so
+			// its score is -Inf for every query.
+			c.logPrior[i] = math.Inf(-1)
+			c.base[i] = math.Inf(-1)
 			continue
 		}
-		c.logPrior[r] = math.Log(prior)
-		c.delta[r] = make([]float64, dim)
-		sum0 := 0.0
+		// Every term no member schema mentions has the same smoothed p1, so
+		// its two logs are taken once per run of equal values.
+		sum0, last, l1, l0 := 0.0, math.NaN(), 0.0, 0.0
 		for j := 0; j < dim; j++ {
-			l1 := math.Log(p1[j])
-			l0 := math.Log(1 - p1[j])
+			if p1[j] != last {
+				last = p1[j]
+				l1, l0 = math.Log(last), math.Log(1-last)
+			}
 			sum0 += l0
-			c.delta[r][j] = l1 - l0
+			c.delta[j*rows+int(i)] = l1 - l0
 		}
-		c.sumLog0[r] = sum0
+		c.logPrior[i] = math.Log(prior)
+		c.sumLog0[i] = sum0
+		c.base[i] = c.logPrior[i] + sum0
 	}
 	return c, nil
 }
@@ -342,31 +360,54 @@ func (c *Classifier) Classify(keywords []string) []Score {
 }
 
 // classifyInto scores the query into the provided slice (len 0, cap ≥
-// NumDomains()) and returns it. Per-call working state — the query vector
-// and its set-bit list — comes from the scratch pool, so a steady stream of
-// classifications allocates only the returned scores.
+// NumDomains()) and returns it. Per-call working state — the query vector,
+// its set-bit list and the per-row scores — comes from the scratch pool, so
+// a steady stream of classifications allocates only the returned scores.
 func (c *Classifier) classifyInto(keywords []string, scores []Score) []Score {
 	sc := c.scratch.Get().(*queryScratch)
-	c.model.Space.QueryVectorInto(keywords, sc.vec)
-	sc.idx = sc.vec.IndicesAppend(sc.idx[:0])
-
-	for r := 0; r < c.model.NumDomains(); r++ {
-		lp := c.logPrior[r]
-		if !math.IsInf(lp, -1) {
-			lp += c.sumLog0[r]
-			for _, j := range sc.idx {
-				lp += c.delta[r][j]
-			}
-		}
-		scores = append(scores, Score{Domain: r, LogPosterior: lp})
+	c.embed(keywords, sc)
+	c.score(sc)
+	for r := range c.row {
+		scores = append(scores, Score{Domain: r, LogPosterior: c.logPosterior(sc, r)})
 	}
 	c.scratch.Put(sc)
 	normalize(scores)
-	sort.SliceStable(scores, func(a, b int) bool {
-		return scores[a].LogPosterior > scores[b].LogPosterior
-	})
+	rank(scores)
 	observeClassification(scores)
 	return scores
+}
+
+// embed maps the keyword query into the feature space: sc.idx lists its set
+// features in index order.
+func (c *Classifier) embed(keywords []string, sc *queryScratch) {
+	c.model.Space.QueryVectorInto(keywords, sc.vec)
+	sc.idx = sc.vec.IndicesAppend(sc.idx[:0])
+}
+
+// score fills sc.lp with every table row's raw log posterior for the
+// embedded query: the row's base plus one contiguous column of the table per
+// set feature, in index order. It is the only scoring loop — Classify,
+// ClassifySubset and Explain all read their domains' scores out of sc.lp —
+// and each row's floating-point summation order is base, then the set
+// features ascending, whatever else the table holds.
+func (c *Classifier) score(sc *queryScratch) {
+	lp := append(sc.lp[:0], c.base...)
+	for _, j := range sc.idx {
+		col := c.delta[j*len(lp):][:len(lp)]
+		for i := range lp {
+			lp[i] += col[i]
+		}
+	}
+	sc.lp = lp
+}
+
+// logPosterior reads domain r's score out of a scored scratch; a domain
+// without a table row scores -Inf.
+func (c *Classifier) logPosterior(sc *queryScratch, r int) float64 {
+	if i := c.row[r]; i >= 0 {
+		return sc.lp[i]
+	}
+	return math.Inf(-1)
 }
 
 // ClassifyBatch classifies many queries with bounded CPU-parallel fan-out
@@ -421,31 +462,27 @@ func (c *Classifier) ClassifyBatch(queries [][]string) [][]Score {
 // rule.
 func (c *Classifier) ClassifySubset(keywords []string, domains []int) []Score {
 	sc := c.scratch.Get().(*queryScratch)
-	c.model.Space.QueryVectorInto(keywords, sc.vec)
-	sc.idx = sc.vec.IndicesAppend(sc.idx[:0])
-
-	nD := c.model.NumDomains()
-	seen := make(map[int]bool, len(domains))
+	c.embed(keywords, sc)
+	c.score(sc)
+	if sc.seen == nil {
+		sc.seen = make([]bool, len(c.row))
+	}
 	scores := make([]Score, 0, len(domains))
 	for _, r := range domains {
-		if r < 0 || r >= nD || seen[r] {
+		if r < 0 || r >= len(c.row) || sc.seen[r] {
 			continue
 		}
-		seen[r] = true
-		lp := c.logPrior[r]
-		if !math.IsInf(lp, -1) {
-			lp += c.sumLog0[r]
-			for _, j := range sc.idx {
-				lp += c.delta[r][j]
-			}
-		}
-		scores = append(scores, Score{Domain: r, LogPosterior: lp})
+		sc.seen[r] = true
+		scores = append(scores, Score{Domain: r, LogPosterior: c.logPosterior(sc, r)})
+	}
+	for _, s := range scores {
+		sc.seen[s.Domain] = false
 	}
 	c.scratch.Put(sc)
 	normalize(scores)
-	sort.SliceStable(scores, func(a, b int) bool {
-		return scores[a].LogPosterior > scores[b].LogPosterior
-	})
+	// The list is in the caller's order, not ascending domain order, so ties
+	// keep that order: a stable sort, where Classify's rank needs none.
+	slices.SortStableFunc(scores, byLogPosterior)
 	observeClassification(scores)
 	return scores
 }
@@ -462,7 +499,8 @@ func (c *Classifier) Top(keywords []string, k int) []Score {
 // Mode reports which setup rule built this classifier.
 func (c *Classifier) Mode() Mode { return c.mode }
 
-// normalize fills Posterior via a log-sum-exp over LogPosterior.
+// normalize fills Posterior via a log-sum-exp over LogPosterior, summing in
+// slice order.
 func normalize(scores []Score) {
 	maxLP := math.Inf(-1)
 	for _, s := range scores {
@@ -471,13 +509,43 @@ func normalize(scores []Score) {
 		}
 	}
 	if math.IsInf(maxLP, -1) {
+		for i := range scores {
+			scores[i].Posterior = 0 // whatever a MergeScores partial carried
+		}
 		return
 	}
 	sum := 0.0
-	for _, s := range scores {
-		sum += math.Exp(s.LogPosterior - maxLP)
+	for i := range scores {
+		e := math.Exp(scores[i].LogPosterior - maxLP)
+		scores[i].Posterior = e
+		sum += e
 	}
 	for i := range scores {
-		scores[i].Posterior = math.Exp(scores[i].LogPosterior-maxLP) / sum
+		scores[i].Posterior /= sum
 	}
+}
+
+// byLogPosterior orders scores best first.
+func byLogPosterior(a, b Score) int {
+	switch {
+	case a.LogPosterior > b.LogPosterior:
+		return -1
+	case a.LogPosterior < b.LogPosterior:
+		return 1
+	}
+	return 0
+}
+
+// rank sorts scores best first, ties by ascending domain id. No table entry
+// is NaN, so this is a total order over distinct domains and every correct
+// sort yields the same permutation — in particular the one a stable sort by
+// descending LogPosterior yields from a slice in ascending domain order,
+// which is the order classifyInto and MergeScores hand it.
+func rank(scores []Score) {
+	slices.SortFunc(scores, func(a, b Score) int {
+		if c := byLogPosterior(a, b); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Domain, b.Domain)
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -377,11 +378,159 @@ func TestPropertyExactMatchesReference(t *testing.T) {
 	}
 }
 
-// TestNewLocalMatchesPrune pins the shard form of setup: New restricted to a
-// local set holds, bit for bit, what Prune cuts out of the full classifier,
-// computes nothing for the remote domains (no table row), and rejects ids
-// outside the model.
-func TestNewLocalMatchesPrune(t *testing.T) {
+// byRankDefinition is the ranking as first specified — a stable sort by
+// descending LogPosterior — written from that definition for the tests.
+type byRankDefinition []Score
+
+func (s byRankDefinition) Len() int           { return len(s) }
+func (s byRankDefinition) Swap(a, b int)      { s[a], s[b] = s[b], s[a] }
+func (s byRankDefinition) Less(a, b int) bool { return s[a].LogPosterior > s[b].LogPosterior }
+
+// sameScores compares bit for bit, so +0 and -0 differ and NaN equals itself.
+func sameScores(a, b []Score) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Domain != b[i].Domain ||
+			math.Float64bits(a[i].LogPosterior) != math.Float64bits(b[i].LogPosterior) ||
+			math.Float64bits(a[i].Posterior) != math.Float64bits(b[i].Posterior) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestPropertyRankIsTheStableSort is the argument rank rests on: over a
+// slice in ascending domain order, "stable, descending by LogPosterior" is
+// the total order (LogPosterior desc, Domain asc), so an unstable sort on
+// that order gives the same permutation — with heavy ties, a -Inf block and
+// both zeros, for Classify's slice and for MergeScores over 1–4 shuffled
+// partials.
+func TestPropertyRankIsTheStableSort(t *testing.T) {
+	values := []float64{math.Inf(-1), math.Inf(-1), 0, math.Copysign(0, -1), -1.5, -1.5, -7, -700, -1e-300, 3}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		asc := make([]Score, rng.Intn(200))
+		for r := range asc {
+			asc[r] = Score{Domain: r, LogPosterior: values[rng.Intn(len(values))]}
+			if rng.Intn(8) == 0 {
+				asc[r].LogPosterior = -10 * rng.Float64()
+			}
+		}
+		want := append([]Score(nil), asc...)
+		sort.Stable(byRankDefinition(want))
+		got := append([]Score(nil), asc...)
+		rank(got)
+		if !sameScores(got, want) {
+			return false
+		}
+
+		want = append(want[:0], asc...)
+		normalize(want)
+		sort.Stable(byRankDefinition(want))
+		partials := make([][]Score, 1+rng.Intn(4))
+		for _, s := range asc {
+			s.Posterior = rng.Float64() // a shard's local normalization: ignored
+			p := rng.Intn(len(partials))
+			partials[p] = append(partials[p], s)
+		}
+		for _, p := range partials {
+			rng.Shuffle(len(p), func(a, b int) { p[a], p[b] = p[b], p[a] })
+		}
+		return sameScores(MergeScores(partials), want)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// randomModel draws a small corpus over a shared word list, a random
+// assignment into 2–5 clusters and random fractional memberships.
+func randomModel(t *testing.T, rng *rand.Rand) *core.Model {
+	t.Helper()
+	words := []string{
+		"title", "author", "year", "venue", "make", "model", "price",
+		"color", "name", "phone", "genre", "rating", "departure", "airline",
+	}
+	k := 2 + rng.Intn(4)
+	n := k + rng.Intn(8)
+	set := make(schema.Set, n)
+	assign := make([]int, n)
+	memberships := make([][]core.Membership, n)
+	for i := range set {
+		attrs := make([]string, 2+rng.Intn(3))
+		for j := range attrs {
+			attrs[j] = words[rng.Intn(len(words))]
+		}
+		set[i] = schema.Schema{Name: "s", Attributes: attrs}
+		assign[i] = rng.Intn(k)
+		if i < k {
+			assign[i] = i // every cluster non-empty
+		}
+		memberships[i] = []core.Membership{{Schema: assign[i], Prob: 1}}
+		if other := rng.Intn(k); other != assign[i] && rng.Intn(2) == 0 {
+			p := 0.1 + 0.8*rng.Float64()
+			memberships[i] = []core.Membership{{Schema: assign[i], Prob: p}, {Schema: other, Prob: 1 - p}}
+		}
+	}
+	return modelWithMemberships(t, set, assign, memberships)
+}
+
+// TestPropertyOneTableOneLoop fences what the flat table promises on random
+// models — exact, approximate, p overridden, restricted to a local subset:
+// no entry is NaN (rank's total order needs it), Explain's score is
+// Classify's LogPosterior bit for bit for every domain, and ClassifySubset
+// over every id ascending is Classify.
+func TestPropertyOneTableOneLoop(t *testing.T) {
+	for seed := int64(0); seed < 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		m := randomModel(t, rng)
+		cfg := Config{Mode: Mode(rng.Intn(2))}
+		if rng.Intn(2) == 0 {
+			cfg.P = []float64{0.5, 0.01, 0.99}[rng.Intn(3)]
+		}
+		if rng.Intn(2) == 0 {
+			cfg.Local = rng.Perm(m.NumDomains())[:rng.Intn(m.NumDomains()+1)]
+		}
+		c, err := New(m, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, table := range [][]float64{c.base, c.delta} {
+			for _, v := range table {
+				if math.IsNaN(v) {
+					t.Fatalf("seed %d (%+v): NaN in the score table", seed, cfg)
+				}
+			}
+		}
+		all := make([]int, m.NumDomains())
+		for r := range all {
+			all[r] = r
+		}
+		for _, q := range [][]string{{"title", "author"}, {"price", "departure", "name"}, {"zzzz"}, {}} {
+			full := c.Classify(q)
+			if sub := c.ClassifySubset(q, all); !sameScores(sub, full) {
+				t.Fatalf("seed %d (%+v) query %v: ClassifySubset over every id %+v, Classify %+v", seed, cfg, q, sub, full)
+			}
+			for _, s := range full {
+				ex, err := c.Explain(q, s.Domain)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(ex.Score()) != math.Float64bits(s.LogPosterior) {
+					t.Fatalf("seed %d (%+v) query %v domain %d: Explain scores %v, Classify %v", seed, cfg, q, s.Domain, ex.Score(), s.LogPosterior)
+				}
+			}
+		}
+	}
+}
+
+// TestNewLocalMatchesFull pins the shard form of setup: New restricted to a
+// local set scores each local domain bit for bit as the full classifier does
+// and every other domain -Inf, holds table rows for the local domains alone,
+// and rejects ids outside the model.
+func TestNewLocalMatchesFull(t *testing.T) {
 	set := travelBibSet()
 	memberships := [][]core.Membership{
 		{{Schema: 0, Prob: 1}},
@@ -395,36 +544,55 @@ func TestNewLocalMatchesPrune(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, local := range [][]int{{}, {1}, {0, 2}, {0, 1, 2}} {
-		want, err := full.Prune(local)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, local := range [][]int{{}, {1}, {2, 0}, {0, 1, 2}} {
 		got, err := New(m, Config{Local: local})
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows := 0
-		for _, row := range got.delta {
-			if row != nil {
-				rows++
-			}
-		}
-		if rows != len(local) {
-			t.Fatalf("local %v: %d table rows, want %d", local, rows, len(local))
+		if want := m.Space.Dim() * len(local); len(got.delta) != want {
+			t.Fatalf("local %v: table holds %d entries, want dim × %d local rows = %d", local, len(got.delta), len(local), want)
 		}
 		for _, q := range [][]string{{"departure", "airline"}, {"title", "year"}, {"zzzz"}} {
-			g, w := got.Classify(q), want.Classify(q)
-			for k := range w {
-				if g[k] != w[k] {
-					t.Fatalf("local %v query %v rank %d: %+v, pruned full classifier %+v", local, q, k, g[k], w[k])
+			want := make([]Score, m.NumDomains())
+			for _, s := range full.Classify(q) {
+				want[s.Domain] = Score{Domain: s.Domain, LogPosterior: math.Inf(-1)}
+				if slices.Contains(local, s.Domain) {
+					want[s.Domain].LogPosterior = s.LogPosterior
 				}
+			}
+			normalize(want)
+			sort.Stable(byRankDefinition(want))
+			if g := got.Classify(q); !sameScores(g, want) {
+				t.Fatalf("local %v query %v: %+v, full classifier cut to the local domains %+v", local, q, g, want)
 			}
 		}
 	}
 	for _, bad := range []int{-1, m.NumDomains()} {
 		if _, err := New(m, Config{Local: []int{bad}}); err == nil {
 			t.Fatalf("local domain %d accepted", bad)
+		}
+	}
+}
+
+// TestClassifyAllocations: beyond embedding the query (term extraction
+// allocates per keyword), one Classify allocates the scores slice it returns
+// and at most the top-domain metric label. A per-call table, map or
+// row buffer shows here first.
+func TestClassifyAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled scratch at random under -race")
+	}
+	m, queries := wideModel(t, 600, 10)
+	c, err := New(m, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vec := m.Space.QueryVector(nil)
+	for _, q := range queries[:4] {
+		embed := testing.AllocsPerRun(20, func() { m.Space.QueryVectorInto(q, vec) })
+		total := testing.AllocsPerRun(20, func() { sinkScores = c.Classify(q) })
+		if total-embed > 2 {
+			t.Fatalf("query %v: Classify allocates %v times, %v of them embedding the query; want at most 2 more", q, total, embed)
 		}
 	}
 }

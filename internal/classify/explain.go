@@ -1,8 +1,10 @@
 package classify
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"strings"
 )
 
@@ -24,6 +26,8 @@ type Explanation struct {
 	// *across domains* — the domain where it is least negative (or
 	// positive) is the one the term argues for.
 	Terms []TermContribution
+
+	score float64
 }
 
 // TermContribution is one matched vocabulary term's effect on the score.
@@ -33,39 +37,35 @@ type TermContribution struct {
 }
 
 // Explain scores the query against one domain and itemizes which matched
-// vocabulary terms drove the result. The sum LogPrior + Baseline +
-// Σ Terms[i].Delta equals the domain's LogPosterior from Classify.
+// vocabulary terms drove the result. Score is the domain's LogPosterior from
+// Classify, bit for bit; LogPrior + Baseline + Σ Terms[i].Delta equals it up
+// to the rounding of a different summation order.
 func (c *Classifier) Explain(keywords []string, domain int) (*Explanation, error) {
-	if domain < 0 || domain >= c.model.NumDomains() {
+	if domain < 0 || domain >= len(c.row) {
 		return nil, fmt.Errorf("classify: no domain %d", domain)
 	}
-	ex := &Explanation{
-		Domain:   domain,
-		LogPrior: c.logPrior[domain],
+	ex := &Explanation{Domain: domain, LogPrior: math.Inf(-1), score: math.Inf(-1)}
+	i := int(c.row[domain])
+	if i < 0 || math.IsInf(c.logPrior[i], -1) {
+		return ex, nil // not local, or possibly empty: -Inf prior, no terms
 	}
-	if c.delta[domain] == nil {
-		return ex, nil // skipped (possibly-empty) domain: -Inf prior, no terms
-	}
-	ex.Baseline = c.sumLog0[domain]
-	fq := c.model.Space.QueryVector(keywords)
-	for _, j := range fq.Indices() {
+	sc := c.scratch.Get().(*queryScratch)
+	c.embed(keywords, sc)
+	c.score(sc)
+	ex.LogPrior, ex.Baseline, ex.score = c.logPrior[i], c.sumLog0[i], sc.lp[i]
+	for _, j := range sc.idx {
 		ex.Terms = append(ex.Terms, TermContribution{
 			Term:  c.model.Space.Vocab[j],
-			Delta: c.delta[domain][j],
+			Delta: c.delta[j*len(c.base)+i],
 		})
 	}
-	sort.Slice(ex.Terms, func(a, b int) bool { return ex.Terms[a].Delta > ex.Terms[b].Delta })
+	c.scratch.Put(sc)
+	slices.SortFunc(ex.Terms, func(a, b TermContribution) int { return cmp.Compare(b.Delta, a.Delta) })
 	return ex, nil
 }
 
 // Score returns the explanation's total log posterior.
-func (e *Explanation) Score() float64 {
-	s := e.LogPrior + e.Baseline
-	for _, t := range e.Terms {
-		s += t.Delta
-	}
-	return s
-}
+func (e *Explanation) Score() float64 { return e.score }
 
 // String renders the explanation for logs and CLIs.
 func (e *Explanation) String() string {

@@ -15,9 +15,11 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -257,6 +259,7 @@ func (ex *DomainExecutor) ExecuteContext(ctx context.Context, q Query) (*Result,
 	}
 
 	type agg struct {
+		key      string // the values joined: the aggregation key and the sort key
 		values   []string
 		oneMinus float64 // Π(1−p) across sources
 		sources  map[string]bool
@@ -288,7 +291,7 @@ func (ex *DomainExecutor) ExecuteContext(ctx context.Context, q Query) (*Result,
 				tp := p * memberP
 				a := results[key]
 				if a == nil {
-					a = &agg{values: mappedVals[key], oneMinus: 1, sources: map[string]bool{}}
+					a = &agg{key: key, values: mappedVals[key], oneMinus: 1, sources: map[string]bool{}}
 					results[key] = a
 				}
 				a.oneMinus *= 1 - tp
@@ -297,23 +300,27 @@ func (ex *DomainExecutor) ExecuteContext(ctx context.Context, q Query) (*Result,
 		}
 	}
 
-	out := make([]ResultTuple, 0, len(results))
+	ranked := make([]*agg, 0, len(results))
 	for _, a := range results {
+		ranked = append(ranked, a)
+	}
+	slices.SortFunc(ranked, func(a, b *agg) int {
+		if pa, pb := 1-a.oneMinus, 1-b.oneMinus; pa != pb {
+			return cmp.Compare(pb, pa)
+		}
+		return cmp.Compare(a.key, b.key)
+	})
+	if q.Limit > 0 && q.Limit < len(ranked) {
+		ranked = ranked[:q.Limit]
+	}
+	out := make([]ResultTuple, 0, len(ranked))
+	for _, a := range ranked {
 		var names []string
 		for n := range a.sources {
 			names = append(names, n)
 		}
 		sort.Strings(names)
 		out = append(out, ResultTuple{Values: a.values, Prob: 1 - a.oneMinus, Sources: names})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Prob != out[j].Prob {
-			return out[i].Prob > out[j].Prob
-		}
-		return strings.Join(out[i].Values, "\x1f") < strings.Join(out[j].Values, "\x1f")
-	})
-	if q.Limit > 0 && q.Limit < len(out) {
-		out = out[:q.Limit]
 	}
 	return &Result{Tuples: out, Failures: failures}, nil
 }

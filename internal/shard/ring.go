@@ -12,10 +12,10 @@
 // Each shard runs a full payg.Manager over a domain-pruned System
 // (payg.System.Shard): it keeps the whole schema corpus, feature space,
 // and model — so per-domain classification math is bit-identical to a
-// single node — but holds classifier delta tables and mediated schemas
+// single node — but holds classifier table rows and mediated schemas
 // only for its local domains. The Router fans a query out to every shard,
 // concatenates the partial log posteriors, and re-runs the exact
-// normalization + stable sort of the single-node classifier
+// normalization + rank of the single-node classifier
 // (classify.MergeScores), so a healthy router's ranking is bit-identical
 // to the unsharded system's. SplitCheckpoint cuts a single-node durable
 // checkpoint into the N per-shard data dirs this topology serves from.

@@ -380,25 +380,32 @@ func BuildContext(ctx context.Context, schemas []Schema, opts Options) (*System,
 	return assemble(ctx, opts, model, nil)
 }
 
+// newClassifier is the only classify.New in this package: the classifier the
+// (resolved) options ask for over the model, its table restricted to local on
+// a shard (nil = every domain).
+func (o Options) newClassifier(model *core.Model, local []int) (*classify.Classifier, error) {
+	ccfg := classify.Config{Local: local}
+	if o.ApproximateClassifier {
+		ccfg.Mode = classify.Approximate
+	}
+	if o.ExactClassifier {
+		ccfg.MaxExactUncertain = -1
+	}
+	return classify.New(model, ccfg)
+}
+
 // assemble is the only way from a domain model to a serving System:
-// classifier config from the (resolved) options → classify.New → shortlist fit
-// → mediation, the classifier's tables and the mediation restricted to local
-// on a shard (nil = a full system). Build, feedback/AddSchema and Load all end
-// here, so whatever a System holds beyond its model is a function of that
-// model — never of bytes read back from a snapshot.
+// newClassifier → shortlist fit → mediation, the classifier's table and the
+// mediation restricted to local on a shard (nil = a full system). Build,
+// feedback/AddSchema and Load all end here, so whatever a System holds beyond
+// its model is a function of that model — never of bytes read back from a
+// snapshot.
 func assemble(ctx context.Context, opts Options, model *core.Model, local []int) (*System, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	ccfg := classify.Config{Local: local}
-	if opts.ApproximateClassifier {
-		ccfg.Mode = classify.Approximate
-	}
-	if opts.ExactClassifier {
-		ccfg.MaxExactUncertain = -1
-	}
 	t := time.Now()
-	cls, err := classify.New(model, ccfg)
+	cls, err := opts.newClassifier(model, local)
 	if err != nil {
 		return nil, err
 	}

@@ -10,9 +10,9 @@ import (
 
 // This file makes a System shard-aware: a shard replica keeps the full
 // schema corpus, feature space, and domain model (all cheap and required
-// for bit-identical classification math) but prunes the two O(|D|)-heavy
-// structures — the classifier's dense per-domain delta tables and the
-// per-domain mediated schemas — down to the domains it owns. Domain ids
+// for bit-identical classification math) but holds the two O(|D|)-heavy
+// structures — the classifier's score table and the per-domain mediated
+// schemas — only for the domains it owns. Domain ids
 // remain global: a pruned system still speaks the same id space as the
 // full one, it just answers -Inf/"not local" for domains that live on
 // other shards. The partitioning itself (which domain belongs to which
@@ -20,9 +20,9 @@ import (
 
 // Shard returns a copy of the system restricted to the given local
 // domains. The schemas, feature space, and model are shared with the
-// receiver; the classifier keeps only the local domains' tables
-// (classify.Classifier.Prune) and mediation keeps only the local
-// domains' mediated schemas. The receiver must be a full (unsharded)
+// receiver; the classifier is rebuilt over the local domains alone
+// (classify.Config.Local — a term-major table cannot share rows) and
+// mediation keeps only the local domains' mediated schemas. The receiver must be a full (unsharded)
 // system. Classification on the result reports the receiver's exact
 // LogPosterior for every local domain and -Inf for the rest;
 // MediatedAttributes/Execute refuse non-local domains with an error.
@@ -44,7 +44,7 @@ func (s *System) Shard(local []int) (*System, error) {
 		}
 		set[r] = true
 	}
-	cls, err := s.classifier.Prune(sorted)
+	cls, err := s.opts.newClassifier(s.model, sorted)
 	if err != nil {
 		return nil, fmt.Errorf("payg: %w", err)
 	}
