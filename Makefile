@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt-check vet test race bench bench-ingest bench-assign bench-query bench-build bench-build-smoke bench-serve loadgen-smoke repro fuzz fuzz-smoke docs-check integration clean
+.PHONY: all build fmt-check vet test race bench bench-ingest bench-assign bench-query bench-build bench-build-smoke bench-serve loadgen-smoke repro repro-check fuzz fuzz-smoke docs-check integration clean
 
 all: build fmt-check vet test
 
@@ -30,18 +30,20 @@ bench:
 repro:
 	$(GO) run ./cmd/payg-repro -exp all
 
+# The reproduction, pinned: runs every experiment (~25 s) and diffs the
+# output against docs/full-run.txt with durations masked. Gated like
+# `make integration` so plain `make test` stays quick.
+repro-check:
+	PAYG_REPRO=1 $(GO) test ./cmd/payg-repro -run TestReproMatchesFullRun -count=1 -timeout 600s
+
 # Ingest-vs-rebuild cost comparison (writes BENCH_ingest.json).
 bench-ingest:
 	$(GO) test ./payg -run TestIngestBenchArtifact -bench-artifact=true
 
 # Per-arrival assignment: incremental feature-space extension vs full
-# rebuild at n = 300 and 1000, then the per-vectorizer online-path rows
-# (term: every domain scored; ngram: ANN-pruned online paths — the build is
-# the same under both). Both steps write BENCH_assign.json; the second merges
-# into the first's output.
+# rebuild at n = 300 and 1000 (writes BENCH_assign.json).
 bench-assign:
 	$(GO) test ./internal/ingest -run TestAssignBenchArtifact -bench-assign-artifact=true
-	$(GO) test ./payg -run TestAssignBackendBenchArtifact -bench-assign-backends=true
 
 # Repeated-query classification: generation-keyed result cache vs uncached
 # Classify, plus the parallel batch path (writes BENCH_query.json).

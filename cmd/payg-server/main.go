@@ -95,7 +95,6 @@ type options struct {
 	in, addr         string
 	tau              float64
 	candGen          string
-	vectorizer       string
 	tuples           int
 	sourceTimeout    time.Duration
 	retries          int
@@ -120,7 +119,6 @@ func main() {
 	flag.StringVar(&o.addr, "addr", ":8080", "listen address")
 	flag.Float64Var(&o.tau, "tau", 0.25, "clustering threshold tau_c_sim")
 	flag.StringVar(&o.candGen, "candgen", "auto", "clustering candidate generation: auto, exact, or lsh (sub-quadratic blocked build)")
-	flag.StringVar(&o.vectorizer, "vectorizer", "term", "online pruning: term (none — every domain scored, thesis behavior) or ngram (ANN shortlist over char-3-gram embeddings, then exact scoring, for classification and ingest)")
 	flag.IntVar(&o.tuples, "tuples", 20, "synthetic tuples per source for /query (0 disables data)")
 	flag.DurationVar(&o.sourceTimeout, "source-timeout", 2*time.Second, "per-attempt timeout for each data-source fetch")
 	flag.IntVar(&o.retries, "retries", 2, "retries per data-source fetch after the first failure")
@@ -281,7 +279,6 @@ func buildApp(logger *slog.Logger, o options) (*app, error) {
 	sys, err := payg.Build(set, payg.Options{
 		TauCSim:      o.tau,
 		CandidateGen: o.candGen,
-		Vectorizer:   o.vectorizer,
 	})
 	if err != nil {
 		return nil, err

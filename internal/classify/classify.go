@@ -109,10 +109,9 @@ type Classifier struct {
 
 // queryScratch is the reusable per-call working state.
 type queryScratch struct {
-	vec  *bitvec.Vector
-	idx  []int
-	lp   []float64 // per table row: the query's raw log posterior (score)
-	seen []bool    // per domain, ClassifySubset's duplicate filter; all false between calls
+	vec *bitvec.Vector
+	idx []int
+	lp  []float64 // per table row: the query's raw log posterior (score)
 }
 
 // statsScratch carries the dim-sized working buffers of the per-domain
@@ -386,8 +385,8 @@ func (c *Classifier) embed(keywords []string, sc *queryScratch) {
 
 // score fills sc.lp with every table row's raw log posterior for the
 // embedded query: the row's base plus one contiguous column of the table per
-// set feature, in index order. It is the only scoring loop — Classify,
-// ClassifySubset and Explain all read their domains' scores out of sc.lp —
+// set feature, in index order. It is the only scoring loop — Classify
+// and Explain both read their domains' scores out of sc.lp —
 // and each row's floating-point summation order is base, then the set
 // features ascending, whatever else the table holds.
 func (c *Classifier) score(sc *queryScratch) {
@@ -452,41 +451,6 @@ func (c *Classifier) ClassifyBatch(queries [][]string) [][]Score {
 	return out
 }
 
-// ClassifySubset ranks only the listed domains for the query, best first.
-// Each listed domain's LogPosterior is identical to what Classify computes
-// for it (the per-domain score is independent of the other domains);
-// Posterior is normalized within the subset. Out-of-range and duplicate
-// domain ids are skipped. This is the exact-verification half of
-// ANN-pruned classification: an embedding backend shortlists plausible
-// domains, and this call scores the shortlist with the full naive-Bayes
-// rule.
-func (c *Classifier) ClassifySubset(keywords []string, domains []int) []Score {
-	sc := c.scratch.Get().(*queryScratch)
-	c.embed(keywords, sc)
-	c.score(sc)
-	if sc.seen == nil {
-		sc.seen = make([]bool, len(c.row))
-	}
-	scores := make([]Score, 0, len(domains))
-	for _, r := range domains {
-		if r < 0 || r >= len(c.row) || sc.seen[r] {
-			continue
-		}
-		sc.seen[r] = true
-		scores = append(scores, Score{Domain: r, LogPosterior: c.logPosterior(sc, r)})
-	}
-	for _, s := range scores {
-		sc.seen[s.Domain] = false
-	}
-	c.scratch.Put(sc)
-	normalize(scores)
-	// The list is in the caller's order, not ascending domain order, so ties
-	// keep that order: a stable sort, where Classify's rank needs none.
-	slices.SortStableFunc(scores, byLogPosterior)
-	observeClassification(scores)
-	return scores
-}
-
 // Top returns the best-ranked k domains for the query (k > len → all).
 func (c *Classifier) Top(keywords []string, k int) []Score {
 	s := c.Classify(keywords)
@@ -525,17 +489,6 @@ func normalize(scores []Score) {
 	}
 }
 
-// byLogPosterior orders scores best first.
-func byLogPosterior(a, b Score) int {
-	switch {
-	case a.LogPosterior > b.LogPosterior:
-		return -1
-	case a.LogPosterior < b.LogPosterior:
-		return 1
-	}
-	return 0
-}
-
 // rank sorts scores best first, ties by ascending domain id. No table entry
 // is NaN, so this is a total order over distinct domains and every correct
 // sort yields the same permutation — in particular the one a stable sort by
@@ -543,8 +496,11 @@ func byLogPosterior(a, b Score) int {
 // which is the order classifyInto and MergeScores hand it.
 func rank(scores []Score) {
 	slices.SortFunc(scores, func(a, b Score) int {
-		if c := byLogPosterior(a, b); c != 0 {
-			return c
+		switch {
+		case a.LogPosterior > b.LogPosterior:
+			return -1
+		case a.LogPosterior < b.LogPosterior:
+			return 1
 		}
 		return cmp.Compare(a.Domain, b.Domain)
 	})

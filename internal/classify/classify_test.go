@@ -479,9 +479,8 @@ func randomModel(t *testing.T, rng *rand.Rand) *core.Model {
 
 // TestPropertyOneTableOneLoop fences what the flat table promises on random
 // models — exact, approximate, p overridden, restricted to a local subset:
-// no entry is NaN (rank's total order needs it), Explain's score is
-// Classify's LogPosterior bit for bit for every domain, and ClassifySubset
-// over every id ascending is Classify.
+// no entry is NaN (rank's total order needs it) and Explain's score is
+// Classify's LogPosterior bit for bit for every domain.
 func TestPropertyOneTableOneLoop(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -504,15 +503,8 @@ func TestPropertyOneTableOneLoop(t *testing.T) {
 				}
 			}
 		}
-		all := make([]int, m.NumDomains())
-		for r := range all {
-			all[r] = r
-		}
 		for _, q := range [][]string{{"title", "author"}, {"price", "departure", "name"}, {"zzzz"}, {}} {
 			full := c.Classify(q)
-			if sub := c.ClassifySubset(q, all); !sameScores(sub, full) {
-				t.Fatalf("seed %d (%+v) query %v: ClassifySubset over every id %+v, Classify %+v", seed, cfg, q, sub, full)
-			}
 			for _, s := range full {
 				ex, err := c.Explain(q, s.Domain)
 				if err != nil {
@@ -593,60 +585,6 @@ func TestClassifyAllocations(t *testing.T) {
 		total := testing.AllocsPerRun(20, func() { sinkScores = c.Classify(q) })
 		if total-embed > 2 {
 			t.Fatalf("query %v: Classify allocates %v times, %v of them embedding the query; want at most 2 more", q, total, embed)
-		}
-	}
-}
-
-func TestClassifySubsetMatchesFull(t *testing.T) {
-	m := buildModel(t, travelBibSet(), 0.25)
-	c, err := New(m, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	kw := []string{"departure", "airline"}
-	full := c.Classify(kw)
-	byDomain := make(map[int]float64, len(full))
-	for _, s := range full {
-		byDomain[s.Domain] = s.LogPosterior
-	}
-
-	// Every listed domain's LogPosterior must equal the full run's; order
-	// must be best-first; duplicates and out-of-range ids are dropped.
-	domains := []int{1, 0, 1, -3, m.NumDomains() + 5}
-	sub := c.ClassifySubset(kw, domains)
-	if len(sub) != 2 {
-		t.Fatalf("subset returned %d scores, want 2 (dedup + range filter)", len(sub))
-	}
-	for i, s := range sub {
-		if got, want := s.LogPosterior, byDomain[s.Domain]; got != want {
-			t.Fatalf("domain %d: subset LogPosterior %v, full %v", s.Domain, got, want)
-		}
-		if i > 0 && sub[i-1].LogPosterior < s.LogPosterior {
-			t.Fatal("subset not sorted best-first")
-		}
-	}
-
-	// Subset posteriors renormalize within the subset.
-	sum := 0.0
-	for _, s := range sub {
-		sum += s.Posterior
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Fatalf("subset posteriors sum to %v", sum)
-	}
-
-	// Full-id-set subset reproduces Classify exactly.
-	all := make([]int, m.NumDomains())
-	for i := range all {
-		all[i] = i
-	}
-	same := c.ClassifySubset(kw, all)
-	if len(same) != len(full) {
-		t.Fatalf("full subset returned %d scores, want %d", len(same), len(full))
-	}
-	for i := range same {
-		if same[i] != full[i] {
-			t.Fatalf("rank %d: %+v vs %+v", i, same[i], full[i])
 		}
 	}
 }

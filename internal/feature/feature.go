@@ -87,7 +87,9 @@ func (c Config) normalized() Config {
 // Space is the constructed vector space: the vocabulary L, one binary
 // feature vector per input schema, and a lazily filled pairwise similarity
 // cache. A Space is immutable after Build; the similarity cache is
-// pre-filled by Build, so reads are safe for concurrent use.
+// pre-filled by Build and the one structure built on first use
+// (schemasByBit) is behind a sync.Once, so reads are safe for concurrent
+// use.
 type Space struct {
 	cfg Config
 
@@ -113,6 +115,10 @@ type Space struct {
 	// vocabulary term j — the inverted term→schema index Extend uses to
 	// touch only the vectors a new vocabulary term actually affects.
 	termSchemas [][]int32
+	// bitSchemas is the inverse of Vectors, built on first use or handed
+	// over by Extend; read it through schemasByBit.
+	bitSchemas     [][]int32
+	bitSchemasOnce sync.Once
 
 	matcher *matchIndex
 	sims    *SimMatrix
@@ -277,7 +283,10 @@ func BuildLite(set schema.Set, cfg Config) *Space {
 //   - sets the new vocabulary bits on only the affected existing vectors,
 //     found via the inverted term→schema index: F_i[j_new] = 1 iff T_i
 //     intersects the old-vocabulary match list of the new term;
-//   - embeds the newcomer's vector from the (extended) memoized match lists.
+//   - embeds the newcomer's vector from the (extended) memoized match lists;
+//   - carries the bit→schema postings (schemasByBit) over the same way: the
+//     receiver's lists shared, one list opened per new bit, the newcomer
+//     appended to a copy of each list whose bit it sets.
 //
 // Per-arrival cost is O(new terms × candidates + affected schemas + dim)
 // rather than BuildLite's O(n × total terms).
@@ -363,6 +372,8 @@ func (sp *Space) Extend(s schema.Schema) (*Space, int) {
 			}
 		}
 	}
+	bitSchemas := make([][]int32, newDim)
+	copy(bitSchemas, sp.schemasByBit())
 	vectors := make([]*bitvec.Vector, newIdx+1)
 	for i := 0; i < newIdx; i++ {
 		bits := newBits[int32(i)]
@@ -372,7 +383,10 @@ func (sp *Space) Extend(s schema.Schema) (*Space, int) {
 		}
 		v := sp.Vectors[i].CloneWithLen(newDim)
 		for _, b := range bits {
-			v.Set(b)
+			if !v.Get(b) { // two of i's terms can match the same new term
+				v.Set(b)
+				bitSchemas[b] = append(bitSchemas[b], int32(i))
+			}
 		}
 		vectors[i] = v
 	}
@@ -384,7 +398,69 @@ func (sp *Space) Extend(s schema.Schema) (*Space, int) {
 	}
 	vectors[newIdx] = nv
 	ns.Vectors = vectors
+	for _, b := range nv.Indices() {
+		// Full slice expression: the append copies a list shared with sp.
+		old := bitSchemas[b]
+		bitSchemas[b] = append(old[:len(old):len(old)], int32(newIdx))
+	}
+	ns.bitSchemas = bitSchemas
 	return ns, newIdx
+}
+
+// schemasByBit returns the inverse of Vectors: element b lists, ascending,
+// the schemas whose feature vector has bit b set. It is read off the vectors
+// themselves rather than derived from the term relation, so it is exact
+// under an asymmetric term similarity, in TermFrequency mode and on a space
+// that is itself an Extend product. Only a space that takes arrivals needs
+// it, so BuildLite leaves it to the first caller (one pass over the set
+// bits); Extend hands its product the lists directly and the build there is
+// a no-op. The result is shared and must not be written.
+func (sp *Space) schemasByBit() [][]int32 {
+	sp.bitSchemasOnce.Do(func() {
+		if sp.bitSchemas != nil {
+			return
+		}
+		sizes := make([]int, len(sp.Vocab))
+		total := 0
+		var idx []int
+		for _, v := range sp.Vectors {
+			idx = v.IndicesAppend(idx[:0])
+			for _, b := range idx {
+				sizes[b]++
+			}
+			total += len(idx)
+		}
+		flat := make([]int32, total)
+		lists := make([][]int32, len(sp.Vocab))
+		for b, n := range sizes {
+			lists[b], flat = flat[:0:n], flat[n:]
+		}
+		for i, v := range sp.Vectors {
+			idx = v.IndicesAppend(idx[:0])
+			for _, b := range idx {
+				lists[b] = append(lists[b], int32(i))
+			}
+		}
+		sp.bitSchemas = lists
+	})
+	return sp.bitSchemas
+}
+
+// Sharing returns, ascending, the schemas other than i whose feature vector
+// shares a set bit with schema i's. For every schema not listed,
+// Similarity(i, j) is an exact 0 in either mode (a term-frequency count is
+// positive exactly where the bit is set), so a sum of similarities against i
+// may visit these alone.
+func (sp *Space) Sharing(i int) []int32 {
+	lists := sp.schemasByBit()
+	mark := bitvec.New(len(sp.Vectors))
+	for _, b := range sp.Vectors[i].Indices() {
+		for _, j := range lists[b] {
+			mark.Set(int(j))
+		}
+	}
+	mark.Clear(i)
+	return mark.IndicesAppend32(nil)
 }
 
 // generalizedJaccard is Σ_j min(a_j, b_j) / Σ_j max(a_j, b_j).

@@ -10,8 +10,7 @@ import (
 // TermVectorizer is the blocked build path's candidate generator: MinHash-
 // LSH over the term-match Space's binary vectors. Candidate generation is
 // only blocking — every proposed pair is re-scored exactly in term space,
-// and absent pairs count as zero similarity — so it must not depend on how
-// the online paths prune (see NGramVectorizer).
+// and absent pairs count as zero similarity.
 type TermVectorizer struct {
 	// Cand configures the MinHash-LSH candidate generation.
 	Cand candgen.Config

@@ -22,6 +22,7 @@ import (
 
 	"schemaflow/internal/cluster"
 	"schemaflow/internal/core"
+	"schemaflow/internal/ingest"
 	"schemaflow/internal/schema"
 )
 
@@ -219,24 +220,18 @@ func (s *Session) Apply() (*Result, error) {
 //
 // It returns the new model and the new schema's primary domain id.
 func AddSchema(m *core.Model, s schema.Schema) (*core.Model, int, error) {
-	if err := s.Validate(); err != nil {
+	a, sp, err := ingest.AssignRestricted(m, s, nil)
+	if err != nil {
 		return nil, 0, err
 	}
-	sp, newIdx := m.Space.Extend(s)
-	extended := make(schema.Set, 0, len(m.Schemas)+1)
+	newIdx := len(m.Schemas)
+	extended := make(schema.Set, 0, newIdx+1)
 	extended = append(extended, m.Schemas...)
 	extended = append(extended, s)
-	best, bestSim := -1, 0.0
-	for r := 0; r < m.NumDomains(); r++ {
-		sim := cluster.SchemaClusterSim(sp, newIdx, m.Clustering.Members[r])
-		if sim > bestSim {
-			best, bestSim = r, sim
-		}
-	}
 	assign := make([]int, len(extended))
 	copy(assign, m.Clustering.Assign)
-	if best >= 0 && bestSim >= m.Opts.TauCSim {
-		assign[newIdx] = best
+	if a.Best >= 0 && a.BestSim >= m.Opts.TauCSim {
+		assign[newIdx] = a.Best
 	} else {
 		assign[newIdx] = m.NumDomains() // fresh singleton
 	}

@@ -7,11 +7,12 @@
 //
 //   - Assign places one new schema against the *current* probabilistic
 //     domain model using exactly the gates of Algorithm 3 (Section 4.3):
-//     the schema's feature vector is compared to every cluster; clusters
-//     passing both the absolute τ_c_sim gate and the relative θ gate share
-//     the schema with probabilities proportional to similarity. Nothing in
-//     the model — in particular the classifier's precomputed tables — is
-//     touched.
+//     the schema's feature vector is compared to every cluster (summing
+//     over the schemas it shares a feature with; every other similarity is
+//     an exact zero); clusters passing both the absolute τ_c_sim gate and
+//     the relative θ gate share the schema with probabilities proportional
+//     to similarity. Nothing in the model — in particular the classifier's
+//     precomputed tables — is touched.
 //   - Window tracks assignment-quality drift: the fraction of recent
 //     arrivals that no existing domain could claim. A high ratio means the
 //     model no longer covers the incoming schema distribution and a full
@@ -28,8 +29,8 @@ package ingest
 import (
 	"time"
 
-	"schemaflow/internal/cluster"
 	"schemaflow/internal/core"
+	"schemaflow/internal/feature"
 	"schemaflow/internal/schema"
 )
 
@@ -63,7 +64,8 @@ type Assignment struct {
 // schemas) instead of O(n × total terms). The model itself is read, never
 // written.
 func Assign(m *core.Model, s schema.Schema) (*Assignment, error) {
-	return AssignRestricted(m, s, nil)
+	a, _, err := AssignRestricted(m, s, nil)
+	return a, err
 }
 
 // AssignRestricted is Assign with the cluster comparison restricted to the
@@ -74,17 +76,33 @@ func Assign(m *core.Model, s schema.Schema) (*Assignment, error) {
 // is independent of other clusters, the restricted Best/BestSim equal the
 // unrestricted ones whenever the unrestricted winner is included — which is
 // what lets a router recover the global argmax from per-shard probes.
-func AssignRestricted(m *core.Model, s schema.Schema, include func(r int) bool) (*Assignment, error) {
+//
+// It also returns the extended space it compared in, where the newcomer is
+// schema len(m.Schemas): feedback.AddSchema grows the model from it.
+//
+// This is the newcomer comparison, the only copy. s_c_sim(S, C_r) averages
+// Similarity(S, S_j) over C_r's members, and only a schema sharing a set bit
+// with the newcomer has a non-zero similarity to it — a couple of percent of
+// a wide corpus. So the sums are taken over sp.Sharing alone, ascending, each
+// into its schema's cluster: Members[r] is ascending too, hence every sum
+// adds what cluster.SchemaClusterSim adds, in the same order, minus exact
+// zeros, and the result is that function's bit for bit.
+func AssignRestricted(m *core.Model, s schema.Schema, include func(r int) bool) (*Assignment, *feature.Space, error) {
 	start := time.Now()
 	defer func() { mAssignDuration.Observe(time.Since(start).Seconds()) }()
 	if err := s.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	sp, newIdx := m.Space.Extend(s)
 	mExtendNewTerms.Observe(float64(sp.Dim() - m.Space.Dim()))
 
 	nD := m.NumDomains()
 	sims := make([]float64, nD)
+	for _, j := range sp.Sharing(newIdx) {
+		if r := m.Clustering.Assign[j]; include == nil || include(r) {
+			sims[r] += sp.Similarity(newIdx, int(j))
+		}
+	}
 	// cands stays nil (every domain) without a restriction; with one it is
 	// the included domains, non-nil even when there are none.
 	var cands []int
@@ -99,12 +117,14 @@ func AssignRestricted(m *core.Model, s schema.Schema, include func(r int) bool) 
 			}
 			cands = append(cands, r)
 		}
-		sims[r] = cluster.SchemaClusterSim(sp, newIdx, m.Clustering.Members[r])
+		if sims[r] != 0 { // a cluster no sharing schema belongs to stays an exact 0
+			sims[r] /= float64(len(m.Clustering.Members[r]))
+		}
 		if sims[r] > a.BestSim {
 			a.BestSim, a.Best = sims[r], r
 		}
 	}
 	a.Domains = core.Gate(sims, cands, m.Opts)
 	a.Fresh = len(a.Domains) == 0
-	return a, nil
+	return a, sp, nil
 }

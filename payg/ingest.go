@@ -44,11 +44,13 @@ type Assignment struct {
 // Execute. To actually grow a serving system use Manager.Ingest, which
 // journals the schema and folds it into the next background rebuild.
 func (s *System) Ingest(sch Schema) (*Assignment, error) {
-	// The ngram index restricts Algorithm 3 to the domains
-	// holding the arrival's ANN-nearest schemas; the restricted comparison
-	// is exact, so Best/BestSim match the unrestricted answer whenever the
-	// true winner's domain made the shortlist. nil include = compare all.
-	a, err := ingest.AssignRestricted(s.model, sch, s.shortlistInclude(sch))
+	return s.ingest(sch, nil)
+}
+
+// ingest is Ingest with the comparison restricted to the domains include
+// admits (nil = every domain), in the public Assignment's shape.
+func (s *System) ingest(sch Schema, include func(r int) bool) (*Assignment, error) {
+	a, _, err := ingest.AssignRestricted(s.model, sch, include)
 	if err != nil {
 		return nil, fmt.Errorf("payg: %w", err)
 	}
@@ -57,21 +59,4 @@ func (s *System) Ingest(sch Schema) (*Assignment, error) {
 		out.Domains = append(out.Domains, DomainProb{Domain: d.Schema, Prob: d.Prob})
 	}
 	return out, nil
-}
-
-// shortlistInclude builds the domain-include predicate for an arriving
-// schema from the ANN shortlist over the schema's attribute terms, or nil
-// without an ngram index (then every domain is compared — the exact path).
-func (s *System) shortlistInclude(sch Schema) func(r int) bool {
-	if s.vectorizer == nil {
-		return nil
-	}
-	sl := s.vectorizer.Shortlist(s.space.QueryTerms(sch.Attributes), annShortlistK)
-	set := make([]bool, s.model.NumDomains())
-	for _, si := range sl {
-		for _, mem := range s.model.DomainsOf(si) {
-			set[mem.Schema] = true
-		}
-	}
-	return func(r int) bool { return set[r] }
 }

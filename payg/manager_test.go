@@ -268,6 +268,111 @@ func TestManagerConcurrentTrafficDuringRebuild(t *testing.T) {
 	}
 }
 
+// TestConcurrentIngestDuringReclusterSwap: the comparison's bit→schema
+// postings are built by the first Ingest against a serving space, so that
+// first use is raced on purpose — four goroutines leave a barrier into the
+// same never-ingested system, one grown by AddSchema (an Extend product, whose
+// posting lists have spare capacity to alias) — and then ingestion keeps
+// hammering whatever generation is serving while reclusters swap it. Every
+// answer must equal the first one recorded for the same (system, schema);
+// run with -race for the rest of the claim.
+func TestConcurrentIngestDuringReclusterSwap(t *testing.T) {
+	built, err := Build(demoSchemas(), Options{SkipMediation: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ferries := Schema{Name: "ferries", Attributes: []string{"departure port", "destination port", "fare"}}
+	sys, _, err := built.AddSchema(ferries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr, err := NewManager(sys, nil, ManagerOptions{DriftThreshold: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr.Close()
+
+	arrivals := append(newcomerSchemas(), Schema{Name: "cruises", Attributes: []string{"departure port", "cabin class", "price"}})
+	type key struct {
+		sys *System
+		sch string
+	}
+	var (
+		mu    sync.Mutex
+		first = map[key]*Assignment{}
+	)
+	check := func(s *System, sch Schema) error {
+		got, err := s.Ingest(sch)
+		if err != nil {
+			return fmt.Errorf("ingest: %v", err)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		k := key{s, sch.Name}
+		if want, ok := first[k]; !ok {
+			first[k] = got
+		} else if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", want) {
+			return fmt.Errorf("ingest %s: %+v, an earlier call on the same system answered %+v", sch.Name, got, want)
+		}
+		return nil
+	}
+
+	const workers = 4
+	start := make(chan struct{})
+	stop := make(chan struct{})
+	errc := make(chan error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			<-start
+			for i := w; ; i++ {
+				if err := check(mgr.System(), arrivals[i%len(arrivals)]); err != nil {
+					errc <- err
+					return
+				}
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+		}(w)
+	}
+	close(start)
+
+	for _, sch := range newcomerSchemas() {
+		if _, err := mgr.Ingest(sch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for r := 0; r < 3; r++ {
+		if err := mgr.Recluster(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	select {
+	case err := <-errc:
+		t.Fatal(err)
+	default:
+	}
+	// And each recorded answer is what an untouched twin of that system says.
+	want, err := sys.Ingest(arrivals[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, _, err := built.AddSchema(ferries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := twin.Ingest(arrivals[0]); err != nil || fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", want) {
+		t.Fatalf("raced system answers %+v, its serial twin %+v (err %v)", want, got, err)
+	}
+}
+
 func TestManagerRebuildCarriesBreakerState(t *testing.T) {
 	base := demoSchemas()
 	sys, err := Build(base, Options{})

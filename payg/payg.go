@@ -55,8 +55,6 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"schemaflow/internal/candgen"
@@ -155,20 +153,12 @@ type Options struct {
 	// docs/DESIGN.md §10.
 	CandidateGen string
 
-	// Vectorizer selects how the online paths find the domains worth
-	// scoring: "term" (default — the thesis' behavior, every domain is
-	// scored exactly) or "ngram" (an HNSW index over hashed character-
-	// 3-gram embeddings shortlists the nearest schemas, and only their
-	// domains are scored exactly by Classify and Ingest). The built model
-	// does not depend on it: both values cluster identically.
-	Vectorizer string
-
 	// resolved marks a value withDefaults has already processed: its zero
 	// thresholds are requested literals, not unset sentinels.
 	resolved bool
 }
 
-// Fixed tuning of the blocked build path and the ngram shortlist: constants
+// Fixed tuning of the blocked build path: constants
 // rather than options because no caller, benchmark or runbook needs a second
 // value, and each one's effect is pinned by a test instead.
 const (
@@ -184,10 +174,6 @@ const (
 	// pair set is both fast and bit-exact, so auto never trades accuracy
 	// for speed on corpora where exact is cheap.
 	blockedAutoMin = 4096
-	// annShortlistK is how many nearest schemas the ngram index shortlists
-	// before exact verification; the pruned-agreement tests pin its recall.
-	// The HNSW degree and beam width are internal/ann's defaults (16, 64).
-	annShortlistK = 32
 )
 
 // withDefaults resolves the zero-value sentinels: 0 becomes the documented
@@ -221,38 +207,7 @@ func (o Options) withDefaults() Options {
 	if o.CandidateGen == "" {
 		o.CandidateGen = "auto"
 	}
-	if o.Vectorizer == "" {
-		o.Vectorizer = "term"
-	}
 	return o
-}
-
-// usesShortlist decides, after withDefaults, whether the online paths
-// prune through an ngram index.
-func (o Options) usesShortlist() (bool, error) {
-	switch o.Vectorizer {
-	case "term":
-		return false, nil
-	case "ngram":
-		return true, nil
-	default:
-		return false, fmt.Errorf("payg: unknown vectorizer %q (want term or ngram)", o.Vectorizer)
-	}
-}
-
-// fitShortlist returns the fitted ngram index over sp when the options ask
-// for online pruning, nil for the exact "term" default. Every System owns a
-// private instance (fitting binds it to that system's feature space), so
-// rebuilds never mutate an index another generation is serving from.
-func (o Options) fitShortlist(sp *feature.Space) (*feature.NGramVectorizer, error) {
-	if on, err := o.usesShortlist(); !on {
-		return nil, err
-	}
-	vec := feature.NewNGramVectorizer(feature.NGramConfig{})
-	if err := vec.Fit(sp); err != nil {
-		return nil, err
-	}
-	return vec, nil
 }
 
 // useBlockedPath decides, after withDefaults, whether a build of n schemas
@@ -315,12 +270,6 @@ type System struct {
 	classifier *classify.Classifier
 	mediated   []*mediate.Mediated
 
-	// vectorizer is the fitted ngram shortlist index; nil under the default
-	// Options.Vectorizer "term", where every domain is scored. It is bound
-	// to space and immutable once the System is published; rebuilds fit a
-	// fresh instance.
-	vectorizer *feature.NGramVectorizer
-
 	// local / localSet are set only on sharded systems (see Shard): the
 	// sorted domain ids held locally and the same set as a bitmap over the
 	// global id range. Nil on a full system, where every domain is local.
@@ -363,9 +312,6 @@ func BuildContext(ctx context.Context, schemas []Schema, opts Options) (*System,
 	if err != nil {
 		return nil, err
 	}
-	if _, err := opts.usesShortlist(); err != nil {
-		return nil, err // before the pipeline, not after it
-	}
 
 	// Each pipeline phase reports its wall-clock cost to the metrics
 	// registry, so an operator can compare full-rebuild phases against the
@@ -395,7 +341,7 @@ func (o Options) newClassifier(model *core.Model, local []int) (*classify.Classi
 }
 
 // assemble is the only way from a domain model to a serving System:
-// newClassifier → shortlist fit → mediation, the classifier's table and the
+// newClassifier → mediation, the classifier's table and the
 // mediation restricted to local on a shard (nil = a full system). Build,
 // feedback/AddSchema and Load all end here, so whatever a System holds beyond
 // its model is a function of that model — never of bytes read back from a
@@ -411,14 +357,7 @@ func assemble(ctx context.Context, opts Options, model *core.Model, local []int)
 	}
 	mBuildPhase.With("classifier").Observe(time.Since(t).Seconds())
 
-	t = time.Now()
-	vec, err := opts.fitShortlist(model.Space)
-	if err != nil {
-		return nil, err
-	}
-	mBuildPhase.With("vectorizer").Observe(time.Since(t).Seconds())
-
-	sys := &System{opts: opts, schemas: model.Schemas, space: model.Space, model: model, classifier: cls, vectorizer: vec, local: local}
+	sys := &System{opts: opts, schemas: model.Schemas, space: model.Space, model: model, classifier: cls, local: local}
 	if local != nil {
 		sys.localSet = make([]bool, model.NumDomains())
 		for _, r := range local {
@@ -619,80 +558,21 @@ func (s *System) Domains() []DomainInfo {
 }
 
 // Classify ranks domains by relevance to a free-text keyword query and
-// returns them best first. The query string is split on whitespace. With a
-// pruning backend (ngram), only the shortlisted domains are scored — each
-// returned score is exactly what the full classifier computes for that
-// domain, so the ranking among returned domains is exact; domains the
-// shortlist missed are simply absent.
+// returns them best first. The query string is split on whitespace.
 func (s *System) Classify(query string) []Score {
 	return s.ClassifyKeywords(strings.Fields(query))
 }
 
-// ClassifyKeywords ranks domains for an already-tokenized query; see
-// Classify for pruning-backend semantics.
+// ClassifyKeywords ranks domains for an already-tokenized query.
 func (s *System) ClassifyKeywords(keywords []string) []Score {
-	if doms := s.shortlistDomains(keywords); doms != nil {
-		return s.classifier.ClassifySubset(keywords, doms)
-	}
 	return s.classifier.Classify(keywords)
-}
-
-// shortlistDomains asks the backend for the query's ANN schema shortlist
-// and maps it to the domains holding those schemas (probabilistic members
-// included). nil means no pruning: score every domain, the exact path.
-func (s *System) shortlistDomains(keywords []string) []int {
-	if s.vectorizer == nil {
-		return nil
-	}
-	sl := s.vectorizer.Shortlist(s.space.QueryTerms(keywords), annShortlistK)
-	seen := make(map[int]bool)
-	var doms []int
-	for _, si := range sl {
-		for _, mem := range s.model.DomainsOf(si) {
-			if !seen[mem.Schema] {
-				seen[mem.Schema] = true
-				doms = append(doms, mem.Schema)
-			}
-		}
-	}
-	return doms
 }
 
 // ClassifyBatch ranks domains for many tokenized queries with bounded
 // CPU-parallel fan-out, returning one ranking per query in input order.
 // Results are identical to calling ClassifyKeywords per query.
 func (s *System) ClassifyBatch(queries [][]string) [][]Score {
-	if s.vectorizer == nil {
-		// Exact scoring: the classifier's own batch path shares scratch
-		// state and one flat allocation.
-		return s.classifier.ClassifyBatch(queries)
-	}
-	out := make([][]Score, len(queries))
-	n := len(queries)
-	if n == 0 {
-		return out
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				out[i] = s.ClassifyKeywords(queries[i])
-			}
-		}()
-	}
-	wg.Wait()
-	return out
+	return s.classifier.ClassifyBatch(queries)
 }
 
 // Explanation itemizes a classification per matched vocabulary term.

@@ -18,11 +18,10 @@ import (
 // are what Algorithm 3 decided and what user feedback may since have pinned;
 // the pending schemas were acked but not yet reclustered; the local-domain
 // slice is the splitter's partitioning. Everything else a System holds — the
-// feature space, the classifier's tables, the shortlist index, the mediated
-// schemas — is a function of these and is derived on load by the same
-// assemble step Build ends in, so Load is Build minus clustering and a
-// loaded system cannot disagree with its own model. See docs/DESIGN.md §8
-// (Persistence).
+// feature space, the classifier's tables, the mediated schemas — is a
+// function of these and is derived on load by the same assemble step Build
+// ends in, so Load is Build minus clustering and a loaded system cannot
+// disagree with its own model. See docs/DESIGN.md §8 (Persistence).
 //
 // Version 2 added Pending, version 3 Sharded and LocalDomains. Both sharding
 // fields are needed — gob encodes an empty slice as nil, so a bare

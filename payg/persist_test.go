@@ -160,6 +160,123 @@ func TestLoadsVersion3Snapshot(t *testing.T) {
 	}
 }
 
+// TestLoadsSnapshotWithRemovedOptions: snapshots written before a field left
+// Options still carry it, and snapshots up to version 3 carry the
+// classifier's tables (gob matches fields by name and skips the ones the
+// receiver lacks). Such a snapshot must load, serve behind a Manager, and
+// classify and ingest exactly like a freshly built system — whatever the
+// stored tables said, since they are recomputed, and whatever Vectorizer
+// said, since there is one online path now.
+func TestLoadsSnapshotWithRemovedOptions(t *testing.T) {
+	type oldOptions struct {
+		TauTSim, TauCSim, Theta, MediationFreqThreshold float64
+		TermSimilarity, Linkage, CandidateGen           string
+		SkipMediation                                   bool
+		LSHBands, LSHRows                               int
+		CandidateThreshold                              float64
+		CandidateAutoMin, Workers                       int
+		Vectorizer                                      string
+		ANNM, ANNEfSearch, ANNShortlistK                int
+	}
+	// The shape classify.Snapshot had when it was persisted.
+	type oldClassifier struct {
+		Mode              int
+		Dim               int
+		LogPrior, SumLog0 []float64
+		Delta             [][]float64
+		Skipped           []int
+	}
+	type oldSnapshot struct {
+		Version     int
+		Opts        oldOptions
+		Schemas     schema.Set
+		Assign      []int
+		Memberships [][]core.Membership
+		Classifier  *oldClassifier
+	}
+	sameAsFresh := func(t *testing.T, loaded, fresh *System) {
+		t.Helper()
+		for _, q := range persistQueries(fresh.Schemas()) {
+			sameScores(t, loaded.ClassifyKeywords(q), fresh.ClassifyKeywords(q))
+		}
+		for _, sch := range newcomerSchemas() {
+			got, err := loaded.Ingest(sch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := fresh.Ingest(sch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("ingest %s: loaded system answers %+v, fresh build %+v", sch.Name, got, want)
+			}
+		}
+	}
+
+	set := dataset.Large(dataset.LargeConfig{N: 300, Domains: 6, Seed: 4})
+	fresh, err := Build(set, Options{SkipMediation: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, vec := range []string{"term", "ngram"} {
+		t.Run("v3-"+vec, func(t *testing.T) {
+			old := oldSnapshot{
+				Version: 3,
+				Opts: oldOptions{
+					TauTSim: 0.8, TauCSim: 0.25, Theta: 0.02, MediationFreqThreshold: 0.1,
+					TermSimilarity: "lcs", Linkage: "avg-jaccard", CandidateGen: "auto", SkipMediation: true,
+					LSHBands: 128, LSHRows: 2, CandidateThreshold: 0.05, CandidateAutoMin: 4096, Workers: 3,
+					Vectorizer: vec, ANNM: 16, ANNEfSearch: 64, ANNShortlistK: 32,
+				},
+				Schemas:     fresh.schemas,
+				Assign:      fresh.model.Clustering.Assign,
+				Memberships: make([][]core.Membership, len(set)),
+				Classifier: &oldClassifier{
+					Dim:      fresh.space.Dim() + 1, // stale on purpose: nothing may read it
+					LogPrior: make([]float64, fresh.NumDomains()),
+					Delta:    [][]float64{{1, 2, 3}},
+				},
+			}
+			for i := range set {
+				old.Memberships[i] = fresh.model.DomainsOf(i)
+			}
+			var buf bytes.Buffer
+			if err := gob.NewEncoder(&buf).Encode(&old); err != nil {
+				t.Fatal(err)
+			}
+			mgr, err := LoadManager(&buf, nil, ManagerOptions{DriftThreshold: -1})
+			if err != nil {
+				t.Fatalf("old snapshot did not load: %v", err)
+			}
+			defer mgr.Close()
+			sameAsFresh(t, mgr.System(), fresh)
+		})
+	}
+
+	// testdata/snapshot-v4-ngram.gob is Save's output at the last commit that
+	// had Options.Vectorizer, for Build(demoSchemas(), Options{Vectorizer:
+	// "ngram"}): the current version, one option too many.
+	t.Run("v4-ngram", func(t *testing.T) {
+		raw, err := os.ReadFile("testdata/snapshot-v4-ngram.gob")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Contains(raw, []byte("Vectorizer")) || !bytes.Contains(raw, []byte("ngram")) {
+			t.Fatal("testdata/snapshot-v4-ngram.gob does not carry Vectorizer: ngram — the test would prove nothing")
+		}
+		loaded, err := Load(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		demo := build(t, Options{})
+		if got, want := loaded.Domains(), demo.Domains(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("domains differ:\n got %+v\nwant %+v", got, want)
+		}
+		sameAsFresh(t, loaded, demo)
+	})
+}
+
 // TestSnapshotHoldsNoDerivedTable: a snapshot is about as big as the schemas
 // it describes (plus assignment and memberships). A persisted classifier
 // table — domains × vocabulary floats — is tens of times that.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"schemaflow/internal/ingest"
 	"schemaflow/internal/mediate"
 )
 
@@ -54,9 +53,6 @@ func (s *System) Shard(local []int) (*System, error) {
 		space:      s.space,
 		model:      s.model,
 		classifier: cls,
-		// The fitted shortlist index is bound to the shared (immutable)
-		// feature space, so the shard reuses it rather than re-fitting.
-		vectorizer: s.vectorizer,
 		local:      sorted,
 		localSet:   set,
 	}
@@ -114,19 +110,5 @@ func (s *System) IngestLocal(sch Schema) (*Assignment, error) {
 	if s.localSet == nil {
 		return s.Ingest(sch)
 	}
-	inc := func(r int) bool { return s.localSet[r] }
-	// A pruning backend narrows the probe further: local AND shortlisted.
-	if sl := s.shortlistInclude(sch); sl != nil {
-		local := inc
-		inc = func(r int) bool { return local(r) && sl(r) }
-	}
-	a, err := ingest.AssignRestricted(s.model, sch, inc)
-	if err != nil {
-		return nil, fmt.Errorf("payg: %w", err)
-	}
-	out := &Assignment{BestDomain: a.Best, BestSim: a.BestSim, Fresh: a.Fresh}
-	for _, d := range a.Domains {
-		out.Domains = append(out.Domains, DomainProb{Domain: d.Schema, Prob: d.Prob})
-	}
-	return out, nil
+	return s.ingest(sch, func(r int) bool { return s.localSet[r] })
 }
