@@ -22,11 +22,13 @@ test:
 race:
 	$(GO) test -race ./...
 
-# One benchmark per table/figure of the paper, plus per-package benches.
+# Per-package micro-benchmarks. The paper's tables and figures are not
+# benchmarks: `make repro` prints them, `make repro-check` pins them.
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Text rendering of every experiment (same numbers as `make bench`).
+# Every table, figure and ablation of the paper's evaluation, as text
+# (one of them: `go run ./cmd/payg-repro -exp <name>`).
 repro:
 	$(GO) run ./cmd/payg-repro -exp all
 

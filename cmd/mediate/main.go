@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -28,13 +29,13 @@ func main() {
 	showMappings := flag.Bool("mappings", false, "print each schema's probabilistic mappings")
 	flag.Parse()
 
-	if err := run(*in, *threshold, *tau, *noClustering, *showMappings); err != nil {
+	if err := run(os.Stdout, *in, *threshold, *tau, *noClustering, *showMappings); err != nil {
 		fmt.Fprintln(os.Stderr, "mediate:", err)
 		os.Exit(1)
 	}
 }
 
-func run(in string, threshold, tau float64, noClustering, showMappings bool) error {
+func run(w io.Writer, in string, threshold, tau float64, noClustering, showMappings bool) error {
 	set, err := cli.ReadSchemasFile(in)
 	if err != nil {
 		return err
@@ -52,44 +53,38 @@ func run(in string, threshold, tau float64, noClustering, showMappings bool) err
 		if err != nil {
 			return err
 		}
-		printMediated("all schemas (no clustering)", med, showMappings)
+		printMediated(w, "all schemas (no clustering)", med, showMappings)
 		return nil
 	}
 
-	sys, err := payg.Build(set, payg.Options{
-		TauCSim:                tau,
-		MediationFreqThreshold: threshold,
-	})
+	// Cluster only: each domain is mediated below under this command's own
+	// options, from its members taken by index (names need not be unique).
+	sys, err := payg.Build(set, payg.Options{TauCSim: tau, SkipMediation: true})
 	if err != nil {
 		return err
 	}
-	for _, d := range sys.Domains() {
+	for r, d := range sys.Model().Domains {
 		var members schema.Set
-		for _, mem := range d.Schemas {
-			for _, s := range set {
-				if s.Name == mem.Name {
-					members = append(members, s)
-					break
-				}
-			}
+		for _, mem := range d.Members {
+			members = append(members, set[mem.Schema])
 		}
 		med, err := mediate.Build(members, opts)
 		if err != nil {
 			return err
 		}
-		printMediated(fmt.Sprintf("domain %d", d.ID), med, showMappings)
+		printMediated(w, fmt.Sprintf("domain %d", r), med, showMappings)
 	}
 	return nil
 }
 
-func printMediated(title string, med *mediate.Mediated, showMappings bool) {
-	fmt.Printf("== %s ==\n%s", title, med.Describe())
+func printMediated(w io.Writer, title string, med *mediate.Mediated, showMappings bool) {
+	fmt.Fprintf(w, "== %s ==\n%s", title, med.Describe())
 	if !showMappings {
-		fmt.Println()
+		fmt.Fprintln(w)
 		return
 	}
 	for i, mappings := range med.Mappings {
-		fmt.Printf("  mappings of %s:\n", med.Schemas[i].Name)
+		fmt.Fprintf(w, "  mappings of %s:\n", med.Schemas[i].Name)
 		for _, mp := range mappings {
 			var parts []string
 			for k, to := range mp.AttrTo {
@@ -98,8 +93,8 @@ func printMediated(title string, med *mediate.Mediated, showMappings bool) {
 				}
 				parts = append(parts, fmt.Sprintf("%s→%s", med.Schemas[i].Attributes[k], med.Attrs[to].Name))
 			}
-			fmt.Printf("    Pr=%.3f  %s\n", mp.Prob, strings.Join(parts, ", "))
+			fmt.Fprintf(w, "    Pr=%.3f  %s\n", mp.Prob, strings.Join(parts, ", "))
 		}
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"slices"
 
 	"schemaflow/internal/feature"
 )
@@ -117,21 +118,26 @@ func chiSquareSimilarity(a, b map[int32]int, totalA, totalB int) float64 {
 	if totalA == 0 || totalB == 0 {
 		return 0
 	}
-	terms := make(map[int32]bool, len(a)+len(b))
+	terms := make([]int32, 0, len(a)+len(b))
 	for t := range a {
-		terms[t] = true
+		terms = append(terms, t)
 	}
 	for t := range b {
-		terms[t] = true
+		if _, shared := a[t]; !shared {
+			terms = append(terms, t)
+		}
 	}
 	if len(terms) < 2 {
 		return 1
 	}
+	// Float addition is not associative: summed in map order, the statistic's
+	// last bits — and with them near-tied merges — changed from run to run.
+	slices.Sort(terms)
 	grand := float64(totalA + totalB)
 	fa := float64(totalA) / grand
 	fb := float64(totalB) / grand
 	x2 := 0.0
-	for t := range terms {
+	for _, t := range terms {
 		col := float64(a[t] + b[t])
 		ea := col * fa
 		eb := col * fb

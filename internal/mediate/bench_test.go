@@ -1,10 +1,12 @@
-package mediate
+package mediate_test
 
 import (
 	"fmt"
 	"math/rand"
 	"testing"
 
+	"schemaflow/internal/dataset"
+	"schemaflow/internal/mediate"
 	"schemaflow/internal/schema"
 )
 
@@ -38,7 +40,7 @@ func BenchmarkBuild50(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Build(set, DefaultOptions()); err != nil {
+		if _, err := mediate.Build(set, mediate.DefaultOptions()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -48,7 +50,7 @@ func BenchmarkBuild500(b *testing.B) {
 	set := benchSet(500)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Build(set, DefaultOptions()); err != nil {
+		if _, err := mediate.Build(set, mediate.DefaultOptions()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -56,12 +58,30 @@ func BenchmarkBuild500(b *testing.B) {
 
 func BenchmarkBuildUnfiltered500(b *testing.B) {
 	set := benchSet(500)
-	opts := DefaultOptions()
+	opts := mediate.DefaultOptions()
 	opts.Negative = true
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Build(set, opts); err != nil {
+		if _, err := mediate.Build(set, opts); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkBuildDomains mediates every domain of the benchmark's wide corpus
+// once per iteration — what a build, a load or a recluster pays. Its ~560
+// domains hold tens of distinct names each, mostly dissimilar; benchSet's
+// single template, where every name is similar to two others, is the other
+// extreme.
+func BenchmarkBuildDomains(b *testing.B) {
+	domains := domainsOf(b, dataset.Large(dataset.LargeConfig{N: 6000, Domains: 120, Seed: 1}))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, members := range domains {
+			if _, err := mediate.Build(members, mediate.DefaultOptions()); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

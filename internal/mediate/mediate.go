@@ -18,6 +18,7 @@ package mediate
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -36,23 +37,11 @@ type Options struct {
 	FreqThreshold float64
 	// Negative disables frequency filtering when true.
 	Negative bool
-	// AttrSimThreshold is the minimum attribute-name similarity for two
-	// source attributes to be clustered into one mediated attribute.
-	// Zero means 0.5, which fuses sub-phrase variants ("email" with
-	// "email address", "year" with "publication year") while keeping
-	// sibling attributes ("first name" vs "last name", fuzzy Jaccard 1/3)
-	// apart.
-	AttrSimThreshold float64
 	// TermSim is the term similarity used inside attribute similarity; nil
 	// means LCS at τ 0.8, matching feature construction.
 	TermSim strsim.TermSim
 	// TermTau is the τ_t_sim threshold for term matching. Zero means 0.8.
 	TermTau float64
-	// TermOpts controls tokenization of attribute names.
-	TermOpts terms.Options
-	// MaxMappings bounds the number of alternative mappings kept per source
-	// schema. Zero means 4.
-	MaxMappings int
 	// MongeElkan switches attribute-name similarity from fuzzy term-set
 	// Jaccard to the symmetrized Monge-Elkan combinator over the same
 	// t_sim. Monge-Elkan rewards containment ("email" scores 1.0 against
@@ -60,16 +49,29 @@ type Options struct {
 	MongeElkan bool
 }
 
+const (
+	// thetaAttr is θ_attr, the minimum attribute-name similarity for
+	// two source attributes to share a mediated attribute, to count towards
+	// each other's frequency, and for a mediated attribute to be a mapping
+	// candidate. 0.5 fuses sub-phrase variants ("email" with "email
+	// address", "year" with "publication year") while keeping sibling
+	// attributes ("first name" vs "last name", fuzzy Jaccard 1/3) apart.
+	thetaAttr = 0.5
+	// maxMappings bounds the alternative mappings kept per source schema;
+	// the beam that enumerates them is four times as wide.
+	maxMappings = 4
+	// maxCandidates bounds the mediated attributes one source attribute may
+	// map to.
+	maxCandidates = 3
+	// unmappedWeight is the fixed small weight of leaving an attribute
+	// unmapped, so alternative mappings with genuinely ambiguous attributes
+	// survive.
+	unmappedWeight = 0.1
+)
+
 // DefaultOptions mirrors the parameters of the thesis' mediation experiments.
 func DefaultOptions() Options {
-	return Options{
-		FreqThreshold:    0.1,
-		AttrSimThreshold: 0.5,
-		TermSim:          strsim.LCSSim{},
-		TermTau:          0.8,
-		TermOpts:         terms.DefaultOptions(),
-		MaxMappings:      4,
-	}
+	return Options{FreqThreshold: 0.1, TermSim: strsim.LCSSim{}, TermTau: 0.8}
 }
 
 func (o Options) normalized() Options {
@@ -79,20 +81,11 @@ func (o Options) normalized() Options {
 	if o.Negative {
 		o.FreqThreshold = 0
 	}
-	if o.AttrSimThreshold == 0 {
-		o.AttrSimThreshold = 0.5
-	}
 	if o.TermSim == nil {
 		o.TermSim = strsim.LCSSim{}
 	}
 	if o.TermTau == 0 {
 		o.TermTau = 0.8
-	}
-	// Per-field: a wholesale DefaultOptions() swap on unset MinLength would
-	// clobber an explicit StopWords map or KeepDigits=true.
-	o.TermOpts = o.TermOpts.Normalized()
-	if o.MaxMappings == 0 {
-		o.MaxMappings = 4
 	}
 	return o
 }
@@ -157,79 +150,78 @@ func Build(set schema.Set, opts Options) (*Mediated, error) {
 	if len(set) == 0 {
 		return &Mediated{}, nil
 	}
+	t := newNameTable(set, opts)
+	n := len(t.names)
 
-	sim := newAttrSim(opts)
+	// Names below the frequency threshold are excluded; the survivors
+	// cluster into mediated attributes by single-link connected components
+	// of the similarity relation (union-find with path halving).
+	freq := t.frequencies(len(set))
+	kept := func(a int) bool { return freq[a] >= opts.FreqThreshold }
+	parent := make([]int, n)
+	for a := range parent {
+		parent[a] = a
+	}
+	find := func(x int) int {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
+		}
+		return x
+	}
+	for b := range t.names {
+		for a := 0; a < b; a++ {
+			if kept(a) && kept(b) && t.sim(a, b) >= thetaAttr {
+				parent[find(b)] = find(a)
+			}
+		}
+	}
 
-	// Collect all source attributes.
-	var attrs []SourceAttr
+	// A mediated attribute is named after its most frequent member name,
+	// the smaller on ties. Ids ascend with names, so taking the components
+	// in order of that member's id yields Attrs sorted by Name.
+	rep := make([]int, n) // component root → id of the naming member
+	for a := range rep {
+		rep[a] = -1
+	}
+	for a := range t.names {
+		if r := find(a); kept(a) && (rep[r] < 0 || t.names[a].count > t.names[rep[r]].count) {
+			rep[r] = a
+		}
+	}
+	med := &Mediated{Schemas: set}
+	medOf := make([]int, n) // name id → index into med.Attrs, -1 when filtered
+	for a := range t.names {
+		medOf[a] = -1
+		if kept(a) && rep[find(a)] == a {
+			medOf[a] = len(med.Attrs)
+			med.Attrs = append(med.Attrs, MediatedAttr{Name: t.names[a].canon})
+		}
+	}
+	members := make([][]int, len(med.Attrs)) // the distinct names of each mediated attribute
+	for a := range t.names {
+		if kept(a) {
+			medOf[a] = medOf[rep[find(a)]]
+			members[medOf[a]] = append(members[medOf[a]], a)
+		}
+	}
 	for i, s := range set {
 		for k, name := range s.Attributes {
-			attrs = append(attrs, SourceAttr{Schema: i, Attr: k, Name: name})
-		}
-	}
-
-	// Attribute frequency: the fraction of schemas containing an attribute
-	// similar to this one. Computed over distinct canonical names to avoid
-	// rescanning duplicates.
-	freq := attributeFrequencies(set, attrs, sim)
-
-	// Cluster the frequent attributes into mediated attributes by
-	// single-link connected components at the similarity threshold.
-	var kept []int
-	for ai, a := range attrs {
-		if freq[canonicalName(a.Name)] >= opts.FreqThreshold {
-			kept = append(kept, ai)
-		}
-	}
-	comps := clusterAttributes(attrs, kept, sim, opts.AttrSimThreshold)
-
-	med := &Mediated{Schemas: set}
-	for _, comp := range comps {
-		ma := MediatedAttr{}
-		nameCount := make(map[string]int)
-		for _, ai := range comp {
-			ma.Sources = append(ma.Sources, attrs[ai])
-			nameCount[canonicalName(attrs[ai].Name)]++
-		}
-		best, bestN := "", -1
-		for n, c := range nameCount {
-			if c > bestN || (c == bestN && n < best) {
-				best, bestN = n, c
-			}
-		}
-		ma.Name = best
-		med.Attrs = append(med.Attrs, ma)
-	}
-	sort.Slice(med.Attrs, func(a, b int) bool { return med.Attrs[a].Name < med.Attrs[b].Name })
-
-	// Index: which mediated attribute contains each kept source attribute.
-	medOf := make(map[[2]int]int)
-	for mi, ma := range med.Attrs {
-		for _, sa := range ma.Sources {
-			medOf[[2]int{sa.Schema, sa.Attr}] = mi
-		}
-	}
-
-	// Distinct member names per mediated attribute: candidate scoring only
-	// needs one representative per distinct name, not every occurrence
-	// (mediated attributes for frequent names can have thousands of
-	// source occurrences).
-	medNames := make([][]string, len(med.Attrs))
-	for mi, ma := range med.Attrs {
-		seen := make(map[string]bool)
-		for _, sa := range ma.Sources {
-			c := canonicalName(sa.Name)
-			if !seen[c] {
-				seen[c] = true
-				medNames[mi] = append(medNames[mi], sa.Name)
+			if mi := medOf[t.ids[name]]; mi >= 0 {
+				med.Attrs[mi].Sources = append(med.Attrs[mi].Sources, SourceAttr{Schema: i, Attr: k, Name: name})
 			}
 		}
 	}
 
-	// Probabilistic mappings per schema.
+	// Probabilistic mappings per schema. Where a source attribute may map
+	// depends only on its name, so candidates are ranked once per name.
+	cands := make([][]candidate, n)
+	for a := range cands {
+		cands[a] = t.candidates(a, medOf[a], members)
+	}
 	med.Mappings = make([][]Mapping, len(set))
 	for i, s := range set {
-		med.Mappings[i] = buildMappings(i, s, med, medNames, medOf, sim, opts)
+		med.Mappings[i] = buildMappings(s, t, cands)
 	}
 	return med, nil
 }
@@ -239,52 +231,158 @@ func canonicalName(name string) string {
 	return strings.Join(strings.Fields(strings.ToLower(name)), " ")
 }
 
-// attrSim computes attribute-name similarity: the Jaccard coefficient over
-// fuzzy-matched term sets, using the configured t_sim and τ_t_sim (the
-// "attribute similarity should be based on the same similarity function
-// t_sim" requirement of Section 4.4). Results are memoized per name pair.
-type attrSim struct {
-	opts  Options
-	terms map[string][]string
-	memo  map[[2]string]float64
+// attrName is one distinct canonical attribute name of a domain.
+type attrName struct {
+	canon string
+	// terms are extracted from the name's first spelling in source order,
+	// not from canon: "firstName" splits into two terms where "firstname"
+	// is one, so which spelling a domain saw first decides its similarities.
+	terms []string
+	// schemas lists, ascending, the schemas with an attribute of this name;
+	// count is the number of such attributes.
+	schemas []int
+	count   int
 }
 
-func newAttrSim(opts Options) *attrSim {
-	return &attrSim{opts: opts, terms: make(map[string][]string), memo: make(map[[2]string]float64)}
+// nameTable is what mediation knows about a domain: its distinct attribute
+// names and one similarity per pair of them — attribute similarity "based
+// on the same similarity function t_sim" (Section 4.4). A mediated schema
+// is a function of this table alone, so Build computes it once and works in
+// name ids from there on.
+type nameTable struct {
+	// names holds the distinct canonical names in ascending order; a name's
+	// id is its index.
+	names []attrName
+	// ids maps every source spelling, and every canonical form, to its id.
+	ids map[string]int
+	// sims is the upper triangle of the similarity matrix, column by
+	// column: sim(a, b) for a < b is sims[b(b-1)/2 + a].
+	sims []float64
 }
 
-func (as *attrSim) termsOf(name string) []string {
-	c := canonicalName(name)
-	if t, ok := as.terms[c]; ok {
-		return t
+func newNameTable(set schema.Set, opts Options) *nameTable {
+	t := &nameTable{ids: make(map[string]int)}
+	for i, s := range set {
+		for _, spelling := range s.Attributes {
+			id, ok := t.ids[spelling]
+			if !ok {
+				// A canonical form is its own canonical form, so it can
+				// share the map with the spellings.
+				canon := canonicalName(spelling)
+				if id, ok = t.ids[canon]; !ok {
+					id = len(t.names)
+					t.ids[canon] = id
+					t.names = append(t.names, attrName{
+						canon: canon,
+						terms: terms.ExtractList([]string{spelling}, terms.DefaultOptions()),
+					})
+				}
+				t.ids[spelling] = id
+			}
+			nm := &t.names[id]
+			nm.count++
+			if len(nm.schemas) == 0 || nm.schemas[len(nm.schemas)-1] != i {
+				nm.schemas = append(nm.schemas, i)
+			}
+		}
 	}
-	t := terms.ExtractList([]string{name}, as.opts.TermOpts)
-	as.terms[c] = t
+
+	// Renumber from first-seen to ascending order.
+	sort.Slice(t.names, func(a, b int) bool { return t.names[a].canon < t.names[b].canon })
+	ascending := make([]int, len(t.names))
+	for id, nm := range t.names {
+		ascending[t.ids[nm.canon]] = id
+	}
+	for spelling, firstSeen := range t.ids {
+		t.ids[spelling] = ascending[firstSeen]
+	}
+
+	// The only place two names are compared. The smaller name goes first:
+	// under a one-sided t_sim fuzzyJaccard(x, y) and fuzzyJaccard(y, x)
+	// differ, so the direction is part of the result.
+	n := len(t.names)
+	t.sims = make([]float64, 0, n*(n-1)/2)
+	for b := 1; b < n; b++ {
+		for a := 0; a < b; a++ {
+			ta, tb := t.names[a].terms, t.names[b].terms
+			if opts.MongeElkan {
+				t.sims = append(t.sims, strsim.MongeElkanSym(ta, tb, opts.TermSim))
+			} else {
+				t.sims = append(t.sims, fuzzyJaccard(ta, tb, opts.TermSim, opts.TermTau))
+			}
+		}
+	}
 	return t
 }
 
-// sim returns the similarity of two attribute names in [0,1].
-func (as *attrSim) sim(a, b string) float64 {
-	ca, cb := canonicalName(a), canonicalName(b)
-	if ca == cb {
+// sim returns the similarity of two names in [0,1].
+func (t *nameTable) sim(a, b int) float64 {
+	if a == b {
 		return 1
 	}
-	key := [2]string{ca, cb}
-	if cb < ca {
-		key = [2]string{cb, ca}
+	if a > b {
+		a, b = b, a
 	}
-	if v, ok := as.memo[key]; ok {
-		return v
+	return t.sims[b*(b-1)/2+a]
+}
+
+// frequencies returns, for every name, the fraction of the domain's
+// nSchemas schemas containing an attribute similar to it at θ_attr.
+func (t *nameTable) frequencies(nSchemas int) []float64 {
+	freq := make([]float64, len(t.names))
+	counted := make([]int, nSchemas) // counted[s] == a+1: schema s already counts for name a
+	for a := range t.names {
+		in := 0
+		for b := range t.names {
+			if t.sim(a, b) >= thetaAttr {
+				for _, s := range t.names[b].schemas {
+					if counted[s] != a+1 {
+						counted[s] = a + 1
+						in++
+					}
+				}
+			}
+		}
+		freq[a] = float64(in) / float64(nSchemas)
 	}
-	ta, tb := as.termsOf(a), as.termsOf(b)
-	var v float64
-	if as.opts.MongeElkan {
-		v = strsim.MongeElkanSym(ta, tb, as.opts.TermSim)
-	} else {
-		v = fuzzyJaccard(ta, tb, as.opts.TermSim, as.opts.TermTau)
+	return freq
+}
+
+// candidate is a mediated attribute a source attribute may map to.
+type candidate struct {
+	med    int
+	weight float64
+}
+
+// candidates ranks the mediated attributes an attribute named a may map to:
+// its own (own, -1 when the name was filtered out) at weight 1, then every
+// other whose most similar member name reaches θ_attr, at that similarity.
+// The sort is unstable and the lists are full of ties, so both the order the
+// candidates are appended in and the sort.Slice call are part of the output.
+func (t *nameTable) candidates(a, own int, members [][]int) []candidate {
+	var cs []candidate
+	if own >= 0 {
+		cs = append(cs, candidate{med: own, weight: 1})
 	}
-	as.memo[key] = v
-	return v
+	for mi, names := range members {
+		if mi == own {
+			continue
+		}
+		best := 0.0
+		for _, b := range names {
+			if v := t.sim(a, b); v > best {
+				best = v
+			}
+		}
+		if best >= thetaAttr {
+			cs = append(cs, candidate{med: mi, weight: best})
+		}
+	}
+	sort.Slice(cs, func(x, y int) bool { return cs[x].weight > cs[y].weight })
+	if len(cs) > maxCandidates {
+		cs = cs[:maxCandidates]
+	}
+	return cs
 }
 
 // fuzzyJaccard computes |matched pairs| / |union| where a term of one set
@@ -311,173 +409,33 @@ func fuzzyJaccard(ta, tb []string, sim strsim.TermSim, tau float64) float64 {
 	return float64(matched) / float64(union)
 }
 
-// attributeFrequencies computes, for every distinct canonical attribute
-// name, the fraction of schemas containing an attribute similar to it at
-// the mediation similarity threshold.
-func attributeFrequencies(set schema.Set, attrs []SourceAttr, sim *attrSim) map[string]float64 {
-	type nameInfo struct {
-		example string
-		schemas map[int]bool
-	}
-	distinct := make(map[string]*nameInfo)
-	for _, a := range attrs {
-		c := canonicalName(a.Name)
-		if distinct[c] == nil {
-			distinct[c] = &nameInfo{example: a.Name, schemas: map[int]bool{}}
-		}
-		distinct[c].schemas[a.Schema] = true
-	}
-	names := make([]string, 0, len(distinct))
-	for c := range distinct {
-		names = append(names, c)
-	}
-	sort.Strings(names)
-
-	// A schema "contains" name n when it has an attribute with
-	// sim >= threshold; exact containment is the common case, so start from
-	// the exact-occurrence schema sets and extend via similar names.
-	freq := make(map[string]float64, len(names))
-	for _, c := range names {
-		in := make(map[int]bool, len(distinct[c].schemas))
-		for s := range distinct[c].schemas {
-			in[s] = true
-		}
-		for _, other := range names {
-			if other == c {
-				continue
-			}
-			if sim.sim(distinct[c].example, distinct[other].example) >= sim.opts.AttrSimThreshold {
-				for s := range distinct[other].schemas {
-					in[s] = true
-				}
-			}
-		}
-		freq[c] = float64(len(in)) / float64(len(set))
-	}
-	return freq
-}
-
-// clusterAttributes groups the kept attribute occurrences into single-link
-// connected components over name similarity. Occurrences with identical
-// canonical names always share a component.
-func clusterAttributes(attrs []SourceAttr, kept []int, sim *attrSim, tau float64) [][]int {
-	// Union-find over distinct names, then expand back to occurrences.
-	nameIdx := make(map[string]int)
-	var names []string
-	var example []string
-	for _, ai := range kept {
-		c := canonicalName(attrs[ai].Name)
-		if _, ok := nameIdx[c]; !ok {
-			nameIdx[c] = len(names)
-			names = append(names, c)
-			example = append(example, attrs[ai].Name)
-		}
-	}
-	parent := make([]int, len(names))
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	union := func(a, b int) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[rb] = ra
-		}
-	}
-	for i := 0; i < len(names); i++ {
-		for j := i + 1; j < len(names); j++ {
-			if sim.sim(example[i], example[j]) >= tau {
-				union(i, j)
-			}
-		}
-	}
-	byRoot := make(map[int][]int)
-	for _, ai := range kept {
-		r := find(nameIdx[canonicalName(attrs[ai].Name)])
-		byRoot[r] = append(byRoot[r], ai)
-	}
-	roots := make([]int, 0, len(byRoot))
-	for r := range byRoot {
-		roots = append(roots, r)
-	}
-	sort.Ints(roots)
-	out := make([][]int, 0, len(byRoot))
-	for _, r := range roots {
-		out = append(out, byRoot[r])
-	}
-	return out
-}
-
-// buildMappings enumerates up to MaxMappings injective attribute mappings
-// from schema i into the mediated schema, scored by attribute similarity to
-// the mediated attribute's representative contents and normalized into
-// probabilities.
-func buildMappings(i int, s schema.Schema, med *Mediated, medNames [][]string, medOf map[[2]int]int, sim *attrSim, opts Options) []Mapping {
-	nAttrs := len(s.Attributes)
-	// Candidate mediated attributes for each source attribute, with weights.
-	type cand struct {
-		med    int
-		weight float64
-	}
-	cands := make([][]cand, nAttrs)
-	for k, name := range s.Attributes {
-		// The attribute's own mediated cluster (if it survived filtering)
-		// is the primary candidate at weight 1.
-		if mi, ok := medOf[[2]int{i, k}]; ok {
-			cands[k] = append(cands[k], cand{med: mi, weight: 1})
-		}
-		for mi := range med.Attrs {
-			if len(cands[k]) > 0 && cands[k][0].med == mi {
-				continue
-			}
-			best := 0.0
-			for _, rep := range medNames[mi] {
-				if v := sim.sim(name, rep); v > best {
-					best = v
-				}
-			}
-			if best >= opts.AttrSimThreshold {
-				cands[k] = append(cands[k], cand{med: mi, weight: best})
-			}
-		}
-		sort.Slice(cands[k], func(a, b int) bool { return cands[k][a].weight > cands[k][b].weight })
-		if len(cands[k]) > 3 {
-			cands[k] = cands[k][:3]
-		}
-	}
-
-	// Beam enumeration of injective assignments. The "unmapped" option has
-	// a fixed small weight so alternative mappings with genuinely ambiguous
-	// attributes survive.
-	const unmappedWeight = 0.1
-	beam := []partial{{attrTo: nil, used: map[int]bool{}, score: 1}}
-	for k := 0; k < nAttrs; k++ {
+// buildMappings enumerates up to maxMappings injective attribute mappings
+// from schema s into the mediated schema by beam search over its attributes'
+// candidates (cands, by name id), scored by the product of the candidate
+// weights and normalized into probabilities. Like candidates, it sorts
+// unstably over ties (scores are products of 1, 0.5 and 0.1), so the order
+// extensions are appended in is part of the output.
+func buildMappings(s schema.Schema, t *nameTable, cands [][]candidate) []Mapping {
+	beam := []partial{{score: 1}}
+	for _, name := range s.Attributes {
 		var next []partial
 		for _, p := range beam {
-			// Unmapped extension.
 			next = append(next, p.extend(-1, unmappedWeight))
-			for _, c := range cands[k] {
-				if !p.used[c.med] {
+			for _, c := range cands[t.ids[name]] {
+				if !slices.Contains(p.attrTo, c.med) {
 					next = append(next, p.extend(c.med, c.weight))
 				}
 			}
 		}
 		sort.Slice(next, func(a, b int) bool { return next[a].score > next[b].score })
-		if len(next) > opts.MaxMappings*4 {
-			next = next[:opts.MaxMappings*4]
+		if len(next) > maxMappings*4 {
+			next = next[:maxMappings*4]
 		}
 		beam = next
 	}
 	sort.Slice(beam, func(a, b int) bool { return beam[a].score > beam[b].score })
-	if len(beam) > opts.MaxMappings {
-		beam = beam[:opts.MaxMappings]
+	if len(beam) > maxMappings {
+		beam = beam[:maxMappings]
 	}
 	total := 0.0
 	for _, p := range beam {
@@ -493,7 +451,6 @@ func buildMappings(i int, s schema.Schema, med *Mediated, medNames [][]string, m
 // partial is a prefix of an attribute mapping under beam enumeration.
 type partial struct {
 	attrTo []int
-	used   map[int]bool
 	score  float64
 }
 
@@ -503,14 +460,7 @@ func (p partial) extend(med int, weight float64) partial {
 	attrTo := make([]int, len(p.attrTo)+1)
 	copy(attrTo, p.attrTo)
 	attrTo[len(p.attrTo)] = med
-	used := make(map[int]bool, len(p.used)+1)
-	for k := range p.used {
-		used[k] = true
-	}
-	if med >= 0 {
-		used[med] = true
-	}
-	return partial{attrTo: attrTo, used: used, score: p.score * weight}
+	return partial{attrTo: attrTo, score: p.score * weight}
 }
 
 // Describe renders the mediated schema for logs and the CLI.

@@ -3,10 +3,13 @@ package mediate
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"schemaflow/internal/schema"
+	"schemaflow/internal/strsim"
+	"schemaflow/internal/terms"
 )
 
 // TestPropertyBuildInvariants fuzzes corpora and checks structural
@@ -141,4 +144,111 @@ func TestPropertyFrequencyMonotone(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestPropertyNameTableIsTheDefinition checks the name table against the
+// definitions it tabulates, on small random domains that spell one canonical
+// name several ways. sim(i, j) must be the configured attribute similarity
+// of the terms of the two names' first spellings in source order, smaller
+// name first — "firstName" yields two terms and "firstname" one, so the
+// spelling seen first decides — and a name's frequency must be the fraction
+// of schemas holding an attribute at least θ_attr similar to it, counted
+// here schema by schema. A third of the runs use a one-sided t_sim, the one
+// thing under which the direction of a comparison shows.
+func TestPropertyNameTableIsTheDefinition(t *testing.T) {
+	pool := []string{
+		"First  Name", "first name", "firstName", "firstname", "FIRSTNAME",
+		"last name", "Last Name", "family name", "name",
+		"email", "email address", "Email  Address", "emails", "phone", "office phone",
+	}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		set := make(schema.Set, 2+rng.Intn(6))
+		for i := range set {
+			k := 1 + rng.Intn(5)
+			attrs := make([]string, k)
+			for j, p := range rng.Perm(len(pool))[:k] {
+				attrs[j] = pool[p]
+			}
+			set[i] = schema.Schema{Name: "s", Attributes: attrs}
+		}
+		opts := DefaultOptions()
+		opts.MongeElkan = rng.Intn(2) == 0
+		if rng.Intn(3) == 0 {
+			opts.TermSim = prefixSim{}
+		}
+		tab := newNameTable(set, opts)
+
+		// The definition's view: each canonical name's first spelling.
+		first := make(map[string]string)
+		for _, s := range set {
+			for _, a := range s.Attributes {
+				if _, ok := first[canonicalName(a)]; !ok {
+					first[canonicalName(a)] = a
+				}
+			}
+		}
+		termsOf := func(canon string) []string {
+			return terms.ExtractList([]string{first[canon]}, terms.DefaultOptions())
+		}
+		sim := func(a, b string) float64 {
+			if a == b {
+				return 1
+			}
+			if b < a {
+				a, b = b, a
+			}
+			if opts.MongeElkan {
+				return strsim.MongeElkanSym(termsOf(a), termsOf(b), opts.TermSim)
+			}
+			return fuzzyJaccard(termsOf(a), termsOf(b), opts.TermSim, opts.TermTau)
+		}
+
+		if len(tab.names) != len(first) {
+			return false
+		}
+		freq := tab.frequencies(len(set))
+		for i, ni := range tab.names {
+			if i > 0 && tab.names[i-1].canon >= ni.canon {
+				return false // not ascending
+			}
+			for j, nj := range tab.names {
+				if tab.sim(i, j) != sim(ni.canon, nj.canon) {
+					return false
+				}
+			}
+			in := 0
+			for _, s := range set {
+				for _, a := range s.Attributes {
+					if tab.ids[a] != tab.ids[canonicalName(a)] {
+						return false // a spelling filed under another name
+					}
+					if sim(ni.canon, canonicalName(a)) >= thetaAttr {
+						in++
+						break
+					}
+				}
+			}
+			if freq[i] != float64(in)/float64(len(set)) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// prefixSim is a deliberately asymmetric t_sim: a matches b when a is a
+// prefix of b ("email" matches "emails", not the reverse).
+type prefixSim struct{}
+
+func (prefixSim) Name() string { return "prefix" }
+
+func (prefixSim) Sim(a, b string) float64 {
+	if strings.HasPrefix(b, a) {
+		return 1
+	}
+	return 0
 }
