@@ -17,9 +17,9 @@
 package mediate
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"schemaflow/internal/schema"
@@ -58,11 +58,15 @@ const (
 	// attributes ("first name" vs "last name", fuzzy Jaccard 1/3) apart.
 	thetaAttr = 0.5
 	// maxMappings bounds the alternative mappings kept per source schema;
-	// the beam that enumerates them is four times as wide.
+	// the beam that enumerates them keeps four times as many each step.
 	maxMappings = 4
+	beamWidth   = maxMappings * 4
 	// maxCandidates bounds the mediated attributes one source attribute may
 	// map to.
 	maxCandidates = 3
+	// beamLive bounds the partial mappings alive in one step of the beam:
+	// each survivor of the last step, left unmapped or sent to a candidate.
+	beamLive = beamWidth * (maxCandidates + 1)
 	// unmappedWeight is the fixed small weight of leaving an attribute
 	// unmapped, so alternative mappings with genuinely ambiguous attributes
 	// survive.
@@ -219,9 +223,10 @@ func Build(set schema.Set, opts Options) (*Mediated, error) {
 	for a := range cands {
 		cands[a] = t.candidates(a, medOf[a], members)
 	}
+	bm := newBeam(set)
 	med.Mappings = make([][]Mapping, len(set))
 	for i, s := range set {
-		med.Mappings[i] = buildMappings(s, t, cands)
+		med.Mappings[i] = bm.buildMappings(s, t, cands)
 	}
 	return med, nil
 }
@@ -262,6 +267,7 @@ type nameTable struct {
 
 func newNameTable(set schema.Set, opts Options) *nameTable {
 	t := &nameTable{ids: make(map[string]int)}
+	mostTerms := 0 // of any one name: sizes fuzzyJaccard's scratch
 	for i, s := range set {
 		for _, spelling := range s.Attributes {
 			id, ok := t.ids[spelling]
@@ -272,10 +278,9 @@ func newNameTable(set schema.Set, opts Options) *nameTable {
 				if id, ok = t.ids[canon]; !ok {
 					id = len(t.names)
 					t.ids[canon] = id
-					t.names = append(t.names, attrName{
-						canon: canon,
-						terms: terms.ExtractList([]string{spelling}, terms.DefaultOptions()),
-					})
+					ts := terms.ExtractList([]string{spelling}, terms.DefaultOptions())
+					t.names = append(t.names, attrName{canon: canon, terms: ts})
+					mostTerms = max(mostTerms, len(ts))
 				}
 				t.ids[spelling] = id
 			}
@@ -288,7 +293,7 @@ func newNameTable(set schema.Set, opts Options) *nameTable {
 	}
 
 	// Renumber from first-seen to ascending order.
-	sort.Slice(t.names, func(a, b int) bool { return t.names[a].canon < t.names[b].canon })
+	slices.SortFunc(t.names, func(a, b attrName) int { return strings.Compare(a.canon, b.canon) })
 	ascending := make([]int, len(t.names))
 	for id, nm := range t.names {
 		ascending[t.ids[nm.canon]] = id
@@ -302,17 +307,29 @@ func newNameTable(set schema.Set, opts Options) *nameTable {
 	// differ, so the direction is part of the result.
 	n := len(t.names)
 	t.sims = make([]float64, 0, n*(n-1)/2)
+	similar := atLeast(opts.TermSim, opts.TermTau)
+	used := make([]bool, mostTerms)
 	for b := 1; b < n; b++ {
 		for a := 0; a < b; a++ {
 			ta, tb := t.names[a].terms, t.names[b].terms
 			if opts.MongeElkan {
 				t.sims = append(t.sims, strsim.MongeElkanSym(ta, tb, opts.TermSim))
 			} else {
-				t.sims = append(t.sims, fuzzyJaccard(ta, tb, opts.TermSim, opts.TermTau))
+				t.sims = append(t.sims, fuzzyJaccard(ta, tb, similar, used))
 			}
 		}
 	}
 	return t
+}
+
+// atLeast returns the predicate t_sim(x, y) ≥ τ. For the LCS similarity it
+// is the threshold LCS, which stops at the first long-enough common run and
+// is proven equal to Sim ≥ τ (strsim's FuzzLCSAtLeast).
+func atLeast(sim strsim.TermSim, tau float64) func(x, y string) bool {
+	if lcs, ok := sim.(strsim.LCSSim); ok {
+		return func(x, y string) bool { return lcs.AtLeast(x, y, tau) }
+	}
+	return func(x, y string) bool { return sim.Sim(x, y) >= tau }
 }
 
 // sim returns the similarity of two names in [0,1].
@@ -357,8 +374,10 @@ type candidate struct {
 // candidates ranks the mediated attributes an attribute named a may map to:
 // its own (own, -1 when the name was filtered out) at weight 1, then every
 // other whose most similar member name reaches θ_attr, at that similarity.
-// The sort is unstable and the lists are full of ties, so both the order the
-// candidates are appended in and the sort.Slice call are part of the output.
+// The sort is unstable and the lists are full of ties, so the order the
+// candidates are appended in and pdqsort's comparison sequence — which
+// slices.SortFunc under less ⇔ cmp < 0 shares with sort.Slice — are part of
+// the output.
 func (t *nameTable) candidates(a, own int, members [][]int) []candidate {
 	var cs []candidate
 	if own >= 0 {
@@ -378,24 +397,29 @@ func (t *nameTable) candidates(a, own int, members [][]int) []candidate {
 			cs = append(cs, candidate{med: mi, weight: best})
 		}
 	}
-	sort.Slice(cs, func(x, y int) bool { return cs[x].weight > cs[y].weight })
+	slices.SortFunc(cs, byWeight)
 	if len(cs) > maxCandidates {
 		cs = cs[:maxCandidates]
 	}
 	return cs
 }
 
+// byWeight orders candidates by descending weight.
+func byWeight(a, b candidate) int { return cmp.Compare(b.weight, a.weight) }
+
 // fuzzyJaccard computes |matched pairs| / |union| where a term of one set
-// matches at most one term of the other at τ (greedy matching).
-func fuzzyJaccard(ta, tb []string, sim strsim.TermSim, tau float64) float64 {
+// matches at most one term of the other at τ (greedy matching). used is
+// scratch for at least len(tb) marks.
+func fuzzyJaccard(ta, tb []string, similar func(x, y string) bool, used []bool) float64 {
 	if len(ta) == 0 && len(tb) == 0 {
 		return 0
 	}
-	used := make([]bool, len(tb))
+	used = used[:len(tb)]
+	clear(used)
 	matched := 0
 	for _, x := range ta {
 		for j, y := range tb {
-			if !used[j] && (x == y || sim.Sim(x, y) >= tau) {
+			if !used[j] && (x == y || similar(x, y)) {
 				used[j] = true
 				matched++
 				break
@@ -409,58 +433,91 @@ func fuzzyJaccard(ta, tb []string, sim strsim.TermSim, tau float64) float64 {
 	return float64(matched) / float64(union)
 }
 
-// buildMappings enumerates up to maxMappings injective attribute mappings
-// from schema s into the mediated schema by beam search over its attributes'
-// candidates (cands, by name id), scored by the product of the candidate
-// weights and normalized into probabilities. Like candidates, it sorts
-// unstably over ties (scores are products of 1, 0.5 and 0.1), so the order
-// extensions are appended in is part of the output.
-func buildMappings(s schema.Schema, t *nameTable, cands [][]candidate) []Mapping {
-	beam := []partial{{score: 1}}
-	for _, name := range s.Attributes {
-		var next []partial
-		for _, p := range beam {
-			next = append(next, p.extend(-1, unmappedWeight))
-			for _, c := range cands[t.ids[name]] {
-				if !slices.Contains(p.attrTo, c.med) {
-					next = append(next, p.extend(c.med, c.weight))
-				}
-			}
-		}
-		sort.Slice(next, func(a, b int) bool { return next[a].score > next[b].score })
-		if len(next) > maxMappings*4 {
-			next = next[:maxMappings*4]
-		}
-		beam = next
-	}
-	sort.Slice(beam, func(a, b int) bool { return beam[a].score > beam[b].score })
-	if len(beam) > maxMappings {
-		beam = beam[:maxMappings]
-	}
-	total := 0.0
-	for _, p := range beam {
-		total += p.score
-	}
-	out := make([]Mapping, 0, len(beam))
-	for _, p := range beam {
-		out = append(out, Mapping{AttrTo: p.attrTo, Prob: p.score / total})
-	}
-	return out
-}
-
 // partial is a prefix of an attribute mapping under beam enumeration.
 type partial struct {
 	attrTo []int
 	score  float64
 }
 
-// extend returns a copy of p with the next source attribute assigned to
-// mediated attribute med (-1 = unmapped), multiplying the running score.
-func (p partial) extend(med int, weight float64) partial {
-	attrTo := make([]int, len(p.attrTo)+1)
-	copy(attrTo, p.attrTo)
-	attrTo[len(p.attrTo)] = med
-	return partial{attrTo: attrTo, score: p.score * weight}
+// byScore orders partials by descending score.
+func byScore(a, b partial) int { return cmp.Compare(b.score, a.score) }
+
+// beam is the scratch one Build call enumerates every schema's mappings in:
+// two sides that swap roles each step. A step reads the surviving partials
+// of one side and writes their extensions to the other, partial m's attrTo
+// at ints[m·stride:]; stride is the attribute count of the domain's widest
+// schema.
+type beam struct {
+	stride int
+	sides  [2]struct {
+		ints  []int
+		parts [beamLive]partial
+	}
+}
+
+func newBeam(set schema.Set) *beam {
+	bm := new(beam)
+	for _, s := range set {
+		bm.stride = max(bm.stride, len(s.Attributes))
+	}
+	for i := range bm.sides {
+		bm.sides[i].ints = make([]int, beamLive*bm.stride)
+	}
+	return bm
+}
+
+// buildMappings enumerates up to maxMappings injective attribute mappings
+// from schema s into the mediated schema by beam search over its attributes'
+// candidates (cands, by name id), scored by the product of the candidate
+// weights and normalized into probabilities. Like candidates, it sorts
+// unstably over ties (scores are products of 1, 0.5 and 0.1), so the order
+// extensions are appended in is part of the output. Only the survivors are
+// copied out of the scratch.
+func (bm *beam) buildMappings(s schema.Schema, t *nameTable, cands [][]candidate) []Mapping {
+	cur, next := &bm.sides[0], &bm.sides[1]
+	cur.parts[0] = partial{score: 1}
+	n := 1
+	for k, name := range s.Attributes {
+		m := 0
+		extend := func(p partial, med int, weight float64) {
+			attrTo := next.ints[m*bm.stride : m*bm.stride+k+1]
+			copy(attrTo, p.attrTo)
+			attrTo[k] = med
+			next.parts[m] = partial{attrTo: attrTo, score: p.score * weight}
+			m++
+		}
+		for _, p := range cur.parts[:n] {
+			extend(p, -1, unmappedWeight)
+			for _, c := range cands[t.ids[name]] {
+				if !slices.Contains(p.attrTo, c.med) {
+					extend(p, c.med, c.weight)
+				}
+			}
+		}
+		slices.SortFunc(next.parts[:m], byScore)
+		cur, next, n = next, cur, min(m, beamWidth)
+	}
+	best := cur.parts[:n]
+	slices.SortFunc(best, byScore)
+	best = best[:min(n, maxMappings)]
+	total := 0.0
+	for _, p := range best {
+		total += p.score
+	}
+	// One backing array per schema, each AttrTo capped at its own end so an
+	// append by a caller cannot reach its neighbour; nil stays nil for a
+	// schema without attributes.
+	k := len(s.Attributes)
+	var backing []int
+	if k > 0 {
+		backing = make([]int, len(best)*k)
+	}
+	out := make([]Mapping, len(best))
+	for i, p := range best {
+		out[i] = Mapping{AttrTo: backing[i*k : (i+1)*k : (i+1)*k], Prob: p.score / total}
+		copy(out[i].AttrTo, p.attrTo)
+	}
+	return out
 }
 
 // Describe renders the mediated schema for logs and the CLI.

@@ -1,8 +1,11 @@
 package mediate
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -201,7 +204,9 @@ func TestPropertyNameTableIsTheDefinition(t *testing.T) {
 			if opts.MongeElkan {
 				return strsim.MongeElkanSym(termsOf(a), termsOf(b), opts.TermSim)
 			}
-			return fuzzyJaccard(termsOf(a), termsOf(b), opts.TermSim, opts.TermTau)
+			// Sim ≥ τ spelled out, so the table's threshold LCS is held to it.
+			similar := func(x, y string) bool { return opts.TermSim.Sim(x, y) >= opts.TermTau }
+			return fuzzyJaccard(termsOf(a), termsOf(b), similar, make([]bool, len(termsOf(b))))
 		}
 
 		if len(tab.names) != len(first) {
@@ -251,4 +256,188 @@ func (prefixSim) Sim(a, b string) float64 {
 		return 1
 	}
 	return 0
+}
+
+// tiedScore draws a product of up to four factors from {1, 0.5, 0.1}: the
+// only scores the beam and the candidate lists ever hold, and nearly all ties.
+func tiedScore(rng *rand.Rand) float64 {
+	score := 1.0
+	for f := rng.Intn(5); f > 0; f-- {
+		score *= []float64{1, 0.5, unmappedWeight}[rng.Intn(3)]
+	}
+	return score
+}
+
+// TestPropertySortIsSortSlice pins what the tie order of every mapping rests
+// on: slices.SortFunc under byScore / byWeight leaves the permutation that
+// sort.Slice under "greater score first" leaves, element for element, on
+// inputs long enough to leave insertion sort (> 12) and full of ties.
+func TestPropertySortIsSortSlice(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := rng.Intn(71)
+		parts, cs := make([]partial, n), make([]candidate, n)
+		for i := range parts {
+			score := tiedScore(rng)
+			parts[i] = partial{attrTo: []int{i}, score: score} // attrTo / med: the element's identity
+			cs[i] = candidate{med: i, weight: score}
+		}
+		wantParts, wantCs := slices.Clone(parts), slices.Clone(cs)
+		sort.Slice(wantParts, func(a, b int) bool { return wantParts[a].score > wantParts[b].score })
+		sort.Slice(wantCs, func(a, b int) bool { return wantCs[a].weight > wantCs[b].weight })
+		slices.SortFunc(parts, byScore)
+		slices.SortFunc(cs, byWeight)
+		for i := range parts {
+			if parts[i].attrTo[0] != wantParts[i].attrTo[0] || cs[i] != wantCs[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// beamByDefinition is the mapping enumeration as DESIGN §5c states it, with
+// nothing shared between partials: every extension is a fresh slice, each
+// step sorts by score and keeps 16, the end sorts again and keeps 4, and the
+// scores are normalised.
+func beamByDefinition(s schema.Schema, ids map[string]int, cands [][]candidate) []Mapping {
+	type part struct {
+		attrTo []int
+		score  float64
+	}
+	byScore := func(ps []part) {
+		sort.Slice(ps, func(a, b int) bool { return ps[a].score > ps[b].score })
+	}
+	beam := []part{{score: 1}}
+	for _, name := range s.Attributes {
+		var next []part
+		for _, p := range beam {
+			next = append(next, part{append(slices.Clone(p.attrTo), -1), p.score * unmappedWeight})
+			for _, c := range cands[ids[name]] {
+				if !slices.Contains(p.attrTo, c.med) {
+					next = append(next, part{append(slices.Clone(p.attrTo), c.med), p.score * c.weight})
+				}
+			}
+		}
+		byScore(next)
+		beam = next[:min(len(next), 16)]
+	}
+	byScore(beam)
+	beam = beam[:min(len(beam), 4)]
+	total := 0.0
+	for _, p := range beam {
+		total += p.score
+	}
+	var out []Mapping
+	for _, p := range beam {
+		out = append(out, Mapping{AttrTo: p.attrTo, Prob: p.score / total})
+	}
+	return out
+}
+
+// sameMappings compares AttrTo element for element (nil against nil) and
+// Prob bit for bit.
+func sameMappings(got, want []Mapping) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%d mappings, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if (got[i].AttrTo == nil) != (want[i].AttrTo == nil) || !slices.Equal(got[i].AttrTo, want[i].AttrTo) {
+			return fmt.Errorf("mapping %d: AttrTo %#v, want %#v", i, got[i].AttrTo, want[i].AttrTo)
+		}
+		if math.Float64bits(got[i].Prob) != math.Float64bits(want[i].Prob) {
+			return fmt.Errorf("mapping %d: Prob %v, want %v", i, got[i].Prob, want[i].Prob)
+		}
+	}
+	return nil
+}
+
+// randomBeamInput draws a domain for the beam alone: a few names with up to
+// maxCandidates candidates each over a handful of mediated attributes (so
+// injectivity bites), and schemas of 0–8 attributes drawn with repetition
+// (duplicate names; 4³ > 16 live partials from three attributes on). A third
+// of the domains weigh every candidate like leaving the attribute unmapped:
+// every partial of a step ties.
+func randomBeamInput(rng *rand.Rand) (schema.Set, *nameTable, [][]candidate) {
+	tab := &nameTable{ids: make(map[string]int)}
+	cands := make([][]candidate, 1+rng.Intn(6))
+	allTied := rng.Intn(3) == 0
+	for a := range cands {
+		tab.ids[fmt.Sprint("name", a)] = a
+		for _, med := range rng.Perm(5)[:rng.Intn(maxCandidates+1)] {
+			w := []float64{1, 0.5, 0.5, unmappedWeight}[rng.Intn(4)]
+			if allTied {
+				w = unmappedWeight
+			}
+			cands[a] = append(cands[a], candidate{med: med, weight: w})
+		}
+	}
+	set := make(schema.Set, 1+rng.Intn(6))
+	for i := range set {
+		attrs := make([]string, rng.Intn(9))
+		for k := range attrs {
+			attrs[k] = fmt.Sprint("name", rng.Intn(len(cands)))
+		}
+		set[i] = schema.Schema{Name: "s", Attributes: attrs}
+	}
+	return set, tab, cands
+}
+
+// TestPropertyBeamIsTheDefinition holds the two-buffer beam to the
+// enumeration it abbreviates. All of a domain's schemas go through one beam
+// before any is compared, so a mapping still pointing into the scratch shows
+// as soon as the next schema overwrites it.
+func TestPropertyBeamIsTheDefinition(t *testing.T) {
+	f := func(seed int64) bool {
+		set, tab, cands := randomBeamInput(rand.New(rand.NewSource(seed)))
+		bm := newBeam(set)
+		got := make([][]Mapping, len(set))
+		for i, s := range set {
+			got[i] = bm.buildMappings(s, tab, cands)
+		}
+		for i, s := range set {
+			if err := sameMappings(got[i], beamByDefinition(s, tab.ids, cands)); err != nil {
+				t.Logf("seed %d, schema %d %v: %v", seed, i, s.Attributes, err)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMappingsDoNotAlias: a caller may keep, overwrite and append to one
+// AttrTo; no other mapping — of that schema or of the next one built in the
+// same scratch — may see it.
+func TestMappingsDoNotAlias(t *testing.T) {
+	tab := &nameTable{ids: map[string]int{"a": 0, "b": 1}}
+	cands := [][]candidate{{{med: 0, weight: 1}, {med: 1, weight: 0.5}}, {{med: 1, weight: 1}, {med: 0, weight: 0.5}}}
+	set := schema.Set{
+		{Name: "s0", Attributes: []string{"a", "b", "a"}},
+		{Name: "s1", Attributes: []string{"b", "a", "b"}},
+	}
+	bm := newBeam(set)
+	first := bm.buildMappings(set[0], tab, cands)
+	if len(first) != maxMappings {
+		t.Fatalf("%d mappings, want %d", len(first), maxMappings)
+	}
+	for k := range first[1].AttrTo {
+		first[1].AttrTo[k] = 99
+	}
+	_ = append(first[1].AttrTo, 99)
+	second := bm.buildMappings(set[1], tab, cands)
+
+	want := beamByDefinition(set[0], tab.ids, cands)
+	want[1].AttrTo = []int{99, 99, 99}
+	if err := sameMappings(first, want); err != nil {
+		t.Errorf("first schema after a write through its second mapping and another build: %v", err)
+	}
+	if err := sameMappings(second, beamByDefinition(set[1], tab.ids, cands)); err != nil {
+		t.Errorf("second schema: %v", err)
+	}
 }

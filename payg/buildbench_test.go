@@ -115,3 +115,43 @@ func TestBuildBenchArtifact(t *testing.T) {
 	}
 	t.Logf("wrote %s (%d sizes)", *buildBenchOut, len(rows))
 }
+
+// blockedCorpus is the gated build-blocked workload's corpus: ~560 domains.
+func blockedCorpus() []Schema {
+	return dataset.Large(dataset.LargeConfig{N: 6000, Domains: 120, Seed: 1})
+}
+
+// BenchmarkBuildBlocked is that workload's operation in-package — the whole
+// pipeline, mediation on — so it can run under -cpuprofile and -memprofile.
+func BenchmarkBuildBlocked(b *testing.B) {
+	set := blockedCorpus()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Build(set, Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkApplyFeedback moves one schema of that system to another domain:
+// what a single correction costs while the whole system is assembled again
+// for it (ROADMAP item 1c's baseline).
+func BenchmarkApplyFeedback(b *testing.B) {
+	sys, err := Build(blockedCorpus(), Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	assign := sys.Model().Clustering.Assign
+	fb := Feedback{Moves: []Move{{Schema: 0, Domain: assign[len(assign)-1]}}}
+	if assign[0] == fb.Moves[0].Domain {
+		b.Fatal("first and last schema share a domain: the move would be a no-op")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sys.ApplyFeedback(fb); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -55,6 +55,8 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"schemaflow/internal/candgen"
@@ -285,9 +287,10 @@ func Build(schemas []Schema, opts Options) (*System, error) {
 
 // BuildContext is Build with cooperative cancellation: ctx is checked
 // between pipeline stages (feature-space construction, clustering, domain
-// assignment, classifier setup, and each domain's mediation), so a caller
-// abandoning a long rebuild — e.g. the ingestion manager shutting down —
-// gets ctx.Err() back promptly instead of paying for the whole pipeline.
+// assignment, classifier setup, and mediation per domain, on every worker),
+// so a caller abandoning a long rebuild — e.g. the ingestion manager shutting
+// down — gets ctx.Err() back promptly instead of paying for the whole
+// pipeline.
 func BuildContext(ctx context.Context, schemas []Schema, opts Options) (*System, error) {
 	opts = opts.withDefaults()
 	if len(schemas) == 0 {
@@ -507,24 +510,56 @@ func (s *System) buildMediation(ctx context.Context) error {
 	mopts.TermSim = ts
 	mopts.TermTau = s.opts.TauTSim
 
-	s.mediated = make([]*mediate.Mediated, s.model.NumDomains())
-	for r := range s.model.Domains {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if s.localSet != nil && !s.localSet[r] {
-			continue // remote domain: another shard owns its mediation
-		}
-		var members schema.Set
-		for _, mem := range s.model.Domains[r].Members {
-			members = append(members, s.schemas[mem.Schema])
-		}
-		med, err := mediate.Build(members, mopts)
-		if err != nil {
-			return fmt.Errorf("payg: mediating domain %d: %w", r, err)
-		}
-		s.mediated[r] = med
+	// Domains are independent, and their sizes are skewed — most hold a few
+	// schemas, a few hold dozens — so workers claim one index at a time from
+	// a shared counter instead of owning a fixed range. Results and errors
+	// land by domain index: the worker count cannot change a byte.
+	n := s.model.NumDomains()
+	s.mediated = make([]*mediate.Mediated, n)
+	errs := make([]error, n)
+	var claimed atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), n); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				r := int(claimed.Add(1)) - 1
+				if r >= n {
+					return
+				}
+				if errs[r] = s.mediateDomain(ctx, r, mopts); errs[r] != nil {
+					return
+				}
+			}
+		}()
 	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err // the first by domain index, whichever worker met it
+		}
+	}
+	return nil
+}
+
+// mediateDomain fills s.mediated[r], unless another shard owns domain r.
+func (s *System) mediateDomain(ctx context.Context, r int, mopts mediate.Options) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if s.localSet != nil && !s.localSet[r] {
+		return nil
+	}
+	members := make(schema.Set, len(s.model.Domains[r].Members))
+	for i, mem := range s.model.Domains[r].Members {
+		members[i] = s.schemas[mem.Schema]
+	}
+	med, err := mediate.Build(members, mopts)
+	if err != nil {
+		return fmt.Errorf("payg: mediating domain %d: %w", r, err)
+	}
+	s.mediated[r] = med
 	return nil
 }
 
