@@ -1,8 +1,7 @@
 // Package candgen generates candidate schema pairs for sub-quadratic
-// clustering: MinHash signatures over the binary feature vectors, locality-
-// sensitive-hash banding to surface pairs likely to clear a Jaccard
-// threshold, and a signature-agreement filter that discards bucket
-// collisions whose estimated similarity is hopeless.
+// clustering: MinHash signatures over the binary feature vectors and
+// locality-sensitive-hash banding to surface pairs likely to clear a Jaccard
+// threshold.
 //
 // The offline pipeline's only O(n²) obligation is knowing which schema
 // pairs are similar enough to influence clustering. The thesis computes
@@ -17,15 +16,14 @@
 //     collide in a band iff all r components agree, so a pair of true
 //     similarity s becomes a candidate with probability 1−(1−s^r)^b
 //     (CollisionProb) — an S-curve tuned to pass pairs above the
-//     clustering threshold and drop the rest;
-//   - surviving pairs are optionally filtered by the full-signature
-//     agreement fraction (Estimate), an unbiased Jaccard estimator with
-//     standard error ≤ 1/(2√k).
+//     clustering threshold and drop the rest.
 //
+// Every collision is a candidate: a filter on the signatures' agreement
+// fraction costs clustering quality (DESIGN.md, "Candidate generation").
 // Downstream, exact similarities are computed for candidates only
 // (cluster.PairwiseSims) and absent pairs are treated as zero-similarity.
 // Everything is deterministic for a fixed Config: hashing is seeded, and
-// band buckets are processed in sorted order.
+// the pair list does not depend on the worker count.
 package candgen
 
 import (
@@ -35,6 +33,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"schemaflow/internal/bitvec"
 )
@@ -57,23 +56,16 @@ type Config struct {
 	// downstream average linkage needs low-similarity pairs too, not just
 	// the ones that can trigger a merge by themselves.
 	Rows int
-	// Threshold discards candidate pairs whose signature-estimated Jaccard
-	// (Estimate) falls below it. Zero keeps every banding collision.
-	// Callers typically pass half the clustering threshold: low enough
-	// that estimator noise (σ ≈ 0.04 at k=128) cannot evict a pair that
-	// truly clears τ_c_sim, high enough to drop the accidental collisions
-	// banding lets through.
-	Threshold float64
 	// Seed perturbs the MinHash hash functions. Builds with equal seeds
 	// are bit-identical; the default 0 is a fixed, valid seed.
 	Seed int64
 	// Workers bounds the goroutines used for signature computation and
-	// the estimate filter. 0 means GOMAXPROCS.
+	// banding. 0 means GOMAXPROCS.
 	Workers int
 }
 
 // DefaultConfig returns the tuning used by the blocked build path:
-// 128 bands × 2 rows (k = 256) with no estimate filter.
+// 128 bands × 2 rows (k = 256).
 func DefaultConfig() Config {
 	return Config{Bands: 128, Rows: 2}
 }
@@ -87,9 +79,6 @@ func (c Config) normalized() (Config, error) {
 	}
 	if c.Bands < 1 || c.Rows < 1 || c.Bands*c.Rows > 4096 {
 		return c, fmt.Errorf("candgen: bands %d × rows %d outside [1,1] .. k≤4096", c.Bands, c.Rows)
-	}
-	if math.IsNaN(c.Threshold) || c.Threshold < 0 || c.Threshold > 1 {
-		return c, fmt.Errorf("candgen: threshold %v outside [0,1]", c.Threshold)
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
@@ -118,20 +107,6 @@ func (s *SignatureSet) N() int { return s.n }
 
 // K returns the signature length Bands·Rows.
 func (s *SignatureSet) K() int { return s.k }
-
-// Estimate returns the signature-agreement estimate of Jaccard(i, j): the
-// fraction of the k components on which the two signatures agree.
-func (s *SignatureSet) Estimate(i, j int) float64 {
-	a := s.sigs[i*s.k : (i+1)*s.k]
-	b := s.sigs[j*s.k : (j+1)*s.k]
-	eq := 0
-	for t := range a {
-		if a[t] == b[t] {
-			eq++
-		}
-	}
-	return float64(eq) / float64(s.k)
-}
 
 // splitmix64 is the SplitMix64 finalizer — a cheap, well-mixed 64-bit
 // permutation used to derive per-component hash parameters and to fold band
@@ -215,154 +190,117 @@ func Signatures(ctx context.Context, vecs []*bitvec.Vector, cfg Config) (*Signat
 	return ss, nil
 }
 
-// Pairs runs LSH banding over the signatures and returns the deduplicated
-// candidate pairs (A < B, sorted lexicographically), filtered by
-// cfg.Threshold on the signature-estimated Jaccard.
+// bandKey folds rows band·r .. band·r+r−1 of schema i's signature into the
+// band's bucket key: the top 16 bits of a splitmix64 chain. The narrow width
+// is deliberate — a band's whole key space is one 65,536-entry table — and
+// part of the output: accidental key collisions (~n²/2¹⁷ pairs per band) only
+// ADD candidate pairs, so recall cannot drop, and the extras are priced by the
+// exact similarity pass like every other candidate.
+func (s *SignatureSet) bandKey(band, i int) uint16 {
+	h := splitmix64(uint64(band) + 0xb1ade5)
+	for _, c := range s.sigs[i*s.k+band*s.cfg.Rows:][:s.cfg.Rows] {
+		h = splitmix64(h ^ uint64(c))
+	}
+	return uint16(h >> 48)
+}
+
+// gatherBlock is how many consecutive schemas a Pairs worker claims at a
+// time: small enough that the skew (low schemas have the longest chains)
+// spreads over the workers, large enough that the shared counter and the
+// per-block result slice are noise.
+const gatherBlock = 64
+
+// Pairs runs LSH banding over the signatures and returns the candidate
+// pairs: every a < b whose keys (bandKey) agree in at least one band, each
+// once, sorted by (A, B).
 //
-// Each band sorts (bucket key, schema) entries and scans runs of equal
-// keys; a colliding pair is emitted only by the FIRST band in which it
-// collides (checked by re-hashing the earlier bands of the two signatures),
-// so no global dedup set is needed and the output is deterministic. Bands
-// are processed in parallel; ctx is polled throughout.
+// Pass 1, per band: link each schema to the next-higher schema holding the
+// same key. Order inside a bucket carries no meaning for the output, so no
+// band is ever sorted — one descending scan over a key → lowest-schema-so-far
+// table threads the chains, and they ascend because the scan descends.
+// Pass 2, per schema a: walk a's chain in every band. Everything on a chain
+// is a partner b > a; a partner met in several bands is kept once (stamp),
+// and the few hundred survivors are sorted and emitted. Schemas are claimed
+// in blocks and the blocks concatenated in index order, so the output is
+// sorted by construction and the same for every worker count. ctx is polled
+// per band and per block.
 func (s *SignatureSet) Pairs(ctx context.Context) ([]Pair, error) {
-	cfg := s.cfg
-	// bandKeys is schema-major — bandKeys[i*Bands+band] — so the
-	// first-colliding-band backscan below walks two contiguous rows
-	// instead of striding across the corpus per band. Keys are the top 16
-	// bits of a splitmix64 fold. The narrow width is deliberate: the whole
-	// table is 2·Bands bytes per schema (a few MB even at 100k), so the
-	// backscan's random row accesses stay cache-resident, and bucketing
-	// becomes a two-pass counting sort instead of a comparison sort.
-	// Accidental key collisions (~n²/2¹⁷ pairs per band) only ADD
-	// candidate pairs — recall cannot drop — and the extras are priced by
-	// the exact similarity pass like every other candidate.
-	bandKeys := make([]uint16, cfg.Bands*s.n)
-	// bandKey(b, i) folds rows b·r .. b·r+r−1 of signature i.
-	key := func(band, i int) uint16 {
-		h := splitmix64(uint64(band) + 0xb1ade5)
-		sig := s.sigs[i*s.k+band*cfg.Rows:]
-		for t := 0; t < cfg.Rows; t++ {
-			h = splitmix64(h ^ uint64(sig[t]))
-		}
-		return uint16(h >> 48)
-	}
-	for i := 0; i < s.n; i++ {
-		for band := 0; band < cfg.Bands; band++ {
-			bandKeys[i*cfg.Bands+band] = key(band, i)
-		}
-	}
+	n, bands, workers := s.n, s.cfg.Bands, s.cfg.Workers
 
-	perBand := make([][]uint64, cfg.Bands)
-	var firstErr error
-	var errOnce sync.Once
-	fail := func(e error) { errOnce.Do(func() { firstErr = e }) }
-
-	// bufs both bounds concurrency at cfg.Workers and recycles the per-
-	// band working buffers: a worker slot's scratch is reused by every
-	// band that runs in that slot instead of reallocated per band.
-	bufs := make(chan *bandScratch, cfg.Workers)
-	for w := 0; w < cfg.Workers; w++ {
-		bufs <- nil
-	}
+	// next[i*bands+band] is the next-higher schema sharing i's key in that
+	// band, 0 for none (schema 0 is nobody's next-higher). Schema-major, so
+	// pass 2 finds a schema's chains in one contiguous row.
+	next := make([]int32, n*bands)
 	var wg sync.WaitGroup
-	for band := 0; band < cfg.Bands; band++ {
-		wg.Add(1)
-		bs := <-bufs
-		if bs == nil {
-			bs = &bandScratch{
-				keysRow: make([]uint16, s.n),
-				sorted:  make([]uint64, s.n),
-				cnt:     make([]int32, 1<<16+1),
-			}
+	for w := 0; w < workers; w++ {
+		// Contiguous band ranges: no two workers write the same cache line
+		// of a row.
+		lo, hi := w*bands/workers, (w+1)*bands/workers
+		if lo == hi {
+			continue
 		}
-		go func(band int, bs *bandScratch) {
+		wg.Add(1)
+		go func() {
 			defer wg.Done()
-			defer func() { bufs <- bs }()
-			// Bucket the corpus by band key with a stable two-pass
-			// counting sort over the 16-bit key space; the packed
-			// (key << 32 | schema) output is ordered exactly as a
-			// comparison sort by (key, schema) would produce.
-			keysRow, sorted, cnt := bs.keysRow, bs.sorted, bs.cnt
-			clear(cnt)
-			for i := 0; i < s.n; i++ {
-				k := bandKeys[i*cfg.Bands+band]
-				keysRow[i] = k
-				cnt[int(k)+1]++
-			}
-			for k := 0; k < 1<<16; k++ {
-				cnt[k+1] += cnt[k]
-			}
-			for i := 0; i < s.n; i++ {
-				k := keysRow[i]
-				sorted[cnt[k]] = uint64(k)<<32 | uint64(uint32(i))
-				cnt[k]++
-			}
-			kvs := sorted
-			var out []uint64
-			for lo := 0; lo < len(kvs); {
-				hi := lo + 1
-				for hi < len(kvs) && kvs[hi]>>32 == kvs[lo]>>32 {
-					hi++
+			head := make([]int32, 1<<16) // key → lowest schema seen so far, 0 for none
+			keys := make([]uint16, n)
+			for band := lo; band < hi && ctx.Err() == nil; band++ {
+				for i := n - 1; i >= 0; i-- {
+					k := s.bandKey(band, i)
+					keys[i] = k
+					next[i*bands+band] = head[k]
+					head[k] = int32(i)
 				}
-				if hi-lo > 1 {
-					if ctx.Err() != nil {
-						fail(ctx.Err())
-						return
-					}
-					// kvs is sorted by (key, i), so within a run the
-					// indices ascend: a < b without normalizing.
-					for x := lo; x < hi; x++ {
-						a := int32(uint32(kvs[x]))
-						aRow := bandKeys[int(a)*cfg.Bands : int(a)*cfg.Bands+band]
-						for y := x + 1; y < hi; y++ {
-							b := int32(uint32(kvs[y]))
-							// Slicing bRow to aRow's length lets the
-							// compiler drop the bounds check in the scan.
-							bRow := bandKeys[int(b)*cfg.Bands:][:len(aRow)]
-							// Emit only from the first colliding band.
-							first := true
-							for eb, ak := range aRow {
-								if ak == bRow[eb] {
-									first = false
-									break
-								}
-							}
-							if !first {
-								continue
-							}
-							if cfg.Threshold > 0 && s.Estimate(int(a), int(b)) < cfg.Threshold {
-								continue
-							}
-							out = append(out, uint64(uint32(a))<<32|uint64(uint32(b)))
-						}
-					}
+				// Reset by the n keys just seen, not by 65,536 slots.
+				for _, k := range keys {
+					head[k] = 0
 				}
-				lo = hi
 			}
-			perBand[band] = out
-		}(band, bs)
+		}()
 	}
 	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 
-	total := 0
-	for _, p := range perBand {
-		total += len(p)
+	blocks := make([][]Pair, (n+gatherBlock-1)/gatherBlock)
+	var claimed atomic.Int64
+	for w := 0; w < min(workers, len(blocks)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			stamp := make([]int32, n) // stamp[b] == a+1: b is already a partner of a
+			var partners []int32
+			for ctx.Err() == nil {
+				bi := int(claimed.Add(1)) - 1
+				if bi >= len(blocks) {
+					return
+				}
+				var out []Pair
+				for a := bi * gatherBlock; a < min((bi+1)*gatherBlock, n); a++ {
+					partners = partners[:0]
+					for band, b := range next[a*bands:][:bands] {
+						for ; b != 0; b = next[int(b)*bands+band] {
+							if stamp[b] != int32(a)+1 {
+								stamp[b] = int32(a) + 1
+								partners = append(partners, b)
+							}
+						}
+					}
+					slices.Sort(partners)
+					for _, b := range partners {
+						out = append(out, Pair{A: int32(a), B: b})
+					}
+				}
+				blocks[bi] = out
+			}
+		}()
 	}
-	// Pairs are packed as uint64(A)<<32|B: A and B are non-negative, so
-	// packed keys order exactly like (A asc, B asc) and sort as integers.
-	packed := make([]uint64, 0, total)
-	for _, p := range perBand {
-		packed = append(packed, p...)
+	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	slices.Sort(packed)
-	pairs := make([]Pair, len(packed))
-	for i, v := range packed {
-		pairs[i] = Pair{A: int32(v >> 32), B: int32(uint32(v))}
-	}
-	return pairs, nil
+	return slices.Concat(blocks...), nil
 }
 
 // Pairs is the one-call path: signatures plus banding.
@@ -388,12 +326,4 @@ func AllPairs(n int) []Pair {
 		}
 	}
 	return out
-}
-
-// bandScratch is one worker slot's reusable banding state: the gathered
-// key row, the counting-sort output, and the 16-bit-key count array.
-type bandScratch struct {
-	keysRow []uint16
-	sorted  []uint64
-	cnt     []int32
 }

@@ -2,8 +2,17 @@ package candgen_test
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"errors"
 	"math"
+	"math/rand"
+	"runtime"
+	"slices"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"schemaflow/internal/bitvec"
 	. "schemaflow/internal/candgen"
@@ -68,11 +77,6 @@ func TestSignaturesDeterministicAndSeeded(t *testing.T) {
 	if same {
 		t.Fatal("different seeds produced identical signatures")
 	}
-	for i := range vecs {
-		if est := a.Estimate(i, i); est != 1 {
-			t.Fatalf("Estimate(%d,%d) = %v, want 1", i, i, est)
-		}
-	}
 }
 
 func TestEstimateTracksJaccard(t *testing.T) {
@@ -92,8 +96,14 @@ func TestEstimateTracksJaccard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if est := ss.Estimate(0, 1); math.Abs(est-truth) > 0.12 {
-		t.Errorf("Estimate = %v, true Jaccard = %v", est, truth)
+	sigs, agree := RawSigs(ss), 0
+	for c := 0; c < ss.K(); c++ {
+		if sigs[c] == sigs[ss.K()+c] {
+			agree++
+		}
+	}
+	if est := float64(agree) / float64(ss.K()); math.Abs(est-truth) > 0.12 {
+		t.Errorf("agreement fraction = %v, true Jaccard = %v", est, truth)
 	}
 }
 
@@ -134,26 +144,10 @@ func TestPairsSortedDedupedAndWorkerInvariant(t *testing.T) {
 	}
 }
 
-func TestThresholdFiltersPairs(t *testing.T) {
-	vecs := testVectors(t, 300, 6)
-	ctx := context.Background()
-	loose, err := Pairs(ctx, vecs, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tight, err := Pairs(ctx, vecs, Config{Threshold: 0.4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tight) >= len(loose) {
-		t.Errorf("threshold 0.4 kept %d of %d pairs; expected a strict reduction", len(tight), len(loose))
-	}
-}
-
 // TestRecallAboveThreshold is the satellite property test: on seeded
 // corpora, LSH candidates must cover ≥95% of the pairs whose true Jaccard
 // clears the clustering threshold τ_c_sim = 0.25, using the production
-// defaults (64×2 banding, candidate threshold τ/2).
+// defaults (128×2 banding, every collision kept).
 func TestRecallAboveThreshold(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -169,7 +163,7 @@ func TestRecallAboveThreshold(t *testing.T) {
 			sp := feature.BuildLite(set, feature.DefaultConfig())
 			vecs := sp.Vectors
 
-			cand, err := Pairs(context.Background(), vecs, Config{Threshold: 0.125, Seed: tc.seed})
+			cand, err := Pairs(context.Background(), vecs, Config{Seed: tc.seed})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -202,6 +196,20 @@ func TestRecallAboveThreshold(t *testing.T) {
 	}
 }
 
+// pollCtx reports context.Canceled from its (left+1)-th Err call on, so a
+// sweep over left cancels Pairs at each of its poll sites in turn.
+type pollCtx struct {
+	context.Context
+	left atomic.Int64
+}
+
+func (c *pollCtx) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
 func TestPairsCancellation(t *testing.T) {
 	vecs := testVectors(t, 300, 6)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -211,6 +219,145 @@ func TestPairsCancellation(t *testing.T) {
 	}
 	if _, err := Pairs(ctx, vecs, Config{}); err == nil {
 		t.Error("Pairs ignored a canceled context")
+	}
+
+	// Cancel at every poll of the banding, first to last: each run returns
+	// context.Canceled with its workers gone, and the first run to finish is
+	// late enough that the polls before it reach into the gather (one per
+	// band and one between the passes come first).
+	for _, workers := range []int{1, 3} {
+		cfg := Config{Workers: workers}
+		ss, err := Signatures(context.Background(), vecs, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ss.Pairs(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := runtime.NumGoroutine()
+		blocks := (len(vecs) + GatherBlock - 1) / GatherBlock
+		for polls := 0; ; polls++ {
+			pc := &pollCtx{Context: context.Background()}
+			pc.left.Store(int64(polls))
+			got, err := ss.Pairs(pc)
+			for i := 0; runtime.NumGoroutine() > start && i < 1000; i++ {
+				time.Sleep(time.Millisecond)
+			}
+			if g := runtime.NumGoroutine(); g > start {
+				t.Fatalf("workers=%d, canceled at poll %d: %d goroutines, started with %d", workers, polls, g, start)
+			}
+			if err == nil {
+				if !slices.Equal(got, want) {
+					t.Fatalf("workers=%d: uncanceled run after %d polls differs from the reference", workers, polls)
+				}
+				if floor := DefaultConfig().Bands + 1 + blocks; polls < floor {
+					t.Errorf("workers=%d: Pairs finished after %d polls, want ≥ %d (per band, between passes, per block)", workers, polls, floor)
+				}
+				break
+			}
+			if !errors.Is(err, context.Canceled) || got != nil {
+				t.Fatalf("workers=%d, canceled at poll %d: got %d pairs, err %v", workers, polls, len(got), err)
+			}
+		}
+	}
+}
+
+// TestPropertyPairsIsTheDefinition holds Pairs to what it is documented to
+// return — every a < b whose band keys agree in at least one band, once,
+// sorted — on corpora that stress the gather: duplicate vectors (one bucket
+// holding everything, in every band), all-empty vectors, sizes around the
+// block boundary, one band and many, one worker and more workers than blocks.
+func TestPropertyPairsIsTheDefinition(t *testing.T) {
+	corpus := func(kind string, n int, rng *rand.Rand) []*bitvec.Vector {
+		const dim = 96
+		vecs := make([]*bitvec.Vector, n)
+		for i := range vecs {
+			switch kind {
+			case "empty":
+				vecs[i] = bitvec.New(dim)
+			case "duplicates":
+				vecs[i] = bitvec.FromIndices(dim, 3, 17, 40, 41)
+			default: // a few loose groups plus noise, some exact repeats
+				v := bitvec.New(dim)
+				base := rng.Intn(4) * 20
+				for j := 0; j < 8; j++ {
+					if rng.Intn(3) > 0 {
+						v.Set(base + j)
+					}
+				}
+				v.Set(rng.Intn(dim))
+				vecs[i] = v
+			}
+		}
+		return vecs
+	}
+	rng := rand.New(rand.NewSource(24))
+	for _, kind := range []string{"random", "duplicates", "empty"} {
+		for _, n := range []int{0, 1, 2, 65, 200} {
+			vecs := corpus(kind, n, rng)
+			for _, geo := range [][2]int{{1, 1}, {16, 4}, {128, 2}} {
+				for _, workers := range []int{1, 2, 7} {
+					cfg := Config{Bands: geo[0], Rows: geo[1], Seed: int64(n), Workers: workers}
+					ss, err := Signatures(context.Background(), vecs, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := ss.Pairs(context.Background())
+					if err != nil {
+						t.Fatal(err)
+					}
+					var want []Pair
+					for a := 0; a < n; a++ {
+						for b := a + 1; b < n; b++ {
+							for band := 0; band < geo[0]; band++ {
+								if BandKey(ss, band, a) == BandKey(ss, band, b) {
+									want = append(want, Pair{A: int32(a), B: int32(b)})
+									break
+								}
+							}
+						}
+					}
+					if !slices.Equal(got, want) {
+						t.Fatalf("%s n=%d %d×%d workers=%d: %d pairs, the definition gives %d", kind, n, geo[0], geo[1], workers, len(got), len(want))
+					}
+					if kind != "random" && len(want) != n*(n-1)/2 {
+						t.Fatalf("%s n=%d: identical vectors should collide everywhere, got %d pairs", kind, n, len(want))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPairsDigests pins the candidate list of two build-sized corpora —
+// the first is the gated build-blocked workload's — to sha256 digests
+// recorded from the counting-sort implementation this one replaced
+// (little-endian A, B per pair).
+func TestPairsDigests(t *testing.T) {
+	for _, tc := range []struct {
+		corpus dataset.LargeConfig
+		pairs  int
+		sha    string
+	}{
+		{dataset.LargeConfig{N: 6000, Domains: 120, Seed: 1}, 311447, "0a55a09aabac2bd014dcdd233f7bef2525b150682d3f7ac138edb22a0d31d939"},
+		{dataset.LargeConfig{N: 1500, Seed: 3}, 159042, "bda3524b4977f149c583a97d4c06ae7d3e040f585240e88a75cc3d6c66605535"},
+	} {
+		sp := feature.BuildLite(dataset.Large(tc.corpus), feature.DefaultConfig())
+		pairs, err := Pairs(context.Background(), sp.Vectors, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		var buf [8]byte
+		for _, p := range pairs {
+			binary.LittleEndian.PutUint32(buf[:4], uint32(p.A))
+			binary.LittleEndian.PutUint32(buf[4:], uint32(p.B))
+			h.Write(buf[:])
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); len(pairs) != tc.pairs || got != tc.sha {
+			t.Errorf("%+v: %d pairs, sha256 %s; recorded %d pairs, %s", tc.corpus, len(pairs), got, tc.pairs, tc.sha)
+		}
 	}
 }
 
@@ -234,10 +381,8 @@ func TestConfigValidation(t *testing.T) {
 	vecs := testVectors(t, 10, 2)
 	ctx := context.Background()
 	for _, cfg := range []Config{
-		{Bands: 64, Rows: 65},   // k > 4096
-		{Threshold: math.NaN()}, // NaN threshold
-		{Threshold: 1.5},        // out of range
-		{Bands: -1, Rows: 2},    // negative bands
+		{Bands: 64, Rows: 65}, // k > 4096
+		{Bands: -1, Rows: 2},  // negative bands
 	} {
 		if _, err := Pairs(ctx, vecs, cfg); err == nil {
 			t.Errorf("config %+v accepted, want error", cfg)

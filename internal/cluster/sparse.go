@@ -77,23 +77,33 @@ func PairwiseSims(ctx context.Context, sp *feature.Space, pairs []candgen.Pair, 
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	// Drop duplicates (sorted input makes them adjacent) and validate.
-	dedup := pairs[:0:0]
-	var prev candgen.Pair
+	// Validate, and drop duplicates (sorted input makes them adjacent).
+	// candgen never emits one, so the input is read in place and copied only
+	// from the first duplicate on; the caller's slice is never written.
+	var dedup []candgen.Pair
 	for idx, p := range pairs {
 		if p.A >= p.B || p.A < 0 || int(p.B) >= n {
 			return nil, fmt.Errorf("cluster: candidate pair (%d,%d) invalid for n=%d", p.A, p.B, n)
 		}
-		if idx > 0 && p == prev {
-			continue
+		if idx > 0 {
+			prev := pairs[idx-1]
+			if p == prev {
+				if dedup == nil {
+					dedup = append(make([]candgen.Pair, 0, len(pairs)-1), pairs[:idx]...)
+				}
+				continue
+			}
+			if p.A < prev.A || (p.A == prev.A && p.B < prev.B) {
+				return nil, fmt.Errorf("cluster: candidate pairs not sorted at index %d", idx)
+			}
 		}
-		if idx > 0 && (p.A < prev.A || (p.A == prev.A && p.B < prev.B)) {
-			return nil, fmt.Errorf("cluster: candidate pairs not sorted at index %d", idx)
+		if dedup != nil {
+			dedup = append(dedup, p)
 		}
-		dedup = append(dedup, p)
-		prev = p
 	}
-	pairs = dedup
+	if dedup != nil {
+		pairs = dedup
+	}
 
 	sims := make([]float64, len(pairs))
 
@@ -475,51 +485,11 @@ func agglomerate(ctx context.Context, sp *feature.Space, link Linkage, tau float
 	if n == 0 {
 		return &Result{}, nil
 	}
-	opts = opts.normalized()
 	link.init(sp)
-
-	st := &sparseState{
-		n:      n,
-		link:   link,
-		tau:    tau,
-		active: make([]bool, n),
-		size:   make([]int, n),
-		rows:   make([]sparseRow, n),
-		parent: make([]int, n),
-		best:   newBestHeap(n),
-		opts:   opts,
-		tailV:  make([]float64, n),
-		inTail: make([]bool, n),
+	st, err := newSparseState(ctx, link, ps, opts.normalized(), consume)
+	if err != nil {
+		return nil, err
 	}
-	for i := 0; i < n; i++ {
-		if i%4096 == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		st.active[i] = true
-		st.size[i] = 1
-		st.parent[i] = i
-		// CSR rows ascend by neighbor, as rows must. Capacity is pinned so
-		// that a row outgrowing its slot reallocates instead of running into
-		// the next one.
-		lo, hi := ps.rowStart[i], ps.rowStart[i+1]
-		keys, vals := ps.nbr[lo:hi:hi], ps.sim[lo:hi:hi]
-		if !consume {
-			keys, vals = st.allocKV(keys, vals)
-		}
-		st.rows[i] = sparseRow{keys: keys, vals: vals}
-		bs, bp := -1.0, int32(-1)
-		for k, s := range vals {
-			// Strict > on an ascending scan keeps the lowest partner,
-			// which is the lexicographically smallest pair at this sim.
-			if s > bs {
-				bs, bp = s, keys[k]
-			}
-		}
-		st.best.sim[i], st.best.partner[i] = bs, bp
-	}
-	st.best.build()
 
 	numActive := n
 	var merges []Merge
@@ -571,11 +541,59 @@ func agglomerate(ctx context.Context, sp *feature.Space, link Linkage, tau float
 	return assembleResult(n, st.parent, merges), nil
 }
 
+// newSparseState is the state before the first merge: singleton clusters over
+// ps' rows — copied, or taken as they are with consume — and each cluster's
+// best edge, heapified. link must already be initialised over the space.
+func newSparseState(ctx context.Context, link Linkage, ps *PairSims, opts SparseOptions, consume bool) (*sparseState, error) {
+	n := ps.N()
+	st := &sparseState{
+		n:      n,
+		link:   link,
+		active: make([]bool, n),
+		size:   make([]int, n),
+		rows:   make([]sparseRow, n),
+		parent: make([]int, n),
+		best:   newBestHeap(n),
+		opts:   opts,
+		tailV:  make([]float64, n),
+		inTail: make([]bool, n),
+	}
+	for i := 0; i < n; i++ {
+		if i%4096 == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
+		st.active[i] = true
+		st.size[i] = 1
+		st.parent[i] = i
+		// CSR rows ascend by neighbor, as rows must. Capacity is pinned so
+		// that a row outgrowing its slot reallocates instead of running into
+		// the next one.
+		lo, hi := ps.rowStart[i], ps.rowStart[i+1]
+		keys, vals := ps.nbr[lo:hi:hi], ps.sim[lo:hi:hi]
+		if !consume {
+			keys, vals = st.allocKV(keys, vals)
+		}
+		st.rows[i] = sparseRow{keys: keys, vals: vals}
+		bs, bp := -1.0, int32(-1)
+		for k, s := range vals {
+			// Strict > on an ascending scan keeps the lowest partner,
+			// which is the lexicographically smallest pair at this sim.
+			if s > bs {
+				bs, bp = s, keys[k]
+			}
+		}
+		st.best.sim[i], st.best.partner[i] = bs, bp
+	}
+	st.best.build()
+	return st, nil
+}
+
 // sparseState is the working state of one sparse agglomeration run.
 type sparseState struct {
 	n      int
 	link   Linkage
-	tau    float64
 	active []bool
 	size   []int
 	// rows[i] holds cluster i's current neighbor similarities. The
@@ -591,6 +609,7 @@ type sparseState struct {
 	union        []int32
 	sims         []float64
 	simsA, simsB []float64
+	fromA        []bool // union[k] was a neighbor of the merge's winner
 	normK        [2][]int32
 	normV        [2][]float64
 	// Tail-fold scratch: a cluster-indexed table that collapses repeated
@@ -758,16 +777,18 @@ func (st *sparseState) merge(a, b int32) {
 	st.union = st.union[:0]
 	st.simsA = st.simsA[:0]
 	st.simsB = st.simsB[:0]
+	st.fromA = st.fromA[:0]
 	i, j := 0, 0
 	for i < len(aK) || j < len(bK) {
 		var c int32
 		var sa, sb float64
+		inA := true
 		switch {
 		case j >= len(bK) || (i < len(aK) && aK[i] < bK[j]):
 			c, sa = aK[i], aV[i]
 			i++
 		case i >= len(aK) || bK[j] < aK[i]:
-			c, sb = bK[j], bV[j]
+			c, sb, inA = bK[j], bV[j], false
 			j++
 		default:
 			c, sa, sb = aK[i], aV[i], bV[j]
@@ -780,6 +801,7 @@ func (st *sparseState) merge(a, b int32) {
 		st.union = append(st.union, c)
 		st.simsA = append(st.simsA, sa)
 		st.simsB = append(st.simsB, sb)
+		st.fromA = append(st.fromA, inA)
 	}
 
 	if cap(st.sims) < len(st.union) {
@@ -806,7 +828,8 @@ func (st *sparseState) merge(a, b int32) {
 	// which keeps a dense corpus from allocating a row per merge. Neighbors
 	// take the new similarity where they already hold the edge, in their
 	// tails where the merge just created it, and have their best-edge keys
-	// reconciled in place.
+	// reconciled in place. A neighbor only b's row held cannot hold the edge
+	// (rows are symmetric), so it is not searched for it.
 	ra := &st.rows[a]
 	if cap(ra.keys) >= len(st.union) {
 		ra.keys = append(ra.keys[:0], st.union...)
@@ -819,7 +842,11 @@ func (st *sparseState) merge(a, b int32) {
 	for k, c := range st.union {
 		s := st.sims[k]
 		rc := &st.rows[c]
-		if t := rc.find(a, st.n); t >= 0 {
+		t := -1
+		if st.fromA[k] {
+			t = rc.find(a, st.n)
+		}
+		if t >= 0 {
 			rc.vals[t] = s
 		} else {
 			rc.xk = append(rc.xk, a)

@@ -7,6 +7,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -89,13 +91,26 @@ func TestPairwiseSimsRejectsBadInput(t *testing.T) {
 	if _, err := PairwiseSims(ctx, sp, []candgen.Pair{{A: 1, B: 2}, {A: 0, B: 1}}, 1); err == nil {
 		t.Error("accepted unsorted pairs")
 	}
-	// Duplicates are tolerated and collapsed.
-	ps, err := PairwiseSims(ctx, sp, []candgen.Pair{{A: 0, B: 1}, {A: 0, B: 1}}, 1)
+	if _, err := PairwiseSims(ctx, sp, []candgen.Pair{{A: 0, B: 1}, {A: 0, B: 1}, {A: 0, B: 0}}, 1); err == nil {
+		t.Error("accepted pair with A = B after a duplicate")
+	}
+	// Duplicates are tolerated and collapsed, wherever they sit, and the
+	// caller's slice is left as it was.
+	dup := []candgen.Pair{{A: 0, B: 1}, {A: 0, B: 2}, {A: 0, B: 2}, {A: 0, B: 2}, {A: 1, B: 2}, {A: 1, B: 2}}
+	in := slices.Clone(dup)
+	got, err := PairwiseSims(ctx, sp, in, 1)
 	if err != nil {
 		t.Fatalf("duplicate pairs rejected: %v", err)
 	}
-	if ps.NumPairs() > 1 {
-		t.Errorf("duplicate pair stored twice: %d pairs", ps.NumPairs())
+	if !slices.Equal(in, dup) {
+		t.Errorf("input slice rewritten: %v", in)
+	}
+	want, err := PairwiseSims(ctx, sp, slices.Compact(slices.Clone(dup)), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("duplicates changed the result: %d pairs stored, %d without them", got.NumPairs(), want.NumPairs())
 	}
 }
 
@@ -394,5 +409,78 @@ func TestSparseRejectsBadTauAndSizeMismatch(t *testing.T) {
 	other := buildSpace(t, twoDomainSet()[:3])
 	if _, err := AgglomerativeSparse(context.Background(), other, NewLinkage(AvgJaccard), 0.2, ps, SparseOptions{}); err == nil {
 		t.Error("accepted pair sims for a different corpus size")
+	}
+}
+
+// TestMergeNeighborOfTheLoserAloneDoesNotHoldTheWinner asserts what merge's
+// skipped lookup rests on, directly: when b folds into a, a live neighbor
+// found in b's row and not in a's holds no edge to a — not in the sorted part
+// of its row, which is all the lookup would search, and not in its tail. The
+// graph is random and sparse (most merges meet such neighbors), the merge
+// order is random too, and the min linkage writes explicit zeros, so a
+// similarity of 0 on a's side does not stand in for "absent from a's row".
+func TestMergeNeighborOfTheLoserAloneDoesNotHoldTheWinner(t *testing.T) {
+	const n = 240
+	rng := rand.New(rand.NewSource(24))
+	ps := newPairSims(n)
+	type edge struct {
+		a, b int32
+		s    float64
+	}
+	var edges []edge
+	for a := int32(0); a < n; a++ {
+		for b := a + 1; b < n; b++ {
+			if rng.Intn(12) == 0 {
+				edges = append(edges, edge{a, b, float64(1+rng.Intn(8)) / 8})
+			}
+		}
+	}
+	for _, e := range edges {
+		ps.count(e.a, e.b, e.s)
+	}
+	ps.alloc()
+	for _, e := range edges {
+		ps.put(e.a, e.b, e.s)
+	}
+
+	for _, method := range []Method{AvgJaccard, MinJaccard} {
+		st, err := newSparseState(context.Background(), NewLinkage(method), ps, SparseOptions{}.normalized(), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live := make([]int32, n)
+		for i := range live {
+			live[i] = int32(i)
+		}
+		checked := 0
+		for len(live) > 1 {
+			// Half the merges follow an edge, as the engine's always do.
+			x := rng.Intn(len(live))
+			a, b := live[x], live[(x+1+rng.Intn(len(live)-1))%len(live)]
+			if keys, _ := st.normalized(&st.rows[a], 0); len(keys) > 0 && rng.Intn(2) == 0 {
+				if c := keys[rng.Intn(len(keys))]; st.active[c] {
+					b = c
+				}
+			}
+			if a > b {
+				a, b = b, a
+			}
+			aK, _ := st.normalized(&st.rows[a], 0)
+			bK, _ := st.normalized(&st.rows[b], 1)
+			for _, c := range bK {
+				if c == a || !st.active[c] || slices.Contains(aK, c) {
+					continue
+				}
+				checked++
+				if rc := &st.rows[c]; rc.find(a, n) >= 0 || slices.Contains(rc.xk, a) {
+					t.Fatalf("%v: merging %d into %d: neighbor %d of %d alone holds an edge to %d", method, b, a, c, b, a)
+				}
+			}
+			st.merge(a, b)
+			live = slices.DeleteFunc(live, func(c int32) bool { return c == b })
+		}
+		if checked < n {
+			t.Fatalf("%v: only %d neighbors checked; the graph is not exercising the skip", method, checked)
+		}
 	}
 }

@@ -13,7 +13,7 @@ func TestTermVectorizerMatchesCandgen(t *testing.T) {
 	// the candgen call, not a reimplementation.
 	set := dataset.Large(dataset.LargeConfig{N: 400, Domains: 8, Seed: 3})
 	sp := BuildLite(set, DefaultConfig())
-	cfg := candgen.Config{Bands: 64, Rows: 2, Threshold: 0.1}
+	cfg := candgen.Config{Bands: 64, Rows: 2}
 
 	v := NewTermVectorizer(cfg)
 	if err := v.Fit(sp); err != nil {

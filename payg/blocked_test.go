@@ -263,3 +263,36 @@ func TestBlockedOptionsValidation(t *testing.T) {
 		t.Error("unknown CandidateGen accepted")
 	}
 }
+
+// TestBuildPhasesCoverTheBuild keeps the phase timers honest as the place to
+// read where a build's time goes: over one blocked build, the seven
+// schemaflow_build_phase_duration_seconds phases account for at least 90 % of
+// Build's wall time, so no stretch of work sits outside them. (A profile's
+// cumulative view cannot say this — work done in anonymous worker goroutines
+// is not attributed to the phase that started them.)
+func TestBuildPhasesCoverTheBuild(t *testing.T) {
+	set := dataset.Large(dataset.LargeConfig{N: 1500, Seed: 1})
+	phases := []string{"features", "candidates", "pairwise", "cluster", "domains", "classifier", "mediation"}
+	before := make([]float64, len(phases))
+	for i, p := range phases {
+		before[i] = mBuildPhase.With(p).Sum()
+	}
+	start := time.Now()
+	if _, err := Build(set, Options{CandidateGen: "lsh"}); err != nil {
+		t.Fatal(err)
+	}
+	wall := time.Since(start).Seconds()
+	timed := 0.0
+	for i, p := range phases {
+		d := mBuildPhase.With(p).Sum() - before[i]
+		if d <= 0 {
+			t.Errorf("phase %q recorded nothing", p)
+		}
+		timed += d
+	}
+	if timed < 0.9*wall {
+		t.Errorf("phase timers cover %.1f of %.1f ms (%.0f %%), want ≥ 90 %%", timed*1e3, wall*1e3, 100*timed/wall)
+	} else {
+		t.Logf("phase timers cover %.1f of %.1f ms", timed*1e3, wall*1e3)
+	}
+}
