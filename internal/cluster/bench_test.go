@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
+	"schemaflow/internal/dataset"
 	"schemaflow/internal/feature"
 	"schemaflow/internal/schema"
 )
@@ -45,6 +47,26 @@ func BenchmarkHACMin300(b *testing.B)   { benchAgglomerative(b, MinJaccard, 300)
 func BenchmarkHACMax300(b *testing.B)   { benchAgglomerative(b, MaxJaccard, 300) }
 func BenchmarkHACTotal300(b *testing.B) { benchAgglomerative(b, TotalJaccard, 300) }
 func BenchmarkHACAvg1000(b *testing.B)  { benchAgglomerative(b, AvgJaccard, 1000) }
+
+// BenchmarkAgglomerateBlocked is Algorithm 2 as the gated blocked build runs
+// it — the benchmark's corpus, LSH candidates, exact similarities, all built
+// outside the timer — so the build's `cluster` phase can be timed and
+// profiled alone. It reports how the corpus split: a corpus that is one
+// component gets nothing from a second core.
+func BenchmarkAgglomerateBlocked(b *testing.B) {
+	sp, ps := blockedPairSims(b, dataset.Large(dataset.LargeConfig{N: 6000, Domains: 120, Seed: 1}), feature.DefaultConfig())
+	var res *Result
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if res, err = AgglomerativeSparse(context.Background(), sp, NewLinkage(AvgJaccard), 0.25, ps, SparseOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(res.Components), "components")
+	b.ReportMetric(float64(res.LargestComponent), "largest")
+}
 
 // BenchmarkTauSweepDirect vs BenchmarkTauSweepDendrogram: the cost of
 // evaluating 9 thresholds by re-running the agglomeration vs one full run

@@ -38,6 +38,12 @@ type Result struct {
 	// Merges is the agglomeration trace, in merge order. Empty for
 	// non-hierarchical algorithms.
 	Merges []Merge
+	// Components and LargestComponent describe how Algorithm 2 ran: the
+	// number of independent groups of schemas it agglomerated separately
+	// (see agglomerate) and the size of the largest. One component of the
+	// whole corpus means the run was a single sequential loop. Zero for
+	// non-hierarchical algorithms.
+	Components, LargestComponent int
 }
 
 // NumClusters returns the number of clusters in the partition.

@@ -25,12 +25,27 @@ type Linkage interface {
 	merged(simCA, simCB float64, sizeA, sizeB int, c, a, b int) float64
 	// onMerge notifies the linkage that b has been folded into a.
 	onMerge(a, b int)
-	// concurrentMerged reports whether merged may be called from several
-	// goroutines at once (between onMerge calls). Pure-function linkages
-	// are; linkages with shared scratch state are not, and the parallel
-	// sparse HAC falls back to sequential merge updates for them.
+	// concurrentMerged reports whether merged and onMerge may be called from
+	// several goroutines at once, each working on clusters no other touches:
+	// the engine agglomerates independent components side by side when they
+	// may, and one after another for a linkage with shared scratch state.
 	concurrentMerged() bool
+	// edgeFloor returns the largest f such that a run stopping at tau never
+	// merges two clusters unless some stored schema pair across them has
+	// similarity >= f. The engine agglomerates the connected components of
+	// the graph of stored pairs >= f independently (see agglomerate); any
+	// lower value is also correct and only makes the components coarser.
+	edgeFloor(tau float64) float64
 }
+
+// avgRoundingSlack is how far, relatively, a computed Avg Jaccard c_sim can
+// exceed the largest schema-pair similarity under it. Over the reals it
+// cannot; in float64 the weighted-average update can round up — (1·0.1 +
+// 2·0.1)/3 is the float above 0.1 — by at most three roundings per update
+// of an edge's value, and an edge between two clusters is updated once per
+// merge on either side, fewer than 2³¹ times with int32 ids:
+// (1+2⁻⁵³)^(3·2³¹) − 1 < 2⁻²⁰.
+const avgRoundingSlack = 1.0 / (1 << 20)
 
 // Method enumerates the built-in linkage measures.
 type Method int
@@ -108,6 +123,11 @@ func (*avgLinkage) Name() string           { return "avg-jaccard" }
 func (*avgLinkage) init(sp *feature.Space) {}
 func (*avgLinkage) onMerge(a, b int)       {}
 func (*avgLinkage) concurrentMerged() bool { return true }
+
+// edgeFloor: an average of non-negative numbers is at most their maximum, so
+// a c_sim >= tau has a pair >= tau under it — up to the rounding of the
+// incremental update, which the slack covers.
+func (*avgLinkage) edgeFloor(tau float64) float64 { return tau - tau*avgRoundingSlack }
 func (*avgLinkage) merged(simCA, simCB float64, sizeA, sizeB int, c, a, b int) float64 {
 	return (float64(sizeA)*simCA + float64(sizeB)*simCB) / float64(sizeA+sizeB)
 }
@@ -121,6 +141,10 @@ func (*minLinkage) Name() string           { return "min-jaccard" }
 func (*minLinkage) init(sp *feature.Space) {}
 func (*minLinkage) onMerge(a, b int)       {}
 func (*minLinkage) concurrentMerged() bool { return true }
+
+// edgeFloor: the minimum over all member pairs (absent ones count 0) is at
+// most any one of them, so at c_sim >= tau every pair is stored and >= tau.
+func (*minLinkage) edgeFloor(tau float64) float64 { return tau }
 func (*minLinkage) merged(simCA, simCB float64, sizeA, sizeB int, c, a, b int) float64 {
 	if simCA < simCB {
 		return simCA
@@ -136,6 +160,9 @@ func (*maxLinkage) Name() string           { return "max-jaccard" }
 func (*maxLinkage) init(sp *feature.Space) {}
 func (*maxLinkage) onMerge(a, b int)       {}
 func (*maxLinkage) concurrentMerged() bool { return true }
+
+// edgeFloor: c_sim is one of the stored pairs' similarities, exactly.
+func (*maxLinkage) edgeFloor(tau float64) float64 { return tau }
 func (*maxLinkage) merged(simCA, simCB float64, sizeA, sizeB int, c, a, b int) float64 {
 	if simCA > simCB {
 		return simCA
@@ -159,8 +186,16 @@ type totalLinkage struct {
 func (*totalLinkage) Name() string { return "total-jaccard" }
 
 // concurrentMerged is false: merged shares the two scratch vectors across
-// calls, so the sparse HAC must serialize its merge updates.
+// calls, so the engine runs its components one after another.
 func (*totalLinkage) concurrentMerged() bool { return false }
+
+// edgeFloor is 0, any stored pair: merged reads the feature vectors, not the
+// stored similarities — which in term-frequency mode are not the binary
+// Jaccard that bounds Total Jaccard from above — so no stored value rules a
+// merge out. What does is absence: the engine only ever scores a cluster
+// against the neighbors in the merging rows, so an edge between two clusters
+// exists only where a stored pair does.
+func (*totalLinkage) edgeFloor(tau float64) float64 { return 0 }
 
 func (l *totalLinkage) init(sp *feature.Space) {
 	n := sp.NumSchemas()

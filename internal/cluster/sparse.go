@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"schemaflow/internal/bitvec"
 	"schemaflow/internal/candgen"
@@ -287,25 +288,11 @@ func parallelRange(ctx context.Context, n, workers int, fn func(lo, hi int) erro
 
 // SparseOptions tunes AgglomerativeSparse.
 type SparseOptions struct {
-	// Workers bounds the goroutines used for the per-merge similarity
-	// updates (and, within PairwiseSims, the pairwise pass). 0 means
-	// GOMAXPROCS. Results are identical for every worker count: ties are
-	// broken by lowest pair index, not by arrival order.
+	// Workers bounds the goroutines that agglomerate independent components
+	// side by side (see agglomerate). 0 means GOMAXPROCS. Results are
+	// identical for every worker count: each component's merges are its own,
+	// and their interleaving is decided by the merges, not by arrival order.
 	Workers int
-	// ParallelMergeMin is the minimum merge-update width (neighbors of
-	// the merging pair) at which the update loop fans out; below it the
-	// goroutine overhead exceeds the work. 0 means 2048.
-	ParallelMergeMin int
-}
-
-func (o SparseOptions) normalized() SparseOptions {
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.ParallelMergeMin <= 0 {
-		o.ParallelMergeMin = 2048
-	}
-	return o
 }
 
 // bestHeap is an indexed max-heap with one slot per live cluster, keyed by
@@ -458,12 +445,6 @@ func (h *bestHeap) top() int32 { return h.ids[0] }
 // absorbs the others ascending, each recorded at Sim 0 — the order the
 // lowest-pair tie rule gives when every remaining similarity is 0.
 //
-// The merge loop is sequential (each round depends on the last), but the
-// per-round linkage updates — the O(degree) dominant cost — fan out across
-// opts.Workers when the round is wide enough and the linkage permits
-// concurrent evaluation. Ties are index-ordered, so every worker count
-// yields a bit-identical clustering. ctx is polled every 1024 rounds.
-//
 // ps is only read: the run works on its own copy of the rows.
 func AgglomerativeSparse(ctx context.Context, sp *feature.Space, link Linkage, tau float64, ps *PairSims, opts SparseOptions) (*Result, error) {
 	return agglomerate(ctx, sp, link, tau, ps, opts, false)
@@ -474,6 +455,20 @@ func AgglomerativeSparse(ctx context.Context, sp *feature.Space, link Linkage, t
 // That is for a caller that built ps for this run alone (AgglomerativeContext):
 // over a complete pair set of a dense corpus the CSR is the largest structure
 // of the build, and a second copy of it is most of the peak.
+//
+// The "globally best pair" loop is run once per connected component of the
+// graph of stored pairs at or above link.edgeFloor(tau), over that
+// component's rows alone. No merge crosses such a component (that is what
+// edgeFloor promises), and c_sim between two clusters inside one is a
+// function of the pairs inside it only, so each component's merges are the
+// global run's merges among its schemas, in the global run's order and to the
+// bit. The global run takes, every round, the best pair over all components —
+// which is the best of the components' own next merges — so its trace is the
+// merge of the per-component traces by their heads (interleave). Components
+// are claimed largest first by up to opts.Workers goroutines; within one the
+// loop is sequential, each round depending on the last. A corpus that is one
+// component runs the same code on one goroutine. ctx is polled between
+// components, every 4096 rows while one is loaded and every 1024 rounds.
 func agglomerate(ctx context.Context, sp *feature.Space, link Linkage, tau float64, ps *PairSims, opts SparseOptions, consume bool) (*Result, error) {
 	if err := validateTau(tau); err != nil {
 		return nil, err
@@ -486,16 +481,327 @@ func agglomerate(ctx context.Context, sp *feature.Space, link Linkage, tau float
 		return &Result{}, nil
 	}
 	link.init(sp)
-	st, err := newSparseState(ctx, link, ps, opts.normalized(), consume)
+	workers := opts.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if !link.concurrentMerged() {
+		workers = 1
+	}
+	return components(ps, link.edgeFloor(tau)).agglomerate(ctx, link, tau, ps, workers, consume)
+}
+
+// agglomerate is Algorithm 2 over ps given the groups no merge crosses:
+// every group's own run, their traces interleaved, and the tau == 0 tail.
+func (p *partition) agglomerate(ctx context.Context, link Linkage, tau float64, ps *PairSims, workers int, consume bool) (*Result, error) {
+	traces, err := p.traces(ctx, link, tau, ps, workers, consume)
 	if err != nil {
 		return nil, err
 	}
+	merges := interleave(traces)
 
-	numActive := n
-	var merges []Merge
-	rounds := 0
-	for numActive > 1 {
-		rounds++
+	n := ps.n
+	parent := make([]int, n)
+	for i := range parent {
+		parent[i] = i
+	}
+	for _, m := range merges {
+		parent[m.B] = m.A
+	}
+	if tau == 0 {
+		// Every component has drained: the remaining cluster pairs are all at
+		// similarity 0, which still clears tau.
+		rep := -1
+		for c := 0; c < n; c++ {
+			if parent[c] != c {
+				continue
+			}
+			if rep < 0 {
+				rep = c
+				continue
+			}
+			merges = append(merges, Merge{A: rep, B: c, Sim: 0})
+			parent[c] = rep
+		}
+	}
+	res := assembleResult(n, parent, merges)
+	res.Components = len(p.members)
+	for _, ids := range p.members {
+		res.LargestComponent = max(res.LargestComponent, len(ids))
+	}
+	return res, nil
+}
+
+// partition splits the schemas into the groups Algorithm 2 runs on
+// independently. Inside a group a schema goes by its rank among the group's
+// members — a dense local id, and monotone in the schema index, so "the lowest
+// pair wins a tie" means the same thing in either numbering.
+type partition struct {
+	comp    []int32   // schema -> group
+	local   []int32   // schema -> local id
+	members [][]int32 // group -> schemas ascending (local id -> schema)
+}
+
+// components partitions the schemas by connectivity over the stored pairs
+// with similarity >= floor: one union-find pass over the upper triangle.
+// Groups are numbered by their lowest schema. (The pass does not stop early
+// when a single component is left: a schema joins at the row of its lowest
+// strong neighbor, and on the one-component DDH the last does at row 2,284 of
+// 2,323.)
+func components(ps *PairSims, floor float64) *partition {
+	n := ps.n
+	root := make([]int32, n)
+	for i := range root {
+		root[i] = int32(i)
+	}
+	find := func(x int32) int32 {
+		for root[x] != x {
+			root[x] = root[root[x]]
+			x = root[x]
+		}
+		return x
+	}
+	for i := int32(0); int(i) < n; i++ {
+		ri := find(i)
+		for k := ps.rowStart[i+1] - 1; k >= ps.rowStart[i] && ps.nbr[k] > i; k-- {
+			if ps.sim[k] < floor {
+				continue
+			}
+			rj := find(ps.nbr[k])
+			if rj == ri {
+				continue
+			}
+			// The lower root survives, so a group's root is its lowest schema.
+			if rj < ri {
+				ri, rj = rj, ri
+			}
+			root[rj] = ri
+		}
+	}
+
+	p := &partition{comp: make([]int32, n), local: make([]int32, n)}
+	var sizes []int32
+	for i := int32(0); int(i) < n; i++ {
+		r := find(i)
+		if r == i {
+			p.comp[i] = int32(len(sizes))
+			sizes = append(sizes, 0)
+		}
+		c := p.comp[r]
+		p.comp[i], p.local[i] = c, sizes[c]
+		sizes[c]++
+	}
+	flat := make([]int32, n)
+	p.members = make([][]int32, len(sizes))
+	off := 0
+	for c, sz := range sizes {
+		p.members[c] = flat[off : off : off+int(sz)]
+		off += int(sz)
+	}
+	for i := int32(0); int(i) < n; i++ {
+		p.members[p.comp[i]] = append(p.members[p.comp[i]], i)
+	}
+	return p
+}
+
+// traces runs the engine on every group of two or more schemas and returns
+// each group's merges, in its own merge order, by group index.
+// Groups differ in size by orders of magnitude, so workers claim them one at a
+// time from a shared counter, largest first; nothing a worker writes depends
+// on which worker it is, and none outlives the call.
+func (p *partition) traces(ctx context.Context, link Linkage, tau float64, ps *PairSims, workers int, consume bool) ([][]Merge, error) {
+	order := make([]int, 0, len(p.members))
+	for c, ids := range p.members {
+		if len(ids) > 1 {
+			order = append(order, c)
+		}
+	}
+	slices.SortStableFunc(order, func(x, y int) int { return len(p.members[y]) - len(p.members[x]) })
+
+	traces := make([][]Merge, len(p.members))
+	var next atomic.Int64
+	work := func() error {
+		for {
+			k := int(next.Add(1)) - 1
+			if k >= len(order) {
+				return nil
+			}
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			st, err := newSparseState(ctx, link, ps, p, order[k], consume)
+			if err != nil {
+				return err
+			}
+			if traces[order[k]], err = st.run(ctx, tau); err != nil {
+				return err
+			}
+		}
+	}
+	// One worker is the caller itself.
+	errs := make([]error, max(1, min(workers, len(order))))
+	var wg sync.WaitGroup
+	for w := range errs[1:] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[1+w] = work()
+		}()
+	}
+	errs[0] = work()
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return traces, nil
+}
+
+// mergesBefore is the order Algorithm 2 takes merges in: higher similarity
+// first, the lexicographically lowest pair on equal similarity — the heap's
+// own key (bestHeap.less).
+func mergesBefore(x, y Merge) bool {
+	if x.Sim != y.Sim {
+		return x.Sim > y.Sim
+	}
+	if x.A != y.A {
+		return x.A < y.A
+	}
+	return x.B < y.B
+}
+
+// interleave merges the per-group traces into the one trace the global run
+// records: every round, the first of the groups' next merges. It is a merge
+// of heads and not a sort — a group's own trace need not be ordered: a merge
+// can raise a similarity above the one just merged on (Total Jaccard), and
+// can make a pair that is lexicographically lower than the last at the same
+// similarity — and the global run meets a group's merges in the group's order
+// whatever their keys.
+func interleave(traces [][]Merge) []Merge {
+	// heads is a binary heap of the unfinished traces, ordered by their first
+	// remaining merge.
+	var heads [][]Merge
+	total := 0
+	for _, t := range traces {
+		if len(t) > 0 {
+			heads = append(heads, t)
+			total += len(t)
+		}
+	}
+	switch len(heads) {
+	case 0:
+		return nil
+	case 1:
+		return heads[0]
+	}
+	siftDown := func(i int) {
+		for {
+			m := i
+			for _, c := range [2]int{2*i + 1, 2*i + 2} {
+				if c < len(heads) && mergesBefore(heads[c][0], heads[m][0]) {
+					m = c
+				}
+			}
+			if m == i {
+				return
+			}
+			heads[i], heads[m] = heads[m], heads[i]
+			i = m
+		}
+	}
+	for i := len(heads)/2 - 1; i >= 0; i-- {
+		siftDown(i)
+	}
+	out := make([]Merge, 0, total)
+	for len(heads) > 0 {
+		out = append(out, heads[0][0])
+		if heads[0] = heads[0][1:]; len(heads[0]) == 0 {
+			heads[0] = heads[len(heads)-1]
+			heads = heads[:len(heads)-1]
+		}
+		siftDown(0)
+	}
+	return out
+}
+
+// newSparseState is one group's state before its first merge: singleton
+// clusters under their local ids, each with its row of ps cut down to the
+// neighbors inside the group — written over the row itself with consume,
+// which is safe beside other groups' workers because a schema's row belongs
+// to one group, and into the group's own slabs otherwise — and each cluster's
+// best edge, heapified. link must already be initialised
+// over the space.
+func newSparseState(ctx context.Context, link Linkage, ps *PairSims, p *partition, c int, consume bool) (*sparseState, error) {
+	ids := p.members[c]
+	n := len(ids)
+	st := &sparseState{
+		n:      n,
+		link:   link,
+		ids:    ids,
+		active: make([]bool, n),
+		size:   make([]int, n),
+		rows:   make([]sparseRow, n),
+		best:   newBestHeap(n),
+		tailV:  make([]float64, n),
+		inTail: make([]bool, n),
+	}
+	// Rows that outgrow their slots are carved from slabs of the group's own
+	// scale: a slab of the full size per group, most of it never touched,
+	// would be the largest allocation of a blocked build.
+	degrees := 0
+	for _, g := range ids {
+		degrees += ps.Degree(int(g))
+	}
+	st.slabSize = min(degrees, sparseSlabSize)
+	for i, g := range ids {
+		if i%4096 == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
+		st.active[i] = true
+		st.size[i] = 1
+		// CSR rows ascend by neighbor and the relabelling is monotone, so the
+		// filtered row ascends, as rows must. Capacity is pinned — at the old
+		// row's with consume, at the new row's length otherwise — so that a
+		// row outgrowing its slot reallocates instead of running into the
+		// next one.
+		lo, hi := ps.rowStart[g], ps.rowStart[g+1]
+		keys, vals := ps.nbr[lo:lo:hi], ps.sim[lo:lo:hi]
+		if !consume {
+			keys, vals = st.carve(int(hi - lo))
+		}
+		for k := lo; k < hi; k++ {
+			if j := ps.nbr[k]; p.comp[j] == int32(c) {
+				// With consume the write lands at or before k: nothing
+				// unread is overwritten.
+				keys, vals = append(keys, p.local[j]), append(vals, ps.sim[k])
+			}
+		}
+		if !consume {
+			keys, vals = st.uncarve(keys, vals)
+		}
+		bs, bp := -1.0, int32(-1)
+		for k, s := range vals {
+			// Strict > on an ascending scan keeps the lowest partner,
+			// which is the lexicographically smallest pair at this sim.
+			if s > bs {
+				bs, bp = s, keys[k]
+			}
+		}
+		st.rows[i] = sparseRow{keys: keys, vals: vals}
+		st.best.sim[i], st.best.partner[i] = bs, bp
+	}
+	st.best.build()
+	return st, nil
+}
+
+// run is Algorithm 2's loop over one group: merge the best pair until the
+// best falls below tau. The merges are returned in order, by schema index.
+func (st *sparseState) run(ctx context.Context, tau float64) ([]Merge, error) {
+	merges := make([]Merge, 0, st.n-1)
+	for rounds := 1; len(merges) < st.n-1; rounds++ {
 		if rounds%1024 == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
@@ -506,7 +812,8 @@ func agglomerate(ctx context.Context, sp *feature.Space, link Linkage, tau float
 		if s < tau {
 			// Keys never underestimate, so the max key clearing nothing
 			// means no live pair clears tau. (Checking before staleness is
-			// sound for the same reason: a stale key only overestimates.)
+			// sound for the same reason: a stale key only overestimates.) A
+			// drained heap reads -1 here.
 			break
 		}
 		p := st.best.partner[x]
@@ -518,82 +825,19 @@ func agglomerate(ctx context.Context, sp *feature.Space, link Linkage, tau float
 		if a > b {
 			a, b = b, a
 		}
-		merges = append(merges, Merge{A: int(a), B: int(b), Sim: s})
+		merges = append(merges, Merge{A: int(st.ids[a]), B: int(st.ids[b]), Sim: s})
 		st.merge(a, b)
-		numActive--
 	}
-	if tau == 0 && numActive > 1 {
-		// The heap drained: every remaining cluster pair is at similarity 0,
-		// which still clears tau.
-		rep := -1
-		for c := 0; c < n; c++ {
-			if !st.active[c] {
-				continue
-			}
-			if rep < 0 {
-				rep = c
-				continue
-			}
-			merges = append(merges, Merge{A: rep, B: c, Sim: 0})
-			st.parent[c] = rep
-		}
-	}
-	return assembleResult(n, st.parent, merges), nil
-}
-
-// newSparseState is the state before the first merge: singleton clusters over
-// ps' rows — copied, or taken as they are with consume — and each cluster's
-// best edge, heapified. link must already be initialised over the space.
-func newSparseState(ctx context.Context, link Linkage, ps *PairSims, opts SparseOptions, consume bool) (*sparseState, error) {
-	n := ps.N()
-	st := &sparseState{
-		n:      n,
-		link:   link,
-		active: make([]bool, n),
-		size:   make([]int, n),
-		rows:   make([]sparseRow, n),
-		parent: make([]int, n),
-		best:   newBestHeap(n),
-		opts:   opts,
-		tailV:  make([]float64, n),
-		inTail: make([]bool, n),
-	}
-	for i := 0; i < n; i++ {
-		if i%4096 == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		st.active[i] = true
-		st.size[i] = 1
-		st.parent[i] = i
-		// CSR rows ascend by neighbor, as rows must. Capacity is pinned so
-		// that a row outgrowing its slot reallocates instead of running into
-		// the next one.
-		lo, hi := ps.rowStart[i], ps.rowStart[i+1]
-		keys, vals := ps.nbr[lo:hi:hi], ps.sim[lo:hi:hi]
-		if !consume {
-			keys, vals = st.allocKV(keys, vals)
-		}
-		st.rows[i] = sparseRow{keys: keys, vals: vals}
-		bs, bp := -1.0, int32(-1)
-		for k, s := range vals {
-			// Strict > on an ascending scan keeps the lowest partner,
-			// which is the lexicographically smallest pair at this sim.
-			if s > bs {
-				bs, bp = s, keys[k]
-			}
-		}
-		st.best.sim[i], st.best.partner[i] = bs, bp
-	}
-	st.best.build()
-	return st, nil
+	return merges, nil
 }
 
 // sparseState is the working state of one sparse agglomeration run.
 type sparseState struct {
-	n      int
-	link   Linkage
+	n    int
+	link Linkage
+	// ids[i] is the schema that cluster i started as: clusters go by their
+	// group-local ids everywhere but in the trace and in calls to the linkage.
+	ids    []int32
 	active []bool
 	size   []int
 	// rows[i] holds cluster i's current neighbor similarities. The
@@ -601,10 +845,8 @@ type sparseState struct {
 	// iff rows[j] stores sim(j,i) with the same value, whenever both are
 	// active. Entries keyed by inactive clusters are stale leftovers —
 	// deleting them eagerly is expensive, so readers filter on active[].
-	rows   []sparseRow
-	parent []int
-	best   *bestHeap
-	opts   SparseOptions
+	rows []sparseRow
+	best *bestHeap
 	// Scratch buffers reused across merges/normalizations.
 	union        []int32
 	sims         []float64
@@ -621,10 +863,13 @@ type sparseState struct {
 	// input rows, and the merged rows that outgrow the slot of the row they
 	// replace. Carving them out of pointer-free slabs turns tens of
 	// thousands of small GC-visible allocations into a few dozen large ones.
-	slabK []int32
-	slabV []float64
+	slabK    []int32
+	slabV    []float64
+	slabSize int
 }
 
+// sparseSlabSize caps a slab's entries (3 MB of keys and values); a group
+// with fewer neighbor entries than that gets slabs of its own size.
 const sparseSlabSize = 1 << 18
 
 // carve cuts empty parallel int32/float64 slices of capacity m out of the
@@ -632,16 +877,24 @@ const sparseSlabSize = 1 << 18
 // past m reallocates normally instead of bleeding into the next carve.
 func (st *sparseState) carve(m int) ([]int32, []float64) {
 	if len(st.slabK)+m > cap(st.slabK) {
-		st.slabK = make([]int32, 0, max(m, sparseSlabSize))
+		st.slabK = make([]int32, 0, max(m, st.slabSize))
 	}
 	if len(st.slabV)+m > cap(st.slabV) {
-		st.slabV = make([]float64, 0, max(m, sparseSlabSize))
+		st.slabV = make([]float64, 0, max(m, st.slabSize))
 	}
 	k := st.slabK[len(st.slabK) : len(st.slabK) : len(st.slabK)+m]
 	v := st.slabV[len(st.slabV) : len(st.slabV) : len(st.slabV)+m]
 	st.slabK = st.slabK[:len(st.slabK)+m]
 	st.slabV = st.slabV[:len(st.slabV)+m]
 	return k, v
+}
+
+// uncarve hands the capacity that the latest carve's slices (k, v) have not
+// used back to the slabs, and pins the slices at their length.
+func (st *sparseState) uncarve(k []int32, v []float64) ([]int32, []float64) {
+	unused := cap(k) - len(k)
+	st.slabK, st.slabV = st.slabK[:len(st.slabK)-unused], st.slabV[:len(st.slabV)-unused]
+	return k[:len(k):len(k)], v[:len(v):len(v)]
 }
 
 // allocKV carves filled copies of parallel key/value slices from the slabs.
@@ -808,18 +1061,9 @@ func (st *sparseState) merge(a, b int32) {
 		st.sims = make([]float64, len(st.union))
 	}
 	st.sims = st.sims[:len(st.union)]
-	update := func(lo, hi int) error {
-		for k := lo; k < hi; k++ {
-			st.sims[k] = st.link.merged(st.simsA[k], st.simsB[k], st.size[a], st.size[b], int(st.union[k]), int(a), int(b))
-		}
-		return nil
-	}
-	if len(st.union) >= st.opts.ParallelMergeMin && st.opts.Workers > 1 && st.link.concurrentMerged() {
-		// Deterministic despite the fan-out: every slot is written
-		// exactly once, and application below is sequential.
-		_ = parallelRange(context.Background(), len(st.union), st.opts.Workers, update)
-	} else {
-		_ = update(0, len(st.union))
+	ga, gb := int(st.ids[a]), int(st.ids[b])
+	for k, c := range st.union {
+		st.sims[k] = st.link.merged(st.simsA[k], st.simsB[k], st.size[a], st.size[b], int(st.ids[c]), ga, gb)
 	}
 
 	// Rewrite row a: the sorted union is exactly its live neighbor set, so
@@ -881,8 +1125,7 @@ func (st *sparseState) merge(a, b int32) {
 	st.best.fix(a)
 	st.best.remove(b)
 	st.rows[b] = sparseRow{}
-	st.link.onMerge(int(a), int(b))
+	st.link.onMerge(ga, gb)
 	st.active[b] = false
 	st.size[a] += st.size[b]
-	st.parent[b] = int(a)
 }

@@ -266,10 +266,11 @@ func TestCompletePairSimsSameFromEverySource(t *testing.T) {
 	}
 }
 
-// TestSparseParallelEqualsSequential is the satellite determinism
-// regression: any worker count must produce the identical clustering,
-// including equal-similarity merge ordering. ParallelMergeMin=1 forces the
-// fan-out path on every merge.
+// TestSparseParallelEqualsSequential is the determinism regression: any
+// worker count must produce the identical clustering, including the order of
+// equal-similarity merges — within a component (the duplicated schemas tie
+// exactly) and across components, which run on different goroutines and meet
+// again only in the interleaved trace.
 func TestSparseParallelEqualsSequential(t *testing.T) {
 	set := dataset.Large(dataset.LargeConfig{N: 300, Domains: 5, Seed: 9})
 	// Duplicate a slice of the corpus for guaranteed sim ties.
@@ -278,14 +279,15 @@ func TestSparseParallelEqualsSequential(t *testing.T) {
 	ps := allPairSims(t, sp, 4)
 
 	for _, m := range Methods() {
-		seq, err := AgglomerativeSparse(context.Background(), sp, NewLinkage(m), 0.25, ps,
-			SparseOptions{Workers: 1, ParallelMergeMin: 1})
+		seq, err := AgglomerativeSparse(context.Background(), sp, NewLinkage(m), 0.25, ps, SparseOptions{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
+		if m != TotalJaccard && seq.Components < 3 {
+			t.Fatalf("%v: %d component(s); the corpus should give the workers several", m, seq.Components)
+		}
 		for _, workers := range []int{2, 8} {
-			par, err := AgglomerativeSparse(context.Background(), sp, NewLinkage(m), 0.25, ps,
-				SparseOptions{Workers: workers, ParallelMergeMin: 1})
+			par, err := AgglomerativeSparse(context.Background(), sp, NewLinkage(m), 0.25, ps, SparseOptions{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -444,7 +446,7 @@ func TestMergeNeighborOfTheLoserAloneDoesNotHoldTheWinner(t *testing.T) {
 	}
 
 	for _, method := range []Method{AvgJaccard, MinJaccard} {
-		st, err := newSparseState(context.Background(), NewLinkage(method), ps, SparseOptions{}.normalized(), false)
+		st, err := newSparseState(context.Background(), NewLinkage(method), ps, identityPartition(n), 0, false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -296,3 +296,27 @@ func TestBuildPhasesCoverTheBuild(t *testing.T) {
 		t.Logf("phase timers cover %.1f of %.1f ms", timed*1e3, wall*1e3)
 	}
 }
+
+// TestBuildReportsHACShape: both build paths say how Algorithm 2 ran — how
+// many workers it could use, how many independent components the corpus
+// split into, and how large the largest was — so an operator can tell a
+// corpus that cannot be clustered in parallel from a host with one core.
+func TestBuildReportsHACShape(t *testing.T) {
+	set := dataset.Large(dataset.LargeConfig{N: 600, Domains: 12, Seed: 1})
+	for _, gen := range []string{"exact", "lsh"} {
+		mBuildHACWorkers.Set(-1)
+		mBuildHACComponents.Set(-1)
+		mBuildHACLargestComponent.Set(-1)
+		sys, err := Build(set, Options{CandidateGen: gen, SkipMediation: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl := sys.Model().Clustering
+		if cl.Components < 2 || cl.LargestComponent < 2 || cl.LargestComponent >= len(set) {
+			t.Fatalf("%s: %d components, largest %d: the corpus should split", gen, cl.Components, cl.LargestComponent)
+		}
+		if w, c, l := mBuildHACWorkers.Value(), mBuildHACComponents.Value(), mBuildHACLargestComponent.Value(); w < 1 || c != float64(cl.Components) || l != float64(cl.LargestComponent) {
+			t.Errorf("%s: gauges read workers=%v components=%v largest=%v, want ≥1, %d, %d", gen, w, c, l, cl.Components, cl.LargestComponent)
+		}
+	}
+}

@@ -105,5 +105,11 @@ var (
 		obs.DurationBuckets())
 	mBuildHACWorkers = obs.Default().Gauge(
 		"schemaflow_build_hac_workers",
-		"Worker goroutines available to the most recent blocked build's pairwise and sparse-HAC stages.")
+		"Worker goroutines available to the most recent build's clustering: Algorithm 2 runs one independent component per worker.")
+	mBuildHACComponents = obs.Default().Gauge(
+		"schemaflow_build_hac_components",
+		"Independent groups of schemas (components of the similarity graph at the clustering threshold) the most recent build's Algorithm 2 ran as; 1 means a single sequential run.")
+	mBuildHACLargestComponent = obs.Default().Gauge(
+		"schemaflow_build_hac_largest_component",
+		"Schemas in the largest of those components: the sequential part of the most recent build's clustering.")
 )

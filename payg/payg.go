@@ -417,7 +417,6 @@ func buildModel(ctx context.Context, set schema.Set, fcfg feature.Config, method
 	t := time.Now()
 	if blocked {
 		mBuildMode.With("blocked").Inc()
-		mBuildHACWorkers.Set(float64(runtime.GOMAXPROCS(0)))
 		sp = feature.BuildLite(set, fcfg)
 		mBuildPhase.With("features").Observe(time.Since(t).Seconds())
 		pairs, err := lshCandidates(ctx, sp)
@@ -458,6 +457,9 @@ func buildModel(ctx context.Context, set schema.Set, fcfg feature.Config, method
 		return nil, fmt.Errorf("payg: %w", err)
 	}
 	mBuildPhase.With("cluster").Observe(time.Since(t).Seconds())
+	mBuildHACWorkers.Set(float64(runtime.GOMAXPROCS(0)))
+	mBuildHACComponents.Set(float64(cl.Components))
+	mBuildHACLargestComponent.Set(float64(cl.LargestComponent))
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
