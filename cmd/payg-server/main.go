@@ -76,6 +76,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"hash/fnv"
 	"log/slog"
 	"net/http"
 	"os"
@@ -86,6 +87,7 @@ import (
 
 	"schemaflow/internal/cli"
 	"schemaflow/internal/dataset"
+	"schemaflow/internal/par"
 	"schemaflow/internal/server"
 	"schemaflow/internal/shard"
 	"schemaflow/payg"
@@ -271,11 +273,13 @@ func buildApp(logger *slog.Logger, o options) (*app, error) {
 	if o.in == "" {
 		return nil, errors.New("-in is required (no -data-dir checkpoint to recover, not following)")
 	}
+	start := time.Now()
 	set, err := cli.ReadSchemasFile(o.in)
 	if err != nil {
 		return nil, err
 	}
-	start := time.Now()
+	startupPhase("read", start)
+	start = time.Now()
 	sys, err := payg.Build(set, payg.Options{
 		TauCSim:      o.tau,
 		CandidateGen: o.candGen,
@@ -286,21 +290,36 @@ func buildApp(logger *slog.Logger, o options) (*app, error) {
 	logger.Info("system built",
 		slog.Int("domains", sys.NumDomains()),
 		slog.Int("schemas", sys.NumSchemas()),
-		slog.Duration("took", time.Since(start).Round(time.Millisecond)))
+		slog.Duration("took", startupPhase("build", start).Round(time.Millisecond)))
 
 	if o.tuples > 0 {
+		// Sources are independent and land by index, so they are made on
+		// every core; makeSource only reads o and logs.
+		start = time.Now()
 		cfg.Sources = make([]payg.TupleSource, len(set))
-		for i, s := range set {
-			cfg.Sources[i] = makeSource(logger, o, s, int64(i))
-		}
-		logger.Info("attached synthetic data", slog.Int("tuples_per_source", o.tuples))
+		par.Each(len(set), func(i int) {
+			cfg.Sources[i] = makeSource(logger, o, set[i])
+		})
+		logger.Info("attached synthetic data",
+			slog.Int("tuples_per_source", o.tuples),
+			slog.Duration("took", startupPhase("sources", start).Round(time.Millisecond)))
 	}
 
+	start = time.Now()
 	handler, err := server.NewWithConfig(sys, cfg)
 	if err != nil {
 		return nil, err
 	}
+	startupPhase("serve", start)
 	return &app{handler: handler, close: handler.Close}, nil
+}
+
+// startupPhase records how long one phase of this process's start took, in
+// schemaflow_startup_phase_seconds, and returns it.
+func startupPhase(phase string, start time.Time) time.Duration {
+	d := time.Since(start)
+	server.ObserveStartup(phase, d)
+	return d
 }
 
 // buildRouter assembles the scatter-gather front-end over -route's shard
@@ -383,7 +402,7 @@ func recoverServer(logger *slog.Logger, o options, cfg server.Config, man *shard
 		CheckpointRetain: o.checkpointRetain,
 		ServeData:        o.tuples > 0,
 		MakeSource: func(sch payg.Schema) payg.TupleSource {
-			return makeSource(logger, o, sch, int64(len(sch.Name)))
+			return makeSource(logger, o, sch)
 		},
 		Logf: func(format string, args ...any) {
 			logger.Info(fmt.Sprintf(format, args...))
@@ -408,14 +427,16 @@ func recoverServer(logger *slog.Logger, o options, cfg server.Config, man *shard
 		slog.Int("domains", st.Domains),
 		slog.Int("pending", st.Pending),
 		slog.Int("generation", st.Generation),
-		slog.Duration("took", time.Since(start).Round(time.Millisecond)))
+		slog.Duration("took", startupPhase("build", start).Round(time.Millisecond)))
 	if man != nil {
 		logger.Info("serving as shard",
 			slog.Int("shard", man.Index),
 			slog.Int("shards", man.Shards),
 			slog.Int("local_domains", mgr.System().NumLocalDomains()))
 	}
+	start = time.Now()
 	handler := server.NewWithManager(mgr, cfg)
+	startupPhase("serve", start)
 	return &app{handler: handler, close: handler.Close}, nil
 }
 
@@ -458,8 +479,14 @@ func buildFollower(logger *slog.Logger, o options) (*app, error) {
 
 // makeSource builds a deterministic in-memory source for a schema so
 // /query serves data without external systems, wrapped in a fault
-// injector when a -flake spec matches the schema name.
-func makeSource(logger *slog.Logger, o options, s payg.Schema, seed int64) payg.TupleSource {
+// injector when a -flake spec matches the schema name. The rows are a
+// function of the schema alone — seeded by its name — so a source serves the
+// same rows whether the node booted from -in, recovered from -data-dir, was
+// cut by -shard-split or took the schema as an arrival.
+func makeSource(logger *slog.Logger, o options, s payg.Schema) payg.TupleSource {
+	h := fnv.New64a()
+	h.Write([]byte(s.Name))
+	seed := int64(h.Sum64())
 	rows := dataset.GenerateTuples(s, o.tuples, seed)
 	ts := make([]payg.Tuple, len(rows))
 	for k, r := range rows {

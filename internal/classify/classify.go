@@ -20,13 +20,12 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"schemaflow/internal/bitvec"
 	"schemaflow/internal/core"
+	"schemaflow/internal/par"
 )
 
 // Mode selects how the expectation over uncertain domain contents is
@@ -116,8 +115,9 @@ type queryScratch struct {
 
 // statsScratch carries the dim-sized working buffers of the per-domain
 // setup-phase statistics across domains, so building a classifier over
-// thousands of domains allocates two feature-width slices instead of two
-// per domain. The p1 buffer returned by the stats functions aliases it.
+// thousands of domains allocates two feature-width slices per setup worker
+// instead of two per domain. The p1 buffer returned by the stats functions
+// aliases it.
 type statsScratch struct {
 	count []float64
 	p1    []float64
@@ -160,13 +160,14 @@ func New(m *core.Model, cfg Config) (*Classifier, error) {
 			c.row[r] = 0
 		}
 	}
-	rows := 0
+	var domainOf []int // table row → domain id, ascending
 	for r, i := range c.row {
 		if i == 0 {
-			c.row[r] = int32(rows)
-			rows++
+			c.row[r] = int32(len(domainOf))
+			domainOf = append(domainOf, r)
 		}
 	}
+	rows := len(domainOf)
 	// The table's size is known before any statistic is computed, so it is
 	// allocated once and filled in place: there is never a second copy.
 	c.logPrior = make([]float64, rows)
@@ -175,11 +176,10 @@ func New(m *core.Model, cfg Config) (*Classifier, error) {
 	c.delta = make([]float64, dim*rows)
 
 	total := len(m.Schemas)
-	sc := &statsScratch{count: make([]float64, dim), p1: make([]float64, dim)}
-	for r, i := range c.row {
-		if i < 0 {
-			continue
-		}
+	// fillRow computes one domain's statistics and writes its row of every
+	// table.
+	fillRow := func(i int, sc *statsScratch) error {
+		r := domainOf[i]
 		d := &m.Domains[r]
 		var prior float64
 		var p1 []float64
@@ -189,7 +189,7 @@ func New(m *core.Model, cfg Config) (*Classifier, error) {
 			k := len(d.Uncertain())
 			if k > maxExact {
 				if maxExact < 0 {
-					return nil, fmt.Errorf("classify: domain %d has %d uncertain schemas; exact setup forbidden", r, k)
+					return fmt.Errorf("classify: domain %d has %d uncertain schemas; exact setup forbidden", r, k)
 				}
 				useExact = false
 			}
@@ -200,7 +200,7 @@ func New(m *core.Model, cfg Config) (*Classifier, error) {
 			prior, p1, err = approxDomainStats(m, d, total, p, sc)
 		}
 		if err != nil {
-			return nil, fmt.Errorf("classify: domain %d: %w", r, err)
+			return fmt.Errorf("classify: domain %d: %w", r, err)
 		}
 		if prior <= 0 {
 			// A domain whose every possible content is empty (all members
@@ -209,7 +209,7 @@ func New(m *core.Model, cfg Config) (*Classifier, error) {
 			// its score is -Inf for every query.
 			c.logPrior[i] = math.Inf(-1)
 			c.base[i] = math.Inf(-1)
-			continue
+			return nil
 		}
 		// Every term no member schema mentions has the same smoothed p1, so
 		// its two logs are taken once per run of equal values.
@@ -220,14 +220,39 @@ func New(m *core.Model, cfg Config) (*Classifier, error) {
 				l1, l0 = math.Log(last), math.Log(1-last)
 			}
 			sum0 += l0
-			c.delta[j*rows+int(i)] = l1 - l0
+			c.delta[j*rows+i] = l1 - l0
 		}
 		c.logPrior[i] = math.Log(prior)
 		c.sumLog0[i] = sum0
 		c.base[i] = c.logPrior[i] + sum0
+		return nil
+	}
+
+	// Rows are independent, so they fan out. Workers claim them rowBlock at a
+	// time: a row's entries sit one per column, rows apart, so a block of
+	// eight is the cache line of each column that one worker fills and no
+	// other touches. A row is computed exactly as on one goroutine — the
+	// tables do not depend on the worker count — and the first error in
+	// domain order is the one returned.
+	errs := make([]error, (rows+rowBlock-1)/rowBlock)
+	par.EachWith(len(errs), func() *statsScratch {
+		return &statsScratch{count: make([]float64, dim), p1: make([]float64, dim)}
+	}, func(sc *statsScratch, b int) {
+		for i := b * rowBlock; i < min((b+1)*rowBlock, rows) && errs[b] == nil; i++ {
+			errs[b] = fillRow(i, sc)
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 	return c, nil
 }
+
+// rowBlock is how many consecutive table rows a setup worker claims at a
+// time: eight float64s, one cache line of a column.
+const rowBlock = 8
 
 // exactDomainStats computes Pr(D_r) and Pr(F_j = 1 | D_r) by enumerating the
 // 2^k subsets of uncertain schemas (Equations 5.3–5.9).
@@ -422,32 +447,9 @@ func (c *Classifier) ClassifyBatch(queries [][]string) [][]Score {
 	}
 	d := c.model.NumDomains()
 	flat := make([]Score, 0, n*d)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i, q := range queries {
-			out[i] = c.classifyInto(q, flat[i*d:i*d:(i+1)*d])
-		}
-		return out
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				out[i] = c.classifyInto(queries[i], flat[i*d:i*d:(i+1)*d])
-			}
-		}()
-	}
-	wg.Wait()
+	par.Each(n, func(i int) {
+		out[i] = c.classifyInto(queries[i], flat[i*d:i*d:(i+1)*d])
+	})
 	return out
 }
 

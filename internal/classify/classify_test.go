@@ -4,13 +4,16 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"schemaflow/internal/cluster"
 	"schemaflow/internal/core"
+	"schemaflow/internal/dataset"
 	"schemaflow/internal/feature"
 	"schemaflow/internal/schema"
 )
@@ -585,6 +588,79 @@ func TestClassifyAllocations(t *testing.T) {
 		total := testing.AllocsPerRun(20, func() { sinkScores = c.Classify(q) })
 		if total-embed > 2 {
 			t.Fatalf("query %v: Classify allocates %v times, %v of them embedding the query; want at most 2 more", q, total, embed)
+		}
+	}
+}
+
+// TestNewIsWorkerCountInvariant: New fills its tables from GOMAXPROCS workers
+// claiming eight rows at a time, and every entry of every table must be the
+// one a single goroutine computes — compared with ==, at 1, 2 and 7 workers,
+// over 37 domains (a ragged last block), with uncertain members, a domain no
+// schema belongs to (prior ≤ 0), both modes and a local subset of 13 rows.
+// The forbidden-fallback error must name the lowest offending domain whichever
+// worker met it.
+func TestNewIsWorkerCountInvariant(t *testing.T) {
+	const per, domains = 10, 37
+	set := dataset.Large(dataset.LargeConfig{N: per * domains, Domains: 8, Seed: 3})
+	sp := feature.BuildLite(set, feature.DefaultConfig())
+	assign := make([]int, len(set))
+	memberships := make([][]core.Membership, len(set))
+	for i := range set {
+		own := i / per
+		assign[i] = own
+		switch {
+		case own == domains-1: // the last cluster's schemas all answer to domain 0
+			memberships[i] = []core.Membership{{Schema: 0, Prob: 1}}
+		case i%7 == 0:
+			memberships[i] = []core.Membership{{Schema: own, Prob: 0.6}, {Schema: (own + 1) % (domains - 1), Prob: 0.4}}
+		default:
+			memberships[i] = []core.Membership{{Schema: own, Prob: 1}}
+		}
+	}
+	m, err := core.RestoreModel(set, sp, cluster.FromAssignment(assign), memberships, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	local := []int{30, 12, 17, 36, 0, 1, 2, 3, 25, 26, 27, 28, 35}
+	configs := map[string]Config{
+		"exact":       {},
+		"approximate": {Mode: Approximate},
+		"local":       {Local: local},
+		"forbidden":   {Local: local, MaxExactUncertain: -1},
+	}
+	type tables struct {
+		delta, base, sumLog0, logPrior []float64
+		err                            string
+	}
+	build := func(cfg Config) tables {
+		c, err := New(m, cfg)
+		if err != nil {
+			return tables{err: err.Error()}
+		}
+		return tables{delta: c.delta, base: c.base, sumLog0: c.sumLog0, logPrior: c.logPrior}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	want := make(map[string]tables)
+	for name, cfg := range configs {
+		want[name] = build(cfg)
+	}
+	if lp := want["exact"].logPrior; !math.IsInf(lp[domains-1], -1) || math.IsInf(lp[0], -1) {
+		t.Fatalf("log priors %v: the memberless domain should be the only -Inf", lp)
+	}
+	if got := len(want["local"].base); got != len(local) || got%rowBlock == 0 {
+		t.Fatalf("local table has %d rows; want %d, not a multiple of %d", got, len(local), rowBlock)
+	}
+	if e := want["forbidden"].err; !strings.Contains(e, "domain 0 ") {
+		t.Fatalf("forbidden fallback error %q does not name domain 0, the lowest local one", e)
+	}
+	for _, procs := range []int{2, 7} {
+		runtime.GOMAXPROCS(procs)
+		for name, cfg := range configs {
+			got, w := build(cfg), want[name]
+			if got.err != w.err || !slices.Equal(got.delta, w.delta) || !slices.Equal(got.base, w.base) ||
+				!slices.Equal(got.sumLog0, w.sumLog0) || !slices.Equal(got.logPrior, w.logPrior) {
+				t.Errorf("%s: tables at GOMAXPROCS %d differ from one worker's (error %q, want %q)", name, procs, got.err, w.err)
+			}
 		}
 	}
 }

@@ -13,6 +13,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"schemaflow/internal/cluster"
@@ -98,7 +99,7 @@ type Model struct {
 // runs on the serving path (feedback, AddSchema), over spaces of any size
 // with or without the similarity memo.
 func AssignDomains(set schema.Set, sp *feature.Space, cl *cluster.Result, opts Options) (*Model, error) {
-	return assignDomains(set, sp, cl, opts, func(i int, sums []float64) {
+	return assignDomains(set, sp, cl, opts, func(i int, sums []float64) []int {
 		for j := 0; j < i; j++ {
 			sums[cl.Assign[j]] += sp.Similarity(i, j)
 		}
@@ -106,6 +107,7 @@ func AssignDomains(set schema.Set, sp *feature.Space, cl *cluster.Result, opts O
 		for j := i + 1; j < len(set); j++ {
 			sums[cl.Assign[j]] += sp.Similarity(i, j)
 		}
+		return nil
 	})
 }
 
@@ -114,8 +116,15 @@ func AssignDomains(set schema.Set, sp *feature.Space, cl *cluster.Result, opts O
 // s_sim(S_i, S_j) over the members of C_r, computed from only its stored
 // neighbors inside C_r (plus the self-similarity 1 toward its own cluster);
 // pairs absent from ps contribute 0, exactly the AgglomerativeSparse
-// convention. The per-schema cost is O(degree(i)) rather than O(n), which
-// is what makes Algorithm 3 feasible at 100k schemas.
+// convention.
+//
+// With τ_c_sim > 0 a schema costs O(d log d) in its stored degree d, whatever
+// the number of clusters: only the clusters it touches — its own and its
+// neighbors' — are divided, gated and cleared. A cluster it does not touch
+// has similarity exactly 0, which fails the τ_c_sim gate and cannot be the
+// maximum the θ band is measured from, so leaving it out of the gate changes
+// nothing. With τ_c_sim ≤ 0 a zero similarity passes the absolute gate (and,
+// at θ = 1, the relative one), so every cluster is gated, as in AssignDomains.
 //
 // Over a complete pair set the result equals AssignDomains' to the last bit.
 // Over a candidate set, similarities to clusters that the generator found no
@@ -126,20 +135,34 @@ func AssignDomainsSparse(set schema.Set, sp *feature.Space, cl *cluster.Result, 
 	if ps.N() != len(set) {
 		return nil, fmt.Errorf("core: pair sims cover %d schemas, set has %d", ps.N(), len(set))
 	}
-	return assignDomains(set, sp, cl, opts, func(i int, sums []float64) {
+	var touched []int
+	stamp := make([]int, cl.NumClusters()) // stamp[r] == i+1: r is in touched for schema i
+	return assignDomains(set, sp, cl, opts, func(i int, sums []float64) []int {
 		// The self term goes in at position i, before the first neighbor
 		// above i or after the last one when there is none.
 		own, selfAdded := cl.Assign[i], false
+		touched = append(touched[:0], own)
+		stamp[own] = i + 1
 		ps.ForEach(i, func(j int32, s float64) {
 			if !selfAdded && int(j) > i {
 				sums[own]++
 				selfAdded = true
 			}
-			sums[cl.Assign[j]] += s
+			r := cl.Assign[j]
+			if stamp[r] != i+1 {
+				stamp[r] = i + 1
+				touched = append(touched, r)
+			}
+			sums[r] += s
 		})
 		if !selfAdded {
 			sums[own]++
 		}
+		if opts.TauCSim <= 0 {
+			return nil
+		}
+		slices.Sort(touched)
+		return touched
 	})
 }
 
@@ -149,13 +172,16 @@ func AssignDomainsSparse(set schema.Set, sp *feature.Space, cl *cluster.Result, 
 // at position i, not after the rest: float addition does not commute with
 // the reorder, and the sums must equal the definition's to the last bit
 // from every source. Schemas a source leaves out count as similarity 0.
+// sums is all zeros on entry. addRow returns the clusters to gate, ascending
+// — at least every cluster it added to — or nil for all of them, which it
+// must where a zero similarity can pass the gate (τ_c_sim ≤ 0).
 //
 // Deviation from the thesis text, for robustness: if a schema fails the
 // τ_c_sim gate against every cluster (possible when its own cluster grew
 // large and diffuse after the schema joined), D(S_i) would be empty and the
 // probabilities undefined; such a schema is assigned to its own cluster's
 // domain with probability 1.
-func assignDomains(set schema.Set, sp *feature.Space, cl *cluster.Result, opts Options, addRow func(i int, sums []float64)) (*Model, error) {
+func assignDomains(set schema.Set, sp *feature.Space, cl *cluster.Result, opts Options, addRow func(i int, sums []float64) []int) (*Model, error) {
 	if sp.NumSchemas() != len(set) {
 		return nil, fmt.Errorf("core: feature space has %d schemas, set has %d", sp.NumSchemas(), len(set))
 	}
@@ -168,18 +194,25 @@ func assignDomains(set schema.Set, sp *feature.Space, cl *cluster.Result, opts O
 
 	m := newModel(set, sp, cl, opts)
 
-	nC := cl.NumClusters()
-	sims := make([]float64, nC)
+	sims := make([]float64, cl.NumClusters())
 	for i := range set {
-		for r := range sims {
-			sims[r] = 0
-		}
 		// s_c_sim(S_i, C_r) = Σ_{j ∈ C_r} s_sim(S_i, S_j) / |C_r|.
-		addRow(i, sims)
-		for r := 0; r < nC; r++ {
+		cands := addRow(i, sims)
+		if cands == nil {
+			for r := range sims {
+				sims[r] /= float64(len(cl.Members[r]))
+			}
+			m.assignFromSims(i, sims, cl.Assign[i], opts)
+			clear(sims)
+			continue
+		}
+		for _, r := range cands {
 			sims[r] /= float64(len(cl.Members[r]))
 		}
-		m.assignFromSims(i, sims, cl.Assign[i], opts)
+		m.addMemberships(i, Gate(sims, cands, opts), cl.Assign[i])
+		for _, r := range cands {
+			sims[r] = 0
+		}
 	}
 
 	m.sortDomainMembers()
@@ -245,11 +278,16 @@ func Gate(sims []float64, cands []int, opts Options) []Membership {
 	return ds
 }
 
-// assignFromSims records schema i's memberships from its schema-to-cluster
-// similarity vector: whatever Gate admits, or — the empty-D(S_i) fallback
-// described in the assignDomains comment — its own cluster with probability 1.
+// assignFromSims records schema i's memberships from its similarity to every
+// cluster.
 func (m *Model) assignFromSims(i int, sims []float64, own int, opts Options) {
-	ds := Gate(sims, nil, opts)
+	m.addMemberships(i, Gate(sims, nil, opts), own)
+}
+
+// addMemberships records what Gate admitted for schema i, or — the
+// empty-D(S_i) fallback described in the assignDomains comment — its own
+// cluster with probability 1.
+func (m *Model) addMemberships(i int, ds []Membership, own int) {
 	if len(ds) == 0 {
 		m.addMembership(i, own, 1)
 		return

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"schemaflow/internal/candgen"
 	"schemaflow/internal/cluster"
 	"schemaflow/internal/dataset"
 	"schemaflow/internal/feature"
@@ -422,5 +423,115 @@ func TestAssignDomainsMatchesDefinition(t *testing.T) {
 			}
 			t.Logf("%s/%v: %d of %d schemas in several domains", name, method, uncertain, len(set))
 		}
+	}
+}
+
+// TestPropertySparseGateIsTheDenseGate: from an adjacency, with τ_c_sim > 0,
+// Algorithm 3 divides, gates and clears only the clusters a schema touches.
+// Its memberships must equal — with == — those of the definition's loop over
+// every cluster: sums over the stored pairs in ascending j with the self term
+// in place, every slot divided, Gate over all of them. The adjacencies are
+// LSH candidate subsets (most clusters untouched by most schemas); τ takes
+// 0.25, a stored schema-to-cluster similarity and its two float neighbours
+// (the gate's ≥ decided at the last bit). With τ ≤ 0 a zero similarity passes
+// the gate, so every cluster must still be gated: at θ = 1 every schema is a
+// member of every domain.
+func TestPropertySparseGateIsTheDenseGate(t *testing.T) {
+	ctx := context.Background()
+	corpora := map[string]schema.Set{
+		"dw+ss":      dataset.Union(dataset.DW(1), dataset.SS(1)),
+		"large-1500": dataset.Large(dataset.LargeConfig{N: 1500, Seed: 1}),
+	}
+	isolated := 0
+	for name, set := range corpora {
+		n := len(set)
+		sp := feature.BuildLite(set, feature.DefaultConfig())
+		lsh := feature.NewTermVectorizer(candgen.Config{Bands: 128, Rows: 2})
+		if err := lsh.Fit(sp); err != nil {
+			t.Fatal(err)
+		}
+		pairs, err := lsh.CandidatePairs(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps, err := cluster.PairwiseSims(ctx, sp, pairs, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ps.NumPairs() == 0 || ps.NumPairs() >= n*(n-1)/2 {
+			t.Fatalf("%s: %d of %d pairs stored, want a proper subset", name, ps.NumPairs(), n*(n-1)/2)
+		}
+		for _, method := range cluster.Methods() {
+			cl, err := cluster.AgglomerativeSparse(ctx, sp, cluster.NewLinkage(method), 0.25, ps, cluster.SparseOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			nC := cl.NumClusters()
+			// The definition, every slot of every row.
+			sims := make([][]float64, n)
+			stored, other := 0.0, false // a similarity to a cluster, not one's own where there is one
+			for i := range sims {
+				row, selfAdded := make([]float64, nC), false
+				ps.ForEach(i, func(j int32, s float64) {
+					if !selfAdded && int(j) > i {
+						row[cl.Assign[i]]++
+						selfAdded = true
+					}
+					row[cl.Assign[j]] += s
+				})
+				if !selfAdded {
+					row[cl.Assign[i]]++
+				}
+				for r := range row {
+					row[r] /= float64(len(cl.Members[r]))
+					if foreign := r != cl.Assign[i]; row[r] > 0 && row[r] < 1 && !other && (stored == 0 || foreign) {
+						stored, other = row[r], foreign
+					}
+				}
+				sims[i] = row
+			}
+			if stored == 0 {
+				t.Fatalf("%s/%v: no schema-to-cluster similarity inside (0,1)", name, method)
+			}
+			check := func(opts Options) *Model {
+				got, err := AssignDomainsSparse(set, sp, cl, ps, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := newModel(set, sp, cl, opts)
+				for i := range set {
+					want.assignFromSims(i, sims[i], cl.Assign[i], opts)
+					if g, w := got.DomainsOf(i), want.DomainsOf(i); !slices.Equal(g, w) {
+						t.Fatalf("%s/%v %+v: schema %d memberships %+v, every cluster gated %+v", name, method, opts, i, g, w)
+					}
+				}
+				return got
+			}
+			for _, theta := range []float64{0, 0.02, 0.3} {
+				for _, tau := range []float64{0.25, stored, math.Nextafter(stored, 0), math.Nextafter(stored, 1)} {
+					got := check(Options{TauCSim: tau, Theta: theta})
+					for i := range set {
+						if ps.Degree(i) > 0 {
+							continue
+						}
+						isolated++
+						if g := got.DomainsOf(i); len(g) != 1 || g[0] != (Membership{Schema: cl.Assign[i], Prob: 1}) {
+							t.Fatalf("%s/%v: schema %d has no stored neighbour and memberships %+v, want its own cluster", name, method, i, g)
+						}
+					}
+				}
+			}
+			for _, tau := range []float64{0, -1} {
+				got := check(Options{TauCSim: tau, Theta: 1})
+				for i := range set {
+					if len(got.DomainsOf(i)) != nC {
+						t.Fatalf("%s/%v τ=%v θ=1: schema %d is in %d of %d domains; a zero similarity passes this gate", name, method, tau, i, len(got.DomainsOf(i)), nC)
+					}
+				}
+			}
+		}
+	}
+	if isolated == 0 {
+		t.Error("no corpus held a schema without a stored neighbour")
 	}
 }

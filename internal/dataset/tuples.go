@@ -13,13 +13,26 @@ import (
 // by recognizing common tokens in the attribute name (names, cities, years,
 // prices, ...), falling back to deterministic opaque values. The same seed
 // reproduces the same extension.
+//
+// Which pool a column draws from depends on the attribute name alone, so it
+// is resolved once per column; a cell is then one draw and one slice read.
+// Draws stay row-major — a served row is a function of (schema, n, seed) that
+// tests and recorded hashes depend on.
 func GenerateTuples(s schema.Schema, n int, seed int64) [][]string {
 	rng := rand.New(rand.NewSource(seed))
+	width := len(s.Attributes)
+	pools := make([][]string, width)
+	for c, attr := range s.Attributes {
+		pools[c] = poolFor(attr)
+	}
+	// One backing slice per source; each row is capped at its own width so
+	// an append to one cannot reach the next.
+	cells := make([]string, n*width)
 	rows := make([][]string, n)
-	for r := 0; r < n; r++ {
-		row := make([]string, len(s.Attributes))
-		for c, attr := range s.Attributes {
-			row[c] = valueFor(attr, rng)
+	for r := range rows {
+		row := cells[r*width : (r+1)*width : (r+1)*width]
+		for c, pool := range pools {
+			row[c] = pool[rng.Intn(len(pool))]
 		}
 		rows[r] = row
 	}
@@ -50,14 +63,25 @@ var valuePools = []struct {
 	{[]string{"airport"}, []string{"YYZ", "CAI", "LIM", "OSL", "PER", "UIO"}},
 }
 
-func valueFor(attr string, rng *rand.Rand) string {
+// opaqueValues is the pool of a column no token recognizes: v000 … v999.
+var opaqueValues = func() []string {
+	vs := make([]string, 1000)
+	for i := range vs {
+		vs[i] = fmt.Sprintf("v%03d", i)
+	}
+	return vs
+}()
+
+// poolFor returns the values a column named attr draws from: those of the
+// first pool one of whose tokens the lower-cased name contains.
+func poolFor(attr string) []string {
 	low := strings.ToLower(attr)
 	for _, pool := range valuePools {
 		for _, tok := range pool.tokens {
 			if strings.Contains(low, tok) {
-				return pool.values[rng.Intn(len(pool.values))]
+				return pool.values
 			}
 		}
 	}
-	return fmt.Sprintf("v%03d", rng.Intn(1000))
+	return opaqueValues
 }

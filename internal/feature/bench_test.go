@@ -4,12 +4,12 @@ import (
 	"math/rand"
 	"testing"
 
+	"schemaflow/internal/dataset"
 	"schemaflow/internal/schema"
 )
 
-// benchCorpus synthesizes an n-schema corpus over a realistic vocabulary
-// without importing the dataset package (which would invert the dependency
-// order for no gain).
+// benchCorpus synthesizes an n-schema corpus over a small realistic
+// vocabulary.
 func benchCorpus(n int) schema.Set {
 	words := []string{
 		"title", "authors", "publication", "year", "venue", "pages",
@@ -45,6 +45,19 @@ func BenchmarkBuildLite315(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = BuildLite(set, DefaultConfig())
+	}
+}
+
+// BenchmarkBuildLite6000 is the `features` phase of the gated blocked build:
+// the wide corpus, ~12k vocabulary terms, no similarity memo.
+func BenchmarkBuildLite6000(b *testing.B) {
+	set := dataset.Large(dataset.LargeConfig{N: 6000, Domains: 120, Seed: 1})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if sp := BuildLite(set, DefaultConfig()); sp.NumSchemas() != len(set) {
+			b.Fatalf("space holds %d schemas", sp.NumSchemas())
+		}
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"sync/atomic"
 
 	"schemaflow/internal/bitvec"
+	"schemaflow/internal/par"
 	"schemaflow/internal/schema"
 	"schemaflow/internal/strsim"
 	"schemaflow/internal/terms"
@@ -49,6 +50,8 @@ type Config struct {
 	// TermOpts controls term extraction from attribute names.
 	TermOpts terms.Options
 	// Sim is the term similarity function t_sim. Nil means strsim.LCSSim.
+	// It is called from several goroutines at once, while a space is built
+	// as well as while it serves queries.
 	Sim strsim.TermSim
 	// Tau is the τ_t_sim threshold of Algorithm 1. Zero means 0.8, the
 	// value used throughout the thesis; to request a literal threshold of
@@ -204,11 +207,17 @@ func BuildLite(set schema.Set, cfg Config) *Space {
 	cfg = cfg.normalized()
 	sp := &Space{cfg: cfg, set: set}
 
+	// Term extraction, the per-term match lists (inside newMatchIndex) and
+	// the vectors are independent per schema or per term and fan out by
+	// index; the vocabulary and the inverted index between them are built in
+	// schema order on one goroutine, so the space is the same for any worker
+	// count.
 	sp.TermSets = make([]map[string]bool, len(set))
+	par.Each(len(set), func(i int) {
+		sp.TermSets[i] = terms.Extract(set[i].Attributes, cfg.TermOpts)
+	})
 	vocabSet := make(map[string]bool)
-	for i, s := range set {
-		ts := terms.Extract(s.Attributes, cfg.TermOpts)
-		sp.TermSets[i] = ts
+	for _, ts := range sp.TermSets {
 		for t := range ts {
 			vocabSet[t] = true
 		}
@@ -237,7 +246,10 @@ func BuildLite(set schema.Set, cfg Config) *Space {
 	// the similarity is symmetric, per-vocabulary-term match lists can be
 	// reused across schemas.
 	sp.Vectors = make([]*bitvec.Vector, len(set))
-	for i := range set {
+	if cfg.Mode == TermFrequency {
+		sp.counts = make([][]uint16, len(set))
+	}
+	par.Each(len(set), func(i int) {
 		v := bitvec.New(len(sp.Vocab))
 		for t := range sp.TermSets[i] {
 			for _, j := range sp.matcher.matchesOfVocab(sp.VocabIndex[t]) {
@@ -245,25 +257,23 @@ func BuildLite(set schema.Set, cfg Config) *Space {
 			}
 		}
 		sp.Vectors[i] = v
-	}
-	if cfg.Mode == TermFrequency {
+		if cfg.Mode != TermFrequency {
+			return
+		}
 		// Count every term *occurrence* across the schema's attributes
 		// (binary mode deduplicates; counting is the point here).
-		sp.counts = make([][]uint16, len(set))
-		for i, s := range set {
-			c := make([]uint16, len(sp.Vocab))
-			for _, attr := range s.Attributes {
-				for _, t := range terms.FromAttribute(attr, cfg.TermOpts) {
-					for _, j := range sp.matcher.matchesOfVocab(sp.VocabIndex[t]) {
-						if c[j] < ^uint16(0) {
-							c[j]++
-						}
+		c := make([]uint16, len(sp.Vocab))
+		for _, attr := range set[i].Attributes {
+			for _, t := range terms.FromAttribute(attr, cfg.TermOpts) {
+				for _, j := range sp.matcher.matchesOfVocab(sp.VocabIndex[t]) {
+					if c[j] < ^uint16(0) {
+						c[j]++
 					}
 				}
 			}
-			sp.counts[i] = c
 		}
-	}
+		sp.counts[i] = c
+	})
 	return sp
 }
 

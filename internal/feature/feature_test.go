@@ -3,9 +3,13 @@ package feature
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"schemaflow/internal/dataset"
 	"schemaflow/internal/schema"
 	"schemaflow/internal/strsim"
 	"schemaflow/internal/terms"
@@ -94,6 +98,44 @@ func TestBuildLiteMatchesBuild(t *testing.T) {
 		for j := range set {
 			if math.Abs(full.Similarity(i, j)-lite.Similarity(i, j)) > 1e-15 {
 				t.Fatalf("similarity(%d,%d) differs", i, j)
+			}
+		}
+	}
+}
+
+// TestBuildLiteIsWorkerCountInvariant: term extraction, the match lists and
+// the vectors fan out by index; everything a space holds must be what one
+// goroutine builds, at 1, 2 and 7 workers, in both modes.
+func TestBuildLiteIsWorkerCountInvariant(t *testing.T) {
+	set := dataset.Large(dataset.LargeConfig{N: 600, Domains: 12, Seed: 5})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, mode := range []Mode{Binary, TermFrequency} {
+		cfg := DefaultConfig()
+		cfg.Mode = mode
+		runtime.GOMAXPROCS(1)
+		want := BuildLite(set, cfg)
+		if (want.counts != nil) != (mode == TermFrequency) {
+			t.Fatalf("%v: counts present = %v", mode, want.counts != nil)
+		}
+		for _, procs := range []int{2, 7} {
+			runtime.GOMAXPROCS(procs)
+			got := BuildLite(set, cfg)
+			if !slices.Equal(got.Vocab, want.Vocab) || !reflect.DeepEqual(got.VocabIndex, want.VocabIndex) {
+				t.Fatalf("%v, GOMAXPROCS %d: vocabulary differs", mode, procs)
+			}
+			if !reflect.DeepEqual(got.TermSets, want.TermSets) || !reflect.DeepEqual(got.termSchemas, want.termSchemas) {
+				t.Fatalf("%v, GOMAXPROCS %d: term sets or the term→schema index differ", mode, procs)
+			}
+			if !reflect.DeepEqual(got.matcher.vocabMatches, want.matcher.vocabMatches) {
+				t.Fatalf("%v, GOMAXPROCS %d: match lists differ", mode, procs)
+			}
+			if !reflect.DeepEqual(got.counts, want.counts) {
+				t.Fatalf("%v, GOMAXPROCS %d: counts differ", mode, procs)
+			}
+			for i := range set {
+				if !got.Vectors[i].Equal(want.Vectors[i]) {
+					t.Fatalf("%v, GOMAXPROCS %d: vector %d differs", mode, procs, i)
+				}
 			}
 		}
 	}

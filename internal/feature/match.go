@@ -5,6 +5,7 @@ import (
 	"sync"
 	"unicode/utf8"
 
+	"schemaflow/internal/par"
 	"schemaflow/internal/strsim"
 )
 
@@ -21,7 +22,9 @@ type matchIndex struct {
 	threshold
 	minLen int
 
-	// vocabMatches[j] caches the match list of vocabulary term j.
+	// vocabMatches[j] is the match list of vocabulary term j, never empty (a
+	// term matches itself). Every list is filled before the index is handed
+	// out, so readers share it without synchronisation.
 	vocabMatches [][]int32
 
 	strategy matchStrategy
@@ -42,6 +45,11 @@ func newMatchIndex(vocab []string, sim strsim.TermSim, tau float64, minLen int) 
 		vocabMatches: make([][]int32, len(vocab)),
 	}
 	m.strategy = m.newStrategy(vocab)
+	// One lookup per vocabulary term, each writing its own slot: the
+	// strategies serve concurrent lookups (queries already rely on it).
+	par.Each(len(vocab), func(j int) {
+		m.vocabMatches[j] = m.matchesOf(vocab[j])
+	})
 	return m
 }
 
@@ -113,14 +121,6 @@ func (m *matchIndex) extended(newVocab []string, newTerms []string) (*matchIndex
 		vocabMatches: make([][]int32, len(newVocab)),
 	}
 	copy(nm.vocabMatches, m.vocabMatches)
-	// BuildLite materializes every vocabulary term's match list, but be
-	// defensive: the extended index must be fully populated so concurrent
-	// readers never race on a lazy fill.
-	for j := 0; j < oldDim; j++ {
-		if nm.vocabMatches[j] == nil {
-			nm.vocabMatches[j] = m.matchesOfVocab(j)
-		}
-	}
 
 	sym := symmetricSim(m.sim)
 	fwd := make([][]int32, len(newTerms)) // sim(newTerm, vocab[j]) ≥ τ
@@ -251,19 +251,9 @@ func (m *matchIndex) matchesOf(term string) []int32 {
 	return m.strategy.matches(term)
 }
 
-// matchesOfVocab is matchesOf for a term already in the vocabulary,
-// memoized per vocabulary index.
-func (m *matchIndex) matchesOfVocab(j int) []int32 {
-	if got := m.vocabMatches[j]; got != nil {
-		return got
-	}
-	matches := m.matchesOf(m.vocab[j])
-	if matches == nil {
-		matches = []int32{}
-	}
-	m.vocabMatches[j] = matches
-	return matches
-}
+// matchesOfVocab is matchesOf for vocabulary term j, read from the lists
+// computed when the index was built or extended.
+func (m *matchIndex) matchesOfVocab(j int) []int32 { return m.vocabMatches[j] }
 
 // gramStrategy is the LCS similarity's lossless filter-and-verify lookup
 // over byte g-grams; DESIGN §5a has the soundness arguments. Sim(p,v) ≥ τ

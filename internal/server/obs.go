@@ -34,7 +34,15 @@ var (
 	mQueriesDegraded = obs.Default().Counter(
 		"schemaflow_queries_degraded_total",
 		"Successful queries in which at least one source contributed nothing.")
+	mStartupPhase = obs.Default().GaugeVec(
+		"schemaflow_startup_phase_seconds",
+		"How long each phase of this process's start took: read, build, sources, serve.",
+		"phase")
 )
+
+// ObserveStartup records the duration of one phase of the process's start.
+// The binary calls it once per phase on its way to listening.
+func ObserveStartup(phase string, d time.Duration) { mStartupPhase.With(phase).Set(d.Seconds()) }
 
 // reqMeta travels with each request's context: the inner route wrapper
 // names the route, handlers flag domain-specific facts (a degraded query),
