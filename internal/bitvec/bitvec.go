@@ -232,32 +232,19 @@ func (v *Vector) IndicesAppend32(dst []int32) []int32 {
 	return dst
 }
 
-// JaccardIndices returns the Jaccard coefficient of two sets given as
-// sorted, duplicate-free index lists (as produced by IndicesAppend32). For
-// sparse vectors — a few dozen set bits in a many-thousand-bit space — the
-// two-pointer intersection is much cheaper than the word-wise Jaccard,
-// which pays for every zero word. Two empty sets have similarity 0, matching
-// Vector.Jaccard's convention.
-func JaccardIndices(a, b []int32) float64 {
-	inter := 0
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			inter++
-			i++
-			j++
-		case a[i] < b[j]:
-			i++
-		default:
-			j++
-		}
+// AndCountIndices returns |v ∩ u| for a vector u given as the duplicate-free
+// list of its set bits (IndicesAppend32 of a vector of v's length): one
+// branch-free probe of v per index. For sparse vectors — a few set bits in a
+// many-thousand-bit space — that is far cheaper than AndCount, which pays for
+// every zero word, and than merging two index lists, which branches on every
+// step; it returns the same integer as either. An index outside the vector's
+// words panics.
+func (v *Vector) AndCountIndices(idx []int32) int {
+	c := 0
+	for _, x := range idx {
+		c += int(v.words[uint32(x)/wordBits]>>(uint32(x)%wordBits)) & 1
 	}
-	union := len(a) + len(b) - inter
-	if union == 0 {
-		return 0
-	}
-	return float64(inter) / float64(union)
+	return c
 }
 
 // String renders the vector as a 0/1 string, bit 0 first. Intended for tests

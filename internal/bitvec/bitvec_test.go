@@ -1,7 +1,9 @@
 package bitvec
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -264,25 +266,61 @@ func TestIndicesAppend32(t *testing.T) {
 	}
 }
 
-func TestJaccardIndices(t *testing.T) {
-	idx := func(v *Vector) []int32 { return v.IndicesAppend32(nil) }
+// TestPropertyAndCountIndicesIsAndCount: probing v with u's set bits counts
+// exactly what the word-wise AndCount counts, and the Jaccard built from that
+// count the way cluster.PairwiseSims builds it — inter / (|v|+|u|−inter), 0
+// over an empty union — is Vector.Jaccard to the bit. Lengths cover the empty
+// vector, one word, a word boundary and a partial last word; the corner bits 0,
+// 63, 64 and the last are set on either side, alone or together; densities run
+// from one bit to every bit.
+func TestPropertyAndCountIndicesIsAndCount(t *testing.T) {
+	jaccard := func(a, b *Vector) float64 {
+		inter := a.AndCountIndices(b.IndicesAppend32(nil))
+		if union := a.Count() + b.Count() - inter; union != 0 {
+			return float64(inter) / float64(union)
+		}
+		return 0
+	}
+	check := func(label string, a, b *Vector) {
+		t.Helper()
+		if got, want := a.AndCountIndices(b.IndicesAppend32(nil)), a.AndCount(b); got != want {
+			t.Fatalf("%s: probe count %d, AndCount %d\n a=%s\n b=%s", label, got, want, a, b)
+		}
+		if got, want := jaccard(a, b), a.Jaccard(b); got != want {
+			t.Fatalf("%s: Jaccard from the probe count %v, Vector.Jaccard %v", label, got, want)
+		}
+	}
+	rng := rand.New(rand.NewSource(29))
+	for _, n := range []int{0, 1, 63, 64, 65, 128, 130, 200, 3576} {
+		corners := []int{0, 63, 64, n - 1}
+		corners = slices.DeleteFunc(corners, func(i int) bool { return i < 0 || i >= n })
+		vecs := []*Vector{New(n)}
+		for _, c := range corners {
+			vecs = append(vecs, FromIndices(n, c))
+		}
+		vecs = append(vecs, FromIndices(n, corners...))
+		for _, density := range []int{1, 8, 50, 100} {
+			v := New(n)
+			for i := 0; i < n; i++ {
+				if rng.Intn(100) < density {
+					v.Set(i)
+				}
+			}
+			vecs = append(vecs, v, v.Clone())
+		}
+		for i, a := range vecs {
+			for j, b := range vecs {
+				check(fmt.Sprintf("n=%d a#%d b#%d", n, i, j), a, b)
+			}
+		}
+	}
 
-	if got := JaccardIndices(nil, nil); got != 0 {
-		t.Errorf("both empty: %v, want 0", got)
-	}
-	if got := JaccardIndices([]int32{1, 3}, []int32{0, 2}); got != 0 {
-		t.Errorf("disjoint: %v, want 0", got)
-	}
-	if got := JaccardIndices([]int32{1, 5, 9}, []int32{1, 5, 9}); got != 1 {
-		t.Errorf("identical: %v, want 1", got)
-	}
-
-	// Property: agrees exactly with Vector.Jaccard.
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(300)
+		n := rng.Intn(300)
 		a, b := randomVec(n, rng), randomVec(n, rng)
-		return JaccardIndices(idx(a), idx(b)) == a.Jaccard(b)
+		check(fmt.Sprintf("seed %d", seed), a, b)
+		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

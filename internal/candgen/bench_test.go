@@ -30,3 +30,17 @@ func BenchmarkCandidatePairs(b *testing.B) {
 		b.ReportMetric(float64(len(pairs)), "pairs")
 	}
 }
+
+// BenchmarkSignatures is the other part of the `candidates` phase: MinHash
+// signatures of the gated corpus, folded into band keys.
+func BenchmarkSignatures(b *testing.B) {
+	set := dataset.Large(dataset.LargeConfig{N: 6000, Domains: 120, Seed: 1})
+	sp := feature.BuildLite(set, feature.DefaultConfig())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Signatures(context.Background(), sp.Vectors, DefaultConfig()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -30,6 +30,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
@@ -93,20 +94,18 @@ func CollisionProb(bands, rows int, s float64) float64 {
 	return 1 - math.Pow(1-math.Pow(s, float64(rows)), float64(bands))
 }
 
-// SignatureSet holds the MinHash signatures of one schema corpus.
+// SignatureSet holds the LSH band keys of one schema corpus. The MinHash
+// signatures they are folded from are not kept: banding reads nothing else.
 type SignatureSet struct {
 	cfg Config
 	n   int
-	k   int
-	// sigs is row-major: sigs[i*k : (i+1)*k] is schema i's signature.
-	sigs []uint32
+	// keys is band-major: keys[band*n+i] is schema i's bucket key in that
+	// band (see Signatures), so banding reads each band contiguously.
+	keys []uint16
 }
 
 // N returns the number of schemas signed.
 func (s *SignatureSet) N() int { return s.n }
-
-// K returns the signature length Bands·Rows.
-func (s *SignatureSet) K() int { return s.k }
 
 // splitmix64 is the SplitMix64 finalizer — a cheap, well-mixed 64-bit
 // permutation used to derive per-component hash parameters and to fold band
@@ -118,30 +117,45 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// Signatures computes MinHash signatures for every vector. Component t uses
-// the multiply-shift hash h_t(x) = (a_t·(2x+1)) >> 32 with a seeded odd
-// multiplier a_t; the signature component is min over the vector's set bits.
+// Signatures computes every schema's MinHash signature and folds it into its
+// band keys. Component t of the signature (k = Bands·Rows of them) uses the
+// multiply-shift hash h_t(x) = (a_t·(2x+1)) >> 32 with the odd multiplier
+// a_t = splitmix64(base+t) | 1, base = splitmix64(Seed ^ 0x5eedc0ffee); the
+// component is the minimum of h_t over the vector's set bits. The key of band
+// j is the top 16 bits of a splitmix64 chain over that band's r components,
+// h ← splitmix64(h ^ c) from h = splitmix64(j + 0xb1ade5). The narrow width is
+// deliberate — a band's whole key space is one 65,536-entry table — and part
+// of the output: accidental key collisions (~n²/2¹⁷ pairs per band) only ADD
+// candidate pairs, so recall cannot drop, and the extras are priced by the
+// exact similarity pass like every other candidate.
+//
 // An empty vector gets the all-max signature, which collides with nothing
 // except other empty vectors (two empty schemas have Jaccard 0 by the
 // bitvec convention, but identical signatures — callers clustering with a
 // positive threshold are unaffected because the exact similarity pass
 // assigns such pairs similarity 0).
 //
-// The per-schema loop is partitioned across cfg.Workers goroutines; ctx is
-// polled between schemas so a shutdown aborts promptly.
+// A schema's signature is built component-major — each set bit, two at a
+// time, sweeps all k minima, which are independent of one another — in one
+// worker-local row, and folded into its keys while the row is in L1; only the
+// keys are stored. Schemas are partitioned across cfg.Workers goroutines, and
+// ctx is polled between schemas so a shutdown aborts promptly.
 func Signatures(ctx context.Context, vecs []*bitvec.Vector, cfg Config) (*SignatureSet, error) {
 	cfg, err := cfg.normalized()
 	if err != nil {
 		return nil, err
 	}
-	n := len(vecs)
-	k := cfg.Bands * cfg.Rows
-	ss := &SignatureSet{cfg: cfg, n: n, k: k, sigs: make([]uint32, n*k)}
+	n, bands, rows := len(vecs), cfg.Bands, cfg.Rows
+	ss := &SignatureSet{cfg: cfg, n: n, keys: make([]uint16, n*bands)}
 
-	mults := make([]uint64, k)
+	mults := make([]uint64, bands*rows)
 	base := splitmix64(uint64(cfg.Seed) ^ 0x5eedc0ffee)
 	for t := range mults {
 		mults[t] = splitmix64(base+uint64(t)) | 1 // odd multiplier
+	}
+	seeds := make([]uint64, bands)
+	for band := range seeds {
+		seeds[band] = splitmix64(uint64(band) + 0xb1ade5)
 	}
 
 	var firstErr error
@@ -162,23 +176,19 @@ func Signatures(ctx context.Context, vecs []*bitvec.Vector, cfg Config) (*Signat
 		go func(lo, hi int) {
 			defer wg.Done()
 			var idx []int32
+			sig := make([]uint32, len(mults))
 			for i := lo; i < hi; i++ {
 				if i%256 == 0 && ctx.Err() != nil {
 					fail(ctx.Err())
 					return
 				}
 				idx = vecs[i].IndicesAppend32(idx[:0])
-				sig := ss.sigs[i*k : (i+1)*k]
-				for t := 0; t < k; t++ {
-					minv := uint32(math.MaxUint32)
-					a := mults[t]
-					for _, x := range idx {
-						h := uint32((a * uint64(2*uint32(x)+1)) >> 32)
-						if h < minv {
-							minv = h
-						}
+				minHash(sig, mults, idx)
+				for band, h := range seeds {
+					for _, c := range sig[band*rows : (band+1)*rows] {
+						h = splitmix64(h ^ uint64(c))
 					}
-					sig[t] = minv
+					ss.keys[band*n+i] = uint16(h >> 48)
 				}
 			}
 		}(lo, hi)
@@ -190,18 +200,22 @@ func Signatures(ctx context.Context, vecs []*bitvec.Vector, cfg Config) (*Signat
 	return ss, nil
 }
 
-// bandKey folds rows band·r .. band·r+r−1 of schema i's signature into the
-// band's bucket key: the top 16 bits of a splitmix64 chain. The narrow width
-// is deliberate — a band's whole key space is one 65,536-entry table — and
-// part of the output: accidental key collisions (~n²/2¹⁷ pairs per band) only
-// ADD candidate pairs, so recall cannot drop, and the extras are priced by the
-// exact similarity pass like every other candidate.
-func (s *SignatureSet) bandKey(band, i int) uint16 {
-	h := splitmix64(uint64(band) + 0xb1ade5)
-	for _, c := range s.sigs[i*s.k+band*s.cfg.Rows:][:s.cfg.Rows] {
-		h = splitmix64(h ^ uint64(c))
+// minHash writes into sig the MinHash signature of the set bits idx under the
+// multipliers mults: sig[t] = min over x in idx of (mults[t]·(2x+1)) >> 32,
+// MaxUint32 for an empty set. Each sweep lowers all k components by two set
+// bits (an odd last bit is swept as a pair with itself), so the k minima are
+// k independent chains rather than one serial chain per component.
+func minHash(sig []uint32, mults []uint64, idx []int32) {
+	sig = sig[:len(mults)]
+	for t := range sig {
+		sig[t] = math.MaxUint32
 	}
-	return uint16(h >> 48)
+	for j := 0; j < len(idx); j += 2 {
+		x0, x1 := uint64(2*uint32(idx[j])+1), uint64(2*uint32(idx[min(j+1, len(idx)-1)])+1)
+		for t, a := range mults {
+			sig[t] = min(sig[t], uint32((a*x0)>>32), uint32((a*x1)>>32))
+		}
+	}
 }
 
 // gatherBlock is how many consecutive schemas a Pairs worker claims at a
@@ -211,19 +225,20 @@ func (s *SignatureSet) bandKey(band, i int) uint16 {
 const gatherBlock = 64
 
 // Pairs runs LSH banding over the signatures and returns the candidate
-// pairs: every a < b whose keys (bandKey) agree in at least one band, each
-// once, sorted by (A, B).
+// pairs: every a < b whose band keys agree in at least one band, each once,
+// sorted by (A, B).
 //
 // Pass 1, per band: link each schema to the next-higher schema holding the
 // same key. Order inside a bucket carries no meaning for the output, so no
 // band is ever sorted — one descending scan over a key → lowest-schema-so-far
 // table threads the chains, and they ascend because the scan descends.
 // Pass 2, per schema a: walk a's chain in every band. Everything on a chain
-// is a partner b > a; a partner met in several bands is kept once (stamp),
-// and the few hundred survivors are sorted and emitted. Schemas are claimed
-// in blocks and the blocks concatenated in index order, so the output is
-// sorted by construction and the same for every worker count. ctx is polled
-// per band and per block.
+// is a partner b > a; it is marked in a worker-local n-bit set, which keeps a
+// partner met in several bands once, and the words between the lowest and the
+// highest partner are scanned — and cleared — in order, so a's pairs come out
+// ascending without a sort. Schemas are claimed in blocks and the blocks
+// concatenated in index order, so the output is sorted by construction and
+// the same for every worker count. ctx is polled per band and per block.
 func (s *SignatureSet) Pairs(ctx context.Context) ([]Pair, error) {
 	n, bands, workers := s.n, s.cfg.Bands, s.cfg.Workers
 
@@ -243,11 +258,10 @@ func (s *SignatureSet) Pairs(ctx context.Context) ([]Pair, error) {
 		go func() {
 			defer wg.Done()
 			head := make([]int32, 1<<16) // key → lowest schema seen so far, 0 for none
-			keys := make([]uint16, n)
 			for band := lo; band < hi && ctx.Err() == nil; band++ {
+				keys := s.keys[band*n : (band+1)*n]
 				for i := n - 1; i >= 0; i-- {
-					k := s.bandKey(band, i)
-					keys[i] = k
+					k := keys[i]
 					next[i*bands+band] = head[k]
 					head[k] = int32(i)
 				}
@@ -269,30 +283,30 @@ func (s *SignatureSet) Pairs(ctx context.Context) ([]Pair, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			stamp := make([]int32, n) // stamp[b] == a+1: b is already a partner of a
-			var partners []int32
+			seen := make([]uint64, (n+63)/64) // partners of the current schema; all zero between schemas
+			var out []Pair
 			for ctx.Err() == nil {
 				bi := int(claimed.Add(1)) - 1
 				if bi >= len(blocks) {
 					return
 				}
-				var out []Pair
+				out = out[:0]
 				for a := bi * gatherBlock; a < min((bi+1)*gatherBlock, n); a++ {
-					partners = partners[:0]
+					lo, hi := int32(n), int32(-1) // span of a's partners, empty until one is met
 					for band, b := range next[a*bands:][:bands] {
 						for ; b != 0; b = next[int(b)*bands+band] {
-							if stamp[b] != int32(a)+1 {
-								stamp[b] = int32(a) + 1
-								partners = append(partners, b)
-							}
+							seen[b>>6] |= 1 << (b & 63)
+							lo, hi = min(lo, b), max(hi, b)
 						}
 					}
-					slices.Sort(partners)
-					for _, b := range partners {
-						out = append(out, Pair{A: int32(a), B: b})
+					for wi := lo >> 6; wi <= hi>>6; wi++ {
+						for word := seen[wi]; word != 0; word &= word - 1 {
+							out = append(out, Pair{A: int32(a), B: wi<<6 | int32(bits.TrailingZeros64(word))})
+						}
+						seen[wi] = 0
 					}
 				}
-				blocks[bi] = out
+				blocks[bi] = slices.Clone(out)
 			}
 		}()
 	}

@@ -47,41 +47,91 @@ func testVectors(t *testing.T, n, domains int) []*bitvec.Vector {
 	return sp.Vectors
 }
 
+// splitmix64, minHash and bandKey write down Signatures' doc comment: the
+// signature of v under cfg, and the key of one band of a signature.
+func splitmix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
+
+func minHash(v *bitvec.Vector, cfg Config) []uint32 {
+	base := splitmix64(uint64(cfg.Seed) ^ 0x5eedc0ffee)
+	sig := make([]uint32, cfg.Bands*cfg.Rows)
+	for t := range sig {
+		a := splitmix64(base+uint64(t)) | 1
+		sig[t] = math.MaxUint32
+		for _, x := range v.Indices() {
+			sig[t] = min(sig[t], uint32((a*(2*uint64(x)+1))>>32))
+		}
+	}
+	return sig
+}
+
+func bandKey(sig []uint32, band, rows int) uint16 {
+	h := splitmix64(uint64(band) + 0xb1ade5)
+	for _, c := range sig[band*rows : (band+1)*rows] {
+		h = splitmix64(h ^ uint64(c))
+	}
+	return uint16(h >> 48)
+}
+
+// keysOf lists every stored key, schema by schema.
+func keysOf(ss *SignatureSet, bands int) []uint16 {
+	var keys []uint16
+	for i := 0; i < ss.N(); i++ {
+		for band := 0; band < bands; band++ {
+			keys = append(keys, BandKey(ss, band, i))
+		}
+	}
+	return keys
+}
+
+// TestSignaturesDeterministicAndSeeded: the stored keys are the definition's
+// (on schemas with odd and even set-bit counts, and empty ones), at one worker
+// and at seven, and a different seed moves them.
 func TestSignaturesDeterministicAndSeeded(t *testing.T) {
 	vecs := testVectors(t, 200, 4)
+	vecs = append(vecs, bitvec.New(vecs[0].Len()))
 	ctx := context.Background()
-	a, err := Signatures(ctx, vecs, Config{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Signatures(ctx, vecs, Config{Seed: 1, Workers: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range RawSigs(a) {
-		if RawSigs(a)[i] != RawSigs(b)[i] {
-			t.Fatalf("signatures differ at component %d across worker counts", i)
+	cfg := Config{Bands: 128, Rows: 2, Seed: 1}
+	var want []uint16
+	odd := 0
+	for _, v := range vecs {
+		odd += v.Count() % 2
+		sig := minHash(v, cfg)
+		for band := 0; band < cfg.Bands; band++ {
+			want = append(want, bandKey(sig, band, cfg.Rows))
 		}
 	}
-	c, err := Signatures(ctx, vecs, Config{Seed: 2})
+	if odd == 0 || odd == len(vecs) {
+		t.Fatalf("%d of %d vectors have an odd set-bit count; the corpus should have both", odd, len(vecs))
+	}
+	for _, workers := range []int{1, 7} {
+		cfg.Workers = workers
+		ss, err := Signatures(ctx, vecs, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := keysOf(ss, cfg.Bands); !slices.Equal(got, want) {
+			t.Fatalf("workers=%d: stored keys differ from the definition's", workers)
+		}
+	}
+	cfg.Seed = 2
+	c, err := Signatures(ctx, vecs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	same := true
-	for i := range RawSigs(a) {
-		if RawSigs(a)[i] != RawSigs(c)[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("different seeds produced identical signatures")
+	if slices.Equal(keysOf(c, cfg.Bands), want) {
+		t.Fatal("different seeds produced identical keys")
 	}
 }
 
 func TestEstimateTracksJaccard(t *testing.T) {
-	// The agreement fraction is an unbiased Jaccard estimator with
-	// σ ≤ 1/(2√k); at k = 512 a single pair should land within ~5σ.
+	// The agreement fraction of the signatures the keys are folded from is an
+	// unbiased Jaccard estimator with σ ≤ 1/(2√k); at k = 512 a single pair
+	// should land within ~5σ.
 	dim := 256
 	a := bitvec.New(dim)
 	b := bitvec.New(dim)
@@ -92,17 +142,14 @@ func TestEstimateTracksJaccard(t *testing.T) {
 		b.Set(i)
 	}
 	truth := a.Jaccard(b) // 20/60
-	ss, err := Signatures(context.Background(), []*bitvec.Vector{a, b}, Config{Bands: 256, Rows: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sigs, agree := RawSigs(ss), 0
-	for c := 0; c < ss.K(); c++ {
-		if sigs[c] == sigs[ss.K()+c] {
+	cfg := Config{Bands: 256, Rows: 2}
+	sa, sb, agree := minHash(a, cfg), minHash(b, cfg), 0
+	for c := range sa {
+		if sa[c] == sb[c] {
 			agree++
 		}
 	}
-	if est := float64(agree) / float64(ss.K()); math.Abs(est-truth) > 0.12 {
+	if est := float64(agree) / float64(len(sa)); math.Abs(est-truth) > 0.12 {
 		t.Errorf("agreement fraction = %v, true Jaccard = %v", est, truth)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"schemaflow/internal/candgen"
 	"schemaflow/internal/dataset"
 	"schemaflow/internal/feature"
 	"schemaflow/internal/schema"
@@ -66,6 +67,27 @@ func BenchmarkAgglomerateBlocked(b *testing.B) {
 	}
 	b.ReportMetric(float64(res.Components), "components")
 	b.ReportMetric(float64(res.LargestComponent), "largest")
+}
+
+// BenchmarkPairwiseSims is the blocked build's `pairwise` phase alone: the
+// exact similarities of the gated corpus' LSH candidates, verified and
+// assembled into the CSR, with the space and the candidates built outside the
+// timer.
+func BenchmarkPairwiseSims(b *testing.B) {
+	sp := feature.BuildLite(dataset.Large(dataset.LargeConfig{N: 6000, Domains: 120, Seed: 1}), feature.DefaultConfig())
+	pairs, err := candgen.Pairs(context.Background(), sp.Vectors, candgen.Config{Bands: 128, Rows: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var ps *PairSims
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if ps, err = PairwiseSims(context.Background(), sp, pairs, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(ps.NumPairs()), "stored")
 }
 
 // BenchmarkTauSweepDirect vs BenchmarkTauSweepDendrogram: the cost of

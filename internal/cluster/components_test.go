@@ -132,12 +132,13 @@ func pairSimsOf(n int, edges []simEdge) *PairSims {
 		uniq = append(uniq, e)
 	}
 	ps := newPairSims(n)
+	deg := make([]int64, n)
 	for _, e := range uniq {
-		ps.count(e.a, e.b, e.s)
+		count(deg, e.a, e.b, e.s)
 	}
-	ps.alloc()
+	ps.alloc([][]int64{deg})
 	for _, e := range uniq {
-		ps.put(e.a, e.b, e.s)
+		ps.put(deg, e.a, e.b, e.s)
 	}
 	return ps
 }

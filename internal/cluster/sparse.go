@@ -9,7 +9,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"schemaflow/internal/bitvec"
 	"schemaflow/internal/candgen"
 	"schemaflow/internal/feature"
 )
@@ -67,46 +66,24 @@ func (ps *PairSims) Sim(i, j int) float64 {
 // pairs, exact Jaccard decides.
 //
 // pairs must be sorted (A ascending, then B) with A < B, as candgen.Pairs
-// and candgen.AllPairs produce; duplicates are tolerated and collapsed.
-// The similarity pass is partitioned across workers goroutines (0 means
-// GOMAXPROCS) and polls ctx. In binary feature mode each similarity is a
-// two-pointer intersection of the schemas' set-bit lists, which beats the
-// word-wise Jaccard by the vectors' sparsity factor; term-frequency mode
-// falls back to the space's own pairwise measure.
+// and candgen.AllPairs produce; duplicates are tolerated and collapsed (a
+// repeat is verified as 0, which drops it like a genuine zero); the caller's
+// slice is never written. The pair list is cut into one contiguous chunk per
+// worker (workers goroutines, 0 means GOMAXPROCS), and each chunk is
+// validated, verified and counted, then written into the CSR through its own
+// cursors — so the structure is the same for every worker count. ctx is
+// polled during verification. In binary feature mode |A∩B| is a probe of A's
+// vector at each set bit of B (bitvec.AndCountIndices): a handful of
+// branch-free loads for schemas with a few set bits out of thousands, on a
+// vector that stays in cache across the run of pairs sharing A. The
+// similarity is inter/(|A|+|B|−inter) from the same integers as
+// Vector.Jaccard's, so the same float64. Term-frequency mode falls back to
+// the space's own pairwise measure.
 func PairwiseSims(ctx context.Context, sp *feature.Space, pairs []candgen.Pair, workers int) (*PairSims, error) {
 	n := sp.NumSchemas()
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	// Validate, and drop duplicates (sorted input makes them adjacent).
-	// candgen never emits one, so the input is read in place and copied only
-	// from the first duplicate on; the caller's slice is never written.
-	var dedup []candgen.Pair
-	for idx, p := range pairs {
-		if p.A >= p.B || p.A < 0 || int(p.B) >= n {
-			return nil, fmt.Errorf("cluster: candidate pair (%d,%d) invalid for n=%d", p.A, p.B, n)
-		}
-		if idx > 0 {
-			prev := pairs[idx-1]
-			if p == prev {
-				if dedup == nil {
-					dedup = append(make([]candgen.Pair, 0, len(pairs)-1), pairs[:idx]...)
-				}
-				continue
-			}
-			if p.A < prev.A || (p.A == prev.A && p.B < prev.B) {
-				return nil, fmt.Errorf("cluster: candidate pairs not sorted at index %d", idx)
-			}
-		}
-		if dedup != nil {
-			dedup = append(dedup, p)
-		}
-	}
-	if dedup != nil {
-		pairs = dedup
-	}
-
-	sims := make([]float64, len(pairs))
 
 	binary := sp.Config().Mode == feature.Binary
 	var idxLists [][]int32
@@ -119,7 +96,7 @@ func PairwiseSims(ctx context.Context, sp *feature.Space, pairs []candgen.Pair, 
 		}
 		flat := make([]int32, offs[n])
 		idxLists = make([][]int32, n)
-		if err := parallelRange(ctx, n, workers, func(lo, hi int) error {
+		if err := parallelRange(ctx, n, workers, func(_, lo, hi int) error {
 			for i := lo; i < hi; i++ {
 				if i%1024 == 0 {
 					if err := ctx.Err(); err != nil {
@@ -133,7 +110,16 @@ func PairwiseSims(ctx context.Context, sp *feature.Space, pairs []candgen.Pair, 
 			return nil, err
 		}
 	}
-	if err := parallelRange(ctx, len(pairs), workers, func(lo, hi int) error {
+
+	sims := make([]float64, len(pairs))
+	// A chunk's tallies, then its cursors; parallelRange may cut fewer chunks
+	// than this, and an unused one tallies nothing.
+	degs := make([][]int64, min(workers, len(pairs)))
+	for w := range degs {
+		degs[w] = make([]int64, n)
+	}
+	if err := parallelRange(ctx, len(pairs), workers, func(w, lo, hi int) error {
+		deg := degs[w]
 		for k := lo; k < hi; k++ {
 			if k%1024 == 0 {
 				if err := ctx.Err(); err != nil {
@@ -141,26 +127,43 @@ func PairwiseSims(ctx context.Context, sp *feature.Space, pairs []candgen.Pair, 
 				}
 			}
 			p := pairs[k]
+			if p.A >= p.B || p.A < 0 || int(p.B) >= n {
+				return fmt.Errorf("cluster: candidate pair (%d,%d) invalid for n=%d", p.A, p.B, n)
+			}
+			if k > 0 {
+				prev := pairs[k-1]
+				if p == prev {
+					continue
+				}
+				if p.A < prev.A || (p.A == prev.A && p.B < prev.B) {
+					return fmt.Errorf("cluster: candidate pairs not sorted at index %d", k)
+				}
+			}
 			if binary {
-				sims[k] = bitvec.JaccardIndices(idxLists[p.A], idxLists[p.B])
+				a, b := idxLists[p.A], idxLists[p.B]
+				inter := sp.Vectors[p.A].AndCountIndices(b)
+				if union := len(a) + len(b) - inter; union != 0 {
+					sims[k] = float64(inter) / float64(union)
+				}
 			} else {
 				sims[k] = sp.Similarity(int(p.A), int(p.B))
 			}
+			count(deg, p.A, p.B, sims[k])
 		}
 		return nil
 	}); err != nil {
 		return nil, err
 	}
 
-	// Two passes over the same stream, sizing the rows and then filling them,
-	// so nothing is buffered between the two.
 	ps := newPairSims(n)
-	for k, p := range pairs {
-		ps.count(p.A, p.B, sims[k])
-	}
-	ps.alloc()
-	for k, p := range pairs {
-		ps.put(p.A, p.B, sims[k])
+	ps.alloc(degs)
+	if err := parallelRange(ctx, len(pairs), workers, func(w, lo, hi int) error {
+		for k := lo; k < hi; k++ {
+			ps.put(degs[w], pairs[k].A, pairs[k].B, sims[k])
+		}
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	return ps, nil
 }
@@ -187,18 +190,18 @@ func CompletePairSims(ctx context.Context, sp *feature.Space) (*PairSims, error)
 		}
 		return nil
 	}
-	ps := newPairSims(n)
+	ps, deg := newPairSims(n), make([]int64, n)
 	if err := rows(func(i int32, above []float64) {
 		for d, s := range above {
-			ps.count(i, i+1+int32(d), s)
+			count(deg, i, i+1+int32(d), s)
 		}
 	}); err != nil {
 		return nil, err
 	}
-	ps.alloc()
+	ps.alloc([][]int64{deg})
 	if err := rows(func(i int32, above []float64) {
 		for d, s := range above {
-			ps.put(i, i+1+int32(d), s)
+			ps.put(deg, i, i+1+int32(d), s)
 		}
 	}); err != nil {
 		return nil, err
@@ -206,51 +209,60 @@ func CompletePairSims(ctx context.Context, sp *feature.Space) (*PairSims, error)
 	return ps, nil
 }
 
-// newPairSims starts the assembly of a symmetric CSR over n schemas. The
-// constructor streams its (a < b, sim) triples twice, in (a, b) order both
-// times: count sizes the rows, alloc turns the sizes into offsets, put fills.
-// Zero similarities are dropped by both passes.
+// newPairSims starts the assembly of a symmetric CSR over n schemas from a
+// stream of (a < b, sim) triples in (a, b) order, cut into one or more
+// consecutive chunks. Each chunk is streamed twice: count tallies the entries
+// each row receives from the chunk into the chunk's own deg, alloc turns the
+// tallies into every chunk's write cursors, and put fills through them — so
+// chunks can be filled concurrently. Zero similarities are dropped by both
+// passes.
 func newPairSims(n int) *PairSims {
 	return &PairSims{n: n, rowStart: make([]int64, n+1)}
 }
 
-func (ps *PairSims) count(a, b int32, s float64) {
+func count(deg []int64, a, b int32, s float64) {
 	if s != 0 {
-		ps.numPairs++
-		ps.rowStart[a+1]++
-		ps.rowStart[b+1]++
+		deg[a]++
+		deg[b]++
 	}
 }
 
-// alloc leaves rowStart[i+1] at row i's start — the slot put advances, so
-// that after the last put it is row i's end, which is what rowStart[i+1]
-// means.
-func (ps *PairSims) alloc() {
-	start := int64(0)
-	for i := 1; i <= ps.n; i++ {
-		start, ps.rowStart[i] = start+ps.rowStart[i], start
+// alloc sizes the rows from the chunks' tallies, in chunk order, and leaves
+// each chunk's deg[i] at the slot of row i that the chunk's first entry
+// into it takes.
+func (ps *PairSims) alloc(degs [][]int64) {
+	pos := int64(0)
+	for i := 0; i < ps.n; i++ {
+		for _, deg := range degs {
+			deg[i], pos = pos, pos+deg[i]
+		}
+		ps.rowStart[i+1] = pos
 	}
-	ps.nbr = make([]int32, 2*ps.numPairs)
-	ps.sim = make([]float64, 2*ps.numPairs)
+	ps.numPairs = int(pos / 2)
+	ps.nbr = make([]int32, pos)
+	ps.sim = make([]float64, pos)
 }
 
-// put appends the pair to both rows. Rows come out sorted by construction:
-// row i receives its B-side neighbors first (pairs (a, i) with a < i,
-// streamed in ascending a) and its A-side neighbors after (pairs (i, b),
-// ascending b > i), so the concatenation ascends without a per-row sort.
-func (ps *PairSims) put(a, b int32, s float64) {
+// put appends the pair to both rows at the chunk's cursors cur. Rows come out
+// sorted by construction: row i receives its B-side neighbors first (pairs
+// (a, i) with a < i, streamed in ascending a) and its A-side neighbors after
+// (pairs (i, b), ascending b > i), so the stream visits a row's entries in
+// ascending order — and alloc lays the chunks' shares of a row out in stream
+// order too.
+func (ps *PairSims) put(cur []int64, a, b int32, s float64) {
 	if s == 0 {
 		return
 	}
-	ka, kb := ps.rowStart[a+1], ps.rowStart[b+1]
+	ka, kb := cur[a], cur[b]
 	ps.nbr[ka], ps.sim[ka] = b, s
 	ps.nbr[kb], ps.sim[kb] = a, s
-	ps.rowStart[a+1], ps.rowStart[b+1] = ka+1, kb+1
+	cur[a], cur[b] = ka+1, kb+1
 }
 
-// parallelRange splits [0,n) into one contiguous chunk per worker and runs
-// fn on each concurrently, returning the first error.
-func parallelRange(ctx context.Context, n, workers int, fn func(lo, hi int) error) error {
+// parallelRange splits [0,n) into at most workers contiguous chunks, w-th
+// from the left, and runs fn(w, lo, hi) on each concurrently, returning the
+// first error by chunk.
+func parallelRange(ctx context.Context, n, workers int, fn func(w, lo, hi int) error) error {
 	if n == 0 {
 		return ctx.Err()
 	}
@@ -258,7 +270,7 @@ func parallelRange(ctx context.Context, n, workers int, fn func(lo, hi int) erro
 		workers = n
 	}
 	if workers <= 1 {
-		return fn(0, n)
+		return fn(0, 0, n)
 	}
 	chunk := (n + workers - 1) / workers
 	errs := make([]error, workers)
@@ -274,7 +286,7 @@ func parallelRange(ctx context.Context, n, workers int, fn func(lo, hi int) erro
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			errs[w] = fn(lo, hi)
+			errs[w] = fn(w, lo, hi)
 		}(w, lo, hi)
 	}
 	wg.Wait()

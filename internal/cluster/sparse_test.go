@@ -79,6 +79,51 @@ func TestPairwiseSimsMatchesSpace(t *testing.T) {
 	}
 }
 
+// TestPairwiseSimsDigests pins the CSR that PairwiseSims assembles over two
+// build-sized candidate sets — the first is the gated build-blocked
+// workload's — to sha256 digests of rowStart, nbr and the similarities' bits
+// (little-endian), recorded from the two-pointer verification this one
+// replaced, at one worker and at several.
+func TestPairwiseSimsDigests(t *testing.T) {
+	for _, tc := range []struct {
+		corpus dataset.LargeConfig
+		stored int
+		sha    string
+	}{
+		{dataset.LargeConfig{N: 6000, Domains: 120, Seed: 1}, 276944, "34fe1e191a94010ad43ffe8909e131ee2f36f1d20a8f309209a6fc696e1ac368"},
+		{dataset.LargeConfig{N: 1500, Seed: 3}, 157056, "e7ba1a016f08b34c8ea848a8410a6a821c32f460744282e9c133653083c57ee0"},
+	} {
+		sp := feature.BuildLite(dataset.Large(tc.corpus), feature.DefaultConfig())
+		pairs, err := candgen.Pairs(context.Background(), sp.Vectors, candgen.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 0, 3} {
+			ps, err := PairwiseSims(context.Background(), sp, pairs, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := sha256.New()
+			var buf [8]byte
+			for _, v := range ps.rowStart {
+				binary.LittleEndian.PutUint64(buf[:], uint64(v))
+				h.Write(buf[:])
+			}
+			for _, v := range ps.nbr {
+				binary.LittleEndian.PutUint32(buf[:4], uint32(v))
+				h.Write(buf[:4])
+			}
+			for _, v := range ps.sim {
+				binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+				h.Write(buf[:])
+			}
+			if got := fmt.Sprintf("%x", h.Sum(nil)); ps.NumPairs() != tc.stored || got != tc.sha {
+				t.Errorf("%+v workers=%d: %d of %d candidates stored, sha256 %s; recorded %d, %s", tc.corpus, workers, ps.NumPairs(), len(pairs), got, tc.stored, tc.sha)
+			}
+		}
+	}
+}
+
 func TestPairwiseSimsRejectsBadInput(t *testing.T) {
 	sp := buildSpace(t, twoDomainSet())
 	ctx := context.Background()
@@ -94,23 +139,26 @@ func TestPairwiseSimsRejectsBadInput(t *testing.T) {
 	if _, err := PairwiseSims(ctx, sp, []candgen.Pair{{A: 0, B: 1}, {A: 0, B: 1}, {A: 0, B: 0}}, 1); err == nil {
 		t.Error("accepted pair with A = B after a duplicate")
 	}
-	// Duplicates are tolerated and collapsed, wherever they sit, and the
-	// caller's slice is left as it was.
+	// Duplicates are tolerated and collapsed, wherever they sit — at three
+	// workers one straddles two chunks, at four one worker gets no chunk — and
+	// the caller's slice is left as it was.
 	dup := []candgen.Pair{{A: 0, B: 1}, {A: 0, B: 2}, {A: 0, B: 2}, {A: 0, B: 2}, {A: 1, B: 2}, {A: 1, B: 2}}
-	in := slices.Clone(dup)
-	got, err := PairwiseSims(ctx, sp, in, 1)
-	if err != nil {
-		t.Fatalf("duplicate pairs rejected: %v", err)
-	}
-	if !slices.Equal(in, dup) {
-		t.Errorf("input slice rewritten: %v", in)
-	}
 	want, err := PairwiseSims(ctx, sp, slices.Compact(slices.Clone(dup)), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("duplicates changed the result: %d pairs stored, %d without them", got.NumPairs(), want.NumPairs())
+	for _, workers := range []int{1, 3, 4} {
+		in := slices.Clone(dup)
+		got, err := PairwiseSims(ctx, sp, in, workers)
+		if err != nil {
+			t.Fatalf("workers=%d: duplicate pairs rejected: %v", workers, err)
+		}
+		if !slices.Equal(in, dup) {
+			t.Errorf("workers=%d: input slice rewritten: %v", workers, in)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("workers=%d: duplicates changed the result: %d pairs stored, %d without them", workers, got.NumPairs(), want.NumPairs())
+		}
 	}
 }
 
@@ -237,9 +285,9 @@ func TestAgglomerativeSparseOnlyReadsPairSims(t *testing.T) {
 // TestCompletePairSimsSameFromEverySource: the complete pair set must be
 // the same structure whether it is read from the similarity memo, computed
 // on demand over a lite space, or assembled by PairwiseSims from the
-// AllPairs list (whose binary-mode similarity is a different routine,
-// bitvec.JaccardIndices) — otherwise "exact" would depend on how the space
-// was built.
+// AllPairs list (whose binary-mode similarity is a different routine, a
+// probe count, bitvec.AndCountIndices) — otherwise "exact" would depend on
+// how the space was built.
 func TestCompletePairSimsSameFromEverySource(t *testing.T) {
 	set := dataset.Large(dataset.LargeConfig{N: 240, Domains: 6, Seed: 3})
 	for _, mode := range []feature.Mode{feature.Binary, feature.TermFrequency} {
@@ -437,12 +485,13 @@ func TestMergeNeighborOfTheLoserAloneDoesNotHoldTheWinner(t *testing.T) {
 			}
 		}
 	}
+	deg := make([]int64, n)
 	for _, e := range edges {
-		ps.count(e.a, e.b, e.s)
+		count(deg, e.a, e.b, e.s)
 	}
-	ps.alloc()
+	ps.alloc([][]int64{deg})
 	for _, e := range edges {
-		ps.put(e.a, e.b, e.s)
+		ps.put(deg, e.a, e.b, e.s)
 	}
 
 	for _, method := range []Method{AvgJaccard, MinJaccard} {

@@ -320,3 +320,17 @@ func TestBuildReportsHACShape(t *testing.T) {
 		}
 	}
 }
+
+// TestBuildReportsStoredPairs: a blocked build says how many of its candidate
+// pairs verification kept. Some candidates are pairs with nothing in common
+// (accidental band-key collisions), so the count is positive and below the
+// candidate count.
+func TestBuildReportsStoredPairs(t *testing.T) {
+	mBuildStoredPairs.Set(-1)
+	if _, err := Build(dataset.Large(dataset.LargeConfig{N: 600, Domains: 12, Seed: 1}), Options{CandidateGen: "lsh", SkipMediation: true}); err != nil {
+		t.Fatal(err)
+	}
+	if stored, cand := mBuildStoredPairs.Value(), mBuildCandidatePairs.Value(); stored <= 0 || stored >= cand {
+		t.Errorf("stored pairs %v of %v candidates, want a positive count below the candidates", stored, cand)
+	}
+}

@@ -99,10 +99,9 @@ var (
 	mBuildCandidateFraction = obs.Default().Gauge(
 		"schemaflow_build_candidate_fraction",
 		"Candidate pairs as a fraction of all n(n-1)/2 pairs in the most recent blocked build — the work the blocking stage saved.")
-	mBuildCandidateDuration = obs.Default().Histogram(
-		"schemaflow_build_candidate_duration_seconds",
-		"Duration of MinHash signature computation plus LSH banding in blocked builds.",
-		obs.DurationBuckets())
+	mBuildStoredPairs = obs.Default().Gauge(
+		"schemaflow_build_stored_pairs",
+		"Candidate pairs the exact verification kept (positive similarity) in the most recent blocked build; the rest of schemaflow_build_candidate_pairs found nothing.")
 	mBuildHACWorkers = obs.Default().Gauge(
 		"schemaflow_build_hac_workers",
 		"Worker goroutines available to the most recent build's clustering: Algorithm 2 runs one independent component per worker.")

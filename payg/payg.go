@@ -429,6 +429,7 @@ func buildModel(ctx context.Context, set schema.Set, fcfg feature.Config, method
 			return nil, fmt.Errorf("payg: pairwise similarities: %w", err)
 		}
 		mBuildPhase.With("pairwise").Observe(time.Since(t).Seconds())
+		mBuildStoredPairs.Set(float64(ps.NumPairs()))
 		clusterAll = func() (*cluster.Result, error) {
 			return cluster.AgglomerativeSparse(ctx, sp, link, opts.TauCSim, ps, cluster.SparseOptions{})
 		}
@@ -490,9 +491,7 @@ func lshCandidates(ctx context.Context, sp *feature.Space) ([]candgen.Pair, erro
 	if err != nil {
 		return nil, fmt.Errorf("payg: candidate generation: %w", err)
 	}
-	d := time.Since(t)
-	mBuildPhase.With("candidates").Observe(d.Seconds())
-	mBuildCandidateDuration.Observe(d.Seconds())
+	mBuildPhase.With("candidates").Observe(time.Since(t).Seconds())
 	mBuildCandidatePairs.Set(float64(len(pairs)))
 	if n := float64(sp.NumSchemas()); n > 1 {
 		mBuildCandidateFraction.Set(float64(len(pairs)) / (n * (n - 1) / 2))
