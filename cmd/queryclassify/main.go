@@ -22,7 +22,7 @@ import (
 func main() {
 	in := flag.String("in", "", "schema file (.json or line format); required")
 	tau := flag.Float64("tau", 0.25, "clustering threshold tau_c_sim")
-	top := flag.Int("top", 3, "how many domains to print per query")
+	top := flag.Int("top", 3, "how many domains to print per query (at least 1)")
 	approx := flag.Bool("approx", false, "use the linear-time approximate classifier")
 	explain := flag.Bool("explain", false, "itemize the top domain's per-term score contributions")
 	flag.Parse()
@@ -34,6 +34,9 @@ func main() {
 }
 
 func run(in string, tau float64, top int, approx, explain bool, queries []string) error {
+	if top < 1 {
+		return fmt.Errorf("-top must be at least 1, got %d", top)
+	}
 	set, err := cli.ReadSchemasFile(in)
 	if err != nil {
 		return err
@@ -48,15 +51,13 @@ func run(in string, tau float64, top int, approx, explain bool, queries []string
 	}
 	fmt.Fprintf(os.Stderr, "built %d domains over %d schemas\n", sys.NumDomains(), len(set))
 
+	domains := sys.Domains()
 	classifyOne := func(q string) {
-		scores := sys.Classify(q)
-		if top < len(scores) {
-			scores = scores[:top]
-		}
+		scores := sys.ClassifyTop(strings.Fields(q), top)
 		fmt.Printf("%q:\n", q)
 		for rank, s := range scores {
 			var names []string
-			for _, mem := range sys.Domains()[s.Domain].Schemas {
+			for _, mem := range domains[s.Domain].Schemas {
 				names = append(names, mem.Name)
 				if len(names) == 3 {
 					names = append(names, "...")

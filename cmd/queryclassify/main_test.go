@@ -37,3 +37,11 @@ func TestRunMissingInput(t *testing.T) {
 		t.Fatal("missing -in accepted")
 	}
 }
+
+func TestRunRejectsNonPositiveTop(t *testing.T) {
+	for _, top := range []int{0, -1} {
+		if err := run(writeSchemas(t), 0.2, top, false, false, []string{"airline"}); err == nil {
+			t.Fatalf("-top %d accepted", top)
+		}
+	}
+}

@@ -31,7 +31,7 @@ func TestClassifyBatchMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := c.ClassifyBatch(batchQueries)
+	got := c.ClassifyBatch(batchQueries, m.NumDomains())
 	if len(got) != len(batchQueries) {
 		t.Fatalf("batch returned %d results for %d queries", len(got), len(batchQueries))
 	}
@@ -48,16 +48,41 @@ func TestClassifyBatchMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestClassifyBatchIsPerQueryTop: the batch fans out on par.Each and carves
+// every answer out of one n × k allocation, and each answer must still be
+// the per-query Top, bit for bit, for every k a caller can pass — none, one,
+// a few, every domain and more. CI runs it under -race at one and four
+// workers.
+func TestClassifyBatchIsPerQueryTop(t *testing.T) {
+	m, queries := wideModel(t, 600, 10)
+	c, err := New(m, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := m.NumDomains()
+	for _, k := range []int{-1, 0, 1, 3, 10, n - 1, n, n + 3} {
+		got := c.ClassifyBatch(queries, k)
+		if len(got) != len(queries) {
+			t.Fatalf("k=%d: batch returned %d answers for %d queries", k, len(got), len(queries))
+		}
+		for i, q := range queries {
+			if want := c.Top(q, k); !sameScores(got[i], want) {
+				t.Fatalf("k=%d query %v: batch %+v, Top %+v", k, q, got[i], want)
+			}
+		}
+	}
+}
+
 func TestClassifyBatchEmpty(t *testing.T) {
 	m := buildModel(t, travelBibSet(), 0.2)
 	c, err := New(m, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.ClassifyBatch(nil); len(got) != 0 {
+	if got := c.ClassifyBatch(nil, 3); len(got) != 0 {
 		t.Fatalf("nil batch returned %d results", len(got))
 	}
-	got := c.ClassifyBatch([][]string{{"departure"}})
+	got := c.ClassifyBatch([][]string{{"departure"}}, m.NumDomains()+1)
 	if len(got) != 1 || len(got[0]) != m.NumDomains() {
 		t.Fatalf("single-query batch shape: %v", got)
 	}
@@ -114,7 +139,7 @@ func TestConcurrentClassifyOnExtendedSpace(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 20; i++ {
-			c.ClassifyBatch(batchQueries)
+			c.ClassifyBatch(batchQueries, 1+i%3)
 		}
 	}()
 	// Writers: grow private extensions from the shared space while readers

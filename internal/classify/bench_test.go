@@ -124,42 +124,61 @@ func wideModel(tb testing.TB, n, per int) (*core.Model, [][]string) {
 
 var sinkScores []Score
 
-// BenchmarkClassifyQuery's 50 domains hide everything but term matching;
-// this one runs Classify at the benchmark's classify-wide scale and then
-// splits one more pass over the same queries into the phases classifyInto
-// runs, so a regression names its phase.
+// BenchmarkClassifyWide's 50 domains hide everything but term matching;
+// this one runs Top at the benchmark's classify-wide scale — top3 is the
+// shape the server answers by default, all is Classify's full ranking — and
+// then splits one more pass over the same queries into the phases
+// classifyInto runs, so a regression names its phase. rank-ns is the k-best
+// selection for top3 and the sort for all; normalize-ns is the log-sum-exp
+// over every domain in both.
 func BenchmarkClassifyWide(b *testing.B) {
 	m, queries := wideModel(b, 6000, 10)
 	c, err := New(m, Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sinkScores = c.Classify(queries[i%len(queries)])
-	}
-	b.StopTimer()
+	for _, bc := range []struct {
+		name string
+		k    int
+	}{{"top3", 3}, {"all", m.NumDomains()}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sinkScores = c.Top(queries[i%len(queries)], bc.k)
+			}
+			b.StopTimer()
 
-	var embed, score, norm, sorted time.Duration
-	sc := c.scratch.Get().(*queryScratch)
-	scores := make([]Score, 0, m.NumDomains())
-	for i := 0; i < b.N; i++ {
-		t0 := time.Now()
-		c.embed(queries[i%len(queries)], sc)
-		t1 := time.Now()
-		c.score(sc)
-		scores = scores[:0]
-		for r := range c.row {
-			scores = append(scores, Score{Domain: r, LogPosterior: c.logPosterior(sc, r)})
-		}
-		t2 := time.Now()
-		normalize(scores)
-		t3 := time.Now()
-		rank(scores)
-		embed, score, norm, sorted = embed+t1.Sub(t0), score+t2.Sub(t1), norm+t3.Sub(t2), sorted+time.Since(t3)
-	}
-	for name, d := range map[string]time.Duration{"embed-ns": embed, "score-ns": score, "normalize-ns": norm, "rank-ns": sorted} {
-		b.ReportMetric(float64(d.Nanoseconds())/float64(b.N), name)
+			var embed, score, norm, sorted time.Duration
+			sc := c.scratch.Get().(*queryScratch)
+			asc := make([]Score, 0, m.NumDomains())
+			out := make([]Score, 0, bc.k)
+			for i := 0; i < b.N; i++ {
+				t0 := time.Now()
+				c.embed(queries[i%len(queries)], sc)
+				t1 := time.Now()
+				c.score(sc)
+				asc = asc[:0]
+				for r := range c.row {
+					asc = append(asc, Score{Domain: r, LogPosterior: c.logPosterior(sc, r)})
+				}
+				t2 := time.Now()
+				var nrm, sel time.Duration
+				if bc.k < len(asc) {
+					top := selectTop(asc, bc.k, out[:0])
+					t3 := time.Now()
+					normalizeTop(asc, top)
+					sel, nrm = t3.Sub(t2), time.Since(t3)
+				} else {
+					normalize(asc)
+					t3 := time.Now()
+					rank(asc)
+					nrm, sel = t3.Sub(t2), time.Since(t3)
+				}
+				embed, score, norm, sorted = embed+t1.Sub(t0), score+t2.Sub(t1), norm+nrm, sorted+sel
+			}
+			for name, d := range map[string]time.Duration{"embed-ns": embed, "score-ns": score, "normalize-ns": norm, "rank-ns": sorted} {
+				b.ReportMetric(float64(d.Nanoseconds())/float64(b.N), name)
+			}
+		})
 	}
 }

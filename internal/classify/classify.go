@@ -100,9 +100,9 @@ type Classifier struct {
 	// adjustment of row i when query feature j is set.
 
 	// scratch pools per-call working state (query vector, set-bit list,
-	// per-row scores) so the hot path does not allocate it per
-	// classification. The pooled vectors are sized to the model's
-	// dimensionality, which is fixed for the lifetime of the classifier.
+	// per-row and per-domain scores) so the hot path does not allocate it
+	// per classification. The pooled buffers are sized to the model's
+	// dimensionality and domain count, fixed for the classifier's lifetime.
 	scratch sync.Pool
 }
 
@@ -111,6 +111,7 @@ type queryScratch struct {
 	vec *bitvec.Vector
 	idx []int
 	lp  []float64 // per table row: the query's raw log posterior (score)
+	asc []Score   // every domain's score in ascending domain order; cap NumDomains
 }
 
 // statsScratch carries the dim-sized working buffers of the per-domain
@@ -147,7 +148,7 @@ func New(m *core.Model, cfg Config) (*Classifier, error) {
 	nD := m.NumDomains()
 	c := &Classifier{model: m, mode: cfg.Mode, row: make([]int32, nD)}
 	c.scratch.New = func() any {
-		return &queryScratch{vec: bitvec.New(dim)}
+		return &queryScratch{vec: bitvec.New(dim), asc: make([]Score, 0, nD)}
 	}
 	if cfg.Local != nil {
 		for r := range c.row {
@@ -380,25 +381,41 @@ func approxDomainStats(m *core.Model, d *core.Domain, totalSchemas int, p float6
 // domain scored and sorted by descending posterior. Posterior values are
 // normalized across domains (Pr(F^Q) cancels in the ranking, Section 5.1).
 func (c *Classifier) Classify(keywords []string) []Score {
-	return c.classifyInto(keywords, make([]Score, 0, c.model.NumDomains()))
+	return c.Top(keywords, c.model.NumDomains())
 }
 
-// classifyInto scores the query into the provided slice (len 0, cap ≥
-// NumDomains()) and returns it. Per-call working state — the query vector,
-// its set-bit list and the per-row scores — comes from the scratch pool, so
-// a steady stream of classifications allocates only the returned scores.
-func (c *Classifier) classifyInto(keywords []string, scores []Score) []Score {
+// Top returns the best-ranked k domains for the query, bit for bit
+// Classify(keywords)[:k], without ranking the rest: k > NumDomains → all,
+// k < 1 → none (and nothing is classified).
+func (c *Classifier) Top(keywords []string, k int) []Score {
+	k = max(0, min(k, c.model.NumDomains()))
+	return c.classifyInto(keywords, k, make([]Score, 0, k))
+}
+
+// classifyInto answers Top(keywords, k) into the provided slice (len 0,
+// cap ≥ k, 0 ≤ k ≤ NumDomains()) and returns it. Per-call working state —
+// the query vector, its set-bit list, the per-row scores and, unless the
+// answer is every domain, the domain-ordered score list — comes from the
+// scratch pool, so a steady stream of classifications allocates only the
+// returned scores.
+func (c *Classifier) classifyInto(keywords []string, k int, out []Score) []Score {
+	if k < 1 {
+		return out
+	}
 	sc := c.scratch.Get().(*queryScratch)
 	c.embed(keywords, sc)
 	c.score(sc)
-	for r := range c.row {
-		scores = append(scores, Score{Domain: r, LogPosterior: c.logPosterior(sc, r)})
+	asc := sc.asc[:0]
+	if k == len(c.row) {
+		asc = out // the whole ranking is normalized and sorted in the answer itself
 	}
+	for r := range c.row {
+		asc = append(asc, Score{Domain: r, LogPosterior: c.logPosterior(sc, r)})
+	}
+	out, h := rankTop(asc, k, out)
 	c.scratch.Put(sc)
-	normalize(scores)
-	rank(scores)
-	observeClassification(scores)
-	return scores
+	observeClassification(out, h)
+	return out
 }
 
 // embed maps the keyword query into the feature space: sc.idx lists its set
@@ -435,39 +452,73 @@ func (c *Classifier) logPosterior(sc *queryScratch, r int) float64 {
 }
 
 // ClassifyBatch classifies many queries with bounded CPU-parallel fan-out
-// and returns one ranked score slice per query, in input order. Results are
-// identical to calling Classify once per query; the batch path exists for
+// and returns the best k domains of each, in input order. Results are
+// identical to calling Top once per query; the batch path exists for
 // throughput — workers share the classifier's scratch pool, and all score
-// slices are carved from one flat allocation.
-func (c *Classifier) ClassifyBatch(queries [][]string) [][]Score {
+// slices are carved from one flat allocation of n × min(k, NumDomains).
+func (c *Classifier) ClassifyBatch(queries [][]string, k int) [][]Score {
 	out := make([][]Score, len(queries))
 	n := len(queries)
 	if n == 0 {
 		return out
 	}
-	d := c.model.NumDomains()
-	flat := make([]Score, 0, n*d)
+	k = max(0, min(k, c.model.NumDomains()))
+	flat := make([]Score, 0, n*k)
 	par.Each(n, func(i int) {
-		out[i] = c.classifyInto(queries[i], flat[i*d:i*d:(i+1)*d])
+		out[i] = c.classifyInto(queries[i], k, flat[i*k:i*k:(i+1)*k])
 	})
 	return out
-}
-
-// Top returns the best-ranked k domains for the query (k > len → all).
-func (c *Classifier) Top(keywords []string, k int) []Score {
-	s := c.Classify(keywords)
-	if k < len(s) {
-		s = s[:k]
-	}
-	return s
 }
 
 // Mode reports which setup rule built this classifier.
 func (c *Classifier) Mode() Mode { return c.mode }
 
+// rankTop ranks one query's scores. asc holds them in ascending domain order
+// (their Posterior is ignored) and the answer is the best min(k, len(asc))
+// under rank's order, with Posterior normalized over all of asc: bit for bit
+// the first k entries that normalize and rank leave in asc. When k covers
+// asc that is what runs, in place, and asc is returned. Otherwise the k best
+// are selected into out (len 0, cap ≥ k, not aliasing asc) and nothing is
+// sorted. The second result is the posterior's entropy.
+func rankTop(asc []Score, k int, out []Score) ([]Score, float64) {
+	if k >= len(asc) {
+		h := normalize(asc)
+		rank(asc)
+		return asc, h
+	}
+	if k < 1 {
+		return out, 0
+	}
+	out = selectTop(asc, k, out)
+	return out, normalizeTop(asc, out)
+}
+
+// selectTop appends to out (len 0, cap ≥ k ≥ 1) the k best of asc, best
+// first, in one pass. asc is in ascending domain order, so a score enters
+// only when strictly better than the k-th kept so far and is shifted in
+// behind every kept score at least as good: equal scores keep the smaller
+// domain id first, which is the prefix rank leaves.
+func selectTop(asc []Score, k int, out []Score) []Score {
+	for _, s := range asc {
+		if len(out) == k {
+			if s.LogPosterior <= out[k-1].LogPosterior {
+				continue
+			}
+			out = out[:k-1]
+		}
+		i := len(out)
+		out = append(out, s)
+		for ; i > 0 && out[i-1].LogPosterior < s.LogPosterior; i-- {
+			out[i] = out[i-1]
+		}
+		out[i] = s
+	}
+	return out
+}
+
 // normalize fills Posterior via a log-sum-exp over LogPosterior, summing in
-// slice order.
-func normalize(scores []Score) {
+// slice order, and returns the posterior's entropy.
+func normalize(scores []Score) float64 {
 	maxLP := math.Inf(-1)
 	for _, s := range scores {
 		if s.LogPosterior > maxLP {
@@ -476,26 +527,61 @@ func normalize(scores []Score) {
 	}
 	if math.IsInf(maxLP, -1) {
 		for i := range scores {
-			scores[i].Posterior = 0 // whatever a MergeScores partial carried
+			scores[i].Posterior = 0 // whatever a MergeTop partial carried
 		}
-		return
+		return 0
 	}
-	sum := 0.0
-	for i := range scores {
-		e := math.Exp(scores[i].LogPosterior - maxLP)
-		scores[i].Posterior = e
-		sum += e
-	}
+	sum, h := expSum(scores, maxLP)
 	for i := range scores {
 		scores[i].Posterior /= sum
 	}
+	return h
+}
+
+// normalizeTop is normalize for a selection: top holds the best entries of
+// asc, best first, and gets the Posterior normalize over asc would give
+// them. The maximum is top[0]'s score — the first of the largest in domain
+// order, the one normalize's scan keeps — and the sum is normalize's, over
+// the same floats in the same order, so each answer is the same x/sum of
+// the same x. asc's Posteriors are left as scratch.
+func normalizeTop(asc, top []Score) float64 {
+	maxLP := top[0].LogPosterior
+	if math.IsInf(maxLP, -1) {
+		for i := range top {
+			top[i].Posterior = 0
+		}
+		return 0
+	}
+	sum, h := expSum(asc, maxLP)
+	for i := range top {
+		top[i].Posterior = math.Exp(top[i].LogPosterior-maxLP) / sum
+	}
+	return h
+}
+
+// expSum sets each score's Posterior to e = exp(LogPosterior − maxLP) and
+// returns their sum S, in slice order, with the entropy of the posterior
+// e/S in closed form: H = log S − Σ e·(LogPosterior − maxLP) / S over the
+// e > 0, one Log per query instead of one per domain.
+func expSum(scores []Score, maxLP float64) (sum, entropy float64) {
+	dot := 0.0
+	for i := range scores {
+		x := scores[i].LogPosterior - maxLP
+		e := math.Exp(x)
+		scores[i].Posterior = e
+		sum += e
+		if e > 0 {
+			dot += e * x
+		}
+	}
+	return sum, math.Log(sum) - dot/sum
 }
 
 // rank sorts scores best first, ties by ascending domain id. No table entry
 // is NaN, so this is a total order over distinct domains and every correct
 // sort yields the same permutation — in particular the one a stable sort by
 // descending LogPosterior yields from a slice in ascending domain order,
-// which is the order classifyInto and MergeScores hand it.
+// which is the order rankTop is handed.
 func rank(scores []Score) {
 	slices.SortFunc(scores, func(a, b Score) int {
 		switch {

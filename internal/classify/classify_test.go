@@ -145,6 +145,79 @@ func TestTopTruncates(t *testing.T) {
 	if got := c.Top([]string{"airline"}, 100); len(got) != m.NumDomains() {
 		t.Fatalf("Top(100) returned %d", len(got))
 	}
+	for _, k := range []int{0, -1, math.MinInt} {
+		if got := c.Top([]string{"airline"}, k); got == nil || len(got) != 0 {
+			t.Fatalf("Top(%d) returned %v, want an empty answer", k, got)
+		}
+	}
+}
+
+// TestTopIsThePrefix: Top(q, k) is Classify(q)[:k] — domain, LogPosterior
+// bits and Posterior bits — over every wideModel query at k from 1 to past
+// the domain count, on the full classifier and on a shard's (Config.Local),
+// whose non-local domains all tie at -Inf.
+func TestTopIsThePrefix(t *testing.T) {
+	m, queries := wideModel(t, 6000, 10)
+	n := m.NumDomains()
+	var local []int
+	for r := 0; r < n; r += 3 {
+		local = append(local, r)
+	}
+	for name, cfg := range map[string]Config{"full": {}, "local": {Local: local}} {
+		c, err := New(m, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range queries {
+			full := c.Classify(q)
+			for _, k := range []int{1, 2, 3, 10, 100, len(local) - 1, len(local), len(local) + 1, n - 1, n, n + 1} {
+				if got := c.Top(q, k); !sameScores(got, full[:min(k, n)]) {
+					t.Fatalf("%s query %v k=%d: Top %+v, Classify prefix %+v", name, q, k, got, full[:min(k, n)])
+				}
+			}
+		}
+	}
+}
+
+// TestEntropyClosedForm: the entropy a classification observes is
+// log S − Σ e_i·(lp_i − max)/S, one Log per query; it must agree with the
+// per-domain −Σ p_i·log p_i over the p_i > 0 to 1e-12 relative, and every
+// path — full ranking, selection, all -Inf — must hand the same value on.
+func TestEntropyClosedForm(t *testing.T) {
+	m, queries := wideModel(t, 600, 10)
+	c, err := New(m, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs := [][]Score{
+		{{Domain: 0, LogPosterior: math.Inf(-1)}, {Domain: 1, LogPosterior: math.Inf(-1)}},
+		{{Domain: 0, LogPosterior: -3}},
+		{{Domain: 0, LogPosterior: -1.5}, {Domain: 1, LogPosterior: -1.5}, {Domain: 2, LogPosterior: math.Inf(-1)}, {Domain: 3, LogPosterior: -800}},
+	}
+	for _, q := range queries {
+		asc := c.Classify(q)
+		slices.SortFunc(asc, func(a, b Score) int { return a.Domain - b.Domain })
+		inputs = append(inputs, asc)
+	}
+	for _, asc := range inputs {
+		full := slices.Clone(asc)
+		h := normalize(full)
+		want := 0.0
+		for _, s := range full {
+			if s.Posterior > 0 {
+				want -= s.Posterior * math.Log(s.Posterior)
+			}
+		}
+		if math.Abs(h-want) > 1e-12*math.Abs(want) {
+			t.Fatalf("%d scores: closed-form entropy %v, per-domain sum %v", len(asc), h, want)
+		}
+		for k := 1; k <= len(asc)+1; k++ {
+			_, hk := rankTop(slices.Clone(asc), k, make([]Score, 0, k))
+			if math.Float64bits(hk) != math.Float64bits(h) {
+				t.Fatalf("%d scores, k=%d: rankTop entropy %v, normalize %v", len(asc), k, hk, h)
+			}
+		}
+	}
 }
 
 func TestApproximateMatchesExactWhenAllCertain(t *testing.T) {
@@ -409,7 +482,8 @@ func sameScores(a, b []Score) bool {
 // the total order (LogPosterior desc, Domain asc), so an unstable sort on
 // that order gives the same permutation — with heavy ties, a -Inf block and
 // both zeros, for Classify's slice and for MergeScores over 1–4 shuffled
-// partials.
+// partials. The k-best selection must give that permutation's first k, with
+// the same Posterior bits, for every k from 0 to past the end.
 func TestPropertyRankIsTheStableSort(t *testing.T) {
 	values := []float64{math.Inf(-1), math.Inf(-1), 0, math.Copysign(0, -1), -1.5, -1.5, -7, -700, -1e-300, 3}
 	f := func(seed int64) bool {
@@ -440,6 +514,15 @@ func TestPropertyRankIsTheStableSort(t *testing.T) {
 		}
 		for _, p := range partials {
 			rng.Shuffle(len(p), func(a, b int) { p[a], p[b] = p[b], p[a] })
+		}
+		// The selection is the stable sort's prefix at every k, on
+		// classifyInto's domain-ordered slice and through MergeTop.
+		for k := 0; k <= len(asc)+1; k++ {
+			prefix := want[:min(k, len(want))]
+			got, _ := rankTop(slices.Clone(asc), k, make([]Score, 0, k))
+			if !sameScores(got, prefix) || !sameScores(MergeTop(partials, k), prefix) {
+				return false
+			}
 		}
 		return sameScores(MergeScores(partials), want)
 	}
@@ -570,8 +653,8 @@ func TestNewLocalMatchesFull(t *testing.T) {
 }
 
 // TestClassifyAllocations: beyond embedding the query (term extraction
-// allocates per keyword), one Classify allocates the scores slice it returns
-// and at most the top-domain metric label. A per-call table, map or
+// allocates per keyword), one Classify or Top allocates the scores slice it
+// returns and at most the top-domain metric label. A per-call table, map or
 // row buffer shows here first.
 func TestClassifyAllocations(t *testing.T) {
 	if raceEnabled {
@@ -588,6 +671,10 @@ func TestClassifyAllocations(t *testing.T) {
 		total := testing.AllocsPerRun(20, func() { sinkScores = c.Classify(q) })
 		if total-embed > 2 {
 			t.Fatalf("query %v: Classify allocates %v times, %v of them embedding the query; want at most 2 more", q, total, embed)
+		}
+		top := testing.AllocsPerRun(20, func() { sinkScores = c.Top(q, 3) })
+		if top-embed > 2 {
+			t.Fatalf("query %v: Top allocates %v times, %v of them embedding the query; want at most 2 more", q, top, embed)
 		}
 	}
 }

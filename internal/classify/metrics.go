@@ -27,18 +27,10 @@ var (
 )
 
 // observeClassification records one classification outcome: the request
-// count, the posterior's entropy, and which domain won.
-func observeClassification(scores []Score) {
+// count, the posterior's entropy h over every domain (rankTop's), and which
+// domain won — scores is the non-empty answer, best first.
+func observeClassification(scores []Score, h float64) {
 	mClassifyRequests.Inc()
-	if len(scores) == 0 {
-		return
-	}
-	h := 0.0
-	for _, s := range scores {
-		if s.Posterior > 0 {
-			h -= s.Posterior * math.Log(s.Posterior)
-		}
-	}
 	mClassifyEntropy.Observe(h)
 	if !math.IsInf(scores[0].LogPosterior, -1) {
 		mClassifyTopDomain.With(strconv.Itoa(scores[0].Domain)).Inc()

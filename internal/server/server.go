@@ -32,8 +32,9 @@
 // the rebuilt system — the live pay-as-you-go loop. Domain ids may change
 // across a feedback application; the response carries the id mapping.
 //
-// Classification (GET /classify and POST /classify/batch) is answered
-// through the manager's generation-keyed result cache: repeated keyword
+// Classification (GET /classify and POST /classify/batch) selects the top
+// k domains without ranking the rest and is answered through the manager's
+// generation-keyed result cache, keyed by term set and k: repeated keyword
 // queries skip the classifier entirely, and every atomic swap (feedback or
 // recluster) invalidates the whole cache by construction, so responses are
 // always computed against the current serving generation.
@@ -55,6 +56,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"strconv"
+	"strings"
 	"time"
 
 	"schemaflow/internal/engine"
@@ -293,18 +295,15 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The manager's generation-keyed cache answers repeated queries without
-	// running the classifier; results are identical to System().Classify.
+	// running the classifier; results are identical to System().ClassifyTop,
+	// which selects the top domains without ranking the rest.
 	v := s.mgr.View()
-	httpapi.WriteJSON(w, http.StatusOK, scoresJSON(v.System(), v.Classify(q), top))
+	httpapi.WriteJSON(w, http.StatusOK, scoresJSON(v.System(), v.ClassifyTop(strings.Fields(q), top)))
 }
 
-// scoresJSON converts a ranking computed on sys to wire form, truncated to
-// the top k and decorated with each domain's mediated schema when
-// available.
-func scoresJSON(sys *payg.System, scores []payg.Score, top int) []httpapi.Score {
-	if top < len(scores) {
-		scores = scores[:top]
-	}
+// scoresJSON converts a ranking computed on sys to wire form, decorated
+// with each domain's mediated schema when available.
+func scoresJSON(sys *payg.System, scores []payg.Score) []httpapi.Score {
 	out := make([]httpapi.Score, 0, len(scores))
 	for _, sc := range scores {
 		sj := httpapi.Score{Domain: sc.Domain, Posterior: sc.Posterior}
@@ -323,10 +322,10 @@ func (s *Server) handleClassifyBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	v := s.mgr.View()
-	rankings := v.ClassifyBatch(req.Queries)
+	rankings := v.ClassifyBatch(req.Queries, req.Top)
 	results := make([][]httpapi.Score, len(rankings))
 	for i, scores := range rankings {
-		results[i] = scoresJSON(v.System(), scores, req.Top)
+		results[i] = scoresJSON(v.System(), scores)
 	}
 	httpapi.WriteJSON(w, http.StatusOK, map[string]any{"results": results})
 }

@@ -35,6 +35,8 @@ func (s *Server) handleShardClassify(w http.ResponseWriter, r *http.Request) {
 		httpapi.BadRequest(w, err)
 		return
 	}
+	// A partial carries every local log posterior, so the shard ranks every
+	// domain (k = NumDomains): the router's selection needs them all.
 	v := s.mgr.View()
 	sys := v.System()
 	httpapi.WriteJSON(w, http.StatusOK, shard.ClassifyPartial{
@@ -52,7 +54,7 @@ func (s *Server) handleShardClassifyBatch(w http.ResponseWriter, r *http.Request
 	}
 	v := s.mgr.View()
 	sys := v.System()
-	rankings := v.ClassifyBatch(req.Queries)
+	rankings := v.ClassifyBatch(req.Queries, sys.NumDomains())
 	out := shard.BatchPartial{
 		Generation:   v.Generation(),
 		TotalDomains: sys.NumDomains(),

@@ -15,8 +15,8 @@
 // single node — but holds classifier table rows and mediated schemas
 // only for its local domains. The Router fans a query out to every shard,
 // concatenates the partial log posteriors, and re-runs the exact
-// normalization + rank of the single-node classifier
-// (classify.MergeScores), so a healthy router's ranking is bit-identical
+// normalization + top-k selection of the single-node classifier
+// (classify.MergeTop), so a healthy router's ranking is bit-identical
 // to the unsharded system's. SplitCheckpoint cuts a single-node durable
 // checkpoint into the N per-shard data dirs this topology serves from.
 package shard

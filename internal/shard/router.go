@@ -60,7 +60,7 @@ type backend struct {
 // Router is the scatter-gather front-end of a sharded topology. It speaks
 // the same HTTP API as a single payg-server: classification fans out to
 // every shard and merges partial log posteriors bit-identically to a
-// single node (classify.MergeScores); domain-addressed requests (/query,
+// single node (classify.MergeTop); domain-addressed requests (/query,
 // /schema, /explain) proxy to the owning shard; ingestion probes every
 // shard and routes the arrival to the winner; feedback broadcasts to all
 // shards and demands unanimity. Shard failures degrade answers instead of
@@ -321,8 +321,8 @@ func decodeBatch(body []byte) (*BatchPartial, error) {
 }
 
 // mergeRanking turns one query's partial lists (indexed by shard, empty
-// where the shard contributed nothing) into the final ranked wire form,
-// checking that no domain is claimed by two shards.
+// where the shard contributed nothing) into the top domains of the final
+// ranking in wire form, checking that no domain is claimed by two shards.
 func mergeRanking(partials [][]PartialScore, top int) ([]httpapi.Score, int, error) {
 	var lists [][]classify.Score
 	mediated := make(map[int][]string)
@@ -341,10 +341,7 @@ func mergeRanking(partials [][]PartialScore, top int) ([]httpapi.Score, int, err
 		covered += len(ps)
 		lists = append(lists, WireScores(ps))
 	}
-	merged := classify.MergeScores(lists)
-	if top < len(merged) {
-		merged = merged[:top]
-	}
+	merged := classify.MergeTop(lists, top)
 	out := make([]httpapi.Score, 0, len(merged))
 	for _, sc := range merged {
 		out = append(out, httpapi.Score{Domain: sc.Domain, Posterior: sc.Posterior, Mediated: mediated[sc.Domain]})

@@ -11,7 +11,7 @@ import (
 // Partial scores carry the *raw* per-domain log posterior — never the
 // shard-locally normalized posterior, which is meaningless globally — so
 // the router can re-run the single-node normalization over the
-// concatenated partials (classify.MergeScores) and recover the exact
+// concatenated partials (classify.MergeTop) and recover the exact
 // floats. JSON cannot encode -Inf, so a skipped/empty domain travels as
 // NegInf=true; Go's float64 JSON round-trip is exact for every finite
 // value (shortest-representation encoding), which is what keeps the
@@ -86,7 +86,7 @@ func PartialScores(scores []classify.Score, sys *payg.System, top int) []Partial
 }
 
 // WireScores converts wire partial scores back to classifier scores,
-// restoring -Inf. Posterior is left zero — MergeScores recomputes it.
+// restoring -Inf. Posterior is left zero — MergeTop recomputes it.
 func WireScores(ps []PartialScore) []classify.Score {
 	out := make([]classify.Score, len(ps))
 	for i, p := range ps {

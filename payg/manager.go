@@ -166,7 +166,8 @@ type Manager struct {
 	closed    bool
 
 	// queries caches ranked classification results keyed by canonical term
-	// set and serving generation; nil when QueryCacheSize < 0.
+	// set, number of domains asked for and serving generation; nil when
+	// QueryCacheSize < 0.
 	queries *queryCache
 
 	// Durability (nil/zero when ManagerOptions.DataDir is empty). wal is
@@ -350,34 +351,39 @@ func (m *Manager) Classify(query string) []Score { return m.View().Classify(quer
 
 // ClassifyKeywords is Classify for an already-tokenized query.
 func (m *Manager) ClassifyKeywords(keywords []string) []Score {
-	return m.View().ClassifyKeywords(keywords)
+	v := m.View()
+	return v.ClassifyTop(keywords, v.st.sys.NumDomains())
 }
 
-// ClassifyBatch ranks domains for many free-text queries in one call,
-// in input order. Cached queries are answered immediately; the misses run
-// through the classifier's CPU-parallel batch path against a single
-// consistent serving generation and populate the cache for next time.
-func (m *Manager) ClassifyBatch(queries []string) [][]Score {
-	return m.View().ClassifyBatch(queries)
+// ClassifyBatch returns the best k domains for each of many free-text
+// queries in one call, in input order. Cached queries are answered
+// immediately; the misses run through the classifier's CPU-parallel batch
+// path against a single consistent serving generation and populate the
+// cache for next time.
+func (m *Manager) ClassifyBatch(queries []string, k int) [][]Score {
+	return m.View().ClassifyBatch(queries, k)
 }
 
 // Classify is Manager.Classify against the pinned generation.
 func (v View) Classify(query string) []Score {
-	return v.ClassifyKeywords(strings.Fields(query))
+	return v.ClassifyTop(strings.Fields(query), v.st.sys.NumDomains())
 }
 
-// ClassifyKeywords is Manager.ClassifyKeywords against the pinned
-// generation.
-func (v View) ClassifyKeywords(keywords []string) []Score {
+// ClassifyTop returns the best k domains for an already-tokenized query
+// against the pinned generation: System().ClassifyTop's answer, from the
+// result cache when the same canonical term set was asked for at the same k
+// before. Every k past the domain count is one entry, the whole ranking.
+func (v View) ClassifyTop(keywords []string, k int) []Score {
 	st, cache := v.st, v.cache
+	k = min(k, st.sys.NumDomains())
 	if cache == nil {
-		return st.sys.ClassifyKeywords(keywords)
+		return st.sys.ClassifyTop(keywords, k)
 	}
-	key := cacheKey(st.sys.space.QueryTerms(keywords))
+	key := cacheKey(st.sys.space.QueryTerms(keywords), k)
 	if scores, ok := cache.get(key, st.gen); ok {
 		return scores
 	}
-	scores := st.sys.ClassifyKeywords(keywords)
+	scores := st.sys.ClassifyTop(keywords, k)
 	// The entry is tagged with the generation the ranking was computed
 	// against; if a swap raced this call, the tag no longer matches the
 	// serving generation and the entry is simply never served.
@@ -386,23 +392,24 @@ func (v View) ClassifyKeywords(keywords []string) []Score {
 }
 
 // ClassifyBatch is Manager.ClassifyBatch against the pinned generation.
-func (v View) ClassifyBatch(queries []string) [][]Score {
+func (v View) ClassifyBatch(queries []string, k int) [][]Score {
 	mQueryBatchWidth.Observe(float64(len(queries)))
 	st, cache := v.st, v.cache
+	k = min(k, st.sys.NumDomains())
 	out := make([][]Score, len(queries))
 	if cache == nil {
 		kws := make([][]string, len(queries))
 		for i, q := range queries {
 			kws[i] = strings.Fields(q)
 		}
-		return st.sys.ClassifyBatch(kws)
+		return st.sys.ClassifyBatch(kws, k)
 	}
 	keys := make([]string, len(queries))
 	var missIdx []int
 	var missKws [][]string
 	for i, q := range queries {
 		kw := strings.Fields(q)
-		keys[i] = cacheKey(st.sys.space.QueryTerms(kw))
+		keys[i] = cacheKey(st.sys.space.QueryTerms(kw), k)
 		if scores, ok := cache.get(keys[i], st.gen); ok {
 			out[i] = scores
 			continue
@@ -411,10 +418,10 @@ func (v View) ClassifyBatch(queries []string) [][]Score {
 		missKws = append(missKws, kw)
 	}
 	if len(missIdx) > 0 {
-		res := st.sys.ClassifyBatch(missKws)
-		for k, i := range missIdx {
-			out[i] = res[k]
-			cache.put(keys[i], st.gen, res[k])
+		res := st.sys.ClassifyBatch(missKws, k)
+		for j, i := range missIdx {
+			out[i] = res[j]
+			cache.put(keys[i], st.gen, res[j])
 		}
 	}
 	return out

@@ -604,11 +604,18 @@ func (s *System) ClassifyKeywords(keywords []string) []Score {
 	return s.classifier.Classify(keywords)
 }
 
-// ClassifyBatch ranks domains for many tokenized queries with bounded
-// CPU-parallel fan-out, returning one ranking per query in input order.
-// Results are identical to calling ClassifyKeywords per query.
-func (s *System) ClassifyBatch(queries [][]string) [][]Score {
-	return s.classifier.ClassifyBatch(queries)
+// ClassifyTop returns the best k domains for an already-tokenized query —
+// ClassifyKeywords(keywords)[:k] bit for bit, without ranking the rest.
+// k past NumDomains means every domain; k < 1 means none.
+func (s *System) ClassifyTop(keywords []string, k int) []Score {
+	return s.classifier.Top(keywords, k)
+}
+
+// ClassifyBatch returns the best k domains for each of many tokenized
+// queries with bounded CPU-parallel fan-out, in input order. Results are
+// identical to calling ClassifyTop per query.
+func (s *System) ClassifyBatch(queries [][]string, k int) [][]Score {
+	return s.classifier.ClassifyBatch(queries, k)
 }
 
 // Explanation itemizes a classification per matched vocabulary term.

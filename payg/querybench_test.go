@@ -160,7 +160,7 @@ func BenchmarkClassifyBatch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if out := sys.ClassifyBatch(kws); len(out) != len(kws) {
+		if out := sys.ClassifyBatch(kws, sys.NumDomains()); len(out) != len(kws) {
 			b.Fatal("short batch")
 		}
 	}

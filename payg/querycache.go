@@ -3,12 +3,14 @@ package payg
 import (
 	"container/list"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 )
 
 // queryCache is a generation-keyed LRU over ranked classification results.
-// Keys are canonicalized query term sets; each entry remembers the serving
+// Keys are canonicalized query term sets with the number of domains asked
+// for, and an entry holds that many scores; each entry remembers the serving
 // generation it was computed against, and the manager's atomic-swap
 // generation counter makes invalidation free: an entry whose generation is
 // not the current one is a miss (and is dropped on sight), so a feedback
@@ -40,16 +42,18 @@ func newQueryCache(capacity int) *queryCache {
 	}
 }
 
-// cacheKey canonicalizes a query's extracted term set: classification
-// depends only on the set of canonical terms (QueryVector is a union), so
-// keyword order and duplicates must not fragment the cache. Terms never
-// contain control bytes, so 0x1F is a safe joiner.
-func cacheKey(terms []string) string {
+// cacheKey canonicalizes a query's extracted term set and the number of
+// domains asked for: classification depends only on the set of canonical
+// terms (QueryVector is a union), so keyword order and duplicates must not
+// fragment the cache, and an entry holds only the k best scores, so k is
+// part of the key. Terms never contain control bytes, so 0x1F is a safe
+// joiner and 0x1E ends the k prefix.
+func cacheKey(terms []string, k int) string {
 	if len(terms) > 1 && !sort.StringsAreSorted(terms) {
 		terms = append([]string(nil), terms...)
 		sort.Strings(terms)
 	}
-	return strings.Join(terms, "\x1f")
+	return strconv.Itoa(k) + "\x1e" + strings.Join(terms, "\x1f")
 }
 
 // get returns a copy of the cached ranking for key at the given serving

@@ -94,6 +94,39 @@ func TestManagerClassifyUsesCache(t *testing.T) {
 	}
 }
 
+// TestManagerClassifyTopKeysOnK: an entry holds the k scores asked for, so
+// k is part of the key — each k answers its own System().ClassifyTop,
+// bit for bit, from its own entry — while every k past the domain count is
+// the one full-ranking entry Classify uses.
+func TestManagerClassifyTopKeysOnK(t *testing.T) {
+	mgr := newManager(t, nil, ManagerOptions{DriftThreshold: -1})
+	kw := []string{"departure", "destination", "airline"}
+	n := mgr.System().NumDomains()
+	for round := 0; round < 2; round++ {
+		for _, k := range []int{1, 2} {
+			got := mgr.View().ClassifyTop(kw, k)
+			if want := mgr.System().ClassifyTop(kw, k); len(got) != k || !scoresEqual(got, want) {
+				t.Fatalf("round %d k=%d: cached %v, uncached %v", round, k, got, want)
+			}
+		}
+		if mgr.queries.len() != 2 {
+			t.Fatalf("round %d: cache len %d after k=1 and k=2, want 2", round, mgr.queries.len())
+		}
+	}
+	full := mgr.Classify("departure destination airline")
+	for _, k := range []int{n, n + 1, n + 100} {
+		if got := mgr.View().ClassifyTop(kw, k); !scoresEqual(got, full) {
+			t.Fatalf("k=%d: %v, want the full ranking %v", k, got, full)
+		}
+	}
+	if mgr.queries.len() != 3 {
+		t.Fatalf("cache len %d, want 3: every k ≥ %d domains is the full ranking's entry", mgr.queries.len(), n)
+	}
+	if a, b := cacheKey([]string{"b", "a"}, 3), cacheKey([]string{"a", "b"}, 3); a != b || a == cacheKey([]string{"a", "b"}, 2) {
+		t.Fatalf("cacheKey: %q and %q should match and differ from k=2's", a, b)
+	}
+}
+
 func TestManagerClassifyCacheDisabled(t *testing.T) {
 	mgr := newManager(t, nil, ManagerOptions{DriftThreshold: -1, QueryCacheSize: -1})
 	if mgr.queries != nil {
@@ -103,7 +136,7 @@ func TestManagerClassifyCacheDisabled(t *testing.T) {
 	if want := mgr.System().Classify("departure destination"); !scoresEqual(got, want) {
 		t.Fatal("uncached manager classify diverges")
 	}
-	batch := mgr.ClassifyBatch([]string{"departure", "title authors"})
+	batch := mgr.ClassifyBatch([]string{"departure", "title authors"}, mgr.System().NumDomains())
 	if len(batch) != 2 {
 		t.Fatalf("batch size %d", len(batch))
 	}
@@ -196,7 +229,7 @@ func TestManagerClassifyBatchParity(t *testing.T) {
 		"fuel type transmission",        // miss
 		"departure destination airline", // duplicate of a hit
 	}
-	got := mgr.ClassifyBatch(batch)
+	got := mgr.ClassifyBatch(batch, mgr.System().NumDomains())
 	if len(got) != len(batch) {
 		t.Fatalf("batch returned %d results for %d queries", len(got), len(batch))
 	}
@@ -207,7 +240,7 @@ func TestManagerClassifyBatchParity(t *testing.T) {
 	}
 	// Everything in the batch is now cached; a repeat batch must be all
 	// hits and identical.
-	again := mgr.ClassifyBatch(batch)
+	again := mgr.ClassifyBatch(batch, mgr.System().NumDomains())
 	for i := range batch {
 		if !scoresEqual(again[i], got[i]) {
 			t.Fatalf("repeat batch[%d] diverged", i)
