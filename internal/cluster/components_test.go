@@ -143,10 +143,6 @@ func pairSimsOf(n int, edges []simEdge) *PairSims {
 	return ps
 }
 
-func clonePairSims(ps *PairSims) *PairSims {
-	return &PairSims{n: ps.n, rowStart: slices.Clone(ps.rowStart), nbr: slices.Clone(ps.nbr), sim: slices.Clone(ps.sim), numPairs: ps.numPairs}
-}
-
 // plantedGraph is a random sparse similarity graph shaped around tau: groups
 // of schemas scattered over the index range (so a group's local ids are far
 // from its schema indices), connected inside by pairs at or above tau drawn
@@ -250,8 +246,7 @@ func checkComponents(t *testing.T, label string, ps *PairSims, floor float64) *p
 // the bit: on planted graphs with bridges just below, at and just above tau,
 // and on real similarities (both feature modes) over a random candidate
 // subset, with tau also set to a stored similarity and to the floats on
-// either side of it; for every linkage, several worker counts, and both the
-// copying and the consuming path.
+// either side of it; for every linkage and several worker counts.
 func TestPropertyComponentsAreTheWholeRun(t *testing.T) {
 	ctx := context.Background()
 	split := 0
@@ -259,7 +254,7 @@ func TestPropertyComponentsAreTheWholeRun(t *testing.T) {
 		for _, m := range Methods() {
 			whole := NewLinkage(m)
 			whole.init(sp)
-			want, err := identityPartition(ps.n).agglomerate(ctx, whole, tau, clonePairSims(ps), 1, true)
+			want, err := identityPartition(ps.n).agglomerate(ctx, whole, tau, ps, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -267,20 +262,14 @@ func TestPropertyComponentsAreTheWholeRun(t *testing.T) {
 				split++
 			}
 			for _, workers := range []int{1, 2, 7} {
-				for _, consume := range []bool{false, true} {
-					in := ps
-					if consume {
-						in = clonePairSims(ps)
-					}
-					got, err := agglomerate(ctx, sp, NewLinkage(m), tau, in, SparseOptions{Workers: workers}, consume)
-					if err != nil {
-						t.Fatal(err)
-					}
-					l := fmt.Sprintf("%s/%v/tau=%v/workers=%d/consume=%v", label, m, tau, workers, consume)
-					resultsEqual(t, l, want, got)
-					if !reflect.DeepEqual(want.Members, got.Members) {
-						t.Fatalf("%s: members differ", l)
-					}
+				got, err := AgglomerativeSparse(ctx, sp, NewLinkage(m), tau, ps, SparseOptions{Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				l := fmt.Sprintf("%s/%v/tau=%v/workers=%d", label, m, tau, workers)
+				resultsEqual(t, l, want, got)
+				if !reflect.DeepEqual(want.Members, got.Members) {
+					t.Fatalf("%s: members differ", l)
 				}
 			}
 		}
@@ -360,7 +349,7 @@ func TestAvgFloorAllowsForRounding(t *testing.T) {
 	tau := math.Nextafter(0.1, 1)
 	ps := pairSimsOf(4, []simEdge{{0, 1, 0.9}, {0, 2, 0.9}, {1, 2, 0.9}, {0, 3, 0.1}, {1, 3, 0.1}, {2, 3, 0.1}})
 	sp := feature.Build(dataset.Large(dataset.LargeConfig{N: 4, Domains: 1, Seed: 1}), feature.DefaultConfig())
-	want, err := identityPartition(4).agglomerate(context.Background(), NewLinkage(AvgJaccard), tau, ps, 1, false)
+	want, err := identityPartition(4).agglomerate(context.Background(), NewLinkage(AvgJaccard), tau, ps, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,7 +418,7 @@ func TestComponentWorkersStopOnCancel(t *testing.T) {
 		ctx := &countingContext{Context: context.Background()}
 		ctx.left.Store(polls)
 		before := runtime.NumGoroutine()
-		res, err := components(ps, 0.25).agglomerate(ctx, NewLinkage(AvgJaccard), 0.25, ps, workers, false)
+		res, err := components(ps, 0.25).agglomerate(ctx, NewLinkage(AvgJaccard), 0.25, ps, workers)
 		// The run has waited for its workers' last statements; give their
 		// stacks a moment to be torn down before counting.
 		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {

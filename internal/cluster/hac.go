@@ -40,8 +40,8 @@ type Result struct {
 	Merges []Merge
 	// Components and LargestComponent describe how Algorithm 2 ran: the
 	// number of independent groups of schemas it agglomerated separately
-	// (see agglomerate) and the size of the largest. One component of the
-	// whole corpus means the run was a single sequential loop. Zero for
+	// (see AgglomerativeSparse) and the size of the largest. One component of
+	// the whole corpus means the run was a single sequential loop. Zero for
 	// non-hierarchical algorithms.
 	Components, LargestComponent int
 }
@@ -79,11 +79,6 @@ func Agglomerative(sp *feature.Space, link Linkage, tau float64) (*Result, error
 // pair-set construction and the merge loop both poll ctx, so a Manager
 // shutting down mid-recluster gets ctx.Err() back promptly instead of
 // waiting out the remaining O(n) rounds of a large build.
-//
-// The complete pair set is built for this run alone, so the engine takes it
-// over as its working rows rather than copying it: the run's quadratic memory
-// is 12 bytes per positive-similarity pair and direction, beside the space's
-// own memo.
 func AgglomerativeContext(ctx context.Context, sp *feature.Space, link Linkage, tau float64) (*Result, error) {
 	// Before the O(n²) pair scan, not after it.
 	if err := validateTau(tau); err != nil {
@@ -93,7 +88,7 @@ func AgglomerativeContext(ctx context.Context, sp *feature.Space, link Linkage, 
 	if err != nil {
 		return nil, err
 	}
-	return agglomerate(ctx, sp, link, tau, ps, SparseOptions{}, true)
+	return AgglomerativeSparse(ctx, sp, link, tau, ps, SparseOptions{})
 }
 
 // assembleResult turns a union-find parent forest and merge trace into a

@@ -33,8 +33,9 @@ type Linkage interface {
 	// edgeFloor returns the largest f such that a run stopping at tau never
 	// merges two clusters unless some stored schema pair across them has
 	// similarity >= f. The engine agglomerates the connected components of
-	// the graph of stored pairs >= f independently (see agglomerate); any
-	// lower value is also correct and only makes the components coarser.
+	// the graph of stored pairs >= f independently (see
+	// AgglomerativeSparse); any lower value is also correct and only makes the
+	// components coarser.
 	edgeFloor(tau float64) float64
 }
 

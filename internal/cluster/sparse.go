@@ -301,7 +301,7 @@ func parallelRange(ctx context.Context, n, workers int, fn func(w, lo, hi int) e
 // SparseOptions tunes AgglomerativeSparse.
 type SparseOptions struct {
 	// Workers bounds the goroutines that agglomerate independent components
-	// side by side (see agglomerate). 0 means GOMAXPROCS. Results are
+	// side by side (see AgglomerativeSparse). 0 means GOMAXPROCS. Results are
 	// identical for every worker count: each component's merges are its own,
 	// and their interleaving is decided by the merges, not by arrival order.
 	Workers int
@@ -457,16 +457,8 @@ func (h *bestHeap) top() int32 { return h.ids[0] }
 // absorbs the others ascending, each recorded at Sim 0 — the order the
 // lowest-pair tie rule gives when every remaining similarity is 0.
 //
-// ps is only read: the run works on its own copy of the rows.
-func AgglomerativeSparse(ctx context.Context, sp *feature.Space, link Linkage, tau float64, ps *PairSims, opts SparseOptions) (*Result, error) {
-	return agglomerate(ctx, sp, link, tau, ps, opts, false)
-}
-
-// agglomerate is AgglomerativeSparse; with consume set, the run takes ps'
-// storage as its working rows instead of copying it and leaves it scrambled.
-// That is for a caller that built ps for this run alone (AgglomerativeContext):
-// over a complete pair set of a dense corpus the CSR is the largest structure
-// of the build, and a second copy of it is most of the peak.
+// ps is only read: the run works on its own copy of the rows, so a caller can
+// hand the same pairs to Algorithm 3 afterwards.
 //
 // The "globally best pair" loop is run once per connected component of the
 // graph of stored pairs at or above link.edgeFloor(tau), over that
@@ -481,7 +473,7 @@ func AgglomerativeSparse(ctx context.Context, sp *feature.Space, link Linkage, t
 // loop is sequential, each round depending on the last. A corpus that is one
 // component runs the same code on one goroutine. ctx is polled between
 // components, every 4096 rows while one is loaded and every 1024 rounds.
-func agglomerate(ctx context.Context, sp *feature.Space, link Linkage, tau float64, ps *PairSims, opts SparseOptions, consume bool) (*Result, error) {
+func AgglomerativeSparse(ctx context.Context, sp *feature.Space, link Linkage, tau float64, ps *PairSims, opts SparseOptions) (*Result, error) {
 	if err := validateTau(tau); err != nil {
 		return nil, err
 	}
@@ -500,13 +492,13 @@ func agglomerate(ctx context.Context, sp *feature.Space, link Linkage, tau float
 	if !link.concurrentMerged() {
 		workers = 1
 	}
-	return components(ps, link.edgeFloor(tau)).agglomerate(ctx, link, tau, ps, workers, consume)
+	return components(ps, link.edgeFloor(tau)).agglomerate(ctx, link, tau, ps, workers)
 }
 
 // agglomerate is Algorithm 2 over ps given the groups no merge crosses:
 // every group's own run, their traces interleaved, and the tau == 0 tail.
-func (p *partition) agglomerate(ctx context.Context, link Linkage, tau float64, ps *PairSims, workers int, consume bool) (*Result, error) {
-	traces, err := p.traces(ctx, link, tau, ps, workers, consume)
+func (p *partition) agglomerate(ctx context.Context, link Linkage, tau float64, ps *PairSims, workers int) (*Result, error) {
+	traces, err := p.traces(ctx, link, tau, ps, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -621,7 +613,7 @@ func components(ps *PairSims, floor float64) *partition {
 // Groups differ in size by orders of magnitude, so workers claim them one at a
 // time from a shared counter, largest first; nothing a worker writes depends
 // on which worker it is, and none outlives the call.
-func (p *partition) traces(ctx context.Context, link Linkage, tau float64, ps *PairSims, workers int, consume bool) ([][]Merge, error) {
+func (p *partition) traces(ctx context.Context, link Linkage, tau float64, ps *PairSims, workers int) ([][]Merge, error) {
 	order := make([]int, 0, len(p.members))
 	for c, ids := range p.members {
 		if len(ids) > 1 {
@@ -641,7 +633,7 @@ func (p *partition) traces(ctx context.Context, link Linkage, tau float64, ps *P
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			st, err := newSparseState(ctx, link, ps, p, order[k], consume)
+			st, err := newSparseState(ctx, link, ps, p, order[k])
 			if err != nil {
 				return err
 			}
@@ -739,12 +731,10 @@ func interleave(traces [][]Merge) []Merge {
 
 // newSparseState is one group's state before its first merge: singleton
 // clusters under their local ids, each with its row of ps cut down to the
-// neighbors inside the group — written over the row itself with consume,
-// which is safe beside other groups' workers because a schema's row belongs
-// to one group, and into the group's own slabs otherwise — and each cluster's
-// best edge, heapified. link must already be initialised
-// over the space.
-func newSparseState(ctx context.Context, link Linkage, ps *PairSims, p *partition, c int, consume bool) (*sparseState, error) {
+// neighbors inside the group and copied into the group's own slabs, and each
+// cluster's best edge, heapified. link must already be initialised over the
+// space.
+func newSparseState(ctx context.Context, link Linkage, ps *PairSims, p *partition, c int) (*sparseState, error) {
 	ids := p.members[c]
 	n := len(ids)
 	st := &sparseState{
@@ -775,25 +765,17 @@ func newSparseState(ctx context.Context, link Linkage, ps *PairSims, p *partitio
 		st.active[i] = true
 		st.size[i] = 1
 		// CSR rows ascend by neighbor and the relabelling is monotone, so the
-		// filtered row ascends, as rows must. Capacity is pinned — at the old
-		// row's with consume, at the new row's length otherwise — so that a
-		// row outgrowing its slot reallocates instead of running into the
-		// next one.
+		// filtered row ascends, as rows must. Capacity is pinned at the new
+		// row's length, so that a row outgrowing its slot reallocates instead
+		// of running into the next one.
 		lo, hi := ps.rowStart[g], ps.rowStart[g+1]
-		keys, vals := ps.nbr[lo:lo:hi], ps.sim[lo:lo:hi]
-		if !consume {
-			keys, vals = st.carve(int(hi - lo))
-		}
+		keys, vals := st.carve(int(hi - lo))
 		for k := lo; k < hi; k++ {
 			if j := ps.nbr[k]; p.comp[j] == int32(c) {
-				// With consume the write lands at or before k: nothing
-				// unread is overwritten.
 				keys, vals = append(keys, p.local[j]), append(vals, ps.sim[k])
 			}
 		}
-		if !consume {
-			keys, vals = st.uncarve(keys, vals)
-		}
+		keys, vals = st.uncarve(keys, vals)
 		bs, bp := -1.0, int32(-1)
 		for k, s := range vals {
 			// Strict > on an ascending scan keeps the lowest partner,

@@ -495,7 +495,7 @@ func TestMergeNeighborOfTheLoserAloneDoesNotHoldTheWinner(t *testing.T) {
 	}
 
 	for _, method := range []Method{AvgJaccard, MinJaccard} {
-		st, err := newSparseState(context.Background(), NewLinkage(method), ps, identityPartition(n), 0, false)
+		st, err := newSparseState(context.Background(), NewLinkage(method), ps, identityPartition(n), 0)
 		if err != nil {
 			t.Fatal(err)
 		}

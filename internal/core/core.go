@@ -95,9 +95,11 @@ type Model struct {
 // AssignDomains runs Algorithm 3 over a clustering result and returns the
 // probabilistic model, every schema-to-cluster similarity exact: each
 // schema's similarities are read through sp.Similarity, one row at a time, so
-// the working memory is one value per cluster whatever the corpus size — it
-// runs on the serving path (feedback, AddSchema), over spaces of any size
-// with or without the similarity memo.
+// the working memory is one value per cluster whatever the corpus size, over
+// spaces of any size with or without the similarity memo. The build does not
+// call it — payg's build runs AssignDomainsSparse over the pairs Algorithm 2
+// read; its callers are feedback (Apply and AddSchema), the experiments and
+// the benchmark's trace.
 func AssignDomains(set schema.Set, sp *feature.Space, cl *cluster.Result, opts Options) (*Model, error) {
 	return assignDomains(set, sp, cl, opts, func(i int, sums []float64) []int {
 		for j := 0; j < i; j++ {

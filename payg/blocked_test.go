@@ -265,35 +265,43 @@ func TestBlockedOptionsValidation(t *testing.T) {
 }
 
 // TestBuildPhasesCoverTheBuild keeps the phase timers honest as the place to
-// read where a build's time goes: over one blocked build, the seven
-// schemaflow_build_phase_duration_seconds phases account for at least 90 % of
-// Build's wall time, so no stretch of work sits outside them. (A profile's
-// cumulative view cannot say this — work done in anonymous worker goroutines
-// is not attributed to the phase that started them.)
+// read where a build's time goes: over one build of each kind, its
+// schemaflow_build_phase_duration_seconds phases — the blocked build's seven,
+// the exact build's six (no candidates) — account for at least 90 % of Build's
+// wall time, so no stretch of work sits outside them. (A profile's cumulative
+// view cannot say this — work done in anonymous worker goroutines is not
+// attributed to the phase that started them.)
 func TestBuildPhasesCoverTheBuild(t *testing.T) {
 	set := dataset.Large(dataset.LargeConfig{N: 1500, Seed: 1})
-	phases := []string{"features", "candidates", "pairwise", "cluster", "domains", "classifier", "mediation"}
-	before := make([]float64, len(phases))
-	for i, p := range phases {
-		before[i] = mBuildPhase.With(p).Sum()
-	}
-	start := time.Now()
-	if _, err := Build(set, Options{CandidateGen: "lsh"}); err != nil {
-		t.Fatal(err)
-	}
-	wall := time.Since(start).Seconds()
-	timed := 0.0
-	for i, p := range phases {
-		d := mBuildPhase.With(p).Sum() - before[i]
-		if d <= 0 {
-			t.Errorf("phase %q recorded nothing", p)
+	for _, tc := range []struct {
+		gen    string
+		phases []string
+	}{
+		{"lsh", []string{"features", "candidates", "pairwise", "cluster", "domains", "classifier", "mediation"}},
+		{"exact", []string{"features", "pairwise", "cluster", "domains", "classifier", "mediation"}},
+	} {
+		before := make([]float64, len(tc.phases))
+		for i, p := range tc.phases {
+			before[i] = mBuildPhase.With(p).Sum()
 		}
-		timed += d
-	}
-	if timed < 0.9*wall {
-		t.Errorf("phase timers cover %.1f of %.1f ms (%.0f %%), want ≥ 90 %%", timed*1e3, wall*1e3, 100*timed/wall)
-	} else {
-		t.Logf("phase timers cover %.1f of %.1f ms", timed*1e3, wall*1e3)
+		start := time.Now()
+		if _, err := Build(set, Options{CandidateGen: tc.gen}); err != nil {
+			t.Fatal(err)
+		}
+		wall := time.Since(start).Seconds()
+		timed := 0.0
+		for i, p := range tc.phases {
+			d := mBuildPhase.With(p).Sum() - before[i]
+			if d <= 0 {
+				t.Errorf("%s: phase %q recorded nothing", tc.gen, p)
+			}
+			timed += d
+		}
+		if timed < 0.9*wall {
+			t.Errorf("%s: phase timers cover %.1f of %.1f ms (%.0f %%), want ≥ 90 %%", tc.gen, timed*1e3, wall*1e3, 100*timed/wall)
+		} else {
+			t.Logf("%s: phase timers cover %.1f of %.1f ms", tc.gen, timed*1e3, wall*1e3)
+		}
 	}
 }
 
@@ -321,16 +329,25 @@ func TestBuildReportsHACShape(t *testing.T) {
 	}
 }
 
-// TestBuildReportsStoredPairs: a blocked build says how many of its candidate
-// pairs verification kept. Some candidates are pairs with nothing in common
+// TestBuildReportsStoredPairs: a build says how many pairs both algorithms
+// read. On a blocked build some candidates are pairs with nothing in common
 // (accidental band-key collisions), so the count is positive and below the
-// candidate count.
+// candidate count; on an exact build it is the positive share of all n(n−1)/2.
 func TestBuildReportsStoredPairs(t *testing.T) {
+	set := dataset.Large(dataset.LargeConfig{N: 600, Domains: 12, Seed: 1})
 	mBuildStoredPairs.Set(-1)
-	if _, err := Build(dataset.Large(dataset.LargeConfig{N: 600, Domains: 12, Seed: 1}), Options{CandidateGen: "lsh", SkipMediation: true}); err != nil {
+	if _, err := Build(set, Options{CandidateGen: "lsh", SkipMediation: true}); err != nil {
 		t.Fatal(err)
 	}
 	if stored, cand := mBuildStoredPairs.Value(), mBuildCandidatePairs.Value(); stored <= 0 || stored >= cand {
-		t.Errorf("stored pairs %v of %v candidates, want a positive count below the candidates", stored, cand)
+		t.Errorf("lsh: stored pairs %v of %v candidates, want a positive count below the candidates", stored, cand)
+	}
+	mBuildStoredPairs.Set(-1)
+	if _, err := Build(set, Options{CandidateGen: "exact", SkipMediation: true}); err != nil {
+		t.Fatal(err)
+	}
+	n := float64(len(set))
+	if stored, all := mBuildStoredPairs.Value(), n*(n-1)/2; stored <= 0 || stored > all {
+		t.Errorf("exact: stored pairs %v of %v, want a positive count no larger than every pair", stored, all)
 	}
 }

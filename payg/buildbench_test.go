@@ -134,6 +134,19 @@ func BenchmarkBuildBlocked(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildExact is the exact build (every pair, memo on the space) at
+// mixed-ingest's largest recluster, mediation off.
+func BenchmarkBuildExact(b *testing.B) {
+	set := dataset.Large(dataset.LargeConfig{N: 3700, Domains: 24, Seed: 1})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Build(set, Options{SkipMediation: true, CandidateGen: "exact"}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkApplyFeedback moves one schema of that system to another domain:
 // what a single correction costs while the whole system is assembled again
 // for it (ROADMAP item 1c's baseline).

@@ -23,13 +23,6 @@ type ManagerOptions struct {
 	// recluster. Default 0.5; negative disables drift-triggered rebuilds
 	// (forced and interval rebuilds still work).
 	DriftThreshold float64
-	// DriftWindow is the sliding-window size over which drift is measured
-	// (default 16 arrivals).
-	DriftWindow int
-	// DriftMinSamples is the minimum number of windowed arrivals before
-	// drift can trigger at all (default 4), so one unlucky first arrival
-	// does not recluster the world.
-	DriftMinSamples int
 	// RebuildInterval, when positive, rebuilds periodically whenever
 	// schemas are pending — a backstop for workloads whose arrivals are
 	// in-domain (never fresh, so drift stays low) but should still join
@@ -83,15 +76,17 @@ type ManagerOptions struct {
 	Transform func(*System) (*System, error)
 }
 
+// Drift is the fresh fraction of the last driftWindow arrivals, and cannot
+// trigger a rebuild before driftMinSamples of them, so one unlucky first
+// arrival does not recluster the world.
+const (
+	driftWindow     = 16
+	driftMinSamples = 4
+)
+
 func (o ManagerOptions) withDefaults() ManagerOptions {
 	if o.DriftThreshold == 0 {
 		o.DriftThreshold = 0.5
-	}
-	if o.DriftWindow == 0 {
-		o.DriftWindow = 16
-	}
-	if o.DriftMinSamples == 0 {
-		o.DriftMinSamples = 4
 	}
 	if o.Policy == (Policy{}) {
 		o.Policy = DefaultPolicy()
@@ -221,7 +216,7 @@ func emptyManager(opts ManagerOptions) *Manager {
 	opts = opts.withDefaults()
 	return &Manager{
 		opts:    opts,
-		drift:   ingest.NewWindow(opts.DriftWindow),
+		drift:   ingest.NewWindow(driftWindow),
 		queries: newQueryCache(opts.QueryCacheSize),
 	}
 }
@@ -485,7 +480,7 @@ func (m *Manager) Ingest(sch Schema) (*IngestResult, error) {
 	}
 	if m.inflight == nil &&
 		m.opts.DriftThreshold >= 0 &&
-		m.drift.Samples() >= m.opts.DriftMinSamples &&
+		m.drift.Samples() >= driftMinSamples &&
 		m.drift.Ratio() >= m.opts.DriftThreshold {
 		m.startRebuildLocked("drift")
 		res.RebuildTriggered = true

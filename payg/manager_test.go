@@ -116,21 +116,25 @@ func TestManagerIngestBoundarySchema(t *testing.T) {
 }
 
 func TestManagerDriftTriggersBackgroundRebuild(t *testing.T) {
-	mgr := newManager(t, nil, ManagerOptions{DriftThreshold: 0.5, DriftWindow: 4, DriftMinSamples: 2})
+	mgr := newManager(t, nil, ManagerOptions{DriftThreshold: 0.5})
 	fresh := []Schema{
 		{Name: "m1", Attributes: []string{"specimen hardness", "crystal lattice"}},
 		{Name: "m2", Attributes: []string{"chlorophyll density", "leaf span"}},
+		{Name: "m3", Attributes: []string{"magma viscosity", "ash plume"}},
+		{Name: "m4", Attributes: []string{"tidal amplitude", "salinity gradient"}},
 	}
-	triggered := false
-	for _, sch := range fresh {
+	for k, sch := range fresh {
 		res, err := mgr.Ingest(sch)
 		if err != nil {
 			t.Fatal(err)
 		}
-		triggered = triggered || res.RebuildTriggered
-	}
-	if !triggered {
-		t.Fatalf("two fresh arrivals did not trigger a rebuild: %+v", mgr.Status())
+		if !res.Assignment.Fresh {
+			t.Fatalf("%s was claimed by a domain: %+v", sch.Name, res.Assignment)
+		}
+		// The window needs driftMinSamples arrivals before it may trigger.
+		if last := k == len(fresh)-1; res.RebuildTriggered != last {
+			t.Fatalf("arrival %d of %d: rebuild triggered = %v", k+1, len(fresh), res.RebuildTriggered)
+		}
 	}
 
 	deadline := time.Now().Add(30 * time.Second)
@@ -145,14 +149,14 @@ func TestManagerDriftTriggersBackgroundRebuild(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	st := mgr.Status()
-	if st.Schemas != 8 {
-		t.Fatalf("serving %d schemas after rebuild, want 8", st.Schemas)
+	if want := len(demoSchemas()) + len(fresh); st.Schemas != want {
+		t.Fatalf("serving %d schemas after rebuild, want %d", st.Schemas, want)
 	}
 	if st.Rebuilds != 1 {
 		t.Fatalf("rebuilds = %d, want 1", st.Rebuilds)
 	}
 	// The once-fresh schemas are now first-class domain members.
-	for i := 6; i < 8; i++ {
+	for i := len(demoSchemas()); i < st.Schemas; i++ {
 		if len(mgr.System().Model().DomainsOf(i)) == 0 {
 			t.Fatalf("ingested schema %d has no domain after rebuild", i)
 		}

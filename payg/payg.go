@@ -128,10 +128,6 @@ type Options struct {
 	// Theta is the membership uncertainty width θ (default 0.02; negative
 	// means a literal 0 — no membership is treated as uncertain).
 	Theta float64
-	// ExactClassifier forces the exact subset-enumeration classifier;
-	// by default domains with more than 20 uncertain schemas fall back to
-	// the approximate rule.
-	ExactClassifier bool
 	// ApproximateClassifier selects the linear-time approximate classifier
 	// for every domain.
 	ApproximateClassifier bool
@@ -337,9 +333,6 @@ func (o Options) newClassifier(model *core.Model, local []int) (*classify.Classi
 	if o.ApproximateClassifier {
 		ccfg.Mode = classify.Approximate
 	}
-	if o.ExactClassifier {
-		ccfg.MaxExactUncertain = -1
-	}
 	return classify.New(model, ccfg)
 }
 
@@ -399,20 +392,18 @@ func (o Options) featureConfig() (feature.Config, error) {
 	return cfg, nil
 }
 
-// buildModel is the clustering pipeline: feature space → agglomerative
-// clustering (Algorithm 2) → probabilistic domains (Algorithm 3). Its only
-// branch is where the pair similarities come from, each computed once per
-// build. The exact source is every pair, memoised in a full feature space
-// that both algorithms read; the blocked source, for large corpora, is
-// MinHash-LSH candidates verified over a lite space that never builds the
-// O(n²) memo. Every stage honors ctx.
+// buildModel is the clustering pipeline: feature space → pair similarities →
+// agglomerative clustering (Algorithm 2) → probabilistic domains
+// (Algorithm 3), both algorithms reading the one pair set. Its only branch is
+// the space and where the pairs come from. The exact source is every pair,
+// read out of a full feature space's memo; the blocked source, for large
+// corpora, is MinHash-LSH candidates verified over a lite space that never
+// builds the O(n²) memo. Every stage honors ctx.
 func buildModel(ctx context.Context, set schema.Set, fcfg feature.Config, method cluster.Method, opts Options, blocked bool) (*core.Model, error) {
-	link := cluster.NewLinkage(method)
-	copts := core.Options{TauCSim: opts.TauCSim, Theta: opts.Theta}
 	var (
-		sp         *feature.Space
-		clusterAll func() (*cluster.Result, error)
-		assign     func(cl *cluster.Result) (*core.Model, error)
+		sp  *feature.Space
+		ps  *cluster.PairSims
+		err error
 	)
 	t := time.Now()
 	if blocked {
@@ -424,36 +415,26 @@ func buildModel(ctx context.Context, set schema.Set, fcfg feature.Config, method
 			return nil, err
 		}
 		t = time.Now()
-		ps, err := cluster.PairwiseSims(ctx, sp, pairs, 0)
-		if err != nil {
+		if ps, err = cluster.PairwiseSims(ctx, sp, pairs, 0); err != nil {
 			return nil, fmt.Errorf("payg: pairwise similarities: %w", err)
-		}
-		mBuildPhase.With("pairwise").Observe(time.Since(t).Seconds())
-		mBuildStoredPairs.Set(float64(ps.NumPairs()))
-		clusterAll = func() (*cluster.Result, error) {
-			return cluster.AgglomerativeSparse(ctx, sp, link, opts.TauCSim, ps, cluster.SparseOptions{})
-		}
-		assign = func(cl *cluster.Result) (*core.Model, error) {
-			return core.AssignDomainsSparse(set, sp, cl, ps, copts)
 		}
 	} else {
 		mBuildMode.With("exact").Inc()
 		// The memo outlives the build on purpose: see docs/DESIGN.md §10.
-		var err error
 		if sp, err = feature.BuildContext(ctx, set, fcfg); err != nil {
 			return nil, err
 		}
 		mBuildPhase.With("features").Observe(time.Since(t).Seconds())
-		clusterAll = func() (*cluster.Result, error) {
-			return cluster.AgglomerativeContext(ctx, sp, link, opts.TauCSim)
-		}
-		assign = func(cl *cluster.Result) (*core.Model, error) {
-			return core.AssignDomains(set, sp, cl, copts)
+		t = time.Now()
+		if ps, err = cluster.CompletePairSims(ctx, sp); err != nil {
+			return nil, fmt.Errorf("payg: pairwise similarities: %w", err)
 		}
 	}
+	mBuildPhase.With("pairwise").Observe(time.Since(t).Seconds())
+	mBuildStoredPairs.Set(float64(ps.NumPairs()))
 
 	t = time.Now()
-	cl, err := clusterAll()
+	cl, err := cluster.AgglomerativeSparse(ctx, sp, cluster.NewLinkage(method), opts.TauCSim, ps, cluster.SparseOptions{})
 	if err != nil {
 		return nil, fmt.Errorf("payg: %w", err)
 	}
@@ -466,7 +447,7 @@ func buildModel(ctx context.Context, set schema.Set, fcfg feature.Config, method
 	}
 
 	t = time.Now()
-	model, err := assign(cl)
+	model, err := core.AssignDomainsSparse(set, sp, cl, ps, core.Options{TauCSim: opts.TauCSim, Theta: opts.Theta})
 	if err != nil {
 		return nil, err
 	}

@@ -23,13 +23,9 @@ import (
 // ends in, so Load is Build minus clustering and a loaded system cannot
 // disagree with its own model. See docs/DESIGN.md §8 (Persistence).
 //
-// Version 2 added Pending, version 3 Sharded and LocalDomains. Both sharding
-// fields are needed — gob encodes an empty slice as nil, so a bare
-// LocalDomains could not distinguish "full system" from "shard owning zero
-// domains" (possible when shards outnumber domains). Versions 1–3 also
-// carried the classifier's tables in a field this struct no longer has; gob
-// skips it, so they still load — as full systems with an empty pending list
-// where their version lacked the field.
+// Both sharding fields are needed — gob encodes an empty slice as nil, so a
+// bare LocalDomains could not distinguish "full system" from "shard owning
+// zero domains" (possible when shards outnumber domains).
 type snapshot struct {
 	Version      int
 	Opts         Options
@@ -103,8 +99,8 @@ func LoadWithPending(r io.Reader) (*System, []Schema, error) {
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
 		return nil, nil, fmt.Errorf("payg: decoding snapshot: %w", err)
 	}
-	if snap.Version < 1 || snap.Version > snapshotVersion {
-		return nil, nil, fmt.Errorf("payg: snapshot version %d, want 1–%d", snap.Version, snapshotVersion)
+	if snap.Version != snapshotVersion {
+		return nil, nil, fmt.Errorf("payg: snapshot version %d, want %d", snap.Version, snapshotVersion)
 	}
 	n := len(snap.Schemas)
 	if len(snap.Assign) != n {
@@ -143,8 +139,7 @@ func LoadWithPending(r io.Reader) (*System, []Schema, error) {
 	}
 	// A snapshot holds a built system's options, so its float thresholds
 	// are already resolved (gob drops the unexported marker): a stored 0 is
-	// a requested literal. withDefaults still fills the string fields that
-	// postdate the snapshot's version.
+	// a requested literal. withDefaults still fills empty string fields.
 	snap.Opts.resolved = true
 	opts := snap.Opts.withDefaults()
 	// featureConfig applies the same sentinel translation Build used —

@@ -136,64 +136,12 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLoadsVersion3Snapshot: testdata/snapshot-v3.gob was written by the last
-// commit whose Save persisted the classifier's tables (version 3), over
-// demoSchemas(). It must still load, and — the space coming from Build, the
-// tables recomputed by the code that computed the stored ones — classify to
-// the bit like a fresh build.
-func TestLoadsVersion3Snapshot(t *testing.T) {
-	f, err := os.Open("testdata/snapshot-v3.gob")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	loaded, err := Load(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh := build(t, Options{})
-	if got, want := loaded.Domains(), fresh.Domains(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("domains differ:\n got %+v\nwant %+v", got, want)
-	}
-	for _, q := range persistQueries(demoSchemas()) {
-		sameScores(t, loaded.ClassifyKeywords(q), fresh.ClassifyKeywords(q))
-	}
-}
-
 // TestLoadsSnapshotWithRemovedOptions: snapshots written before a field left
-// Options still carry it, and snapshots up to version 3 carry the
-// classifier's tables (gob matches fields by name and skips the ones the
-// receiver lacks). Such a snapshot must load, serve behind a Manager, and
-// classify and ingest exactly like a freshly built system — whatever the
-// stored tables said, since they are recomputed, and whatever Vectorizer
-// said, since there is one online path now.
+// Options still carry it (gob matches fields by name and skips the ones the
+// receiver lacks). Such a snapshot must load and classify and ingest exactly
+// like a freshly built system — whatever Vectorizer said, since there is one
+// online path now.
 func TestLoadsSnapshotWithRemovedOptions(t *testing.T) {
-	type oldOptions struct {
-		TauTSim, TauCSim, Theta, MediationFreqThreshold float64
-		TermSimilarity, Linkage, CandidateGen           string
-		SkipMediation                                   bool
-		LSHBands, LSHRows                               int
-		CandidateThreshold                              float64
-		CandidateAutoMin, Workers                       int
-		Vectorizer                                      string
-		ANNM, ANNEfSearch, ANNShortlistK                int
-	}
-	// The shape classify.Snapshot had when it was persisted.
-	type oldClassifier struct {
-		Mode              int
-		Dim               int
-		LogPrior, SumLog0 []float64
-		Delta             [][]float64
-		Skipped           []int
-	}
-	type oldSnapshot struct {
-		Version     int
-		Opts        oldOptions
-		Schemas     schema.Set
-		Assign      []int
-		Memberships [][]core.Membership
-		Classifier  *oldClassifier
-	}
 	sameAsFresh := func(t *testing.T, loaded, fresh *System) {
 		t.Helper()
 		for _, q := range persistQueries(fresh.Schemas()) {
@@ -212,46 +160,6 @@ func TestLoadsSnapshotWithRemovedOptions(t *testing.T) {
 				t.Fatalf("ingest %s: loaded system answers %+v, fresh build %+v", sch.Name, got, want)
 			}
 		}
-	}
-
-	set := dataset.Large(dataset.LargeConfig{N: 300, Domains: 6, Seed: 4})
-	fresh, err := Build(set, Options{SkipMediation: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, vec := range []string{"term", "ngram"} {
-		t.Run("v3-"+vec, func(t *testing.T) {
-			old := oldSnapshot{
-				Version: 3,
-				Opts: oldOptions{
-					TauTSim: 0.8, TauCSim: 0.25, Theta: 0.02, MediationFreqThreshold: 0.1,
-					TermSimilarity: "lcs", Linkage: "avg-jaccard", CandidateGen: "auto", SkipMediation: true,
-					LSHBands: 128, LSHRows: 2, CandidateThreshold: 0.05, CandidateAutoMin: 4096, Workers: 3,
-					Vectorizer: vec, ANNM: 16, ANNEfSearch: 64, ANNShortlistK: 32,
-				},
-				Schemas:     fresh.schemas,
-				Assign:      fresh.model.Clustering.Assign,
-				Memberships: make([][]core.Membership, len(set)),
-				Classifier: &oldClassifier{
-					Dim:      fresh.space.Dim() + 1, // stale on purpose: nothing may read it
-					LogPrior: make([]float64, fresh.NumDomains()),
-					Delta:    [][]float64{{1, 2, 3}},
-				},
-			}
-			for i := range set {
-				old.Memberships[i] = fresh.model.DomainsOf(i)
-			}
-			var buf bytes.Buffer
-			if err := gob.NewEncoder(&buf).Encode(&old); err != nil {
-				t.Fatal(err)
-			}
-			mgr, err := LoadManager(&buf, nil, ManagerOptions{DriftThreshold: -1})
-			if err != nil {
-				t.Fatalf("old snapshot did not load: %v", err)
-			}
-			defer mgr.Close()
-			sameAsFresh(t, mgr.System(), fresh)
-		})
 	}
 
 	// testdata/snapshot-v4-ngram.gob is Save's output at the last commit that
@@ -350,6 +258,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		{"attribute-less schema", sys, func(s *snapshot) { s.Schemas[1].Attributes = nil }, "has no attributes"},
 		{"blank pending attribute", sys, func(s *snapshot) { s.Pending = []Schema{{Name: "p", Attributes: []string{" "}}} }, "is blank"},
 		{"future version", sys, func(s *snapshot) { s.Version = snapshotVersion + 1 }, "snapshot version"},
+		{"version 3", sys, func(s *snapshot) { s.Version = 3 }, "snapshot version 3"},
 		{"local domain out of range", sh, func(s *snapshot) { s.LocalDomains = []int{0, 3} }, "local domain 3 out of range"},
 		{"local domain negative", sh, func(s *snapshot) { s.LocalDomains = []int{-1, 2} }, "local domain -1 out of range"},
 		{"local domains unsorted", sh, func(s *snapshot) { s.LocalDomains = []int{2, 0} }, "not strictly ascending"},
