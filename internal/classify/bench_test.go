@@ -32,7 +32,7 @@ func benchModel(b *testing.B, nPerDomain, uncertainPerDomain int) *core.Model {
 			set = append(set, schema.Schema{Name: "s", Attributes: attrs})
 		}
 	}
-	sp := feature.Build(set, feature.DefaultConfig())
+	sp := feature.BuildLite(set, feature.DefaultConfig())
 	assign := make([]int, len(set))
 	memberships := make([][]core.Membership, len(set))
 	for i := range set {

@@ -30,7 +30,7 @@ func travelBibSet() schema.Set {
 
 func buildModel(t *testing.T, set schema.Set, tau float64) *core.Model {
 	t.Helper()
-	sp := feature.Build(set, feature.DefaultConfig())
+	sp := feature.BuildLite(set, feature.DefaultConfig())
 	cl, err := cluster.Agglomerative(sp, cluster.NewLinkage(cluster.AvgJaccard), tau)
 	if err != nil {
 		t.Fatal(err)
@@ -46,7 +46,7 @@ func buildModel(t *testing.T, set schema.Set, tau float64) *core.Model {
 // probabilistic memberships, for exercising the uncertain-schema math.
 func modelWithMemberships(t *testing.T, set schema.Set, assign []int, memberships [][]core.Membership) *core.Model {
 	t.Helper()
-	sp := feature.Build(set, feature.DefaultConfig())
+	sp := feature.BuildLite(set, feature.DefaultConfig())
 	cl := cluster.FromAssignment(assign)
 	m, err := core.RestoreModel(set, sp, cl, memberships, core.DefaultOptions())
 	if err != nil {
@@ -414,7 +414,7 @@ func TestPropertyExactMatchesReference(t *testing.T) {
 		}
 		// Ensure both clusters are non-empty for FromAssignment stability.
 		assign[0], assign[n-1] = 0, 1
-		sp := feature.Build(set, feature.DefaultConfig())
+		sp := feature.BuildLite(set, feature.DefaultConfig())
 		cl := cluster.FromAssignment(assign)
 		if cl.NumClusters() != 2 {
 			return true // degenerate; skip

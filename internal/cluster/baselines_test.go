@@ -35,7 +35,7 @@ func TestKMeansDegenerate(t *testing.T) {
 	if got := KMeans(sp, KMeansOptions{K: 100, Seed: 1}).NumClusters(); got > len(set) {
 		t.Fatalf("K>n produced %d clusters", got)
 	}
-	empty := KMeans(feature.Build(nil, feature.DefaultConfig()), KMeansOptions{K: 3})
+	empty := KMeans(feature.BuildLite(nil, feature.DefaultConfig()), KMeansOptions{K: 3})
 	if empty.NumClusters() != 0 {
 		t.Fatal("empty input produced clusters")
 	}
@@ -129,7 +129,7 @@ func TestModelBasedSeparatesDomains(t *testing.T) {
 }
 
 func TestModelBasedEmpty(t *testing.T) {
-	res := ModelBased(feature.Build(nil, feature.DefaultConfig()), 0.05)
+	res := ModelBased(feature.BuildLite(nil, feature.DefaultConfig()), 0.05)
 	if res.NumClusters() != 0 {
 		t.Fatal("empty input produced clusters")
 	}

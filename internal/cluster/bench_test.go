@@ -32,7 +32,7 @@ func benchSpace(n, k int) *feature.Space {
 		}
 		set[i] = schema.Schema{Name: "s", Attributes: attrs}
 	}
-	return feature.Build(set, feature.DefaultConfig())
+	return feature.BuildLite(set, feature.DefaultConfig())
 }
 
 func benchAgglomerative(b *testing.B, method Method, n int) {

@@ -86,7 +86,7 @@ func TestAgglomerateDigests(t *testing.T) {
 		{"ddh/complete", dataset.DDH(1), "aba038bce0016c16"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			res, err := AgglomerativeContext(context.Background(), feature.Build(c.set, feature.DefaultConfig()), NewLinkage(AvgJaccard), tau)
+			res, err := AgglomerativeContext(context.Background(), feature.BuildLite(c.set, feature.DefaultConfig()), NewLinkage(AvgJaccard), tau)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -281,7 +281,7 @@ func TestPropertyComponentsAreTheWholeRun(t *testing.T) {
 		// The planted similarities are unrelated to the space's vectors, which
 		// only Total Jaccard reads: to the engine that is what term-frequency
 		// features are, stored similarities that say nothing about Total's.
-		sp := feature.Build(dataset.Large(dataset.LargeConfig{N: n, Domains: 4, Seed: seed}), feature.DefaultConfig())
+		sp := feature.BuildLite(dataset.Large(dataset.LargeConfig{N: n, Domains: 4, Seed: seed}), feature.DefaultConfig())
 		for _, tau := range []float64{0, 0.25, 1} {
 			check(fmt.Sprintf("planted/seed=%d", seed), sp, pairSimsOf(n, plantedGraph(rng, n, tau)), tau)
 		}
@@ -292,7 +292,7 @@ func TestPropertyComponentsAreTheWholeRun(t *testing.T) {
 	for _, mode := range []feature.Mode{feature.Binary, feature.TermFrequency} {
 		cfg := feature.DefaultConfig()
 		cfg.Mode = mode
-		sp := feature.Build(set, cfg)
+		sp := feature.BuildLite(set, cfg)
 		rng := rand.New(rand.NewSource(6))
 		pairs := slices.DeleteFunc(candgen.AllPairs(len(set)), func(candgen.Pair) bool { return rng.Intn(4) != 0 })
 		ps, err := PairwiseSims(ctx, sp, pairs, 1)
@@ -325,7 +325,7 @@ func TestInterleaveIsAMergeOfHeads(t *testing.T) {
 	}
 
 	ps := pairSimsOf(6, []simEdge{{1, 5, 0.5}, {2, 5, 0.5}, {3, 4, 0.5}})
-	sp := feature.Build(dataset.Large(dataset.LargeConfig{N: 6, Domains: 2, Seed: 1}), feature.DefaultConfig())
+	sp := feature.BuildLite(dataset.Large(dataset.LargeConfig{N: 6, Domains: 2, Seed: 1}), feature.DefaultConfig())
 	for _, workers := range []int{1, 2} {
 		res, err := AgglomerativeSparse(context.Background(), sp, NewLinkage(MaxJaccard), 0.5, ps, SparseOptions{Workers: workers})
 		if err != nil {
@@ -348,7 +348,7 @@ func TestInterleaveIsAMergeOfHeads(t *testing.T) {
 func TestAvgFloorAllowsForRounding(t *testing.T) {
 	tau := math.Nextafter(0.1, 1)
 	ps := pairSimsOf(4, []simEdge{{0, 1, 0.9}, {0, 2, 0.9}, {1, 2, 0.9}, {0, 3, 0.1}, {1, 3, 0.1}, {2, 3, 0.1}})
-	sp := feature.Build(dataset.Large(dataset.LargeConfig{N: 4, Domains: 1, Seed: 1}), feature.DefaultConfig())
+	sp := feature.BuildLite(dataset.Large(dataset.LargeConfig{N: 4, Domains: 1, Seed: 1}), feature.DefaultConfig())
 	want, err := identityPartition(4).agglomerate(context.Background(), NewLinkage(AvgJaccard), tau, ps, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -372,7 +372,7 @@ func TestAvgFloorAllowsForRounding(t *testing.T) {
 // have been in their component for that.
 func TestTotalFloorIsAnyStoredPair(t *testing.T) {
 	attrs := []string{"alpha", "bravo", "charlie"}
-	sp := feature.Build(schema.Set{{Name: "a", Attributes: attrs}, {Name: "b", Attributes: attrs}, {Name: "c", Attributes: attrs}}, feature.DefaultConfig())
+	sp := feature.BuildLite(schema.Set{{Name: "a", Attributes: attrs}, {Name: "b", Attributes: attrs}, {Name: "c", Attributes: attrs}}, feature.DefaultConfig())
 	ps := pairSimsOf(3, []simEdge{{0, 1, 0.9}, {0, 2, 0.1}})
 	res, err := AgglomerativeSparse(context.Background(), sp, NewLinkage(TotalJaccard), 0.5, ps, SparseOptions{})
 	if err != nil {

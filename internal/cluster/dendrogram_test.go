@@ -38,7 +38,7 @@ func TestDendrogramCutMatchesThresholdedRun(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		set := randomSet(rng, 6+rng.Intn(10))
-		sp := feature.Build(set, feature.DefaultConfig())
+		sp := feature.BuildLite(set, feature.DefaultConfig())
 		for _, method := range []Method{AvgJaccard, MinJaccard, MaxJaccard} {
 			d, err := BuildDendrogram(sp, method)
 			if err != nil {

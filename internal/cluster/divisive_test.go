@@ -37,7 +37,7 @@ func TestDivisiveRespectsMaxClusters(t *testing.T) {
 }
 
 func TestDivisiveDegenerate(t *testing.T) {
-	if got := Divisive(feature.Build(nil, feature.DefaultConfig()), DivisiveOptions{}); got.NumClusters() != 0 {
+	if got := Divisive(feature.BuildLite(nil, feature.DefaultConfig()), DivisiveOptions{}); got.NumClusters() != 0 {
 		t.Fatal("empty input produced clusters")
 	}
 	// Identical schemas: diameter 0, no splitting.
@@ -45,7 +45,7 @@ func TestDivisiveDegenerate(t *testing.T) {
 		{Name: "a", Attributes: []string{"title", "author"}},
 		{Name: "b", Attributes: []string{"title", "author"}},
 	}
-	res := Divisive(feature.Build(set, feature.DefaultConfig()), DivisiveOptions{MaxDiameter: 0.5})
+	res := Divisive(feature.BuildLite(set, feature.DefaultConfig()), DivisiveOptions{MaxDiameter: 0.5})
 	if res.NumClusters() != 1 {
 		t.Fatalf("identical schemas split: %v", res.Members)
 	}
@@ -55,7 +55,7 @@ func TestTermFrequencyModeSeparates(t *testing.T) {
 	// The §4.1 claim under test: counting instead of binary features
 	// changes little. At minimum, TF mode must still separate the domains.
 	set := twoDomainSet()
-	sp := feature.Build(set, feature.Config{
+	sp := feature.BuildLite(set, feature.Config{
 		TermOpts: terms.DefaultOptions(),
 		Tau:      0.8,
 		Mode:     feature.TermFrequency,

@@ -35,7 +35,7 @@ func twoDomainSet() schema.Set {
 
 func buildSpace(t *testing.T, set schema.Set) *feature.Space {
 	t.Helper()
-	return feature.Build(set, feature.DefaultConfig())
+	return feature.BuildLite(set, feature.DefaultConfig())
 }
 
 func TestAgglomerativeSeparatesDomains(t *testing.T) {
@@ -100,12 +100,12 @@ func TestAgglomerativeIdenticalSchemas(t *testing.T) {
 }
 
 func TestAgglomerativeEmptyAndSingle(t *testing.T) {
-	res := mustAgg(t, feature.Build(nil, feature.DefaultConfig()), NewLinkage(AvgJaccard), 0.5)
+	res := mustAgg(t, feature.BuildLite(nil, feature.DefaultConfig()), NewLinkage(AvgJaccard), 0.5)
 	if res.NumClusters() != 0 {
 		t.Fatal("empty input produced clusters")
 	}
 	one := schema.Set{{Name: "x", Attributes: []string{"alpha"}}}
-	res = mustAgg(t, feature.Build(one, feature.DefaultConfig()), NewLinkage(AvgJaccard), 0.5)
+	res = mustAgg(t, feature.BuildLite(one, feature.DefaultConfig()), NewLinkage(AvgJaccard), 0.5)
 	if res.NumClusters() != 1 || len(res.Members[0]) != 1 {
 		t.Fatal("single input mishandled")
 	}
@@ -244,7 +244,7 @@ func TestPropertyGreedyMaxAndThreshold(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		set := randomSet(rng, 4+rng.Intn(8))
-		sp := feature.Build(set, feature.DefaultConfig())
+		sp := feature.BuildLite(set, feature.DefaultConfig())
 		tau := 0.05 + rng.Float64()*0.6
 		for _, method := range Methods() {
 			res := mustAgg(t, sp, NewLinkage(method), tau)

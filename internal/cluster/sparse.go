@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sort"
@@ -170,39 +171,82 @@ func PairwiseSims(ctx context.Context, sp *feature.Space, pairs []candgen.Pair, 
 
 // CompletePairSims stores the similarity of every schema pair of sp: the
 // complete candidate set, over which AgglomerativeSparse and
-// core.AssignDomainsSparse are the thesis' exact Algorithms 2 and 3. The
-// similarities are read straight out of the space — the memo's rows when sp
-// came from feature.Build, computed on demand (twice per pair) on a lite
-// space — so neither a pair list nor a second similarity array is
-// materialised beside the CSR. ctx is polled between rows.
+// core.AssignDomainsSparse are the thesis' exact Algorithms 2 and 3. Only the
+// positive pairs are ever visited: each schema's upper row comes off
+// feature.Space.Row, and a pair it leaves out has similarity exactly 0. The
+// rows are cut into one contiguous chunk per GOMAXPROCS worker, sized to hold
+// about equal shares of the upper triangle; a chunk keeps its rows until
+// every chunk has counted, then writes them into the CSR through its own
+// cursors, so the structure is the same for every worker count. ctx is
+// polled between rows.
 func CompletePairSims(ctx context.Context, sp *feature.Space) (*PairSims, error) {
 	n := sp.NumSchemas()
-	var buf []float64
-	rows := func(visit func(i int32, above []float64)) error {
-		for i := 0; i < n; i++ {
+	workers := max(1, min(runtime.GOMAXPROCS(0), n))
+	bounds := make([]int, workers+1)
+	for w := 1; w <= workers; w++ {
+		// Rows [0, r) hold a share 1 − (1 − r/n)² of the triangle.
+		bounds[w] = n - int(float64(n)*math.Sqrt(1-float64(w)/float64(workers)))
+	}
+	// A chunk holds its rows' entries in pages, with no row split across
+	// two, so none is copied before it reaches the CSR.
+	const page = 1 << 15
+	type chunk struct {
+		deg  []int64
+		lens []int32 // lens[i-lo]: row i's entry count
+		nbr  [][]int32
+		sim  [][]float64
+	}
+	chunks := make([]chunk, workers)
+	if err := parallelChunks(bounds, func(w, lo, hi int) error {
+		c := &chunks[w]
+		c.deg, c.lens = make([]int64, n), make([]int32, 0, hi-lo)
+		var buf feature.RowBuf
+		for i := lo; i < hi; i++ {
 			if i%64 == 0 {
 				if err := ctx.Err(); err != nil {
 					return err
 				}
 			}
-			buf = sp.SimilaritiesAbove(i, buf)
-			visit(int32(i), buf)
+			js, sims := sp.Row(i, i, &buf)
+			c.deg[i] += int64(len(js))
+			for _, j := range js {
+				c.deg[j]++
+			}
+			c.lens = append(c.lens, int32(len(js)))
+			if len(js) == 0 {
+				continue
+			}
+			p := len(c.nbr) - 1
+			if p < 0 || len(c.nbr[p])+len(js) > cap(c.nbr[p]) {
+				p++
+				c.nbr = append(c.nbr, make([]int32, 0, max(page, len(js))))
+				c.sim = append(c.sim, make([]float64, 0, max(page, len(js))))
+			}
+			c.nbr[p], c.sim[p] = append(c.nbr[p], js...), append(c.sim[p], sims...)
 		}
 		return nil
-	}
-	ps, deg := newPairSims(n), make([]int64, n)
-	if err := rows(func(i int32, above []float64) {
-		for d, s := range above {
-			count(deg, i, i+1+int32(d), s)
-		}
 	}); err != nil {
 		return nil, err
 	}
-	ps.alloc([][]int64{deg})
-	if err := rows(func(i int32, above []float64) {
-		for d, s := range above {
-			ps.put(deg, i, i+1+int32(d), s)
+	degs := make([][]int64, workers)
+	for w := range chunks {
+		degs[w] = chunks[w].deg
+	}
+	ps := newPairSims(n)
+	ps.alloc(degs)
+	if err := parallelChunks(bounds, func(w, lo, hi int) error {
+		c, p, k := &chunks[w], 0, 0
+		for i := lo; i < hi; i++ {
+			l := int(c.lens[i-lo])
+			if l > 0 && k+l > len(c.nbr[p]) {
+				p, k = p+1, 0
+			}
+			for end := k + l; k < end; k++ {
+				ps.put(c.deg, int32(i), c.nbr[p][k], c.sim[p][k])
+			}
 		}
+		*c = chunk{}
+		return nil
 	}); err != nil {
 		return nil, err
 	}
@@ -260,34 +304,34 @@ func (ps *PairSims) put(cur []int64, a, b int32, s float64) {
 }
 
 // parallelRange splits [0,n) into at most workers contiguous chunks, w-th
-// from the left, and runs fn(w, lo, hi) on each concurrently, returning the
-// first error by chunk.
+// chunk [lo,hi), runs fn on each concurrently and returns the first error.
 func parallelRange(ctx context.Context, n, workers int, fn func(w, lo, hi int) error) error {
 	if n == 0 {
 		return ctx.Err()
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		return fn(0, 0, n)
-	}
+	workers = min(workers, n)
 	chunk := (n + workers - 1) / workers
-	errs := make([]error, workers)
+	bounds := []int{0}
+	for hi := chunk; bounds[len(bounds)-1] < n; hi += chunk {
+		bounds = append(bounds, min(hi, n))
+	}
+	return parallelChunks(bounds, fn)
+}
+
+// parallelChunks runs fn on every chunk [bounds[w], bounds[w+1]), each on its
+// own goroutine when there are several, and returns the first error by chunk.
+func parallelChunks(bounds []int, fn func(w, lo, hi int) error) error {
+	if len(bounds) <= 2 {
+		return fn(0, bounds[0], bounds[len(bounds)-1])
+	}
+	errs := make([]error, len(bounds)-1)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
+	for w := range errs {
 		wg.Add(1)
-		go func(w, lo, hi int) {
+		go func(w int) {
 			defer wg.Done()
-			errs[w] = fn(w, lo, hi)
-		}(w, lo, hi)
+			errs[w] = fn(w, bounds[w], bounds[w+1])
+		}(w)
 	}
 	wg.Wait()
 	for _, err := range errs {

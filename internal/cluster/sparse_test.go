@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -9,6 +10,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -79,49 +81,70 @@ func TestPairwiseSimsMatchesSpace(t *testing.T) {
 	}
 }
 
-// TestPairwiseSimsDigests pins the CSR that PairwiseSims assembles over two
-// build-sized candidate sets — the first is the gated build-blocked
-// workload's — to sha256 digests of rowStart, nbr and the similarities' bits
-// (little-endian), recorded from the two-pointer verification this one
-// replaced, at one worker and at several.
+// TestPairwiseSimsDigests pins the CSR over build-sized pair sets to sha256
+// digests of rowStart, nbr and the similarities' bits (little-endian). The
+// PairwiseSims rows — the first is the gated build-blocked workload's — were
+// recorded from the two-pointer verification it replaced, the
+// CompletePairSims rows from the build that read an O(n²) similarity memo;
+// each at one worker, at the default (GOMAXPROCS) and at three.
 func TestPairwiseSimsDigests(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(procs)
 	for _, tc := range []struct {
-		corpus dataset.LargeConfig
-		stored int
-		sha    string
+		name     string
+		set      schema.Set
+		complete bool // CompletePairSims rather than PairwiseSims over LSH candidates
+		stored   int
+		sha      string
 	}{
-		{dataset.LargeConfig{N: 6000, Domains: 120, Seed: 1}, 276944, "34fe1e191a94010ad43ffe8909e131ee2f36f1d20a8f309209a6fc696e1ac368"},
-		{dataset.LargeConfig{N: 1500, Seed: 3}, 157056, "e7ba1a016f08b34c8ea848a8410a6a821c32f460744282e9c133653083c57ee0"},
+		{"large-6000x120", dataset.Large(dataset.LargeConfig{N: 6000, Domains: 120, Seed: 1}), false, 276944, "34fe1e191a94010ad43ffe8909e131ee2f36f1d20a8f309209a6fc696e1ac368"},
+		{"large-1500", dataset.Large(dataset.LargeConfig{N: 1500, Seed: 3}), false, 157056, "e7ba1a016f08b34c8ea848a8410a6a821c32f460744282e9c133653083c57ee0"},
+		{"ddh/complete", dataset.DDH(1), true, 2398654, "c0f31edaeedf8479ef8987ce76ab39bbcd10a3b1d6e4ce3a842e01c751d387ca"},
+		{"large-3700x24/complete", dataset.Large(dataset.LargeConfig{N: 3700, Domains: 24, Seed: 1}), true, 333129, "18867c734fbdb1f713cf9a048919e57e3e5fe6d3b8d937a7fc24397b14efb5f3"},
 	} {
-		sp := feature.BuildLite(dataset.Large(tc.corpus), feature.DefaultConfig())
-		pairs, err := candgen.Pairs(context.Background(), sp.Vectors, candgen.Config{})
-		if err != nil {
-			t.Fatal(err)
+		sp := feature.BuildLite(tc.set, feature.DefaultConfig())
+		var pairs []candgen.Pair
+		if !tc.complete {
+			var err error
+			if pairs, err = candgen.Pairs(context.Background(), sp.Vectors, candgen.Config{}); err != nil {
+				t.Fatal(err)
+			}
 		}
 		for _, workers := range []int{1, 0, 3} {
-			ps, err := PairwiseSims(context.Background(), sp, pairs, workers)
+			var ps *PairSims
+			var err error
+			if tc.complete {
+				runtime.GOMAXPROCS(cmp.Or(workers, procs))
+				ps, err = CompletePairSims(context.Background(), sp)
+			} else {
+				ps, err = PairwiseSims(context.Background(), sp, pairs, workers)
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
-			h := sha256.New()
-			var buf [8]byte
-			for _, v := range ps.rowStart {
-				binary.LittleEndian.PutUint64(buf[:], uint64(v))
-				h.Write(buf[:])
-			}
-			for _, v := range ps.nbr {
-				binary.LittleEndian.PutUint32(buf[:4], uint32(v))
-				h.Write(buf[:4])
-			}
-			for _, v := range ps.sim {
-				binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-				h.Write(buf[:])
-			}
-			if got := fmt.Sprintf("%x", h.Sum(nil)); ps.NumPairs() != tc.stored || got != tc.sha {
-				t.Errorf("%+v workers=%d: %d of %d candidates stored, sha256 %s; recorded %d, %s", tc.corpus, workers, ps.NumPairs(), len(pairs), got, tc.stored, tc.sha)
+			if got := pairSimsDigest(ps); ps.NumPairs() != tc.stored || got != tc.sha {
+				t.Errorf("%s workers=%d: %d pairs stored, sha256 %s; recorded %d, %s", tc.name, workers, ps.NumPairs(), got, tc.stored, tc.sha)
 			}
 		}
 	}
+}
+
+func pairSimsDigest(ps *PairSims) string {
+	h := sha256.New()
+	var buf [8]byte
+	for _, v := range ps.rowStart {
+		binary.LittleEndian.PutUint64(buf[:], uint64(v))
+		h.Write(buf[:])
+	}
+	for _, v := range ps.nbr {
+		binary.LittleEndian.PutUint32(buf[:4], uint32(v))
+		h.Write(buf[:4])
+	}
+	for _, v := range ps.sim {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+		h.Write(buf[:])
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
 func TestPairwiseSimsRejectsBadInput(t *testing.T) {
@@ -282,31 +305,25 @@ func TestAgglomerativeSparseOnlyReadsPairSims(t *testing.T) {
 	}
 }
 
-// TestCompletePairSimsSameFromEverySource: the complete pair set must be
-// the same structure whether it is read from the similarity memo, computed
-// on demand over a lite space, or assembled by PairwiseSims from the
-// AllPairs list (whose binary-mode similarity is a different routine, a
-// probe count, bitvec.AndCountIndices) — otherwise "exact" would depend on
-// how the space was built.
+// TestCompletePairSimsSameFromEverySource: the complete pair set is the
+// same structure whether it is read off the space's rows or assembled by
+// PairwiseSims from the AllPairs list (whose binary-mode similarity is a
+// different routine, a probe count, bitvec.AndCountIndices) — otherwise
+// "exact" would depend on the reader.
 func TestCompletePairSimsSameFromEverySource(t *testing.T) {
 	set := dataset.Large(dataset.LargeConfig{N: 240, Domains: 6, Seed: 3})
 	for _, mode := range []feature.Mode{feature.Binary, feature.TermFrequency} {
 		cfg := feature.DefaultConfig()
 		cfg.Mode = mode
-		memo, lite := feature.Build(set, cfg), feature.BuildLite(set, cfg)
-		want, err := CompletePairSims(context.Background(), memo)
+		sp := feature.BuildLite(set, cfg)
+		got, err := CompletePairSims(context.Background(), sp)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fromLite, err := CompletePairSims(context.Background(), lite)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for label, got := range map[string]*PairSims{"lite space": fromLite, "PairwiseSims(AllPairs)": allPairSims(t, lite, 3)} {
-			if got.n != want.n || got.numPairs != want.numPairs ||
-				!slices.Equal(got.rowStart, want.rowStart) || !slices.Equal(got.nbr, want.nbr) || !slices.Equal(got.sim, want.sim) {
-				t.Errorf("%v features: complete pair set from %s differs from the memoised one", mode, label)
-			}
+		want := allPairSims(t, sp, 3)
+		if got.n != want.n || got.numPairs != want.numPairs ||
+			!slices.Equal(got.rowStart, want.rowStart) || !slices.Equal(got.nbr, want.nbr) || !slices.Equal(got.sim, want.sim) {
+			t.Errorf("%v features: complete pair set differs from PairwiseSims(AllPairs)", mode)
 		}
 		if want.numPairs == 0 || want.numPairs == len(set)*(len(set)-1)/2 {
 			t.Fatalf("%v features: %d stored pairs — the corpus should have both zero and positive similarities", mode, want.numPairs)

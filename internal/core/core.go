@@ -94,22 +94,20 @@ type Model struct {
 
 // AssignDomains runs Algorithm 3 over a clustering result and returns the
 // probabilistic model, every schema-to-cluster similarity exact: each
-// schema's similarities are read through sp.Similarity, one row at a time, so
-// the working memory is one value per cluster whatever the corpus size, over
-// spaces of any size with or without the similarity memo. The build does not
-// call it — payg's build runs AssignDomainsSparse over the pairs Algorithm 2
-// read; its callers are feedback (Apply and AddSchema), the experiments and
-// the benchmark's trace.
+// schema's positive similarities are read off its feature.Space.Row, one row
+// at a time, so the working memory is O(n + clusters) whatever the corpus
+// size. The terms a row leaves out are exact zeros, so the model is
+// AssignDomainsSparse's over cluster.CompletePairSims to the last bit. The
+// build does not call it — payg's build runs AssignDomainsSparse over the
+// pairs Algorithm 2 read; its callers are feedback (Apply and AddSchema), the
+// experiments and the benchmark's trace.
 func AssignDomains(set schema.Set, sp *feature.Space, cl *cluster.Result, opts Options) (*Model, error) {
-	return assignDomains(set, sp, cl, opts, func(i int, sums []float64) []int {
-		for j := 0; j < i; j++ {
-			sums[cl.Assign[j]] += sp.Similarity(i, j)
+	var buf feature.RowBuf
+	return assignDomains(set, sp, cl, opts, func(i int, visit func(j int32, s float64)) {
+		js, sims := sp.Row(i, -1, &buf)
+		for k, j := range js {
+			visit(j, sims[k])
 		}
-		sums[cl.Assign[i]]++
-		for j := i + 1; j < len(set); j++ {
-			sums[cl.Assign[j]] += sp.Similarity(i, j)
-		}
-		return nil
 	})
 }
 
@@ -120,14 +118,6 @@ func AssignDomains(set schema.Set, sp *feature.Space, cl *cluster.Result, opts O
 // pairs absent from ps contribute 0, exactly the AgglomerativeSparse
 // convention.
 //
-// With τ_c_sim > 0 a schema costs O(d log d) in its stored degree d, whatever
-// the number of clusters: only the clusters it touches — its own and its
-// neighbors' — are divided, gated and cleared. A cluster it does not touch
-// has similarity exactly 0, which fails the τ_c_sim gate and cannot be the
-// maximum the θ band is measured from, so leaving it out of the gate changes
-// nothing. With τ_c_sim ≤ 0 a zero similarity passes the absolute gate (and,
-// at θ = 1, the relative one), so every cluster is gated, as in AssignDomains.
-//
 // Over a complete pair set the result equals AssignDomains' to the last bit.
 // Over a candidate set, similarities to clusters that the generator found no
 // pair into are underestimated (as 0). Those are precisely the similarities
@@ -137,53 +127,31 @@ func AssignDomainsSparse(set schema.Set, sp *feature.Space, cl *cluster.Result, 
 	if ps.N() != len(set) {
 		return nil, fmt.Errorf("core: pair sims cover %d schemas, set has %d", ps.N(), len(set))
 	}
-	var touched []int
-	stamp := make([]int, cl.NumClusters()) // stamp[r] == i+1: r is in touched for schema i
-	return assignDomains(set, sp, cl, opts, func(i int, sums []float64) []int {
-		// The self term goes in at position i, before the first neighbor
-		// above i or after the last one when there is none.
-		own, selfAdded := cl.Assign[i], false
-		touched = append(touched[:0], own)
-		stamp[own] = i + 1
-		ps.ForEach(i, func(j int32, s float64) {
-			if !selfAdded && int(j) > i {
-				sums[own]++
-				selfAdded = true
-			}
-			r := cl.Assign[j]
-			if stamp[r] != i+1 {
-				stamp[r] = i + 1
-				touched = append(touched, r)
-			}
-			sums[r] += s
-		})
-		if !selfAdded {
-			sums[own]++
-		}
-		if opts.TauCSim <= 0 {
-			return nil
-		}
-		slices.Sort(touched)
-		return touched
-	})
+	return assignDomains(set, sp, cl, opts, ps.ForEach)
 }
 
-// assignDomains is Algorithm 3. addRow(i, sums) adds schema i's similarity
-// to every schema S_j into sums[cluster of j], in ascending j with the self
+// assignDomains is Algorithm 3. row(i, visit) visits schema i's positive
+// similarities s_sim(S_i, S_j), j ≠ i, ascending in j; a schema it leaves out
+// counts as similarity 0. Each is added into sums[cluster of j] with the self
 // term (cluster.SchemaClusterSim counts i's own membership as similarity 1)
 // at position i, not after the rest: float addition does not commute with
-// the reorder, and the sums must equal the definition's to the last bit
-// from every source. Schemas a source leaves out count as similarity 0.
-// sums is all zeros on entry. addRow returns the clusters to gate, ascending
-// — at least every cluster it added to — or nil for all of them, which it
-// must where a zero similarity can pass the gate (τ_c_sim ≤ 0).
+// the reorder, and the sums must equal the definition's to the last bit from
+// every source.
+//
+// With τ_c_sim > 0 a schema costs O(d log d) in its row length d, whatever
+// the number of clusters: only the clusters it touches — its own and its
+// neighbors' — are divided, gated and cleared. A cluster it does not touch
+// has similarity exactly 0, which fails the τ_c_sim gate and cannot be the
+// maximum the θ band is measured from, so leaving it out of the gate changes
+// nothing. With τ_c_sim ≤ 0 a zero similarity passes the absolute gate (and,
+// at θ = 1, the relative one), so every cluster is gated.
 //
 // Deviation from the thesis text, for robustness: if a schema fails the
 // τ_c_sim gate against every cluster (possible when its own cluster grew
 // large and diffuse after the schema joined), D(S_i) would be empty and the
 // probabilities undefined; such a schema is assigned to its own cluster's
 // domain with probability 1.
-func assignDomains(set schema.Set, sp *feature.Space, cl *cluster.Result, opts Options, addRow func(i int, sums []float64) []int) (*Model, error) {
+func assignDomains(set schema.Set, sp *feature.Space, cl *cluster.Result, opts Options, row func(i int, visit func(j int32, s float64))) (*Model, error) {
 	if sp.NumSchemas() != len(set) {
 		return nil, fmt.Errorf("core: feature space has %d schemas, set has %d", sp.NumSchemas(), len(set))
 	}
@@ -197,22 +165,44 @@ func assignDomains(set schema.Set, sp *feature.Space, cl *cluster.Result, opts O
 	m := newModel(set, sp, cl, opts)
 
 	sims := make([]float64, cl.NumClusters())
+	var touched []int
+	stamp := make([]int, cl.NumClusters()) // stamp[r] == i+1: r is in touched for schema i
 	for i := range set {
-		// s_c_sim(S_i, C_r) = Σ_{j ∈ C_r} s_sim(S_i, S_j) / |C_r|.
-		cands := addRow(i, sims)
-		if cands == nil {
+		// s_c_sim(S_i, C_r) = Σ_{j ∈ C_r} s_sim(S_i, S_j) / |C_r|. The self
+		// term goes in at position i, before the first neighbor above i or
+		// after the last one when there is none.
+		own, selfAdded := cl.Assign[i], false
+		touched = append(touched[:0], own)
+		stamp[own] = i + 1
+		row(i, func(j int32, s float64) {
+			if !selfAdded && int(j) > i {
+				sims[own]++
+				selfAdded = true
+			}
+			r := cl.Assign[j]
+			if stamp[r] != i+1 {
+				stamp[r] = i + 1
+				touched = append(touched, r)
+			}
+			sims[r] += s
+		})
+		if !selfAdded {
+			sims[own]++
+		}
+		if opts.TauCSim <= 0 {
 			for r := range sims {
 				sims[r] /= float64(len(cl.Members[r]))
 			}
-			m.assignFromSims(i, sims, cl.Assign[i], opts)
+			m.assignFromSims(i, sims, own, opts)
 			clear(sims)
 			continue
 		}
-		for _, r := range cands {
+		slices.Sort(touched)
+		for _, r := range touched {
 			sims[r] /= float64(len(cl.Members[r]))
 		}
-		m.addMemberships(i, Gate(sims, cands, opts), cl.Assign[i])
-		for _, r := range cands {
+		m.addMemberships(i, Gate(sims, touched, opts), own)
+		for _, r := range touched {
 			sims[r] = 0
 		}
 	}

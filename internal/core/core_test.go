@@ -17,7 +17,7 @@ import (
 
 func pipeline(t *testing.T, set schema.Set, tau, theta float64) *Model {
 	t.Helper()
-	sp := feature.Build(set, feature.DefaultConfig())
+	sp := feature.BuildLite(set, feature.DefaultConfig())
 	cl, err := cluster.Agglomerative(sp, cluster.NewLinkage(cluster.AvgJaccard), tau)
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +103,7 @@ func TestUncertainAssignmentWithHighTheta(t *testing.T) {
 		{Name: "b2", Attributes: []string{"beta one", "beta two", "beta four"}},
 		{Name: "mid", Attributes: []string{"alpha one", "beta one", "alpha two", "beta two"}},
 	}
-	sp := feature.Build(set, feature.DefaultConfig())
+	sp := feature.BuildLite(set, feature.DefaultConfig())
 	// Fix the hard clustering explicitly (running HAC here would let the
 	// boundary schema chain the two clusters together, which is a different
 	// phenomenon): mid sits in the alpha cluster but is nearly as close to
@@ -135,7 +135,7 @@ func TestThetaZeroStillAllowsExactTies(t *testing.T) {
 		{Name: "b1", Attributes: []string{"beta one", "beta two"}},
 		{Name: "mid", Attributes: []string{"alpha one", "beta one"}},
 	}
-	sp := feature.Build(set, feature.DefaultConfig())
+	sp := feature.BuildLite(set, feature.DefaultConfig())
 	// Force a clustering where mid is its own cluster.
 	cl := cluster.FromAssignment([]int{0, 1, 2})
 	m, err := AssignDomains(set, sp, cl, Options{TauCSim: 0.1, Theta: 0})
@@ -158,7 +158,7 @@ func TestFallbackWhenNothingPassesGate(t *testing.T) {
 		{Name: "a1", Attributes: []string{"alpha one", "alpha two", "gamma"}},
 		{Name: "a2", Attributes: []string{"alpha one", "alpha two", "delta"}},
 	}
-	sp := feature.Build(set, feature.DefaultConfig())
+	sp := feature.BuildLite(set, feature.DefaultConfig())
 	cl := cluster.FromAssignment([]int{0, 0})
 	m, err := AssignDomains(set, sp, cl, Options{TauCSim: 1.0, Theta: 0.02})
 	if err != nil {
@@ -173,7 +173,7 @@ func TestFallbackWhenNothingPassesGate(t *testing.T) {
 
 func TestValidation(t *testing.T) {
 	set := clusteredSet()
-	sp := feature.Build(set, feature.DefaultConfig())
+	sp := feature.BuildLite(set, feature.DefaultConfig())
 	cl, err := cluster.Agglomerative(sp, cluster.NewLinkage(cluster.AvgJaccard), 0.2)
 	if err != nil {
 		t.Fatal(err)
@@ -331,7 +331,7 @@ func TestPropertyInvariants(t *testing.T) {
 		}
 		tau := 0.1 + rng.Float64()*0.5
 		theta := rng.Float64() * 0.5
-		sp := feature.Build(set, feature.DefaultConfig())
+		sp := feature.BuildLite(set, feature.DefaultConfig())
 		cl, err := cluster.Agglomerative(sp, cluster.NewLinkage(cluster.AvgJaccard), tau)
 		if err != nil {
 			return false
@@ -383,7 +383,7 @@ func TestAssignDomainsMatchesDefinition(t *testing.T) {
 		"large-1500": dataset.Large(dataset.LargeConfig{N: 1500, Seed: 1}),
 	}
 	for name, set := range corpora {
-		sp := feature.Build(set, feature.DefaultConfig())
+		sp := feature.BuildLite(set, feature.DefaultConfig())
 		for _, method := range cluster.Methods() {
 			cl, err := cluster.Agglomerative(sp, cluster.NewLinkage(method), 0.25)
 			if err != nil {

@@ -239,7 +239,7 @@ func TestFromModel(t *testing.T) {
 		{Name: "air2", Attributes: []string{"departure city", "destination city", "carrier"}},
 		{Name: "bib1", Attributes: []string{"title", "authors", "pages"}},
 	}
-	sp := feature.Build(set, feature.DefaultConfig())
+	sp := feature.BuildLite(set, feature.DefaultConfig())
 	cl := cluster.FromAssignment([]int{0, 0, 1})
 	memberships := [][]core.Membership{
 		{{Schema: 0, Prob: 1}},

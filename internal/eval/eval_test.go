@@ -15,7 +15,7 @@ import (
 // metric arithmetic can be verified by hand.
 func fixedModel(t *testing.T, set schema.Set, assign []int, memberships [][]core.Membership) *core.Model {
 	t.Helper()
-	sp := feature.Build(set, feature.DefaultConfig())
+	sp := feature.BuildLite(set, feature.DefaultConfig())
 	cl := cluster.FromAssignment(assign)
 	m, err := core.RestoreModel(set, sp, cl, memberships, core.DefaultOptions())
 	if err != nil {

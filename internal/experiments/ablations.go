@@ -43,7 +43,7 @@ func TermSimAblation(set schema.Set, tau float64) ([]TermSimAblationRow, error) 
 	var out []TermSimAblationRow
 	for _, sim := range sims {
 		start := time.Now()
-		sp := feature.Build(set, feature.Config{
+		sp := feature.BuildLite(set, feature.Config{
 			TermOpts: terms.DefaultOptions(),
 			Sim:      sim,
 			Tau:      0.8,
@@ -92,7 +92,7 @@ type ThetaAblationRow struct {
 // largest per-domain uncertain count (the exponent of classifier setup), the
 // exact-classifier setup time, and clustering quality.
 func ThetaAblation(set schema.Set, tau float64, thetas []float64) ([]ThetaAblationRow, error) {
-	sp := feature.Build(set, feature.DefaultConfig())
+	sp := feature.BuildLite(set, feature.DefaultConfig())
 	var out []ThetaAblationRow
 	for _, theta := range thetas {
 		m, _, err := buildModel(set, sp, cluster.AvgJaccard, tau, theta)
@@ -140,7 +140,7 @@ func FeatureModeAblation(set schema.Set, tau float64) ([]FeatureModeRow, error) 
 	var out []FeatureModeRow
 	for _, mode := range []feature.Mode{feature.Binary, feature.TermFrequency} {
 		start := time.Now()
-		sp := feature.Build(set, feature.Config{
+		sp := feature.BuildLite(set, feature.Config{
 			TermOpts: terms.DefaultOptions(),
 			Sim:      strsim.LCSSim{},
 			Tau:      0.8,
@@ -260,7 +260,7 @@ type BaselineRow struct {
 // k-means (given the true domain count — information HAC does not need),
 // DBSCAN, and the He–Tao–Chang-style chi-square model-based clusterer.
 func BaselineComparison(set schema.Set, tau float64, trueK int) ([]BaselineRow, error) {
-	sp := feature.Build(set, feature.DefaultConfig())
+	sp := feature.BuildLite(set, feature.DefaultConfig())
 	evalOne := func(name string, run func() (*cluster.Result, error)) (BaselineRow, error) {
 		start := time.Now()
 		cl, err := run()

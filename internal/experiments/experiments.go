@@ -60,7 +60,7 @@ func termCount(s schema.Schema) int {
 // runs via sp; pass nil to build one).
 func buildModel(set schema.Set, sp *feature.Space, method cluster.Method, tau, theta float64) (*core.Model, *feature.Space, error) {
 	if sp == nil {
-		sp = feature.Build(set, feature.DefaultConfig())
+		sp = feature.BuildLite(set, feature.DefaultConfig())
 	}
 	cl, err := cluster.Agglomerative(sp, cluster.NewLinkage(method), tau)
 	if err != nil {
@@ -152,7 +152,7 @@ func DefaultTaus() []float64 {
 // linkage and every τ is a dendrogram cut, which is provably identical to a
 // thresholded run (see cluster.BuildDendrogram) and ~|taus|× faster.
 func LinkageSweep(set schema.Set, taus []float64, methods []cluster.Method, theta float64) ([]SweepSeries, error) {
-	sp := feature.Build(set, feature.DefaultConfig())
+	sp := feature.BuildLite(set, feature.DefaultConfig())
 	out := make([]SweepSeries, 0, len(methods))
 	for _, method := range methods {
 		series := SweepSeries{Method: method}
@@ -322,7 +322,7 @@ type DDHResult struct {
 // recall above 0.99 for all linkages and τ ≥ 0.2 — except Max Jaccard,
 // whose single-link chaining collapses recall below τ = 0.5.
 func DDHClustering(ddh schema.Set, taus []float64, methods []cluster.Method) ([]DDHResult, error) {
-	sp := feature.Build(ddh, feature.DefaultConfig())
+	sp := feature.BuildLite(ddh, feature.DefaultConfig())
 	var out []DDHResult
 	for _, method := range methods {
 		for _, tau := range taus {

@@ -217,10 +217,6 @@ func TestMediationThresholdShapes(t *testing.T) {
 		t.Errorf("mediated schema size not increasing: %d, %d, %d",
 			rows[0].MediatedAttrs, rows[1].MediatedAttrs, rows[2].MediatedAttrs)
 	}
-	// Unfiltered mediation is the slowest configuration.
-	if rows[2].Elapsed < rows[0].Elapsed {
-		t.Errorf("threshold 0 (%v) should be slower than 0.1 (%v)", rows[2].Elapsed, rows[0].Elapsed)
-	}
 }
 
 func TestQueryClassificationShapes(t *testing.T) {

@@ -30,15 +30,6 @@ func benchCorpus(n int) schema.Set {
 	return set
 }
 
-func BenchmarkBuild315(b *testing.B) {
-	set := benchCorpus(315) // DW∪SS scale
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = Build(set, DefaultConfig())
-	}
-}
-
 func BenchmarkBuildLite315(b *testing.B) {
 	set := benchCorpus(315)
 	b.ReportAllocs()
@@ -49,7 +40,7 @@ func BenchmarkBuildLite315(b *testing.B) {
 }
 
 // BenchmarkBuildLite6000 is the `features` phase of the gated blocked build:
-// the wide corpus, ~12k vocabulary terms, no similarity memo.
+// the wide corpus, ~12k vocabulary terms.
 func BenchmarkBuildLite6000(b *testing.B) {
 	set := dataset.Large(dataset.LargeConfig{N: 6000, Domains: 120, Seed: 1})
 	b.ReportAllocs()
@@ -61,17 +52,17 @@ func BenchmarkBuildLite6000(b *testing.B) {
 	}
 }
 
-func BenchmarkBuild1000(b *testing.B) {
+func BenchmarkBuildLite1000(b *testing.B) {
 	set := benchCorpus(1000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = Build(set, DefaultConfig())
+		_ = BuildLite(set, DefaultConfig())
 	}
 }
 
 func BenchmarkQueryVector(b *testing.B) {
-	sp := Build(benchCorpus(315), DefaultConfig())
+	sp := BuildLite(benchCorpus(315), DefaultConfig())
 	keywords := []string{"publication", "authors", "title"}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -145,12 +145,12 @@ func TestExtendEquivalence(t *testing.T) {
 	}
 }
 
-// TestExtendFromFullSpace checks extension of a Build (memoized) space — the
-// serving model's space is always a full Build — and that the extended space
-// answers query embeddings identically to a rebuilt one.
+// TestExtendFromFullSpace checks extension of a space built from scratch —
+// what the serving model's space is after a rebuild — and that the extended
+// space answers query embeddings identically to a rebuilt one.
 func TestExtendFromFullSpace(t *testing.T) {
 	corpus := extendCorpus(30, 11)
-	full := Build(corpus[:29], DefaultConfig())
+	full := BuildLite(corpus[:29], DefaultConfig())
 	ext, idx := full.Extend(corpus[29])
 	if idx != 29 {
 		t.Fatalf("index %d, want 29", idx)

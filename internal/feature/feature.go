@@ -10,10 +10,9 @@ package feature
 import (
 	"context"
 	"fmt"
-	"runtime"
+	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"schemaflow/internal/bitvec"
 	"schemaflow/internal/par"
@@ -87,12 +86,10 @@ func (c Config) normalized() Config {
 	return c
 }
 
-// Space is the constructed vector space: the vocabulary L, one binary
-// feature vector per input schema, and a lazily filled pairwise similarity
-// cache. A Space is immutable after Build; the similarity cache is
-// pre-filled by Build and the one structure built on first use
-// (schemasByBit) is behind a sync.Once, so reads are safe for concurrent
-// use.
+// Space is the constructed vector space: the vocabulary L and one binary
+// feature vector per input schema. A Space is immutable after BuildLite; the
+// one structure built on first use (schemasByBit) is behind a sync.Once, so
+// reads are safe for concurrent use.
 type Space struct {
 	cfg Config
 
@@ -118,91 +115,30 @@ type Space struct {
 	// vocabulary term j — the inverted term→schema index Extend uses to
 	// touch only the vectors a new vocabulary term actually affects.
 	termSchemas [][]int32
-	// bitSchemas is the inverse of Vectors, built on first use or handed
-	// over by Extend; read it through schemasByBit.
+	// bitSchemas is the inverse of Vectors and bitCounts[i] the number of
+	// bits set in Vectors[i], both built on first use or handed over by
+	// Extend; read them after calling schemasByBit.
 	bitSchemas     [][]int32
+	bitCounts      []int32
 	bitSchemasOnce sync.Once
 
 	matcher *matchIndex
-	sims    *SimMatrix
 }
 
-// Build extracts terms, constructs the vocabulary, computes every schema's
-// feature vector, and precomputes all pairwise schema similarities
-// ("All schema-to-schema similarities should be computed and memoized in
-// advance", Section 4.2). The O(n²) similarity fill is parallelized across
-// CPUs; rows are partitioned so no two goroutines touch the same matrix
-// cell.
-func Build(set schema.Set, cfg Config) *Space {
-	sp, _ := BuildContext(context.Background(), set, cfg)
-	return sp
-}
-
-// BuildContext is Build with cooperative cancellation: the O(n²)
-// similarity fill polls ctx between rows, so a Manager shutting down
-// mid-recluster is not stuck behind minutes of memoization on large
-// corpora. On cancellation the partially built space is discarded and
-// ctx.Err() returned.
+// BuildContext is BuildLite behind a cancellation check: a Manager shutting
+// down before a recluster reaches the features gets ctx.Err() back instead of
+// a space.
 func BuildContext(ctx context.Context, set schema.Set, cfg Config) (*Space, error) {
-	sp := BuildLite(set, cfg)
-	n := len(set)
-	sp.sims = newSimMatrix(n)
-
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || n < 64 {
-		for i := 0; i < n; i++ {
-			if i%64 == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			sp.fillSimRow(i)
-		}
-		return sp, nil
-	}
-	var next atomic.Int64
-	var canceled atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || canceled.Load() {
-					return
-				}
-				if i%64 == 0 && ctx.Err() != nil {
-					canceled.Store(true)
-					return
-				}
-				sp.fillSimRow(i)
-			}
-		}()
-	}
-	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return sp, nil
+	return BuildLite(set, cfg), nil
 }
 
-// fillSimRow memoizes similarities of schema i against all j > i.
-func (sp *Space) fillSimRow(i int) {
-	for j := i + 1; j < len(sp.Vectors); j++ {
-		sp.sims.set(i, j, sp.pairSim(i, j))
-	}
-}
-
-// BuildLite constructs the space without the O(n²) pairwise-similarity
-// memo. Similarity still works, computed on demand. Use it when only
-// vocabulary and query embedding are needed (e.g. when loading a persisted
-// model) or when clustering over a candidate-pair subset; clustering over
-// every pair (cluster.CompletePairSims) reads each similarity twice, which
-// is what Build's memo is for.
+// BuildLite extracts terms, constructs the vocabulary and computes every
+// schema's feature vector (Algorithm 1). Nothing pairwise is precomputed:
+// Similarity computes one pair on demand and Row lists the positive
+// similarities of one schema off the inverted bit→schema index.
 func BuildLite(set schema.Set, cfg Config) *Space {
 	cfg = cfg.normalized()
 	sp := &Space{cfg: cfg, set: set}
@@ -306,8 +242,7 @@ func BuildLite(set schema.Set, cfg Config) *Space {
 // set; the embedding is identical up to that permutation (same vocabulary
 // set, same term↔schema incidence, bit-identical vectors after reordering,
 // and exactly equal pairwise similarities — Jaccard is permutation
-// invariant). The returned space carries no pairwise-similarity memo;
-// Similarity computes on demand, as after BuildLite.
+// invariant).
 //
 // In TermFrequency mode the per-occurrence counts cannot be patched without
 // re-scanning every attribute, so Extend falls back to a full BuildLite over
@@ -384,6 +319,8 @@ func (sp *Space) Extend(s schema.Schema) (*Space, int) {
 	}
 	bitSchemas := make([][]int32, newDim)
 	copy(bitSchemas, sp.schemasByBit())
+	bitCounts := make([]int32, newIdx+1)
+	copy(bitCounts, sp.bitCounts)
 	vectors := make([]*bitvec.Vector, newIdx+1)
 	for i := 0; i < newIdx; i++ {
 		bits := newBits[int32(i)]
@@ -396,6 +333,7 @@ func (sp *Space) Extend(s schema.Schema) (*Space, int) {
 			if !v.Get(b) { // two of i's terms can match the same new term
 				v.Set(b)
 				bitSchemas[b] = append(bitSchemas[b], int32(i))
+				bitCounts[i]++
 			}
 		}
 		vectors[i] = v
@@ -413,7 +351,8 @@ func (sp *Space) Extend(s schema.Schema) (*Space, int) {
 		old := bitSchemas[b]
 		bitSchemas[b] = append(old[:len(old):len(old)], int32(newIdx))
 	}
-	ns.bitSchemas = bitSchemas
+	bitCounts[newIdx] = int32(nv.Count())
+	ns.bitSchemas, ns.bitCounts = bitSchemas, bitCounts
 	return ns, newIdx
 }
 
@@ -421,23 +360,25 @@ func (sp *Space) Extend(s schema.Schema) (*Space, int) {
 // the schemas whose feature vector has bit b set. It is read off the vectors
 // themselves rather than derived from the term relation, so it is exact
 // under an asymmetric term similarity, in TermFrequency mode and on a space
-// that is itself an Extend product. Only a space that takes arrivals needs
-// it, so BuildLite leaves it to the first caller (one pass over the set
-// bits); Extend hands its product the lists directly and the build there is
-// a no-op. The result is shared and must not be written.
+// that is itself an Extend product. BuildLite leaves it, and the popcounts
+// in bitCounts beside it, to the first caller (one pass over the set bits);
+// Extend hands its product both directly and the build there is a no-op.
+// The result is shared and must not be written.
 func (sp *Space) schemasByBit() [][]int32 {
 	sp.bitSchemasOnce.Do(func() {
 		if sp.bitSchemas != nil {
 			return
 		}
 		sizes := make([]int, len(sp.Vocab))
+		counts := make([]int32, len(sp.Vectors))
 		total := 0
 		var idx []int
-		for _, v := range sp.Vectors {
+		for i, v := range sp.Vectors {
 			idx = v.IndicesAppend(idx[:0])
 			for _, b := range idx {
 				sizes[b]++
 			}
+			counts[i] = int32(len(idx))
 			total += len(idx)
 		}
 		flat := make([]int32, total)
@@ -451,26 +392,85 @@ func (sp *Space) schemasByBit() [][]int32 {
 				lists[b] = append(lists[b], int32(i))
 			}
 		}
-		sp.bitSchemas = lists
+		sp.bitSchemas, sp.bitCounts = lists, counts
 	})
 	return sp.bitSchemas
 }
 
-// Sharing returns, ascending, the schemas other than i whose feature vector
-// shares a set bit with schema i's. For every schema not listed,
-// Similarity(i, j) is an exact 0 in either mode (a term-frequency count is
-// positive exactly where the bit is set), so a sum of similarities against i
-// may visit these alone.
-func (sp *Space) Sharing(i int) []int32 {
+// RowBuf is the scratch space of Space.Row, owned by one caller at a time
+// and reused across calls; the zero value is ready.
+type RowBuf struct {
+	shared []int32 // shared[j]: bits schema j shares with the row's schema; zero between calls
+	bits   []int32
+	js     []int32
+	sims   []float64
+}
+
+// Row returns, ascending in j, every schema j > from other than i whose
+// feature vector shares a set bit with schema i's, with s_sim(S_i, S_j) beside
+// it. Every schema it leaves out has similarity exactly 0 to S_i in either
+// mode (a term-frequency count is positive exactly where the bit is set), so
+// the row is every positive similarity of S_i above from: from = i gives the
+// upper triangle, from = -1 the whole row. The schemas are found through the
+// bit→schema index, counting per schema how many of i's bits it shares; in
+// binary mode that count is |F^i ∩ F^j| and the similarity is
+// inter/(|F^i|+|F^j|−inter) over the cached popcounts — the integers
+// Vector.Jaccard divides, so the same float64 — and in term-frequency mode it
+// is the generalized Jaccard of the two count vectors. The returned slices
+// belong to buf and hold until its next use. Row is safe for concurrent use
+// with distinct bufs.
+func (sp *Space) Row(i, from int, buf *RowBuf) ([]int32, []float64) {
 	lists := sp.schemasByBit()
-	mark := bitvec.New(len(sp.Vectors))
-	for _, b := range sp.Vectors[i].Indices() {
-		for _, j := range lists[b] {
-			mark.Set(int(j))
+	n := len(sp.Vectors)
+	if len(buf.shared) < n {
+		// Grown by append, so a buffer kept across arrivals is not
+		// reallocated each time the space gains a schema.
+		buf.shared = append(buf.shared, make([]int32, n-len(buf.shared))...)
+	}
+	shared, lo := buf.shared, int32(from+1)
+	js := buf.js[:0]
+	buf.bits = sp.Vectors[i].IndicesAppend32(buf.bits[:0])
+	for _, b := range buf.bits {
+		list := lists[b]
+		k, _ := slices.BinarySearch(list, lo)
+		for _, j := range list[k:] {
+			if shared[j] == 0 {
+				js = append(js, j)
+			}
+			shared[j]++
 		}
 	}
-	mark.Clear(i)
-	return mark.IndicesAppend32(nil)
+	// Schemas come out in bit order: sort a short list, and read a long
+	// one back off the counts in index order instead.
+	if above := n - int(lo); len(js) < above/16 {
+		slices.Sort(js)
+	} else {
+		js = js[:0]
+		for j, c := range shared[lo:n] {
+			if c != 0 {
+				js = append(js, lo+int32(j))
+			}
+		}
+	}
+	sims := buf.sims[:0]
+	out := js[:0]
+	for _, j := range js {
+		inter := shared[j]
+		shared[j] = 0
+		if int(j) == i {
+			continue
+		}
+		var s float64
+		if sp.counts != nil {
+			s = generalizedJaccard(sp.counts[i], sp.counts[j])
+		} else {
+			s = float64(inter) / float64(sp.bitCounts[i]+sp.bitCounts[j]-inter)
+		}
+		out = append(out, j)
+		sims = append(sims, s)
+	}
+	buf.js, buf.sims = out, sims
+	return out, sims
 }
 
 // generalizedJaccard is Σ_j min(a_j, b_j) / Σ_j max(a_j, b_j).
@@ -501,39 +501,14 @@ func (sp *Space) NumSchemas() int { return len(sp.Vectors) }
 // Config returns the configuration the space was built with.
 func (sp *Space) Config() Config { return sp.cfg }
 
-// Similarity returns s_sim(S_i, S_j): the Jaccard coefficient of the two
-// schemas' feature vectors (memoized).
+// Similarity returns s_sim(S_i, S_j), computed on demand: the Jaccard
+// coefficient of the two schemas' feature vectors, or in term-frequency mode
+// the generalized Jaccard of their counts. It is the definition Row's
+// entries equal.
 func (sp *Space) Similarity(i, j int) float64 {
 	if i == j {
 		return 1
 	}
-	if sp.sims == nil {
-		return sp.pairSim(i, j)
-	}
-	return sp.sims.get(i, j)
-}
-
-// SimilaritiesAbove returns s_sim(S_i, S_j) for j = i+1, …, n-1, in that
-// order: the memo's own row when the space has one — a view, not to be
-// written — and otherwise computed into buf, which is grown as needed.
-func (sp *Space) SimilaritiesAbove(i int, buf []float64) []float64 {
-	n := len(sp.Vectors)
-	if sp.sims != nil {
-		if i >= n-1 {
-			return nil
-		}
-		lo := sp.sims.idx(i, i+1)
-		return sp.sims.data[lo : lo+n-1-i : lo+n-1-i]
-	}
-	buf = buf[:0]
-	for j := i + 1; j < n; j++ {
-		buf = append(buf, sp.pairSim(i, j))
-	}
-	return buf
-}
-
-// pairSim computes one pairwise similarity according to the mode.
-func (sp *Space) pairSim(i, j int) float64 {
 	if sp.counts != nil {
 		return generalizedJaccard(sp.counts[i], sp.counts[j])
 	}
@@ -586,28 +561,3 @@ func (sp *Space) QueryTerms(keywords []string) []string {
 	}
 	return out
 }
-
-// SimMatrix is a condensed symmetric matrix of pairwise similarities with
-// unit diagonal, stored as the strict upper triangle.
-type SimMatrix struct {
-	n    int
-	data []float64
-}
-
-func newSimMatrix(n int) *SimMatrix {
-	return &SimMatrix{n: n, data: make([]float64, n*(n-1)/2)}
-}
-
-func (m *SimMatrix) idx(i, j int) int {
-	if i > j {
-		i, j = j, i
-	}
-	if i == j || j >= m.n || i < 0 {
-		panic(fmt.Sprintf("simmatrix: bad index (%d,%d) for n=%d", i, j, m.n))
-	}
-	// Row-major strict upper triangle.
-	return i*(2*m.n-i-1)/2 + (j - i - 1)
-}
-
-func (m *SimMatrix) set(i, j int, v float64) { m.data[m.idx(i, j)] = v }
-func (m *SimMatrix) get(i, j int) float64    { return m.data[m.idx(i, j)] }

@@ -1,6 +1,7 @@
 package feature
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"reflect"
@@ -24,7 +25,7 @@ func smallSet() schema.Set {
 }
 
 func TestBuildVocabulary(t *testing.T) {
-	sp := Build(smallSet(), DefaultConfig())
+	sp := BuildLite(smallSet(), DefaultConfig())
 	// Vocabulary must be sorted and contain every extracted term.
 	for j := 1; j < len(sp.Vocab); j++ {
 		if sp.Vocab[j-1] >= sp.Vocab[j] {
@@ -44,7 +45,7 @@ func TestBuildVocabulary(t *testing.T) {
 func TestOwnTermsAlwaysSet(t *testing.T) {
 	// F^i_j = 1 whenever schema i literally contains vocabulary term j
 	// (self-similarity is 1 ≥ τ).
-	sp := Build(smallSet(), DefaultConfig())
+	sp := BuildLite(smallSet(), DefaultConfig())
 	for i := range smallSet() {
 		for term := range sp.TermSets[i] {
 			if !sp.Vectors[i].Get(sp.VocabIndex[term]) {
@@ -57,7 +58,7 @@ func TestOwnTermsAlwaysSet(t *testing.T) {
 func TestFuzzyMatchSetsBits(t *testing.T) {
 	// "authors" (bib1) and "author" (bib2) must cross-match at τ=0.8:
 	// both schemas' vectors should have both vocabulary bits set.
-	sp := Build(smallSet(), DefaultConfig())
+	sp := BuildLite(smallSet(), DefaultConfig())
 	jAuthors := sp.VocabIndex["authors"]
 	jAuthor := sp.VocabIndex["author"]
 	if !sp.Vectors[0].Get(jAuthor) {
@@ -73,7 +74,7 @@ func TestFuzzyMatchSetsBits(t *testing.T) {
 }
 
 func TestSimilaritySymmetricMemoized(t *testing.T) {
-	sp := Build(smallSet(), DefaultConfig())
+	sp := BuildLite(smallSet(), DefaultConfig())
 	if sp.Similarity(0, 0) != 1 {
 		t.Fatal("self-similarity != 1")
 	}
@@ -87,16 +88,21 @@ func TestSimilaritySymmetricMemoized(t *testing.T) {
 	}
 }
 
+// TestBuildLiteMatchesBuild: BuildContext is BuildLite behind a cancellation
+// check, so a live context gets the same space.
 func TestBuildLiteMatchesBuild(t *testing.T) {
 	set := smallSet()
-	full := Build(set, DefaultConfig())
+	full, err := BuildContext(context.Background(), set, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
 	lite := BuildLite(set, DefaultConfig())
 	for i := range set {
 		if !full.Vectors[i].Equal(lite.Vectors[i]) {
-			t.Fatalf("schema %d vectors differ between Build and BuildLite", i)
+			t.Fatalf("schema %d vectors differ between BuildContext and BuildLite", i)
 		}
 		for j := range set {
-			if math.Abs(full.Similarity(i, j)-lite.Similarity(i, j)) > 1e-15 {
+			if full.Similarity(i, j) != lite.Similarity(i, j) {
 				t.Fatalf("similarity(%d,%d) differs", i, j)
 			}
 		}
@@ -141,36 +147,8 @@ func TestBuildLiteIsWorkerCountInvariant(t *testing.T) {
 	}
 }
 
-func TestParallelBuildMatchesSequential(t *testing.T) {
-	// Build parallelizes the pairwise fill once n >= 64; the memoized
-	// matrix must be identical to on-demand (BuildLite) computation.
-	words := []string{
-		"title", "author", "year", "venue", "pages", "make", "model",
-		"price", "color", "name", "phone", "email", "city", "genre",
-	}
-	rng := rand.New(rand.NewSource(99))
-	set := make(schema.Set, 150)
-	for i := range set {
-		attrs := make([]string, 2+rng.Intn(5))
-		for j := range attrs {
-			attrs[j] = words[rng.Intn(len(words))]
-		}
-		set[i] = schema.Schema{Name: "s", Attributes: attrs}
-	}
-	full := Build(set, DefaultConfig())
-	lite := BuildLite(set, DefaultConfig())
-	for i := 0; i < len(set); i++ {
-		for j := i + 1; j < len(set); j++ {
-			if full.Similarity(i, j) != lite.Similarity(i, j) {
-				t.Fatalf("similarity(%d,%d): parallel %v vs direct %v",
-					i, j, full.Similarity(i, j), lite.Similarity(i, j))
-			}
-		}
-	}
-}
-
 func TestQueryVector(t *testing.T) {
-	sp := Build(smallSet(), DefaultConfig())
+	sp := BuildLite(smallSet(), DefaultConfig())
 	// The Chapter 1 example style: keywords matching attribute terms.
 	fq := sp.QueryVector([]string{"title", "authors", "toronto"})
 	if !fq.Get(sp.VocabIndex["title"]) || !fq.Get(sp.VocabIndex["authors"]) {
@@ -190,7 +168,7 @@ func TestQueryVector(t *testing.T) {
 }
 
 func TestQueryTermsDedup(t *testing.T) {
-	sp := Build(smallSet(), DefaultConfig())
+	sp := BuildLite(smallSet(), DefaultConfig())
 	got := sp.QueryTerms([]string{"title", "Title", "of title"})
 	if len(got) != 1 || got[0] != "title" {
 		t.Fatalf("QueryTerms = %v", got)
@@ -202,11 +180,11 @@ func TestStemAndExactStrategies(t *testing.T) {
 		{Name: "a", Attributes: []string{"connection", "speed"}},
 		{Name: "b", Attributes: []string{"connections", "speed"}},
 	}
-	stem := Build(set, Config{TermOpts: terms.DefaultOptions(), Sim: strsim.StemSim{}, Tau: 0.99})
+	stem := BuildLite(set, Config{TermOpts: terms.DefaultOptions(), Sim: strsim.StemSim{}, Tau: 0.99})
 	if !stem.Vectors[0].Get(stem.VocabIndex["connections"]) {
 		t.Fatal("stem strategy did not match plural")
 	}
-	exact := Build(set, Config{TermOpts: terms.DefaultOptions(), Sim: strsim.ExactSim{}, Tau: 0.99})
+	exact := BuildLite(set, Config{TermOpts: terms.DefaultOptions(), Sim: strsim.ExactSim{}, Tau: 0.99})
 	if exact.Vectors[0].Get(exact.VocabIndex["connections"]) {
 		t.Fatal("exact strategy matched distinct terms")
 	}
@@ -219,7 +197,7 @@ func TestDefaultStrategyFallback(t *testing.T) {
 	// An unrecognized similarity function must fall back to the
 	// full-scan strategy and still produce correct matches.
 	set := smallSet()
-	full := Build(set, Config{TermOpts: terms.DefaultOptions(), Sim: strsim.LCSeqSim{}, Tau: 0.95})
+	full := BuildLite(set, Config{TermOpts: terms.DefaultOptions(), Sim: strsim.LCSeqSim{}, Tau: 0.95})
 	for i := range set {
 		for term := range full.TermSets[i] {
 			if !full.Vectors[i].Get(full.VocabIndex[term]) {
@@ -237,9 +215,9 @@ func TestTermFrequencyMode(t *testing.T) {
 		{Name: "c", Attributes: []string{"make", "model"}},
 	}
 	cfg := Config{TermOpts: terms.DefaultOptions(), Tau: 0.8, Mode: TermFrequency}
-	sp := Build(set, cfg)
+	sp := BuildLite(set, cfg)
 	// Binary vectors are unchanged by the mode.
-	bin := Build(set, Config{TermOpts: terms.DefaultOptions(), Tau: 0.8})
+	bin := BuildLite(set, Config{TermOpts: terms.DefaultOptions(), Tau: 0.8})
 	for i := range set {
 		if !sp.Vectors[i].Equal(bin.Vectors[i]) {
 			t.Fatalf("TF mode changed binary vector %d", i)
@@ -251,15 +229,6 @@ func TestTermFrequencyMode(t *testing.T) {
 	if sp.Similarity(0, 2) >= sp.Similarity(0, 1) {
 		t.Fatalf("unrelated pair as similar as related pair: %v vs %v",
 			sp.Similarity(0, 2), sp.Similarity(0, 1))
-	}
-	// Lite and full agree in TF mode too.
-	lite := BuildLite(set, cfg)
-	for i := range set {
-		for j := range set {
-			if sp.Similarity(i, j) != lite.Similarity(i, j) {
-				t.Fatalf("TF similarity(%d,%d) differs between Build and BuildLite", i, j)
-			}
-		}
 	}
 }
 
@@ -314,43 +283,13 @@ func allZero(a []uint16) bool {
 	return true
 }
 
-func TestSimMatrixIndexing(t *testing.T) {
-	m := newSimMatrix(5)
-	v := 0.0
-	for i := 0; i < 5; i++ {
-		for j := i + 1; j < 5; j++ {
-			v += 0.1
-			m.set(i, j, v)
-		}
-	}
-	v = 0.0
-	for i := 0; i < 5; i++ {
-		for j := i + 1; j < 5; j++ {
-			v += 0.1
-			if m.get(i, j) != v || m.get(j, i) != v {
-				t.Fatalf("simmatrix (%d,%d) = %v, want %v", i, j, m.get(i, j), v)
-			}
-		}
-	}
-}
-
-func TestSimMatrixDiagonalPanics(t *testing.T) {
-	m := newSimMatrix(3)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("diagonal access did not panic")
-		}
-	}()
-	m.get(1, 1)
-}
-
 // Config.Tau == 0 means "use the default 0.8"; a negative Tau is the escape
 // hatch for a literal threshold of 0, where every pair of terms matches and
 // every pair of schemas has similarity exactly 1. The bucketed candidate
 // prefilters are unsound at τ = 0, so this also pins the full-scan fallback.
 func TestNegativeTauMeansLiteralZero(t *testing.T) {
 	set := smallSet()
-	sp := Build(set, Config{Tau: -1})
+	sp := BuildLite(set, Config{Tau: -1})
 	for i := 0; i < sp.NumSchemas(); i++ {
 		for j := range sp.Vocab {
 			if !sp.Vectors[i].Get(j) {
@@ -364,7 +303,7 @@ func TestNegativeTauMeansLiteralZero(t *testing.T) {
 		}
 	}
 	// And zero still selects the default.
-	if got := Build(set, Config{}).Similarity(0, 2); got == 1 {
+	if got := BuildLite(set, Config{}).Similarity(0, 2); got == 1 {
 		t.Fatal("zero-value Config behaved like τ=0 instead of the 0.8 default")
 	}
 }

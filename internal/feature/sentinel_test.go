@@ -17,7 +17,7 @@ func TestConfigPreservesTermOptions(t *testing.T) {
 		{Name: "s2", Attributes: []string{"price"}},
 	}
 	cfg := Config{TermOpts: terms.Options{StopWords: map[string]bool{}, KeepDigits: true}}
-	sp := Build(set, cfg)
+	sp := BuildLite(set, cfg)
 	// "the" and "other" are on the default stop-word list and "2024" is
 	// numeric; all three survive only if the explicit options do.
 	for _, term := range []string{"the", "other", "2024"} {
@@ -39,7 +39,7 @@ func TestConfigLiteralMinLengthZero(t *testing.T) {
 		{Name: "s1", Attributes: []string{"mm dd yy"}},
 		{Name: "s2", Attributes: []string{"price"}},
 	}
-	sp := Build(set, Config{TermOpts: terms.Options{MinLength: -1}})
+	sp := BuildLite(set, Config{TermOpts: terms.Options{MinLength: -1}})
 	for _, term := range []string{"mm", "dd", "yy"} {
 		if _, ok := sp.VocabIndex[term]; !ok {
 			t.Errorf("vocabulary missing short term %q under literal MinLength 0", term)

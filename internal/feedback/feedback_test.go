@@ -28,7 +28,7 @@ func testSet() schema.Set {
 
 func buildModel(t *testing.T, set schema.Set) *core.Model {
 	t.Helper()
-	sp := feature.Build(set, feature.DefaultConfig())
+	sp := feature.BuildLite(set, feature.DefaultConfig())
 	cl, err := cluster.Agglomerative(sp, cluster.NewLinkage(cluster.AvgJaccard), 0.2)
 	if err != nil {
 		t.Fatal(err)
@@ -356,8 +356,7 @@ func TestAddSchemaPreservesDomainIDs(t *testing.T) {
 }
 
 // TestServingPathAllocatesPerClusterNotPerPair holds AddSchema and Apply —
-// what POST /feedback and ingest run, on the served space, which after a
-// Load, an Extend or a blocked build carries no similarity memo and can be any
+// what POST /feedback and ingest run, on the served space, which can be any
 // size — to working memory that does not grow with the number of schema
 // pairs. DDH is the corpus to check it on: 89% of its 2.7M pairs have positive
 // similarity, so a pair adjacency (12 B per pair and direction) would be 58 MB.

@@ -27,6 +27,7 @@
 package ingest
 
 import (
+	"sync"
 	"time"
 
 	"schemaflow/internal/core"
@@ -68,6 +69,10 @@ func Assign(m *core.Model, s schema.Schema) (*Assignment, error) {
 	return a, err
 }
 
+// rowBufs keeps arrivals from allocating a count array over every schema
+// each.
+var rowBufs = sync.Pool{New: func() any { return new(feature.RowBuf) }}
+
 // AssignRestricted is Assign with the cluster comparison restricted to the
 // domains for which include returns true (nil includes every domain) — the
 // primitive behind a shard's read-only assignment probe. Excluded domains
@@ -83,10 +88,10 @@ func Assign(m *core.Model, s schema.Schema) (*Assignment, error) {
 // This is the newcomer comparison, the only copy. s_c_sim(S, C_r) averages
 // Similarity(S, S_j) over C_r's members, and only a schema sharing a set bit
 // with the newcomer has a non-zero similarity to it — a couple of percent of
-// a wide corpus. So the sums are taken over sp.Sharing alone, ascending, each
-// into its schema's cluster: Members[r] is ascending too, hence every sum
-// adds what cluster.SchemaClusterSim adds, in the same order, minus exact
-// zeros, and the result is that function's bit for bit.
+// a wide corpus. So the sums are taken over the newcomer's feature.Space.Row
+// alone, ascending, each into its schema's cluster: Members[r] is ascending
+// too, hence every sum adds what cluster.SchemaClusterSim adds, in the same
+// order, minus exact zeros, and the result is that function's bit for bit.
 func AssignRestricted(m *core.Model, s schema.Schema, include func(r int) bool) (*Assignment, *feature.Space, error) {
 	start := time.Now()
 	defer func() { mAssignDuration.Observe(time.Since(start).Seconds()) }()
@@ -98,9 +103,12 @@ func AssignRestricted(m *core.Model, s schema.Schema, include func(r int) bool) 
 
 	nD := m.NumDomains()
 	sims := make([]float64, nD)
-	for _, j := range sp.Sharing(newIdx) {
+	buf := rowBufs.Get().(*feature.RowBuf)
+	defer rowBufs.Put(buf)
+	js, rowSims := sp.Row(newIdx, -1, buf)
+	for k, j := range js {
 		if r := m.Clustering.Assign[j]; include == nil || include(r) {
-			sims[r] += sp.Similarity(newIdx, int(j))
+			sims[r] += rowSims[k]
 		}
 	}
 	// cands stays nil (every domain) without a restriction; with one it is

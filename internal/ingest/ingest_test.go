@@ -28,7 +28,7 @@ func buildModel(t *testing.T, theta float64) *core.Model {
 	t.Helper()
 	set := append(append(schema.Set{}, flightSchemas...), bookSchemas...)
 	cfg := feature.DefaultConfig()
-	sp := feature.Build(set, cfg)
+	sp := feature.BuildLite(set, cfg)
 	cl, err := cluster.Agglomerative(sp, cluster.NewLinkage(cluster.AvgJaccard), 0.25)
 	if err != nil {
 		t.Fatal(err)

@@ -134,7 +134,7 @@ func BenchmarkBuildBlocked(b *testing.B) {
 	}
 }
 
-// BenchmarkBuildExact is the exact build (every pair, memo on the space) at
+// BenchmarkBuildExact is the exact build (every positive pair) at
 // mixed-ingest's largest recluster, mediation off.
 func BenchmarkBuildExact(b *testing.B) {
 	set := dataset.Large(dataset.LargeConfig{N: 3700, Domains: 24, Seed: 1})

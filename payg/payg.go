@@ -147,8 +147,8 @@ type Options struct {
 	// candidates at or above it), "exact" (always every pair — the thesis'
 	// clustering), or "lsh" (always LSH candidates, the sub-quadratic
 	// blocked build). Both feed the same clustering and domain assignment;
-	// the blocked build also skips the O(n²) similarity memo. See
-	// docs/DESIGN.md §10.
+	// "exact" reads every positive pair off the feature space's inverted
+	// index, "lsh" verifies the candidates alone. See docs/DESIGN.md §10.
 	CandidateGen string
 
 	// resolved marks a value withDefaults has already processed: its zero
@@ -395,40 +395,32 @@ func (o Options) featureConfig() (feature.Config, error) {
 // buildModel is the clustering pipeline: feature space → pair similarities →
 // agglomerative clustering (Algorithm 2) → probabilistic domains
 // (Algorithm 3), both algorithms reading the one pair set. Its only branch is
-// the space and where the pairs come from. The exact source is every pair,
-// read out of a full feature space's memo; the blocked source, for large
-// corpora, is MinHash-LSH candidates verified over a lite space that never
-// builds the O(n²) memo. Every stage honors ctx.
+// where the pairs come from: the exact source is every positive pair, read
+// off the space's inverted index; the blocked source, for large corpora, is
+// MinHash-LSH candidates, verified. Every stage honors ctx.
 func buildModel(ctx context.Context, set schema.Set, fcfg feature.Config, method cluster.Method, opts Options, blocked bool) (*core.Model, error) {
-	var (
-		sp  *feature.Space
-		ps  *cluster.PairSims
-		err error
-	)
 	t := time.Now()
+	sp, err := feature.BuildContext(ctx, set, fcfg)
+	if err != nil {
+		return nil, err
+	}
+	mBuildPhase.With("features").Observe(time.Since(t).Seconds())
+	var ps *cluster.PairSims
 	if blocked {
 		mBuildMode.With("blocked").Inc()
-		sp = feature.BuildLite(set, fcfg)
-		mBuildPhase.With("features").Observe(time.Since(t).Seconds())
-		pairs, err := lshCandidates(ctx, sp)
-		if err != nil {
+		var pairs []candgen.Pair
+		if pairs, err = lshCandidates(ctx, sp); err != nil {
 			return nil, err
 		}
 		t = time.Now()
-		if ps, err = cluster.PairwiseSims(ctx, sp, pairs, 0); err != nil {
-			return nil, fmt.Errorf("payg: pairwise similarities: %w", err)
-		}
+		ps, err = cluster.PairwiseSims(ctx, sp, pairs, 0)
 	} else {
 		mBuildMode.With("exact").Inc()
-		// The memo outlives the build on purpose: see docs/DESIGN.md §10.
-		if sp, err = feature.BuildContext(ctx, set, fcfg); err != nil {
-			return nil, err
-		}
-		mBuildPhase.With("features").Observe(time.Since(t).Seconds())
 		t = time.Now()
-		if ps, err = cluster.CompletePairSims(ctx, sp); err != nil {
-			return nil, fmt.Errorf("payg: pairwise similarities: %w", err)
-		}
+		ps, err = cluster.CompletePairSims(ctx, sp)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("payg: pairwise similarities: %w", err)
 	}
 	mBuildPhase.With("pairwise").Observe(time.Since(t).Seconds())
 	mBuildStoredPairs.Set(float64(ps.NumPairs()))
