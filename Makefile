@@ -42,8 +42,9 @@ repro-check:
 bench-ingest:
 	$(GO) test ./payg -run TestIngestBenchArtifact -bench-artifact=true
 
-# Per-arrival assignment: incremental feature-space extension vs full
-# rebuild at n = 300 and 1000 (writes BENCH_assign.json).
+# Per-arrival assignment: scoring on the serving space (the row of its
+# incremental extension) vs a full rebuild at n = 300 and 1000 (writes
+# BENCH_assign.json).
 bench-assign:
 	$(GO) test ./internal/ingest -run TestAssignBenchArtifact -bench-assign-artifact=true
 

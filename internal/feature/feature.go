@@ -112,8 +112,8 @@ type Space struct {
 	// mode.
 	set schema.Set
 	// termSchemas[j] lists, ascending, the schemas whose term set contains
-	// vocabulary term j — the inverted term→schema index Extend uses to
-	// touch only the vectors a new vocabulary term actually affects.
+	// vocabulary term j — the inverted term→schema index Extend and Probe
+	// use to find only the vectors a new vocabulary term actually affects.
 	termSchemas [][]int32
 	// bitSchemas is the inverse of Vectors and bitCounts[i] the number of
 	// bits set in Vectors[i], both built on first use or handed over by
@@ -397,13 +397,43 @@ func (sp *Space) schemasByBit() [][]int32 {
 	return sp.bitSchemas
 }
 
-// RowBuf is the scratch space of Space.Row, owned by one caller at a time
-// and reused across calls; the zero value is ready.
+// RowBuf is the scratch space of Space.Row and Space.Probe, owned by one
+// caller at a time and reused across calls; the zero value is ready.
 type RowBuf struct {
 	shared []int32 // shared[j]: bits schema j shares with the row's schema; zero between calls
+	gain   []int32 // gain[j]: new bits a probe's arrival gives schema j; zero between calls
 	bits   []int32
+	owners []int32
 	js     []int32
 	sims   []float64
+}
+
+// grown returns counts covering n schemas. It grows by append, so a buffer
+// kept across arrivals is not reallocated each time the space gains a
+// schema.
+func grown(counts []int32, n int) []int32 {
+	if len(counts) < n {
+		counts = append(counts, make([]int32, n-len(counts))...)
+	}
+	return counts
+}
+
+// ascending puts js, the schemas in [lo, n) with a non-zero shared count
+// listed in the order they were first counted, in ascending order: it sorts
+// a short list, and reads a long one back off the counts in index order
+// instead.
+func (buf *RowBuf) ascending(js []int32, lo, n int32) []int32 {
+	if len(js) < int(n-lo)/16 {
+		slices.Sort(js)
+		return js
+	}
+	js = js[:0]
+	for j, c := range buf.shared[lo:n] {
+		if c != 0 {
+			js = append(js, lo+int32(j))
+		}
+	}
+	return js
 }
 
 // Row returns, ascending in j, every schema j > from other than i whose
@@ -422,11 +452,7 @@ type RowBuf struct {
 func (sp *Space) Row(i, from int, buf *RowBuf) ([]int32, []float64) {
 	lists := sp.schemasByBit()
 	n := len(sp.Vectors)
-	if len(buf.shared) < n {
-		// Grown by append, so a buffer kept across arrivals is not
-		// reallocated each time the space gains a schema.
-		buf.shared = append(buf.shared, make([]int32, n-len(buf.shared))...)
-	}
+	buf.shared = grown(buf.shared, n)
 	shared, lo := buf.shared, int32(from+1)
 	js := buf.js[:0]
 	buf.bits = sp.Vectors[i].IndicesAppend32(buf.bits[:0])
@@ -440,18 +466,7 @@ func (sp *Space) Row(i, from int, buf *RowBuf) ([]int32, []float64) {
 			shared[j]++
 		}
 	}
-	// Schemas come out in bit order: sort a short list, and read a long
-	// one back off the counts in index order instead.
-	if above := n - int(lo); len(js) < above/16 {
-		slices.Sort(js)
-	} else {
-		js = js[:0]
-		for j, c := range shared[lo:n] {
-			if c != 0 {
-				js = append(js, lo+int32(j))
-			}
-		}
-	}
+	js = buf.ascending(js, lo, int32(n))
 	sims := buf.sims[:0]
 	out := js[:0]
 	for _, j := range js {
@@ -471,6 +486,86 @@ func (sp *Space) Row(i, from int, buf *RowBuf) ([]int32, []float64) {
 	}
 	buf.js, buf.sims = out, sims
 	return out, sims
+}
+
+// Probe returns what ext.Row(newIdx, -1, buf) returns for ext, newIdx :=
+// sp.Extend(s) — every schema sharing a set bit with the arrival s,
+// ascending, beside its similarity to s — and the number of novel terms
+// Extend would append, without building ext. The arrival's bits on the old
+// vocabulary are the match lists of its known terms and the forward matches
+// of its novel terms; each novel term is one of its own terms, so it sets
+// every new bit. A schema gains new bit u exactly when it holds a term on u's
+// reverse match list (found through the term→schema index), and then shares
+// u with the arrival. So schema j shares the old bits counted off the
+// bit→schema index, as Row counts them, plus gain_j, the distinct new bits it
+// gains; its popcount grows by gain_j; and the similarity
+// inter/(|F^s| + |F^j| + gain_j − inter) divides the integers ext's Row
+// divides, so it is the same float64. In TermFrequency mode per-occurrence
+// counts cannot be patched, and Probe is Extend followed by Row. The returned
+// slices belong to buf and hold until its next use. Probe is safe for
+// concurrent use with distinct bufs.
+func (sp *Space) Probe(s schema.Schema, buf *RowBuf) ([]int32, []float64, int) {
+	if sp.cfg.Mode == TermFrequency {
+		ext, newIdx := sp.Extend(s)
+		js, sims := ext.Row(newIdx, -1, buf)
+		return js, sims, ext.Dim() - sp.Dim()
+	}
+	lists := sp.schemasByBit()
+	n := len(sp.Vectors)
+	buf.shared, buf.gain = grown(buf.shared, n), grown(buf.gain, n)
+	shared, gain := buf.shared, buf.gain
+
+	var novel []string
+	bits := buf.bits[:0]
+	for t := range terms.Extract(s.Attributes, sp.cfg.TermOpts) {
+		if j, ok := sp.VocabIndex[t]; ok {
+			bits = append(bits, sp.matcher.matchesOfVocab(j)...)
+		} else {
+			novel = append(novel, t)
+		}
+	}
+	fwd, rev := sp.matcher.crossMatches(novel)
+	for _, f := range fwd {
+		bits = append(bits, f...)
+	}
+	slices.Sort(bits)
+	bits = slices.Compact(bits)
+
+	js := buf.js[:0]
+	for _, b := range bits {
+		for _, j := range lists[b] {
+			if shared[j] == 0 {
+				js = append(js, j)
+			}
+			shared[j]++
+		}
+	}
+	owners := buf.owners
+	for _, r := range rev {
+		owners = owners[:0]
+		for _, v := range r {
+			owners = append(owners, sp.termSchemas[v]...)
+		}
+		slices.Sort(owners) // two of a schema's terms can match the same new term
+		for _, j := range slices.Compact(owners) {
+			if shared[j] == 0 {
+				js = append(js, j)
+			}
+			shared[j]++
+			gain[j]++
+		}
+	}
+	js = buf.ascending(js, 0, int32(n))
+
+	count := int32(len(bits) + len(novel))
+	sims := buf.sims[:0]
+	for _, j := range js {
+		inter, g := shared[j], gain[j]
+		shared[j], gain[j] = 0, 0
+		sims = append(sims, float64(inter)/float64(count+sp.bitCounts[j]+g-inter))
+	}
+	buf.bits, buf.owners, buf.js, buf.sims = bits, owners, js, sims
+	return js, sims, len(novel)
 }
 
 // generalizedJaccard is Σ_j min(a_j, b_j) / Σ_j max(a_j, b_j).

@@ -123,21 +123,7 @@ func (m *matchIndex) extended(newVocab []string, newTerms []string) (*matchIndex
 	copy(nm.vocabMatches, m.vocabMatches)
 
 	sym := symmetricSim(m.sim)
-	fwd := make([][]int32, len(newTerms)) // sim(newTerm, vocab[j]) ≥ τ
-	rev := make([][]int32, len(newTerms)) // sim(vocab[j], newTerm) ≥ τ
-	for i, u := range newTerms {
-		fwd[i] = m.strategy.matches(u)
-		rev[i] = fwd[i]
-		if !sym {
-			// Only a full scan serves a similarity not known to be symmetric.
-			rev[i] = nil
-			for j, v := range m.vocab {
-				if m.similar(v, u) {
-					rev[i] = append(rev[i], int32(j))
-				}
-			}
-		}
-	}
+	fwd, rev := m.crossMatches(newTerms)
 
 	// Match lists of the appended terms: the forward cross-matches, the
 	// term itself, and any matching fellow newcomers (new terms arrive one
@@ -189,6 +175,32 @@ func (m *matchIndex) extended(newVocab []string, newTerms []string) (*matchIndex
 
 	nm.strategy = m.extendStrategy(newVocab, newTerms)
 	return nm, rev
+}
+
+// crossMatches probes the index with terms outside its vocabulary: fwd[i]
+// lists the indices j with sim(newTerms[i], vocab[j]) ≥ τ and rev[i] those
+// with sim(vocab[j], newTerms[i]) ≥ τ. For a known-symmetric similarity the
+// two are the same lists; only a full scan serves the reverse direction of
+// any other.
+func (m *matchIndex) crossMatches(newTerms []string) (fwd, rev [][]int32) {
+	fwd = make([][]int32, len(newTerms))
+	rev = fwd
+	sym := symmetricSim(m.sim)
+	if !sym {
+		rev = make([][]int32, len(newTerms))
+	}
+	for i, u := range newTerms {
+		fwd[i] = m.strategy.matches(u)
+		if sym {
+			continue
+		}
+		for j, v := range m.vocab {
+			if m.similar(v, u) {
+				rev[i] = append(rev[i], int32(j))
+			}
+		}
+	}
+	return fwd, rev
 }
 
 // extendStrategy layers the appended terms onto the base index.

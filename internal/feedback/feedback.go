@@ -212,19 +212,20 @@ func (s *Session) Apply() (*Result, error) {
 // re-running the full clustering. The new schema joins the existing cluster
 // it is most similar to (per s_c_sim and the τ_c_sim gate of Algorithm 3),
 // or becomes a fresh singleton domain; every existing schema keeps its
-// cluster. The model's feature space is extended incrementally
-// (feature.Space.Extend, copy-on-write — novel terms are appended to the
-// vocabulary and only affected vectors are touched, instead of re-embedding
-// all n existing schemas), and memberships are recomputed so the new schema
-// gets a proper probabilistic assignment.
+// cluster. The comparison is ingest.AssignRestricted's, on the model's own
+// space, which it does not copy; AddSchema then builds the extended space
+// itself (feature.Space.Extend, copy-on-write — novel terms are appended to
+// the vocabulary and only affected vectors are touched, instead of
+// re-embedding all n existing schemas), and memberships are recomputed over
+// it so the new schema gets a proper probabilistic assignment.
 //
 // It returns the new model and the new schema's primary domain id.
 func AddSchema(m *core.Model, s schema.Schema) (*core.Model, int, error) {
-	a, sp, err := ingest.AssignRestricted(m, s, nil)
+	a, err := ingest.AssignRestricted(m, s, nil)
 	if err != nil {
 		return nil, 0, err
 	}
-	newIdx := len(m.Schemas)
+	sp, newIdx := m.Space.Extend(s)
 	extended := make(schema.Set, 0, newIdx+1)
 	extended = append(extended, m.Schemas...)
 	extended = append(extended, s)

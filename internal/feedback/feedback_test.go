@@ -3,6 +3,7 @@ package feedback
 import (
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"schemaflow/internal/classify"
@@ -352,6 +353,40 @@ func TestAddSchemaPreservesDomainIDs(t *testing.T) {
 		if domain >= m.NumDomains() && domain != m.NumDomains() {
 			t.Fatalf("%s: fresh domain id %d, want %d", s.Name, domain, m.NumDomains())
 		}
+	}
+}
+
+// TestAddSchemaGrowsTheSpaceByExtend: the arrival is compared on the model's
+// own space, and the model AddSchema returns holds the space Extend builds —
+// N+1 schemas, Extend's vocabulary in Extend's order, and its vectors bit for
+// bit — along a chain of arrivals with known, novel and no matching terms.
+func TestAddSchemaGrowsTheSpaceByExtend(t *testing.T) {
+	m := buildModel(t, testSet())
+	arrivals := []schema.Schema{
+		{Name: "bib-new", Attributes: []string{"title", "authors", "publication year", "publisher"}},
+		{Name: "car-new", Attributes: []string{"car makes", "models", "mileage"}},
+		{Name: "weird-new", Attributes: []string{"glacier thickness", "beekeeping yield"}},
+		{Name: "known", Attributes: testSet()[3].Attributes},
+	}
+	for _, s := range arrivals {
+		want, newIdx := m.Space.Extend(s)
+		grown, _, err := AddSchema(m, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := grown.Space
+		if got.NumSchemas() != len(m.Schemas)+1 || newIdx != len(m.Schemas) || len(grown.Schemas) != got.NumSchemas() {
+			t.Fatalf("%s: model of %d schemas grew to a space of %d (model %d), want %d", s.Name, len(m.Schemas), got.NumSchemas(), len(grown.Schemas), len(m.Schemas)+1)
+		}
+		if got.Dim() != want.Dim() || !slices.Equal(got.Vocab, want.Vocab) {
+			t.Fatalf("%s: vocabulary %v, Extend's %v", s.Name, got.Vocab, want.Vocab)
+		}
+		for i, v := range want.Vectors {
+			if !got.Vectors[i].Equal(v) {
+				t.Fatalf("%s: schema %d's vector %v, Extend's %v", s.Name, i, got.Vectors[i], v)
+			}
+		}
+		m = grown
 	}
 }
 

@@ -7,10 +7,12 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"slices"
 	"testing"
 
 	"schemaflow/internal/cluster"
 	"schemaflow/internal/core"
+	"schemaflow/internal/dataset"
 	"schemaflow/internal/feature"
 	"schemaflow/internal/schema"
 )
@@ -149,6 +151,84 @@ func benchAssignRebuild(b *testing.B, n int) {
 	}
 }
 
+// largeModel serves n schemas of a dataset.Large corpus over 24 domains —
+// the corpus of 5n/4 schemas with every fifth one held out — clustered by
+// their ground-truth domains, and returns one arrival: the first held-out
+// schema plus a misspelling of its first attribute, a novel term that
+// matches known ones. The arrival is the same schema at every n.
+func largeModel(tb testing.TB, n int) (*core.Model, schema.Schema) {
+	tb.Helper()
+	corpus := dataset.Large(dataset.LargeConfig{N: n + n/4, Domains: 24, Seed: 1})
+	var set, held schema.Set
+	for i, s := range corpus {
+		if i%5 == 4 {
+			held = append(held, s)
+		} else {
+			set = append(set, s)
+		}
+	}
+	domainOf := map[string]int{}
+	assign := make([]int, len(set))
+	for i, s := range set {
+		d, ok := domainOf[s.Labels[0]]
+		if !ok {
+			d = len(domainOf)
+			domainOf[s.Labels[0]] = d
+		}
+		assign[i] = d
+	}
+	m, err := core.AssignDomains(set, feature.BuildLite(set, feature.DefaultConfig()), cluster.FromAssignment(assign), core.Options{TauCSim: 0.2, Theta: 0.02})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s := held[0]
+	s.Name = "arrival"
+	s.Attributes = append(slices.Clone(s.Attributes), s.Attributes[0]+"x")
+	return m, s
+}
+
+// TestAssignAllocatesPerArrivalNotPerCorpus: the arrival is scored on the
+// serving space, not on a copy of it, so what Assign allocates does not grow
+// with the corpus — the same count at 1,500 and 3,000 schemas, and a few
+// dozen (building the extended space for the comparison cost 1,731 and
+// 3,358).
+func TestAssignAllocatesPerArrivalNotPerCorpus(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled scratch at random under -race")
+	}
+	var allocs []float64
+	for _, n := range []int{1500, 3000} {
+		m, s := largeModel(t, n)
+		allocs = append(allocs, testing.AllocsPerRun(50, func() {
+			if _, err := Assign(m, s); err != nil {
+				t.Fatal(err)
+			}
+		}))
+	}
+	if allocs[0] != allocs[1] || allocs[1] > 64 {
+		t.Fatalf("Assign allocates %v times per arrival at 1,500 schemas and %v at 3,000; want the same count, at most 64", allocs[0], allocs[1])
+	}
+}
+
+// sinkAssignment keeps the compiler from dropping a benchmarked Assign.
+var sinkAssignment *Assignment
+
+func benchAssignLarge(b *testing.B, n int) {
+	m, s := largeModel(b, n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a, err := Assign(m, s)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sinkAssignment = a
+	}
+}
+
+func BenchmarkAssignLarge1500(b *testing.B) { benchAssignLarge(b, 1500) }
+func BenchmarkAssignLarge3000(b *testing.B) { benchAssignLarge(b, 3000) }
+
 func BenchmarkAssignIncremental300(b *testing.B)  { benchAssignIncremental(b, 300) }
 func BenchmarkAssignRebuild300(b *testing.B)      { benchAssignRebuild(b, 300) }
 func BenchmarkAssignIncremental1000(b *testing.B) { benchAssignIncremental(b, 1000) }
@@ -229,7 +309,7 @@ func TestAssignBenchArtifact(t *testing.T) {
 		Corpus      string `json:"corpus"`
 		Pairs       []pair `json:"pairs"`
 	}{
-		Description: "Per-arrival schema assignment: incremental feature-space extension (Space.Extend) vs full BuildLite over n+1 schemas",
+		Description: "Per-arrival schema assignment: the arrival's row of the incrementally extended feature space, computed on the serving space (Space.Probe), vs full BuildLite over n+1 schemas",
 		GoVersion:   runtime.Version(),
 		Corpus:      "synthetic 5-template corpus (seed 1), one held-out arrival with 2 novel terms",
 		Pairs:       pairs,

@@ -11,8 +11,10 @@
 //     over the schemas it shares a feature with; every other similarity is
 //     an exact zero); clusters passing both the absolute τ_c_sim gate and
 //     the relative θ gate share the schema with probabilities proportional
-//     to similarity. Nothing in the model — in particular the classifier's
-//     precomputed tables — is touched.
+//     to similarity. The schema is scored on the serving feature space as
+//     it stands (feature.Space.Probe); no extended space is built. Nothing
+//     in the model — in particular the classifier's precomputed tables — is
+//     touched.
 //   - Window tracks assignment-quality drift: the fraction of recent
 //     arrivals that no existing domain could claim. A high ratio means the
 //     model no longer covers the incoming schema distribution and a full
@@ -57,16 +59,15 @@ type Assignment struct {
 }
 
 // Assign routes one new schema against the model's current clusters using
-// Algorithm 3's gates (m.Opts.TauCSim and m.Opts.Theta). The model's
-// feature space is extended incrementally (feature.Space.Extend,
-// copy-on-write — the newcomer's novel terms still count toward the Jaccard
-// denominators exactly as in a full rebuild) rather than rebuilt over all
-// n+1 schemas, so per-arrival cost is O(new terms × candidates + affected
-// schemas) instead of O(n × total terms). The model itself is read, never
-// written.
+// Algorithm 3's gates (m.Opts.TauCSim and m.Opts.Theta). The newcomer is
+// scored on the serving feature space itself (feature.Space.Probe: its row
+// of the space Space.Extend would build — its novel terms still count
+// toward the Jaccard denominators exactly as in a full rebuild — without
+// building that space), so per-arrival cost is O(new terms × candidates +
+// affected schemas) instead of O(n × total terms), and nothing is copied.
+// The model itself is read, never written.
 func Assign(m *core.Model, s schema.Schema) (*Assignment, error) {
-	a, _, err := AssignRestricted(m, s, nil)
-	return a, err
+	return AssignRestricted(m, s, nil)
 }
 
 // rowBufs keeps arrivals from allocating a count array over every schema
@@ -82,30 +83,28 @@ var rowBufs = sync.Pool{New: func() any { return new(feature.RowBuf) }}
 // unrestricted ones whenever the unrestricted winner is included — which is
 // what lets a router recover the global argmax from per-shard probes.
 //
-// It also returns the extended space it compared in, where the newcomer is
-// schema len(m.Schemas): feedback.AddSchema grows the model from it.
-//
-// This is the newcomer comparison, the only copy. s_c_sim(S, C_r) averages
-// Similarity(S, S_j) over C_r's members, and only a schema sharing a set bit
-// with the newcomer has a non-zero similarity to it — a couple of percent of
-// a wide corpus. So the sums are taken over the newcomer's feature.Space.Row
-// alone, ascending, each into its schema's cluster: Members[r] is ascending
-// too, hence every sum adds what cluster.SchemaClusterSim adds, in the same
-// order, minus exact zeros, and the result is that function's bit for bit.
-func AssignRestricted(m *core.Model, s schema.Schema, include func(r int) bool) (*Assignment, *feature.Space, error) {
+// This is the only copy of the newcomer comparison; feedback.AddSchema calls
+// it too. s_c_sim(S, C_r) averages Similarity(S, S_j) over C_r's members in
+// the extended space, and only a schema sharing a set bit with the newcomer
+// has a non-zero similarity to it — a couple of percent of a wide corpus. So
+// the sums are taken over the newcomer's row alone (feature.Space.Probe, the
+// row Space.Row would read off Space.Extend's product), ascending, each into
+// its schema's cluster: Members[r] is ascending too, hence every sum adds
+// what cluster.SchemaClusterSim adds, in the same order, minus exact zeros,
+// and the result is that function's bit for bit.
+func AssignRestricted(m *core.Model, s schema.Schema, include func(r int) bool) (*Assignment, error) {
 	start := time.Now()
 	defer func() { mAssignDuration.Observe(time.Since(start).Seconds()) }()
 	if err := s.Validate(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	sp, newIdx := m.Space.Extend(s)
-	mExtendNewTerms.Observe(float64(sp.Dim() - m.Space.Dim()))
+	buf := rowBufs.Get().(*feature.RowBuf)
+	defer rowBufs.Put(buf)
+	js, rowSims, newTerms := m.Space.Probe(s, buf)
+	mExtendNewTerms.Observe(float64(newTerms))
 
 	nD := m.NumDomains()
 	sims := make([]float64, nD)
-	buf := rowBufs.Get().(*feature.RowBuf)
-	defer rowBufs.Put(buf)
-	js, rowSims := sp.Row(newIdx, -1, buf)
 	for k, j := range js {
 		if r := m.Clustering.Assign[j]; include == nil || include(r) {
 			sims[r] += rowSims[k]
@@ -134,5 +133,5 @@ func AssignRestricted(m *core.Model, s schema.Schema, include func(r int) bool) 
 	}
 	a.Domains = core.Gate(sims, cands, m.Opts)
 	a.Fresh = len(a.Domains) == 0
-	return a, sp, nil
+	return a, nil
 }

@@ -13,12 +13,13 @@ var mAssignDuration = obs.Default().Histogram(
 	obs.DurationBuckets())
 
 // mExtendNewTerms tracks how many novel vocabulary terms each arrival
-// appends during incremental feature-space extension. A mostly-zero
+// carries — what incremental feature-space extension would append — as
+// the probe that scores it on the serving space counts them. A mostly-zero
 // distribution means arrivals speak the vocabulary the model already knows
 // (cheapest path: every existing vector is shared); a fat tail means the
 // corpus vocabulary is still growing and rebuilds will keep shifting the
 // space.
 var mExtendNewTerms = obs.Default().Histogram(
 	"schemaflow_ingest_extend_new_terms",
-	"Novel vocabulary terms appended by incremental feature-space extension, per arriving schema.",
+	"Novel vocabulary terms per arriving schema (what incremental feature-space extension would append).",
 	[]float64{0, 1, 2, 4, 8, 16, 32, 64, 128})

@@ -152,12 +152,9 @@ func TestPropertyComparisonIsTheDefinition(t *testing.T) {
 				includes = append(includes, func(r int) bool { return in[r] })
 			}
 			for ii, include := range includes {
-				got, gotSp, err := ingest.AssignRestricted(m, s, include)
+				got, err := ingest.AssignRestricted(m, s, include)
 				if err != nil {
 					t.Fatal(err)
-				}
-				if gotSp.NumSchemas() != newIdx+1 || gotSp.Dim() != sp.Dim() {
-					t.Fatalf("seed %d %s: returned space has %d schemas × %d terms, want %d × %d", seed, s.Name, gotSp.NumSchemas(), gotSp.Dim(), newIdx+1, sp.Dim())
 				}
 				exp := &ingest.Assignment{Best: -1}
 				var cands []int

@@ -35,14 +35,15 @@ type Assignment struct {
 }
 
 // Ingest computes the incremental assignment of one new schema against the
-// system's current domains: its feature vector is embedded by extending the
-// serving feature space incrementally (copy-on-write — no per-request
-// rebuild over the existing corpus) and compared to every cluster, gated by
-// τ_c_sim and θ exactly as Algorithm 3 does at build time. The system is
-// read, never modified — in particular the classifier's precomputed tables
-// are untouched — so Ingest is safe to call concurrently with Classify and
-// Execute. To actually grow a serving system use Manager.Ingest, which
-// journals the schema and folds it into the next background rebuild.
+// system's current domains: its feature vector is scored against the serving
+// feature space as it stands (its row of the incrementally extended space,
+// computed without building that space or rebuilding over the existing
+// corpus) and compared to every cluster, gated by τ_c_sim and θ exactly as
+// Algorithm 3 does at build time. The system is read, never modified — in
+// particular the classifier's precomputed tables are untouched — so Ingest
+// is safe to call concurrently with Classify and Execute. To actually grow a
+// serving system use Manager.Ingest, which journals the schema and folds it
+// into the next background rebuild.
 func (s *System) Ingest(sch Schema) (*Assignment, error) {
 	return s.ingest(sch, nil)
 }
@@ -50,7 +51,7 @@ func (s *System) Ingest(sch Schema) (*Assignment, error) {
 // ingest is Ingest with the comparison restricted to the domains include
 // admits (nil = every domain), in the public Assignment's shape.
 func (s *System) ingest(sch Schema, include func(r int) bool) (*Assignment, error) {
-	a, _, err := ingest.AssignRestricted(s.model, sch, include)
+	a, err := ingest.AssignRestricted(s.model, sch, include)
 	if err != nil {
 		return nil, fmt.Errorf("payg: %w", err)
 	}
