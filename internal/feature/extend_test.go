@@ -75,10 +75,12 @@ func canonicalVectors(sp *Space) (vocab []string, vecs []*bitvec.Vector) {
 // checkExtendEquivalence asserts that ext (built by chained Extend calls) is
 // equivalent to ref (a from-scratch BuildLite over the same schema set):
 // identical vocabulary set, bit-identical vectors once ext's appended
-// vocabulary order is put in canonical (sorted) order, and exactly equal
-// pairwise similarities.
+// vocabulary order is put in canonical (sorted) order, exactly equal
+// pairwise similarities, and spelling tables that both meet their definition.
 func checkExtendEquivalence(t *testing.T, ext, ref *Space) {
 	t.Helper()
+	checkLexicon(t, ext)
+	checkLexicon(t, ref)
 	if ext.NumSchemas() != ref.NumSchemas() {
 		t.Fatalf("schema count: ext %d, ref %d", ext.NumSchemas(), ref.NumSchemas())
 	}
@@ -197,6 +199,15 @@ func TestExtendCopyOnWrite(t *testing.T) {
 			sims = append(sims, sp.Similarity(i, j))
 		}
 	}
+	var fresh []string // the newcomer's spellings the original lexicon lacks
+	for _, a := range corpus[19].Attributes {
+		if _, ok := sp.Lexicon().Terms(a); !ok {
+			fresh = append(fresh, a)
+		}
+	}
+	if len(fresh) == 0 {
+		t.Fatal("the newcomer brings no new spelling: the lexicon's copy-on-write is not exercised")
+	}
 
 	ext, _ := sp.Extend(corpus[19])
 	if ext.Dim() < dim {
@@ -205,6 +216,15 @@ func TestExtendCopyOnWrite(t *testing.T) {
 	if sp.Dim() != dim || len(sp.Vocab) != dim || sp.NumSchemas() != 19 {
 		t.Fatal("Extend mutated the original space's shape")
 	}
+	for _, a := range fresh {
+		if _, ok := sp.Lexicon().Terms(a); ok {
+			t.Fatalf("Extend wrote the newcomer's spelling %q into the original lexicon", a)
+		}
+		if _, ok := ext.Lexicon().Terms(a); !ok {
+			t.Fatalf("extended lexicon lacks the newcomer's spelling %q", a)
+		}
+	}
+	checkLexicon(t, sp)
 	for i, v := range sp.Vectors {
 		if !v.Equal(vecs[i]) {
 			t.Fatalf("Extend mutated original vector %d", i)

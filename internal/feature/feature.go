@@ -123,6 +123,7 @@ type Space struct {
 	bitSchemasOnce sync.Once
 
 	matcher *matchIndex
+	lex     *Lexicon
 }
 
 // BuildContext is BuildLite behind a cancellation check: a Manager shutting
@@ -136,37 +137,33 @@ func BuildContext(ctx context.Context, set schema.Set, cfg Config) (*Space, erro
 }
 
 // BuildLite extracts terms, constructs the vocabulary and computes every
-// schema's feature vector (Algorithm 1). Nothing pairwise is precomputed:
+// schema's feature vector (Algorithm 1). Each distinct attribute spelling is
+// split into terms once (a corpus repeats its spellings: 37,901 attributes
+// but 3,576 spellings in Large{N:6000}), and the space keeps what the split
+// found as its spelling table (Lexicon). Nothing pairwise is precomputed:
 // Similarity computes one pair on demand and Row lists the positive
 // similarities of one schema off the inverted bit→schema index.
 func BuildLite(set schema.Set, cfg Config) *Space {
 	cfg = cfg.normalized()
 	sp := &Space{cfg: cfg, set: set}
 
-	// Term extraction, the per-term match lists (inside newMatchIndex) and
-	// the vectors are independent per schema or per term and fan out by
-	// index; the vocabulary and the inverted index between them are built in
-	// schema order on one goroutine, so the space is the same for any worker
-	// count.
+	// Term splitting, the per-term match lists (inside newMatchIndex), the
+	// term sets and the vectors are independent per spelling, term or schema
+	// and fan out by index; the vocabulary and the inverted index between
+	// them are built in order on one goroutine, so the space is the same for
+	// any worker count.
+	lists := sp.vocabulary(set)
+	termsOf := func(attr string) []string { return lists[sp.lex.spellings[attr]] }
 	sp.TermSets = make([]map[string]bool, len(set))
 	par.Each(len(set), func(i int) {
-		sp.TermSets[i] = terms.Extract(set[i].Attributes, cfg.TermOpts)
-	})
-	vocabSet := make(map[string]bool)
-	for _, ts := range sp.TermSets {
-		for t := range ts {
-			vocabSet[t] = true
+		ts := make(map[string]bool)
+		for _, a := range set[i].Attributes {
+			for _, t := range termsOf(a) {
+				ts[t] = true
+			}
 		}
-	}
-	sp.Vocab = make([]string, 0, len(vocabSet))
-	for t := range vocabSet {
-		sp.Vocab = append(sp.Vocab, t)
-	}
-	sort.Strings(sp.Vocab)
-	sp.VocabIndex = make(map[string]int, len(sp.Vocab))
-	for j, t := range sp.Vocab {
-		sp.VocabIndex[t] = j
-	}
+		sp.TermSets[i] = ts
+	})
 	sp.termSchemas = make([][]int32, len(sp.Vocab))
 	for i := range set {
 		for t := range sp.TermSets[i] {
@@ -174,8 +171,6 @@ func BuildLite(set schema.Set, cfg Config) *Space {
 			sp.termSchemas[j] = append(sp.termSchemas[j], int32(i))
 		}
 	}
-
-	sp.matcher = newMatchIndex(sp.Vocab, cfg.Sim, cfg.Tau, cfg.TermOpts.MinLength)
 
 	// Feature vectors: F^i = union over t in T_i of the vocabulary terms
 	// matching t. Because every schema term is itself in the vocabulary and
@@ -200,7 +195,7 @@ func BuildLite(set schema.Set, cfg Config) *Space {
 		// (binary mode deduplicates; counting is the point here).
 		c := make([]uint16, len(sp.Vocab))
 		for _, attr := range set[i].Attributes {
-			for _, t := range terms.FromAttribute(attr, cfg.TermOpts) {
+			for _, t := range termsOf(attr) {
 				for _, j := range sp.matcher.matchesOfVocab(sp.VocabIndex[t]) {
 					if c[j] < ^uint16(0) {
 						c[j]++
@@ -232,7 +227,10 @@ func BuildLite(set schema.Set, cfg Config) *Space {
 //   - embeds the newcomer's vector from the (extended) memoized match lists;
 //   - carries the bit→schema postings (schemasByBit) over the same way: the
 //     receiver's lists shared, one list opened per new bit, the newcomer
-//     appended to a copy of each list whose bit it sets.
+//     appended to a copy of each list whose bit it sets;
+//   - carries the spelling table (Lexicon) over the same way: the receiver's
+//     rows shared, one row appended per spelling the newcomer brings, over
+//     the extended vocabulary and match lists.
 //
 // Per-arrival cost is O(new terms × candidates + affected schemas + dim)
 // rather than BuildLite's O(n × total terms).
@@ -290,6 +288,7 @@ func (sp *Space) Extend(s schema.Schema) (*Space, int) {
 		ns.VocabIndex = vi
 		ns.matcher, rev = sp.matcher.extended(vocab, newTerms)
 	}
+	ns.lex = sp.lex.extended(s, ns)
 
 	// Inverted index: the newcomer joins the schema list of each of its
 	// terms (copy-on-write), and novel terms open singleton lists.

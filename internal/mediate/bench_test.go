@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"schemaflow/internal/dataset"
+	"schemaflow/internal/feature"
 	"schemaflow/internal/mediate"
 	"schemaflow/internal/schema"
 )
@@ -69,17 +70,20 @@ func BenchmarkBuildUnfiltered500(b *testing.B) {
 }
 
 // BenchmarkBuildDomains mediates every domain of the benchmark's wide corpus
-// once per iteration — what a build, a load or a recluster pays. Its ~560
+// once per iteration — what a build, a load or a recluster pays: like payg,
+// through one lexicon over the whole corpus, the feature space's. Its ~560
 // domains hold tens of distinct names each, mostly dissimilar; benchSet's
 // single template, where every name is similar to two others, is the other
 // extreme.
 func BenchmarkBuildDomains(b *testing.B) {
-	domains := domainsOf(b, dataset.Large(dataset.LargeConfig{N: 6000, Domains: 120, Seed: 1}))
+	set := dataset.Large(dataset.LargeConfig{N: 6000, Domains: 120, Seed: 1})
+	domains := domainsOf(b, set)
+	lx := feature.NewLexicon(set, feature.DefaultConfig())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, members := range domains {
-			if _, err := mediate.Build(members, mediate.DefaultOptions()); err != nil {
+			if _, err := mediate.BuildWith(members, mediate.DefaultOptions(), lx); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -22,6 +22,7 @@ import (
 	"slices"
 	"strings"
 
+	"schemaflow/internal/feature"
 	"schemaflow/internal/schema"
 	"schemaflow/internal/strsim"
 	"schemaflow/internal/terms"
@@ -38,9 +39,11 @@ type Options struct {
 	// Negative disables frequency filtering when true.
 	Negative bool
 	// TermSim is the term similarity used inside attribute similarity; nil
-	// means LCS at τ 0.8, matching feature construction.
+	// means LCS at τ 0.8, matching feature construction. BuildWith takes
+	// it, and TermTau, from its lexicon instead.
 	TermSim strsim.TermSim
-	// TermTau is the τ_t_sim threshold for term matching. Zero means 0.8.
+	// TermTau is the τ_t_sim threshold for term matching. Zero means 0.8;
+	// a negative value means a literal 0 (every pair of terms matches).
 	TermTau float64
 	// MongeElkan switches attribute-name similarity from fuzzy term-set
 	// Jaccard to the symmetrized Monge-Elkan combinator over the same
@@ -148,13 +151,37 @@ func (m *Mediated) AttrIndex(name string) int {
 // Build mediates the given schemas into one mediated schema with
 // probabilistic mappings. The schemas are those of a single domain; calling
 // it on an entire multi-domain corpus reproduces the pathologies of
-// Section 6.3.
+// Section 6.3. It compares attribute names through a lexicon it builds over
+// set alone (feature.NewLexicon, default tokenisation, opts.TermSim at
+// opts.TermTau) and is BuildWith from there on; a caller that already holds
+// the feature space's lexicon passes it to BuildWith instead.
 func Build(set schema.Set, opts Options) (*Mediated, error) {
 	opts = opts.normalized()
 	if len(set) == 0 {
 		return &Mediated{}, nil
 	}
-	t := newNameTable(set, opts)
+	return BuildWith(set, opts, lexiconOf(set, opts))
+}
+
+// lexiconOf is the lexicon a standalone Build compares names through.
+func lexiconOf(set schema.Set, opts Options) *feature.Lexicon {
+	return feature.NewLexicon(set, feature.Config{TermOpts: terms.DefaultOptions(), Sim: opts.TermSim, Tau: opts.TermTau})
+}
+
+// BuildWith is Build comparing attribute names through lx, which must hold
+// every attribute spelling of set: tokenisation, t_sim and τ_t_sim are the
+// lexicon's, and opts.TermSim and opts.TermTau are not read. Handed the
+// feature space's lexicon, mediation's t_sim is the features' by
+// construction, and no name is split into terms again.
+func BuildWith(set schema.Set, opts Options, lx *feature.Lexicon) (*Mediated, error) {
+	opts = opts.normalized()
+	if len(set) == 0 {
+		return &Mediated{}, nil
+	}
+	t, err := newNameTable(set, opts, lx)
+	if err != nil {
+		return nil, err
+	}
 	n := len(t.names)
 
 	// Names below the frequency threshold are excluded; the survivors
@@ -239,10 +266,11 @@ func canonicalName(name string) string {
 // attrName is one distinct canonical attribute name of a domain.
 type attrName struct {
 	canon string
-	// terms are extracted from the name's first spelling in source order,
-	// not from canon: "firstName" splits into two terms where "firstname"
-	// is one, so which spelling a domain saw first decides its similarities.
-	terms []string
+	// terms are the lexicon's term ids of the name's first spelling in
+	// source order, not of canon: "firstName" splits into two terms where
+	// "firstname" is one, so which spelling a domain saw first decides its
+	// similarities.
+	terms []int32
 	// schemas lists, ascending, the schemas with an attribute of this name;
 	// count is the number of such attributes.
 	schemas []int
@@ -265,7 +293,7 @@ type nameTable struct {
 	sims []float64
 }
 
-func newNameTable(set schema.Set, opts Options) *nameTable {
+func newNameTable(set schema.Set, opts Options, lx *feature.Lexicon) (*nameTable, error) {
 	t := &nameTable{ids: make(map[string]int)}
 	mostTerms := 0 // of any one name: sizes fuzzyJaccard's scratch
 	for i, s := range set {
@@ -276,9 +304,12 @@ func newNameTable(set schema.Set, opts Options) *nameTable {
 				// share the map with the spellings.
 				canon := canonicalName(spelling)
 				if id, ok = t.ids[canon]; !ok {
+					ts, ok := lx.Terms(spelling)
+					if !ok {
+						return nil, fmt.Errorf("mediate: attribute %q is not in the lexicon", spelling)
+					}
 					id = len(t.names)
 					t.ids[canon] = id
-					ts := terms.ExtractList([]string{spelling}, terms.DefaultOptions())
 					t.names = append(t.names, attrName{canon: canon, terms: ts})
 					mostTerms = max(mostTerms, len(ts))
 				}
@@ -307,29 +338,28 @@ func newNameTable(set schema.Set, opts Options) *nameTable {
 	// differ, so the direction is part of the result.
 	n := len(t.names)
 	t.sims = make([]float64, 0, n*(n-1)/2)
-	similar := atLeast(opts.TermSim, opts.TermTau)
-	used := make([]bool, mostTerms)
-	for b := 1; b < n; b++ {
-		for a := 0; a < b; a++ {
-			ta, tb := t.names[a].terms, t.names[b].terms
-			if opts.MongeElkan {
-				t.sims = append(t.sims, strsim.MongeElkanSym(ta, tb, opts.TermSim))
-			} else {
-				t.sims = append(t.sims, fuzzyJaccard(ta, tb, similar, used))
+	var words [][]string
+	if opts.MongeElkan {
+		// Monge-Elkan weighs t_sim itself, not a match: it reads the terms
+		// back as strings.
+		words = make([][]string, n)
+		for a, nm := range t.names {
+			for _, j := range nm.terms {
+				words[a] = append(words[a], lx.Term(j))
 			}
 		}
 	}
-	return t
-}
-
-// atLeast returns the predicate t_sim(x, y) ≥ τ. For the LCS similarity it
-// is the threshold LCS, which stops at the first long-enough common run and
-// is proven equal to Sim ≥ τ (strsim's FuzzLCSAtLeast).
-func atLeast(sim strsim.TermSim, tau float64) func(x, y string) bool {
-	if lcs, ok := sim.(strsim.LCSSim); ok {
-		return func(x, y string) bool { return lcs.AtLeast(x, y, tau) }
+	used := make([]bool, mostTerms)
+	for b := 1; b < n; b++ {
+		for a := 0; a < b; a++ {
+			if opts.MongeElkan {
+				t.sims = append(t.sims, strsim.MongeElkanSym(words[a], words[b], lx.TermSim()))
+			} else {
+				t.sims = append(t.sims, fuzzyJaccard(t.names[a].terms, t.names[b].terms, lx, used))
+			}
+		}
 	}
-	return func(x, y string) bool { return sim.Sim(x, y) >= tau }
+	return t, nil
 }
 
 // sim returns the similarity of two names in [0,1].
@@ -408,9 +438,10 @@ func (t *nameTable) candidates(a, own int, members [][]int) []candidate {
 func byWeight(a, b candidate) int { return cmp.Compare(b.weight, a.weight) }
 
 // fuzzyJaccard computes |matched pairs| / |union| where a term of one set
-// matches at most one term of the other at τ (greedy matching). used is
-// scratch for at least len(tb) marks.
-func fuzzyJaccard(ta, tb []string, similar func(x, y string) bool, used []bool) float64 {
+// matches at most one term of the other at τ (greedy matching, in the order
+// the lists hold the terms), the terms given as lexicon ids and a match read
+// off the lexicon's match lists. used is scratch for at least len(tb) marks.
+func fuzzyJaccard(ta, tb []int32, lx *feature.Lexicon, used []bool) float64 {
 	if len(ta) == 0 && len(tb) == 0 {
 		return 0
 	}
@@ -419,7 +450,7 @@ func fuzzyJaccard(ta, tb []string, similar func(x, y string) bool, used []bool) 
 	matched := 0
 	for _, x := range ta {
 		for j, y := range tb {
-			if !used[j] && (x == y || similar(x, y)) {
+			if !used[j] && lx.Match(x, y) {
 				used[j] = true
 				matched++
 				break

@@ -2,9 +2,12 @@ package mediate
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
+	"schemaflow/internal/feature"
 	"schemaflow/internal/schema"
+	"schemaflow/internal/terms"
 )
 
 func facultySet() schema.Set {
@@ -218,8 +221,47 @@ func TestAttrIndexMissing(t *testing.T) {
 // nameSim is the similarity Build uses for two attribute names: the entry of
 // the name table of a one-schema domain holding just the two.
 func nameSim(opts Options, a, b string) float64 {
-	t := newNameTable(schema.Set{{Attributes: []string{a, b}}}, opts.normalized())
+	set, opts := schema.Set{{Attributes: []string{a, b}}}, opts.normalized()
+	t, err := newNameTable(set, opts, lexiconOf(set, opts))
+	if err != nil {
+		panic(err)
+	}
 	return t.sim(t.ids[a], t.ids[b])
+}
+
+// TestExtendedLexiconKeepsTermOrder: greedy matching reads a name's terms in
+// term order, so a lexicon extended out of id order must still hand them over
+// in that order. Under the one-sided prefix t_sim "mail" matches "mailboxes"
+// and "mailing", "mailbox" only "mailboxes": in term order "mail mailbox" and
+// "mailboxes mailing" share one match (1/3); in id order — "mail" arrives
+// after "mailbox" and takes the larger id — they would share two (1).
+func TestExtendedLexiconKeepsTermOrder(t *testing.T) {
+	opts := DefaultOptions()
+	opts.TermSim = prefixSim{}
+	set := schema.Set{
+		{Name: "base", Attributes: []string{"mailbox", "mailboxes mailing"}},
+		{Name: "arrival", Attributes: []string{"mail mailbox"}},
+	}
+	sp := feature.BuildLite(set[:1], feature.Config{TermOpts: terms.DefaultOptions(), Sim: opts.TermSim, Tau: opts.TermTau})
+	sp, _ = sp.Extend(set[1])
+	tab, err := newNameTable(set, opts, sp.Lexicon())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tab.sim(tab.ids["mail mailbox"], tab.ids["mailboxes mailing"]); got != 1.0/3 {
+		t.Fatalf("sim(mail mailbox, mailboxes mailing) = %v through the extended lexicon, want 1/3", got)
+	}
+	ext, err := BuildWith(set, opts, sp.Lexicon())
+	if err != nil {
+		t.Fatal(err)
+	}
+	own, err := Build(set, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(ext, own) {
+		t.Fatalf("through the extended lexicon:\n%+v\nstandalone:\n%+v", ext, own)
+	}
 }
 
 func TestFuzzyJaccard(t *testing.T) {

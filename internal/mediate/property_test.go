@@ -10,6 +10,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"schemaflow/internal/feature"
 	"schemaflow/internal/schema"
 	"schemaflow/internal/strsim"
 	"schemaflow/internal/terms"
@@ -163,6 +164,10 @@ func TestPropertyNameTableIsTheDefinition(t *testing.T) {
 		"First  Name", "first name", "firstName", "firstname", "FIRSTNAME",
 		"last name", "Last Name", "family name", "name",
 		"email", "email address", "Email  Address", "emails", "phone", "office phone",
+		// Terms out of alphabetical order, the second one novel to an
+		// extended lexicon half the time: term order is what greedy
+		// matching reads.
+		"name of first", "phone office", "emailing phones", "emails email",
 	}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -180,7 +185,24 @@ func TestPropertyNameTableIsTheDefinition(t *testing.T) {
 		if rng.Intn(3) == 0 {
 			opts.TermSim = prefixSim{}
 		}
-		tab := newNameTable(set, opts)
+		// The lexicon is Build's own, or half the time that of a space built
+		// over a prefix of the domain and extended by the rest, where novel
+		// terms take ids out of alphabetical order.
+		lx := lexiconOf(set, opts)
+		if rng.Intn(2) == 0 {
+			cfg := feature.Config{TermOpts: terms.DefaultOptions(), Sim: opts.TermSim, Tau: opts.TermTau}
+			k := rng.Intn(len(set))
+			sp := feature.BuildLite(set[:k], cfg)
+			for _, s := range set[k:] {
+				sp, _ = sp.Extend(s)
+			}
+			lx = sp.Lexicon()
+		}
+		tab, err := newNameTable(set, opts, lx)
+		if err != nil {
+			t.Log(err)
+			return false
+		}
 
 		// The definition's view: each canonical name's first spelling.
 		first := make(map[string]string)
@@ -204,9 +226,10 @@ func TestPropertyNameTableIsTheDefinition(t *testing.T) {
 			if opts.MongeElkan {
 				return strsim.MongeElkanSym(termsOf(a), termsOf(b), opts.TermSim)
 			}
-			// Sim ≥ τ spelled out, so the table's threshold LCS is held to it.
-			similar := func(x, y string) bool { return opts.TermSim.Sim(x, y) >= opts.TermTau }
-			return fuzzyJaccard(termsOf(a), termsOf(b), similar, make([]bool, len(termsOf(b))))
+			// Sim ≥ τ spelled out, so the lexicon's match lists are held to it.
+			return fuzzyJaccardOf(termsOf(a), termsOf(b), func(x, y string) bool {
+				return x == y || opts.TermSim.Sim(x, y) >= opts.TermTau
+			})
 		}
 
 		if len(tab.names) != len(first) {
@@ -243,6 +266,28 @@ func TestPropertyNameTableIsTheDefinition(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// fuzzyJaccardOf is fuzzy term-set Jaccard by definition, over term strings:
+// each term of ta, in order, takes the first unused term of tb it is similar
+// to, and the score is matched / (|ta| + |tb| − matched), 0 for two empty
+// lists.
+func fuzzyJaccardOf(ta, tb []string, similar func(x, y string) bool) float64 {
+	used := make([]bool, len(tb))
+	matched := 0
+	for _, x := range ta {
+		for j, y := range tb {
+			if !used[j] && similar(x, y) {
+				used[j] = true
+				matched++
+				break
+			}
+		}
+	}
+	if union := len(ta) + len(tb) - matched; union > 0 {
+		return float64(matched) / float64(union)
+	}
+	return 0
 }
 
 // prefixSim is a deliberately asymmetric t_sim: a matches b when a is a

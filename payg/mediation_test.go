@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"errors"
 	"runtime"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -13,6 +15,7 @@ import (
 	"schemaflow/internal/dataset"
 	"schemaflow/internal/mediate"
 	"schemaflow/internal/schema"
+	"schemaflow/internal/strsim"
 )
 
 func mustJSON(t *testing.T, v any) []byte {
@@ -24,18 +27,66 @@ func mustJSON(t *testing.T, v any) []byte {
 	return data
 }
 
+// camelCased respells every attribute of s in camelCase ("check in date" →
+// "checkInDate": the same canonical name's terms, a different spelling) and
+// adds one attribute whose first term is new to any corpus here, so a space
+// extended by it appends a vocabulary term that sorts before the terms it
+// already holds.
+func camelCased(s Schema) Schema {
+	out := Schema{Name: s.Name + "-camel"}
+	for _, a := range append(slices.Clone(s.Attributes), "aardvark fare class") {
+		words := strings.Fields(a)
+		for i := 1; i < len(words); i++ {
+			words[i] = strings.ToUpper(words[i][:1]) + words[i][1:]
+		}
+		out.Attributes = append(out.Attributes, strings.Join(words, ""))
+	}
+	return out
+}
+
 // TestMediationIsWorkerCountInvariant: buildMediation's workers claim domains
 // in whatever order the scheduler allows, so what they produce must not
-// depend on how many there are — and must be what one loop over
-// mediate.Build produces, written here from the model.
+// depend on how many there are — and must be what one loop over standalone
+// mediate.Build produces, written here from the model. Each standalone Build
+// splits its domain's names into terms and matches them on its own, so the
+// loop is also the oracle for mediation through the space's lexicon: under
+// every t_sim, in term-frequency mode, and on a space AddSchema extended by
+// new spellings.
 func TestMediationIsWorkerCountInvariant(t *testing.T) {
+	dwss := dataset.Union(dataset.DW(1), dataset.SS(2))
+	built := func(set []Schema, opts Options) func() (*System, error) {
+		return func() (*System, error) { return Build(set, opts) }
+	}
+	withTermSim := func(ts strsim.TermSim) mediate.Options {
+		mopts := mediate.DefaultOptions()
+		mopts.TermSim = ts
+		return mopts
+	}
 	corpora := []struct {
-		name string
-		set  []Schema
-		opts Options
+		name  string
+		build func() (*System, error)
+		// mopts is what the serial loop hands mediate.Build: the options
+		// buildMediation resolves the system's to.
+		mopts mediate.Options
 	}{
-		{"dw+ss exact", dataset.Union(dataset.DW(1), dataset.SS(2)), Options{}},
-		{"large lsh", dataset.Large(dataset.LargeConfig{N: 1500, Seed: 1}), Options{CandidateGen: "lsh"}},
+		{"dw+ss exact", built(dwss, Options{}), mediate.DefaultOptions()},
+		{"large lsh", built(dataset.Large(dataset.LargeConfig{N: 1500, Seed: 1}), Options{CandidateGen: "lsh"}), mediate.DefaultOptions()},
+		{"ddh", built(dataset.DDH(3), Options{}), mediate.DefaultOptions()},
+		{"dw+ss stem", built(dwss, Options{TermSimilarity: "stem"}), withTermSim(strsim.StemSim{})},
+		{"dw+ss exact t_sim", built(dwss, Options{TermSimilarity: "exact"}), withTermSim(strsim.ExactSim{})},
+		{"dw lcsubsequence", built(dataset.DW(1), Options{TermSimilarity: "lcsubsequence"}), withTermSim(strsim.LCSeqSim{})},
+		{"dw+ss term frequency", built(dwss, Options{TermFrequencyFeatures: true}), mediate.DefaultOptions()},
+		{"dw+ss after AddSchema", func() (*System, error) {
+			sys, err := Build(dwss, Options{})
+			if err != nil {
+				return nil, err
+			}
+			sys, d, err := sys.AddSchema(camelCased(dwss[0]))
+			if err == nil && len(sys.Model().Domains[d].Members) < 2 {
+				err = errors.New("the respelled schema got a domain of its own: nothing to mediate it with")
+			}
+			return sys, err
+		}, mediate.DefaultOptions()},
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, c := range corpora {
@@ -45,18 +96,17 @@ func TestMediationIsWorkerCountInvariant(t *testing.T) {
 			for _, procs := range []int{1, 2, 7} {
 				runtime.GOMAXPROCS(procs)
 				var err error
-				if sys, err = Build(c.set, c.opts); err != nil {
+				if sys, err = c.build(); err != nil {
 					t.Fatal(err)
 				}
 				if wantMediated == nil {
-					// Options{} resolves to mediate.DefaultOptions' values.
 					serial := make([]*mediate.Mediated, sys.NumDomains())
 					for r, d := range sys.Model().Domains {
 						var members schema.Set
 						for _, mem := range d.Members {
-							members = append(members, c.set[mem.Schema])
+							members = append(members, sys.schemas[mem.Schema])
 						}
-						if serial[r], err = mediate.Build(members, mediate.DefaultOptions()); err != nil {
+						if serial[r], err = mediate.Build(members, c.mopts); err != nil {
 							t.Fatal(err)
 						}
 					}

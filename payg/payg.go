@@ -475,14 +475,11 @@ func lshCandidates(ctx context.Context, sp *feature.Space) ([]candgen.Pair, erro
 func (s *System) buildMediation(ctx context.Context) error {
 	start := time.Now()
 	defer func() { mBuildPhase.With("mediation").Observe(time.Since(start).Seconds()) }()
+	// Names are compared through the space's lexicon: mediation's t_sim, τ
+	// and tokenisation are the features' (Section 4.4), and no domain splits
+	// a name into terms again.
 	mopts := mediate.DefaultOptions()
 	mopts.FreqThreshold = s.opts.MediationFreqThreshold
-	ts, err := s.opts.termSim()
-	if err != nil {
-		return err
-	}
-	mopts.TermSim = ts
-	mopts.TermTau = s.opts.TauTSim
 
 	// Domains are independent, and their sizes are skewed — most hold a few
 	// schemas, a few hold dozens — so workers claim one index at a time from
@@ -529,7 +526,7 @@ func (s *System) mediateDomain(ctx context.Context, r int, mopts mediate.Options
 	for i, mem := range s.model.Domains[r].Members {
 		members[i] = s.schemas[mem.Schema]
 	}
-	med, err := mediate.Build(members, mopts)
+	med, err := mediate.BuildWith(members, mopts, s.space.Lexicon())
 	if err != nil {
 		return fmt.Errorf("payg: mediating domain %d: %w", r, err)
 	}

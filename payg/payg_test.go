@@ -388,3 +388,17 @@ func TestLiteralZeroTauTSim(t *testing.T) {
 		t.Fatalf("τ_t_sim = 0 built %d domains, want 1", sys.NumDomains())
 	}
 }
+
+// TestLiteralZeroTauTSimReachesMediation: mediation compares names at the
+// build's τ_t_sim, a literal 0 included. Every pair of terms then matches, so
+// two names of one or two terms each are at least 1/2 similar; every demo name
+// is, so each domain's names collapse into one mediated attribute. Read as
+// "use the default", the 0 would leave the demo's many names apart.
+func TestLiteralZeroTauTSimReachesMediation(t *testing.T) {
+	sys := build(t, Options{TauTSim: -1})
+	for _, d := range sys.Domains() {
+		if len(d.MediatedAttributes) != 1 {
+			t.Errorf("domain %d: mediated attributes %q at τ_t_sim = 0, want one", d.ID, d.MediatedAttributes)
+		}
+	}
+}
