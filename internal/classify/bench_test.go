@@ -78,6 +78,23 @@ func BenchmarkSetupExactK16(b *testing.B)         { benchSetup(b, 8, Exact) }
 func BenchmarkSetupExactK32Fallback(b *testing.B) { benchSetup(b, 16, Exact) }
 func BenchmarkSetupApproxK16(b *testing.B)        { benchSetup(b, 8, Approximate) }
 
+// BenchmarkSetupWide is New at ~2,000 certain domains over a ~12k-term
+// vocabulary, the scale where a dense rows × dim table would be ~190 MB;
+// table-MB is what the classifier holds (TableBytes).
+func BenchmarkSetupWide(b *testing.B) {
+	m, _ := wideModel(b, 20000, 10)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var c *Classifier
+	for i := 0; i < b.N; i++ {
+		var err error
+		if c, err = New(m, Config{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(c.TableBytes())/1e6, "table-MB")
+}
+
 func BenchmarkClassifyQuery(b *testing.B) {
 	m := benchModel(b, 50, 4)
 	c, err := New(m, Config{})

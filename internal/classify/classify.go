@@ -65,8 +65,8 @@ type Config struct {
 	P float64
 	// Local restricts setup to the listed domains — a shard's share. Every
 	// other domain gets no table row and scores -Inf, without its statistics
-	// ever being computed, so a shard holds O(|Local| · dim L). Nil means
-	// every domain.
+	// ever being computed, so a shard holds its local domains' rows and the
+	// terms their members mention. Nil means every domain.
 	Local []int
 }
 
@@ -87,17 +87,24 @@ type Classifier struct {
 	model *core.Model
 	mode  Mode
 
-	// The score table, one row per local domain, stored term-major: a query
-	// streams one contiguous column per set feature instead of chasing one
-	// row pointer per domain. Row i belongs to domain r with row[r] == i;
-	// row[r] < 0 marks a domain that is not local, which scores -Inf.
+	// The score table, one row per local domain, stored as sparse columns:
+	// a query reads one column per set feature. Row i belongs to domain r
+	// with row[r] == i; row[r] < 0 marks a domain that is not local, which
+	// scores -Inf.
 	row      []int32
 	logPrior []float64 // per row: log Pr(D_r); -Inf if every possible content is empty
 	sumLog0  []float64 // per row: Σ_j log Pr(F_j=0 | D_r)
 	base     []float64 // per row: logPrior + sumLog0, the score of a query matching nothing
-	delta    []float64
-	// delta[j·rows + i] = log Pr(F_j=1|D_r) − log Pr(F_j=0|D_r): the score
-	// adjustment of row i when query feature j is set.
+	// The adjustment of row i when query feature j is set is
+	// log Pr(F_j=1|D_r) − log Pr(F_j=0|D_r). Under m-estimate smoothing it
+	// is the same for every term no member of D_r mentions: that value is
+	// def[i]. Column j lists the rows whose members mention term j, rows
+	// ascending, with their own adjustment: colRow[colStart[j]:colStart[j+1]]
+	// and colDelta at the same positions. A listed entry may equal def[i].
+	def      []float64
+	colStart []int // len dim+1
+	colRow   []int32
+	colDelta []float64
 
 	// scratch pools per-call working state (query vector, set-bit list,
 	// per-row and per-domain scores) so the hot path does not allocate it
@@ -111,19 +118,21 @@ type queryScratch struct {
 	vec *bitvec.Vector
 	idx []int
 	lp  []float64 // per table row: the query's raw log posterior (score)
+	col []float64 // per table row: the current column's adjustments
 	asc []Score   // every domain's score in ascending domain order; cap NumDomains
 }
 
 // statsScratch carries the dim-sized working buffers of the per-domain
 // setup-phase statistics across domains, so building a classifier over
-// thousands of domains allocates two feature-width slices per setup worker
-// instead of two per domain. The p1 buffer returned by the stats functions
-// aliases it.
+// thousands of domains allocates its feature-width buffers once per setup
+// worker instead of once per domain. The p1 buffer returned by the stats
+// functions aliases it.
 type statsScratch struct {
 	count []float64
 	p1    []float64
 	accU  []float64
 	idx   []int
+	mark  *bitvec.Vector // the terms the current domain's members mention
 }
 
 // New builds the classifier from a probabilistic domain model. This is the
@@ -148,7 +157,7 @@ func New(m *core.Model, cfg Config) (*Classifier, error) {
 	nD := m.NumDomains()
 	c := &Classifier{model: m, mode: cfg.Mode, row: make([]int32, nD)}
 	c.scratch.New = func() any {
-		return &queryScratch{vec: bitvec.New(dim), asc: make([]Score, 0, nD)}
+		return &queryScratch{vec: bitvec.New(dim), col: make([]float64, len(c.def)), asc: make([]Score, 0, nD)}
 	}
 	if cfg.Local != nil {
 		for r := range c.row {
@@ -169,12 +178,14 @@ func New(m *core.Model, cfg Config) (*Classifier, error) {
 		}
 	}
 	rows := len(domainOf)
-	// The table's size is known before any statistic is computed, so it is
-	// allocated once and filled in place: there is never a second copy.
 	c.logPrior = make([]float64, rows)
 	c.sumLog0 = make([]float64, rows)
 	c.base = make([]float64, rows)
-	c.delta = make([]float64, dim*rows)
+	c.def = make([]float64, rows)
+	// rowTerm[i] and rowDelta[i] are row i's listed entries, terms
+	// ascending, until they are transposed into the columns.
+	rowTerm := make([][]int32, rows)
+	rowDelta := make([][]float64, rows)
 
 	total := len(m.Schemas)
 	// fillRow computes one domain's statistics and writes its row of every
@@ -206,54 +217,92 @@ func New(m *core.Model, cfg Config) (*Classifier, error) {
 		if prior <= 0 {
 			// A domain whose every possible content is empty (all members
 			// uncertain and the empty subset dominates) carries no signal;
-			// rank it last unconditionally. Its column entries stay zero, so
-			// its score is -Inf for every query.
+			// rank it last unconditionally. It lists no entries and its
+			// default stays zero, so its score is -Inf for every query.
 			c.logPrior[i] = math.Inf(-1)
 			c.base[i] = math.Inf(-1)
 			return nil
 		}
+		// Only the terms some member mentions can move p1 off the smoothed
+		// prior, so only they are listed; every other term's adjustment is
+		// the row's default.
+		sc.mark.Zero()
+		for _, mem := range d.Members {
+			sc.mark.InPlaceOr(m.Space.Vectors[mem.Schema])
+		}
+		term := sc.mark.IndicesAppend32(make([]int32, 0, sc.mark.Count()))
+		delta := make([]float64, len(term))
 		// Every term no member schema mentions has the same smoothed p1, so
 		// its two logs are taken once per run of equal values.
-		sum0, last, l1, l0 := 0.0, math.NaN(), 0.0, 0.0
+		sum0, last, l1, l0, next := 0.0, math.NaN(), 0.0, 0.0, 0
 		for j := 0; j < dim; j++ {
 			if p1[j] != last {
 				last = p1[j]
 				l1, l0 = math.Log(last), math.Log(1-last)
 			}
 			sum0 += l0
-			c.delta[j*rows+i] = l1 - l0
+			if next < len(term) && int(term[next]) == j {
+				delta[next] = l1 - l0
+				next++
+			} else {
+				c.def[i] = l1 - l0
+			}
 		}
+		rowTerm[i], rowDelta[i] = term, delta
 		c.logPrior[i] = math.Log(prior)
 		c.sumLog0[i] = sum0
 		c.base[i] = c.logPrior[i] + sum0
 		return nil
 	}
 
-	// Rows are independent, so they fan out. Workers claim them rowBlock at a
-	// time: a row's entries sit one per column, rows apart, so a block of
-	// eight is the cache line of each column that one worker fills and no
-	// other touches. A row is computed exactly as on one goroutine — the
-	// tables do not depend on the worker count — and the first error in
-	// domain order is the one returned.
-	errs := make([]error, (rows+rowBlock-1)/rowBlock)
-	par.EachWith(len(errs), func() *statsScratch {
-		return &statsScratch{count: make([]float64, dim), p1: make([]float64, dim)}
-	}, func(sc *statsScratch, b int) {
-		for i := b * rowBlock; i < min((b+1)*rowBlock, rows) && errs[b] == nil; i++ {
-			errs[b] = fillRow(i, sc)
-		}
+	// Rows are independent, so they fan out, one row per claim. A row is
+	// computed exactly as on one goroutine — the tables do not depend on
+	// the worker count — and the first error in domain order is the one
+	// returned.
+	errs := make([]error, rows)
+	par.EachWith(rows, func() *statsScratch {
+		return &statsScratch{count: make([]float64, dim), p1: make([]float64, dim), mark: bitvec.New(dim)}
+	}, func(sc *statsScratch, i int) {
+		errs[i] = fillRow(i, sc)
 	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
 	}
+
+	// Transpose the row lists into columns. Rows are visited in order, so
+	// each column lists its rows ascending.
+	c.colStart = make([]int, dim+1)
+	for _, term := range rowTerm {
+		for _, j := range term {
+			c.colStart[j+1]++
+		}
+	}
+	for j := 0; j < dim; j++ {
+		c.colStart[j+1] += c.colStart[j]
+	}
+	c.colRow = make([]int32, c.colStart[dim])
+	c.colDelta = make([]float64, c.colStart[dim])
+	fill := slices.Clone(c.colStart[:dim])
+	for i, term := range rowTerm {
+		for e, j := range term {
+			c.colRow[fill[j]], c.colDelta[fill[j]] = int32(i), rowDelta[i][e]
+			fill[j]++
+		}
+	}
 	return c, nil
 }
 
-// rowBlock is how many consecutive table rows a setup worker claims at a
-// time: eight float64s, one cache line of a column.
-const rowBlock = 8
+// TableBytes reports the bytes the classifier's tables hold: the per-domain
+// row index, the per-row priors, baselines and defaults, and the column
+// lists.
+func (c *Classifier) TableBytes() int {
+	const i32, f64, word = 4, 8, 8
+	return i32*(len(c.row)+len(c.colRow)) +
+		f64*(len(c.logPrior)+len(c.sumLog0)+len(c.base)+len(c.def)+len(c.colDelta)) +
+		word*len(c.colStart)
+}
 
 // exactDomainStats computes Pr(D_r) and Pr(F_j = 1 | D_r) by enumerating the
 // 2^k subsets of uncertain schemas (Equations 5.3–5.9).
@@ -426,20 +475,35 @@ func (c *Classifier) embed(keywords []string, sc *queryScratch) {
 }
 
 // score fills sc.lp with every table row's raw log posterior for the
-// embedded query: the row's base plus one contiguous column of the table per
-// set feature, in index order. It is the only scoring loop — Classify
-// and Explain both read their domains' scores out of sc.lp —
-// and each row's floating-point summation order is base, then the set
-// features ascending, whatever else the table holds.
+// embedded query: the row's base plus one column of adjustments per set
+// feature, in index order. A column is built in sc.col from the rows'
+// defaults with the listed rows overwritten, so each row adds the same
+// float64 per feature whether or not that row is listed. It is the only
+// scoring loop — Classify and Explain both read their domains' scores out
+// of sc.lp — and each row's floating-point summation order is base, then
+// the set features ascending.
 func (c *Classifier) score(sc *queryScratch) {
-	lp := append(sc.lp[:0], c.base...)
+	lp, col := append(sc.lp[:0], c.base...), sc.col
 	for _, j := range sc.idx {
-		col := c.delta[j*len(lp):][:len(lp)]
+		copy(col, c.def)
+		for e := c.colStart[j]; e < c.colStart[j+1]; e++ {
+			col[c.colRow[e]] = c.colDelta[e]
+		}
 		for i := range lp {
 			lp[i] += col[i]
 		}
 	}
 	sc.lp = lp
+}
+
+// adjustment returns row i's entry of column j: the listed one, or the
+// row's default.
+func (c *Classifier) adjustment(j, i int) float64 {
+	lo, hi := c.colStart[j], c.colStart[j+1]
+	if e, ok := slices.BinarySearch(c.colRow[lo:hi], int32(i)); ok {
+		return c.colDelta[lo+e]
+	}
+	return c.def[i]
 }
 
 // logPosterior reads domain r's score out of a scored scratch; a domain

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"slices"
 	"sort"
@@ -563,10 +564,11 @@ func randomModel(t *testing.T, rng *rand.Rand) *core.Model {
 	return modelWithMemberships(t, set, assign, memberships)
 }
 
-// TestPropertyOneTableOneLoop fences what the flat table promises on random
-// models — exact, approximate, p overridden, restricted to a local subset:
-// no entry is NaN (rank's total order needs it) and Explain's score is
-// Classify's LogPosterior bit for bit for every domain.
+// TestPropertyOneTableOneLoop fences what the sparse table promises on
+// random models — exact, approximate, p overridden, restricted to a local
+// subset: no base, default or listed entry is NaN (rank's total order needs
+// it) and Explain's score is Classify's LogPosterior bit for bit for every
+// domain.
 func TestPropertyOneTableOneLoop(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -582,7 +584,7 @@ func TestPropertyOneTableOneLoop(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, table := range [][]float64{c.base, c.delta} {
+		for _, table := range [][]float64{c.base, c.def, c.colDelta} {
 			for _, v := range table {
 				if math.IsNaN(v) {
 					t.Fatalf("seed %d (%+v): NaN in the score table", seed, cfg)
@@ -606,8 +608,8 @@ func TestPropertyOneTableOneLoop(t *testing.T) {
 
 // TestNewLocalMatchesFull pins the shard form of setup: New restricted to a
 // local set scores each local domain bit for bit as the full classifier does
-// and every other domain -Inf, holds table rows for the local domains alone,
-// and rejects ids outside the model.
+// and every other domain -Inf, holds table rows for the local domains alone
+// (every column lists local rows only), and rejects ids outside the model.
 func TestNewLocalMatchesFull(t *testing.T) {
 	set := travelBibSet()
 	memberships := [][]core.Membership{
@@ -627,8 +629,13 @@ func TestNewLocalMatchesFull(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := m.Space.Dim() * len(local); len(got.delta) != want {
-			t.Fatalf("local %v: table holds %d entries, want dim × %d local rows = %d", local, len(got.delta), len(local), want)
+		if len(got.base) != len(local) || len(got.def) != len(local) {
+			t.Fatalf("local %v: table holds %d rows (%d defaults), want %d", local, len(got.base), len(got.def), len(local))
+		}
+		for _, i := range got.colRow {
+			if i < 0 || int(i) >= len(local) {
+				t.Fatalf("local %v: a column lists row %d of %d", local, i, len(local))
+			}
 		}
 		for _, q := range [][]string{{"departure", "airline"}, {"title", "year"}, {"zzzz"}} {
 			want := make([]Score, m.NumDomains())
@@ -679,11 +686,11 @@ func TestClassifyAllocations(t *testing.T) {
 	}
 }
 
-// TestNewIsWorkerCountInvariant: New fills its tables from GOMAXPROCS workers
-// claiming eight rows at a time, and every entry of every table must be the
-// one a single goroutine computes — compared with ==, at 1, 2 and 7 workers,
-// over 37 domains (a ragged last block), with uncertain members, a domain no
-// schema belongs to (prior ≤ 0), both modes and a local subset of 13 rows.
+// TestNewIsWorkerCountInvariant: New fills its rows from GOMAXPROCS workers
+// and transposes them into columns, and every entry of every table must be
+// the one a single goroutine computes — compared with ==, at 1, 2 and 7
+// workers, over 37 domains, with uncertain members, a domain no schema
+// belongs to (prior ≤ 0), both modes and a local subset of 13 rows.
 // The forbidden-fallback error must name the lowest offending domain whichever
 // worker met it.
 func TestNewIsWorkerCountInvariant(t *testing.T) {
@@ -716,15 +723,18 @@ func TestNewIsWorkerCountInvariant(t *testing.T) {
 		"forbidden":   {Local: local, MaxExactUncertain: -1},
 	}
 	type tables struct {
-		delta, base, sumLog0, logPrior []float64
-		err                            string
+		def, colDelta, base, sumLog0, logPrior []float64
+		colStart                               []int
+		colRow                                 []int32
+		err                                    string
 	}
 	build := func(cfg Config) tables {
 		c, err := New(m, cfg)
 		if err != nil {
 			return tables{err: err.Error()}
 		}
-		return tables{delta: c.delta, base: c.base, sumLog0: c.sumLog0, logPrior: c.logPrior}
+		return tables{def: c.def, colDelta: c.colDelta, base: c.base, sumLog0: c.sumLog0, logPrior: c.logPrior,
+			colStart: c.colStart, colRow: c.colRow}
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	want := make(map[string]tables)
@@ -734,8 +744,8 @@ func TestNewIsWorkerCountInvariant(t *testing.T) {
 	if lp := want["exact"].logPrior; !math.IsInf(lp[domains-1], -1) || math.IsInf(lp[0], -1) {
 		t.Fatalf("log priors %v: the memberless domain should be the only -Inf", lp)
 	}
-	if got := len(want["local"].base); got != len(local) || got%rowBlock == 0 {
-		t.Fatalf("local table has %d rows; want %d, not a multiple of %d", got, len(local), rowBlock)
+	if got := len(want["local"].base); got != len(local) {
+		t.Fatalf("local table has %d rows; want %d", got, len(local))
 	}
 	if e := want["forbidden"].err; !strings.Contains(e, "domain 0 ") {
 		t.Fatalf("forbidden fallback error %q does not name domain 0, the lowest local one", e)
@@ -744,10 +754,66 @@ func TestNewIsWorkerCountInvariant(t *testing.T) {
 		runtime.GOMAXPROCS(procs)
 		for name, cfg := range configs {
 			got, w := build(cfg), want[name]
-			if got.err != w.err || !slices.Equal(got.delta, w.delta) || !slices.Equal(got.base, w.base) ||
-				!slices.Equal(got.sumLog0, w.sumLog0) || !slices.Equal(got.logPrior, w.logPrior) {
+			if got.err != w.err || !slices.Equal(got.def, w.def) || !slices.Equal(got.colStart, w.colStart) ||
+				!slices.Equal(got.colRow, w.colRow) || !slices.Equal(got.colDelta, w.colDelta) ||
+				!slices.Equal(got.base, w.base) || !slices.Equal(got.sumLog0, w.sumLog0) || !slices.Equal(got.logPrior, w.logPrior) {
 				t.Errorf("%s: tables at GOMAXPROCS %d differ from one worker's (error %q, want %q)", name, procs, got.err, w.err)
 			}
 		}
+	}
+}
+
+// TestNewRetainsWhatDomainsMention: at 600 certain domains over a
+// ~3.6k-term vocabulary a classifier holds its per-row defaults and the
+// terms each domain's members mention, not a dense rows × dim table: New
+// retains ≈ 0.28 MB here, where the dense table it kept before the sparse
+// columns retained 17.3 MB. Every column lists table rows, strictly
+// ascending, as Explain's binary search needs.
+func TestNewRetainsWhatDomainsMention(t *testing.T) {
+	m, _ := wideModel(t, 6000, 10)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	c, err := New(m, Config{})
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ceiling = 1 << 20
+	if retained := int64(after.HeapAlloc) - int64(before.HeapAlloc); retained > ceiling {
+		t.Fatalf("New retains %d bytes over %d domains × %d terms; want at most %d", retained, len(c.base), m.Space.Dim(), ceiling)
+	}
+	dim := m.Space.Dim()
+	if len(c.colStart) != dim+1 || c.colStart[0] != 0 || c.colStart[dim] != len(c.colRow) || len(c.colRow) != len(c.colDelta) {
+		t.Fatalf("column index: %d starts for dim %d, first %d, last %d, %d rows and %d adjustments listed",
+			len(c.colStart), dim, c.colStart[0], c.colStart[len(c.colStart)-1], len(c.colRow), len(c.colDelta))
+	}
+	for j := 0; j < dim; j++ {
+		rows := c.colRow[c.colStart[j]:c.colStart[j+1]]
+		for k, i := range rows {
+			if i < 0 || int(i) >= len(c.base) || k > 0 && rows[k-1] >= i {
+				t.Fatalf("column %d lists rows %v: want strictly ascending rows of [0,%d)", j, rows, len(c.base))
+			}
+		}
+	}
+}
+
+// TestTableBytesCountsEverySlice: TableBytes is the sum of len × element
+// size over every slice the classifier holds.
+func TestTableBytesCountsEverySlice(t *testing.T) {
+	c, err := New(buildModel(t, travelBibSet(), 0.2), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 0
+	v := reflect.ValueOf(c).Elem()
+	for f := 0; f < v.NumField(); f++ {
+		if field := v.Field(f); field.Kind() == reflect.Slice {
+			want += field.Len() * int(field.Type().Elem().Size())
+		}
+	}
+	if got := c.TableBytes(); got != want || got == 0 {
+		t.Fatalf("TableBytes() = %d; the classifier's slices hold %d", got, want)
 	}
 }

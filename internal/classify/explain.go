@@ -56,7 +56,7 @@ func (c *Classifier) Explain(keywords []string, domain int) (*Explanation, error
 	for _, j := range sc.idx {
 		ex.Terms = append(ex.Terms, TermContribution{
 			Term:  c.model.Space.Vocab[j],
-			Delta: c.delta[j*len(c.base)+i],
+			Delta: c.adjustment(j, i),
 		})
 	}
 	c.scratch.Put(sc)

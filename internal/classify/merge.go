@@ -10,11 +10,11 @@ import (
 // classifier holds only its local domains' table rows (Config.Local) and
 // MergeTop reassembles a global ranking from the shards' partial answers. It
 // works because each domain's raw LogPosterior depends only on that
-// domain's own row (base and delta entries) and the query vector — never on
-// other domains — so a shard holding the full feature space computes
-// bit-identical per-domain log posteriors, and merging reduces to re-running
-// the normalization and selection that classifyInto would have run over the
-// same values in the same order.
+// domain's own row (base, default and listed entries) and the query
+// vector — never on other domains — so a shard holding the full feature
+// space computes bit-identical per-domain log posteriors, and merging
+// reduces to re-running the normalization and selection that classifyInto
+// would have run over the same values in the same order.
 
 // MergeTop reassembles the best k of one global ranking from disjoint
 // per-shard partial score lists carrying raw LogPosterior values (Posterior

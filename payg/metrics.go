@@ -89,6 +89,10 @@ var (
 		obs.DurationBuckets(),
 		"phase")
 
+	mClassifierTableBytes = obs.Default().Gauge(
+		"schemaflow_classifier_table_bytes",
+		"Bytes held by the most recently assembled system's classifier tables (per-domain defaults plus the terms each domain's members mention).")
+
 	mBuildMode = obs.Default().CounterVec(
 		"schemaflow_build_mode_total",
 		"Builds by where the clustering's schema pairs came from: exact (every pair) or blocked (MinHash-LSH candidates).",

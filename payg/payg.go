@@ -352,6 +352,7 @@ func assemble(ctx context.Context, opts Options, model *core.Model, local []int)
 		return nil, err
 	}
 	mBuildPhase.With("classifier").Observe(time.Since(t).Seconds())
+	mClassifierTableBytes.Set(float64(cls.TableBytes()))
 
 	sys := &System{opts: opts, schemas: model.Schemas, space: model.Space, model: model, classifier: cls, local: local}
 	if local != nil {
