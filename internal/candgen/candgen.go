@@ -20,10 +20,13 @@
 //
 // Every collision is a candidate: a filter on the signatures' agreement
 // fraction costs clustering quality (DESIGN.md, "Candidate generation").
-// Downstream, exact similarities are computed for candidates only
-// (cluster.PairwiseSims) and absent pairs are treated as zero-similarity.
-// Everything is deterministic for a fixed Config: hashing is seeded, and
-// the pair list does not depend on the worker count.
+// The build asks per pair (SignatureSet.Collide) while it reads the positive
+// pairs off the feature space (cluster.CompletePairSims), so a candidate is
+// kept exactly when its similarity is positive; Pairs lists every candidate
+// for callers that want the list. Absent pairs are treated as
+// zero-similarity downstream. Everything is deterministic for a fixed
+// Config: hashing is seeded, and neither the keys nor the pair list depend
+// on the worker count.
 package candgen
 
 import (
@@ -99,13 +102,47 @@ func CollisionProb(bands, rows int, s float64) float64 {
 type SignatureSet struct {
 	cfg Config
 	n   int
-	// keys is band-major: keys[band*n+i] is schema i's bucket key in that
-	// band (see Signatures), so banding reads each band contiguously.
-	keys []uint16
+	// keys is schema-major, four 16-bit keys to a word: schema i's key in
+	// band b is lane b%4 (bits 16·(b%4) up) of keys[i*words+b/4], so Collide
+	// compares two schemas' rows a word at a time.
+	keys  []uint64
+	words int
+	// pad has 0x0001 in every lane of a row's last word that holds no band
+	// (Bands%4 ≠ 0), so the lanes both rows leave zero never test equal.
+	pad uint64
 }
 
 // N returns the number of schemas signed.
 func (s *SignatureSet) N() int { return s.n }
+
+// key returns schema i's bucket key in band.
+func (s *SignatureSet) key(band, i int) uint16 {
+	return uint16(s.keys[i*s.words+band>>2] >> (16 * (band & 3)))
+}
+
+// Lane masks of the zero-lane test: (x − lo) &^ x & hi is non-zero exactly
+// when one of x's four 16-bit lanes is zero.
+const (
+	laneLo = 0x0001_0001_0001_0001
+	laneHi = 0x8000_8000_8000_8000
+)
+
+// Collide reports whether schemas a and b agree on their key in at least
+// one band — whether banding makes (a, b) a candidate pair. It XORs the two
+// rows word by word and tests each for a zero lane, so it reads 2·⌈Bands/4⌉
+// words and nothing else. Collide is safe for concurrent use.
+func (s *SignatureSet) Collide(a, b int) bool {
+	ra := s.keys[a*s.words : (a+1)*s.words]
+	rb := s.keys[b*s.words : (b+1)*s.words]
+	last := len(ra) - 1
+	for k := 0; k < last; k++ {
+		if x := ra[k] ^ rb[k]; (x-laneLo)&^x&laneHi != 0 {
+			return true
+		}
+	}
+	x := ra[last] ^ rb[last] | s.pad
+	return (x-laneLo)&^x&laneHi != 0
+}
 
 // splitmix64 is the SplitMix64 finalizer — a cheap, well-mixed 64-bit
 // permutation used to derive per-component hash parameters and to fold band
@@ -146,7 +183,11 @@ func Signatures(ctx context.Context, vecs []*bitvec.Vector, cfg Config) (*Signat
 		return nil, err
 	}
 	n, bands, rows := len(vecs), cfg.Bands, cfg.Rows
-	ss := &SignatureSet{cfg: cfg, n: n, keys: make([]uint16, n*bands)}
+	words := (bands + 3) / 4
+	ss := &SignatureSet{cfg: cfg, n: n, keys: make([]uint64, n*words), words: words}
+	for band := bands; band < 4*words; band++ {
+		ss.pad |= 1 << (16 * (band & 3))
+	}
 
 	mults := make([]uint64, bands*rows)
 	base := splitmix64(uint64(cfg.Seed) ^ 0x5eedc0ffee)
@@ -184,11 +225,12 @@ func Signatures(ctx context.Context, vecs []*bitvec.Vector, cfg Config) (*Signat
 				}
 				idx = vecs[i].IndicesAppend32(idx[:0])
 				minHash(sig, mults, idx)
+				row := ss.keys[i*words : (i+1)*words]
 				for band, h := range seeds {
 					for _, c := range sig[band*rows : (band+1)*rows] {
 						h = splitmix64(h ^ uint64(c))
 					}
-					ss.keys[band*n+i] = uint16(h >> 48)
+					row[band>>2] |= h >> 48 << (16 * (band & 3))
 				}
 			}
 		}(lo, hi)
@@ -259,15 +301,14 @@ func (s *SignatureSet) Pairs(ctx context.Context) ([]Pair, error) {
 			defer wg.Done()
 			head := make([]int32, 1<<16) // key → lowest schema seen so far, 0 for none
 			for band := lo; band < hi && ctx.Err() == nil; band++ {
-				keys := s.keys[band*n : (band+1)*n]
 				for i := n - 1; i >= 0; i-- {
-					k := keys[i]
+					k := s.key(band, i)
 					next[i*bands+band] = head[k]
 					head[k] = int32(i)
 				}
 				// Reset by the n keys just seen, not by 65,536 slots.
-				for _, k := range keys {
-					head[k] = 0
+				for i := range n {
+					head[s.key(band, i)] = 0
 				}
 			}
 		}()

@@ -377,6 +377,41 @@ func TestPropertyPairsIsTheDefinition(t *testing.T) {
 	}
 }
 
+// TestPropertyCollideIsTheDefinition holds Collide to what it is documented
+// to answer — whether some band's keys are equal — over every pair of a
+// corpus with near-duplicates, strangers and empty vectors, at 128 bands (a
+// row of whole words) and at 7 (the last word's fourth lane holds no band).
+func TestPropertyCollideIsTheDefinition(t *testing.T) {
+	vecs := testVectors(t, 160, 8)
+	vecs = append(vecs, bitvec.New(vecs[0].Len()), bitvec.New(vecs[0].Len()))
+	for _, bands := range []int{128, 7} {
+		ss, err := Signatures(context.Background(), vecs, Config{Bands: bands, Rows: 2, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := [2]int{}
+		for a := range vecs {
+			for b := range vecs {
+				want := false
+				for band := 0; band < bands && !want; band++ {
+					want = BandKey(ss, band, a) == BandKey(ss, band, b)
+				}
+				if got := ss.Collide(a, b); got != want {
+					t.Fatalf("bands=%d: Collide(%d, %d) = %v, the definition gives %v", bands, a, b, got, want)
+				}
+				if want {
+					seen[1]++
+				} else {
+					seen[0]++
+				}
+			}
+		}
+		if seen[0] == 0 || seen[1] == len(vecs) {
+			t.Fatalf("bands=%d: %d pairs collide, %d do not; the corpus should have both beyond the diagonal", bands, seen[1], seen[0])
+		}
+	}
+}
+
 // TestPairsDigests pins the candidate list of two build-sized corpora —
 // the first is the gated build-blocked workload's — to sha256 digests
 // recorded from the counting-sort implementation this one replaced

@@ -6,10 +6,11 @@
 // baseline (CIKM 2004) for comparison experiments.
 //
 // Algorithm 2 has one implementation, AgglomerativeSparse, which clusters
-// over a PairSims adjacency. What varies is where the pairs come from:
-// CompletePairSims stores every pair of the space (the thesis' exact
-// clustering, which Agglomerative wraps), PairwiseSims only the candidates a
-// generator such as MinHash-LSH proposed.
+// over a PairSims adjacency. What varies is which pairs it holds:
+// CompletePairSims stores every positive pair of the space (the thesis' exact
+// clustering, which Agglomerative wraps) or, given a filter such as
+// MinHash-LSH's band test, the positive pairs the filter keeps; PairwiseSims
+// verifies a given candidate list.
 package cluster
 
 import (
@@ -84,7 +85,7 @@ func AgglomerativeContext(ctx context.Context, sp *feature.Space, link Linkage, 
 	if err := validateTau(tau); err != nil {
 		return nil, err
 	}
-	ps, err := CompletePairSims(ctx, sp)
+	ps, err := CompletePairSims(ctx, sp, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -30,8 +30,8 @@ func ModelBased(sp *feature.Space, alpha float64) *Result {
 	totals := make([]int, n)
 	for i := 0; i < n; i++ {
 		m := make(map[int32]int)
-		for t := range sp.TermSets[i] {
-			m[int32(sp.VocabIndex[t])]++
+		for _, t := range sp.TermIDs[i] {
+			m[t]++
 		}
 		counts[i] = m
 		totals[i] = len(m)

@@ -28,6 +28,7 @@ type PairSims struct {
 	nbr      []int32
 	sim      []float64
 	numPairs int
+	examined int
 }
 
 // N returns the number of schemas covered.
@@ -35,6 +36,11 @@ func (ps *PairSims) N() int { return ps.n }
 
 // NumPairs returns the number of stored (positive-similarity) pairs.
 func (ps *PairSims) NumPairs() int { return ps.numPairs }
+
+// Examined returns the number of positive pairs CompletePairSims read off
+// the space, those its filter dropped included; it is 0 on a PairwiseSims
+// result.
+func (ps *PairSims) Examined() int { return ps.examined }
 
 // Degree returns the number of stored neighbors of schema i.
 func (ps *PairSims) Degree(i int) int {
@@ -169,17 +175,21 @@ func PairwiseSims(ctx context.Context, sp *feature.Space, pairs []candgen.Pair, 
 	return ps, nil
 }
 
-// CompletePairSims stores the similarity of every schema pair of sp: the
-// complete candidate set, over which AgglomerativeSparse and
-// core.AssignDomainsSparse are the thesis' exact Algorithms 2 and 3. Only the
+// CompletePairSims stores the similarity of every schema pair of sp that
+// keep admits. With keep nil that is the complete candidate set, over which
+// AgglomerativeSparse and core.AssignDomainsSparse are the thesis' exact
+// Algorithms 2 and 3; the blocked build passes candgen's band test
+// ((*candgen.SignatureSet).Collide), and since a zero similarity is never
+// stored, the result is PairwiseSims over the LSH candidates. Only the
 // positive pairs are ever visited: each schema's upper row comes off
-// feature.Space.Row, and a pair it leaves out has similarity exactly 0. The
-// rows are cut into one contiguous chunk per GOMAXPROCS worker, sized to hold
-// about equal shares of the upper triangle; a chunk keeps its rows until
-// every chunk has counted, then writes them into the CSR through its own
-// cursors, so the structure is the same for every worker count. ctx is
-// polled between rows.
-func CompletePairSims(ctx context.Context, sp *feature.Space) (*PairSims, error) {
+// feature.Space.Row, a pair it leaves out has similarity exactly 0, and keep
+// (called concurrently, a < b) drops pairs from the row before they are
+// counted. The rows are cut into one contiguous chunk per GOMAXPROCS worker,
+// sized to hold about equal shares of the upper triangle; a chunk keeps its
+// rows until every chunk has counted, then writes them into the CSR through
+// its own cursors, so the structure is the same for every worker count. ctx
+// is polled between rows.
+func CompletePairSims(ctx context.Context, sp *feature.Space, keep func(a, b int) bool) (*PairSims, error) {
 	n := sp.NumSchemas()
 	workers := max(1, min(runtime.GOMAXPROCS(0), n))
 	bounds := make([]int, workers+1)
@@ -191,10 +201,11 @@ func CompletePairSims(ctx context.Context, sp *feature.Space) (*PairSims, error)
 	// two, so none is copied before it reaches the CSR.
 	const page = 1 << 15
 	type chunk struct {
-		deg  []int64
-		lens []int32 // lens[i-lo]: row i's entry count
-		nbr  [][]int32
-		sim  [][]float64
+		deg      []int64
+		lens     []int32 // lens[i-lo]: row i's entry count
+		nbr      [][]int32
+		sim      [][]float64
+		examined int
 	}
 	chunks := make([]chunk, workers)
 	if err := parallelChunks(bounds, func(w, lo, hi int) error {
@@ -208,6 +219,17 @@ func CompletePairSims(ctx context.Context, sp *feature.Space) (*PairSims, error)
 				}
 			}
 			js, sims := sp.Row(i, i, &buf)
+			c.examined += len(js)
+			if keep != nil {
+				k := 0
+				for x, j := range js {
+					if keep(i, int(j)) {
+						js[k], sims[k] = j, sims[x]
+						k++
+					}
+				}
+				js, sims = js[:k], sims[:k]
+			}
 			c.deg[i] += int64(len(js))
 			for _, j := range js {
 				c.deg[j]++
@@ -229,10 +251,11 @@ func CompletePairSims(ctx context.Context, sp *feature.Space) (*PairSims, error)
 		return nil, err
 	}
 	degs := make([][]int64, workers)
+	ps := newPairSims(n)
 	for w := range chunks {
 		degs[w] = chunks[w].deg
+		ps.examined += chunks[w].examined
 	}
-	ps := newPairSims(n)
 	ps.alloc(degs)
 	if err := parallelChunks(bounds, func(w, lo, hi int) error {
 		c, p, k := &chunks[w], 0, 0

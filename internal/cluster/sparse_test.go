@@ -83,41 +83,55 @@ func TestPairwiseSimsMatchesSpace(t *testing.T) {
 
 // TestPairwiseSimsDigests pins the CSR over build-sized pair sets to sha256
 // digests of rowStart, nbr and the similarities' bits (little-endian). The
-// PairwiseSims rows — the first is the gated build-blocked workload's — were
-// recorded from the two-pointer verification it replaced, the
-// CompletePairSims rows from the build that read an O(n²) similarity memo;
-// each at one worker, at the default (GOMAXPROCS) and at three.
+// PairwiseSims rows over LSH candidates — the first is the gated
+// build-blocked workload's — were recorded from the two-pointer verification
+// it replaced, the CompletePairSims rows from the build that read an O(n²)
+// similarity memo; each at one worker, at the default (GOMAXPROCS) and at
+// three. The filtered rows are CompletePairSims with the band test as its
+// filter, the blocked build's pair set, held to the LSH rows' digests.
 func TestPairwiseSimsDigests(t *testing.T) {
 	procs := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(procs)
+	large6000 := dataset.Large(dataset.LargeConfig{N: 6000, Domains: 120, Seed: 1})
+	large1500 := dataset.Large(dataset.LargeConfig{N: 1500, Seed: 3})
 	for _, tc := range []struct {
-		name     string
-		set      schema.Set
-		complete bool // CompletePairSims rather than PairwiseSims over LSH candidates
-		stored   int
-		sha      string
+		name   string
+		set    schema.Set
+		source string // "lsh": PairwiseSims over LSH candidates; "complete", "filtered": CompletePairSims without and with the band test
+		stored int
+		sha    string
 	}{
-		{"large-6000x120", dataset.Large(dataset.LargeConfig{N: 6000, Domains: 120, Seed: 1}), false, 276944, "34fe1e191a94010ad43ffe8909e131ee2f36f1d20a8f309209a6fc696e1ac368"},
-		{"large-1500", dataset.Large(dataset.LargeConfig{N: 1500, Seed: 3}), false, 157056, "e7ba1a016f08b34c8ea848a8410a6a821c32f460744282e9c133653083c57ee0"},
-		{"ddh/complete", dataset.DDH(1), true, 2398654, "c0f31edaeedf8479ef8987ce76ab39bbcd10a3b1d6e4ce3a842e01c751d387ca"},
-		{"large-3700x24/complete", dataset.Large(dataset.LargeConfig{N: 3700, Domains: 24, Seed: 1}), true, 333129, "18867c734fbdb1f713cf9a048919e57e3e5fe6d3b8d937a7fc24397b14efb5f3"},
+		{"large-6000x120", large6000, "lsh", 276944, "34fe1e191a94010ad43ffe8909e131ee2f36f1d20a8f309209a6fc696e1ac368"},
+		{"large-1500", large1500, "lsh", 157056, "e7ba1a016f08b34c8ea848a8410a6a821c32f460744282e9c133653083c57ee0"},
+		{"ddh/complete", dataset.DDH(1), "complete", 2398654, "c0f31edaeedf8479ef8987ce76ab39bbcd10a3b1d6e4ce3a842e01c751d387ca"},
+		{"large-3700x24/complete", dataset.Large(dataset.LargeConfig{N: 3700, Domains: 24, Seed: 1}), "complete", 333129, "18867c734fbdb1f713cf9a048919e57e3e5fe6d3b8d937a7fc24397b14efb5f3"},
+		{"large-6000x120/filtered", large6000, "filtered", 276944, "34fe1e191a94010ad43ffe8909e131ee2f36f1d20a8f309209a6fc696e1ac368"},
+		{"large-1500/filtered", large1500, "filtered", 157056, "e7ba1a016f08b34c8ea848a8410a6a821c32f460744282e9c133653083c57ee0"},
 	} {
 		sp := feature.BuildLite(tc.set, feature.DefaultConfig())
 		var pairs []candgen.Pair
-		if !tc.complete {
+		var keep func(a, b int) bool
+		switch tc.source {
+		case "lsh":
 			var err error
 			if pairs, err = candgen.Pairs(context.Background(), sp.Vectors, candgen.Config{}); err != nil {
 				t.Fatal(err)
 			}
+		case "filtered":
+			ss, err := candgen.Signatures(context.Background(), sp.Vectors, candgen.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			keep = ss.Collide
 		}
 		for _, workers := range []int{1, 0, 3} {
 			var ps *PairSims
 			var err error
-			if tc.complete {
-				runtime.GOMAXPROCS(cmp.Or(workers, procs))
-				ps, err = CompletePairSims(context.Background(), sp)
-			} else {
+			if tc.source == "lsh" {
 				ps, err = PairwiseSims(context.Background(), sp, pairs, workers)
+			} else {
+				runtime.GOMAXPROCS(cmp.Or(workers, procs))
+				ps, err = CompletePairSims(context.Background(), sp, keep)
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -316,7 +330,7 @@ func TestCompletePairSimsSameFromEverySource(t *testing.T) {
 		cfg := feature.DefaultConfig()
 		cfg.Mode = mode
 		sp := feature.BuildLite(set, cfg)
-		got, err := CompletePairSims(context.Background(), sp)
+		got, err := CompletePairSims(context.Background(), sp, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -327,6 +341,50 @@ func TestCompletePairSimsSameFromEverySource(t *testing.T) {
 		}
 		if want.numPairs == 0 || want.numPairs == len(set)*(len(set)-1)/2 {
 			t.Fatalf("%v features: %d stored pairs — the corpus should have both zero and positive similarities", mode, want.numPairs)
+		}
+	}
+}
+
+// TestFilteredPairSimsAreTheVerifiedCandidates: CompletePairSims with the
+// band test as its filter is PairwiseSims over candgen.Pairs — the blocked
+// build's pair set from either source — in both feature modes, and Examined
+// counts every positive pair, the dropped ones included.
+func TestFilteredPairSimsAreTheVerifiedCandidates(t *testing.T) {
+	set := dataset.Large(dataset.LargeConfig{N: 600, Domains: 12, Seed: 1})
+	ctx := context.Background()
+	for _, mode := range []feature.Mode{feature.Binary, feature.TermFrequency} {
+		cfg := feature.DefaultConfig()
+		cfg.Mode = mode
+		sp := feature.BuildLite(set, cfg)
+		ss, err := candgen.Signatures(ctx, sp.Vectors, candgen.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := CompletePairSims(ctx, sp, ss.Collide)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pairs, err := ss.Pairs(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := PairwiseSims(ctx, sp, pairs, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.n != want.n || got.numPairs != want.numPairs ||
+			!slices.Equal(got.rowStart, want.rowStart) || !slices.Equal(got.nbr, want.nbr) || !slices.Equal(got.sim, want.sim) {
+			t.Errorf("%v features: filtered pair set differs from PairwiseSims(candgen.Pairs)", mode)
+		}
+		complete, err := CompletePairSims(ctx, sp, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Examined() != complete.NumPairs() || complete.Examined() != complete.NumPairs() {
+			t.Errorf("%v features: examined %d filtered, %d complete; want %d positive pairs", mode, got.Examined(), complete.Examined(), complete.NumPairs())
+		}
+		if got.NumPairs() == 0 || got.NumPairs() >= complete.NumPairs() {
+			t.Fatalf("%v features: bands keep %d of %d positive pairs; the corpus should have both kept and dropped ones", mode, got.NumPairs(), complete.NumPairs())
 		}
 	}
 }

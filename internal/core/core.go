@@ -18,6 +18,7 @@ import (
 
 	"schemaflow/internal/cluster"
 	"schemaflow/internal/feature"
+	"schemaflow/internal/par"
 	"schemaflow/internal/schema"
 )
 
@@ -102,11 +103,13 @@ type Model struct {
 // pairs Algorithm 2 read; its callers are feedback (Apply and AddSchema), the
 // experiments and the benchmark's trace.
 func AssignDomains(set schema.Set, sp *feature.Space, cl *cluster.Result, opts Options) (*Model, error) {
-	var buf feature.RowBuf
-	return assignDomains(set, sp, cl, opts, func(i int, visit func(j int32, s float64)) {
-		js, sims := sp.Row(i, -1, &buf)
-		for k, j := range js {
-			visit(j, sims[k])
+	return assignDomains(set, sp, cl, opts, func() rowFunc {
+		var buf feature.RowBuf // one per worker: a row's slices live in it
+		return func(i int, visit func(j int32, s float64)) {
+			js, sims := sp.Row(i, -1, &buf)
+			for k, j := range js {
+				visit(j, sims[k])
+			}
 		}
 	})
 }
@@ -127,16 +130,25 @@ func AssignDomainsSparse(set schema.Set, sp *feature.Space, cl *cluster.Result, 
 	if ps.N() != len(set) {
 		return nil, fmt.Errorf("core: pair sims cover %d schemas, set has %d", ps.N(), len(set))
 	}
-	return assignDomains(set, sp, cl, opts, ps.ForEach)
+	return assignDomains(set, sp, cl, opts, func() rowFunc { return ps.ForEach })
 }
 
-// assignDomains is Algorithm 3. row(i, visit) visits schema i's positive
-// similarities s_sim(S_i, S_j), j ≠ i, ascending in j; a schema it leaves out
-// counts as similarity 0. Each is added into sums[cluster of j] with the self
-// term (cluster.SchemaClusterSim counts i's own membership as similarity 1)
-// at position i, not after the rest: float addition does not commute with
-// the reorder, and the sums must equal the definition's to the last bit from
+// rowFunc visits schema i's positive similarities s_sim(S_i, S_j), j ≠ i,
+// ascending in j; a schema it leaves out counts as similarity 0.
+type rowFunc func(i int, visit func(j int32, s float64))
+
+// assignDomains is Algorithm 3. newRow makes one rowFunc per worker. Each
+// similarity is added into sums[cluster of j] with the self term
+// (cluster.SchemaClusterSim counts i's own membership as similarity 1) at
+// position i, not after the rest: float addition does not commute with the
+// reorder, and the sums must equal the definition's to the last bit from
 // every source.
+//
+// Schemas are independent until their memberships are recorded, so they fan
+// out over par.EachWith, each worker with its own sums, touched list and row
+// reader, and each writes what Gate admitted for schema i to its own slot;
+// the memberships are then recorded in schema order on one goroutine, so the
+// model is the same for every worker count.
 //
 // With τ_c_sim > 0 a schema costs O(d log d) in its row length d, whatever
 // the number of clusters: only the clusters it touches — its own and its
@@ -151,7 +163,7 @@ func AssignDomainsSparse(set schema.Set, sp *feature.Space, cl *cluster.Result, 
 // large and diffuse after the schema joined), D(S_i) would be empty and the
 // probabilities undefined; such a schema is assigned to its own cluster's
 // domain with probability 1.
-func assignDomains(set schema.Set, sp *feature.Space, cl *cluster.Result, opts Options, row func(i int, visit func(j int32, s float64))) (*Model, error) {
+func assignDomains(set schema.Set, sp *feature.Space, cl *cluster.Result, opts Options, newRow func() rowFunc) (*Model, error) {
 	if sp.NumSchemas() != len(set) {
 		return nil, fmt.Errorf("core: feature space has %d schemas, set has %d", sp.NumSchemas(), len(set))
 	}
@@ -162,27 +174,32 @@ func assignDomains(set schema.Set, sp *feature.Space, cl *cluster.Result, opts O
 		return nil, fmt.Errorf("core: theta %v outside [0,1]", opts.Theta)
 	}
 
-	m := newModel(set, sp, cl, opts)
-
-	sims := make([]float64, cl.NumClusters())
-	var touched []int
-	stamp := make([]int, cl.NumClusters()) // stamp[r] == i+1: r is in touched for schema i
-	for i := range set {
+	type worker struct {
+		row     rowFunc
+		sims    []float64
+		stamp   []int // stamp[r] == i+1: r is in touched for schema i
+		touched []int
+	}
+	gated := make([][]Membership, len(set))
+	par.EachWith(len(set), func() *worker {
+		return &worker{row: newRow(), sims: make([]float64, cl.NumClusters()), stamp: make([]int, cl.NumClusters())}
+	}, func(w *worker, i int) {
 		// s_c_sim(S_i, C_r) = Σ_{j ∈ C_r} s_sim(S_i, S_j) / |C_r|. The self
 		// term goes in at position i, before the first neighbor above i or
 		// after the last one when there is none.
+		sims := w.sims
 		own, selfAdded := cl.Assign[i], false
-		touched = append(touched[:0], own)
-		stamp[own] = i + 1
-		row(i, func(j int32, s float64) {
+		w.touched = append(w.touched[:0], own)
+		w.stamp[own] = i + 1
+		w.row(i, func(j int32, s float64) {
 			if !selfAdded && int(j) > i {
 				sims[own]++
 				selfAdded = true
 			}
 			r := cl.Assign[j]
-			if stamp[r] != i+1 {
-				stamp[r] = i + 1
-				touched = append(touched, r)
+			if w.stamp[r] != i+1 {
+				w.stamp[r] = i + 1
+				w.touched = append(w.touched, r)
 			}
 			sims[r] += s
 		})
@@ -193,20 +210,24 @@ func assignDomains(set schema.Set, sp *feature.Space, cl *cluster.Result, opts O
 			for r := range sims {
 				sims[r] /= float64(len(cl.Members[r]))
 			}
-			m.assignFromSims(i, sims, own, opts)
+			gated[i] = Gate(sims, nil, opts)
 			clear(sims)
-			continue
+			return
 		}
-		slices.Sort(touched)
-		for _, r := range touched {
+		slices.Sort(w.touched)
+		for _, r := range w.touched {
 			sims[r] /= float64(len(cl.Members[r]))
 		}
-		m.addMemberships(i, Gate(sims, touched, opts), own)
-		for _, r := range touched {
+		gated[i] = Gate(sims, w.touched, opts)
+		for _, r := range w.touched {
 			sims[r] = 0
 		}
-	}
+	})
 
+	m := newModel(set, sp, cl, opts)
+	for i, ds := range gated {
+		m.addMemberships(i, ds, cl.Assign[i])
+	}
 	m.sortDomainMembers()
 	return m, nil
 }
@@ -268,12 +289,6 @@ func Gate(sims []float64, cands []int, opts Options) []Membership {
 		ds[k].Prob /= total
 	}
 	return ds
-}
-
-// assignFromSims records schema i's memberships from its similarity to every
-// cluster.
-func (m *Model) assignFromSims(i int, sims []float64, own int, opts Options) {
-	m.addMemberships(i, Gate(sims, nil, opts), own)
 }
 
 // addMemberships records what Gate admitted for schema i, or — the

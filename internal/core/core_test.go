@@ -4,6 +4,8 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -394,7 +396,7 @@ func TestAssignDomainsMatchesDefinition(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ps, err := cluster.CompletePairSims(context.Background(), sp)
+			ps, err := cluster.CompletePairSims(context.Background(), sp, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -409,7 +411,7 @@ func TestAssignDomainsMatchesDefinition(t *testing.T) {
 				for r := range sims {
 					sims[r] = cluster.SchemaClusterSim(sp, i, cl.Members[r])
 				}
-				want.assignFromSims(i, sims, cl.Assign[i], opts)
+				want.addMemberships(i, Gate(sims, nil, opts), cl.Assign[i])
 				if len(want.DomainsOf(i)) > 1 {
 					uncertain++
 				}
@@ -500,7 +502,7 @@ func TestPropertySparseGateIsTheDenseGate(t *testing.T) {
 				}
 				want := newModel(set, sp, cl, opts)
 				for i := range set {
-					want.assignFromSims(i, sims[i], cl.Assign[i], opts)
+					want.addMemberships(i, Gate(sims[i], nil, opts), cl.Assign[i])
 					if g, w := got.DomainsOf(i), want.DomainsOf(i); !slices.Equal(g, w) {
 						t.Fatalf("%s/%v %+v: schema %d memberships %+v, every cluster gated %+v", name, method, opts, i, g, w)
 					}
@@ -533,5 +535,65 @@ func TestPropertySparseGateIsTheDenseGate(t *testing.T) {
 	}
 	if isolated == 0 {
 		t.Error("no corpus held a schema without a stored neighbour")
+	}
+}
+
+// TestAssignDomainsIsWorkerCountInvariant: Algorithm 3 fans schemas out over
+// the CPUs and records their memberships in schema order afterwards, so the
+// model — domains, member order, per-schema lists — must be what one
+// goroutine builds, at 1, 2 and 7 workers, through both entry points, over
+// the complete pair set and the blocked build's, with τ_c_sim > 0 (only the
+// touched clusters gated) and ≤ 0 (every cluster gated).
+func TestAssignDomainsIsWorkerCountInvariant(t *testing.T) {
+	ctx := context.Background()
+	set := dataset.Large(dataset.LargeConfig{N: 1500, Seed: 1})
+	sp := feature.BuildLite(set, feature.DefaultConfig())
+	ss, err := candgen.Signatures(ctx, sp.Vectors, candgen.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, source := range []string{"complete", "filtered"} {
+		var keep func(a, b int) bool
+		if source == "filtered" {
+			keep = ss.Collide
+		}
+		ps, err := cluster.CompletePairSims(ctx, sp, keep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl, err := cluster.AgglomerativeSparse(ctx, sp, cluster.NewLinkage(cluster.AvgJaccard), 0.25, ps, cluster.SparseOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, opts := range []Options{{TauCSim: 0.25, Theta: 0.02}, {TauCSim: 0.25, Theta: 0.3}, {TauCSim: 0, Theta: 0.02}} {
+			entries := map[string]func() (*Model, error){
+				"AssignDomains":       func() (*Model, error) { return AssignDomains(set, sp, cl, opts) },
+				"AssignDomainsSparse": func() (*Model, error) { return AssignDomainsSparse(set, sp, cl, ps, opts) },
+			}
+			for name, assign := range entries {
+				if source == "filtered" && name == "AssignDomains" {
+					continue // reads every positive pair, not ps
+				}
+				runtime.GOMAXPROCS(1)
+				want, err := assign()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want.UncertainCount() == 0 {
+					t.Fatalf("%s %s %+v: no uncertain membership; the corpus should have some", source, name, opts)
+				}
+				for _, procs := range []int{2, 7} {
+					runtime.GOMAXPROCS(procs)
+					got, err := assign()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s %s %+v, GOMAXPROCS %d: model differs from one worker's", source, name, opts, procs)
+					}
+				}
+			}
+		}
 	}
 }

@@ -99,15 +99,16 @@ type Space struct {
 	// VocabIndex maps a vocabulary term to its position in Vocab.
 	VocabIndex map[string]int
 
-	// TermSets[i] is T_i, the extracted term set of schema i.
-	TermSets []map[string]bool
+	// TermIDs[i] is T_i, the extracted term set of schema i, as ascending
+	// vocabulary ids.
+	TermIDs [][]int32
 	// Vectors[i] is F^i, the binary feature vector of schema i.
 	Vectors []*bitvec.Vector
 	// counts[i][j] is the number of schema-i term occurrences matching
 	// vocabulary term j; populated only in TermFrequency mode.
 	counts [][]uint16
 
-	// set is the input schema set the space embeds (schema i ↔ TermSets[i]);
+	// set is the input schema set the space embeds (schema i ↔ TermIDs[i]);
 	// retained so Extend can fall back to a full rebuild in TermFrequency
 	// mode.
 	set schema.Set
@@ -151,23 +152,40 @@ func BuildLite(set schema.Set, cfg Config) *Space {
 	// term sets and the vectors are independent per spelling, term or schema
 	// and fan out by index; the vocabulary and the inverted index between
 	// them are built in order on one goroutine, so the space is the same for
-	// any worker count.
+	// any worker count. A schema's term set is the union of its spellings'
+	// rows of the spelling table, so nothing past the vocabulary looks a
+	// term up by its string.
 	lists := sp.vocabulary(set)
-	termsOf := func(attr string) []string { return lists[sp.lex.spellings[attr]] }
-	sp.TermSets = make([]map[string]bool, len(set))
+	lex := sp.lex
+	sp.TermIDs = make([][]int32, len(set))
 	par.Each(len(set), func(i int) {
-		ts := make(map[string]bool)
+		size := 0
 		for _, a := range set[i].Attributes {
-			for _, t := range termsOf(a) {
-				ts[t] = true
-			}
+			size += len(lex.ids[lex.spellings[a]])
 		}
-		sp.TermSets[i] = ts
+		ids := make([]int32, 0, size)
+		for _, a := range set[i].Attributes {
+			ids = append(ids, lex.ids[lex.spellings[a]]...)
+		}
+		slices.Sort(ids)
+		sp.TermIDs[i] = slices.Compact(ids)
 	})
+	// The inverted index, every list carved out of one slab.
+	sizes := make([]int, len(sp.Vocab))
+	total := 0
+	for _, ids := range sp.TermIDs {
+		for _, j := range ids {
+			sizes[j]++
+		}
+		total += len(ids)
+	}
+	flat := make([]int32, total)
 	sp.termSchemas = make([][]int32, len(sp.Vocab))
-	for i := range set {
-		for t := range sp.TermSets[i] {
-			j := sp.VocabIndex[t]
+	for j, size := range sizes {
+		sp.termSchemas[j], flat = flat[:0:size], flat[size:]
+	}
+	for i, ids := range sp.TermIDs {
+		for _, j := range ids {
 			sp.termSchemas[j] = append(sp.termSchemas[j], int32(i))
 		}
 	}
@@ -182,8 +200,8 @@ func BuildLite(set schema.Set, cfg Config) *Space {
 	}
 	par.Each(len(set), func(i int) {
 		v := bitvec.New(len(sp.Vocab))
-		for t := range sp.TermSets[i] {
-			for _, j := range sp.matcher.matchesOfVocab(sp.VocabIndex[t]) {
+		for _, t := range sp.TermIDs[i] {
+			for _, j := range sp.matcher.matchesOfVocab(int(t)) {
 				v.Set(int(j))
 			}
 		}
@@ -192,11 +210,18 @@ func BuildLite(set schema.Set, cfg Config) *Space {
 			return
 		}
 		// Count every term *occurrence* across the schema's attributes
-		// (binary mode deduplicates; counting is the point here).
+		// (binary mode deduplicates; counting is the point here). A
+		// spelling's term list is ascending with its repeats, and its row of
+		// ids holds the distinct terms in the same order.
 		c := make([]uint16, len(sp.Vocab))
 		for _, attr := range set[i].Attributes {
-			for _, t := range termsOf(attr) {
-				for _, j := range sp.matcher.matchesOfVocab(sp.VocabIndex[t]) {
+			k := lex.spellings[attr]
+			x := -1
+			for n, t := range lists[k] {
+				if n == 0 || t != lists[k][n-1] {
+					x++
+				}
+				for _, j := range sp.matcher.matchesOfVocab(int(lex.ids[k][x])) {
 					if c[j] < ^uint16(0) {
 						c[j]++
 					}
@@ -247,7 +272,7 @@ func BuildLite(set schema.Set, cfg Config) *Space {
 // the extended set; the binary representation — the thesis' choice and the
 // online hot path — takes the incremental route.
 func (sp *Space) Extend(s schema.Schema) (*Space, int) {
-	newIdx := len(sp.TermSets)
+	newIdx := len(sp.TermIDs)
 	if sp.cfg.Mode == TermFrequency {
 		mExtendFallback.Inc()
 		return BuildLite(append(sp.set[:newIdx:newIdx], s), sp.cfg), newIdx
@@ -265,9 +290,8 @@ func (sp *Space) Extend(s schema.Schema) (*Space, int) {
 	newDim := oldDim + len(newTerms)
 
 	ns := &Space{
-		cfg:      sp.cfg,
-		set:      append(sp.set[:newIdx:newIdx], s),
-		TermSets: append(sp.TermSets[:newIdx:newIdx], ts),
+		cfg: sp.cfg,
+		set: append(sp.set[:newIdx:newIdx], s),
 	}
 
 	var rev [][]int32
@@ -289,13 +313,18 @@ func (sp *Space) Extend(s schema.Schema) (*Space, int) {
 		ns.matcher, rev = sp.matcher.extended(vocab, newTerms)
 	}
 	ns.lex = sp.lex.extended(s, ns)
+	ids := make([]int32, 0, len(ts))
+	for t := range ts {
+		ids = append(ids, int32(ns.VocabIndex[t]))
+	}
+	slices.Sort(ids)
+	ns.TermIDs = append(sp.TermIDs[:newIdx:newIdx], ids)
 
 	// Inverted index: the newcomer joins the schema list of each of its
 	// terms (copy-on-write), and novel terms open singleton lists.
 	termSchemas := make([][]int32, newDim)
 	copy(termSchemas, sp.termSchemas)
-	for t := range ts {
-		j := ns.VocabIndex[t]
+	for _, j := range ids {
 		old := termSchemas[j]
 		list := make([]int32, 0, len(old)+1)
 		list = append(list, old...)
@@ -338,8 +367,8 @@ func (sp *Space) Extend(s schema.Schema) (*Space, int) {
 		vectors[i] = v
 	}
 	nv := bitvec.New(newDim)
-	for t := range ts {
-		for _, j := range ns.matcher.matchesOfVocab(ns.VocabIndex[t]) {
+	for _, t := range ids {
+		for _, j := range ns.matcher.matchesOfVocab(int(t)) {
 			nv.Set(int(j))
 		}
 	}

@@ -47,12 +47,54 @@ func TestOwnTermsAlwaysSet(t *testing.T) {
 	// (self-similarity is 1 ≥ τ).
 	sp := BuildLite(smallSet(), DefaultConfig())
 	for i := range smallSet() {
-		for term := range sp.TermSets[i] {
-			if !sp.Vectors[i].Get(sp.VocabIndex[term]) {
-				t.Errorf("schema %d: own term %q not set", i, term)
+		for _, j := range sp.TermIDs[i] {
+			if !sp.Vectors[i].Get(int(j)) {
+				t.Errorf("schema %d: own term %q not set", i, sp.Vocab[j])
 			}
 		}
 	}
+}
+
+// TestTermIDsAreTheTermSets: TermIDs[i] is T_i — the distinct terms
+// terms.Extract finds in schema i — as ascending vocabulary ids, on a built
+// space in both modes and on an Extend product, whose appended ids are out of
+// term order; and termSchemas is its inverse.
+func TestTermIDsAreTheTermSets(t *testing.T) {
+	set := dataset.Large(dataset.LargeConfig{N: 300, Domains: 6, Seed: 2})
+	check := func(label string, sp *Space, set schema.Set) {
+		t.Helper()
+		inverse := make([][]int32, sp.Dim())
+		for i, s := range set {
+			var want []int32
+			for term := range terms.Extract(s.Attributes, sp.cfg.TermOpts) {
+				want = append(want, int32(sp.VocabIndex[term]))
+			}
+			slices.Sort(want)
+			if !slices.Equal(sp.TermIDs[i], want) {
+				t.Fatalf("%s: schema %d has term ids %v, its term set %v", label, i, sp.TermIDs[i], want)
+			}
+			for _, j := range want {
+				inverse[j] = append(inverse[j], int32(i))
+			}
+		}
+		for j := range inverse {
+			if !slices.Equal(sp.termSchemas[j], inverse[j]) {
+				t.Fatalf("%s: term %q lists schemas %v, the term sets %v", label, sp.Vocab[j], sp.termSchemas[j], inverse[j])
+			}
+		}
+	}
+	for _, mode := range []Mode{Binary, TermFrequency} {
+		cfg := DefaultConfig()
+		cfg.Mode = mode
+		check(mode.String(), BuildLite(set, cfg), set)
+	}
+	sp := BuildLite(set, DefaultConfig())
+	arrival := schema.Schema{Name: "new", Attributes: []string{"zeppelin berth", "airship registry", "title"}}
+	ext, _ := sp.Extend(arrival)
+	if ext.Dim() == sp.Dim() {
+		t.Fatal("the arrival should bring new terms")
+	}
+	check("extended", ext, append(set[:len(set):len(set)], arrival))
 }
 
 func TestFuzzyMatchSetsBits(t *testing.T) {
@@ -129,7 +171,7 @@ func TestBuildLiteIsWorkerCountInvariant(t *testing.T) {
 			if !slices.Equal(got.Vocab, want.Vocab) || !reflect.DeepEqual(got.VocabIndex, want.VocabIndex) {
 				t.Fatalf("%v, GOMAXPROCS %d: vocabulary differs", mode, procs)
 			}
-			if !reflect.DeepEqual(got.TermSets, want.TermSets) || !reflect.DeepEqual(got.termSchemas, want.termSchemas) {
+			if !reflect.DeepEqual(got.TermIDs, want.TermIDs) || !reflect.DeepEqual(got.termSchemas, want.termSchemas) {
 				t.Fatalf("%v, GOMAXPROCS %d: term sets or the term→schema index differ", mode, procs)
 			}
 			if !reflect.DeepEqual(got.matcher.vocabMatches, want.matcher.vocabMatches) {
@@ -199,9 +241,9 @@ func TestDefaultStrategyFallback(t *testing.T) {
 	set := smallSet()
 	full := BuildLite(set, Config{TermOpts: terms.DefaultOptions(), Sim: strsim.LCSeqSim{}, Tau: 0.95})
 	for i := range set {
-		for term := range full.TermSets[i] {
-			if !full.Vectors[i].Get(full.VocabIndex[term]) {
-				t.Fatalf("full-scan strategy: own term %q missing", term)
+		for _, j := range full.TermIDs[i] {
+			if !full.Vectors[i].Get(int(j)) {
+				t.Fatalf("full-scan strategy: own term %q missing", full.Vocab[j])
 			}
 		}
 	}

@@ -7,10 +7,10 @@ import (
 	"schemaflow/internal/candgen"
 )
 
-// TermVectorizer is the blocked build path's candidate generator: MinHash-
-// LSH over the term-match Space's binary vectors. Candidate generation is
-// only blocking — every proposed pair is re-scored exactly in term space,
-// and absent pairs count as zero similarity.
+// TermVectorizer lists MinHash-LSH candidate pairs over the term-match
+// Space's binary vectors (candgen.Pairs). The build does not use it — it
+// keeps the positive pairs that pass candgen's band test instead (see
+// cluster.CompletePairSims) — but the benchmark's trace times it by name.
 type TermVectorizer struct {
 	// Cand configures the MinHash-LSH candidate generation.
 	Cand candgen.Config

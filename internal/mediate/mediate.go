@@ -509,7 +509,7 @@ func (bm *beam) buildMappings(s schema.Schema, t *nameTable, cands [][]candidate
 	cur.parts[0] = partial{score: 1}
 	n := 1
 	for k, name := range s.Attributes {
-		m := 0
+		m, nameCands := 0, cands[t.ids[name]]
 		extend := func(p partial, med int, weight float64) {
 			attrTo := next.ints[m*bm.stride : m*bm.stride+k+1]
 			copy(attrTo, p.attrTo)
@@ -519,7 +519,7 @@ func (bm *beam) buildMappings(s schema.Schema, t *nameTable, cands [][]candidate
 		}
 		for _, p := range cur.parts[:n] {
 			extend(p, -1, unmappedWeight)
-			for _, c := range cands[t.ids[name]] {
+			for _, c := range nameCands {
 				if !slices.Contains(p.attrTo, c.med) {
 					extend(p, c.med, c.weight)
 				}

@@ -146,9 +146,10 @@ type Options struct {
 	// compares: "auto" (default — every pair below 4096 schemas, MinHash-LSH
 	// candidates at or above it), "exact" (always every pair — the thesis'
 	// clustering), or "lsh" (always LSH candidates, the sub-quadratic
-	// blocked build). Both feed the same clustering and domain assignment;
-	// "exact" reads every positive pair off the feature space's inverted
-	// index, "lsh" verifies the candidates alone. See docs/DESIGN.md §10.
+	// blocked build). Both feed one clustering and domain assignment with
+	// the positive pairs read off the feature space's inverted index:
+	// "exact" with every one, "lsh" with those that share a band key. See
+	// docs/DESIGN.md §10.
 	CandidateGen string
 
 	// resolved marks a value withDefaults has already processed: its zero
@@ -396,9 +397,10 @@ func (o Options) featureConfig() (feature.Config, error) {
 // buildModel is the clustering pipeline: feature space → pair similarities →
 // agglomerative clustering (Algorithm 2) → probabilistic domains
 // (Algorithm 3), both algorithms reading the one pair set. Its only branch is
-// where the pairs come from: the exact source is every positive pair, read
-// off the space's inverted index; the blocked source, for large corpora, is
-// MinHash-LSH candidates, verified. Every stage honors ctx.
+// which positive pairs of the space's inverted index the set keeps: the exact
+// build keeps every one; the blocked build, for large corpora, keeps those
+// whose MinHash-LSH band keys agree in some band — the LSH candidates with a
+// positive similarity. Every stage honors ctx.
 func buildModel(ctx context.Context, set schema.Set, fcfg feature.Config, method cluster.Method, opts Options, blocked bool) (*core.Model, error) {
 	t := time.Now()
 	sp, err := feature.BuildContext(ctx, set, fcfg)
@@ -406,25 +408,35 @@ func buildModel(ctx context.Context, set schema.Set, fcfg feature.Config, method
 		return nil, err
 	}
 	mBuildPhase.With("features").Observe(time.Since(t).Seconds())
-	var ps *cluster.PairSims
+	var keep func(a, b int) bool
 	if blocked {
 		mBuildMode.With("blocked").Inc()
-		var pairs []candgen.Pair
-		if pairs, err = lshCandidates(ctx, sp); err != nil {
-			return nil, err
-		}
+		// MinHash-LSH runs over the binary feature vectors (in term-frequency
+		// mode those are the binary projection, positive exactly where the
+		// counts are).
 		t = time.Now()
-		ps, err = cluster.PairwiseSims(ctx, sp, pairs, 0)
+		ss, err := candgen.Signatures(ctx, sp.Vectors, candgen.Config{Bands: lshBands, Rows: lshRows})
+		if err != nil {
+			return nil, fmt.Errorf("payg: candidate generation: %w", err)
+		}
+		mBuildPhase.With("candidates").Observe(time.Since(t).Seconds())
+		keep = ss.Collide
 	} else {
 		mBuildMode.With("exact").Inc()
-		t = time.Now()
-		ps, err = cluster.CompletePairSims(ctx, sp)
 	}
+	t = time.Now()
+	ps, err := cluster.CompletePairSims(ctx, sp, keep)
 	if err != nil {
 		return nil, fmt.Errorf("payg: pairwise similarities: %w", err)
 	}
 	mBuildPhase.With("pairwise").Observe(time.Since(t).Seconds())
 	mBuildStoredPairs.Set(float64(ps.NumPairs()))
+	if blocked {
+		mBuildCandidatePairs.Set(float64(ps.Examined()))
+		if n := float64(len(set)); n > 1 {
+			mBuildCandidateFraction.Set(float64(ps.Examined()) / (n * (n - 1) / 2))
+		}
+	}
 
 	t = time.Now()
 	cl, err := cluster.AgglomerativeSparse(ctx, sp, cluster.NewLinkage(method), opts.TauCSim, ps, cluster.SparseOptions{})
@@ -446,31 +458,6 @@ func buildModel(ctx context.Context, set schema.Set, fcfg feature.Config, method
 	}
 	mBuildPhase.With("domains").Observe(time.Since(t).Seconds())
 	return model, nil
-}
-
-// lshCandidates proposes the blocked build's candidate pairs and reports the
-// candidate-generation metrics. MinHash-LSH runs over the binary feature
-// vectors (in term-frequency mode those are the binary projection — the
-// exact generalized-Jaccard similarity decides in the next stage).
-func lshCandidates(ctx context.Context, sp *feature.Space) ([]candgen.Pair, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	t := time.Now()
-	cand := feature.NewTermVectorizer(candgen.Config{Bands: lshBands, Rows: lshRows})
-	if err := cand.Fit(sp); err != nil {
-		return nil, err
-	}
-	pairs, err := cand.CandidatePairs(ctx)
-	if err != nil {
-		return nil, fmt.Errorf("payg: candidate generation: %w", err)
-	}
-	mBuildPhase.With("candidates").Observe(time.Since(t).Seconds())
-	mBuildCandidatePairs.Set(float64(len(pairs)))
-	if n := float64(sp.NumSchemas()); n > 1 {
-		mBuildCandidateFraction.Set(float64(len(pairs)) / (n * (n - 1) / 2))
-	}
-	return pairs, nil
 }
 
 func (s *System) buildMediation(ctx context.Context) error {
