@@ -66,6 +66,11 @@ type Config struct {
 	// Workers bounds the goroutines used for signature computation and
 	// banding. 0 means GOMAXPROCS.
 	Workers int
+	// IDs, when set, is what each bit position hashes as: set bit x enters
+	// MinHash as IDs[x]. A caller whose bit positions are one permutation of
+	// a canonical numbering passes the map to it, and the signatures do not
+	// depend on the permutation. nil hashes x itself.
+	IDs []int32
 }
 
 // DefaultConfig returns the tuning used by the blocked build path:
@@ -224,6 +229,11 @@ func Signatures(ctx context.Context, vecs []*bitvec.Vector, cfg Config) (*Signat
 					return
 				}
 				idx = vecs[i].IndicesAppend32(idx[:0])
+				if cfg.IDs != nil {
+					for k, x := range idx {
+						idx[k] = cfg.IDs[x]
+					}
+				}
 				minHash(sig, mults, idx)
 				row := ss.keys[i*words : (i+1)*words]
 				for band, h := range seeds {

@@ -18,6 +18,7 @@ import (
 	. "schemaflow/internal/candgen"
 	"schemaflow/internal/dataset"
 	"schemaflow/internal/feature"
+	"schemaflow/internal/schema"
 )
 
 func TestCollisionProb(t *testing.T) {
@@ -125,6 +126,43 @@ func TestSignaturesDeterministicAndSeeded(t *testing.T) {
 	}
 	if slices.Equal(keysOf(c, cfg.Bands), want) {
 		t.Fatal("different seeds produced identical keys")
+	}
+}
+
+// TestSignaturesFollowIDs: the signatures of a space Extend grew, with its
+// terms renumbered by SortedIDs, are those of the space built afresh over the
+// same schemas, key for key; without the renumbering they are not.
+func TestSignaturesFollowIDs(t *testing.T) {
+	ctx := context.Background()
+	set := dataset.Large(dataset.LargeConfig{N: 300, Domains: 6, Seed: 7})
+	arrivals := []schema.Schema{
+		{Name: "new1", Attributes: []string{"aardvark count", "hangar"}},
+		{Name: "new2", Attributes: []string{"mango yield", "zeppelin"}},
+	}
+	grown := feature.BuildLite(set, feature.DefaultConfig())
+	for _, s := range arrivals {
+		grown, _ = grown.Extend(s)
+	}
+	fresh := feature.BuildLite(append(slices.Clip(set), arrivals...), feature.DefaultConfig())
+	cfg := DefaultConfig()
+	want, err := Signatures(ctx, fresh.Vectors, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := Signatures(ctx, grown.Vectors, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slices.Equal(keysOf(plain, cfg.Bands), keysOf(want, cfg.Bands)) {
+		t.Fatal("premise broken: the grown space's bit order does not move its keys")
+	}
+	cfg.IDs = grown.SortedIDs()
+	got, err := Signatures(ctx, grown.Vectors, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(keysOf(got, cfg.Bands), keysOf(want, cfg.Bands)) {
+		t.Fatal("renumbered signatures of the grown space differ from the fresh space's")
 	}
 }
 

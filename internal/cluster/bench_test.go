@@ -109,7 +109,7 @@ func BenchmarkTauSweepDendrogram(b *testing.B) {
 	taus := []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d, err := BuildDendrogram(sp, AvgJaccard)
+		d, err := dendrogram(b, sp, AvgJaccard)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -217,12 +217,13 @@ func checkComponents(t *testing.T, label string, ps *PairSims, floor float64) *p
 		}
 		want[i] = groups
 		for queue := []int{i}; len(queue) > 0; queue = queue[1:] {
-			ps.ForEach(queue[0], func(j int32, s float64) {
-				if s >= floor && want[j] < 0 {
+			js, sims := ps.Row(queue[0])
+			for k, j := range js {
+				if sims[k] >= floor && want[j] < 0 {
 					want[j] = groups
 					queue = append(queue, int(j))
 				}
-			})
+			}
 		}
 		groups++
 	}

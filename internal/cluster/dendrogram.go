@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 
 	"schemaflow/internal/feature"
@@ -24,13 +25,14 @@ func Reducible(m Method) bool {
 	return m == AvgJaccard || m == MinJaccard || m == MaxJaccard
 }
 
-// BuildDendrogram runs the full agglomeration once. It returns an error for
+// BuildDendrogram runs the full agglomeration once over the pair set ps of
+// sp (CompletePairSims for the thesis' clustering). It returns an error for
 // non-reducible linkages, where a cut would not equal a thresholded run.
-func BuildDendrogram(sp *feature.Space, method Method) (*Dendrogram, error) {
+func BuildDendrogram(sp *feature.Space, ps *PairSims, method Method) (*Dendrogram, error) {
 	if !Reducible(method) {
 		return nil, fmt.Errorf("cluster: %s is not reducible; run Agglomerative per threshold", method)
 	}
-	res, err := Agglomerative(sp, NewLinkage(method), 0)
+	res, err := AgglomerativeSparse(context.TODO(), sp, NewLinkage(method), 0, ps, SparseOptions{})
 	if err != nil {
 		return nil, err
 	}

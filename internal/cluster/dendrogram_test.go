@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,10 +9,20 @@ import (
 	"schemaflow/internal/feature"
 )
 
+// dendrogram is BuildDendrogram over the complete pair set of sp.
+func dendrogram(tb testing.TB, sp *feature.Space, method Method) (*Dendrogram, error) {
+	tb.Helper()
+	ps, err := CompletePairSims(context.Background(), sp, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return BuildDendrogram(sp, ps, method)
+}
+
 func TestDendrogramHeightsMonotone(t *testing.T) {
 	sp := buildSpace(t, twoDomainSet())
 	for _, method := range []Method{AvgJaccard, MinJaccard, MaxJaccard} {
-		d, err := BuildDendrogram(sp, method)
+		d, err := dendrogram(t, sp, method)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -26,7 +37,7 @@ func TestDendrogramHeightsMonotone(t *testing.T) {
 
 func TestDendrogramRejectsTotalJaccard(t *testing.T) {
 	sp := buildSpace(t, twoDomainSet())
-	if _, err := BuildDendrogram(sp, TotalJaccard); err == nil {
+	if _, err := dendrogram(t, sp, TotalJaccard); err == nil {
 		t.Fatal("total-jaccard accepted")
 	}
 }
@@ -40,7 +51,7 @@ func TestDendrogramCutMatchesThresholdedRun(t *testing.T) {
 		set := randomSet(rng, 6+rng.Intn(10))
 		sp := feature.BuildLite(set, feature.DefaultConfig())
 		for _, method := range []Method{AvgJaccard, MinJaccard, MaxJaccard} {
-			d, err := BuildDendrogram(sp, method)
+			d, err := dendrogram(t, sp, method)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -76,7 +87,7 @@ func samePartition(a, b *Result) bool {
 
 func TestCutAtExtremes(t *testing.T) {
 	sp := buildSpace(t, twoDomainSet())
-	d, err := BuildDendrogram(sp, AvgJaccard)
+	d, err := dendrogram(t, sp, AvgJaccard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +103,7 @@ func TestCutAtExtremes(t *testing.T) {
 // conservatively apply no merges (all singletons), not all of them.
 func TestCutAtNaNYieldsSingletons(t *testing.T) {
 	sp := buildSpace(t, twoDomainSet())
-	d, err := BuildDendrogram(sp, AvgJaccard)
+	d, err := dendrogram(t, sp, AvgJaccard)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,12 +47,11 @@ func (ps *PairSims) Degree(i int) int {
 	return int(ps.rowStart[i+1] - ps.rowStart[i])
 }
 
-// ForEach calls fn for every stored neighbor of schema i, ascending by
-// neighbor index.
-func (ps *PairSims) ForEach(i int, fn func(j int32, sim float64)) {
-	for k := ps.rowStart[i]; k < ps.rowStart[i+1]; k++ {
-		fn(ps.nbr[k], ps.sim[k])
-	}
+// Row returns schema i's stored neighbors, ascending, and their
+// similarities: slices of the structure, which the caller must not write.
+func (ps *PairSims) Row(i int) ([]int32, []float64) {
+	lo, hi := ps.rowStart[i], ps.rowStart[i+1]
+	return ps.nbr[lo:hi], ps.sim[lo:hi]
 }
 
 // Sim returns the stored similarity of (i, j), or 0 when the pair is
@@ -220,16 +219,7 @@ func CompletePairSims(ctx context.Context, sp *feature.Space, keep func(a, b int
 			}
 			js, sims := sp.Row(i, i, &buf)
 			c.examined += len(js)
-			if keep != nil {
-				k := 0
-				for x, j := range js {
-					if keep(i, int(j)) {
-						js[k], sims[k] = j, sims[x]
-						k++
-					}
-				}
-				js, sims = js[:k], sims[:k]
-			}
+			js, sims = filterRow(i, js, sims, keep)
 			c.deg[i] += int64(len(js))
 			for _, j := range js {
 				c.deg[j]++
@@ -274,6 +264,31 @@ func CompletePairSims(ctx context.Context, sp *feature.Space, keep func(a, b int
 		return nil, err
 	}
 	return ps, nil
+}
+
+// GraphRow is schema i's row of the pair graph CompletePairSims(sp, keep)
+// stores, read off the space instead: its neighbors j ≠ i, ascending, and
+// their similarities, the same float64s. The slices live in buf, as
+// feature.Space.Row's do.
+func GraphRow(sp *feature.Space, i int, keep func(a, b int) bool, buf *feature.RowBuf) ([]int32, []float64) {
+	js, sims := sp.Row(i, -1, buf)
+	return filterRow(i, js, sims, keep)
+}
+
+// filterRow keeps, in place, the entries of schema i's row that keep admits
+// (nil: every one). keep sees each pair as (a < b).
+func filterRow(i int, js []int32, sims []float64, keep func(a, b int) bool) ([]int32, []float64) {
+	if keep == nil {
+		return js, sims
+	}
+	k := 0
+	for x, j := range js {
+		if keep(min(i, int(j)), max(i, int(j))) {
+			js[k], sims[k] = j, sims[x]
+			k++
+		}
+	}
+	return js[:k], sims[:k]
 }
 
 // newPairSims starts the assembly of a symmetric CSR over n schemas from a

@@ -93,24 +93,24 @@ type Model struct {
 	bySchema [][]Membership
 }
 
-// AssignDomains runs Algorithm 3 over a clustering result and returns the
-// probabilistic model, every schema-to-cluster similarity exact: each
-// schema's positive similarities are read off its feature.Space.Row, one row
-// at a time, so the working memory is O(n + clusters) whatever the corpus
-// size. The terms a row leaves out are exact zeros, so the model is
-// AssignDomainsSparse's over cluster.CompletePairSims to the last bit. The
-// build does not call it — payg's build runs AssignDomainsSparse over the
-// pairs Algorithm 2 read; its callers are feedback (Apply and AddSchema), the
-// experiments and the benchmark's trace.
+// AssignDomains runs Algorithm 3 over the complete pair graph of sp: every
+// schema-to-cluster similarity exact. It is AssignDomainsRows with no filter.
+// payg never calls it: a build, a feedback apply and an AddSchema read the
+// graph payg chooses for the space.
 func AssignDomains(set schema.Set, sp *feature.Space, cl *cluster.Result, opts Options) (*Model, error) {
-	return assignDomains(set, sp, cl, opts, func() rowFunc {
-		var buf feature.RowBuf // one per worker: a row's slices live in it
-		return func(i int, visit func(j int32, s float64)) {
-			js, sims := sp.Row(i, -1, &buf)
-			for k, j := range js {
-				visit(j, sims[k])
-			}
-		}
+	return AssignDomainsRows(set, sp, cl, nil, opts)
+}
+
+// AssignDomainsRows runs Algorithm 3 over the pair graph of sp under keep
+// (nil: every positive pair) without storing it: each schema's row is read
+// off the space (cluster.GraphRow) when its turn comes, so the working memory
+// is O(n + clusters) whatever the number of pairs. The model is
+// AssignDomainsSparse's over cluster.CompletePairSims(sp, keep) to the last
+// bit. Feedback runs it, on a space of any size, with the filter the build
+// chose.
+func AssignDomainsRows(set schema.Set, sp *feature.Space, cl *cluster.Result, keep func(a, b int) bool, opts Options) (*Model, error) {
+	return assignDomains(set, sp, cl, opts, func(i int, buf *feature.RowBuf) ([]int32, []float64) {
+		return cluster.GraphRow(sp, i, keep, buf)
 	})
 }
 
@@ -130,15 +130,15 @@ func AssignDomainsSparse(set schema.Set, sp *feature.Space, cl *cluster.Result, 
 	if ps.N() != len(set) {
 		return nil, fmt.Errorf("core: pair sims cover %d schemas, set has %d", ps.N(), len(set))
 	}
-	return assignDomains(set, sp, cl, opts, func() rowFunc { return ps.ForEach })
+	return assignDomains(set, sp, cl, opts, func(i int, _ *feature.RowBuf) ([]int32, []float64) {
+		return ps.Row(i)
+	})
 }
 
-// rowFunc visits schema i's positive similarities s_sim(S_i, S_j), j ≠ i,
-// ascending in j; a schema it leaves out counts as similarity 0.
-type rowFunc func(i int, visit func(j int32, s float64))
-
-// assignDomains is Algorithm 3. newRow makes one rowFunc per worker. Each
-// similarity is added into sums[cluster of j] with the self term
+// assignDomains is Algorithm 3. row returns schema i's positive
+// similarities s_sim(S_i, S_j), j ≠ i, ascending in j, in slices it may keep
+// in the calling worker's buf; a schema it leaves out counts as similarity
+// 0. Each similarity is added into sums[cluster of j] with the self term
 // (cluster.SchemaClusterSim counts i's own membership as similarity 1) at
 // position i, not after the rest: float addition does not commute with the
 // reorder, and the sums must equal the definition's to the last bit from
@@ -146,7 +146,7 @@ type rowFunc func(i int, visit func(j int32, s float64))
 //
 // Schemas are independent until their memberships are recorded, so they fan
 // out over par.EachWith, each worker with its own sums, touched list and row
-// reader, and each writes what Gate admitted for schema i to its own slot;
+// buffer, and each writes what Gate admitted for schema i to its own slot;
 // the memberships are then recorded in schema order on one goroutine, so the
 // model is the same for every worker count.
 //
@@ -163,7 +163,7 @@ type rowFunc func(i int, visit func(j int32, s float64))
 // large and diffuse after the schema joined), D(S_i) would be empty and the
 // probabilities undefined; such a schema is assigned to its own cluster's
 // domain with probability 1.
-func assignDomains(set schema.Set, sp *feature.Space, cl *cluster.Result, opts Options, newRow func() rowFunc) (*Model, error) {
+func assignDomains(set schema.Set, sp *feature.Space, cl *cluster.Result, opts Options, row func(i int, buf *feature.RowBuf) ([]int32, []float64)) (*Model, error) {
 	if sp.NumSchemas() != len(set) {
 		return nil, fmt.Errorf("core: feature space has %d schemas, set has %d", sp.NumSchemas(), len(set))
 	}
@@ -175,14 +175,14 @@ func assignDomains(set schema.Set, sp *feature.Space, cl *cluster.Result, opts O
 	}
 
 	type worker struct {
-		row     rowFunc
+		buf     feature.RowBuf
 		sims    []float64
 		stamp   []int // stamp[r] == i+1: r is in touched for schema i
 		touched []int
 	}
 	gated := make([][]Membership, len(set))
 	par.EachWith(len(set), func() *worker {
-		return &worker{row: newRow(), sims: make([]float64, cl.NumClusters()), stamp: make([]int, cl.NumClusters())}
+		return &worker{sims: make([]float64, cl.NumClusters()), stamp: make([]int, cl.NumClusters())}
 	}, func(w *worker, i int) {
 		// s_c_sim(S_i, C_r) = Σ_{j ∈ C_r} s_sim(S_i, S_j) / |C_r|. The self
 		// term goes in at position i, before the first neighbor above i or
@@ -191,7 +191,8 @@ func assignDomains(set schema.Set, sp *feature.Space, cl *cluster.Result, opts O
 		own, selfAdded := cl.Assign[i], false
 		w.touched = append(w.touched[:0], own)
 		w.stamp[own] = i + 1
-		w.row(i, func(j int32, s float64) {
+		js, ss := row(i, &w.buf)
+		for k, j := range js {
 			if !selfAdded && int(j) > i {
 				sims[own]++
 				selfAdded = true
@@ -201,8 +202,8 @@ func assignDomains(set schema.Set, sp *feature.Space, cl *cluster.Result, opts O
 				w.stamp[r] = i + 1
 				w.touched = append(w.touched, r)
 			}
-			sims[r] += s
-		})
+			sims[r] += ss[k]
+		}
 		if !selfAdded {
 			sims[own]++
 		}

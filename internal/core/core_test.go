@@ -474,13 +474,14 @@ func TestPropertySparseGateIsTheDenseGate(t *testing.T) {
 			stored, other := 0.0, false // a similarity to a cluster, not one's own where there is one
 			for i := range sims {
 				row, selfAdded := make([]float64, nC), false
-				ps.ForEach(i, func(j int32, s float64) {
+				js, ss := ps.Row(i)
+				for k, j := range js {
 					if !selfAdded && int(j) > i {
 						row[cl.Assign[i]]++
 						selfAdded = true
 					}
-					row[cl.Assign[j]] += s
-				})
+					row[cl.Assign[j]] += ss[k]
+				}
 				if !selfAdded {
 					row[cl.Assign[i]]++
 				}
@@ -541,9 +542,11 @@ func TestPropertySparseGateIsTheDenseGate(t *testing.T) {
 // TestAssignDomainsIsWorkerCountInvariant: Algorithm 3 fans schemas out over
 // the CPUs and records their memberships in schema order afterwards, so the
 // model — domains, member order, per-schema lists — must be what one
-// goroutine builds, at 1, 2 and 7 workers, through both entry points, over
+// goroutine builds, at 1, 2 and 7 workers, through every entry point, over
 // the complete pair set and the blocked build's, with τ_c_sim > 0 (only the
-// touched clusters gated) and ≤ 0 (every cluster gated).
+// touched clusters gated) and ≤ 0 (every cluster gated). AssignDomainsRows,
+// which reads the graph off the space unstored, must build the model
+// AssignDomainsSparse builds from the stored graph.
 func TestAssignDomainsIsWorkerCountInvariant(t *testing.T) {
 	ctx := context.Background()
 	set := dataset.Large(dataset.LargeConfig{N: 1500, Seed: 1})
@@ -570,6 +573,19 @@ func TestAssignDomainsIsWorkerCountInvariant(t *testing.T) {
 			entries := map[string]func() (*Model, error){
 				"AssignDomains":       func() (*Model, error) { return AssignDomains(set, sp, cl, opts) },
 				"AssignDomainsSparse": func() (*Model, error) { return AssignDomainsSparse(set, sp, cl, ps, opts) },
+				"AssignDomainsRows":   func() (*Model, error) { return AssignDomainsRows(set, sp, cl, keep, opts) },
+			}
+			runtime.GOMAXPROCS(2)
+			stored, err := entries["AssignDomainsSparse"]()
+			if err != nil {
+				t.Fatal(err)
+			}
+			streamed, err := entries["AssignDomainsRows"]()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(streamed, stored) {
+				t.Fatalf("%s %+v: AssignDomainsRows differs from AssignDomainsSparse over the stored graph", source, opts)
 			}
 			for name, assign := range entries {
 				if source == "filtered" && name == "AssignDomains" {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -48,11 +49,7 @@ func TermSimAblation(set schema.Set, tau float64) ([]TermSimAblationRow, error) 
 			Sim:      sim,
 			Tau:      0.8,
 		})
-		cl, err := cluster.Agglomerative(sp, cluster.NewLinkage(cluster.AvgJaccard), tau)
-		if err != nil {
-			return nil, err
-		}
-		m, err := core.AssignDomains(set, sp, cl, core.Options{TauCSim: tau, Theta: DefaultTheta})
+		m, err := buildModel(set, sp, nil, cluster.AvgJaccard, tau, DefaultTheta)
 		if err != nil {
 			return nil, err
 		}
@@ -93,9 +90,13 @@ type ThetaAblationRow struct {
 // exact-classifier setup time, and clustering quality.
 func ThetaAblation(set schema.Set, tau float64, thetas []float64) ([]ThetaAblationRow, error) {
 	sp := feature.BuildLite(set, feature.DefaultConfig())
+	ps, err := cluster.CompletePairSims(context.TODO(), sp, nil)
+	if err != nil {
+		return nil, err
+	}
 	var out []ThetaAblationRow
 	for _, theta := range thetas {
-		m, _, err := buildModel(set, sp, cluster.AvgJaccard, tau, theta)
+		m, err := buildModel(set, sp, ps, cluster.AvgJaccard, tau, theta)
 		if err != nil {
 			return nil, err
 		}
@@ -146,11 +147,7 @@ func FeatureModeAblation(set schema.Set, tau float64) ([]FeatureModeRow, error) 
 			Tau:      0.8,
 			Mode:     mode,
 		})
-		cl, err := cluster.Agglomerative(sp, cluster.NewLinkage(cluster.AvgJaccard), tau)
-		if err != nil {
-			return nil, err
-		}
-		m, err := core.AssignDomains(set, sp, cl, core.Options{TauCSim: tau, Theta: DefaultTheta})
+		m, err := buildModel(set, sp, nil, cluster.AvgJaccard, tau, DefaultTheta)
 		if err != nil {
 			return nil, err
 		}
@@ -261,6 +258,12 @@ type BaselineRow struct {
 // DBSCAN, and the He–Tao–Chang-style chi-square model-based clusterer.
 func BaselineComparison(set schema.Set, tau float64, trueK int) ([]BaselineRow, error) {
 	sp := feature.BuildLite(set, feature.DefaultConfig())
+	start := time.Now()
+	ps, err := cluster.CompletePairSims(context.TODO(), sp, nil)
+	if err != nil {
+		return nil, err
+	}
+	pairsTook := time.Since(start)
 	evalOne := func(name string, run func() (*cluster.Result, error)) (BaselineRow, error) {
 		start := time.Now()
 		cl, err := run()
@@ -268,7 +271,7 @@ func BaselineComparison(set schema.Set, tau float64, trueK int) ([]BaselineRow, 
 			return BaselineRow{}, err
 		}
 		elapsed := time.Since(start)
-		m, err := core.AssignDomains(set, sp, cl, core.Options{TauCSim: tau, Theta: DefaultTheta})
+		m, err := core.AssignDomainsSparse(set, sp, cl, ps, core.Options{TauCSim: tau, Theta: DefaultTheta})
 		if err != nil {
 			return BaselineRow{}, err
 		}
@@ -285,7 +288,7 @@ func BaselineComparison(set schema.Set, tau float64, trueK int) ([]BaselineRow, 
 		run  func() (*cluster.Result, error)
 	}{
 		{"hac-avg-jaccard", func() (*cluster.Result, error) {
-			return cluster.Agglomerative(sp, cluster.NewLinkage(cluster.AvgJaccard), tau)
+			return cluster.AgglomerativeSparse(context.TODO(), sp, cluster.NewLinkage(cluster.AvgJaccard), tau, ps, cluster.SparseOptions{})
 		}},
 		{fmt.Sprintf("kmeans(k=%d)", trueK), func() (*cluster.Result, error) {
 			return cluster.KMeans(sp, cluster.KMeansOptions{K: trueK, Seed: 42}), nil
@@ -310,6 +313,7 @@ func BaselineComparison(set schema.Set, tau float64, trueK int) ([]BaselineRow, 
 		}
 		out = append(out, row)
 	}
+	out[0].Elapsed += pairsTook // HAC's time includes the pair graph it clusters over
 	return out, nil
 }
 

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"schemaflow/internal/classify"
-	"schemaflow/internal/cluster"
 	"schemaflow/internal/core"
 	"schemaflow/internal/eval"
 	"schemaflow/internal/queries"
@@ -69,7 +68,7 @@ func (o ClassOptions) withDefaults() ClassOptions {
 // domains is dominated by the query's target label.
 func QueryClassification(name string, set schema.Set, opts ClassOptions) (*ClassificationResult, error) {
 	opts = opts.withDefaults()
-	m, _, err := buildModel(set, nil, cluster.AvgJaccard, opts.Tau, opts.Theta)
+	m, err := BuildStandardModel(set, opts.Tau, opts.Theta)
 	if err != nil {
 		return nil, err
 	}
@@ -156,7 +155,7 @@ type SetupComparison struct {
 // CompareClassifierSetup builds both classifier variants on the corpus and
 // measures setup time and top-1 agreement over generated queries.
 func CompareClassifierSetup(name string, set schema.Set, tau, theta, minFrac float64, seed int64) (*SetupComparison, error) {
-	m, _, err := buildModel(set, nil, cluster.AvgJaccard, tau, theta)
+	m, err := BuildStandardModel(set, tau, theta)
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -56,29 +57,31 @@ func termCount(s schema.Schema) int {
 	return len(terms.Extract(s.Attributes, terms.DefaultOptions()))
 }
 
-// buildModel runs the standard pipeline (feature space may be shared across
-// runs via sp; pass nil to build one).
-func buildModel(set schema.Set, sp *feature.Space, method cluster.Method, tau, theta float64) (*core.Model, *feature.Space, error) {
+// buildModel runs the standard pipeline: Algorithm 2 and Algorithm 3 both
+// read one pair graph, the complete one of the space. sp and ps may be shared
+// across runs; nil builds them here, inside whatever the caller times.
+func buildModel(set schema.Set, sp *feature.Space, ps *cluster.PairSims, method cluster.Method, tau, theta float64) (*core.Model, error) {
 	if sp == nil {
 		sp = feature.BuildLite(set, feature.DefaultConfig())
 	}
-	cl, err := cluster.Agglomerative(sp, cluster.NewLinkage(method), tau)
-	if err != nil {
-		return nil, nil, err
+	if ps == nil {
+		var err error
+		if ps, err = cluster.CompletePairSims(context.TODO(), sp, nil); err != nil {
+			return nil, err
+		}
 	}
-	m, err := core.AssignDomains(set, sp, cl, core.Options{TauCSim: tau, Theta: theta})
+	cl, err := cluster.AgglomerativeSparse(context.TODO(), sp, cluster.NewLinkage(method), tau, ps, cluster.SparseOptions{})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return m, sp, nil
+	return core.AssignDomainsSparse(set, sp, cl, ps, core.Options{TauCSim: tau, Theta: theta})
 }
 
 // BuildStandardModel runs the default pipeline (Avg Jaccard linkage,
 // thesis-default feature configuration) and returns the probabilistic
 // domain model. Exposed for the benchmark harness and tests.
 func BuildStandardModel(set schema.Set, tau, theta float64) (*core.Model, error) {
-	m, _, err := buildModel(set, nil, cluster.AvgJaccard, tau, theta)
-	return m, err
+	return buildModel(set, nil, nil, cluster.AvgJaccard, tau, theta)
 }
 
 // ---------------------------------------------------------------------------
@@ -147,19 +150,23 @@ func DefaultTaus() []float64 {
 }
 
 // LinkageSweep runs clustering and evaluation over the full
-// (linkage × τ) grid. The feature space is built once and shared; for the
+// (linkage × τ) grid. The feature space and its complete pair graph are
+// built once and shared by every clustering and domain assignment; for the
 // reducible linkages (Min/Max/Avg Jaccard) the agglomeration runs once per
 // linkage and every τ is a dendrogram cut, which is provably identical to a
 // thresholded run (see cluster.BuildDendrogram) and ~|taus|× faster.
 func LinkageSweep(set schema.Set, taus []float64, methods []cluster.Method, theta float64) ([]SweepSeries, error) {
 	sp := feature.BuildLite(set, feature.DefaultConfig())
+	ps, err := cluster.CompletePairSims(context.TODO(), sp, nil)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]SweepSeries, 0, len(methods))
 	for _, method := range methods {
 		series := SweepSeries{Method: method}
 		var dendro *cluster.Dendrogram
 		if cluster.Reducible(method) {
-			var err error
-			dendro, err = cluster.BuildDendrogram(sp, method)
+			dendro, err = cluster.BuildDendrogram(sp, ps, method)
 			if err != nil {
 				return nil, err
 			}
@@ -169,13 +176,12 @@ func LinkageSweep(set schema.Set, taus []float64, methods []cluster.Method, thet
 			if dendro != nil {
 				cl = dendro.CutAt(tau)
 			} else {
-				var err error
-				cl, err = cluster.Agglomerative(sp, cluster.NewLinkage(method), tau)
+				cl, err = cluster.AgglomerativeSparse(context.TODO(), sp, cluster.NewLinkage(method), tau, ps, cluster.SparseOptions{})
 				if err != nil {
 					return nil, err
 				}
 			}
-			m, err := core.AssignDomains(set, sp, cl, core.Options{TauCSim: tau, Theta: theta})
+			m, err := core.AssignDomainsSparse(set, sp, cl, ps, core.Options{TauCSim: tau, Theta: theta})
 			if err != nil {
 				return nil, err
 			}
@@ -273,7 +279,7 @@ func Table62(c Corpora) ([]Table62Cell, error) {
 			name string
 			set  schema.Set
 		}{{"DW", c.DW}, {"SS", c.SS}, {"Both", c.Both}} {
-			m, _, err := buildModel(nc.set, nil, cluster.AvgJaccard, tau, DefaultTheta)
+			m, err := BuildStandardModel(nc.set, tau, DefaultTheta)
 			if err != nil {
 				return nil, err
 			}
@@ -327,7 +333,7 @@ func DDHClustering(ddh schema.Set, taus []float64, methods []cluster.Method) ([]
 	for _, method := range methods {
 		for _, tau := range taus {
 			start := time.Now()
-			m, _, err := buildModel(ddh, sp, method, tau, DefaultTheta)
+			m, err := buildModel(ddh, sp, nil, method, tau, DefaultTheta)
 			if err != nil {
 				return nil, err
 			}

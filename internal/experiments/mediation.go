@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"schemaflow/internal/cluster"
 	"schemaflow/internal/dataset"
 	"schemaflow/internal/mediate"
 	"schemaflow/internal/schema"
@@ -72,7 +71,7 @@ func MediationCoherence() (*CoherenceResult, error) {
 	// τ = 0.25, the thesis' recommended operating point: the homonym makes
 	// the people/biology pairs share exactly 2 of 10 union terms (Jaccard
 	// 0.2), so the recommended threshold is precisely what keeps them apart.
-	m, _, err := buildModel(corpus, nil, cluster.AvgJaccard, 0.25, DefaultTheta)
+	m, err := BuildStandardModel(corpus, 0.25, DefaultTheta)
 	if err != nil {
 		return nil, err
 	}
@@ -181,7 +180,7 @@ func MediationThreshold(ddh schema.Set, thresholds []float64) ([]ThresholdRow, e
 // for the thesis' "<25 minutes with clustering vs 5 hours without".
 func ClusteredMediationTime(ddh schema.Set) (time.Duration, int, error) {
 	start := time.Now()
-	m, _, err := buildModel(ddh, nil, cluster.AvgJaccard, 0.25, DefaultTheta)
+	m, err := BuildStandardModel(ddh, 0.25, DefaultTheta)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -464,6 +464,24 @@ func (buf *RowBuf) ascending(js []int32, lo, n int32) []int32 {
 	return js
 }
 
+// SortedIDs returns, for each vocabulary index, the term's place in the
+// sorted vocabulary — its index in a space built afresh from the same
+// schemas, since BuildLite sorts L and Extend appends a new term at the end —
+// or nil when Vocab is sorted and every index is its own.
+func (sp *Space) SortedIDs() []int32 {
+	if slices.IsSorted(sp.Vocab) {
+		return nil
+	}
+	sorted := slices.Clone(sp.Vocab)
+	slices.Sort(sorted)
+	ids := make([]int32, len(sp.Vocab))
+	for j, t := range sp.Vocab {
+		place, _ := slices.BinarySearch(sorted, t)
+		ids[j] = int32(place)
+	}
+	return ids
+}
+
 // Row returns, ascending in j, every schema j > from other than i whose
 // feature vector shares a set bit with schema i's, with s_sim(S_i, S_j) beside
 // it. Every schema it leaves out has similarity exactly 0 to S_i in either

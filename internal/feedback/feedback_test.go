@@ -1,6 +1,7 @@
 package feedback
 
 import (
+	"context"
 	"math"
 	"runtime"
 	"slices"
@@ -26,6 +27,9 @@ func testSet() schema.Set {
 		{Name: "odd1", Attributes: []string{"telescope aperture", "seismograph reading"}},
 	}
 }
+
+// exact is the pair filter of an exact build: every positive pair.
+func exact(context.Context, *feature.Space) (func(a, b int) bool, error) { return nil, nil }
 
 func buildModel(t *testing.T, set schema.Set) *core.Model {
 	t.Helper()
@@ -56,7 +60,7 @@ func TestMoveSchema(t *testing.T) {
 	if s.Pending() != 1 {
 		t.Fatalf("Pending = %d", s.Pending())
 	}
-	res, err := s.Apply()
+	res, err := s.Apply(exact)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +91,7 @@ func TestMergeDomains(t *testing.T) {
 	if err := s.MergeDomains(bibDomain, carDomain); err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Apply()
+	res, err := s.Apply(exact)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +116,7 @@ func TestSplitSchema(t *testing.T) {
 	if err := s.SplitSchema(2); err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Apply()
+	res, err := s.Apply(exact)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +164,7 @@ func TestMoveThenSplitLastWins(t *testing.T) {
 	if s.Pending() != 1 {
 		t.Fatalf("Pending = %d, want 1 (split replaced move)", s.Pending())
 	}
-	res, err := s.Apply()
+	res, err := s.Apply(exact)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +179,7 @@ func TestAddSchemaJoinsSimilarDomain(t *testing.T) {
 	newModel, domain, err := AddSchema(m, schema.Schema{
 		Name:       "bib4",
 		Attributes: []string{"title", "authors", "publication year", "publisher"},
-	})
+	}, exact)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +203,7 @@ func TestAddSchemaDissimilarBecomesSingleton(t *testing.T) {
 	newModel, domain, err := AddSchema(m, schema.Schema{
 		Name:       "weird",
 		Attributes: []string{"glacier thickness", "beekeeping yield"},
-	})
+	}, exact)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +218,7 @@ func TestAddSchemaDissimilarBecomesSingleton(t *testing.T) {
 
 func TestAddSchemaValidates(t *testing.T) {
 	m := buildModel(t, testSet())
-	if _, _, err := AddSchema(m, schema.Schema{Name: "empty"}); err == nil {
+	if _, _, err := AddSchema(m, schema.Schema{Name: "empty"}, exact); err == nil {
 		t.Fatal("invalid schema accepted")
 	}
 }
@@ -336,7 +340,7 @@ func TestAddSchemaPreservesDomainIDs(t *testing.T) {
 		{Name: "weird-new", Attributes: []string{"glacier thickness", "beekeeping yield"}},
 	}
 	for _, s := range arrivals {
-		newModel, domain, err := AddSchema(m, s)
+		newModel, domain, err := AddSchema(m, s, exact)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -370,7 +374,7 @@ func TestAddSchemaGrowsTheSpaceByExtend(t *testing.T) {
 	}
 	for _, s := range arrivals {
 		want, newIdx := m.Space.Extend(s)
-		grown, _, err := AddSchema(m, s)
+		grown, _, err := AddSchema(m, s, exact)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -415,7 +419,7 @@ func TestServingPathAllocatesPerClusterNotPerPair(t *testing.T) {
 	}
 	const limit = 16 << 20
 	if got := allocated(func() {
-		if _, _, err := AddSchema(m, schema.Schema{Name: "late", Attributes: set[0].Attributes}); err != nil {
+		if _, _, err := AddSchema(m, schema.Schema{Name: "late", Attributes: set[0].Attributes}, exact); err != nil {
 			t.Fatal(err)
 		}
 	}); got > limit {
@@ -426,7 +430,7 @@ func TestServingPathAllocatesPerClusterNotPerPair(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := allocated(func() {
-		if _, err := s.Apply(); err != nil {
+		if _, err := s.Apply(exact); err != nil {
 			t.Fatal(err)
 		}
 	}); got > limit {

@@ -1,6 +1,7 @@
 package ingest_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -61,6 +62,10 @@ func propSchema(rng *rand.Rand, name string, word func(*rand.Rand) string) schem
 	return s
 }
 
+// exactFilter is the pair filter of an exact build, whose graph AddSchema
+// grows the model over: every positive pair.
+func exactFilter(context.Context, *feature.Space) (func(a, b int) bool, error) { return nil, nil }
+
 // randomModel is a random clustering (not Algorithm 2's: the comparison must
 // hold for any) over a random corpus, grown by 0–3 AddSchemas so the space
 // the arrivals extend is itself an Extend product with appended vocabulary.
@@ -93,7 +98,7 @@ func randomModel(t *testing.T, rng *rand.Rand, cfg feature.Config) *core.Model {
 		if rng.Intn(2) == 0 {
 			word = novelWord
 		}
-		m, _, err = feedback.AddSchema(m, propSchema(rng, fmt.Sprintf("grown%d", grow), word))
+		m, _, err = feedback.AddSchema(m, propSchema(rng, fmt.Sprintf("grown%d", grow), word), exactFilter)
 		if err != nil {
 			t.Fatal(err)
 		}

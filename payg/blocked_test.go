@@ -13,14 +13,21 @@ import (
 	"schemaflow/internal/core"
 	"schemaflow/internal/dataset"
 	"schemaflow/internal/eval"
+	"schemaflow/internal/feature"
 )
 
 func assignOf(s *System) []int {
 	return s.Model().Clustering.Assign
 }
 
-// TestAutoSwitch pins the CandidateGen="auto" decision boundary.
+// TestAutoSwitch pins the CandidateGen="auto" decision boundary: pairFilter
+// blocks a space of blockedAutoMin schemas and not one of a schema fewer.
 func TestAutoSwitch(t *testing.T) {
+	full := dataset.Large(dataset.LargeConfig{N: blockedAutoMin, Seed: 1})
+	spaces := map[int]*feature.Space{}
+	for _, n := range []int{100, blockedAutoMin - 1, blockedAutoMin} {
+		spaces[n] = feature.BuildLite(full[:n], feature.DefaultConfig())
+	}
 	for _, tc := range []struct {
 		gen     string
 		n       int
@@ -32,16 +39,16 @@ func TestAutoSwitch(t *testing.T) {
 		{"lsh", 100, true},
 	} {
 		o := Options{CandidateGen: tc.gen}.withDefaults()
-		got, err := o.useBlockedPath(tc.n)
+		keep, err := o.pairFilter(context.Background(), spaces[tc.n])
 		if err != nil {
 			t.Fatalf("%+v: %v", tc, err)
 		}
-		if got != tc.blocked {
+		if got := keep != nil; got != tc.blocked {
 			t.Errorf("gen=%s n=%d: blocked=%v, want %v", tc.gen, tc.n, got, tc.blocked)
 		}
 	}
 	o := Options{CandidateGen: "bogus"}.withDefaults()
-	if _, err := o.useBlockedPath(10); err == nil {
+	if _, err := o.pairFilter(context.Background(), spaces[100]); err == nil {
 		t.Error("unknown candidate generator accepted")
 	}
 }

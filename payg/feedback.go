@@ -39,7 +39,9 @@ type FeedbackResult struct {
 }
 
 // ApplyFeedback rebuilds the system with the corrections applied. Corrected
-// schemas are pinned to their domains with probability 1.
+// schemas are pinned to their domains with probability 1. Memberships are
+// recomputed over the pair graph Build chose for this space (pairFilter), so
+// a schema no correction touches keeps them to the bit.
 func (s *System) ApplyFeedback(fb Feedback) (*FeedbackResult, error) {
 	sess := feedback.NewSession(s.model)
 	for _, mv := range fb.Moves {
@@ -57,7 +59,7 @@ func (s *System) ApplyFeedback(fb Feedback) (*FeedbackResult, error) {
 			return nil, err
 		}
 	}
-	res, err := sess.Apply()
+	res, err := sess.Apply(s.opts.pairFilter)
 	if err != nil {
 		return nil, err
 	}
@@ -71,10 +73,12 @@ func (s *System) ApplyFeedback(fb Feedback) (*FeedbackResult, error) {
 // AddSchema integrates one new source incrementally: the schema joins its
 // most similar existing domain (or a fresh singleton), existing domains are
 // untouched — the serving feature space is extended copy-on-write rather
-// than rebuilt — and the classifier and mediation are rebuilt over the
-// extended corpus. It returns the new system and the new schema's domain id.
+// than rebuilt — memberships are recomputed over the pair graph Build would
+// choose for the extended space (pairFilter), and the classifier and
+// mediation are rebuilt over the extended corpus. It returns the new system
+// and the new schema's domain id.
 func (s *System) AddSchema(sch Schema) (*System, int, error) {
-	model, domain, err := feedback.AddSchema(s.model, sch)
+	model, domain, err := feedback.AddSchema(s.model, sch, s.opts.pairFilter)
 	if err != nil {
 		return nil, 0, err
 	}

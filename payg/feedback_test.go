@@ -1,9 +1,89 @@
 package payg
 
 import (
+	"bytes"
+	"slices"
 	"strings"
 	"testing"
+
+	"schemaflow/internal/dataset"
 )
+
+// TestEmptyFeedbackChangesNothing: a feedback batch with no corrections
+// reruns Algorithm 3 over the clustering it was given, and must give every
+// schema the memberships it had, bit for bit — on an exact build, on a
+// blocked one (whose Algorithm 3 read only the pairs the bands kept), on that
+// blocked system after a save and load (a snapshot holds no pair graph),
+// after an AddSchema, and after an AddSchema then a save and load: the
+// arrival brings a term the corpus lacks, which Extend appends to the
+// vocabulary and the load sorts into it. A correction then moves only what
+// it corrects.
+func TestEmptyFeedbackChangesNothing(t *testing.T) {
+	set := dataset.Large(dataset.LargeConfig{N: 1000, Domains: 20, Seed: 1})
+	arrival := dataset.Large(dataset.LargeConfig{N: 1, Domains: 20, Seed: 2})[0]
+	arrival.Name = "arrival"
+	arrival.Attributes = append(arrival.Attributes, "zeppelin hangar")
+	lsh := Options{SkipMediation: true, CandidateGen: "lsh"}
+	reload := func(t *testing.T, sys *System) *System {
+		var buf bytes.Buffer
+		if err := sys.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := Load(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return loaded
+	}
+	grow := func(t *testing.T) *System {
+		sys, _, err := mustBuild(t, set, lsh).AddSchema(arrival)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	for _, tc := range []struct {
+		name  string
+		build func(t *testing.T) *System
+	}{
+		{"exact", func(t *testing.T) *System {
+			return mustBuild(t, set, Options{SkipMediation: true, CandidateGen: "exact"})
+		}},
+		{"lsh", func(t *testing.T) *System { return mustBuild(t, set, lsh) }},
+		{"lsh after save and load", func(t *testing.T) *System { return reload(t, mustBuild(t, set, lsh)) }},
+		{"lsh after AddSchema", grow},
+		{"lsh after AddSchema, then save and load", func(t *testing.T) *System { return reload(t, grow(t)) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys := tc.build(t)
+			res, err := sys.ApplyFeedback(Feedback{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			before, after := sys.Model(), res.System.Model()
+			moved := 0
+			for i := range sys.Schemas() {
+				if !slices.Equal(before.DomainsOf(i), after.DomainsOf(i)) {
+					if moved++; moved <= 3 {
+						t.Errorf("schema %d: %v before the feedback, %v after", i, before.DomainsOf(i), after.DomainsOf(i))
+					}
+				}
+			}
+			if moved > 0 {
+				t.Errorf("an empty feedback changed the memberships of %d of %d schemas", moved, len(sys.Schemas()))
+			}
+		})
+	}
+}
+
+func mustBuild(t *testing.T, set []Schema, opts Options) *System {
+	t.Helper()
+	sys, err := Build(set, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}
 
 func TestApplyFeedbackMove(t *testing.T) {
 	sys := build(t, Options{})

@@ -99,13 +99,13 @@ var (
 		"mode")
 	mBuildCandidatePairs = obs.Default().Gauge(
 		"schemaflow_build_candidate_pairs",
-		"Candidate pairs the LSH blocking stage emitted in the most recent blocked build.")
+		"Positive-similarity pairs the band filter examined in the most recent blocked build, before Collide decided which to keep.")
 	mBuildCandidateFraction = obs.Default().Gauge(
 		"schemaflow_build_candidate_fraction",
-		"Candidate pairs as a fraction of all n(n-1)/2 pairs in the most recent blocked build — the work the blocking stage saved.")
+		"schemaflow_build_candidate_pairs as a fraction of all n(n-1)/2 pairs in the most recent blocked build: the positive share of the corpus, the work the pairwise phase cannot skip.")
 	mBuildStoredPairs = obs.Default().Gauge(
 		"schemaflow_build_stored_pairs",
-		"Candidate pairs the exact verification kept (positive similarity) in the most recent blocked build; the rest of schemaflow_build_candidate_pairs found nothing.")
+		"Positive-similarity pairs the most recent build stored: the pair graph Algorithms 2 and 3 both read (on a blocked build, the ones the bands kept).")
 	mBuildHACWorkers = obs.Default().Gauge(
 		"schemaflow_build_hac_workers",
 		"Worker goroutines available to the most recent build's clustering: Algorithm 2 runs one independent component per worker.")

@@ -55,8 +55,6 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"schemaflow/internal/candgen"
@@ -66,6 +64,7 @@ import (
 	"schemaflow/internal/engine"
 	"schemaflow/internal/feature"
 	"schemaflow/internal/mediate"
+	"schemaflow/internal/par"
 	"schemaflow/internal/schema"
 	"schemaflow/internal/strsim"
 	"schemaflow/internal/terms"
@@ -209,21 +208,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// useBlockedPath decides, after withDefaults, whether a build of n schemas
-// clusters over LSH candidates instead of every pair.
-func (o Options) useBlockedPath(n int) (bool, error) {
-	switch o.CandidateGen {
-	case "exact":
-		return false, nil
-	case "lsh":
-		return true, nil
-	case "auto":
-		return n >= blockedAutoMin, nil
-	default:
-		return false, fmt.Errorf("payg: unknown candidate generator %q (want auto, exact, or lsh)", o.CandidateGen)
-	}
-}
-
 func (o Options) termSim() (strsim.TermSim, error) {
 	switch o.TermSimilarity {
 	case "lcs":
@@ -307,19 +291,7 @@ func BuildContext(ctx context.Context, schemas []Schema, opts Options) (*System,
 	if err != nil {
 		return nil, err
 	}
-
-	blocked, err := opts.useBlockedPath(len(set))
-	if err != nil {
-		return nil, err
-	}
-
-	// Each pipeline phase reports its wall-clock cost to the metrics
-	// registry, so an operator can compare full-rebuild phases against the
-	// incremental ingest path from the same /metrics scrape.
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	model, err := buildModel(ctx, set, fcfg, method, opts, blocked)
+	model, err := buildModel(ctx, set, fcfg, method, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -394,33 +366,27 @@ func (o Options) featureConfig() (feature.Config, error) {
 	return cfg, nil
 }
 
-// buildModel is the clustering pipeline: feature space → pair similarities →
+// buildModel is the clustering pipeline: feature space → pair graph (the
+// positive pairs of the space's inverted index that pairFilter keeps) →
 // agglomerative clustering (Algorithm 2) → probabilistic domains
-// (Algorithm 3), both algorithms reading the one pair set. Its only branch is
-// which positive pairs of the space's inverted index the set keeps: the exact
-// build keeps every one; the blocked build, for large corpora, keeps those
-// whose MinHash-LSH band keys agree in some band — the LSH candidates with a
-// positive similarity. Every stage honors ctx.
-func buildModel(ctx context.Context, set schema.Set, fcfg feature.Config, method cluster.Method, opts Options, blocked bool) (*core.Model, error) {
+// (Algorithm 3), both algorithms reading the one graph. Every stage honors
+// ctx.
+func buildModel(ctx context.Context, set schema.Set, fcfg feature.Config, method cluster.Method, opts Options) (*core.Model, error) {
 	t := time.Now()
 	sp, err := feature.BuildContext(ctx, set, fcfg)
 	if err != nil {
 		return nil, err
 	}
 	mBuildPhase.With("features").Observe(time.Since(t).Seconds())
-	var keep func(a, b int) bool
+	t = time.Now()
+	keep, err := opts.pairFilter(ctx, sp)
+	if err != nil {
+		return nil, err
+	}
+	blocked := keep != nil
 	if blocked {
 		mBuildMode.With("blocked").Inc()
-		// MinHash-LSH runs over the binary feature vectors (in term-frequency
-		// mode those are the binary projection, positive exactly where the
-		// counts are).
-		t = time.Now()
-		ss, err := candgen.Signatures(ctx, sp.Vectors, candgen.Config{Bands: lshBands, Rows: lshRows})
-		if err != nil {
-			return nil, fmt.Errorf("payg: candidate generation: %w", err)
-		}
 		mBuildPhase.With("candidates").Observe(time.Since(t).Seconds())
-		keep = ss.Collide
 	} else {
 		mBuildMode.With("exact").Inc()
 	}
@@ -460,6 +426,39 @@ func buildModel(ctx context.Context, set schema.Set, fcfg feature.Config, method
 	return model, nil
 }
 
+// pairFilter is the one place the pair graph is chosen: keep says which
+// positive pairs of sp's inverted index (cluster.CompletePairSims)
+// Algorithms 2 and 3 read. "exact" keeps every one (keep nil, the exact
+// build); "lsh" those whose MinHash-LSH band keys agree in some band (the
+// blocked build); "auto" is exact below blockedAutoMin schemas. Build,
+// ApplyFeedback and AddSchema all call it on their model's space, so a
+// correction reads the build's graph. It is recomputed rather than kept on
+// the System, which a snapshot could not restore; MinHash hashes each term
+// as its place in the sorted vocabulary (feature.Space.SortedIDs), so a
+// space AddSchema grew and the one Load rebuilds from the same schemas get
+// the same graph.
+func (o Options) pairFilter(ctx context.Context, sp *feature.Space) (keep func(a, b int) bool, err error) {
+	switch o.CandidateGen {
+	case "exact":
+		return nil, nil
+	case "lsh":
+	case "auto":
+		if sp.NumSchemas() < blockedAutoMin {
+			return nil, nil
+		}
+	default:
+		return nil, fmt.Errorf("payg: unknown candidate generator %q (want auto, exact, or lsh)", o.CandidateGen)
+	}
+	// MinHash-LSH runs over the binary feature vectors (in term-frequency
+	// mode those are the binary projection, positive exactly where the
+	// counts are).
+	ss, err := candgen.Signatures(ctx, sp.Vectors, candgen.Config{Bands: lshBands, Rows: lshRows, IDs: sp.SortedIDs()})
+	if err != nil {
+		return nil, fmt.Errorf("payg: candidate generation: %w", err)
+	}
+	return ss.Collide, nil
+}
+
 func (s *System) buildMediation(ctx context.Context) error {
 	start := time.Now()
 	defer func() { mBuildPhase.With("mediation").Observe(time.Since(start).Seconds()) }()
@@ -470,30 +469,13 @@ func (s *System) buildMediation(ctx context.Context) error {
 	mopts.FreqThreshold = s.opts.MediationFreqThreshold
 
 	// Domains are independent, and their sizes are skewed — most hold a few
-	// schemas, a few hold dozens — so workers claim one index at a time from
-	// a shared counter instead of owning a fixed range. Results and errors
-	// land by domain index: the worker count cannot change a byte.
+	// schemas, a few hold dozens — so they fan out over par.Each, which
+	// claims one index at a time. Results and errors land by domain index:
+	// the worker count cannot change a byte.
 	n := s.model.NumDomains()
 	s.mediated = make([]*mediate.Mediated, n)
 	errs := make([]error, n)
-	var claimed atomic.Int64
-	var wg sync.WaitGroup
-	for w := min(runtime.GOMAXPROCS(0), n); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				r := int(claimed.Add(1)) - 1
-				if r >= n {
-					return
-				}
-				if errs[r] = s.mediateDomain(ctx, r, mopts); errs[r] != nil {
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
+	par.Each(n, func(r int) { errs[r] = s.mediateDomain(ctx, r, mopts) })
 	for _, err := range errs {
 		if err != nil {
 			return err // the first by domain index, whichever worker met it
