@@ -55,10 +55,9 @@
 // Usage:
 //
 //	payg-server -in schemas.txt [-addr :8080] [-tau 0.25] [-tuples 20]
-//	            [-source-timeout 2s] [-retries 2]
 //	            [-drift-threshold 0.5] [-rebuild-interval 0] [-pprof]
 //	            [-data-dir /var/lib/payg] [-fsync always|interval|none]
-//	            [-checkpoint-retain 3] [-flake 'air1:down=2s+3s']
+//	            [-flake 'air1:down=2s+3s']
 //	payg-server -follow http://leader:8080 [-addr :8081] [-poll-interval 2s]
 //
 //	curl 'localhost:8080/classify?q=departure+toronto'
@@ -94,25 +93,22 @@ import (
 )
 
 type options struct {
-	in, addr         string
-	tau              float64
-	candGen          string
-	tuples           int
-	sourceTimeout    time.Duration
-	retries          int
-	driftThreshold   float64
-	rebuildInterval  time.Duration
-	pprofOn          bool
-	queryCache       int
-	dataDir          string
-	fsync            string
-	checkpointRetain int
-	follow           string
-	pollInterval     time.Duration
-	route            string
-	shardSplit       int
-	shardOut         string
-	flakes           []flakeSpec
+	in, addr        string
+	tau             float64
+	candGen         string
+	tuples          int
+	driftThreshold  float64
+	rebuildInterval time.Duration
+	pprofOn         bool
+	queryCache      int
+	dataDir         string
+	fsync           string
+	follow          string
+	pollInterval    time.Duration
+	route           string
+	shardSplit      int
+	shardOut        string
+	flakes          []flakeSpec
 }
 
 func main() {
@@ -122,15 +118,12 @@ func main() {
 	flag.Float64Var(&o.tau, "tau", 0.25, "clustering threshold tau_c_sim")
 	flag.StringVar(&o.candGen, "candgen", "auto", "clustering candidate generation: auto, exact, or lsh (sub-quadratic blocked build)")
 	flag.IntVar(&o.tuples, "tuples", 20, "synthetic tuples per source for /query (0 disables data)")
-	flag.DurationVar(&o.sourceTimeout, "source-timeout", 2*time.Second, "per-attempt timeout for each data-source fetch")
-	flag.IntVar(&o.retries, "retries", 2, "retries per data-source fetch after the first failure")
 	flag.Float64Var(&o.driftThreshold, "drift-threshold", 0.5, "fraction of recent unassignable arrivals that triggers a background recluster (negative disables)")
 	flag.DurationVar(&o.rebuildInterval, "rebuild-interval", 0, "periodically recluster while ingested schemas are pending (0 disables)")
 	flag.BoolVar(&o.pprofOn, "pprof", false, "mount net/http/pprof under /debug/pprof/")
 	flag.IntVar(&o.queryCache, "query-cache", 0, "max cached classification results (0 = default 1024, negative disables)")
 	flag.StringVar(&o.dataDir, "data-dir", "", "durability directory (WAL + checkpoints); restart with the same dir to recover")
 	flag.StringVar(&o.fsync, "fsync", "always", "WAL fsync policy: always, interval, or none")
-	flag.IntVar(&o.checkpointRetain, "checkpoint-retain", 3, "checkpoints to keep in -data-dir (min 1)")
 	flag.StringVar(&o.follow, "follow", "", "leader base URL; run as a read-only snapshot-shipping follower")
 	flag.DurationVar(&o.pollInterval, "poll-interval", 2*time.Second, "follower poll period against the leader")
 	flag.StringVar(&o.route, "route", "", "comma-separated shard base URLs; run as a scatter-gather router (-data-dir holds the unroutable-arrival journal)")
@@ -218,7 +211,8 @@ func run(logger *slog.Logger, o options) error {
 
 // buildApp picks the startup path: scatter-gather router, follower
 // replica, recovery from an initialized data dir (shard or single-node),
-// or a fresh build from the schema file.
+// or a fresh build from the schema file. Every path that hosts a manager
+// starts from the one managerOptions value.
 func buildApp(logger *slog.Logger, o options) (*app, error) {
 	if o.route != "" {
 		if o.follow != "" {
@@ -226,27 +220,13 @@ func buildApp(logger *slog.Logger, o options) (*app, error) {
 		}
 		return buildRouter(logger, o)
 	}
+	opts := managerOptions(logger, o)
 	if o.follow != "" {
 		if o.dataDir != "" {
 			return nil, errors.New("-follow and -data-dir are mutually exclusive: durability lives on the leader")
 		}
-		return buildFollower(logger, o)
+		return buildFollower(logger, o, opts)
 	}
-
-	cfg := server.Config{
-		DriftThreshold:   o.driftThreshold,
-		RebuildInterval:  o.rebuildInterval,
-		Logger:           logger,
-		EnablePprof:      o.pprofOn,
-		QueryCacheSize:   o.queryCache,
-		DataDir:          o.dataDir,
-		FsyncMode:        o.fsync,
-		CheckpointRetain: o.checkpointRetain,
-	}
-	policy := payg.DefaultPolicy()
-	policy.Timeout = o.sourceTimeout
-	policy.MaxRetries = o.retries
-	cfg.Policy = policy
 
 	if o.dataDir != "" {
 		// A shard.json manifest marks the dir as one slice of a sharded
@@ -263,10 +243,10 @@ func buildApp(logger *slog.Logger, o options) (*app, error) {
 			if !ok {
 				return nil, fmt.Errorf("%s has a shard manifest but no checkpoint; re-run -shard-split", o.dataDir)
 			}
-			return recoverServer(logger, o, cfg, &man)
+			return recoverServer(logger, o, opts, &man)
 		}
 		if ok {
-			return recoverServer(logger, o, cfg, nil)
+			return recoverServer(logger, o, opts, nil)
 		}
 	}
 
@@ -292,13 +272,14 @@ func buildApp(logger *slog.Logger, o options) (*app, error) {
 		slog.Int("schemas", sys.NumSchemas()),
 		slog.Duration("took", startupPhase("build", start).Round(time.Millisecond)))
 
-	if o.tuples > 0 {
+	var sources []payg.TupleSource
+	if opts.ServeData {
 		// Sources are independent and land by index, so they are made on
 		// every core; makeSource only reads o and logs.
 		start = time.Now()
-		cfg.Sources = make([]payg.TupleSource, len(set))
+		sources = make([]payg.TupleSource, len(set))
 		par.Each(len(set), func(i int) {
-			cfg.Sources[i] = makeSource(logger, o, set[i])
+			sources[i] = opts.MakeSource(set[i])
 		})
 		logger.Info("attached synthetic data",
 			slog.Int("tuples_per_source", o.tuples),
@@ -306,12 +287,34 @@ func buildApp(logger *slog.Logger, o options) (*app, error) {
 	}
 
 	start = time.Now()
-	handler, err := server.NewWithConfig(sys, cfg)
+	mgr, err := payg.NewManager(sys, sources, opts)
 	if err != nil {
 		return nil, err
 	}
+	handler := server.NewWithManager(mgr, server.Config{Logger: logger, EnablePprof: o.pprofOn})
 	startupPhase("serve", start)
 	return &app{handler: handler, close: handler.Close}, nil
+}
+
+// managerOptions is this node's one manager configuration: a fresh boot
+// uses it as is, recovery adds what a shard needs, and a follower turns
+// interval rebuilds off. Arrivals get their synthetic rows from the same
+// makeSource the boot and recovery paths use.
+func managerOptions(logger *slog.Logger, o options) payg.ManagerOptions {
+	return payg.ManagerOptions{
+		DriftThreshold:  o.driftThreshold,
+		RebuildInterval: o.rebuildInterval,
+		QueryCacheSize:  o.queryCache,
+		DataDir:         o.dataDir,
+		FsyncMode:       o.fsync,
+		ServeData:       o.tuples > 0,
+		MakeSource: func(sch payg.Schema) payg.TupleSource {
+			return makeSource(logger, o, sch)
+		},
+		Logf: func(format string, args ...any) {
+			logger.Info(fmt.Sprintf(format, args...))
+		},
+	}
 }
 
 // startupPhase records how long one phase of this process's start took, in
@@ -388,25 +391,9 @@ func runSplit(logger *slog.Logger, o options) error {
 // sharded topology: the recovered system is re-pruned to the manifest's
 // slice of the hash ring after every rebuild, and local drift/interval
 // reclusters are disabled (a recluster is a topology-wide operation).
-func recoverServer(logger *slog.Logger, o options, cfg server.Config, man *shard.Manifest) (*app, error) {
+func recoverServer(logger *slog.Logger, o options, opts payg.ManagerOptions, man *shard.Manifest) (*app, error) {
 	if o.in != "" {
 		logger.Warn("ignoring -in: recovering state from -data-dir", slog.String("data_dir", o.dataDir))
-	}
-	opts := payg.ManagerOptions{
-		Policy:           cfg.Policy,
-		DriftThreshold:   o.driftThreshold,
-		RebuildInterval:  o.rebuildInterval,
-		QueryCacheSize:   o.queryCache,
-		DataDir:          o.dataDir,
-		FsyncMode:        o.fsync,
-		CheckpointRetain: o.checkpointRetain,
-		ServeData:        o.tuples > 0,
-		MakeSource: func(sch payg.Schema) payg.TupleSource {
-			return makeSource(logger, o, sch)
-		},
-		Logf: func(format string, args ...any) {
-			logger.Info(fmt.Sprintf(format, args...))
-		},
 	}
 	if man != nil {
 		opts.DriftThreshold = -1
@@ -435,26 +422,23 @@ func recoverServer(logger *slog.Logger, o options, cfg server.Config, man *shard
 			slog.Int("local_domains", mgr.System().NumLocalDomains()))
 	}
 	start = time.Now()
-	handler := server.NewWithManager(mgr, cfg)
+	handler := server.NewWithManager(mgr, server.Config{Logger: logger, EnablePprof: o.pprofOn})
 	startupPhase("serve", start)
 	return &app{handler: handler, close: handler.Close}, nil
 }
 
 // buildFollower bootstraps a read-only replica from the leader's current
-// snapshot and returns the poll loop that keeps it converged.
-func buildFollower(logger *slog.Logger, o options) (*app, error) {
+// snapshot and returns the poll loop that keeps it converged. State arrives
+// only by snapshot, so the replica starts no interval rebuild of its own.
+func buildFollower(logger *slog.Logger, o options, opts payg.ManagerOptions) (*app, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	snap, gen, err := server.FetchSnapshot(ctx, nil, o.follow)
 	if err != nil {
 		return nil, fmt.Errorf("bootstrapping from leader %s: %w", o.follow, err)
 	}
-	mgr, err := payg.LoadManagerAt(bytes.NewReader(snap), gen, nil, payg.ManagerOptions{
-		QueryCacheSize: o.queryCache,
-		Logf: func(format string, args ...any) {
-			logger.Info(fmt.Sprintf(format, args...))
-		},
-	})
+	opts.RebuildInterval = 0
+	mgr, err := payg.LoadManagerAt(bytes.NewReader(snap), gen, nil, opts)
 	if err != nil {
 		return nil, fmt.Errorf("loading leader snapshot: %w", err)
 	}

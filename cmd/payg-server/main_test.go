@@ -11,8 +11,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
-	"time"
 
 	"schemaflow/payg"
 )
@@ -55,8 +55,10 @@ func queryEveryDomain(t *testing.T, h http.Handler) []string {
 
 // TestSourceRowsSurviveRecovery: a source's rows are a function of the source
 // alone, so a node restarted from its own -data-dir answers /query with the
-// bytes the node that booted from -in served. (Boot used to seed a source by
-// its corpus index and recovery by the length of its name.)
+// bytes the node that booted from -in served — an arrival a recluster folded
+// in included. (Boot used to seed a source by its corpus index and recovery
+// by the length of its name, and a node booted from -in gave arrivals no
+// rows until it restarted.)
 func TestSourceRowsSurviveRecovery(t *testing.T) {
 	dir := t.TempDir()
 	in := filepath.Join(dir, "schemas.txt")
@@ -71,16 +73,28 @@ func TestSourceRowsSurviveRecovery(t *testing.T) {
 	}
 	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
 	o := options{
-		in: in, tau: 0.25, candGen: "auto", tuples: 5,
-		sourceTimeout: 2 * time.Second, driftThreshold: -1,
-		dataDir: filepath.Join(dir, "data"), fsync: "none", checkpointRetain: 3,
+		in: in, tau: 0.25, candGen: "auto", tuples: 5, driftThreshold: -1,
+		dataDir: filepath.Join(dir, "data"), fsync: "none",
 	}
 
 	booted, err := buildApp(logger, o)
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, req := range []struct{ path, body string }{
+		{"/schemas", `{"name":"air4","attributes":["departure","destination","airline"]}`},
+		{"/admin/recluster", ""},
+	} {
+		rec := httptest.NewRecorder()
+		booted.handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, req.path, strings.NewReader(req.body)))
+		if rec.Code/100 != 2 {
+			t.Fatalf("POST %s: status %d: %s", req.path, rec.Code, rec.Body)
+		}
+	}
 	want := queryEveryDomain(t, booted.handler)
+	if !strings.Contains(strings.Join(want, ""), `"air4"`) {
+		t.Errorf("no tuple has the reclustered arrival air4 among its sources: %q", want)
+	}
 	booted.close()
 
 	if ok, err := payg.HasCheckpoint(o.dataDir); err != nil || !ok {

@@ -27,6 +27,10 @@ import (
 // request names no top.
 const DefaultTop = 3
 
+// MaxBodyBytes caps every POST body the node, its shard endpoints and the
+// router read, and every shard response the router reads back.
+const MaxBodyBytes = 1 << 20
+
 // MaxBatchQueries caps one /classify/batch request; wider workloads should
 // shard into several requests (the body size cap would bite soon anyway).
 const MaxBatchQueries = 1024
@@ -89,11 +93,11 @@ func ParseClassify(r *http.Request) (q string, top int, err error) {
 	return q, top, nil
 }
 
-// DecodeBatch decodes and validates a batch classify body capped at
-// maxBytes. The returned request's Top is resolved (never 0).
-func DecodeBatch(w http.ResponseWriter, r *http.Request, maxBytes int64) (BatchRequest, error) {
+// DecodeBatch decodes and validates a batch classify body. The returned
+// request's Top is resolved (never 0).
+func DecodeBatch(w http.ResponseWriter, r *http.Request) (BatchRequest, error) {
 	var req BatchRequest
-	if err := DecodeStrict(w, r, maxBytes, &req); err != nil {
+	if err := DecodeStrict(w, r, &req); err != nil {
 		return req, err
 	}
 	if len(req.Queries) == 0 {
@@ -116,11 +120,10 @@ func DecodeBatch(w http.ResponseWriter, r *http.Request, maxBytes int64) (BatchR
 	return req, nil
 }
 
-// DecodeSchema decodes and validates an arriving-schema body capped at
-// maxBytes.
-func DecodeSchema(w http.ResponseWriter, r *http.Request, maxBytes int64) (SchemaRequest, error) {
+// DecodeSchema decodes and validates an arriving-schema body.
+func DecodeSchema(w http.ResponseWriter, r *http.Request) (SchemaRequest, error) {
 	var req SchemaRequest
-	if err := DecodeStrict(w, r, maxBytes, &req); err != nil {
+	if err := DecodeStrict(w, r, &req); err != nil {
 		return req, err
 	}
 	if req.Name == "" {
@@ -132,10 +135,10 @@ func DecodeSchema(w http.ResponseWriter, r *http.Request, maxBytes int64) (Schem
 	return req, nil
 }
 
-// DecodeStrict decodes a JSON body capped at maxBytes into v, rejecting
+// DecodeStrict decodes a JSON body capped at MaxBodyBytes into v, rejecting
 // unknown fields and trailing garbage.
-func DecodeStrict(w http.ResponseWriter, r *http.Request, maxBytes int64, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBytes))
+func DecodeStrict(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return BadBody(err)

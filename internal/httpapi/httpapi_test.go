@@ -62,7 +62,7 @@ func TestParseClassify(t *testing.T) {
 
 func TestDecodeBatch(t *testing.T) {
 	decode := func(w http.ResponseWriter, r *http.Request) error {
-		_, err := DecodeBatch(w, r, 1<<20)
+		_, err := DecodeBatch(w, r)
 		return err
 	}
 	wide := `{"queries":[` + strings.Repeat(`"q",`, MaxBatchQueries) + `"q"]}`
@@ -82,7 +82,7 @@ func TestDecodeBatch(t *testing.T) {
 		}
 	}
 	req, err := DecodeBatch(httptest.NewRecorder(),
-		httptest.NewRequest(http.MethodPost, "/classify/batch", strings.NewReader(`{"queries":["a","b"]}`)), 1<<20)
+		httptest.NewRequest(http.MethodPost, "/classify/batch", strings.NewReader(`{"queries":["a","b"]}`)))
 	if err != nil || len(req.Queries) != 2 || req.Top != DefaultTop {
 		t.Fatalf("valid batch: %+v, %v", req, err)
 	}
@@ -90,7 +90,7 @@ func TestDecodeBatch(t *testing.T) {
 
 func TestDecodeSchema(t *testing.T) {
 	decode := func(w http.ResponseWriter, r *http.Request) error {
-		_, err := DecodeSchema(w, r, 64)
+		_, err := DecodeSchema(w, r)
 		return err
 	}
 	for _, tc := range []struct{ name, body, want string }{
@@ -99,7 +99,7 @@ func TestDecodeSchema(t *testing.T) {
 		{"empty attributes", `{"name":"s","attributes":[]}`, "empty attribute list"},
 		{"unknown field", `{"name":"s","attrs":["a"]}`, `bad request body: json: unknown field "attrs"`},
 		{"trailing data", `{"name":"s","attributes":["a"]}x`, "bad request body: trailing data after JSON body"},
-		{"over the body cap", `{"name":"s","attributes":["` + strings.Repeat("x", 64) + `"]}`,
+		{"over the body cap", `{"name":"s","attributes":["` + strings.Repeat("x", MaxBodyBytes) + `"]}`,
 			"bad request body: http: request body too large"},
 	} {
 		code, msg := reject(t, http.MethodPost, "/schemas", tc.body, decode)
@@ -108,7 +108,7 @@ func TestDecodeSchema(t *testing.T) {
 		}
 	}
 	req, err := DecodeSchema(httptest.NewRecorder(),
-		httptest.NewRequest(http.MethodPost, "/schemas", strings.NewReader(`{"name":"s","attributes":["a","b"]}`)), 64)
+		httptest.NewRequest(http.MethodPost, "/schemas", strings.NewReader(`{"name":"s","attributes":["a","b"]}`)))
 	if err != nil || req.Name != "s" || len(req.Attributes) != 2 {
 		t.Fatalf("valid schema: %+v, %v", req, err)
 	}

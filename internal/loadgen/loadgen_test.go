@@ -33,7 +33,7 @@ func testServer(t *testing.T) *httptest.Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sources := make([]payg.Source, len(schemas))
+	sources := make([]payg.TupleSource, len(schemas))
 	for i, s := range schemas {
 		rows := dataset.GenerateTuples(s, 10, int64(i))
 		tuples := make([]payg.Tuple, len(rows))
@@ -42,7 +42,10 @@ func testServer(t *testing.T) *httptest.Server {
 		}
 		sources[i] = payg.Source{Schema: s, Tuples: tuples}
 	}
-	srv := server.New(sys, sources)
+	srv, err := server.NewWithConfig(sys, server.Config{Sources: sources})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() { ts.Close(); srv.Close() })
 	return ts

@@ -17,7 +17,11 @@ func serverFor(t *testing.T, schemas []payg.Schema) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return New(sys, nil)
+	s, err := NewWithConfig(sys, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 // Regression for the follower stale-state stall: a leader that restarts

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"schemaflow/internal/httpapi"
 	"schemaflow/payg"
 )
 
@@ -68,7 +69,10 @@ func TestIngestBoundarySchema(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(sys, nil)
+	s, err := NewWithConfig(sys, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer s.Close()
 
 	code, body := post(t, s, "/schemas",
@@ -120,14 +124,14 @@ func TestIngestOversizedBody(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewWithConfig(sys, Config{MaxBodyBytes: 64})
+	s, err := NewWithConfig(sys, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	big := `{"name":"x","attributes":["` + strings.Repeat("a", 200) + `"]}`
-	if code, body := post(t, s, "/schemas", big); code != http.StatusBadRequest {
-		t.Fatalf("oversized body: code %d (%s), want 400", code, body)
+	big := `{"name":"x","attributes":["` + strings.Repeat("a", httpapi.MaxBodyBytes) + `"]}`
+	if code, body := post(t, s, "/schemas", big); code != http.StatusBadRequest || !strings.Contains(body, "request body too large") {
+		t.Fatalf("oversized body: code %d (%s), want 400 naming the body cap", code, body)
 	}
 }
 

@@ -187,18 +187,17 @@ func TestOversizedBodyRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, err := NewWithConfig(sys, Config{
-		Sources:      []payg.TupleSource{payg.Source{Schema: schemas[0]}, payg.Source{Schema: schemas[1]}},
-		MaxBodyBytes: 64,
+		Sources: []payg.TupleSource{payg.Source{Schema: schemas[0]}, payg.Source{Schema: schemas[1]}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	big := `{"domain":0,"select":["` + strings.Repeat("x", 200) + `"]}`
+	big := `{"domain":0,"select":["` + strings.Repeat("x", httpapi.MaxBodyBytes) + `"]}`
 	req := httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(big))
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, req)
-	if rec.Code != http.StatusBadRequest {
-		t.Fatalf("oversized body: code %d, want 400", rec.Code)
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "request body too large") {
+		t.Fatalf("oversized body: code %d (%s), want 400 naming the body cap", rec.Code, rec.Body)
 	}
 }
 

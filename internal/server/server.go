@@ -78,15 +78,10 @@ type Config struct {
 	// circuit breaker) applied to query fan-out. The zero value selects
 	// payg.DefaultPolicy.
 	Policy payg.Policy
-	// MaxBodyBytes caps POST bodies (default 1 MiB).
-	MaxBodyBytes int64
 	// DriftThreshold is the fresh-arrival fraction that triggers a
 	// background recluster (payg.ManagerOptions.DriftThreshold: 0 means
 	// the default 0.5, negative disables drift-triggered rebuilds).
 	DriftThreshold float64
-	// RebuildInterval, when positive, periodically rebuilds while schemas
-	// are pending.
-	RebuildInterval time.Duration
 	// Logger receives one structured line per request plus server
 	// lifecycle events. Nil selects a JSON handler on stderr.
 	Logger *slog.Logger
@@ -98,17 +93,6 @@ type Config struct {
 	// result cache (payg.ManagerOptions.QueryCacheSize: 0 means the default
 	// 1024, negative disables caching).
 	QueryCacheSize int
-	// DataDir, when set, makes the serving tier durable: accepted
-	// arrivals hit a write-ahead log before their ack, recluster swaps
-	// write atomic checkpoint snapshots, and a restart recovers both
-	// (payg.ManagerOptions.DataDir).
-	DataDir string
-	// FsyncMode is the WAL fsync policy: "always" (default), "interval",
-	// or "none".
-	FsyncMode string
-	// CheckpointRetain is how many rotated checkpoints to keep in DataDir
-	// (0 = default 3).
-	CheckpointRetain int
 	// ReadOnly rejects every state-mutating endpoint (POST /schemas,
 	// /feedback, /admin/recluster) with 403 — the follower serving mode,
 	// where state arrives only by snapshot shipping.
@@ -116,9 +100,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.MaxBodyBytes == 0 {
-		c.MaxBodyBytes = 1 << 20
-	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.NewJSONHandler(os.Stderr, nil))
 	}
@@ -142,37 +123,17 @@ type Server struct {
 	epoch string
 }
 
-// New builds the handler over in-memory sources with the default
-// resilience configuration. sources may be nil (see Config.Sources).
-func New(sys *payg.System, sources []payg.Source) *Server {
-	var fetchers []payg.TupleSource
-	if sources != nil {
-		fetchers = make([]payg.TupleSource, len(sources))
-		for i := range sources {
-			fetchers[i] = sources[i]
-		}
-	}
-	srv, err := NewWithConfig(sys, Config{Sources: fetchers})
-	if err != nil {
-		// Unreachable for in-memory sources aligned by the caller; keep
-		// the historical panic-free signature honest.
-		panic(err)
-	}
-	return srv
-}
-
-// NewWithConfig builds the handler with explicit sources and resilience
-// configuration.
+// NewWithConfig builds a non-durable manager over sys and cfg's sources,
+// policy, drift threshold and cache size, and wires it to the handler. A
+// node that needs more of payg.ManagerOptions (a data dir, interval
+// rebuilds, sources for arrivals) builds its manager itself and calls
+// NewWithManager.
 func NewWithConfig(sys *payg.System, cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	mgr, err := payg.NewManager(sys, cfg.Sources, payg.ManagerOptions{
-		Policy:           cfg.Policy,
-		DriftThreshold:   cfg.DriftThreshold,
-		RebuildInterval:  cfg.RebuildInterval,
-		QueryCacheSize:   cfg.QueryCacheSize,
-		DataDir:          cfg.DataDir,
-		FsyncMode:        cfg.FsyncMode,
-		CheckpointRetain: cfg.CheckpointRetain,
+		Policy:         cfg.Policy,
+		DriftThreshold: cfg.DriftThreshold,
+		QueryCacheSize: cfg.QueryCacheSize,
 		Logf: func(format string, args ...any) {
 			cfg.Logger.Info(fmt.Sprintf(format, args...))
 		},
@@ -183,11 +144,12 @@ func NewWithConfig(sys *payg.System, cfg Config) (*Server, error) {
 	return NewWithManager(mgr, cfg), nil
 }
 
-// NewWithManager wires an already-constructed manager — recovered from a
-// data dir (payg.LoadManagerDir) or bootstrapped for follower mode
-// (payg.LoadManagerAt) — to the HTTP handler. The manager's own
-// durability settings apply; Config fields that would construct a new
-// manager (Sources, DataDir, drift tuning) are ignored.
+// NewWithManager wires an already-constructed manager — built by
+// payg.NewManager, recovered from a data dir (payg.LoadManagerDir) or
+// bootstrapped for follower mode (payg.LoadManagerAt) — to the HTTP
+// handler. The manager's own options apply; the Config fields that would
+// construct a new manager (Sources, Policy, DriftThreshold,
+// QueryCacheSize) are ignored.
 func NewWithManager(mgr *payg.Manager, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{mgr: mgr, cfg: cfg, epoch: newRequestID()}
@@ -316,7 +278,7 @@ func scoresJSON(sys *payg.System, scores []payg.Score) []httpapi.Score {
 }
 
 func (s *Server) handleClassifyBatch(w http.ResponseWriter, r *http.Request) {
-	req, err := httpapi.DecodeBatch(w, r, s.cfg.MaxBodyBytes)
+	req, err := httpapi.DecodeBatch(w, r)
 	if err != nil {
 		httpapi.BadRequest(w, err)
 		return
@@ -389,7 +351,7 @@ type feedbackRequest struct {
 
 func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	var req feedbackRequest
-	if err := httpapi.DecodeStrict(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
+	if err := httpapi.DecodeStrict(w, r, &req); err != nil {
 		httpapi.BadRequest(w, err)
 		return
 	}
@@ -434,7 +396,7 @@ type ingestResponse struct {
 }
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	req, err := httpapi.DecodeSchema(w, r, s.cfg.MaxBodyBytes)
+	req, err := httpapi.DecodeSchema(w, r)
 	if err != nil {
 		httpapi.BadRequest(w, err)
 		return
@@ -576,7 +538,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req queryRequest
-	if err := httpapi.DecodeStrict(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
+	if err := httpapi.DecodeStrict(w, r, &req); err != nil {
 		httpapi.BadRequest(w, err)
 		return
 	}

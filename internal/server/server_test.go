@@ -23,16 +23,20 @@ func testServer(t *testing.T, withData bool) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sources []payg.Source
+	var sources []payg.TupleSource
 	if withData {
-		sources = []payg.Source{
-			{Schema: schemas[0], Tuples: []payg.Tuple{{"YYZ", "CAI", "AirNorth"}}},
-			{Schema: schemas[1], Tuples: []payg.Tuple{{"YYZ", "CAI", "BlueJet"}}},
-			{Schema: schemas[2]},
-			{Schema: schemas[3]},
+		sources = []payg.TupleSource{
+			payg.Source{Schema: schemas[0], Tuples: []payg.Tuple{{"YYZ", "CAI", "AirNorth"}}},
+			payg.Source{Schema: schemas[1], Tuples: []payg.Tuple{{"YYZ", "CAI", "BlueJet"}}},
+			payg.Source{Schema: schemas[2]},
+			payg.Source{Schema: schemas[3]},
 		}
 	}
-	return New(sys, sources)
+	s, err := NewWithConfig(sys, Config{Sources: sources})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 func get(t *testing.T, s *Server, path string) (int, string) {

@@ -47,7 +47,7 @@ func (s *Server) handleShardClassify(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleShardClassifyBatch(w http.ResponseWriter, r *http.Request) {
-	req, err := httpapi.DecodeBatch(w, r, s.cfg.MaxBodyBytes)
+	req, err := httpapi.DecodeBatch(w, r)
 	if err != nil {
 		httpapi.BadRequest(w, err)
 		return
@@ -67,7 +67,7 @@ func (s *Server) handleShardClassifyBatch(w http.ResponseWriter, r *http.Request
 }
 
 func (s *Server) handleShardAssign(w http.ResponseWriter, r *http.Request) {
-	req, err := httpapi.DecodeSchema(w, r, s.cfg.MaxBodyBytes)
+	req, err := httpapi.DecodeSchema(w, r)
 	if err != nil {
 		httpapi.BadRequest(w, err)
 		return

@@ -26,8 +26,6 @@ const (
 	clientTimeout = 10 * time.Second
 	// requestTimeout bounds each router request including its fan-out.
 	requestTimeout = 30 * time.Second
-	// maxBodyBytes caps POST bodies and proxied responses.
-	maxBodyBytes = 1 << 20
 )
 
 // RouterConfig wires a Router to its shard replicas.
@@ -181,15 +179,15 @@ func (rt *Router) call(ctx context.Context, b *backend, method, pathAndQuery str
 		return res
 	}
 	defer resp.Body.Close()
-	p, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes+1))
+	p, err := io.ReadAll(io.LimitReader(resp.Body, httpapi.MaxBodyBytes+1))
 	if err != nil {
 		rt.observeFailure(b)
 		res.err = fmt.Errorf("shard %d: reading response: %w", b.index, err)
 		return res
 	}
-	if len(p) > maxBodyBytes {
+	if len(p) > httpapi.MaxBodyBytes {
 		rt.observeFailure(b)
-		res.err = fmt.Errorf("shard %d: response exceeds %d bytes", b.index, maxBodyBytes)
+		res.err = fmt.Errorf("shard %d: response exceeds %d bytes", b.index, httpapi.MaxBodyBytes)
 		return res
 	}
 	if resp.StatusCode >= 500 {
@@ -406,7 +404,7 @@ func (rt *Router) handleClassify(w http.ResponseWriter, r *http.Request) {
 }
 
 func (rt *Router) handleClassifyBatch(w http.ResponseWriter, r *http.Request) {
-	req, err := httpapi.DecodeBatch(w, r, maxBodyBytes)
+	req, err := httpapi.DecodeBatch(w, r)
 	if err != nil {
 		httpapi.BadRequest(w, err)
 		return
@@ -503,7 +501,7 @@ type queryRequest struct {
 }
 
 func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, httpapi.MaxBodyBytes))
 	if err != nil {
 		httpapi.BadRequest(w, httpapi.BadBody(err))
 		return
@@ -533,7 +531,7 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 func (rt *Router) handleFeedback(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, httpapi.MaxBodyBytes))
 	if err != nil {
 		httpapi.BadRequest(w, httpapi.BadBody(err))
 		return
@@ -579,7 +577,7 @@ func (rt *Router) handleFeedback(w http.ResponseWriter, r *http.Request) {
 }
 
 func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
-	req, err := httpapi.DecodeSchema(w, r, maxBodyBytes)
+	req, err := httpapi.DecodeSchema(w, r)
 	if err != nil {
 		httpapi.BadRequest(w, err)
 		return

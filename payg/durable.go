@@ -38,6 +38,10 @@ const (
 	walFileName      = "wal.log"
 	checkpointPrefix = "checkpoint-"
 	checkpointSuffix = ".snap"
+	// checkpointRetain is how many checkpoints rotation keeps in the data
+	// dir. Recovery always uses the newest; older ones are manual-disaster
+	// spares.
+	checkpointRetain = 3
 )
 
 // WAL record kinds. Records are individually JSON-encoded (self-framing
@@ -185,19 +189,16 @@ func HasCheckpoint(dir string) (bool, error) {
 	return len(gens) > 0, nil
 }
 
-// pruneCheckpoints removes all but the newest keep checkpoints.
-func pruneCheckpoints(dir string, keep int) error {
-	if keep < 1 {
-		keep = 1
-	}
+// pruneCheckpoints removes all but the newest checkpointRetain checkpoints.
+func pruneCheckpoints(dir string) error {
 	gens, err := listCheckpoints(dir)
 	if err != nil {
 		return err
 	}
-	if len(gens) <= keep {
+	if len(gens) <= checkpointRetain {
 		return nil
 	}
-	for _, gen := range gens[:len(gens)-keep] {
+	for _, gen := range gens[:len(gens)-checkpointRetain] {
 		if err := os.Remove(filepath.Join(dir, checkpointName(gen))); err != nil {
 			return err
 		}
@@ -232,13 +233,8 @@ func LoadManagerDir(dir string, opts ManagerOptions) (*Manager, error) {
 	defer f.Close()
 	var sources func(*System) []TupleSource
 	if opts.ServeData {
-		makeSource := opts.withDefaults().MakeSource
 		sources = func(sys *System) []TupleSource {
-			out := make([]TupleSource, 0, sys.NumSchemas())
-			for _, sch := range sys.Schemas() {
-				out = append(out, makeSource(sch))
-			}
-			return out
+			return opts.withDefaults().makeSources(sys.Schemas())
 		}
 	}
 	opts.DataDir = dir
@@ -387,7 +383,7 @@ func (m *Manager) checkpointLocked() {
 		mCheckpointErrors.Inc()
 		m.opts.Logf("payg: truncating WAL after checkpoint: %v", err)
 	}
-	if err := pruneCheckpoints(m.opts.DataDir, m.opts.CheckpointRetain); err != nil {
+	if err := pruneCheckpoints(m.opts.DataDir); err != nil {
 		m.opts.Logf("payg: pruning old checkpoints: %v", err)
 	}
 	mCheckpointsWritten.Inc()

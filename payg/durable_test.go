@@ -10,6 +10,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -232,7 +234,7 @@ func TestDurableCheckpointOnRecluster(t *testing.T) {
 
 func TestCheckpointRotationKeepsNewest(t *testing.T) {
 	dir := t.TempDir()
-	mgr := newDurableManager(t, dir, ManagerOptions{DriftThreshold: -1, CheckpointRetain: 2})
+	mgr := newDurableManager(t, dir, ManagerOptions{DriftThreshold: -1})
 	defer mgr.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -249,8 +251,8 @@ func TestCheckpointRotationKeepsNewest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(gens) != 2 {
-		t.Fatalf("rotation kept %d checkpoints (%v), want 2", len(gens), gens)
+	if len(gens) != checkpointRetain {
+		t.Fatalf("rotation kept %d checkpoints (%v), want %d", len(gens), gens, checkpointRetain)
 	}
 	if gens[len(gens)-1] != mgr.Generation() {
 		t.Fatalf("newest checkpoint generation %d, serving generation %d", gens[len(gens)-1], mgr.Generation())
@@ -297,6 +299,90 @@ func TestLoadManagerDirServeData(t *testing.T) {
 	}
 	if len(res.Tuples) == 0 {
 		t.Fatal("query after ServeData recovery returned no tuples")
+	}
+}
+
+// TestMakeSourceFanOut: a recluster makes one source per arrival and a
+// ServeData recovery one per schema, each MakeSource's and aligned with the
+// system's schemas whatever the worker count (CI runs it under -race at -cpu
+// 1,4), and never while the manager's lock is held.
+func TestMakeSourceFanOut(t *testing.T) {
+	dir := t.TempDir()
+	sourceOf := func(sch Schema) TupleSource { return demoSources([]Schema{sch})[0] }
+	var (
+		calls     atomic.Int64
+		serving   atomic.Pointer[Manager]
+		probe     sync.Mutex // one TryLock at a time, so workers cannot fail each other's
+		underLock atomic.Bool
+	)
+	opts := ManagerOptions{
+		DriftThreshold: -1,
+		DataDir:        dir,
+		ServeData:      true,
+		MakeSource: func(sch Schema) TupleSource {
+			calls.Add(1)
+			if m := serving.Load(); m != nil {
+				probe.Lock()
+				if m.mu.TryLock() {
+					m.mu.Unlock()
+				} else {
+					underLock.Store(true)
+				}
+				probe.Unlock()
+			}
+			return sourceOf(sch)
+		},
+	}
+	aligned := func(m *Manager, stage string) {
+		t.Helper()
+		st := m.cur.Load()
+		if len(st.sources) != st.sys.NumSchemas() {
+			t.Fatalf("%s: %d sources for %d schemas", stage, len(st.sources), st.sys.NumSchemas())
+		}
+		for i, sch := range st.sys.Schemas() {
+			if !reflect.DeepEqual(st.sources[i], sourceOf(sch)) {
+				t.Fatalf("%s: source %d is %+v, want %s's", stage, i, st.sources[i], sch.Name)
+			}
+		}
+	}
+
+	sys := build(t, Options{})
+	mgr, err := NewManager(sys, demoSources(sys.Schemas()), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serving.Store(mgr)
+	var arrivals []Schema
+	for i := 0; i < 12; i++ {
+		sch := newcomerSchemas()[i%3]
+		sch.Name = fmt.Sprintf("%s-%d", sch.Name, i)
+		arrivals = append(arrivals, sch)
+		if _, err := mgr.Ingest(sch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := mgr.Recluster(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := calls.Load(); got != int64(len(arrivals)) {
+		t.Errorf("recluster made %d sources for %d arrivals", got, len(arrivals))
+	}
+	aligned(mgr, "after recluster")
+	serving.Store(nil)
+	mgr.Close()
+
+	calls.Store(0)
+	recovered, err := LoadManagerDir(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recovered.Close()
+	if got, want := calls.Load(), int64(recovered.System().NumSchemas()); got != want {
+		t.Errorf("recovery made %d sources for %d schemas", got, want)
+	}
+	aligned(recovered, "after recovery")
+	if underLock.Load() {
+		t.Error("MakeSource ran while the manager's lock was held")
 	}
 }
 

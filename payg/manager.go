@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"schemaflow/internal/ingest"
+	"schemaflow/internal/par"
 	"schemaflow/internal/wal"
 )
 
@@ -32,9 +33,11 @@ type ManagerOptions struct {
 	// The zero value selects DefaultPolicy.
 	Policy Policy
 	// MakeSource supplies the TupleSource for an ingested schema when the
-	// manager serves data. Nil means an empty in-memory source (the
-	// schema is classifiable and mediated, but contributes no tuples
-	// until real data is attached).
+	// manager serves data (and, with ServeData, for every recovered
+	// schema). It is called concurrently, from as many goroutines as there
+	// are CPUs, and never under the manager's lock. Nil means an empty
+	// in-memory source (the schema is classifiable and mediated, but
+	// contributes no tuples until real data is attached).
 	MakeSource func(Schema) TupleSource
 	// Logf receives lifecycle messages (rebuild started/finished/
 	// discarded). Nil discards them.
@@ -57,10 +60,6 @@ type ManagerOptions struct {
 	// (background fsync every 100ms, internal/wal's period), or "none"
 	// (the OS decides).
 	FsyncMode string
-	// CheckpointRetain is how many checkpoint snapshots rotation keeps in
-	// DataDir (default 3, minimum 1). Recovery always uses the newest;
-	// older ones are manual-disaster spares.
-	CheckpointRetain int
 	// ServeData makes LoadManagerDir attach one MakeSource-built
 	// TupleSource per recovered schema, so the query path survives
 	// recovery (a static source list cannot — the recovered schema set no
@@ -84,6 +83,14 @@ const (
 	driftMinSamples = 4
 )
 
+// makeSources runs MakeSource for each schema on every core and returns
+// the sources in schema order.
+func (o ManagerOptions) makeSources(schemas []Schema) []TupleSource {
+	out := make([]TupleSource, len(schemas))
+	par.Each(len(schemas), func(i int) { out[i] = o.MakeSource(schemas[i]) })
+	return out
+}
+
 func (o ManagerOptions) withDefaults() ManagerOptions {
 	if o.DriftThreshold == 0 {
 		o.DriftThreshold = 0.5
@@ -99,12 +106,6 @@ func (o ManagerOptions) withDefaults() ManagerOptions {
 	}
 	if o.QueryCacheSize == 0 {
 		o.QueryCacheSize = 1024
-	}
-	if o.CheckpointRetain == 0 {
-		o.CheckpointRetain = 3
-	}
-	if o.CheckpointRetain < 1 {
-		o.CheckpointRetain = 1
 	}
 	return o
 }
@@ -555,6 +556,12 @@ func (m *Manager) runRebuild(ctx context.Context, cancel context.CancelFunc, st 
 			err = fmt.Errorf("payg: transforming rebuilt system: %w", err)
 		}
 	}
+	// The arrivals' sources are made before the lock, so no ingest ack
+	// waits on them.
+	var arrived []TupleSource
+	if err == nil && st.sources != nil {
+		arrived = m.opts.makeSources(entries)
+	}
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -583,11 +590,7 @@ func (m *Manager) runRebuild(ctx context.Context, cancel context.CancelFunc, st 
 	}
 	next := &managedState{sys: newSys, gen: m.gen + 1}
 	if st.sources != nil {
-		sources := make([]TupleSource, 0, len(union))
-		sources = append(sources, st.sources...)
-		for _, sch := range entries {
-			sources = append(sources, m.opts.MakeSource(sch))
-		}
+		sources := slices.Concat(st.sources, arrived)
 		exec, err := newSys.NewExecutorShared(sources, m.opts.Policy, m.pool)
 		if err != nil {
 			f.err = fmt.Errorf("payg: rebinding sources after rebuild: %w", err)

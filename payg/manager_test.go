@@ -594,3 +594,35 @@ func TestManagerCloseCancelsInflightRebuild(t *testing.T) {
 		t.Fatal("ingest after Close succeeded")
 	}
 }
+
+// TestIntervalLoopRebuildsOnlyWhilePending: with RebuildInterval set and
+// drift off, the loop alone publishes a pending arrival — the generation
+// bumps and nothing stays pending — and starts no rebuild while nothing is
+// pending, before the arrival or after it.
+func TestIntervalLoopRebuildsOnlyWhilePending(t *testing.T) {
+	mgr := newManager(t, nil, ManagerOptions{DriftThreshold: -1, RebuildInterval: 20 * time.Millisecond})
+	idle := func(want int) {
+		t.Helper()
+		time.Sleep(100 * time.Millisecond) // five ticks
+		if st := mgr.Status(); st.Rebuilds != want || st.Generation != want || st.Rebuilding {
+			t.Fatalf("idle loop: %+v, want %d rebuilds at generation %d", st, want, want)
+		}
+	}
+	idle(0)
+	if _, err := mgr.Ingest(newcomerSchemas()[0]); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		st := mgr.Status()
+		if st.Generation == 1 && st.Pending == 0 {
+			if st.Schemas != len(demoSchemas())+1 {
+				t.Fatalf("published %d schemas, want the base plus the arrival", st.Schemas)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("interval loop never published the arrival: %+v", st)
+		}
+	}
+	idle(1)
+}
