@@ -178,6 +178,8 @@ func TestOneHTTPContract(t *testing.T) {
 		"empty attribute list",
 		"bad request body: ",
 		"trailing data after JSON body",
+		// Not HTTP, but a validator too: mediate's threshold check.
+		"mediate: frequency threshold ",
 	} {
 		var files []string
 		for rel, src := range sources {

@@ -202,7 +202,7 @@ func TestExtendCopyOnWrite(t *testing.T) {
 	}
 	var fresh []string // the newcomer's spellings the original lexicon lacks
 	for _, a := range corpus[19].Attributes {
-		if _, ok := sp.Lexicon().Terms(a); !ok {
+		if _, _, ok := sp.Lexicon().Lookup(a); !ok {
 			fresh = append(fresh, a)
 		}
 	}
@@ -218,10 +218,10 @@ func TestExtendCopyOnWrite(t *testing.T) {
 		t.Fatal("Extend mutated the original space's shape")
 	}
 	for _, a := range fresh {
-		if _, ok := sp.Lexicon().Terms(a); ok {
+		if _, _, ok := sp.Lexicon().Lookup(a); ok {
 			t.Fatalf("Extend wrote the newcomer's spelling %q into the original lexicon", a)
 		}
-		if _, ok := ext.Lexicon().Terms(a); !ok {
+		if _, _, ok := ext.Lexicon().Lookup(a); !ok {
 			t.Fatalf("extended lexicon lacks the newcomer's spelling %q", a)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"maps"
 	"slices"
 	"sort"
+	"strings"
 
 	"schemaflow/internal/par"
 	"schemaflow/internal/schema"
@@ -26,6 +27,11 @@ type Lexicon struct {
 	// order of terms.ExtractList([]string{spelling}, …).
 	spellings map[string]int32
 	ids       [][]int32
+	// canon[k] is the id of spelling k's canonical form (canonicalName), and
+	// canonNames lists the canonical forms by id, ascending: two ids compare
+	// as the forms they stand for do.
+	canon      []int32
+	canonNames []string
 }
 
 // NewLexicon builds the spelling table of set alone, with the vocabulary and
@@ -40,15 +46,71 @@ func NewLexicon(set schema.Set, cfg Config) *Lexicon {
 // Lexicon returns the space's spelling table.
 func (sp *Space) Lexicon() *Lexicon { return sp.lex }
 
-// Terms returns the term ids of a spelling — its distinct terms, ordered as
-// terms.ExtractList orders them — and whether the table holds the spelling.
-// The slice is shared and must not be written.
-func (lx *Lexicon) Terms(spelling string) ([]int32, bool) {
+// Lookup returns what the table holds about a spelling: the ids of its
+// distinct terms, ordered as terms.ExtractList orders them, the id of its
+// canonical form (lower-cased, whitespace squeezed; see Canonical), and
+// whether the table holds the spelling. The slice is shared and must not be
+// written.
+func (lx *Lexicon) Lookup(spelling string) (ids []int32, canon int32, ok bool) {
 	k, ok := lx.spellings[spelling]
 	if !ok {
-		return nil, false
+		return nil, 0, false
 	}
-	return lx.ids[k], true
+	return lx.ids[k], lx.canon[k], true
+}
+
+// Canonical returns the canonical form with id c. Canonical ids run from 0
+// to NumCanonical()-1 in ascending order of the forms, so sorting by id
+// sorts by form.
+func (lx *Lexicon) Canonical(c int32) string { return lx.canonNames[c] }
+
+// NumCanonical returns the number of distinct canonical forms.
+func (lx *Lexicon) NumCanonical() int { return len(lx.canonNames) }
+
+// canonicalName lower-cases and squeezes whitespace in an attribute name:
+// the form under which mediation treats two spellings as one name.
+func canonicalName(name string) string {
+	return strings.Join(strings.Fields(strings.ToLower(name)), " ")
+}
+
+// withCanonical appends one row per canonical form in fresh to a table
+// whose rows so far have ids over the ascending forms names, and returns the
+// forms and every row's id. A form names lacks renumbers every id, into new
+// slices; otherwise names is shared and ids appended to copy-on-write.
+func withCanonical(names []string, ids []int32, fresh []string) ([]string, []int32) {
+	var added []string
+	for _, c := range fresh {
+		if _, ok := slices.BinarySearch(names, c); !ok {
+			added = append(added, c)
+		}
+	}
+	out := ids[:len(ids):len(ids)] // the first append copies
+	if len(added) > 0 {
+		slices.Sort(added)
+		added = slices.Compact(added)
+		merged := make([]string, 0, len(names)+len(added))
+		renumbered := make([]int32, len(names))
+		for i, j := 0, 0; i < len(names) || j < len(added); {
+			if j == len(added) || (i < len(names) && names[i] < added[j]) {
+				renumbered[i] = int32(len(merged))
+				merged = append(merged, names[i])
+				i++
+			} else {
+				merged = append(merged, added[j])
+				j++
+			}
+		}
+		names = merged
+		out = make([]int32, len(ids), len(ids)+len(fresh))
+		for k, c := range ids {
+			out[k] = renumbered[c]
+		}
+	}
+	for _, c := range fresh {
+		id, _ := slices.BinarySearch(names, c)
+		out = append(out, int32(id))
+	}
+	return names, out
 }
 
 // Term returns the vocabulary term with id j.
@@ -80,9 +142,11 @@ func (sp *Space) vocabulary(set schema.Set) [][]string {
 		}
 	}
 	lists := make([][]string, len(distinct))
+	canons := make([]string, len(distinct))
 	par.Each(len(distinct), func(k int) {
 		lists[k] = terms.FromAttribute(distinct[k], sp.cfg.TermOpts)
 		sort.Strings(lists[k])
+		canons[k] = canonicalName(distinct[k])
 	})
 
 	vocabSet := make(map[string]bool)
@@ -106,7 +170,8 @@ func (sp *Space) vocabulary(set schema.Set) [][]string {
 	par.Each(len(lists), func(k int) {
 		ids[k] = termIDs(lists[k], sp.VocabIndex)
 	})
-	sp.lex = &Lexicon{vocab: sp.Vocab, sim: sp.cfg.Sim, matches: sp.matcher.vocabMatches, spellings: spellings, ids: ids}
+	canonNames, canon := withCanonical(nil, nil, canons)
+	sp.lex = &Lexicon{vocab: sp.Vocab, sim: sp.cfg.Sim, matches: sp.matcher.vocabMatches, spellings: spellings, ids: ids, canon: canon, canonNames: canonNames}
 	return lists
 }
 
@@ -124,9 +189,11 @@ func termIDs(sorted []string, index map[string]int) []int32 {
 // extended returns the spelling table of ns, the product of Extend adding
 // schema s to the lexicon's space: the receiver's rows shared, a row appended
 // for each of s's new spellings (copy-on-write), over ns's vocabulary and
-// match lists.
+// match lists. Canonical ids are renumbered only when s brings a new
+// canonical form.
 func (lx *Lexicon) extended(s schema.Schema, ns *Space) *Lexicon {
-	out := &Lexicon{vocab: ns.Vocab, sim: lx.sim, matches: ns.matcher.vocabMatches, spellings: lx.spellings, ids: lx.ids}
+	out := &Lexicon{vocab: ns.Vocab, sim: lx.sim, matches: ns.matcher.vocabMatches, spellings: lx.spellings, ids: lx.ids, canon: lx.canon, canonNames: lx.canonNames}
+	var fresh []string // canonical forms of the new spellings, in row order
 	copied := false
 	for _, a := range s.Attributes {
 		if _, ok := out.spellings[a]; ok {
@@ -141,6 +208,10 @@ func (lx *Lexicon) extended(s schema.Schema, ns *Space) *Lexicon {
 		sort.Strings(l)
 		out.spellings[a] = int32(len(out.ids))
 		out.ids = append(out.ids, termIDs(l, ns.VocabIndex))
+		fresh = append(fresh, canonicalName(a))
+	}
+	if copied {
+		out.canonNames, out.canon = withCanonical(lx.canonNames, lx.canon, fresh)
 	}
 	return out
 }

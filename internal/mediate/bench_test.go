@@ -71,19 +71,20 @@ func BenchmarkBuildUnfiltered500(b *testing.B) {
 
 // BenchmarkBuildDomains mediates every domain of the benchmark's wide corpus
 // once per iteration — what a build, a load or a recluster pays: like payg,
-// through one lexicon over the whole corpus, the feature space's. Its ~560
-// domains hold tens of distinct names each, mostly dissimilar; benchSet's
-// single template, where every name is similar to two others, is the other
-// extreme.
+// through one lexicon over the whole corpus, the feature space's, and in one
+// Scratch, a worker's. Its ~560 domains hold tens of distinct names each,
+// mostly dissimilar; benchSet's single template, where every name is
+// similar to two others, is the other extreme.
 func BenchmarkBuildDomains(b *testing.B) {
 	set := dataset.Large(dataset.LargeConfig{N: 6000, Domains: 120, Seed: 1})
 	domains := domainsOf(b, set)
 	lx := feature.NewLexicon(set, feature.DefaultConfig())
+	sc := new(mediate.Scratch)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, members := range domains {
-			if _, err := mediate.BuildWith(members, mediate.DefaultOptions(), lx); err != nil {
+			if _, err := mediate.BuildWith(members, mediate.DefaultOptions(), lx, sc); err != nil {
 				b.Fatal(err)
 			}
 		}

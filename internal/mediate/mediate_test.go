@@ -211,6 +211,33 @@ func TestEmptyInput(t *testing.T) {
 	}
 }
 
+// TestFreqThresholdOutsideUnitRejected: a frequency threshold is a fraction
+// of schemas. NaN, which used to keep no name at all, and values outside
+// [0, 1] are errors, on an empty domain too; Negative overrides whatever
+// threshold was set.
+func TestFreqThresholdOutsideUnitRejected(t *testing.T) {
+	for _, th := range []float64{math.NaN(), -0.5, 1.5, math.Inf(1)} {
+		opts := DefaultOptions()
+		opts.FreqThreshold = th
+		for _, set := range []schema.Set{facultySet(), nil} {
+			if _, err := Build(set, opts); err == nil {
+				t.Errorf("threshold %v on %d schemas: no error", th, len(set))
+			}
+		}
+		opts.Negative = true
+		if _, err := Build(facultySet(), opts); err != nil {
+			t.Errorf("threshold %v with Negative: %v", th, err)
+		}
+	}
+	for _, th := range []float64{0.5, 1} {
+		opts := DefaultOptions()
+		opts.FreqThreshold = th
+		if _, err := Build(facultySet(), opts); err != nil {
+			t.Errorf("threshold %v: %v", th, err)
+		}
+	}
+}
+
 func TestAttrIndexMissing(t *testing.T) {
 	med, _ := Build(facultySet(), DefaultOptions())
 	if med.AttrIndex("no such attribute") != -1 {
@@ -221,12 +248,16 @@ func TestAttrIndexMissing(t *testing.T) {
 // nameSim is the similarity Build uses for two attribute names: the entry of
 // the name table of a one-schema domain holding just the two.
 func nameSim(opts Options, a, b string) float64 {
-	set, opts := schema.Set{{Attributes: []string{a, b}}}, opts.normalized()
-	t, err := newNameTable(set, opts, lexiconOf(set, opts))
+	set := schema.Set{{Attributes: []string{a, b}}}
+	opts, err := opts.normalized()
 	if err != nil {
 		panic(err)
 	}
-	return t.sim(t.ids[a], t.ids[b])
+	t, err := new(Scratch).nameTable(set, opts, lexiconOf(set, opts))
+	if err != nil {
+		panic(err)
+	}
+	return t.sim(int(t.attrs[0]), int(t.attrs[1]))
 }
 
 // TestExtendedLexiconKeepsTermOrder: greedy matching reads a name's terms in
@@ -244,14 +275,15 @@ func TestExtendedLexiconKeepsTermOrder(t *testing.T) {
 	}
 	sp := feature.BuildLite(set[:1], feature.Config{TermOpts: terms.DefaultOptions(), Sim: opts.TermSim, Tau: opts.TermTau})
 	sp, _ = sp.Extend(set[1])
-	tab, err := newNameTable(set, opts, sp.Lexicon())
+	tab, err := new(Scratch).nameTable(set, opts, sp.Lexicon())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := tab.sim(tab.ids["mail mailbox"], tab.ids["mailboxes mailing"]); got != 1.0/3 {
+	// attrs: mailbox, mailboxes mailing, mail mailbox.
+	if got := tab.sim(int(tab.attrs[2]), int(tab.attrs[1])); got != 1.0/3 {
 		t.Fatalf("sim(mail mailbox, mailboxes mailing) = %v through the extended lexicon, want 1/3", got)
 	}
-	ext, err := BuildWith(set, opts, sp.Lexicon())
+	ext, err := BuildWith(set, opts, sp.Lexicon(), new(Scratch))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -152,13 +152,17 @@ func TestPropertyFrequencyMonotone(t *testing.T) {
 
 // TestPropertyNameTableIsTheDefinition checks the name table against the
 // definitions it tabulates, on small random domains that spell one canonical
-// name several ways. sim(i, j) must be the configured attribute similarity
-// of the terms of the two names' first spellings in source order, smaller
-// name first — "firstName" yields two terms and "firstname" one, so the
-// spelling seen first decides — and a name's frequency must be the fraction
-// of schemas holding an attribute at least θ_attr similar to it, counted
-// here schema by schema. A third of the runs use a one-sided t_sim, the one
-// thing under which the direction of a comparison shows.
+// name several ways. The names must be the distinct canonical forms
+// (lower-cased, whitespace squeezed) in ascending order, and the id array
+// must file every attribute under its form's name. sim(i, j) must be the
+// configured attribute similarity of the terms of the two names' first
+// spellings in source order, smaller name first — "firstName" yields two
+// terms and "firstname" one, so the spelling seen first decides — and a
+// name's frequency must be the fraction of schemas holding an attribute at
+// least θ_attr similar to it, counted here schema by schema. A third of the
+// runs use a one-sided t_sim, the one thing under which the direction of a
+// comparison shows. Every domain goes through the same Scratch, as a
+// worker's domains do.
 func TestPropertyNameTableIsTheDefinition(t *testing.T) {
 	pool := []string{
 		"First  Name", "first name", "firstName", "firstname", "FIRSTNAME",
@@ -169,6 +173,8 @@ func TestPropertyNameTableIsTheDefinition(t *testing.T) {
 		// matching reads.
 		"name of first", "phone office", "emailing phones", "emails email",
 	}
+	canonical := func(a string) string { return strings.Join(strings.Fields(strings.ToLower(a)), " ") }
+	sc := new(Scratch)
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		set := make(schema.Set, 2+rng.Intn(6))
@@ -187,7 +193,8 @@ func TestPropertyNameTableIsTheDefinition(t *testing.T) {
 		}
 		// The lexicon is Build's own, or half the time that of a space built
 		// over a prefix of the domain and extended by the rest, where novel
-		// terms take ids out of alphabetical order.
+		// terms take ids out of alphabetical order and canonical ids are
+		// renumbered.
 		lx := lexiconOf(set, opts)
 		if rng.Intn(2) == 0 {
 			cfg := feature.Config{TermOpts: terms.DefaultOptions(), Sim: opts.TermSim, Tau: opts.TermTau}
@@ -198,21 +205,25 @@ func TestPropertyNameTableIsTheDefinition(t *testing.T) {
 			}
 			lx = sp.Lexicon()
 		}
-		tab, err := newNameTable(set, opts, lx)
+		tab, err := sc.nameTable(set, opts, lx)
 		if err != nil {
 			t.Log(err)
 			return false
 		}
 
-		// The definition's view: each canonical name's first spelling.
+		// The definition's view: the distinct canonical names, ascending,
+		// and each one's first spelling.
 		first := make(map[string]string)
+		var names []string
 		for _, s := range set {
 			for _, a := range s.Attributes {
-				if _, ok := first[canonicalName(a)]; !ok {
-					first[canonicalName(a)] = a
+				if _, ok := first[canonical(a)]; !ok {
+					first[canonical(a)] = a
+					names = append(names, canonical(a))
 				}
 			}
 		}
+		slices.Sort(names)
 		termsOf := func(canon string) []string {
 			return terms.ExtractList([]string{first[canon]}, terms.DefaultOptions())
 		}
@@ -232,26 +243,37 @@ func TestPropertyNameTableIsTheDefinition(t *testing.T) {
 			})
 		}
 
-		if len(tab.names) != len(first) {
+		if len(tab.names) != len(names) {
+			return false
+		}
+		for i, nm := range tab.names {
+			if lx.Canonical(nm.canon) != names[i] {
+				return false // not the ascending canonical names
+			}
+		}
+		at := 0
+		for _, s := range set {
+			for _, a := range s.Attributes {
+				if names[tab.attrs[at]] != canonical(a) {
+					return false // a spelling filed under another name
+				}
+				at++
+			}
+		}
+		if len(tab.attrs) != at {
 			return false
 		}
 		freq := tab.frequencies(len(set))
-		for i, ni := range tab.names {
-			if i > 0 && tab.names[i-1].canon >= ni.canon {
-				return false // not ascending
-			}
-			for j, nj := range tab.names {
-				if tab.sim(i, j) != sim(ni.canon, nj.canon) {
+		for i, ni := range names {
+			for j, nj := range names {
+				if tab.sim(i, j) != sim(ni, nj) {
 					return false
 				}
 			}
 			in := 0
 			for _, s := range set {
 				for _, a := range s.Attributes {
-					if tab.ids[a] != tab.ids[canonicalName(a)] {
-						return false // a spelling filed under another name
-					}
-					if sim(ni.canon, canonicalName(a)) >= thetaAttr {
+					if sim(ni, canonical(a)) >= thetaAttr {
 						in++
 						break
 					}
@@ -314,26 +336,35 @@ func tiedScore(rng *rand.Rand) float64 {
 }
 
 // TestPropertySortIsSortSlice pins what the tie order of every mapping rests
-// on: slices.SortFunc under byScore / byWeight leaves the permutation that
-// sort.Slice under "greater score first" leaves, element for element, on
-// inputs long enough to leave insertion sort (> 12) and full of ties.
+// on. The beam sorts 16-byte (score, slot) keys with slices.SortFunc under
+// byScore; the digests were recorded from sort.Slice over 32-byte partials
+// ({attrTo []int, score}) under "greater score first". pdqsort's swaps
+// depend only on the length and on the outcomes of its comparisons, so the
+// two must leave the same permutation, element for element, on inputs long
+// enough to leave insertion sort (> 12) and full of ties. Candidates, sorted
+// under byWeight, are held to sort.Slice the same way.
 func TestPropertySortIsSortSlice(t *testing.T) {
+	type partial struct {
+		attrTo []int
+		score  float64
+	}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := rng.Intn(71)
-		parts, cs := make([]partial, n), make([]candidate, n)
+		keys, parts, cs := make([]key, n), make([]partial, n), make([]candidate, n)
 		for i := range parts {
 			score := tiedScore(rng)
-			parts[i] = partial{attrTo: []int{i}, score: score} // attrTo / med: the element's identity
+			keys[i] = key{score: score, slot: i} // slot / attrTo / med: the element's identity
+			parts[i] = partial{attrTo: []int{i}, score: score}
 			cs[i] = candidate{med: i, weight: score}
 		}
-		wantParts, wantCs := slices.Clone(parts), slices.Clone(cs)
-		sort.Slice(wantParts, func(a, b int) bool { return wantParts[a].score > wantParts[b].score })
+		wantCs := slices.Clone(cs)
+		sort.Slice(parts, func(a, b int) bool { return parts[a].score > parts[b].score })
 		sort.Slice(wantCs, func(a, b int) bool { return wantCs[a].weight > wantCs[b].weight })
-		slices.SortFunc(parts, byScore)
+		slices.SortFunc(keys, byScore)
 		slices.SortFunc(cs, byWeight)
 		for i := range parts {
-			if parts[i].attrTo[0] != wantParts[i].attrTo[0] || cs[i] != wantCs[i] {
+			if keys[i].slot != parts[i].attrTo[0] || cs[i] != wantCs[i] {
 				return false
 			}
 		}
@@ -347,8 +378,8 @@ func TestPropertySortIsSortSlice(t *testing.T) {
 // beamByDefinition is the mapping enumeration as DESIGN §5c states it, with
 // nothing shared between partials: every extension is a fresh slice, each
 // step sorts by score and keeps 16, the end sorts again and keeps 4, and the
-// scores are normalised.
-func beamByDefinition(s schema.Schema, ids map[string]int, cands [][]candidate) []Mapping {
+// scores are normalised. names are the schema's attributes as name ids.
+func beamByDefinition(names []int32, cands [][]candidate) []Mapping {
 	type part struct {
 		attrTo []int
 		score  float64
@@ -357,11 +388,11 @@ func beamByDefinition(s schema.Schema, ids map[string]int, cands [][]candidate) 
 		sort.Slice(ps, func(a, b int) bool { return ps[a].score > ps[b].score })
 	}
 	beam := []part{{score: 1}}
-	for _, name := range s.Attributes {
+	for _, a := range names {
 		var next []part
 		for _, p := range beam {
 			next = append(next, part{append(slices.Clone(p.attrTo), -1), p.score * unmappedWeight})
-			for _, c := range cands[ids[name]] {
+			for _, c := range cands[a] {
 				if !slices.Contains(p.attrTo, c.med) {
 					next = append(next, part{append(slices.Clone(p.attrTo), c.med), p.score * c.weight})
 				}
@@ -403,15 +434,14 @@ func sameMappings(got, want []Mapping) error {
 // randomBeamInput draws a domain for the beam alone: a few names with up to
 // maxCandidates candidates each over a handful of mediated attributes (so
 // injectivity bites), and schemas of 0–8 attributes drawn with repetition
-// (duplicate names; 4³ > 16 live partials from three attributes on). A third
-// of the domains weigh every candidate like leaving the attribute unmapped:
-// every partial of a step ties.
-func randomBeamInput(rng *rand.Rand) (schema.Set, *nameTable, [][]candidate) {
-	tab := &nameTable{ids: make(map[string]int)}
+// (duplicate names; 4³ > 16 live partials from three attributes on), each
+// given as the name ids of its attributes. A third of the domains weigh
+// every candidate like leaving the attribute unmapped: every partial of a
+// step ties.
+func randomBeamInput(rng *rand.Rand) ([][]int32, [][]candidate) {
 	cands := make([][]candidate, 1+rng.Intn(6))
 	allTied := rng.Intn(3) == 0
 	for a := range cands {
-		tab.ids[fmt.Sprint("name", a)] = a
 		for _, med := range rng.Perm(5)[:rng.Intn(maxCandidates+1)] {
 			w := []float64{1, 0.5, 0.5, unmappedWeight}[rng.Intn(4)]
 			if allTied {
@@ -420,32 +450,32 @@ func randomBeamInput(rng *rand.Rand) (schema.Set, *nameTable, [][]candidate) {
 			cands[a] = append(cands[a], candidate{med: med, weight: w})
 		}
 	}
-	set := make(schema.Set, 1+rng.Intn(6))
-	for i := range set {
-		attrs := make([]string, rng.Intn(9))
-		for k := range attrs {
-			attrs[k] = fmt.Sprint("name", rng.Intn(len(cands)))
+	schemas := make([][]int32, 1+rng.Intn(6))
+	for i := range schemas {
+		schemas[i] = make([]int32, rng.Intn(9))
+		for k := range schemas[i] {
+			schemas[i][k] = int32(rng.Intn(len(cands)))
 		}
-		set[i] = schema.Schema{Name: "s", Attributes: attrs}
 	}
-	return set, tab, cands
+	return schemas, cands
 }
 
 // TestPropertyBeamIsTheDefinition holds the two-buffer beam to the
 // enumeration it abbreviates. All of a domain's schemas go through one beam
-// before any is compared, so a mapping still pointing into the scratch shows
-// as soon as the next schema overwrites it.
+// before any is compared, and every domain through the same one, so a
+// mapping still pointing into the scratch shows as soon as the next schema
+// overwrites it.
 func TestPropertyBeamIsTheDefinition(t *testing.T) {
+	bm := new(beam)
 	f := func(seed int64) bool {
-		set, tab, cands := randomBeamInput(rand.New(rand.NewSource(seed)))
-		bm := newBeam(set)
-		got := make([][]Mapping, len(set))
-		for i, s := range set {
-			got[i] = bm.buildMappings(s, tab, cands)
+		schemas, cands := randomBeamInput(rand.New(rand.NewSource(seed)))
+		got := make([][]Mapping, len(schemas))
+		for i, names := range schemas {
+			got[i] = bm.buildMappings(names, cands)
 		}
-		for i, s := range set {
-			if err := sameMappings(got[i], beamByDefinition(s, tab.ids, cands)); err != nil {
-				t.Logf("seed %d, schema %d %v: %v", seed, i, s.Attributes, err)
+		for i, names := range schemas {
+			if err := sameMappings(got[i], beamByDefinition(names, cands)); err != nil {
+				t.Logf("seed %d, schema %d %v: %v", seed, i, names, err)
 				return false
 			}
 		}
@@ -460,14 +490,10 @@ func TestPropertyBeamIsTheDefinition(t *testing.T) {
 // AttrTo; no other mapping — of that schema or of the next one built in the
 // same scratch — may see it.
 func TestMappingsDoNotAlias(t *testing.T) {
-	tab := &nameTable{ids: map[string]int{"a": 0, "b": 1}}
 	cands := [][]candidate{{{med: 0, weight: 1}, {med: 1, weight: 0.5}}, {{med: 1, weight: 1}, {med: 0, weight: 0.5}}}
-	set := schema.Set{
-		{Name: "s0", Attributes: []string{"a", "b", "a"}},
-		{Name: "s1", Attributes: []string{"b", "a", "b"}},
-	}
-	bm := newBeam(set)
-	first := bm.buildMappings(set[0], tab, cands)
+	schemas := [][]int32{{0, 1, 0}, {1, 0, 1}} // as name ids
+	bm := new(beam)
+	first := bm.buildMappings(schemas[0], cands)
 	if len(first) != maxMappings {
 		t.Fatalf("%d mappings, want %d", len(first), maxMappings)
 	}
@@ -475,14 +501,14 @@ func TestMappingsDoNotAlias(t *testing.T) {
 		first[1].AttrTo[k] = 99
 	}
 	_ = append(first[1].AttrTo, 99)
-	second := bm.buildMappings(set[1], tab, cands)
+	second := bm.buildMappings(schemas[1], cands)
 
-	want := beamByDefinition(set[0], tab.ids, cands)
+	want := beamByDefinition(schemas[0], cands)
 	want[1].AttrTo = []int{99, 99, 99}
 	if err := sameMappings(first, want); err != nil {
 		t.Errorf("first schema after a write through its second mapping and another build: %v", err)
 	}
-	if err := sameMappings(second, beamByDefinition(set[1], tab.ids, cands)); err != nil {
+	if err := sameMappings(second, beamByDefinition(schemas[1], cands)); err != nil {
 		t.Errorf("second schema: %v", err)
 	}
 }

@@ -467,15 +467,21 @@ func (s *System) buildMediation(ctx context.Context) error {
 	// a name into terms again.
 	mopts := mediate.DefaultOptions()
 	mopts.FreqThreshold = s.opts.MediationFreqThreshold
+	// Resolved options hold a literal 0 as 0, which mediate reads as "use
+	// the default"; Negative is its literal 0.
+	mopts.Negative = mopts.FreqThreshold == 0
 
 	// Domains are independent, and their sizes are skewed — most hold a few
-	// schemas, a few hold dozens — so they fan out over par.Each, which
-	// claims one index at a time. Results and errors land by domain index:
-	// the worker count cannot change a byte.
+	// schemas, a few hold dozens — so they fan out over par.EachWith, which
+	// claims one index at a time and hands each worker one mediate.Scratch
+	// for all of its domains. Results and errors land by domain index: the
+	// worker count cannot change a byte.
 	n := s.model.NumDomains()
 	s.mediated = make([]*mediate.Mediated, n)
 	errs := make([]error, n)
-	par.Each(n, func(r int) { errs[r] = s.mediateDomain(ctx, r, mopts) })
+	par.EachWith(n, func() *mediate.Scratch { return new(mediate.Scratch) }, func(sc *mediate.Scratch, r int) {
+		errs[r] = s.mediateDomain(ctx, r, mopts, sc)
+	})
 	for _, err := range errs {
 		if err != nil {
 			return err // the first by domain index, whichever worker met it
@@ -484,8 +490,8 @@ func (s *System) buildMediation(ctx context.Context) error {
 	return nil
 }
 
-// mediateDomain fills s.mediated[r], unless another shard owns domain r.
-func (s *System) mediateDomain(ctx context.Context, r int, mopts mediate.Options) error {
+// mediateDomain fills s.mediated[r] in sc, unless another shard owns domain r.
+func (s *System) mediateDomain(ctx context.Context, r int, mopts mediate.Options, sc *mediate.Scratch) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -496,7 +502,7 @@ func (s *System) mediateDomain(ctx context.Context, r int, mopts mediate.Options
 	for i, mem := range s.model.Domains[r].Members {
 		members[i] = s.schemas[mem.Schema]
 	}
-	med, err := mediate.BuildWith(members, mopts, s.space.Lexicon())
+	med, err := mediate.BuildWith(members, mopts, s.space.Lexicon(), sc)
 	if err != nil {
 		return fmt.Errorf("payg: mediating domain %d: %w", r, err)
 	}

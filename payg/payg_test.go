@@ -5,10 +5,13 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"schemaflow/internal/dataset"
+	"schemaflow/internal/mediate"
+	"schemaflow/internal/schema"
 )
 
 func demoSchemas() []Schema {
@@ -370,6 +373,68 @@ func TestLiteralZeroSurvivesReresolution(t *testing.T) {
 	defer recovered.Close()
 	check("wal recovery", recovered.System())
 	recluster("recluster after wal recovery", recovered, arrivals[2])
+}
+
+// TestLiteralZeroFreqThresholdReachesMediation: a negative
+// MediationFreqThreshold is a literal 0 — every name kept, mediate's
+// Negative — in the build and after save → load, not mediate's default
+// 0.1. On DDH the default filters names out of some domain, so the two
+// differ. A NaN threshold is an error, not an empty mediated schema.
+func TestLiteralZeroFreqThresholdReachesMediation(t *testing.T) {
+	set := dataset.DDH(3)
+	def, err := Build(set, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := Build(set, Options{MediationFreqThreshold: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := sys.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unfiltered := mediate.DefaultOptions()
+	unfiltered.Negative = true
+	more := false
+	for stage, sys := range map[string]*System{"build": sys, "save/load": loaded} {
+		for r, d := range sys.Model().Domains {
+			var members schema.Set
+			for _, mem := range d.Members {
+				members = append(members, set[mem.Schema])
+			}
+			want, err := mediate.Build(members, unfiltered)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := sys.MediatedAttributes(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wantNames []string
+			for _, a := range want.Attrs {
+				wantNames = append(wantNames, a.Name)
+			}
+			if !slices.Equal(got, wantNames) {
+				t.Fatalf("%s: domain %d mediates %d attributes at a literal-zero threshold, unfiltered mediation %d", stage, r, len(got), len(wantNames))
+			}
+			atDefault, err := def.MediatedAttributes(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			more = more || len(got) > len(atDefault)
+		}
+	}
+	if !more {
+		t.Fatal("no domain kept more names at a literal-zero threshold than at the default: the test shows nothing")
+	}
+	if _, err := Build(demoSchemas(), Options{MediationFreqThreshold: math.NaN()}); err == nil {
+		t.Fatal("Build accepted a NaN mediation frequency threshold")
+	}
 }
 
 func TestNaNTauCSimRejected(t *testing.T) {
