@@ -33,10 +33,13 @@ repro:
 	$(GO) run ./cmd/payg-repro -exp all
 
 # The reproduction, pinned: runs every experiment (~25 s) and diffs the
-# output against docs/full-run.txt with durations masked. Gated like
-# `make integration` so plain `make test` stays quick.
+# output against docs/full-run.txt with durations masked, then holds the
+# blocked build (similarity floor) to its fidelity bars against the exact
+# build on six 4k–6k corpora (a few seconds). Gated like `make integration` so
+# plain `make test` stays quick.
 repro-check:
 	PAYG_REPRO=1 $(GO) test ./cmd/payg-repro -run TestReproMatchesFullRun -count=1 -timeout 600s
+	PAYG_REPRO=1 $(GO) test ./payg -run TestBlockedBuildFidelity -count=1 -v
 
 # Ingest-vs-rebuild cost comparison (writes BENCH_ingest.json).
 bench-ingest:
@@ -53,7 +56,7 @@ bench-assign:
 bench-query:
 	$(GO) test ./payg -run TestQueryBenchArtifact -bench-query-artifact=true
 
-# Offline-build scaling sweep: blocked (LSH + sparse HAC) vs exact
+# Offline-build scaling sweep: blocked (similarity floor + sparse HAC) vs exact
 # all-pairs at n = {2k, 10k, 50k, 100k} (writes BENCH_build.json).
 # The exact arm stops at 10k; expect the full sweep to run for a while.
 bench-build:

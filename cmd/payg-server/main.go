@@ -116,7 +116,7 @@ func main() {
 	flag.StringVar(&o.in, "in", "", "schema file (.json or line format); required unless recovering from -data-dir or following")
 	flag.StringVar(&o.addr, "addr", ":8080", "listen address")
 	flag.Float64Var(&o.tau, "tau", 0.25, "clustering threshold tau_c_sim")
-	flag.StringVar(&o.candGen, "candgen", "auto", "clustering candidate generation: auto, exact, or lsh (sub-quadratic blocked build)")
+	flag.StringVar(&o.candGen, "candgen", "auto", "clustering pair graph: auto, exact, or lsh (the blocked build, pairs at or above a similarity floor; \"lsh\" is its historical name)")
 	flag.IntVar(&o.tuples, "tuples", 20, "synthetic tuples per source for /query (0 disables data)")
 	flag.Float64Var(&o.driftThreshold, "drift-threshold", 0.5, "fraction of recent unassignable arrivals that triggers a background recluster (negative disables)")
 	flag.DurationVar(&o.rebuildInterval, "rebuild-interval", 0, "periodically recluster while ingested schemas are pending (0 disables)")

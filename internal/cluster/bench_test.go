@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"schemaflow/internal/candgen"
 	"schemaflow/internal/dataset"
 	"schemaflow/internal/feature"
 	"schemaflow/internal/schema"
@@ -50,8 +49,8 @@ func BenchmarkHACTotal300(b *testing.B) { benchAgglomerative(b, TotalJaccard, 30
 func BenchmarkHACAvg1000(b *testing.B)  { benchAgglomerative(b, AvgJaccard, 1000) }
 
 // BenchmarkAgglomerateBlocked is Algorithm 2 as the gated blocked build runs
-// it — the benchmark's corpus, LSH candidates, exact similarities, all built
-// outside the timer — so the build's `cluster` phase can be timed and
+// it — the benchmark's corpus and its pairs at or above feature.PairFloor,
+// built outside the timer — so the build's `cluster` phase can be timed and
 // profiled alone. It reports how the corpus split: a corpus that is one
 // component gets nothing from a second core.
 func BenchmarkAgglomerateBlocked(b *testing.B) {
@@ -69,17 +68,15 @@ func BenchmarkAgglomerateBlocked(b *testing.B) {
 	b.ReportMetric(float64(res.LargestComponent), "largest")
 }
 
-// BenchmarkPairwiseSims is the blocked build's `pairwise` phase alone: the
-// exact similarities of the gated corpus' LSH candidates, verified and
-// assembled into the CSR, with the space and the candidates built outside the
-// timer.
+// BenchmarkPairwiseSims is the benchmark trace's replay of the blocked
+// build's `pairwise` phase: the exact similarities of the gated corpus' pairs
+// at or above feature.PairFloor, verified and assembled into the CSR, with
+// the space and the pair list built outside the timer.
 func BenchmarkPairwiseSims(b *testing.B) {
 	sp := feature.BuildLite(dataset.Large(dataset.LargeConfig{N: 6000, Domains: 120, Seed: 1}), feature.DefaultConfig())
-	pairs, err := candgen.Pairs(context.Background(), sp.Vectors, candgen.Config{Bands: 128, Rows: 2})
-	if err != nil {
-		b.Fatal(err)
-	}
+	pairs := floorPairs(b, sp)
 	var ps *PairSims
+	var err error
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -22,21 +22,12 @@ import (
 	"schemaflow/internal/schema"
 )
 
-// blockedPairSims is the blocked build's input to Algorithm 2: a lite space,
-// the MinHash-LSH candidates at the build's banding (payg's lshBands ×
-// lshRows), and their exact similarities.
+// blockedPairSims is the blocked build's input to Algorithm 2: a lite space
+// and its pairs at or above feature.PairFloor.
 func blockedPairSims(tb testing.TB, set schema.Set, cfg feature.Config) (*feature.Space, *PairSims) {
 	tb.Helper()
 	sp := feature.BuildLite(set, cfg)
-	cand := feature.NewTermVectorizer(candgen.Config{Bands: 128, Rows: 2})
-	if err := cand.Fit(sp); err != nil {
-		tb.Fatal(err)
-	}
-	pairs, err := cand.CandidatePairs(context.Background())
-	if err != nil {
-		tb.Fatal(err)
-	}
-	ps, err := PairwiseSims(context.Background(), sp, pairs, 0)
+	ps, err := CompletePairSims(context.Background(), sp, feature.PairFloor)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -60,8 +51,10 @@ func resultDigest(r *Result) string {
 // TestAgglomerateDigests pins the engine on the corpora the benchmark builds —
 // the gated blocked corpus, the exact path's shape (mixed-ingest's) and the
 // one-component DDH — to the assignments and merges, similarities by their
-// bits, that the single global run produced at commit 94ceebf, before the run
-// was split by τ-component.
+// bits. The complete rows are what the single global run produced at commit
+// 94ceebf, before the run was split by τ-component; the blocked row was
+// re-recorded when the similarity floor replaced the MinHash band test as
+// the blocked build's pair graph.
 func TestAgglomerateDigests(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three clusterings of 2.3k–6k schemas")
@@ -73,7 +66,7 @@ func TestAgglomerateDigests(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := resultDigest(res), "1296254cfa6c2486"; got != want {
+		if got, want := resultDigest(res), "497e6ffedfad11ef"; got != want {
 			t.Errorf("digest %s, want %s (%d merges, %d clusters)", got, want, len(res.Merges), res.NumClusters())
 		}
 	})
@@ -295,7 +288,7 @@ func TestPropertyComponentsAreTheWholeRun(t *testing.T) {
 		cfg.Mode = mode
 		sp := feature.BuildLite(set, cfg)
 		rng := rand.New(rand.NewSource(6))
-		pairs := slices.DeleteFunc(candgen.AllPairs(len(set)), func(candgen.Pair) bool { return rng.Intn(4) != 0 })
+		pairs := slices.DeleteFunc(allPairs(len(set)), func(candgen.Pair) bool { return rng.Intn(4) != 0 })
 		ps, err := PairwiseSims(ctx, sp, pairs, 1)
 		if err != nil {
 			t.Fatal(err)

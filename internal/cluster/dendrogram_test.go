@@ -12,7 +12,7 @@ import (
 // dendrogram is BuildDendrogram over the complete pair set of sp.
 func dendrogram(tb testing.TB, sp *feature.Space, method Method) (*Dendrogram, error) {
 	tb.Helper()
-	ps, err := CompletePairSims(context.Background(), sp, nil)
+	ps, err := CompletePairSims(context.Background(), sp, 0)
 	if err != nil {
 		tb.Fatal(err)
 	}

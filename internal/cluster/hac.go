@@ -8,9 +8,8 @@
 // Algorithm 2 has one implementation, AgglomerativeSparse, which clusters
 // over a PairSims adjacency. What varies is which pairs it holds:
 // CompletePairSims stores every positive pair of the space (the thesis' exact
-// clustering, which Agglomerative wraps) or, given a filter such as
-// MinHash-LSH's band test, the positive pairs the filter keeps; PairwiseSims
-// verifies a given candidate list.
+// clustering, which Agglomerative wraps) or, given a similarity floor, the
+// positive pairs at or above it; PairwiseSims verifies a given pair list.
 package cluster
 
 import (
@@ -85,7 +84,7 @@ func AgglomerativeContext(ctx context.Context, sp *feature.Space, link Linkage, 
 	if err := validateTau(tau); err != nil {
 		return nil, err
 	}
-	ps, err := CompletePairSims(ctx, sp, nil)
+	ps, err := CompletePairSims(ctx, sp, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -38,7 +38,7 @@ func (ps *PairSims) N() int { return ps.n }
 func (ps *PairSims) NumPairs() int { return ps.numPairs }
 
 // Examined returns the number of positive pairs CompletePairSims read off
-// the space, those its filter dropped included; it is 0 on a PairwiseSims
+// the space, those below its floor included; it is 0 on a PairwiseSims
 // result.
 func (ps *PairSims) Examined() int { return ps.examined }
 
@@ -66,13 +66,13 @@ func (ps *PairSims) Sim(i, j int) float64 {
 	return 0
 }
 
-// PairwiseSims computes the exact schema similarity for every candidate
-// pair and assembles the symmetric sparse structure. This is the
-// "verify" half of the embed-and-prune-then-verify shape: LSH proposed the
-// pairs, exact Jaccard decides.
+// PairwiseSims computes the exact schema similarity for every listed pair
+// and assembles the symmetric sparse structure. No build calls it: the
+// benchmark's trace replays the blocked build through it, from the pairs
+// feature.TermVectorizer lists.
 //
-// pairs must be sorted (A ascending, then B) with A < B, as candgen.Pairs
-// and candgen.AllPairs produce; duplicates are tolerated and collapsed (a
+// pairs must be sorted (A ascending, then B) with A < B, as
+// feature.TermVectorizer lists them; duplicates are tolerated and collapsed (a
 // repeat is verified as 0, which drops it like a genuine zero); the caller's
 // slice is never written. The pair list is cut into one contiguous chunk per
 // worker (workers goroutines, 0 means GOMAXPROCS), and each chunk is
@@ -174,21 +174,19 @@ func PairwiseSims(ctx context.Context, sp *feature.Space, pairs []candgen.Pair, 
 	return ps, nil
 }
 
-// CompletePairSims stores the similarity of every schema pair of sp that
-// keep admits. With keep nil that is the complete candidate set, over which
-// AgglomerativeSparse and core.AssignDomainsSparse are the thesis' exact
-// Algorithms 2 and 3; the blocked build passes candgen's band test
-// ((*candgen.SignatureSet).Collide), and since a zero similarity is never
-// stored, the result is PairwiseSims over the LSH candidates. Only the
-// positive pairs are ever visited: each schema's upper row comes off
-// feature.Space.Row, a pair it leaves out has similarity exactly 0, and keep
-// (called concurrently, a < b) drops pairs from the row before they are
-// counted. The rows are cut into one contiguous chunk per GOMAXPROCS worker,
-// sized to hold about equal shares of the upper triangle; a chunk keeps its
-// rows until every chunk has counted, then writes them into the CSR through
-// its own cursors, so the structure is the same for every worker count. ctx
-// is polled between rows.
-func CompletePairSims(ctx context.Context, sp *feature.Space, keep func(a, b int) bool) (*PairSims, error) {
+// CompletePairSims stores the similarity of every schema pair of sp that is
+// positive and at least floor. With floor ≤ 0 that is every positive pair,
+// over which AgglomerativeSparse and core.AssignDomainsSparse are the
+// thesis' exact Algorithms 2 and 3; the blocked build passes
+// feature.PairFloor. Only the positive pairs are ever visited: each
+// schema's upper row comes off feature.Space.Row, a pair it leaves out has
+// similarity exactly 0, and the floor drops pairs from the row before they
+// are counted. The rows are cut into one contiguous chunk per GOMAXPROCS
+// worker, sized to hold about equal shares of the upper triangle; a chunk
+// keeps its rows until every chunk has counted, then writes them into the
+// CSR through its own cursors, so the structure is the same for every worker
+// count. ctx is polled between rows.
+func CompletePairSims(ctx context.Context, sp *feature.Space, floor float64) (*PairSims, error) {
 	n := sp.NumSchemas()
 	workers := max(1, min(runtime.GOMAXPROCS(0), n))
 	bounds := make([]int, workers+1)
@@ -219,7 +217,7 @@ func CompletePairSims(ctx context.Context, sp *feature.Space, keep func(a, b int
 			}
 			js, sims := sp.Row(i, i, &buf)
 			c.examined += len(js)
-			js, sims = filterRow(i, js, sims, keep)
+			js, sims = filterRow(js, sims, floor)
 			c.deg[i] += int64(len(js))
 			for _, j := range js {
 				c.deg[j]++
@@ -266,25 +264,26 @@ func CompletePairSims(ctx context.Context, sp *feature.Space, keep func(a, b int
 	return ps, nil
 }
 
-// GraphRow is schema i's row of the pair graph CompletePairSims(sp, keep)
+// GraphRow is schema i's row of the pair graph CompletePairSims(sp, floor)
 // stores, read off the space instead: its neighbors j ≠ i, ascending, and
 // their similarities, the same float64s. The slices live in buf, as
 // feature.Space.Row's do.
-func GraphRow(sp *feature.Space, i int, keep func(a, b int) bool, buf *feature.RowBuf) ([]int32, []float64) {
+func GraphRow(sp *feature.Space, i int, floor float64, buf *feature.RowBuf) ([]int32, []float64) {
 	js, sims := sp.Row(i, -1, buf)
-	return filterRow(i, js, sims, keep)
+	return filterRow(js, sims, floor)
 }
 
-// filterRow keeps, in place, the entries of schema i's row that keep admits
-// (nil: every one). keep sees each pair as (a < b).
-func filterRow(i int, js []int32, sims []float64, keep func(a, b int) bool) ([]int32, []float64) {
-	if keep == nil {
+// filterRow keeps, in place, the entries of a row whose similarity is at
+// least floor. A floor ≤ 0 keeps the row as it is: Space.Row lists only
+// positive similarities.
+func filterRow(js []int32, sims []float64, floor float64) ([]int32, []float64) {
+	if floor <= 0 {
 		return js, sims
 	}
 	k := 0
-	for x, j := range js {
-		if keep(min(i, int(j)), max(i, int(j))) {
-			js[k], sims[k] = j, sims[x]
+	for x, s := range sims {
+		if s >= floor {
+			js[k], sims[k] = js[x], s
 			k++
 		}
 	}
@@ -528,9 +527,9 @@ func (h *bestHeap) top() int32 { return h.ids[0] }
 // pair of clusters under the linkage (the lexicographically lowest pair on
 // equal similarity), and stop when the best similarity falls below tau.
 // Schema pairs absent from ps are zero-similarity: they contribute 0 to
-// linkage updates and never order a merge. Over CompletePairSims this is the
-// thesis' exact clustering; over an LSH candidate set the result differs only
-// by the pairs LSH missed.
+// linkage updates and never order a merge. Over CompletePairSims at floor 0
+// this is the thesis' exact clustering; above it the result differs only by
+// the pairs below the floor.
 //
 // Zero-similarity merges clear the threshold only at tau == 0, where
 // agglomeration runs until a single cluster remains. They carry no

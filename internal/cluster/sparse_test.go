@@ -20,9 +20,20 @@ import (
 	"schemaflow/internal/schema"
 )
 
+// allPairs lists every pair over n schemas, sorted as PairwiseSims wants.
+func allPairs(n int) []candgen.Pair {
+	var out []candgen.Pair
+	for a := range int32(n) {
+		for b := a + 1; b < int32(n); b++ {
+			out = append(out, candgen.Pair{A: a, B: b})
+		}
+	}
+	return out
+}
+
 func allPairSims(tb testing.TB, sp *feature.Space, workers int) *PairSims {
 	tb.Helper()
-	ps, err := PairwiseSims(context.Background(), sp, candgen.AllPairs(sp.NumSchemas()), workers)
+	ps, err := PairwiseSims(context.Background(), sp, allPairs(sp.NumSchemas()), workers)
 	if err != nil {
 		tb.Fatalf("PairwiseSims: %v", err)
 	}
@@ -82,13 +93,14 @@ func TestPairwiseSimsMatchesSpace(t *testing.T) {
 }
 
 // TestPairwiseSimsDigests pins the CSR over build-sized pair sets to sha256
-// digests of rowStart, nbr and the similarities' bits (little-endian). The
-// PairwiseSims rows over LSH candidates — the first is the gated
-// build-blocked workload's — were recorded from the two-pointer verification
-// it replaced, the CompletePairSims rows from the build that read an O(n²)
-// similarity memo; each at one worker, at the default (GOMAXPROCS) and at
-// three. The filtered rows are CompletePairSims with the band test as its
-// filter, the blocked build's pair set, held to the LSH rows' digests.
+// digests of rowStart, nbr and the similarities' bits (little-endian), each
+// at one worker, at the default (GOMAXPROCS) and at three. The complete rows
+// (CompletePairSims at floor 0) were recorded from the build that read an
+// O(n²) similarity memo. The floor rows are the blocked build's pair set,
+// CompletePairSims at feature.PairFloor — the first is the gated
+// build-blocked workload's — and the listed rows PairwiseSims over the same
+// pairs as feature.TermVectorizer lists them, held to the floor rows'
+// digests: two readers of one graph.
 func TestPairwiseSimsDigests(t *testing.T) {
 	procs := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(procs)
@@ -97,41 +109,30 @@ func TestPairwiseSimsDigests(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		set    schema.Set
-		source string // "lsh": PairwiseSims over LSH candidates; "complete", "filtered": CompletePairSims without and with the band test
+		source string // "listed": PairwiseSims over TermVectorizer's pairs; "complete", "floor": CompletePairSims at floor 0 and at feature.PairFloor
 		stored int
 		sha    string
 	}{
-		{"large-6000x120", large6000, "lsh", 276944, "34fe1e191a94010ad43ffe8909e131ee2f36f1d20a8f309209a6fc696e1ac368"},
-		{"large-1500", large1500, "lsh", 157056, "e7ba1a016f08b34c8ea848a8410a6a821c32f460744282e9c133653083c57ee0"},
+		{"large-6000x120/floor", large6000, "floor", 264218, "249f3cbf9c25812ef10b11651d522782671c0f27a3b84b95c548d9262f38b5b8"},
+		{"large-1500/floor", large1500, "floor", 160881, "a6af3927116b2c66f872915d2872b0af6a38f4f4a6b4d7e773fabdb33a28bb0a"},
 		{"ddh/complete", dataset.DDH(1), "complete", 2398654, "c0f31edaeedf8479ef8987ce76ab39bbcd10a3b1d6e4ce3a842e01c751d387ca"},
 		{"large-3700x24/complete", dataset.Large(dataset.LargeConfig{N: 3700, Domains: 24, Seed: 1}), "complete", 333129, "18867c734fbdb1f713cf9a048919e57e3e5fe6d3b8d937a7fc24397b14efb5f3"},
-		{"large-6000x120/filtered", large6000, "filtered", 276944, "34fe1e191a94010ad43ffe8909e131ee2f36f1d20a8f309209a6fc696e1ac368"},
-		{"large-1500/filtered", large1500, "filtered", 157056, "e7ba1a016f08b34c8ea848a8410a6a821c32f460744282e9c133653083c57ee0"},
+		{"large-6000x120/listed", large6000, "listed", 264218, "249f3cbf9c25812ef10b11651d522782671c0f27a3b84b95c548d9262f38b5b8"},
+		{"large-1500/listed", large1500, "listed", 160881, "a6af3927116b2c66f872915d2872b0af6a38f4f4a6b4d7e773fabdb33a28bb0a"},
 	} {
 		sp := feature.BuildLite(tc.set, feature.DefaultConfig())
-		var pairs []candgen.Pair
-		var keep func(a, b int) bool
-		switch tc.source {
-		case "lsh":
-			var err error
-			if pairs, err = candgen.Pairs(context.Background(), sp.Vectors, candgen.Config{}); err != nil {
-				t.Fatal(err)
-			}
-		case "filtered":
-			ss, err := candgen.Signatures(context.Background(), sp.Vectors, candgen.Config{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			keep = ss.Collide
-		}
 		for _, workers := range []int{1, 0, 3} {
 			var ps *PairSims
 			var err error
-			if tc.source == "lsh" {
-				ps, err = PairwiseSims(context.Background(), sp, pairs, workers)
-			} else {
+			switch tc.source {
+			case "listed":
+				ps, err = PairwiseSims(context.Background(), sp, floorPairs(t, sp), workers)
+			case "floor":
 				runtime.GOMAXPROCS(cmp.Or(workers, procs))
-				ps, err = CompletePairSims(context.Background(), sp, keep)
+				ps, err = CompletePairSims(context.Background(), sp, feature.PairFloor)
+			default:
+				runtime.GOMAXPROCS(cmp.Or(workers, procs))
+				ps, err = CompletePairSims(context.Background(), sp, 0)
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -141,6 +142,21 @@ func TestPairwiseSimsDigests(t *testing.T) {
 			}
 		}
 	}
+}
+
+// floorPairs is the blocked build's pair list as the benchmark's trace reads
+// it: feature.TermVectorizer's pairs at or above feature.PairFloor.
+func floorPairs(tb testing.TB, sp *feature.Space) []candgen.Pair {
+	tb.Helper()
+	v := feature.NewTermVectorizer(candgen.Config{})
+	if err := v.Fit(sp); err != nil {
+		tb.Fatal(err)
+	}
+	pairs, err := v.CandidatePairs(context.Background())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return pairs
 }
 
 func pairSimsDigest(ps *PairSims) string {
@@ -321,7 +337,7 @@ func TestAgglomerativeSparseOnlyReadsPairSims(t *testing.T) {
 
 // TestCompletePairSimsSameFromEverySource: the complete pair set is the
 // same structure whether it is read off the space's rows or assembled by
-// PairwiseSims from the AllPairs list (whose binary-mode similarity is a
+// PairwiseSims from the list of every pair (whose binary-mode similarity is a
 // different routine, a probe count, bitvec.AndCountIndices) — otherwise
 // "exact" would depend on the reader.
 func TestCompletePairSimsSameFromEverySource(t *testing.T) {
@@ -330,14 +346,14 @@ func TestCompletePairSimsSameFromEverySource(t *testing.T) {
 		cfg := feature.DefaultConfig()
 		cfg.Mode = mode
 		sp := feature.BuildLite(set, cfg)
-		got, err := CompletePairSims(context.Background(), sp, nil)
+		got, err := CompletePairSims(context.Background(), sp, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := allPairSims(t, sp, 3)
 		if got.n != want.n || got.numPairs != want.numPairs ||
 			!slices.Equal(got.rowStart, want.rowStart) || !slices.Equal(got.nbr, want.nbr) || !slices.Equal(got.sim, want.sim) {
-			t.Errorf("%v features: complete pair set differs from PairwiseSims(AllPairs)", mode)
+			t.Errorf("%v features: complete pair set differs from PairwiseSims(allPairs)", mode)
 		}
 		if want.numPairs == 0 || want.numPairs == len(set)*(len(set)-1)/2 {
 			t.Fatalf("%v features: %d stored pairs — the corpus should have both zero and positive similarities", mode, want.numPairs)
@@ -345,10 +361,10 @@ func TestCompletePairSimsSameFromEverySource(t *testing.T) {
 	}
 }
 
-// TestFilteredPairSimsAreTheVerifiedCandidates: CompletePairSims with the
-// band test as its filter is PairwiseSims over candgen.Pairs — the blocked
-// build's pair set from either source — in both feature modes, and Examined
-// counts every positive pair, the dropped ones included.
+// TestFilteredPairSimsAreTheVerifiedCandidates: CompletePairSims at
+// feature.PairFloor is PairwiseSims over the pairs feature.TermVectorizer
+// lists — the blocked build's pair set from either source — in both feature
+// modes, and Examined counts every positive pair, the dropped ones included.
 func TestFilteredPairSimsAreTheVerifiedCandidates(t *testing.T) {
 	set := dataset.Large(dataset.LargeConfig{N: 600, Domains: 12, Seed: 1})
 	ctx := context.Background()
@@ -356,35 +372,92 @@ func TestFilteredPairSimsAreTheVerifiedCandidates(t *testing.T) {
 		cfg := feature.DefaultConfig()
 		cfg.Mode = mode
 		sp := feature.BuildLite(set, cfg)
-		ss, err := candgen.Signatures(ctx, sp.Vectors, candgen.DefaultConfig())
+		got, err := CompletePairSims(ctx, sp, feature.PairFloor)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := CompletePairSims(ctx, sp, ss.Collide)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pairs, err := ss.Pairs(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := PairwiseSims(ctx, sp, pairs, 3)
+		want, err := PairwiseSims(ctx, sp, floorPairs(t, sp), 3)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got.n != want.n || got.numPairs != want.numPairs ||
 			!slices.Equal(got.rowStart, want.rowStart) || !slices.Equal(got.nbr, want.nbr) || !slices.Equal(got.sim, want.sim) {
-			t.Errorf("%v features: filtered pair set differs from PairwiseSims(candgen.Pairs)", mode)
+			t.Errorf("%v features: floor pair set differs from PairwiseSims over the listed pairs", mode)
 		}
-		complete, err := CompletePairSims(ctx, sp, nil)
+		complete, err := CompletePairSims(ctx, sp, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got.Examined() != complete.NumPairs() || complete.Examined() != complete.NumPairs() {
-			t.Errorf("%v features: examined %d filtered, %d complete; want %d positive pairs", mode, got.Examined(), complete.Examined(), complete.NumPairs())
+			t.Errorf("%v features: examined %d at the floor, %d complete; want %d positive pairs", mode, got.Examined(), complete.Examined(), complete.NumPairs())
 		}
 		if got.NumPairs() == 0 || got.NumPairs() >= complete.NumPairs() {
-			t.Fatalf("%v features: bands keep %d of %d positive pairs; the corpus should have both kept and dropped ones", mode, got.NumPairs(), complete.NumPairs())
+			t.Fatalf("%v features: the floor keeps %d of %d positive pairs; the corpus should have both kept and dropped ones", mode, got.NumPairs(), complete.NumPairs())
+		}
+	}
+}
+
+// TestPropertyFloorGraphIsTheDefinition: CompletePairSims(sp, floor) stores
+// exactly the pairs whose similarity, written from the definition — the
+// bitvec Jaccard of the two feature vectors, the generalized Jaccard of the
+// counts in term-frequency mode — is positive and at least floor, with that
+// similarity, on random corpora, in both feature modes, at one, two and
+// four workers. The floors are 0, feature.PairFloor, and a similarity the
+// corpus has with its two float neighbours, so the ≥ is decided at the
+// last bit.
+func TestPropertyFloorGraphIsTheDefinition(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(procs)
+	rng := rand.New(rand.NewSource(41))
+	for trial := range 6 {
+		set := dataset.Large(dataset.LargeConfig{N: 60 + rng.Intn(200), Domains: 2 + rng.Intn(8), Seed: rng.Int63()})
+		n := len(set)
+		for _, mode := range []feature.Mode{feature.Binary, feature.TermFrequency} {
+			cfg := feature.DefaultConfig()
+			cfg.Mode = mode
+			sp := feature.BuildLite(set, cfg)
+			sim := make([]float64, n*n)
+			var positive []float64
+			for a := range n {
+				for b := range n {
+					if mode == feature.Binary {
+						sim[a*n+b] = sp.Vectors[a].Jaccard(sp.Vectors[b])
+					} else {
+						sim[a*n+b] = sp.Similarity(a, b)
+					}
+					if a < b && sim[a*n+b] > 0 {
+						positive = append(positive, sim[a*n+b])
+					}
+				}
+			}
+			v := positive[rng.Intn(len(positive))]
+			for _, floor := range []float64{0, feature.PairFloor, v, math.Nextafter(v, 0), math.Nextafter(v, 1)} {
+				for _, workers := range []int{1, 2, 4} {
+					runtime.GOMAXPROCS(workers)
+					ps, err := CompletePairSims(context.Background(), sp, floor)
+					if err != nil {
+						t.Fatal(err)
+					}
+					stored := 0
+					for a := range n {
+						js, ss := ps.Row(a)
+						var want []int32
+						var wantSims []float64
+						for b := range n {
+							if s := sim[a*n+b]; b != a && s > 0 && s >= floor {
+								want, wantSims = append(want, int32(b)), append(wantSims, s)
+							}
+						}
+						if !slices.Equal(js, want) || !slices.Equal(ss, wantSims) {
+							t.Fatalf("trial %d %v floor %v workers %d: row %d is %v %v, want %v %v", trial, mode, floor, workers, a, js, ss, want, wantSims)
+						}
+						stored += len(js)
+					}
+					if stored != 2*ps.NumPairs() {
+						t.Fatalf("trial %d %v floor %v: rows hold %d entries for %d pairs", trial, mode, floor, stored, ps.NumPairs())
+					}
+				}
+			}
 		}
 	}
 }
@@ -500,7 +573,7 @@ func TestSparseTauZeroMergesComponents(t *testing.T) {
 
 func TestSparseCancellation(t *testing.T) {
 	sp := buildSpace(t, dataset.Large(dataset.LargeConfig{N: 200, Domains: 4, Seed: 5}))
-	pairs := candgen.AllPairs(sp.NumSchemas())
+	pairs := allPairs(sp.NumSchemas())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := PairwiseSims(ctx, sp, pairs, 2); err == nil {

@@ -94,23 +94,24 @@ type Model struct {
 }
 
 // AssignDomains runs Algorithm 3 over the complete pair graph of sp: every
-// schema-to-cluster similarity exact. It is AssignDomainsRows with no filter.
+// schema-to-cluster similarity exact. It is AssignDomainsRows at floor 0.
 // payg never calls it: a build, a feedback apply and an AddSchema read the
 // graph payg chooses for the space.
 func AssignDomains(set schema.Set, sp *feature.Space, cl *cluster.Result, opts Options) (*Model, error) {
-	return AssignDomainsRows(set, sp, cl, nil, opts)
+	return AssignDomainsRows(set, sp, cl, 0, opts)
 }
 
-// AssignDomainsRows runs Algorithm 3 over the pair graph of sp under keep
-// (nil: every positive pair) without storing it: each schema's row is read
-// off the space (cluster.GraphRow) when its turn comes, so the working memory
-// is O(n + clusters) whatever the number of pairs. The model is
-// AssignDomainsSparse's over cluster.CompletePairSims(sp, keep) to the last
-// bit. Feedback runs it, on a space of any size, with the filter the build
+// AssignDomainsRows runs Algorithm 3 over the pair graph of sp at floor (the
+// positive pairs whose similarity is at least floor; floor ≤ 0 is every one)
+// without storing it: each schema's row is read off the space
+// (cluster.GraphRow) when its turn comes, so the working memory is
+// O(n + clusters) whatever the number of pairs. The model is
+// AssignDomainsSparse's over cluster.CompletePairSims(sp, floor) to the last
+// bit. Feedback runs it, on a space of any size, with the floor the build
 // chose.
-func AssignDomainsRows(set schema.Set, sp *feature.Space, cl *cluster.Result, keep func(a, b int) bool, opts Options) (*Model, error) {
+func AssignDomainsRows(set schema.Set, sp *feature.Space, cl *cluster.Result, floor float64, opts Options) (*Model, error) {
 	return assignDomains(set, sp, cl, opts, func(i int, buf *feature.RowBuf) ([]int32, []float64) {
-		return cluster.GraphRow(sp, i, keep, buf)
+		return cluster.GraphRow(sp, i, floor, buf)
 	})
 }
 
@@ -122,10 +123,8 @@ func AssignDomainsRows(set schema.Set, sp *feature.Space, cl *cluster.Result, ke
 // convention.
 //
 // Over a complete pair set the result equals AssignDomains' to the last bit.
-// Over a candidate set, similarities to clusters that the generator found no
-// pair into are underestimated (as 0). Those are precisely the similarities
-// below the LSH threshold — far under τ_c_sim — so the membership gates are
-// unaffected for any pair the generator recalled.
+// Over the pairs at or above a floor, a schema-to-cluster similarity loses
+// the pairs below it (counted as 0), each far under τ_c_sim.
 func AssignDomainsSparse(set schema.Set, sp *feature.Space, cl *cluster.Result, ps *cluster.PairSims, opts Options) (*Model, error) {
 	if ps.N() != len(set) {
 		return nil, fmt.Errorf("core: pair sims cover %d schemas, set has %d", ps.N(), len(set))

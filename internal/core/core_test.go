@@ -10,7 +10,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"schemaflow/internal/candgen"
 	"schemaflow/internal/cluster"
 	"schemaflow/internal/dataset"
 	"schemaflow/internal/feature"
@@ -396,7 +395,7 @@ func TestAssignDomainsMatchesDefinition(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ps, err := cluster.CompletePairSims(context.Background(), sp, nil)
+			ps, err := cluster.CompletePairSims(context.Background(), sp, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -433,9 +432,10 @@ func TestAssignDomainsMatchesDefinition(t *testing.T) {
 // Its memberships must equal — with == — those of the definition's loop over
 // every cluster: sums over the stored pairs in ascending j with the self term
 // in place, every slot divided, Gate over all of them. The adjacencies are
-// LSH candidate subsets (most clusters untouched by most schemas); τ takes
-// 0.25, a stored schema-to-cluster similarity and its two float neighbours
-// (the gate's ≥ decided at the last bit). With τ ≤ 0 a zero similarity passes
+// the blocked build's, the pairs at or above feature.PairFloor (most
+// clusters untouched by most schemas); τ takes 0.25, a stored
+// schema-to-cluster similarity and its two float neighbours (the gate's ≥
+// decided at the last bit). With τ ≤ 0 a zero similarity passes
 // the gate, so every cluster must still be gated: at θ = 1 every schema is a
 // member of every domain.
 func TestPropertySparseGateIsTheDenseGate(t *testing.T) {
@@ -448,15 +448,7 @@ func TestPropertySparseGateIsTheDenseGate(t *testing.T) {
 	for name, set := range corpora {
 		n := len(set)
 		sp := feature.BuildLite(set, feature.DefaultConfig())
-		lsh := feature.NewTermVectorizer(candgen.Config{Bands: 128, Rows: 2})
-		if err := lsh.Fit(sp); err != nil {
-			t.Fatal(err)
-		}
-		pairs, err := lsh.CandidatePairs(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ps, err := cluster.PairwiseSims(ctx, sp, pairs, 0)
+		ps, err := cluster.CompletePairSims(ctx, sp, feature.PairFloor)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -551,17 +543,13 @@ func TestAssignDomainsIsWorkerCountInvariant(t *testing.T) {
 	ctx := context.Background()
 	set := dataset.Large(dataset.LargeConfig{N: 1500, Seed: 1})
 	sp := feature.BuildLite(set, feature.DefaultConfig())
-	ss, err := candgen.Signatures(ctx, sp.Vectors, candgen.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, source := range []string{"complete", "filtered"} {
-		var keep func(a, b int) bool
+		var floor float64
 		if source == "filtered" {
-			keep = ss.Collide
+			floor = feature.PairFloor
 		}
-		ps, err := cluster.CompletePairSims(ctx, sp, keep)
+		ps, err := cluster.CompletePairSims(ctx, sp, floor)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -573,7 +561,7 @@ func TestAssignDomainsIsWorkerCountInvariant(t *testing.T) {
 			entries := map[string]func() (*Model, error){
 				"AssignDomains":       func() (*Model, error) { return AssignDomains(set, sp, cl, opts) },
 				"AssignDomainsSparse": func() (*Model, error) { return AssignDomainsSparse(set, sp, cl, ps, opts) },
-				"AssignDomainsRows":   func() (*Model, error) { return AssignDomainsRows(set, sp, cl, keep, opts) },
+				"AssignDomainsRows":   func() (*Model, error) { return AssignDomainsRows(set, sp, cl, floor, opts) },
 			}
 			runtime.GOMAXPROCS(2)
 			stored, err := entries["AssignDomainsSparse"]()

@@ -100,7 +100,7 @@ func TestFlagsDocumented(t *testing.T) {
 	server := filepath.Join("cmd", "payg-server", "main.go")
 	mains := []string{server, filepath.Join("cmd", "payg-loadgen", "main.go")}
 	// Ratchet: the server's flag surface may shrink freely, but growing it
-	// means editing this number on purpose (ROADMAP item 3).
+	// means editing this number on purpose (ROADMAP item 7).
 	const maxServerFlags = 17
 	registered := make(map[string]string) // flag -> file that registers it
 	for _, rel := range mains {
@@ -136,7 +136,7 @@ func TestFlagsDocumented(t *testing.T) {
 
 // TestConfigSurfaceRatchet is maxServerFlags for the serving config
 // structs and mediation's options: each may lose fields freely, but growing one means editing its
-// number on purpose (ROADMAP item 3).
+// number on purpose (ROADMAP item 7).
 func TestConfigSurfaceRatchet(t *testing.T) {
 	for _, c := range []struct {
 		file, typ string
@@ -154,6 +154,24 @@ func TestConfigSurfaceRatchet(t *testing.T) {
 		if n > c.max {
 			t.Errorf("%s: %s has %d exported fields, ratchet is %d", c.file, c.typ, n, c.max)
 		}
+	}
+}
+
+// TestProductionLinesRatchet is the same ratchet on the code itself: the
+// non-test Go outside bench/ may shrink freely, but growing it means
+// editing this number on purpose (ROADMAP item 10).
+func TestProductionLinesRatchet(t *testing.T) {
+	const maxLines = 22645
+	sources, err := ProductionSources(repoRoot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := 0
+	for _, src := range sources {
+		lines += strings.Count(src, "\n")
+	}
+	if lines > maxLines {
+		t.Errorf("non-test Go outside bench/ is %d lines, ratchet is %d", lines, maxLines)
 	}
 }
 
@@ -178,8 +196,10 @@ func TestOneHTTPContract(t *testing.T) {
 		"empty attribute list",
 		"bad request body: ",
 		"trailing data after JSON body",
-		// Not HTTP, but a validator too: mediate's threshold check.
+		// Not HTTP, but validators too: mediate's threshold check and
+		// payg's CandidateGen check.
 		"mediate: frequency threshold ",
+		"payg: unknown candidate generator ",
 	} {
 		var files []string
 		for rel, src := range sources {

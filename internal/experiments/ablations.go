@@ -90,7 +90,7 @@ type ThetaAblationRow struct {
 // exact-classifier setup time, and clustering quality.
 func ThetaAblation(set schema.Set, tau float64, thetas []float64) ([]ThetaAblationRow, error) {
 	sp := feature.BuildLite(set, feature.DefaultConfig())
-	ps, err := cluster.CompletePairSims(context.TODO(), sp, nil)
+	ps, err := cluster.CompletePairSims(context.TODO(), sp, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -259,7 +259,7 @@ type BaselineRow struct {
 func BaselineComparison(set schema.Set, tau float64, trueK int) ([]BaselineRow, error) {
 	sp := feature.BuildLite(set, feature.DefaultConfig())
 	start := time.Now()
-	ps, err := cluster.CompletePairSims(context.TODO(), sp, nil)
+	ps, err := cluster.CompletePairSims(context.TODO(), sp, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -66,7 +66,7 @@ func buildModel(set schema.Set, sp *feature.Space, ps *cluster.PairSims, method 
 	}
 	if ps == nil {
 		var err error
-		if ps, err = cluster.CompletePairSims(context.TODO(), sp, nil); err != nil {
+		if ps, err = cluster.CompletePairSims(context.TODO(), sp, 0); err != nil {
 			return nil, err
 		}
 	}
@@ -157,7 +157,7 @@ func DefaultTaus() []float64 {
 // thresholded run (see cluster.BuildDendrogram) and ~|taus|× faster.
 func LinkageSweep(set schema.Set, taus []float64, methods []cluster.Method, theta float64) ([]SweepSeries, error) {
 	sp := feature.BuildLite(set, feature.DefaultConfig())
-	ps, err := cluster.CompletePairSims(context.TODO(), sp, nil)
+	ps, err := cluster.CompletePairSims(context.TODO(), sp, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -3,7 +3,6 @@ package feature
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 	"sort"
 	"testing"
 
@@ -259,35 +258,4 @@ func TestExtendNoNewTerms(t *testing.T) {
 		t.Fatalf("idx %d, n %d", idx, ext.NumSchemas())
 	}
 	checkExtendEquivalence(t, ext, BuildLite(append(set[:2:2], newcomer), DefaultConfig()))
-}
-
-// TestSortedIDsAreBuildLitesIndices: once Extend has appended terms out of
-// order, SortedIDs numbers each term as a space built afresh over the same
-// schemas indexes it; a space built afresh needs no renumbering.
-func TestSortedIDsAreBuildLitesIndices(t *testing.T) {
-	corpus := extendCorpus(40, 7)
-	if ids := BuildLite(corpus, DefaultConfig()).SortedIDs(); ids != nil {
-		t.Fatalf("a fresh space renumbers its terms: %v", ids[:min(len(ids), 5)])
-	}
-	arrivals := []schema.Schema{
-		{Name: "new1", Attributes: []string{"aardvark count", "hangar"}},
-		{Name: "new2", Attributes: []string{"mango yield", "zeppelin"}},
-	}
-	fresh := BuildLite(append(slices.Clip(corpus), arrivals...), DefaultConfig())
-	sp := BuildLite(corpus, DefaultConfig())
-	for _, s := range arrivals {
-		sp, _ = sp.Extend(s)
-	}
-	ids := sp.SortedIDs()
-	if ids == nil {
-		t.Fatal("premise broken: Extend appended no term out of order")
-	}
-	if len(sp.Vocab) != len(fresh.Vocab) {
-		t.Fatalf("extended vocabulary has %d terms, fresh %d", len(sp.Vocab), len(fresh.Vocab))
-	}
-	for j, term := range sp.Vocab {
-		if got := fresh.Vocab[ids[j]]; got != term {
-			t.Fatalf("term %d %q renumbered %d, which a fresh space gives %q", j, term, ids[j], got)
-		}
-	}
 }

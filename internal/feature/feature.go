@@ -464,23 +464,15 @@ func (buf *RowBuf) ascending(js []int32, lo, n int32) []int32 {
 	return js
 }
 
-// SortedIDs returns, for each vocabulary index, the term's place in the
-// sorted vocabulary — its index in a space built afresh from the same
-// schemas, since BuildLite sorts L and Extend appends a new term at the end —
-// or nil when Vocab is sorted and every index is its own.
-func (sp *Space) SortedIDs() []int32 {
-	if slices.IsSorted(sp.Vocab) {
-		return nil
-	}
-	sorted := slices.Clone(sp.Vocab)
-	slices.Sort(sorted)
-	ids := make([]int32, len(sp.Vocab))
-	for j, t := range sp.Vocab {
-		place, _ := slices.BinarySearch(sorted, t)
-		ids[j] = int32(place)
-	}
-	return ids
-}
+// PairFloor is φ, the one parameter of the blocked build's pair graph: a
+// pair of schemas enters it when s_sim ≥ φ (cluster.CompletePairSims with
+// this floor), and the exact build is floor 0. Algorithms 2 and 3 read an
+// absent pair as similarity 0, so the floor drops only pairs far below
+// τ_c_sim = 0.25, the faint ones average linkage would otherwise fold into
+// its cluster averages; at 0.08 the blocked build tracks the exact one
+// (DESIGN.md §10). payg reads it, and so does TermVectorizer, which lists
+// the same graph.
+const PairFloor = 0.08
 
 // Row returns, ascending in j, every schema j > from other than i whose
 // feature vector shares a set bit with schema i's, with s_sim(S_i, S_j) beside

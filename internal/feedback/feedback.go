@@ -18,21 +18,19 @@
 package feedback
 
 import (
-	"context"
 	"fmt"
 
 	"schemaflow/internal/cluster"
 	"schemaflow/internal/core"
-	"schemaflow/internal/feature"
 	"schemaflow/internal/ingest"
 	"schemaflow/internal/schema"
 )
 
-// PairFilter chooses the pair graph Algorithm 3 reads over a space: the
-// positive pairs of its inverted index that keep admits (nil: every one), as
-// cluster.CompletePairSims defines them. payg passes its build's, so a
-// correction reads the pairs the build read.
-type PairFilter func(ctx context.Context, sp *feature.Space) (keep func(a, b int) bool, err error)
+// PairFloor chooses the pair graph Algorithm 3 reads over a space of n
+// schemas: the positive pairs whose similarity is at least the floor it
+// returns (≤ 0: every one), as cluster.CompletePairSims defines them. payg
+// passes its build's, so a correction reads the pairs the build read.
+type PairFloor func(n int) float64
 
 // Session accumulates explicit corrections against a model. Operations are
 // recorded immediately but take effect only at Apply, which returns a new
@@ -129,12 +127,11 @@ type Result struct {
 // Apply rebuilds the model with all recorded corrections: the hard
 // clustering is edited (moves, merges, splits), memberships are recomputed
 // by Algorithm 3 over the edited clustering and the model space's pair graph
-// under filter (core.AssignDomainsRows, streamed: no pair is stored), and
-// every corrected schema is pinned to its target domain with probability 1 —
-// user knowledge overrides the similarity heuristics. Given the filter the
-// model was built with, an empty session reproduces every membership bit for
-// bit.
-func (s *Session) Apply(filter PairFilter) (*Result, error) {
+// at floor (core.AssignDomainsRows, streamed: no pair is stored), and every
+// corrected schema is pinned to its target domain with probability 1 — user
+// knowledge overrides the similarity heuristics. Given the floor the model
+// was built with, an empty session reproduces every membership bit for bit.
+func (s *Session) Apply(floor PairFloor) (*Result, error) {
 	m := s.model
 	n := len(m.Schemas)
 
@@ -179,11 +176,7 @@ func (s *Session) Apply(filter PairFilter) (*Result, error) {
 	}
 
 	cl := cluster.FromAssignment(assign)
-	keep, err := filter(context.TODO(), m.Space)
-	if err != nil {
-		return nil, err
-	}
-	newModel, err := core.AssignDomainsRows(m.Schemas, m.Space, cl, keep, m.Opts)
+	newModel, err := core.AssignDomainsRows(m.Schemas, m.Space, cl, floor(n), m.Opts)
 	if err != nil {
 		return nil, err
 	}
@@ -232,12 +225,12 @@ func (s *Session) Apply(filter PairFilter) (*Result, error) {
 // itself (feature.Space.Extend, copy-on-write — novel terms are appended to
 // the vocabulary and only affected vectors are touched, instead of
 // re-embedding all n existing schemas), and memberships are recomputed by
-// Algorithm 3 over the extended space's pair graph under filter
-// (core.AssignDomainsRows), so the new schema gets a proper probabilistic
-// assignment.
+// Algorithm 3 over the extended space's pair graph (core.AssignDomainsRows)
+// at the floor for its n + 1 schemas, which may cross a blocking threshold
+// n did not, so the new schema gets a proper probabilistic assignment.
 //
 // It returns the new model and the new schema's primary domain id.
-func AddSchema(m *core.Model, s schema.Schema, filter PairFilter) (*core.Model, int, error) {
+func AddSchema(m *core.Model, s schema.Schema, floor PairFloor) (*core.Model, int, error) {
 	a, err := ingest.AssignRestricted(m, s, nil)
 	if err != nil {
 		return nil, 0, err
@@ -255,11 +248,7 @@ func AddSchema(m *core.Model, s schema.Schema, filter PairFilter) (*core.Model, 
 	}
 
 	cl := cluster.FromAssignment(assign)
-	keep, err := filter(context.TODO(), sp)
-	if err != nil {
-		return nil, 0, err
-	}
-	newModel, err := core.AssignDomainsRows(extended, sp, cl, keep, m.Opts)
+	newModel, err := core.AssignDomainsRows(extended, sp, cl, floor(len(extended)), m.Opts)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -1,7 +1,6 @@
 package feedback
 
 import (
-	"context"
 	"math"
 	"runtime"
 	"slices"
@@ -28,8 +27,8 @@ func testSet() schema.Set {
 	}
 }
 
-// exact is the pair filter of an exact build: every positive pair.
-func exact(context.Context, *feature.Space) (func(a, b int) bool, error) { return nil, nil }
+// exact is the pair floor of an exact build: every positive pair.
+func exact(int) float64 { return 0 }
 
 func buildModel(t *testing.T, set schema.Set) *core.Model {
 	t.Helper()

@@ -1,7 +1,6 @@
 package ingest_test
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -62,9 +61,9 @@ func propSchema(rng *rand.Rand, name string, word func(*rand.Rand) string) schem
 	return s
 }
 
-// exactFilter is the pair filter of an exact build, whose graph AddSchema
+// exactFloor is the pair floor of an exact build, whose graph AddSchema
 // grows the model over: every positive pair.
-func exactFilter(context.Context, *feature.Space) (func(a, b int) bool, error) { return nil, nil }
+func exactFloor(int) float64 { return 0 }
 
 // randomModel is a random clustering (not Algorithm 2's: the comparison must
 // hold for any) over a random corpus, grown by 0–3 AddSchemas so the space
@@ -98,7 +97,7 @@ func randomModel(t *testing.T, rng *rand.Rand, cfg feature.Config) *core.Model {
 		if rng.Intn(2) == 0 {
 			word = novelWord
 		}
-		m, _, err = feedback.AddSchema(m, propSchema(rng, fmt.Sprintf("grown%d", grow), word), exactFilter)
+		m, _, err = feedback.AddSchema(m, propSchema(rng, fmt.Sprintf("grown%d", grow), word), exactFloor)
 		if err != nil {
 			t.Fatal(err)
 		}

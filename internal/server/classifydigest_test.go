@@ -17,12 +17,17 @@ import (
 )
 
 // classifyDigest is the SHA-256 of the bodies /classify and /classify/batch
-// serve on Large{N:6000,Domains:120,Seed:1}, recorded from the commit whose
-// node still fully sorted every domain before cutting the answer to top.
-// encoding/json prints a float64 as the shortest string that parses back to
-// the same bits, so an equal digest means the same domains, in the same
-// order, with the same posterior bits and mediated schemas.
-const classifyDigest = "3de60430f2e73b13c3af9fbadd9919e7fd7201a15e5bef8bcde62374d2571a22"
+// serve on Large{N:6000,Domains:120,Seed:1}. It was recorded from the commit
+// whose node still fully sorted every domain before cutting the answer to
+// top (3de60430…), and re-recorded when the similarity floor replaced the
+// MinHash band test as the blocked build's pair graph: 556 domains instead
+// of 562, and the blocked build's top 3 agrees with the exact build's on
+// 97.7 % of these queries, against 94.3 % before (payg's
+// TestBlockedBuildFidelity). encoding/json prints a float64 as the shortest
+// string that parses back to the same bits, so an equal digest means the
+// same domains, in the same order, with the same posterior bits and mediated
+// schemas.
+const classifyDigest = "50fb81c434e308491031ebf6cb0924a8096743a7c998b2f688afcc881d8eb134"
 
 // TestClassifyDigest pins the served classification bytes: 200 seeded
 // queries of 2–4 attributes of one random schema each, at top 1, 3, 10 and

@@ -20,35 +20,30 @@ func assignOf(s *System) []int {
 	return s.Model().Clustering.Assign
 }
 
-// TestAutoSwitch pins the CandidateGen="auto" decision boundary: pairFilter
-// blocks a space of blockedAutoMin schemas and not one of a schema fewer.
+// TestAutoSwitch pins the CandidateGen="auto" decision boundary: pairFloor
+// blocks a space of blockedAutoMin schemas and not one of a schema fewer,
+// and an unknown generator is an error before any build work.
 func TestAutoSwitch(t *testing.T) {
-	full := dataset.Large(dataset.LargeConfig{N: blockedAutoMin, Seed: 1})
-	spaces := map[int]*feature.Space{}
-	for _, n := range []int{100, blockedAutoMin - 1, blockedAutoMin} {
-		spaces[n] = feature.BuildLite(full[:n], feature.DefaultConfig())
-	}
 	for _, tc := range []struct {
-		gen     string
-		n       int
-		blocked bool
+		gen   string
+		n     int
+		floor float64
 	}{
-		{"auto", blockedAutoMin - 1, false},
-		{"auto", blockedAutoMin, true},
-		{"exact", blockedAutoMin, false},
-		{"lsh", 100, true},
+		{"auto", blockedAutoMin - 1, 0},
+		{"auto", blockedAutoMin, feature.PairFloor},
+		{"exact", blockedAutoMin, 0},
+		{"lsh", 100, feature.PairFloor},
 	} {
 		o := Options{CandidateGen: tc.gen}.withDefaults()
-		keep, err := o.pairFilter(context.Background(), spaces[tc.n])
-		if err != nil {
+		if _, err := o.featureConfig(); err != nil {
 			t.Fatalf("%+v: %v", tc, err)
 		}
-		if got := keep != nil; got != tc.blocked {
-			t.Errorf("gen=%s n=%d: blocked=%v, want %v", tc.gen, tc.n, got, tc.blocked)
+		if floor := o.pairFloor(tc.n); floor != tc.floor {
+			t.Errorf("gen=%s n=%d: floor %v, want %v", tc.gen, tc.n, floor, tc.floor)
 		}
 	}
 	o := Options{CandidateGen: "bogus"}.withDefaults()
-	if _, err := o.pairFilter(context.Background(), spaces[100]); err == nil {
+	if _, err := o.featureConfig(); err == nil {
 		t.Error("unknown candidate generator accepted")
 	}
 }
@@ -152,7 +147,7 @@ func TestBuildExactMatchesDeletedDensePipeline(t *testing.T) {
 	}
 }
 
-// TestBlockedBuildWorksOnSmallCorpus forces the LSH path where exact is
+// TestBlockedBuildWorksOnSmallCorpus forces the blocked build where exact is
 // also cheap and checks the result is a working system with near-identical
 // clustering.
 func TestBlockedBuildWorksOnSmallCorpus(t *testing.T) {
@@ -273,18 +268,18 @@ func TestBlockedOptionsValidation(t *testing.T) {
 
 // TestBuildPhasesCoverTheBuild keeps the phase timers honest as the place to
 // read where a build's time goes: over one build of each kind, its
-// schemaflow_build_phase_duration_seconds phases — the blocked build's seven,
-// the exact build's six (no candidates) — account for at least 90 % of Build's
-// wall time, so no stretch of work sits outside them. (A profile's cumulative
-// view cannot say this — work done in anonymous worker goroutines is not
-// attributed to the phase that started them.)
+// schemaflow_build_phase_duration_seconds phases — the same six for both —
+// account for at least 90 % of Build's wall time, so no stretch of work sits
+// outside them. (A profile's cumulative view cannot say this — work done in
+// anonymous worker goroutines is not attributed to the phase that started
+// them.)
 func TestBuildPhasesCoverTheBuild(t *testing.T) {
 	set := dataset.Large(dataset.LargeConfig{N: 1500, Seed: 1})
 	for _, tc := range []struct {
 		gen    string
 		phases []string
 	}{
-		{"lsh", []string{"features", "candidates", "pairwise", "cluster", "domains", "classifier", "mediation"}},
+		{"lsh", []string{"features", "pairwise", "cluster", "domains", "classifier", "mediation"}},
 		{"exact", []string{"features", "pairwise", "cluster", "domains", "classifier", "mediation"}},
 	} {
 		before := make([]float64, len(tc.phases))
@@ -337,9 +332,9 @@ func TestBuildReportsHACShape(t *testing.T) {
 }
 
 // TestBuildReportsStoredPairs: a build says how many pairs both algorithms
-// read. On a blocked build some candidates are pairs with nothing in common
-// (accidental band-key collisions), so the count is positive and below the
-// candidate count; on an exact build it is the positive share of all n(n−1)/2.
+// read. On a blocked build the floor drops the faint positive pairs, so the
+// count is positive and below the examined (candidate) count; on an exact
+// build it is the positive share of all n(n−1)/2.
 func TestBuildReportsStoredPairs(t *testing.T) {
 	set := dataset.Large(dataset.LargeConfig{N: 600, Domains: 12, Seed: 1})
 	mBuildStoredPairs.Set(-1)
@@ -347,7 +342,7 @@ func TestBuildReportsStoredPairs(t *testing.T) {
 		t.Fatal(err)
 	}
 	if stored, cand := mBuildStoredPairs.Value(), mBuildCandidatePairs.Value(); stored <= 0 || stored >= cand {
-		t.Errorf("lsh: stored pairs %v of %v candidates, want a positive count below the candidates", stored, cand)
+		t.Errorf("lsh: stored pairs %v of %v examined, want a positive count below the examined ones", stored, cand)
 	}
 	mBuildStoredPairs.Set(-1)
 	if _, err := Build(set, Options{CandidateGen: "exact", SkipMediation: true}); err != nil {

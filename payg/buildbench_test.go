@@ -13,7 +13,7 @@ import (
 )
 
 // buildBenchArtifact gates TestBuildBenchArtifact, which sweeps corpus
-// sizes through the blocked (LSH + sparse HAC) and exact build paths and
+// sizes through the blocked (similarity floor + sparse HAC) and exact build paths and
 // renders the comparison to BENCH_build.json (make bench-build).
 var (
 	buildBenchArtifact = flag.Bool("bench-build-artifact", false, "write the offline-build scaling artifact")
@@ -99,7 +99,7 @@ func TestBuildBenchArtifact(t *testing.T) {
 		FullSweep   bool            `json:"full_sweep"`
 		Rows        []buildBenchRow `json:"rows"`
 	}{
-		Description: "Offline build scaling: MinHash-LSH blocked pipeline vs exact all-pairs pipeline (SkipMediation, defaults otherwise)",
+		Description: "Offline build scaling: blocked pipeline (pairs at or above the similarity floor) vs exact all-pairs pipeline (SkipMediation, defaults otherwise)",
 		GoVersion:   runtime.Version(),
 		NumCPU:      runtime.NumCPU(),
 		Corpus:      "dataset.Large, domains = n/200, seed 42",

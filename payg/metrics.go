@@ -85,7 +85,7 @@ var (
 
 	mBuildPhase = obs.Default().HistogramVec(
 		"schemaflow_build_phase_duration_seconds",
-		"Duration of each Build pipeline phase (features, candidates, pairwise, cluster, domains, classifier, mediation).",
+		"Duration of each Build pipeline phase (features, pairwise, cluster, domains, classifier, mediation).",
 		obs.DurationBuckets(),
 		"phase")
 
@@ -95,17 +95,17 @@ var (
 
 	mBuildMode = obs.Default().CounterVec(
 		"schemaflow_build_mode_total",
-		"Builds by where the clustering's schema pairs came from: exact (every pair) or blocked (MinHash-LSH candidates).",
+		"Builds by which schema pairs the clustering read: exact (every positive pair) or blocked (the pairs at or above the similarity floor; CandidateGen \"lsh\" is its historical name).",
 		"mode")
 	mBuildCandidatePairs = obs.Default().Gauge(
 		"schemaflow_build_candidate_pairs",
-		"Positive-similarity pairs the band filter examined in the most recent blocked build, before Collide decided which to keep.")
+		"Positive-similarity pairs the similarity floor examined in the most recent blocked build, those below it included.")
 	mBuildCandidateFraction = obs.Default().Gauge(
 		"schemaflow_build_candidate_fraction",
 		"schemaflow_build_candidate_pairs as a fraction of all n(n-1)/2 pairs in the most recent blocked build: the positive share of the corpus, the work the pairwise phase cannot skip.")
 	mBuildStoredPairs = obs.Default().Gauge(
 		"schemaflow_build_stored_pairs",
-		"Positive-similarity pairs the most recent build stored: the pair graph Algorithms 2 and 3 both read (on a blocked build, the ones the bands kept).")
+		"Positive-similarity pairs the most recent build stored: the pair graph Algorithms 2 and 3 both read (on a blocked build, the ones at or above the similarity floor).")
 	mBuildHACWorkers = obs.Default().Gauge(
 		"schemaflow_build_hac_workers",
 		"Worker goroutines available to the most recent build's clustering: Algorithm 2 runs one independent component per worker.")

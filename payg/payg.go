@@ -57,7 +57,6 @@ import (
 	"strings"
 	"time"
 
-	"schemaflow/internal/candgen"
 	"schemaflow/internal/classify"
 	"schemaflow/internal/cluster"
 	"schemaflow/internal/core"
@@ -142,12 +141,13 @@ type Options struct {
 	MediationFreqThreshold float64
 
 	// CandidateGen selects which schema pairs the clustering stage
-	// compares: "auto" (default — every pair below 4096 schemas, MinHash-LSH
-	// candidates at or above it), "exact" (always every pair — the thesis'
-	// clustering), or "lsh" (always LSH candidates, the sub-quadratic
-	// blocked build). Both feed one clustering and domain assignment with
-	// the positive pairs read off the feature space's inverted index:
-	// "exact" with every one, "lsh" with those that share a band key. See
+	// compares: "auto" (default — every pair below 4096 schemas, the blocked
+	// build at or above it), "exact" (always every pair — the thesis'
+	// clustering), or "lsh" (always the blocked build; the name is
+	// historical, from when MinHash-LSH chose its pairs). Both feed one
+	// clustering and domain assignment with the positive pairs read off the
+	// feature space's inverted index: "exact" with every one, "lsh" with
+	// those whose similarity is at least feature.PairFloor. See
 	// docs/DESIGN.md §10.
 	CandidateGen string
 
@@ -156,23 +156,11 @@ type Options struct {
 	resolved bool
 }
 
-// Fixed tuning of the blocked build path: constants
-// rather than options because no caller, benchmark or runbook needs a second
-// value, and each one's effect is pinned by a test instead.
-const (
-	// lshBands × lshRows shape the MinHash signature. They put the banding
-	// threshold at (1/128)^(1/2) ≈ 0.09 — deliberately well below τ_c_sim =
-	// 0.25, because average linkage needs the low-similarity pairs too: a
-	// pair at 0.1 never merges on its own but still pulls cluster-to-cluster
-	// averages, and dropping it skews merge decisions near the threshold.
-	lshBands = 128
-	lshRows  = 2
-	// blockedAutoMin is the schema count at which CandidateGen "auto"
-	// switches from every pair to LSH candidates. Below it the complete
-	// pair set is both fast and bit-exact, so auto never trades accuracy
-	// for speed on corpora where exact is cheap.
-	blockedAutoMin = 4096
-)
+// blockedAutoMin is the schema count at which CandidateGen "auto" switches
+// from every pair to the blocked build. Below it the complete pair set is
+// both fast and bit-exact, so auto never trades accuracy for speed on
+// corpora where exact is cheap.
+const blockedAutoMin = 4096
 
 // withDefaults resolves the zero-value sentinels: 0 becomes the documented
 // default, negative values become a literal 0 (see the Options doc), and
@@ -343,8 +331,15 @@ func assemble(ctx context.Context, opts Options, model *core.Model, local []int)
 }
 
 // featureConfig translates the options into the feature-space config used
-// by Build, AddSchema, and incremental ingestion.
+// by Build, AddSchema, and incremental ingestion. Build and Load both come
+// through here, so it is also where an unknown CandidateGen is rejected: a
+// System's options always name a pair graph pairFloor knows.
 func (o Options) featureConfig() (feature.Config, error) {
+	switch o.CandidateGen {
+	case "auto", "exact", "lsh":
+	default:
+		return feature.Config{}, fmt.Errorf("payg: unknown candidate generator %q (want auto, exact, or lsh)", o.CandidateGen)
+	}
 	ts, err := o.termSim()
 	if err != nil {
 		return feature.Config{}, err
@@ -367,7 +362,7 @@ func (o Options) featureConfig() (feature.Config, error) {
 }
 
 // buildModel is the clustering pipeline: feature space → pair graph (the
-// positive pairs of the space's inverted index that pairFilter keeps) →
+// positive pairs of the space's inverted index at or above pairFloor) →
 // agglomerative clustering (Algorithm 2) → probabilistic domains
 // (Algorithm 3), both algorithms reading the one graph. Every stage honors
 // ctx.
@@ -378,20 +373,15 @@ func buildModel(ctx context.Context, set schema.Set, fcfg feature.Config, method
 		return nil, err
 	}
 	mBuildPhase.With("features").Observe(time.Since(t).Seconds())
-	t = time.Now()
-	keep, err := opts.pairFilter(ctx, sp)
-	if err != nil {
-		return nil, err
-	}
-	blocked := keep != nil
+	floor := opts.pairFloor(len(set))
+	blocked := floor > 0
 	if blocked {
 		mBuildMode.With("blocked").Inc()
-		mBuildPhase.With("candidates").Observe(time.Since(t).Seconds())
 	} else {
 		mBuildMode.With("exact").Inc()
 	}
 	t = time.Now()
-	ps, err := cluster.CompletePairSims(ctx, sp, keep)
+	ps, err := cluster.CompletePairSims(ctx, sp, floor)
 	if err != nil {
 		return nil, fmt.Errorf("payg: pairwise similarities: %w", err)
 	}
@@ -426,37 +416,21 @@ func buildModel(ctx context.Context, set schema.Set, fcfg feature.Config, method
 	return model, nil
 }
 
-// pairFilter is the one place the pair graph is chosen: keep says which
-// positive pairs of sp's inverted index (cluster.CompletePairSims)
-// Algorithms 2 and 3 read. "exact" keeps every one (keep nil, the exact
-// build); "lsh" those whose MinHash-LSH band keys agree in some band (the
-// blocked build); "auto" is exact below blockedAutoMin schemas. Build,
-// ApplyFeedback and AddSchema all call it on their model's space, so a
-// correction reads the build's graph. It is recomputed rather than kept on
-// the System, which a snapshot could not restore; MinHash hashes each term
-// as its place in the sorted vocabulary (feature.Space.SortedIDs), so a
-// space AddSchema grew and the one Load rebuilds from the same schemas get
-// the same graph.
-func (o Options) pairFilter(ctx context.Context, sp *feature.Space) (keep func(a, b int) bool, err error) {
-	switch o.CandidateGen {
-	case "exact":
-		return nil, nil
-	case "lsh":
-	case "auto":
-		if sp.NumSchemas() < blockedAutoMin {
-			return nil, nil
-		}
-	default:
-		return nil, fmt.Errorf("payg: unknown candidate generator %q (want auto, exact, or lsh)", o.CandidateGen)
+// pairFloor is the one place the pair graph is chosen: Algorithms 2 and 3
+// read the positive pairs of the space's inverted index
+// (cluster.CompletePairSims) whose similarity is at least the floor it
+// returns for n schemas. "exact" is floor 0, every positive pair (the exact
+// build); "lsh" is feature.PairFloor (the blocked build); "auto" is exact
+// below blockedAutoMin schemas. Build, ApplyFeedback and AddSchema all ask
+// it for their model's schema count, so a correction reads the build's
+// graph, and so does a system Load rebuilt from the same schemas. The
+// options must have passed featureConfig, which rejects any other
+// CandidateGen.
+func (o Options) pairFloor(n int) float64 {
+	if o.CandidateGen == "exact" || o.CandidateGen == "auto" && n < blockedAutoMin {
+		return 0
 	}
-	// MinHash-LSH runs over the binary feature vectors (in term-frequency
-	// mode those are the binary projection, positive exactly where the
-	// counts are).
-	ss, err := candgen.Signatures(ctx, sp.Vectors, candgen.Config{Bands: lshBands, Rows: lshRows, IDs: sp.SortedIDs()})
-	if err != nil {
-		return nil, fmt.Errorf("payg: candidate generation: %w", err)
-	}
-	return ss.Collide, nil
+	return feature.PairFloor
 }
 
 func (s *System) buildMediation(ctx context.Context) error {
