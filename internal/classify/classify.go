@@ -122,17 +122,16 @@ type queryScratch struct {
 	asc []Score   // every domain's score in ascending domain order; cap NumDomains
 }
 
-// statsScratch carries the dim-sized working buffers of the per-domain
-// setup-phase statistics across domains, so building a classifier over
-// thousands of domains allocates its feature-width buffers once per setup
-// worker instead of once per domain. The p1 buffer returned by the stats
-// functions aliases it.
+// statsScratch carries the working buffers of the per-domain setup-phase
+// statistics across domains, so building a classifier over thousands of
+// domains allocates its feature-width buffers once per setup worker instead
+// of once per domain. The stats functions read and write the dim-wide
+// buffers only at the current domain's terms.
 type statsScratch struct {
-	count []float64
-	p1    []float64
+	terms []int32   // the terms the current domain's members mention, ascending
+	count []float64 // per term: the members' count; zero between domains
+	p1    []float64 // per term: Pr(F_j=1 | D_r), valid at terms
 	accU  []float64
-	idx   []int
-	mark  *bitvec.Vector // the terms the current domain's members mention
 }
 
 // New builds the classifier from a probabilistic domain model. This is the
@@ -193,8 +192,16 @@ func New(m *core.Model, cfg Config) (*Classifier, error) {
 	fillRow := func(i int, sc *statsScratch) error {
 		r := domainOf[i]
 		d := &m.Domains[r]
-		var prior float64
-		var p1 []float64
+		// Only the terms some member mentions can move p1 off the smoothed
+		// prior p0, so only they are computed and listed; every other term's
+		// adjustment is the row's default.
+		sc.terms = sc.terms[:0]
+		for _, mem := range d.Members {
+			sc.terms = append(sc.terms, m.Space.Bits(mem.Schema)...)
+		}
+		slices.Sort(sc.terms)
+		sc.terms = slices.Compact(sc.terms)
+		var prior, p0 float64
 		var err error
 		useExact := cfg.Mode == Exact
 		if useExact {
@@ -207,9 +214,9 @@ func New(m *core.Model, cfg Config) (*Classifier, error) {
 			}
 		}
 		if useExact {
-			prior, p1, err = exactDomainStats(m, d, total, p, sc)
+			prior, p0, err = exactDomainStats(m, d, total, p, sc)
 		} else {
-			prior, p1, err = approxDomainStats(m, d, total, p, sc)
+			prior, p0, err = approxDomainStats(m, d, total, p, sc)
 		}
 		if err != nil {
 			return fmt.Errorf("classify: domain %d: %w", r, err)
@@ -223,30 +230,27 @@ func New(m *core.Model, cfg Config) (*Classifier, error) {
 			c.base[i] = math.Inf(-1)
 			return nil
 		}
-		// Only the terms some member mentions can move p1 off the smoothed
-		// prior, so only they are listed; every other term's adjustment is
-		// the row's default.
-		sc.mark.Zero()
-		for _, mem := range d.Members {
-			sc.mark.InPlaceOr(m.Space.Vectors[mem.Schema])
-		}
-		term := sc.mark.IndicesAppend32(make([]int32, 0, sc.mark.Count()))
+		// Σ_j log Pr(F_j=0 | D_r) is summed over every term in index order,
+		// the unmentioned ones adding p0's log, whose two logs are taken once.
+		term := slices.Clone(sc.terms)
 		delta := make([]float64, len(term))
-		// Every term no member schema mentions has the same smoothed p1, so
-		// its two logs are taken once per run of equal values.
-		sum0, last, l1, l0, next := 0.0, math.NaN(), 0.0, 0.0, 0
-		for j := 0; j < dim; j++ {
-			if p1[j] != last {
-				last = p1[j]
-				l1, l0 = math.Log(last), math.Log(1-last)
+		l1, l0 := math.Log(p0), math.Log(1-p0)
+		sum0, next := 0.0, 0
+		for k, t := range term {
+			for ; next < int(t); next++ {
+				sum0 += l0
 			}
+			q := sc.p1[t]
+			lq := math.Log(1 - q)
+			sum0 += lq
+			delta[k] = math.Log(q) - lq
+			next = int(t) + 1
+		}
+		for ; next < dim; next++ {
 			sum0 += l0
-			if next < len(term) && int(term[next]) == j {
-				delta[next] = l1 - l0
-				next++
-			} else {
-				c.def[i] = l1 - l0
-			}
+		}
+		if len(term) < dim { // with every term mentioned, no term has p0 and def stays 0
+			c.def[i] = l1 - l0
 		}
 		rowTerm[i], rowDelta[i] = term, delta
 		c.logPrior[i] = math.Log(prior)
@@ -261,7 +265,7 @@ func New(m *core.Model, cfg Config) (*Classifier, error) {
 	// returned.
 	errs := make([]error, rows)
 	par.EachWith(rows, func() *statsScratch {
-		return &statsScratch{count: make([]float64, dim), p1: make([]float64, dim), mark: bitvec.New(dim)}
+		return &statsScratch{count: make([]float64, dim), p1: make([]float64, dim)}
 	}, func(sc *statsScratch, i int) {
 		errs[i] = fillRow(i, sc)
 	})
@@ -317,24 +321,15 @@ func (c *Classifier) TableBytes() int {
 // uncertain-schema A_u), making setup O(2^k·k + dim L) per domain instead of
 // O(2^k · dim L).
 //
-// The returned p1 slice is owned by sc and valid only until the next call
-// with the same scratch; callers consume it before moving on.
-func exactDomainStats(m *core.Model, d *core.Domain, totalSchemas int, p float64, sc *statsScratch) (float64, []float64, error) {
+// It writes p1 into sc.p1 at sc.terms, the terms the domain's members
+// mention, and returns the prior and p0, the p1 of every other term:
+// (0·A + B)/Pr(D_r).
+func exactDomainStats(m *core.Model, d *core.Domain, totalSchemas int, p float64, sc *statsScratch) (float64, float64, error) {
 	certain := d.Certain()
 	uncertain := d.Uncertain()
 	k := len(uncertain)
 	if k >= 63 {
-		return 0, nil, fmt.Errorf("%d uncertain schemas exceed enumeration width", k)
-	}
-	dim := m.Space.Dim()
-
-	certainCount := sc.count
-	clear(certainCount)
-	for _, mem := range certain {
-		sc.idx = m.Space.Vectors[mem.Schema].IndicesAppend(sc.idx[:0])
-		for _, j := range sc.idx {
-			certainCount[j]++
-		}
+		return 0, 0, fmt.Errorf("%d uncertain schemas exceed enumeration width", k)
 	}
 
 	if cap(sc.accU) < k {
@@ -373,57 +368,62 @@ func exactDomainStats(m *core.Model, d *core.Domain, totalSchemas int, p float64
 		}
 	}
 	if prior == 0 {
-		return 0, nil, nil
+		return 0, 0, nil
 	}
 
-	p1 := sc.p1
-	for j := 0; j < dim; j++ {
+	certainCount, p1 := sc.count, sc.p1
+	for _, mem := range certain {
+		for _, j := range m.Space.Bits(mem.Schema) {
+			certainCount[j]++
+		}
+	}
+	for _, j := range sc.terms {
 		p1[j] = certainCount[j]*accA + accB
+		certainCount[j] = 0
 	}
 	for u, mem := range uncertain {
 		if accU[u] == 0 {
 			continue
 		}
-		sc.idx = m.Space.Vectors[mem.Schema].IndicesAppend(sc.idx[:0])
-		for _, j := range sc.idx {
+		for _, j := range m.Space.Bits(mem.Schema) {
 			p1[j] += accU[u]
 		}
 	}
 	inv := 1 / prior
-	for j := range p1 {
+	for _, j := range sc.terms {
 		p1[j] *= inv
 	}
-	return prior, p1, nil
+	return prior, accB * inv, nil
 }
 
 // approxDomainStats replaces the subset enumeration with expectations:
 // E[|S'|] = Σ_i Pr(S_i ∈ D_r), E[count_j] = Σ_i Pr(S_i ∈ D_r)·F_j^i. This is
 // the linear-time approximation the conclusion proposes for removing the
 // exponential setup factor; the benchmark harness quantifies its accuracy
-// cost against Exact.
-func approxDomainStats(m *core.Model, d *core.Domain, totalSchemas int, p float64, sc *statsScratch) (float64, []float64, error) {
-	dim := m.Space.Dim()
+// cost against Exact. Like exactDomainStats it writes p1 at sc.terms and
+// returns the prior and p0 = (0 + p·m)/(E[|S'|] + m).
+func approxDomainStats(m *core.Model, d *core.Domain, totalSchemas int, p float64, sc *statsScratch) (float64, float64, error) {
 	expSize := 0.0
-	expCount := sc.count
-	clear(expCount)
 	for _, mem := range d.Members {
 		expSize += mem.Prob
-		sc.idx = m.Space.Vectors[mem.Schema].IndicesAppend(sc.idx[:0])
-		for _, j := range sc.idx {
-			expCount[j] += mem.Prob
-		}
 	}
 	if expSize == 0 {
-		return 0, nil, nil
+		return 0, 0, nil
+	}
+	expCount, p1 := sc.count, sc.p1
+	for _, mem := range d.Members {
+		for _, j := range m.Space.Bits(mem.Schema) {
+			expCount[j] += mem.Prob
+		}
 	}
 	prior := expSize / float64(totalSchemas)
 	mEst := 1 + expSize
 	denom := expSize + mEst
-	p1 := sc.p1
-	for j := 0; j < dim; j++ {
+	for _, j := range sc.terms {
 		p1[j] = (expCount[j] + p*mEst) / denom
+		expCount[j] = 0
 	}
-	return prior, p1, nil
+	return prior, p * mEst / denom, nil
 }
 
 // Classify embeds the keyword query into the feature space and returns every

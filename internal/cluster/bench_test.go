@@ -87,6 +87,25 @@ func BenchmarkPairwiseSims(b *testing.B) {
 	b.ReportMetric(float64(ps.NumPairs()), "stored")
 }
 
+// BenchmarkCompletePairSims is the blocked build's `pairwise` phase as
+// payg.Build runs it: every pair of the gated corpus at or above
+// feature.PairFloor, read row by row off the space's postings, with the
+// space built outside the timer. BenchmarkPairwiseSims times only the
+// trace's replay of the same graph.
+func BenchmarkCompletePairSims(b *testing.B) {
+	sp := feature.BuildLite(dataset.Large(dataset.LargeConfig{N: 6000, Domains: 120, Seed: 1}), feature.DefaultConfig())
+	var ps *PairSims
+	var err error
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if ps, err = CompletePairSims(context.Background(), sp, feature.PairFloor); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(ps.NumPairs()), "stored")
+}
+
 // BenchmarkTauSweepDirect vs BenchmarkTauSweepDendrogram: the cost of
 // evaluating 9 thresholds by re-running the agglomeration vs one full run
 // plus 9 dendrogram cuts (provably identical output for reducible linkages).

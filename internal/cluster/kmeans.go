@@ -49,7 +49,7 @@ func KMeans(sp *feature.Space, opts KMeansOptions) *Result {
 	points := make([][]float64, n)
 	for i := 0; i < n; i++ {
 		p := make([]float64, dim)
-		for _, j := range sp.Vectors[i].Indices() {
+		for _, j := range sp.Bits(i) {
 			p[j] = 1
 		}
 		points[i] = p

@@ -79,12 +79,12 @@ func (ps *PairSims) Sim(i, j int) float64 {
 // validated, verified and counted, then written into the CSR through its own
 // cursors — so the structure is the same for every worker count. ctx is
 // polled during verification. In binary feature mode |A∩B| is a probe of A's
-// vector at each set bit of B (bitvec.AndCountIndices): a handful of
-// branch-free loads for schemas with a few set bits out of thousands, on a
-// vector that stays in cache across the run of pairs sharing A. The
-// similarity is inter/(|A|+|B|−inter) from the same integers as
-// Vector.Jaccard's, so the same float64. Term-frequency mode falls back to
-// the space's own pairwise measure.
+// vector at each of B's set bits (feature.Space.Bits,
+// bitvec.AndCountIndices): a handful of branch-free loads for schemas with a
+// few set bits out of thousands, on a vector that stays in cache across the
+// run of pairs sharing A. The similarity is inter/(|A|+|B|−inter) from the
+// same integers as Vector.Jaccard's, so the same float64. Term-frequency mode
+// falls back to the space's own pairwise measure.
 func PairwiseSims(ctx context.Context, sp *feature.Space, pairs []candgen.Pair, workers int) (*PairSims, error) {
 	n := sp.NumSchemas()
 	if workers <= 0 {
@@ -92,31 +92,6 @@ func PairwiseSims(ctx context.Context, sp *feature.Space, pairs []candgen.Pair, 
 	}
 
 	binary := sp.Config().Mode == feature.Binary
-	var idxLists [][]int32
-	if binary {
-		// All n set-bit lists live in one flat slab; per-schema slices are
-		// carved at capacity-pinned offsets so workers fill them in place.
-		offs := make([]int64, n+1)
-		for i := 0; i < n; i++ {
-			offs[i+1] = offs[i] + int64(sp.Vectors[i].Count())
-		}
-		flat := make([]int32, offs[n])
-		idxLists = make([][]int32, n)
-		if err := parallelRange(ctx, n, workers, func(_, lo, hi int) error {
-			for i := lo; i < hi; i++ {
-				if i%1024 == 0 {
-					if err := ctx.Err(); err != nil {
-						return err
-					}
-				}
-				idxLists[i] = sp.Vectors[i].IndicesAppend32(flat[offs[i]:offs[i]:offs[i+1]])
-			}
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-	}
-
 	sims := make([]float64, len(pairs))
 	// A chunk's tallies, then its cursors; parallelRange may cut fewer chunks
 	// than this, and an unused one tallies nothing.
@@ -146,7 +121,7 @@ func PairwiseSims(ctx context.Context, sp *feature.Space, pairs []candgen.Pair, 
 				}
 			}
 			if binary {
-				a, b := idxLists[p.A], idxLists[p.B]
+				a, b := sp.Bits(int(p.A)), sp.Bits(int(p.B))
 				inter := sp.Vectors[p.A].AndCountIndices(b)
 				if union := len(a) + len(b) - inter; union != 0 {
 					sims[k] = float64(inter) / float64(union)

@@ -10,9 +10,9 @@ package feature
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
-	"sync"
 
 	"schemaflow/internal/bitvec"
 	"schemaflow/internal/par"
@@ -87,8 +87,7 @@ func (c Config) normalized() Config {
 }
 
 // Space is the constructed vector space: the vocabulary L and one binary
-// feature vector per input schema. A Space is immutable after BuildLite; the
-// one structure built on first use (schemasByBit) is behind a sync.Once, so
+// feature vector per input schema. A Space is immutable after BuildLite, so
 // reads are safe for concurrent use.
 type Space struct {
 	cfg Config
@@ -116,12 +115,15 @@ type Space struct {
 	// vocabulary term j — the inverted term→schema index Extend and Probe
 	// use to find only the vectors a new vocabulary term actually affects.
 	termSchemas [][]int32
-	// bitSchemas is the inverse of Vectors and bitCounts[i] the number of
-	// bits set in Vectors[i], both built on first use or handed over by
-	// Extend; read them after calling schemasByBit.
-	bitSchemas     [][]int32
-	bitCounts      []int32
-	bitSchemasOnce sync.Once
+	// bits[i] lists, ascending, the set bits of Vectors[i] (its length is
+	// the popcount), and postings[b] lists, ascending, the schemas whose
+	// vector sets bit b: the bit→schema index Row and Probe walk. Both are
+	// read off the vectors themselves rather than derived from the term
+	// relation, so they are exact under an asymmetric term similarity and in
+	// TermFrequency mode. BuildLite builds them with the vectors; Extend
+	// carries them over copy-on-write.
+	bits     [][]int32
+	postings [][]int32
 
 	matcher *matchIndex
 	lex     *Lexicon
@@ -170,31 +172,25 @@ func BuildLite(set schema.Set, cfg Config) *Space {
 		slices.Sort(ids)
 		sp.TermIDs[i] = slices.Compact(ids)
 	})
-	// The inverted index, every list carved out of one slab.
-	sizes := make([]int, len(sp.Vocab))
-	total := 0
-	for _, ids := range sp.TermIDs {
-		for _, j := range ids {
-			sizes[j]++
-		}
-		total += len(ids)
-	}
-	flat := make([]int32, total)
-	sp.termSchemas = make([][]int32, len(sp.Vocab))
-	for j, size := range sizes {
-		sp.termSchemas[j], flat = flat[:0:size], flat[size:]
-	}
-	for i, ids := range sp.TermIDs {
-		for _, j := range ids {
-			sp.termSchemas[j] = append(sp.termSchemas[j], int32(i))
-		}
-	}
+	sp.termSchemas = transpose(sp.TermIDs, len(sp.Vocab))
 
 	// Feature vectors: F^i = union over t in T_i of the vocabulary terms
 	// matching t. Because every schema term is itself in the vocabulary and
 	// the similarity is symmetric, per-vocabulary-term match lists can be
-	// reused across schemas.
+	// reused across schemas. A schema's set-bit list is read off its vector
+	// into one slab, at an offset bounded by the lengths of its terms' match
+	// lists (two terms can match the same one, so a list may fall short of
+	// its room).
+	room := make([]int, len(set)+1)
+	for i, ids := range sp.TermIDs {
+		room[i+1] = room[i]
+		for _, t := range ids {
+			room[i+1] += len(sp.matcher.matchesOfVocab(int(t)))
+		}
+	}
+	slab := make([]int32, room[len(set)])
 	sp.Vectors = make([]*bitvec.Vector, len(set))
+	sp.bits = make([][]int32, len(set))
 	if cfg.Mode == TermFrequency {
 		sp.counts = make([][]uint16, len(set))
 	}
@@ -206,6 +202,8 @@ func BuildLite(set schema.Set, cfg Config) *Space {
 			}
 		}
 		sp.Vectors[i] = v
+		list := v.IndicesAppend32(slab[room[i]:room[i]:room[i+1]])
+		sp.bits[i] = list[:len(list):len(list)]
 		if cfg.Mode != TermFrequency {
 			return
 		}
@@ -230,7 +228,33 @@ func BuildLite(set schema.Set, cfg Config) *Space {
 		}
 		sp.counts[i] = c
 	})
+	sp.postings = transpose(sp.bits, len(sp.Vocab))
 	return sp
+}
+
+// transpose returns the inverse of lists, a relation from schemas to ids in
+// [0, dim): element j lists, ascending, the schemas whose list holds j, every
+// list carved out of one slab at its exact capacity.
+func transpose(lists [][]int32, dim int) [][]int32 {
+	sizes := make([]int, dim)
+	total := 0
+	for _, ids := range lists {
+		for _, j := range ids {
+			sizes[j]++
+		}
+		total += len(ids)
+	}
+	flat := make([]int32, total)
+	inv := make([][]int32, dim)
+	for j, size := range sizes {
+		inv[j], flat = flat[:0:size], flat[size:]
+	}
+	for i, ids := range lists {
+		for _, j := range ids {
+			inv[j] = append(inv[j], int32(i))
+		}
+	}
+	return inv
 }
 
 // Extend embeds one additional schema into the space incrementally and
@@ -250,9 +274,11 @@ func BuildLite(set schema.Set, cfg Config) *Space {
 //     found via the inverted term→schema index: F_i[j_new] = 1 iff T_i
 //     intersects the old-vocabulary match list of the new term;
 //   - embeds the newcomer's vector from the (extended) memoized match lists;
-//   - carries the bit→schema postings (schemasByBit) over the same way: the
-//     receiver's lists shared, one list opened per new bit, the newcomer
-//     appended to a copy of each list whose bit it sets;
+//   - carries the set-bit lists and the bit→schema postings over the same
+//     way: the receiver's lists shared, a schema's new bits appended to a
+//     copy of its list (they are ≥ the old dim, so it stays ascending), one
+//     posting list opened per new bit, the newcomer appended to a copy of
+//     each list whose bit it sets;
 //   - carries the spelling table (Lexicon) over the same way: the receiver's
 //     rows shared, one row appended per spelling the newcomer brings, over
 //     the extended vocabulary and match lists.
@@ -345,26 +371,28 @@ func (sp *Space) Extend(s schema.Schema) (*Space, int) {
 			}
 		}
 	}
-	bitSchemas := make([][]int32, newDim)
-	copy(bitSchemas, sp.schemasByBit())
-	bitCounts := make([]int32, newIdx+1)
-	copy(bitCounts, sp.bitCounts)
+	postings := make([][]int32, newDim)
+	copy(postings, sp.postings)
+	bitLists := make([][]int32, newIdx+1)
+	copy(bitLists, sp.bits)
 	vectors := make([]*bitvec.Vector, newIdx+1)
 	for i := 0; i < newIdx; i++ {
-		bits := newBits[int32(i)]
-		if len(bits) == 0 {
+		gained := newBits[int32(i)]
+		if len(gained) == 0 {
 			vectors[i] = sp.Vectors[i].WithLen(newDim)
 			continue
 		}
 		v := sp.Vectors[i].CloneWithLen(newDim)
-		for _, b := range bits {
+		// Full slice expression: the append copies a list shared with sp.
+		own := bitLists[i][:len(bitLists[i]):len(bitLists[i])]
+		for _, b := range gained {
 			if !v.Get(b) { // two of i's terms can match the same new term
 				v.Set(b)
-				bitSchemas[b] = append(bitSchemas[b], int32(i))
-				bitCounts[i]++
+				own = append(own, int32(b))
+				postings[b] = append(postings[b], int32(i))
 			}
 		}
-		vectors[i] = v
+		vectors[i], bitLists[i] = v, own
 	}
 	nv := bitvec.New(newDim)
 	for _, t := range ids {
@@ -373,93 +401,51 @@ func (sp *Space) Extend(s schema.Schema) (*Space, int) {
 		}
 	}
 	vectors[newIdx] = nv
-	ns.Vectors = vectors
-	for _, b := range nv.Indices() {
-		// Full slice expression: the append copies a list shared with sp.
-		old := bitSchemas[b]
-		bitSchemas[b] = append(old[:len(old):len(old)], int32(newIdx))
+	bitLists[newIdx] = nv.IndicesAppend32(nil)
+	for _, b := range bitLists[newIdx] {
+		old := postings[b]
+		postings[b] = append(old[:len(old):len(old)], int32(newIdx))
 	}
-	bitCounts[newIdx] = int32(nv.Count())
-	ns.bitSchemas, ns.bitCounts = bitSchemas, bitCounts
+	ns.Vectors, ns.bits, ns.postings = vectors, bitLists, postings
 	return ns, newIdx
 }
 
-// schemasByBit returns the inverse of Vectors: element b lists, ascending,
-// the schemas whose feature vector has bit b set. It is read off the vectors
-// themselves rather than derived from the term relation, so it is exact
-// under an asymmetric term similarity, in TermFrequency mode and on a space
-// that is itself an Extend product. BuildLite leaves it, and the popcounts
-// in bitCounts beside it, to the first caller (one pass over the set bits);
-// Extend hands its product both directly and the build there is a no-op.
-// The result is shared and must not be written.
-func (sp *Space) schemasByBit() [][]int32 {
-	sp.bitSchemasOnce.Do(func() {
-		if sp.bitSchemas != nil {
-			return
-		}
-		sizes := make([]int, len(sp.Vocab))
-		counts := make([]int32, len(sp.Vectors))
-		total := 0
-		var idx []int
-		for i, v := range sp.Vectors {
-			idx = v.IndicesAppend(idx[:0])
-			for _, b := range idx {
-				sizes[b]++
-			}
-			counts[i] = int32(len(idx))
-			total += len(idx)
-		}
-		flat := make([]int32, total)
-		lists := make([][]int32, len(sp.Vocab))
-		for b, n := range sizes {
-			lists[b], flat = flat[:0:n], flat[n:]
-		}
-		for i, v := range sp.Vectors {
-			idx = v.IndicesAppend(idx[:0])
-			for _, b := range idx {
-				lists[b] = append(lists[b], int32(i))
-			}
-		}
-		sp.bitSchemas, sp.bitCounts = lists, counts
-	})
-	return sp.bitSchemas
-}
+// Bits returns, ascending, the set bits of Vectors[i]: the list every reader
+// of a schema's features walks instead of the dense vector. It is shared and
+// must not be written.
+func (sp *Space) Bits(i int) []int32 { return sp.bits[i] }
 
 // RowBuf is the scratch space of Space.Row and Space.Probe, owned by one
 // caller at a time and reused across calls; the zero value is ready.
 type RowBuf struct {
-	shared []int32 // shared[j]: bits schema j shares with the row's schema; zero between calls
-	gain   []int32 // gain[j]: new bits a probe's arrival gives schema j; zero between calls
+	shared []int32  // shared[j]: bits schema j shares with the row's schema; zero between calls
+	gain   []int32  // gain[j]: new bits a probe's arrival gives schema j; zero between calls
+	mark   []uint64 // bit j of the bitmap: shared[j] is non-zero; zero between calls
 	bits   []int32
 	owners []int32
 	js     []int32
 	sims   []float64
 }
 
-// grown returns counts covering n schemas. It grows by append, so a buffer
-// kept across arrivals is not reallocated each time the space gains a
-// schema.
-func grown(counts []int32, n int) []int32 {
-	if len(counts) < n {
-		counts = append(counts, make([]int32, n-len(counts))...)
+// grown returns s covering n entries. It grows by append, so a buffer kept
+// across arrivals is not reallocated each time the space gains a schema.
+func grown[T int32 | uint64](s []T, n int) []T {
+	if len(s) < n {
+		s = append(s, make([]T, n-len(s))...)
 	}
-	return counts
+	return s
 }
 
-// ascending puts js, the schemas in [lo, n) with a non-zero shared count
-// listed in the order they were first counted, in ascending order: it sorts
-// a short list, and reads a long one back off the counts in index order
-// instead.
-func (buf *RowBuf) ascending(js []int32, lo, n int32) []int32 {
-	if len(js) < int(n-lo)/16 {
-		slices.Sort(js)
-		return js
-	}
-	js = js[:0]
-	for j, c := range buf.shared[lo:n] {
-		if c != 0 {
-			js = append(js, lo+int32(j))
+// marked appends to js the schemas from lo on whose bit is set in mark, in
+// ascending order, scanning the bitmap a word at a time, and zeroes the
+// words it scans: every bit set is at lo or above. mark covers the space's
+// schemas and no more, since a buffer may have served a larger space.
+func marked(mark []uint64, lo int32, js []int32) []int32 {
+	for w := int(lo >> 6); w < len(mark); w++ {
+		for x := mark[w]; x != 0; x &= x - 1 {
+			js = append(js, int32(w<<6+bits.TrailingZeros64(x)))
 		}
+		mark[w] = 0
 	}
 	return js
 }
@@ -480,31 +466,29 @@ const PairFloor = 0.08
 // mode (a term-frequency count is positive exactly where the bit is set), so
 // the row is every positive similarity of S_i above from: from = i gives the
 // upper triangle, from = -1 the whole row. The schemas are found through the
-// bit→schema index, counting per schema how many of i's bits it shares; in
-// binary mode that count is |F^i ∩ F^j| and the similarity is
-// inter/(|F^i|+|F^j|−inter) over the cached popcounts — the integers
+// bit→schema postings of i's set bits, each read backwards from its end
+// down to from, counting per schema how many of i's bits it shares and
+// marking it in a bitmap the row is then read off in index order; in binary
+// mode that count is |F^i ∩ F^j| and the similarity is
+// inter/(|F^i|+|F^j|−inter) over the set-bit lists' lengths — the integers
 // Vector.Jaccard divides, so the same float64 — and in term-frequency mode it
 // is the generalized Jaccard of the two count vectors. The returned slices
 // belong to buf and hold until its next use. Row is safe for concurrent use
 // with distinct bufs.
 func (sp *Space) Row(i, from int, buf *RowBuf) ([]int32, []float64) {
-	lists := sp.schemasByBit()
 	n := len(sp.Vectors)
-	buf.shared = grown(buf.shared, n)
-	shared, lo := buf.shared, int32(from+1)
-	js := buf.js[:0]
-	buf.bits = sp.Vectors[i].IndicesAppend32(buf.bits[:0])
-	for _, b := range buf.bits {
-		list := lists[b]
-		k, _ := slices.BinarySearch(list, lo)
-		for _, j := range list[k:] {
-			if shared[j] == 0 {
-				js = append(js, j)
-			}
+	buf.shared, buf.mark = grown(buf.shared, n), grown(buf.mark, (n+63)>>6)
+	shared, mark, lo := buf.shared, buf.mark[:(n+63)>>6], int32(from+1)
+	for _, b := range sp.bits[i] {
+		list := sp.postings[b]
+		for k := len(list) - 1; k >= 0 && list[k] >= lo; k-- {
+			j := list[k]
+			mark[j>>6] |= 1 << (j & 63)
 			shared[j]++
 		}
 	}
-	js = buf.ascending(js, lo, int32(n))
+	js := marked(mark, lo, buf.js[:0])
+	count := int32(len(sp.bits[i]))
 	sims := buf.sims[:0]
 	out := js[:0]
 	for _, j := range js {
@@ -517,7 +501,7 @@ func (sp *Space) Row(i, from int, buf *RowBuf) ([]int32, []float64) {
 		if sp.counts != nil {
 			s = generalizedJaccard(sp.counts[i], sp.counts[j])
 		} else {
-			s = float64(inter) / float64(sp.bitCounts[i]+sp.bitCounts[j]-inter)
+			s = float64(inter) / float64(count+int32(len(sp.bits[j]))-inter)
 		}
 		out = append(out, j)
 		sims = append(sims, s)
@@ -535,8 +519,8 @@ func (sp *Space) Row(i, from int, buf *RowBuf) ([]int32, []float64) {
 // every new bit. A schema gains new bit u exactly when it holds a term on u's
 // reverse match list (found through the term→schema index), and then shares
 // u with the arrival. So schema j shares the old bits counted off the
-// bit→schema index, as Row counts them, plus gain_j, the distinct new bits it
-// gains; its popcount grows by gain_j; and the similarity
+// bit→schema postings, as Row counts them, plus gain_j, the distinct new bits
+// it gains; its popcount grows by gain_j; and the similarity
 // inter/(|F^s| + |F^j| + gain_j − inter) divides the integers ext's Row
 // divides, so it is the same float64. In TermFrequency mode per-occurrence
 // counts cannot be patched, and Probe is Extend followed by Row. The returned
@@ -548,33 +532,29 @@ func (sp *Space) Probe(s schema.Schema, buf *RowBuf) ([]int32, []float64, int) {
 		js, sims := ext.Row(newIdx, -1, buf)
 		return js, sims, ext.Dim() - sp.Dim()
 	}
-	lists := sp.schemasByBit()
 	n := len(sp.Vectors)
-	buf.shared, buf.gain = grown(buf.shared, n), grown(buf.gain, n)
-	shared, gain := buf.shared, buf.gain
+	buf.shared, buf.gain, buf.mark = grown(buf.shared, n), grown(buf.gain, n), grown(buf.mark, (n+63)>>6)
+	shared, gain, mark := buf.shared, buf.gain, buf.mark[:(n+63)>>6]
 
 	var novel []string
-	bits := buf.bits[:0]
+	arrival := buf.bits[:0]
 	for t := range terms.Extract(s.Attributes, sp.cfg.TermOpts) {
 		if j, ok := sp.VocabIndex[t]; ok {
-			bits = append(bits, sp.matcher.matchesOfVocab(j)...)
+			arrival = append(arrival, sp.matcher.matchesOfVocab(j)...)
 		} else {
 			novel = append(novel, t)
 		}
 	}
 	fwd, rev := sp.matcher.crossMatches(novel)
 	for _, f := range fwd {
-		bits = append(bits, f...)
+		arrival = append(arrival, f...)
 	}
-	slices.Sort(bits)
-	bits = slices.Compact(bits)
+	slices.Sort(arrival)
+	arrival = slices.Compact(arrival)
 
-	js := buf.js[:0]
-	for _, b := range bits {
-		for _, j := range lists[b] {
-			if shared[j] == 0 {
-				js = append(js, j)
-			}
+	for _, b := range arrival {
+		for _, j := range sp.postings[b] {
+			mark[j>>6] |= 1 << (j & 63)
 			shared[j]++
 		}
 	}
@@ -586,23 +566,21 @@ func (sp *Space) Probe(s schema.Schema, buf *RowBuf) ([]int32, []float64, int) {
 		}
 		slices.Sort(owners) // two of a schema's terms can match the same new term
 		for _, j := range slices.Compact(owners) {
-			if shared[j] == 0 {
-				js = append(js, j)
-			}
+			mark[j>>6] |= 1 << (j & 63)
 			shared[j]++
 			gain[j]++
 		}
 	}
-	js = buf.ascending(js, 0, int32(n))
+	js := marked(mark, 0, buf.js[:0])
 
-	count := int32(len(bits) + len(novel))
+	count := int32(len(arrival) + len(novel))
 	sims := buf.sims[:0]
 	for _, j := range js {
 		inter, g := shared[j], gain[j]
 		shared[j], gain[j] = 0, 0
-		sims = append(sims, float64(inter)/float64(count+sp.bitCounts[j]+g-inter))
+		sims = append(sims, float64(inter)/float64(count+int32(len(sp.bits[j]))+g-inter))
 	}
-	buf.bits, buf.owners, buf.js, buf.sims = bits, owners, js, sims
+	buf.bits, buf.owners, buf.js, buf.sims = arrival, owners, js, sims
 	return js, sims, len(novel)
 }
 

@@ -2,6 +2,7 @@ package feature
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -95,6 +96,73 @@ func TestTermIDsAreTheTermSets(t *testing.T) {
 		t.Fatal("the arrival should bring new terms")
 	}
 	check("extended", ext, append(set[:len(set):len(set)], arrival))
+}
+
+// TestSpaceBitsAreTheVectors: Bits(i) is Vectors[i]'s set bits, ascending,
+// and the postings are their transpose, on BuildLite spaces in both modes,
+// under the asymmetric prefixSim and lenBiasSim, and along Extend chains
+// whose arrivals give existing schemas new bits. Every space of a chain is
+// checked once the chain is done, and one space is extended twice, so an
+// Extend writing into a list it shares with its receiver fails too.
+func TestSpaceBitsAreTheVectors(t *testing.T) {
+	check := func(label string, sp *Space) {
+		t.Helper()
+		postings := make([][]int32, sp.Dim())
+		for i, v := range sp.Vectors {
+			want := v.IndicesAppend32(nil)
+			if !slices.Equal(sp.Bits(i), want) {
+				t.Fatalf("%s: schema %d lists bits %v, its vector sets %v", label, i, sp.Bits(i), want)
+			}
+			for _, b := range want {
+				postings[b] = append(postings[b], int32(i))
+			}
+		}
+		if len(sp.postings) != sp.Dim() {
+			t.Fatalf("%s: %d posting lists for %d bits", label, len(sp.postings), sp.Dim())
+		}
+		for b := range postings {
+			if !slices.Equal(sp.postings[b], postings[b]) {
+				t.Fatalf("%s: bit %d posts schemas %v, the vectors %v", label, b, sp.postings[b], postings[b])
+			}
+		}
+	}
+	set := dataset.Large(dataset.LargeConfig{N: 300, Domains: 6, Seed: 2})
+	for _, mode := range []Mode{Binary, TermFrequency} {
+		cfg := DefaultConfig()
+		cfg.Mode = mode
+		check(mode.String(), BuildLite(set, cfg))
+	}
+	gains := 0
+	for seed := int64(0); seed < 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		cfg := DefaultConfig()
+		switch seed % 3 {
+		case 1:
+			cfg.Sim, cfg.Tau = prefixSim{}, 0.6
+		case 2:
+			cfg.Sim, cfg.Tau = lenBiasSim{}, 0.6
+		}
+		corpus := rowCorpus(rng, 30)
+		chain := []*Space{BuildLite(corpus, cfg)}
+		check(fmt.Sprintf("seed %d, %s, built", seed, cfg.Sim.Name()), chain[0])
+		for k := 0; k < 8; k++ {
+			prev := chain[len(chain)-1]
+			next, _ := prev.Extend(probeSchema(rng, fmt.Sprintf("a%d", k), probeWord))
+			for i := 0; i < prev.NumSchemas(); i++ {
+				if len(next.Bits(i)) > len(prev.Bits(i)) {
+					gains++
+				}
+			}
+			chain = append(chain, next)
+		}
+		branch, _ := chain[4].Extend(probeSchema(rng, "branch", probeWord))
+		for k, sp := range append(chain, branch) {
+			check(fmt.Sprintf("seed %d, %s, space %d of the chain", seed, cfg.Sim.Name(), k), sp)
+		}
+	}
+	if gains == 0 {
+		t.Fatal("no arrival gave an existing schema a new bit")
+	}
 }
 
 func TestFuzzyMatchSetsBits(t *testing.T) {

@@ -118,8 +118,8 @@ func TestPropertyProbeIsExtendThenRow(t *testing.T) {
 }
 
 // TestProbeConcurrentFirstUse: eight goroutines probe one fresh BuildLite
-// space at once, so the first probes race to build the bit→schema index
-// behind its sync.Once; every answer must still be its definition's.
+// space at once, each reading the bit→schema postings BuildLite left; every
+// answer must still be its definition's.
 func TestProbeConcurrentFirstUse(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	set := rowCorpus(rng, 300)
