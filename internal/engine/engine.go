@@ -1,17 +1,21 @@
 // Package engine executes structured queries over a domain's mediated
-// schema, implementing the probability arithmetic of Section 4.4:
+// schema M_r with the probability arithmetic of Section 4.4. A query goes
+// to every data source S_i of the domain at once; their tuples are then
+// consolidated in source order, whichever fetch finished first:
 //
-//   - a query posed over mediated schema M_r is dispatched to every data
-//     source in S(D_r);
-//   - each raw tuple is mapped to M_r by each possible mapping φ_j with
-//     probability Pr(φ_j); identical mapped tuples from the same raw tuple
-//     consolidate by summing probabilities;
-//   - every mapped tuple's probability is multiplied by Pr(S_i ∈ D_r);
-//   - identical tuples from different sources consolidate by noisy-or:
-//     1 − Π(1 − p).
+//   - each mapping φ of S_i maps a raw tuple to M_r when, through φ, the
+//     tuple meets every Where equality (case-insensitive) and populates a
+//     Select attribute; the mapped tuple's key is its Select values joined
+//     by \x1f, so values holding \x1f may merge;
+//   - the mapped tuples of one raw tuple that share a key are one tuple with
+//     probability ΣPr(φ), summed in mapping order, times Pr(S_i ∈ D_r);
+//   - equal keys across raw tuples and sources combine by noisy-or,
+//     1 − Π(1 − p), multiplied in source, then tuple, order.
 //
-// The result set is returned sorted by descending tuple probability, which
-// is what the user of the typical use case (Section 3.3) sees.
+// The answer is ordered by probability descending, then key ascending; a
+// Limit keeps the k best without sorting the rest. A tuple shows the values
+// of the first raw tuple that gave its key (of the last mapping there that
+// did) and names its sources once each, sorted.
 package engine
 
 import (
@@ -20,11 +24,9 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 
-	"schemaflow/internal/core"
 	"schemaflow/internal/mediate"
 	"schemaflow/internal/resilience"
 	"schemaflow/internal/schema"
@@ -43,13 +45,7 @@ type Source struct {
 
 // Validate checks that every tuple has exactly one value per attribute.
 func (s *Source) Validate() error {
-	for i, t := range s.Tuples {
-		if len(t) != len(s.Schema.Attributes) {
-			return fmt.Errorf("source %q: tuple %d has %d values, schema has %d attributes",
-				s.Schema.Name, i, len(t), len(s.Schema.Attributes))
-		}
-	}
-	return nil
+	return validateWidth(s.Schema.Name, s.Tuples, len(s.Schema.Attributes))
 }
 
 // Query is a structured query over a mediated schema: project the Select
@@ -97,13 +93,11 @@ type DomainExecutor struct {
 // sources must be aligned 1:1 with med.Schemas; memberProb supplies
 // Pr(S_i ∈ D_r) (nil means certainty for all sources).
 func NewDomainExecutor(med *mediate.Mediated, sources []Source, memberProb []float64) (*DomainExecutor, error) {
+	fetchers := make([]TupleSource, len(sources))
 	for i := range sources {
 		if err := sources[i].Validate(); err != nil {
 			return nil, err
 		}
-	}
-	fetchers := make([]TupleSource, len(sources))
-	for i := range sources {
 		fetchers[i] = sources[i]
 	}
 	return NewFetchExecutor(med, fetchers, memberProb)
@@ -134,11 +128,7 @@ func NewFetchExecutor(med *mediate.Mediated, fetchers []TupleSource, memberProb 
 // allocates one circuit breaker per source. Call before serving queries;
 // the breakers live as long as the executor.
 func (ex *DomainExecutor) SetPolicy(p resilience.Policy) {
-	ex.policy = &p
-	ex.breakers = make([]*resilience.Breaker, len(ex.fetchers))
-	for i := range ex.breakers {
-		ex.breakers[i] = p.NewBreaker()
-	}
+	ex.SetPolicyFunc(p, func(string) *resilience.Breaker { return p.NewBreaker() })
 }
 
 // SetPolicyFunc installs a resilience policy like SetPolicy, but sources
@@ -153,42 +143,6 @@ func (ex *DomainExecutor) SetPolicyFunc(p resilience.Policy, breakerFor func(sou
 	for i, f := range ex.fetchers {
 		ex.breakers[i] = breakerFor(f.Name())
 	}
-}
-
-// BreakerState reports the circuit breaker state for source i, or Closed
-// when no policy (or no breaker) is installed.
-func (ex *DomainExecutor) BreakerState(i int) resilience.State {
-	if i < 0 || i >= len(ex.breakers) || ex.breakers[i] == nil {
-		return resilience.Closed
-	}
-	return ex.breakers[i].State()
-}
-
-// FromModel builds one executor per domain of a probabilistic model, given a
-// data source per schema (aligned with model.Schemas).
-func FromModel(m *core.Model, mediated []*mediate.Mediated, allSources []Source) ([]*DomainExecutor, error) {
-	if len(mediated) != m.NumDomains() {
-		return nil, fmt.Errorf("engine: %d mediated schemas for %d domains", len(mediated), m.NumDomains())
-	}
-	if len(allSources) != len(m.Schemas) {
-		return nil, fmt.Errorf("engine: %d sources for %d schemas", len(allSources), len(m.Schemas))
-	}
-	out := make([]*DomainExecutor, m.NumDomains())
-	for r := range m.Domains {
-		d := &m.Domains[r]
-		var srcs []Source
-		var probs []float64
-		for _, mem := range d.Members {
-			srcs = append(srcs, allSources[mem.Schema])
-			probs = append(probs, mem.Prob)
-		}
-		ex, err := NewDomainExecutor(mediated[r], srcs, probs)
-		if err != nil {
-			return nil, fmt.Errorf("domain %d: %w", r, err)
-		}
-		out[r] = ex
-	}
-	return out, nil
 }
 
 // SourceFailure describes one data source that contributed nothing to a
@@ -217,19 +171,6 @@ type Result struct {
 // Degraded reports whether any source failed to contribute.
 func (r *Result) Degraded() bool { return len(r.Failures) > 0 }
 
-// Execute runs the query and returns the merged result set R_all sorted by
-// descending probability (ties broken by value for determinism). It is the
-// context-free form of ExecuteContext; source failures surface only
-// through the degraded report, which Execute discards, so in-memory
-// callers see the historical all-or-nothing behavior.
-func (ex *DomainExecutor) Execute(q Query) ([]ResultTuple, error) {
-	res, err := ex.ExecuteContext(context.Background(), q)
-	if err != nil {
-		return nil, err
-	}
-	return res.Tuples, nil
-}
-
 // ExecuteContext runs the query with cancellation: every source fetch is
 // dispatched concurrently under ctx (and the resilience policy, when one
 // is installed). Sources that fail or are skipped by an open breaker are
@@ -237,92 +178,185 @@ func (ex *DomainExecutor) Execute(q Query) ([]ResultTuple, error) {
 // consolidated and returned — a degraded answer, not an error. The only
 // errors are malformed queries and a dead ctx.
 func (ex *DomainExecutor) ExecuteContext(ctx context.Context, q Query) (*Result, error) {
-	selIdx := make([]int, len(q.Select))
+	// attrs lists the Select attributes, then the Where ones; wants holds
+	// the Where values, lower-cased.
+	attrs := make([]int, len(q.Select), len(q.Select)+len(q.Where))
 	for i, name := range q.Select {
-		selIdx[i] = ex.med.AttrIndex(name)
-		if selIdx[i] < 0 {
+		if attrs[i] = ex.med.AttrIndex(name); attrs[i] < 0 {
 			return nil, fmt.Errorf("engine: no mediated attribute %q", name)
 		}
 	}
-	whereIdx := make(map[int]string, len(q.Where))
+	var wants []string
 	for name, val := range q.Where {
 		mi := ex.med.AttrIndex(name)
 		if mi < 0 {
 			return nil, fmt.Errorf("engine: no mediated attribute %q", name)
 		}
-		whereIdx[mi] = strings.ToLower(val)
+		attrs, wants = append(attrs, mi), append(wants, strings.ToLower(val))
 	}
 
 	fetched, failures, err := ex.fetchAll(ctx)
 	if err != nil {
 		return nil, err
 	}
+	return &Result{Tuples: ex.consolidate(fetched, attrs, wants, q.Limit), Failures: failures}, nil
+}
 
-	type agg struct {
-		key      string // the values joined: the aggregation key and the sort key
-		values   []string
-		oneMinus float64 // Π(1−p) across sources
-		sources  map[string]bool
+// aggregate is one distinct tuple of R_all.
+type aggregate struct {
+	key      string
+	oneMinus float64 // Π(1 − p) over its contributions
+	out      int     // 1 + its place in the answer; 0 when not returned
+}
+
+// consolidate is Section 4.4's arithmetic over the fetched tuples, as the
+// package documentation states it, and returns the limit best (all when
+// limit is 0), best first.
+func (ex *DomainExecutor) consolidate(fetched [][]Tuple, attrs []int, wants []string, limit int) []ResultTuple {
+	width, w := len(attrs), len(attrs)-len(wants)
+	n := 0 // the buffers' size: without a Where, about one key per raw tuple
+	for i := 0; i < len(fetched) && len(wants) == 0; i++ {
+		n += len(fetched[i])
 	}
-	results := make(map[string]*agg)
+	index := make(map[string]int, n)
+	aggs := make([]aggregate, 0, n)
+	values := make([]string, 0, n*w) // aggregate a's are values[a*w:(a+1)*w]
+	type contribution struct{ agg, src int32 }
+	contribs := make([]contribution, 0, n)
+	// cols[j*width+i] is the source column mapping j sends to attrs[i]
+	// (the first, or -1); live lists the mappings that can contribute.
+	var cols, live []int
+	// key holds one raw tuple's keys back to back; outs indexes them with
+	// their summed Pr(φ) and the last mapping that gave each.
+	var key []byte
+	type output struct {
+		start, end, mapping int
+		prob                float64
+	}
+	var outs []output
 
-	for si := range ex.fetchers {
-		memberP := ex.memberProb[si]
-		if memberP == 0 || fetched[si] == nil {
-			continue
+	for si, tuples := range fetched {
+		mappings := ex.med.Mappings[si]
+		cols = slices.Grow(cols[:0], len(mappings)*width)[:len(mappings)*width]
+		live = live[:0]
+		for j, mp := range mappings {
+			pc := cols[j*width : (j+1)*width]
+			for i, mi := range attrs {
+				pc[i] = slices.Index(mp.AttrTo, mi)
+			}
+			// A mapping that populates none of the selected attributes, or
+			// not a Where one, contributes nothing.
+			if (w == 0 || slices.Max(pc[:w]) >= 0) && !slices.Contains(pc[w:], -1) {
+				live = append(live, j)
+			}
 		}
-		name := ex.fetchers[si].Name()
-		// mappedProb[key] accumulates the summed mapping probability of
-		// each distinct mapped tuple derived from one raw tuple
-		// (the same-raw-tuple consolidation rule).
-		for _, raw := range fetched[si] {
-			mappedProb := make(map[string]float64)
-			mappedVals := make(map[string][]string)
-			for _, mp := range ex.med.Mappings[si] {
-				vals, ok := applyMapping(raw, mp, selIdx, whereIdx)
+
+		for _, raw := range tuples {
+			key, outs = key[:0], outs[:0]
+		project:
+			for _, j := range live {
+				pc := cols[j*width : (j+1)*width]
+				for i, want := range wants {
+					if strings.ToLower(raw[pc[w+i]]) != want {
+						continue project
+					}
+				}
+				start := len(key)
+				for i, k := range pc[:w] {
+					if i > 0 {
+						key = append(key, '\x1f')
+					}
+					if k >= 0 {
+						key = append(key, raw[k]...)
+					}
+				}
+				for o := range outs {
+					if string(key[outs[o].start:outs[o].end]) == string(key[start:]) {
+						outs[o].prob += mappings[j].Prob
+						outs[o].mapping = j
+						key = key[:start]
+						continue project
+					}
+				}
+				outs = append(outs, output{start: start, end: len(key), mapping: j, prob: mappings[j].Prob})
+			}
+
+			for _, o := range outs {
+				a, ok := index[string(key[o.start:o.end])]
 				if !ok {
-					continue
+					a = len(aggs)
+					k := string(key[o.start:o.end])
+					index[k] = a
+					aggs = append(aggs, aggregate{key: k, oneMinus: 1})
+					for _, c := range cols[o.mapping*width:][:w] {
+						values = append(values, "")
+						if c >= 0 {
+							values[len(values)-1] = raw[c]
+						}
+					}
 				}
-				key := strings.Join(vals, "\x1f")
-				mappedProb[key] += mp.Prob
-				mappedVals[key] = vals
-			}
-			for key, p := range mappedProb {
-				tp := p * memberP
-				a := results[key]
-				if a == nil {
-					a = &agg{key: key, values: mappedVals[key], oneMinus: 1, sources: map[string]bool{}}
-					results[key] = a
-				}
-				a.oneMinus *= 1 - tp
-				a.sources[name] = true
+				aggs[a].oneMinus *= 1 - o.prob*ex.memberProb[si]
+				contribs = append(contribs, contribution{agg: int32(a), src: int32(si)})
 			}
 		}
 	}
 
-	ranked := make([]*agg, 0, len(results))
-	for _, a := range results {
-		ranked = append(ranked, a)
+	order := make([]int, len(aggs))
+	for i := range order {
+		order[i] = i
 	}
-	slices.SortFunc(ranked, func(a, b *agg) int {
-		if pa, pb := 1-a.oneMinus, 1-b.oneMinus; pa != pb {
+	order = best(order, limit, func(a, b int) int {
+		if pa, pb := 1-aggs[a].oneMinus, 1-aggs[b].oneMinus; pa != pb {
 			return cmp.Compare(pb, pa)
 		}
-		return cmp.Compare(a.key, b.key)
+		return cmp.Compare(aggs[a].key, aggs[b].key)
 	})
-	if q.Limit > 0 && q.Limit < len(ranked) {
-		ranked = ranked[:q.Limit]
+	out := make([]ResultTuple, len(order))
+	for i, a := range order {
+		aggs[a].out = i + 1
+		out[i] = ResultTuple{Values: values[a*w : (a+1)*w : (a+1)*w], Prob: 1 - aggs[a].oneMinus}
 	}
-	out := make([]ResultTuple, 0, len(ranked))
-	for _, a := range ranked {
-		var names []string
-		for n := range a.sources {
-			names = append(names, n)
+	for _, c := range contribs {
+		if i := aggs[c.agg].out - 1; i >= 0 {
+			out[i].Sources = append(out[i].Sources, ex.fetchers[c.src].Name())
 		}
-		sort.Strings(names)
-		out = append(out, ResultTuple{Values: a.values, Prob: 1 - a.oneMinus, Sources: names})
 	}
-	return &Result{Tuples: out, Failures: failures}, nil
+	for i := range out {
+		slices.Sort(out[i].Sources)
+		out[i].Sources = slices.Compact(out[i].Sources)
+	}
+	return out
+}
+
+// best sorts the k best of ids under rank to the front and returns them,
+// all of ids when k is 0 or covers them. Only those k are sorted: the k
+// best seen so far are kept in a heap with the worst at the root.
+func best(ids []int, k int, rank func(a, b int) int) []int {
+	if k <= 0 || k >= len(ids) {
+		slices.SortFunc(ids, rank)
+		return ids
+	}
+	h := ids[:k]
+	down := func(i int) {
+		for c := 2*i + 1; c < k; i, c = c, 2*c+1 {
+			if c+1 < k && rank(h[c+1], h[c]) > 0 {
+				c++
+			}
+			if rank(h[c], h[i]) <= 0 {
+				return
+			}
+			h[i], h[c] = h[c], h[i]
+		}
+	}
+	slices.SortFunc(h, func(a, b int) int { return rank(b, a) }) // worst first: a heap
+	for _, id := range ids[k:] {
+		if rank(id, h[0]) < 0 {
+			h[0] = id
+			down(0)
+		}
+	}
+	slices.SortFunc(h, rank)
+	return h
 }
 
 // fetchAll dispatches every member source's fetch concurrently under ctx
@@ -403,40 +437,4 @@ func (ex *DomainExecutor) fetchOne(ctx context.Context, si int) ([]Tuple, error)
 		return nil, err
 	}
 	return tuples, nil
-}
-
-// applyMapping maps a raw tuple through one attribute mapping, evaluates the
-// Where predicates, and projects the Select attributes. ok is false when a
-// predicate fails or references a mediated attribute this mapping does not
-// populate.
-func applyMapping(raw Tuple, mp mediate.Mapping, selIdx []int, whereIdx map[int]string) ([]string, bool) {
-	// Invert: mediated attribute → source attribute value.
-	val := func(mi int) (string, bool) {
-		for k, to := range mp.AttrTo {
-			if to == mi {
-				return raw[k], true
-			}
-		}
-		return "", false
-	}
-	for mi, want := range whereIdx {
-		got, ok := val(mi)
-		if !ok || strings.ToLower(got) != want {
-			return nil, false
-		}
-	}
-	out := make([]string, len(selIdx))
-	populated := false
-	for i, mi := range selIdx {
-		if v, ok := val(mi); ok {
-			out[i] = v
-			populated = true
-		}
-	}
-	// A mapping that populates none of the selected attributes contributes
-	// nothing for this tuple: an all-empty projection is not a result.
-	if !populated && len(selIdx) > 0 {
-		return nil, false
-	}
-	return out, true
 }

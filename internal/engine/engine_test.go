@@ -1,12 +1,10 @@
 package engine
 
 import (
+	"context"
 	"math"
 	"testing"
 
-	"schemaflow/internal/cluster"
-	"schemaflow/internal/core"
-	"schemaflow/internal/feature"
 	"schemaflow/internal/mediate"
 	"schemaflow/internal/schema"
 )
@@ -37,6 +35,15 @@ func mediatedFixture(t *testing.T) (*mediate.Mediated, []Source) {
 	return med, sources
 }
 
+// execute runs q through ExecuteContext and returns its tuples.
+func execute(ex *DomainExecutor, q Query) ([]ResultTuple, error) {
+	res, err := ex.ExecuteContext(context.Background(), q)
+	if err != nil {
+		return nil, err
+	}
+	return res.Tuples, nil
+}
+
 func TestExecuteSelectsAndFilters(t *testing.T) {
 	med, sources := mediatedFixture(t)
 	ex, err := NewDomainExecutor(med, sources, nil)
@@ -45,7 +52,7 @@ func TestExecuteSelectsAndFilters(t *testing.T) {
 	}
 	dep := med.Attrs[med.AttrIndex("departure")].Name
 	dst := med.Attrs[med.AttrIndex("destination")].Name
-	res, err := ex.Execute(Query{
+	res, err := execute(ex, Query{
 		Select: []string{dep, dst},
 		Where:  map[string]string{dep: "toronto"}, // case-insensitive
 	})
@@ -83,8 +90,8 @@ func TestMembershipProbabilityScalesTuples(t *testing.T) {
 	}
 	dep := med.Attrs[med.AttrIndex("departure")].Name
 	q := Query{Select: []string{dep}}
-	rf, _ := full.Execute(q)
-	rh, _ := half.Execute(q)
+	rf, _ := execute(full, q)
+	rh, _ := execute(half, q)
 	if len(rf) == 0 || len(rh) == 0 {
 		t.Fatal("no results")
 	}
@@ -111,7 +118,7 @@ func TestZeroMembershipSkipsSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	dep := med.Attrs[med.AttrIndex("departure")].Name
-	res, err := ex.Execute(Query{Select: []string{dep}})
+	res, err := execute(ex, Query{Select: []string{dep}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +152,7 @@ func TestCrossSourceConsolidationNoisyOr(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ex.Execute(Query{Select: []string{"city"}})
+	res, err := execute(ex, Query{Select: []string{"city"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +196,7 @@ func TestSameRawTupleConsolidationBySum(t *testing.T) {
 		t.Fatal(err)
 	}
 	dep := med.Attrs[med.AttrIndex("departure")].Name
-	res, err := ex.Execute(Query{Select: []string{dep}})
+	res, err := execute(ex, Query{Select: []string{dep}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,14 +219,14 @@ func TestQueryLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	dep := med.Attrs[med.AttrIndex("departure")].Name
-	full, err := ex.Execute(Query{Select: []string{dep}})
+	full, err := execute(ex, Query{Select: []string{dep}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(full) < 2 {
 		t.Fatalf("fixture too small: %d tuples", len(full))
 	}
-	limited, err := ex.Execute(Query{Select: []string{dep}, Limit: 1})
+	limited, err := execute(ex, Query{Select: []string{dep}, Limit: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,76 +240,13 @@ func TestQueryLimit(t *testing.T) {
 	}
 }
 
-func TestFromModel(t *testing.T) {
-	set := schema.Set{
-		{Name: "air1", Attributes: []string{"departure", "destination", "airline"}},
-		{Name: "air2", Attributes: []string{"departure city", "destination city", "carrier"}},
-		{Name: "bib1", Attributes: []string{"title", "authors", "pages"}},
-	}
-	sp := feature.BuildLite(set, feature.DefaultConfig())
-	cl := cluster.FromAssignment([]int{0, 0, 1})
-	memberships := [][]core.Membership{
-		{{Schema: 0, Prob: 1}},
-		{{Schema: 0, Prob: 0.8}, {Schema: 1, Prob: 0.2}},
-		{{Schema: 1, Prob: 1}},
-	}
-	m, err := core.RestoreModel(set, sp, cl, memberships, core.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := mediate.DefaultOptions()
-	opts.Negative = true
-	mediated := make([]*mediate.Mediated, m.NumDomains())
-	for r := range m.Domains {
-		var members schema.Set
-		for _, mem := range m.Domains[r].Members {
-			members = append(members, set[mem.Schema])
-		}
-		mediated[r], err = mediate.Build(members, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	sources := []Source{
-		{Schema: set[0], Tuples: []Tuple{{"YYZ", "CAI", "AirNorth"}}},
-		{Schema: set[1], Tuples: []Tuple{{"YYZ", "CAI", "BlueJet"}}},
-		{Schema: set[2]},
-	}
-	executors, err := FromModel(m, mediated, sources)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(executors) != m.NumDomains() {
-		t.Fatalf("%d executors for %d domains", len(executors), m.NumDomains())
-	}
-	// The travel domain answers with both sources; air2's tuple carries its
-	// 0.8 membership discount.
-	travel := cl.Assign[0]
-	dep := mediated[travel].Attrs[mediated[travel].AttrIndex("departure")].Name
-	res, err := executors[travel].Execute(Query{Select: []string{dep}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) == 0 {
-		t.Fatal("no tuples from model-built executor")
-	}
-
-	// Validation: wrong slice lengths are rejected.
-	if _, err := FromModel(m, mediated[:1], sources); err == nil {
-		t.Fatal("mediated-count mismatch accepted")
-	}
-	if _, err := FromModel(m, mediated, sources[:1]); err == nil {
-		t.Fatal("source-count mismatch accepted")
-	}
-}
-
 func TestExecuteErrors(t *testing.T) {
 	med, sources := mediatedFixture(t)
 	ex, _ := NewDomainExecutor(med, sources, nil)
-	if _, err := ex.Execute(Query{Select: []string{"nonexistent"}}); err == nil {
+	if _, err := execute(ex, Query{Select: []string{"nonexistent"}}); err == nil {
 		t.Fatal("unknown Select attribute accepted")
 	}
-	if _, err := ex.Execute(Query{Where: map[string]string{"nonexistent": "x"}}); err == nil {
+	if _, err := execute(ex, Query{Where: map[string]string{"nonexistent": "x"}}); err == nil {
 		t.Fatal("unknown Where attribute accepted")
 	}
 }

@@ -68,7 +68,7 @@ func TestPropertyExecuteInvariants(t *testing.T) {
 		if withWhere {
 			q.Where = map[string]string{sel: valPool[rng.Intn(len(valPool))]}
 		}
-		res, err := ex.Execute(q)
+		res, err := execute(ex, q)
 		if err != nil {
 			return false
 		}
@@ -93,7 +93,7 @@ func TestPropertyExecuteInvariants(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		resHalf, err := exHalf.Execute(q)
+		resHalf, err := execute(exHalf, q)
 		if err != nil {
 			return false
 		}
@@ -151,7 +151,7 @@ func BenchmarkExecute(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ex.Execute(q); err != nil {
+		if _, err := execute(ex, q); err != nil {
 			b.Fatal(err)
 		}
 	}

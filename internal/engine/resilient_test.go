@@ -111,6 +111,11 @@ func TestBreakerOpensThenRecovers(t *testing.T) {
 		BreakerProbes:    1,
 	}
 	ex, flake, dep := flakyExecutor(t, p)
+	breakers := map[string]*resilience.Breaker{}
+	ex.SetPolicyFunc(p, func(source string) *resilience.Breaker {
+		breakers[source] = p.NewBreaker()
+		return breakers[source]
+	})
 	flake.SetDown(true)
 	q := Query{Select: []string{dep}}
 
@@ -124,7 +129,7 @@ func TestBreakerOpensThenRecovers(t *testing.T) {
 			t.Fatalf("query %d: failures = %+v, want attempted failure", i, res.Failures)
 		}
 	}
-	if got := ex.BreakerState(1); got != resilience.Open {
+	if got := breakers["air2"].State(); got != resilience.Open {
 		t.Fatalf("breaker state %v, want open after threshold", got)
 	}
 
@@ -155,7 +160,7 @@ func TestBreakerOpensThenRecovers(t *testing.T) {
 	if res.Degraded() {
 		t.Fatalf("still degraded after recovery: %+v", res.Failures)
 	}
-	if got := ex.BreakerState(1); got != resilience.Closed {
+	if got := breakers["air2"].State(); got != resilience.Closed {
 		t.Fatalf("breaker state %v, want closed after successful probe", got)
 	}
 }
