@@ -79,8 +79,8 @@ loadgen-smoke:
 	$(GO) test ./internal/obs -count=1 -race -run 'TestReservoir|TestConcurrent'
 
 # Short fuzz pass over every hand-written parser, the threshold LCS the
-# matcher's losslessness rests on, and the snapshot decoder (bytes from disk
-# or a peer). FUZZTIME is overridable; CI's fuzz-smoke job uses 10s per
+# matcher's losslessness rests on, and the two readers of bytes from disk or
+# a peer: the snapshot decoder and the write-ahead log's recovery scan. FUZZTIME is overridable; CI's fuzz-smoke job uses 10s per
 # target. FuzzLoadSnapshot's inputs are whole snapshots and every execution
 # a Load, so minimising one interesting input would eat the default 60s
 # budget — more than the whole smoke run; 1s keeps the time on new inputs.
@@ -95,6 +95,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzFromAttribute -fuzztime=$(FUZZTIME) ./internal/terms
 	$(GO) test -fuzz=FuzzLCSAtLeast -fuzztime=$(FUZZTIME) ./internal/strsim
 	$(GO) test -fuzz=FuzzLoadSnapshot -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./payg
+	$(GO) test -fuzz=FuzzWALOpen -fuzztime=$(FUZZTIME) ./internal/wal
 
 fuzz-smoke:
 	$(MAKE) fuzz FUZZTIME=10s

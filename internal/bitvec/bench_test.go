@@ -19,22 +19,6 @@ func benchPair(n int) (*Vector, *Vector) {
 	return a, b
 }
 
-func BenchmarkJaccard1k(b *testing.B) {
-	x, y := benchPair(1000)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = x.Jaccard(y)
-	}
-}
-
-func BenchmarkJaccard16k(b *testing.B) {
-	x, y := benchPair(16384)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = x.Jaccard(y)
-	}
-}
-
 func BenchmarkAndCount16k(b *testing.B) {
 	x, y := benchPair(16384)
 	b.ReportAllocs()

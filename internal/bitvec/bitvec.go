@@ -1,9 +1,9 @@
 // Package bitvec provides dense, fixed-length bit vectors with fast set
 // algebra (intersection/union cardinalities via popcount). Feature vectors in
-// this system are binary and high-dimensional (one bit per vocabulary term),
-// and clustering spends almost all of its time computing Jaccard
-// coefficients between such vectors, so a compact word-packed representation
-// matters.
+// this system are binary and high-dimensional (one bit per vocabulary term);
+// a schema's is kept as its set-bit list, and a dense vector is what a query
+// is embedded into, what Total Jaccard keeps per cluster (the AND and OR of
+// its members), and the scratch a set-bit list is gathered on.
 package bitvec
 
 import (
@@ -88,35 +88,6 @@ func (v *Vector) Clone() *Vector {
 	return c
 }
 
-// WithLen returns a vector of length n ≥ v.Len() whose first v.Len() bits
-// equal v's and whose remaining bits are zero. When n fits in v's existing
-// word array the returned vector SHARES storage with v — neither may be
-// mutated afterwards; otherwise the words are copied. It panics if n < v.Len().
-//
-// This is the cheap path for growing a feature space's dimensionality: bits
-// past v.Len() are guaranteed zero because no mutator ever sets them.
-func (v *Vector) WithLen(n int) *Vector {
-	if n < v.n {
-		panic(fmt.Sprintf("bitvec: WithLen %d below current length %d", n, v.n))
-	}
-	if (n+wordBits-1)/wordBits == len(v.words) {
-		return &Vector{n: n, words: v.words}
-	}
-	return v.CloneWithLen(n)
-}
-
-// CloneWithLen returns an independent copy of v grown to n ≥ v.Len() bits,
-// with the new tail bits zero. Unlike WithLen the result never aliases v, so
-// it is safe to mutate. It panics if n < v.Len().
-func (v *Vector) CloneWithLen(n int) *Vector {
-	if n < v.n {
-		panic(fmt.Sprintf("bitvec: CloneWithLen %d below current length %d", n, v.n))
-	}
-	c := &Vector{n: n, words: make([]uint64, (n+wordBits-1)/wordBits)}
-	copy(c.words, v.words)
-	return c
-}
-
 // Equal reports whether v and u have the same length and the same bits.
 func (v *Vector) Equal(u *Vector) bool {
 	if v.n != u.n {
@@ -150,23 +121,6 @@ func (v *Vector) OrCount(u *Vector) int {
 		c += bits.OnesCount64(w | u.words[i])
 	}
 	return c
-}
-
-// Jaccard returns the Jaccard coefficient |v∩u| / |v∪u|. Two empty vectors
-// have Jaccard similarity 0 by convention (the thesis never compares two
-// schemas that both lack every vocabulary term, but synthetic corner cases
-// can produce them). It panics if the lengths differ.
-func (v *Vector) Jaccard(u *Vector) float64 {
-	v.checkLen(u)
-	inter, union := 0, 0
-	for i, w := range v.words {
-		inter += bits.OnesCount64(w & u.words[i])
-		union += bits.OnesCount64(w | u.words[i])
-	}
-	if union == 0 {
-		return 0
-	}
-	return float64(inter) / float64(union)
 }
 
 // InPlaceAnd sets v to v ∩ u. It panics if the lengths differ.
@@ -216,10 +170,9 @@ func (v *Vector) IndicesAppend(dst []int) []int {
 	return dst
 }
 
-// IndicesAppend32 is IndicesAppend producing int32 positions. Candidate
-// generation and the sparse pairwise pass keep per-schema set-bit lists for
-// every schema at once, so the narrower element type halves their footprint
-// at 100k+ schemas. Bit positions above MaxInt32 are unreachable in practice
+// IndicesAppend32 is IndicesAppend producing int32 positions. The feature
+// space keeps a set-bit list for every schema at once, so the narrower
+// element type halves its footprint at 100k+ schemas. Bit positions above MaxInt32 are unreachable in practice
 // (vocabulary sizes are far smaller); the conversion is unchecked.
 func (v *Vector) IndicesAppend32(dst []int32) []int32 {
 	for wi, w := range v.words {
@@ -230,21 +183,6 @@ func (v *Vector) IndicesAppend32(dst []int32) []int32 {
 		}
 	}
 	return dst
-}
-
-// AndCountIndices returns |v ∩ u| for a vector u given as the duplicate-free
-// list of its set bits (IndicesAppend32 of a vector of v's length): one
-// branch-free probe of v per index. For sparse vectors — a few set bits in a
-// many-thousand-bit space — that is far cheaper than AndCount, which pays for
-// every zero word, and than merging two index lists, which branches on every
-// step; it returns the same integer as either. An index outside the vector's
-// words panics.
-func (v *Vector) AndCountIndices(idx []int32) int {
-	c := 0
-	for _, x := range idx {
-		c += int(v.words[uint32(x)/wordBits]>>(uint32(x)%wordBits)) & 1
-	}
-	return c
 }
 
 // String renders the vector as a 0/1 string, bit 0 first. Intended for tests

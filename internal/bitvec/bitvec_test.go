@@ -1,9 +1,7 @@
 package bitvec
 
 import (
-	"fmt"
 	"math/rand"
-	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -99,34 +97,14 @@ func TestAndOrCounts(t *testing.T) {
 	}
 }
 
-func TestJaccard(t *testing.T) {
-	tests := []struct {
-		a, b []int
-		want float64
-	}{
-		{[]int{1, 2, 3}, []int{1, 2, 3}, 1},
-		{[]int{1, 2}, []int{3, 4}, 0},
-		{[]int{1, 2, 3}, []int{2, 3, 4}, 0.5},
-		{nil, nil, 0}, // empty-vs-empty convention
-		{[]int{1}, nil, 0},
-	}
-	for _, tc := range tests {
-		a := FromIndices(64, tc.a...)
-		b := FromIndices(64, tc.b...)
-		if got := a.Jaccard(b); got != tc.want {
-			t.Errorf("Jaccard(%v,%v) = %v, want %v", tc.a, tc.b, got, tc.want)
-		}
-	}
-}
-
 func TestLengthMismatchPanics(t *testing.T) {
 	a, b := New(10), New(11)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Jaccard with mismatched lengths did not panic")
+			t.Fatal("AndCount with mismatched lengths did not panic")
 		}
 	}()
-	a.Jaccard(b)
+	a.AndCount(b)
 }
 
 func TestInPlaceOps(t *testing.T) {
@@ -201,19 +179,6 @@ func TestPropertyCountMatchesIndices(t *testing.T) {
 	}
 }
 
-func TestPropertyJaccardSymmetricAndBounded(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(300)
-		a, b := randomVec(n, rng), randomVec(n, rng)
-		j1, j2 := a.Jaccard(b), b.Jaccard(a)
-		return j1 == j2 && j1 >= 0 && j1 <= 1
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestPropertyInclusionExclusion(t *testing.T) {
 	// |a| + |b| == |a∩b| + |a∪b|
 	f := func(seed int64) bool {
@@ -263,66 +228,5 @@ func TestIndicesAppend32(t *testing.T) {
 	pre := v.IndicesAppend32([]int32{-1, -2})
 	if pre[0] != -1 || pre[1] != -2 || len(pre) != 2+len(want) {
 		t.Errorf("append to non-empty dst corrupted prefix: %v", pre)
-	}
-}
-
-// TestPropertyAndCountIndicesIsAndCount: probing v with u's set bits counts
-// exactly what the word-wise AndCount counts, and the Jaccard built from that
-// count the way cluster.PairwiseSims builds it — inter / (|v|+|u|−inter), 0
-// over an empty union — is Vector.Jaccard to the bit. Lengths cover the empty
-// vector, one word, a word boundary and a partial last word; the corner bits 0,
-// 63, 64 and the last are set on either side, alone or together; densities run
-// from one bit to every bit.
-func TestPropertyAndCountIndicesIsAndCount(t *testing.T) {
-	jaccard := func(a, b *Vector) float64 {
-		inter := a.AndCountIndices(b.IndicesAppend32(nil))
-		if union := a.Count() + b.Count() - inter; union != 0 {
-			return float64(inter) / float64(union)
-		}
-		return 0
-	}
-	check := func(label string, a, b *Vector) {
-		t.Helper()
-		if got, want := a.AndCountIndices(b.IndicesAppend32(nil)), a.AndCount(b); got != want {
-			t.Fatalf("%s: probe count %d, AndCount %d\n a=%s\n b=%s", label, got, want, a, b)
-		}
-		if got, want := jaccard(a, b), a.Jaccard(b); got != want {
-			t.Fatalf("%s: Jaccard from the probe count %v, Vector.Jaccard %v", label, got, want)
-		}
-	}
-	rng := rand.New(rand.NewSource(29))
-	for _, n := range []int{0, 1, 63, 64, 65, 128, 130, 200, 3576} {
-		corners := []int{0, 63, 64, n - 1}
-		corners = slices.DeleteFunc(corners, func(i int) bool { return i < 0 || i >= n })
-		vecs := []*Vector{New(n)}
-		for _, c := range corners {
-			vecs = append(vecs, FromIndices(n, c))
-		}
-		vecs = append(vecs, FromIndices(n, corners...))
-		for _, density := range []int{1, 8, 50, 100} {
-			v := New(n)
-			for i := 0; i < n; i++ {
-				if rng.Intn(100) < density {
-					v.Set(i)
-				}
-			}
-			vecs = append(vecs, v, v.Clone())
-		}
-		for i, a := range vecs {
-			for j, b := range vecs {
-				check(fmt.Sprintf("n=%d a#%d b#%d", n, i, j), a, b)
-			}
-		}
-	}
-
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := rng.Intn(300)
-		a, b := randomVec(n, rng), randomVec(n, rng)
-		check(fmt.Sprintf("seed %d", seed), a, b)
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -314,12 +314,12 @@ func referenceDomainScore(m *core.Model, d *core.Domain, fq []bool, pAdd float64
 		for j := 0; j < dim; j++ {
 			cnt := 0.0
 			for _, mem := range certain {
-				if m.Space.Vectors[mem.Schema].Get(j) {
+				if slices.Contains(m.Space.Bits(mem.Schema), int32(j)) {
 					cnt++
 				}
 			}
 			for u, mem := range uncertain {
-				if mask&(1<<u) != 0 && m.Space.Vectors[mem.Schema].Get(j) {
+				if mask&(1<<u) != 0 && slices.Contains(m.Space.Bits(mem.Schema), int32(j)) {
 					cnt++
 				}
 			}

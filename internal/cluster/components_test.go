@@ -238,8 +238,8 @@ func checkComponents(t *testing.T, label string, ps *PairSims, floor float64) *p
 // splits nothing — one group, local ids equal to schema indices, which is the
 // single global run — and Assign, Members and Merges must come out equal to
 // the bit: on planted graphs with bridges just below, at and just above tau,
-// and on real similarities (both feature modes) over a random candidate
-// subset, with tau also set to a stored similarity and to the floats on
+// and on real similarities (binary, and the term-frequency rows) over a
+// random candidate subset, with tau also set to a stored similarity and to the floats on
 // either side of it; for every linkage and several worker counts.
 func TestPropertyComponentsAreTheWholeRun(t *testing.T) {
 	ctx := context.Background()
@@ -283,13 +283,29 @@ func TestPropertyComponentsAreTheWholeRun(t *testing.T) {
 
 	set := dataset.Large(dataset.LargeConfig{N: 140, Domains: 7, Seed: 5})
 	set = append(set, set[:20]...)
-	for _, mode := range []feature.Mode{feature.Binary, feature.TermFrequency} {
-		cfg := feature.DefaultConfig()
-		cfg.Mode = mode
-		sp := feature.BuildLite(set, cfg)
+	sp := feature.BuildLite(set, feature.DefaultConfig())
+	tf, _ := tfRows(set, sp)
+	for _, mode := range []string{"binary", "term-frequency"} {
 		rng := rand.New(rand.NewSource(6))
 		pairs := slices.DeleteFunc(allPairs(len(set)), func(candgen.Pair) bool { return rng.Intn(4) != 0 })
 		ps, err := PairwiseSims(ctx, sp, pairs, 1)
+		if mode != "binary" {
+			keep := make(map[candgen.Pair]bool, len(pairs))
+			for _, p := range pairs {
+				keep[p] = true
+			}
+			ps, err = PairSimsFromRows(ctx, len(set), 0, func(i int, buf *feature.RowBuf) ([]int32, []float64) {
+				js, sims := tf(i, buf)
+				k := 0
+				for x, j := range js {
+					if keep[candgen.Pair{A: int32(i), B: j}] {
+						js[k], sims[k] = j, sims[x]
+						k++
+					}
+				}
+				return js[:k], sims[:k]
+			})
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -297,7 +313,7 @@ func TestPropertyComponentsAreTheWholeRun(t *testing.T) {
 		slices.Sort(stored)
 		v := stored[len(stored)*3/4]
 		for _, tau := range []float64{0, 0.25, 1, v, math.Nextafter(v, 0), math.Nextafter(v, 1)} {
-			check(fmt.Sprintf("large-160/%v", mode), sp, ps, tau)
+			check(fmt.Sprintf("large-160/%s", mode), sp, ps, tau)
 		}
 	}
 	if split < 40 {
@@ -358,21 +374,30 @@ func TestAvgFloorAllowsForRounding(t *testing.T) {
 }
 
 // TestTotalFloorIsAnyStoredPair: Total Jaccard is computed from the feature
-// vectors, so a stored similarity below tau rules nothing out — in
-// term-frequency mode two schemas over the same terms at different counts are
+// vectors, so a stored similarity below tau rules nothing out — under the
+// term-frequency rows two schemas over the same terms at different counts are
 // stored well below their binary (and Total) Jaccard of 1. Three schemas with
-// identical vectors, the third stored at 0.1 from the first: once the first
-// two have merged at 0.9, the third joins them at Total Jaccard 1, and it must
-// have been in their component for that.
+// identical vectors, the third with its terms at other counts, stored at 1/3
+// from each of the first two: once those have merged at 1, the third joins
+// them at Total Jaccard 1, and it must have been in their component for that.
 func TestTotalFloorIsAnyStoredPair(t *testing.T) {
 	attrs := []string{"alpha", "bravo", "charlie"}
-	sp := feature.BuildLite(schema.Set{{Name: "a", Attributes: attrs}, {Name: "b", Attributes: attrs}, {Name: "c", Attributes: attrs}}, feature.DefaultConfig())
-	ps := pairSimsOf(3, []simEdge{{0, 1, 0.9}, {0, 2, 0.1}})
+	set := schema.Set{{Name: "a", Attributes: attrs}, {Name: "b", Attributes: attrs},
+		{Name: "c", Attributes: []string{"alpha alpha alpha alpha", "bravo bravo bravo bravo", "charlie"}}}
+	sp := feature.BuildLite(set, feature.DefaultConfig())
+	tf, _ := tfRows(set, sp)
+	ps, err := PairSimsFromRows(context.Background(), len(set), 0, tf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ps.Sim(0, 1) != 1 || ps.Sim(0, 2) != 1.0/3 || ps.Sim(1, 2) != 1.0/3 {
+		t.Fatalf("stored similarities %v %v %v, want 1, 1/3, 1/3", ps.Sim(0, 1), ps.Sim(0, 2), ps.Sim(1, 2))
+	}
 	res, err := AgglomerativeSparse(context.Background(), sp, NewLinkage(TotalJaccard), 0.5, ps, SparseOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := []Merge{{A: 0, B: 1, Sim: 0.9}, {A: 0, B: 2, Sim: 1}}; !slices.Equal(res.Merges, want) {
+	if want := []Merge{{A: 0, B: 1, Sim: 1}, {A: 0, B: 2, Sim: 1}}; !slices.Equal(res.Merges, want) {
 		t.Errorf("merges %+v, want %+v", res.Merges, want)
 	}
 }

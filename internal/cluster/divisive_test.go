@@ -1,11 +1,11 @@
 package cluster
 
 import (
+	"context"
 	"testing"
 
 	"schemaflow/internal/feature"
 	"schemaflow/internal/schema"
-	"schemaflow/internal/terms"
 )
 
 func TestDivisiveSeparatesDomains(t *testing.T) {
@@ -53,14 +53,19 @@ func TestDivisiveDegenerate(t *testing.T) {
 
 func TestTermFrequencyModeSeparates(t *testing.T) {
 	// The §4.1 claim under test: counting instead of binary features
-	// changes little. At minimum, TF mode must still separate the domains.
+	// changes little. At minimum, the term-frequency rows must still
+	// separate the domains.
 	set := twoDomainSet()
-	sp := feature.BuildLite(set, feature.Config{
-		TermOpts: terms.DefaultOptions(),
-		Tau:      0.8,
-		Mode:     feature.TermFrequency,
-	})
-	res := mustAgg(t, sp, NewLinkage(AvgJaccard), 0.2)
+	sp := feature.BuildLite(set, feature.DefaultConfig())
+	tf, sim := tfRows(set, sp)
+	ps, err := PairSimsFromRows(context.Background(), len(set), 0, tf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := AgglomerativeSparse(context.Background(), sp, NewLinkage(AvgJaccard), 0.2, ps, SparseOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Assign[0] != res.Assign[1] || res.Assign[1] != res.Assign[2] {
 		t.Errorf("bibliography split under TF: %v", res.Assign)
 	}
@@ -70,8 +75,8 @@ func TestTermFrequencyModeSeparates(t *testing.T) {
 	// TF similarities must still be symmetric probabilities.
 	for i := 0; i < len(set); i++ {
 		for j := 0; j < len(set); j++ {
-			s := sp.Similarity(i, j)
-			if s < 0 || s > 1 || s != sp.Similarity(j, i) {
+			s := sim(i, j)
+			if s < 0 || s > 1 || s != sim(j, i) {
 				t.Fatalf("sim(%d,%d) = %v", i, j, s)
 			}
 		}

@@ -199,11 +199,11 @@ func fromScratch(sp *feature.Space, method Method, a, b []int) float64 {
 		}
 		return best
 	case TotalJaccard:
-		and := sp.Vectors[a[0]].Clone()
-		or := sp.Vectors[a[0]].Clone()
+		and := vectorOf(sp, a[0])
+		or := vectorOf(sp, a[0])
 		for _, i := range append(append([]int{}, a[1:]...), b...) {
-			and.InPlaceAnd(sp.Vectors[i])
-			or.InPlaceOr(sp.Vectors[i])
+			and.InPlaceAnd(vectorOf(sp, i))
+			or.InPlaceOr(vectorOf(sp, i))
 		}
 		u := or.Count()
 		if u == 0 {

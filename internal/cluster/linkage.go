@@ -191,11 +191,11 @@ func (*totalLinkage) Name() string { return "total-jaccard" }
 func (*totalLinkage) concurrentMerged() bool { return false }
 
 // edgeFloor is 0, any stored pair: merged reads the feature vectors, not the
-// stored similarities — which in term-frequency mode are not the binary
-// Jaccard that bounds Total Jaccard from above — so no stored value rules a
-// merge out. What does is absence: the engine only ever scores a cluster
-// against the neighbors in the merging rows, so an edge between two clusters
-// exists only where a stored pair does.
+// stored similarities — which need not be the binary Jaccard that bounds
+// Total Jaccard from above (the §4.1 ablation stores term-frequency ones) —
+// so no stored value rules a merge out. What does is absence: the engine
+// only ever scores a cluster against the neighbors in the merging rows, so
+// an edge between two clusters exists only where a stored pair does.
 func (*totalLinkage) edgeFloor(tau float64) float64 { return 0 }
 
 func (l *totalLinkage) init(sp *feature.Space) {
@@ -203,8 +203,11 @@ func (l *totalLinkage) init(sp *feature.Space) {
 	l.and = make([]*bitvec.Vector, n)
 	l.or = make([]*bitvec.Vector, n)
 	for i := 0; i < n; i++ {
-		l.and[i] = sp.Vectors[i].Clone()
-		l.or[i] = sp.Vectors[i].Clone()
+		v := bitvec.New(sp.Dim())
+		for _, b := range sp.Bits(i) {
+			v.Set(int(b))
+		}
+		l.and[i], l.or[i] = v, v.Clone()
 	}
 	l.scratchAnd = bitvec.New(sp.Dim())
 	l.scratchOr = bitvec.New(sp.Dim())

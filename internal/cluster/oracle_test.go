@@ -69,6 +69,16 @@ type oracleCluster struct {
 	born        int
 }
 
+// vectorOf is schema i's feature vector F^i, dense, written from its set
+// bits.
+func vectorOf(sp *feature.Space, i int) *bitvec.Vector {
+	v := bitvec.New(sp.Dim())
+	for _, b := range sp.Bits(i) {
+		v.Set(int(b))
+	}
+	return v
+}
+
 // oracleLinkage returns this round's c_sim over the live clusters.
 func oracleLinkage(sp *feature.Space, method Method, live []*oracleCluster) func(a, b int) float64 {
 	switch method {
@@ -84,10 +94,10 @@ func oracleLinkage(sp *feature.Space, method Method, live []*oracleCluster) func
 			if c == nil {
 				continue
 			}
-			and[r], or[r] = sp.Vectors[c.members[0]].Clone(), sp.Vectors[c.members[0]].Clone()
+			and[r], or[r] = vectorOf(sp, c.members[0]), vectorOf(sp, c.members[0])
 			for _, i := range c.members[1:] {
-				and[r].InPlaceAnd(sp.Vectors[i])
-				or[r].InPlaceOr(sp.Vectors[i])
+				and[r].InPlaceAnd(vectorOf(sp, i))
+				or[r].InPlaceOr(vectorOf(sp, i))
 			}
 		}
 		return func(a, b int) float64 {

@@ -37,9 +37,9 @@ func (ps *PairSims) N() int { return ps.n }
 // NumPairs returns the number of stored (positive-similarity) pairs.
 func (ps *PairSims) NumPairs() int { return ps.numPairs }
 
-// Examined returns the number of positive pairs CompletePairSims read off
-// the space, those below its floor included; it is 0 on a PairwiseSims
-// result.
+// Examined returns the number of positive pairs CompletePairSims (or
+// PairSimsFromRows) read off the rows, those below its floor included; it is
+// 0 on a PairwiseSims result.
 func (ps *PairSims) Examined() int { return ps.examined }
 
 // Degree returns the number of stored neighbors of schema i.
@@ -78,20 +78,14 @@ func (ps *PairSims) Sim(i, j int) float64 {
 // worker (workers goroutines, 0 means GOMAXPROCS), and each chunk is
 // validated, verified and counted, then written into the CSR through its own
 // cursors — so the structure is the same for every worker count. ctx is
-// polled during verification. In binary feature mode |A∩B| is a probe of A's
-// vector at each of B's set bits (feature.Space.Bits,
-// bitvec.AndCountIndices): a handful of branch-free loads for schemas with a
-// few set bits out of thousands, on a vector that stays in cache across the
-// run of pairs sharing A. The similarity is inter/(|A|+|B|−inter) from the
-// same integers as Vector.Jaccard's, so the same float64. Term-frequency mode
-// falls back to the space's own pairwise measure.
+// polled during verification. A pair's similarity is feature.Space.Similarity,
+// a merge of the two set-bit lists.
 func PairwiseSims(ctx context.Context, sp *feature.Space, pairs []candgen.Pair, workers int) (*PairSims, error) {
 	n := sp.NumSchemas()
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 
-	binary := sp.Config().Mode == feature.Binary
 	sims := make([]float64, len(pairs))
 	// A chunk's tallies, then its cursors; parallelRange may cut fewer chunks
 	// than this, and an unused one tallies nothing.
@@ -120,15 +114,7 @@ func PairwiseSims(ctx context.Context, sp *feature.Space, pairs []candgen.Pair, 
 					return fmt.Errorf("cluster: candidate pairs not sorted at index %d", k)
 				}
 			}
-			if binary {
-				a, b := sp.Bits(int(p.A)), sp.Bits(int(p.B))
-				inter := sp.Vectors[p.A].AndCountIndices(b)
-				if union := len(a) + len(b) - inter; union != 0 {
-					sims[k] = float64(inter) / float64(union)
-				}
-			} else {
-				sims[k] = sp.Similarity(int(p.A), int(p.B))
-			}
+			sims[k] = sp.Similarity(int(p.A), int(p.B))
 			count(deg, p.A, p.B, sims[k])
 		}
 		return nil
@@ -154,15 +140,25 @@ func PairwiseSims(ctx context.Context, sp *feature.Space, pairs []candgen.Pair, 
 // over which AgglomerativeSparse and core.AssignDomainsSparse are the
 // thesis' exact Algorithms 2 and 3; the blocked build passes
 // feature.PairFloor. Only the positive pairs are ever visited: each
-// schema's upper row comes off feature.Space.Row, a pair it leaves out has
-// similarity exactly 0, and the floor drops pairs from the row before they
-// are counted. The rows are cut into one contiguous chunk per GOMAXPROCS
-// worker, sized to hold about equal shares of the upper triangle; a chunk
-// keeps its rows until every chunk has counted, then writes them into the
-// CSR through its own cursors, so the structure is the same for every worker
-// count. ctx is polled between rows.
+// schema's upper row comes off feature.Space.Row, and a pair it leaves out
+// has similarity exactly 0.
 func CompletePairSims(ctx context.Context, sp *feature.Space, floor float64) (*PairSims, error) {
-	n := sp.NumSchemas()
+	return PairSimsFromRows(ctx, sp.NumSchemas(), floor, func(i int, buf *feature.RowBuf) ([]int32, []float64) {
+		return sp.Row(i, i, buf)
+	})
+}
+
+// PairSimsFromRows stores, over n schemas, every pair (i, j) that row(i, buf)
+// lists whose similarity is at least floor. row returns schema i's upper row:
+// every j > i of positive similarity, ascending, beside it, in slices that
+// may live in buf, as feature.Space.Row's do; it is called from several
+// goroutines at once, each with a buf of its own. The floor drops pairs from
+// a row before they are counted. The rows are cut into one contiguous chunk
+// per GOMAXPROCS worker, sized to hold about equal shares of the upper
+// triangle; a chunk keeps its rows until every chunk has counted, then writes
+// them into the CSR through its own cursors, so the structure is the same for
+// every worker count. ctx is polled between rows.
+func PairSimsFromRows(ctx context.Context, n int, floor float64, row func(i int, buf *feature.RowBuf) ([]int32, []float64)) (*PairSims, error) {
 	workers := max(1, min(runtime.GOMAXPROCS(0), n))
 	bounds := make([]int, workers+1)
 	for w := 1; w <= workers; w++ {
@@ -190,7 +186,7 @@ func CompletePairSims(ctx context.Context, sp *feature.Space, floor float64) (*P
 					return err
 				}
 			}
-			js, sims := sp.Row(i, i, &buf)
+			js, sims := row(i, &buf)
 			c.examined += len(js)
 			js, sims = filterRow(js, sims, floor)
 			c.deg[i] += int64(len(js))

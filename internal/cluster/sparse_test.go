@@ -18,6 +18,7 @@ import (
 	"schemaflow/internal/dataset"
 	"schemaflow/internal/feature"
 	"schemaflow/internal/schema"
+	"schemaflow/internal/terms"
 )
 
 // allPairs lists every pair over n schemas, sorted as PairwiseSims wants.
@@ -29,6 +30,45 @@ func allPairs(n int) []candgen.Pair {
 		}
 	}
 	return out
+}
+
+// tfRows is §4.1's term-frequency alternative to binary features, the stored
+// similarities of the feature ablation: schema i counts, per vocabulary term
+// b, the term occurrences of its attributes whose term matches L_b, and two
+// schemas are the generalized Jaccard Σ min / Σ max of their counts apart.
+// It returns the upper rows, the space's Row re-scored, for PairSimsFromRows,
+// and that similarity from its definition.
+func tfRows(set schema.Set, sp *feature.Space) (func(int, *feature.RowBuf) ([]int32, []float64), func(i, j int) float64) {
+	counts := make([][]int, len(set))
+	for i, s := range set {
+		counts[i] = make([]int, sp.Dim())
+		for _, a := range s.Attributes {
+			for _, t := range terms.FromAttribute(a, sp.Config().TermOpts) {
+				for _, b := range sp.Matches(sp.VocabIndex[t]) {
+					counts[i][b]++
+				}
+			}
+		}
+	}
+	sim := func(i, j int) float64 {
+		lo, hi := 0, 0
+		for b := range counts[i] {
+			lo += min(counts[i][b], counts[j][b])
+			hi += max(counts[i][b], counts[j][b])
+		}
+		if hi == 0 {
+			return 0
+		}
+		return float64(lo) / float64(hi)
+	}
+	row := func(i int, buf *feature.RowBuf) ([]int32, []float64) {
+		js, sims := sp.Row(i, i, buf)
+		for k, j := range js {
+			sims[k] = sim(i, int(j))
+		}
+		return js, sims
+	}
+	return row, sim
 }
 
 func allPairSims(tb testing.TB, sp *feature.Space, workers int) *PairSims {
@@ -337,74 +377,80 @@ func TestAgglomerativeSparseOnlyReadsPairSims(t *testing.T) {
 
 // TestCompletePairSimsSameFromEverySource: the complete pair set is the
 // same structure whether it is read off the space's rows or assembled by
-// PairwiseSims from the list of every pair (whose binary-mode similarity is a
-// different routine, a probe count, bitvec.AndCountIndices) — otherwise
-// "exact" would depend on the reader.
+// PairwiseSims from the list of every pair (whose similarity is a different
+// routine, a merge of two set-bit lists) — otherwise "exact" would depend on
+// the reader.
 func TestCompletePairSimsSameFromEverySource(t *testing.T) {
 	set := dataset.Large(dataset.LargeConfig{N: 240, Domains: 6, Seed: 3})
-	for _, mode := range []feature.Mode{feature.Binary, feature.TermFrequency} {
-		cfg := feature.DefaultConfig()
-		cfg.Mode = mode
-		sp := feature.BuildLite(set, cfg)
-		got, err := CompletePairSims(context.Background(), sp, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := allPairSims(t, sp, 3)
-		if got.n != want.n || got.numPairs != want.numPairs ||
-			!slices.Equal(got.rowStart, want.rowStart) || !slices.Equal(got.nbr, want.nbr) || !slices.Equal(got.sim, want.sim) {
-			t.Errorf("%v features: complete pair set differs from PairwiseSims(allPairs)", mode)
-		}
-		if want.numPairs == 0 || want.numPairs == len(set)*(len(set)-1)/2 {
-			t.Fatalf("%v features: %d stored pairs — the corpus should have both zero and positive similarities", mode, want.numPairs)
-		}
+	sp := feature.BuildLite(set, feature.DefaultConfig())
+	got, err := CompletePairSims(context.Background(), sp, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := allPairSims(t, sp, 3)
+	if got.n != want.n || got.numPairs != want.numPairs ||
+		!slices.Equal(got.rowStart, want.rowStart) || !slices.Equal(got.nbr, want.nbr) || !slices.Equal(got.sim, want.sim) {
+		t.Errorf("complete pair set differs from PairwiseSims(allPairs)")
+	}
+	if want.numPairs == 0 || want.numPairs == len(set)*(len(set)-1)/2 {
+		t.Fatalf("%d stored pairs — the corpus should have both zero and positive similarities", want.numPairs)
 	}
 }
 
 // TestFilteredPairSimsAreTheVerifiedCandidates: CompletePairSims at
 // feature.PairFloor is PairwiseSims over the pairs feature.TermVectorizer
-// lists — the blocked build's pair set from either source — in both feature
-// modes, and Examined counts every positive pair, the dropped ones included.
+// lists — the blocked build's pair set from either source — and Examined
+// counts every positive pair, the dropped ones included, for the space's rows
+// and for the term-frequency rows alike.
 func TestFilteredPairSimsAreTheVerifiedCandidates(t *testing.T) {
 	set := dataset.Large(dataset.LargeConfig{N: 600, Domains: 12, Seed: 1})
 	ctx := context.Background()
-	for _, mode := range []feature.Mode{feature.Binary, feature.TermFrequency} {
-		cfg := feature.DefaultConfig()
-		cfg.Mode = mode
-		sp := feature.BuildLite(set, cfg)
-		got, err := CompletePairSims(ctx, sp, feature.PairFloor)
+	sp := feature.BuildLite(set, feature.DefaultConfig())
+	got, err := CompletePairSims(ctx, sp, feature.PairFloor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := PairwiseSims(ctx, sp, floorPairs(t, sp), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.n != want.n || got.numPairs != want.numPairs ||
+		!slices.Equal(got.rowStart, want.rowStart) || !slices.Equal(got.nbr, want.nbr) || !slices.Equal(got.sim, want.sim) {
+		t.Errorf("floor pair set differs from PairwiseSims over the listed pairs")
+	}
+	tf, _ := tfRows(set, sp)
+	for _, src := range []struct {
+		name string
+		row  func(int, *feature.RowBuf) ([]int32, []float64)
+	}{
+		{"binary", func(i int, buf *feature.RowBuf) ([]int32, []float64) { return sp.Row(i, i, buf) }},
+		{"term-frequency", tf},
+	} {
+		floored, err := PairSimsFromRows(ctx, len(set), feature.PairFloor, src.row)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := PairwiseSims(ctx, sp, floorPairs(t, sp), 3)
+		complete, err := PairSimsFromRows(ctx, len(set), 0, src.row)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.n != want.n || got.numPairs != want.numPairs ||
-			!slices.Equal(got.rowStart, want.rowStart) || !slices.Equal(got.nbr, want.nbr) || !slices.Equal(got.sim, want.sim) {
-			t.Errorf("%v features: floor pair set differs from PairwiseSims over the listed pairs", mode)
+		if floored.Examined() != complete.NumPairs() || complete.Examined() != complete.NumPairs() {
+			t.Errorf("%s features: examined %d at the floor, %d complete; want %d positive pairs", src.name, floored.Examined(), complete.Examined(), complete.NumPairs())
 		}
-		complete, err := CompletePairSims(ctx, sp, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Examined() != complete.NumPairs() || complete.Examined() != complete.NumPairs() {
-			t.Errorf("%v features: examined %d at the floor, %d complete; want %d positive pairs", mode, got.Examined(), complete.Examined(), complete.NumPairs())
-		}
-		if got.NumPairs() == 0 || got.NumPairs() >= complete.NumPairs() {
-			t.Fatalf("%v features: the floor keeps %d of %d positive pairs; the corpus should have both kept and dropped ones", mode, got.NumPairs(), complete.NumPairs())
+		if floored.NumPairs() == 0 || floored.NumPairs() >= complete.NumPairs() {
+			t.Fatalf("%s features: the floor keeps %d of %d positive pairs; the corpus should have both kept and dropped ones", src.name, floored.NumPairs(), complete.NumPairs())
 		}
 	}
 }
 
 // TestPropertyFloorGraphIsTheDefinition: CompletePairSims(sp, floor) stores
 // exactly the pairs whose similarity, written from the definition — the
-// bitvec Jaccard of the two feature vectors, the generalized Jaccard of the
-// counts in term-frequency mode — is positive and at least floor, with that
-// similarity, on random corpora, in both feature modes, at one, two and
-// four workers. The floors are 0, feature.PairFloor, and a similarity the
-// corpus has with its two float neighbours, so the ≥ is decided at the
-// last bit.
+// Jaccard of the two dense feature vectors — is positive and at least floor,
+// with that similarity, and so does PairSimsFromRows over the term-frequency
+// rows, against the generalized Jaccard of the counts, on random corpora, at
+// one, two and four workers. The floors are 0, feature.PairFloor, and a
+// similarity the corpus has with its two float neighbours, so the ≥ is
+// decided at the last bit.
 func TestPropertyFloorGraphIsTheDefinition(t *testing.T) {
 	procs := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(procs)
@@ -412,18 +458,20 @@ func TestPropertyFloorGraphIsTheDefinition(t *testing.T) {
 	for trial := range 6 {
 		set := dataset.Large(dataset.LargeConfig{N: 60 + rng.Intn(200), Domains: 2 + rng.Intn(8), Seed: rng.Int63()})
 		n := len(set)
-		for _, mode := range []feature.Mode{feature.Binary, feature.TermFrequency} {
-			cfg := feature.DefaultConfig()
-			cfg.Mode = mode
-			sp := feature.BuildLite(set, cfg)
+		sp := feature.BuildLite(set, feature.DefaultConfig())
+		tf, tfSim := tfRows(set, sp)
+		for _, mode := range []string{"binary", "term-frequency"} {
 			sim := make([]float64, n*n)
 			var positive []float64
 			for a := range n {
 				for b := range n {
-					if mode == feature.Binary {
-						sim[a*n+b] = sp.Vectors[a].Jaccard(sp.Vectors[b])
+					if mode == "binary" {
+						va, vb := vectorOf(sp, a), vectorOf(sp, b)
+						if u := va.OrCount(vb); u > 0 {
+							sim[a*n+b] = float64(va.AndCount(vb)) / float64(u)
+						}
 					} else {
-						sim[a*n+b] = sp.Similarity(a, b)
+						sim[a*n+b] = tfSim(a, b)
 					}
 					if a < b && sim[a*n+b] > 0 {
 						positive = append(positive, sim[a*n+b])
@@ -434,7 +482,13 @@ func TestPropertyFloorGraphIsTheDefinition(t *testing.T) {
 			for _, floor := range []float64{0, feature.PairFloor, v, math.Nextafter(v, 0), math.Nextafter(v, 1)} {
 				for _, workers := range []int{1, 2, 4} {
 					runtime.GOMAXPROCS(workers)
-					ps, err := CompletePairSims(context.Background(), sp, floor)
+					var ps *PairSims
+					var err error
+					if mode == "binary" {
+						ps, err = CompletePairSims(context.Background(), sp, floor)
+					} else {
+						ps, err = PairSimsFromRows(context.Background(), n, floor, tf)
+					}
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -129,35 +129,83 @@ func RenderThetaAblation(rows []ThetaAblationRow, tau float64) string {
 // FeatureModeRow evaluates clustering quality under one feature
 // representation (Section 4.1's binary-vs-frequency design choice).
 type FeatureModeRow struct {
-	Mode    feature.Mode
-	Metrics eval.Metrics
-	Elapsed time.Duration
+	Features string // "binary" or "term-frequency"
+	Metrics  eval.Metrics
+	Elapsed  time.Duration
 }
 
 // FeatureModeAblation tests the §4.1 claim that binary features are
 // sufficient: it clusters the corpus under binary and term-frequency
-// features at the same parameters and compares quality.
+// features at the same parameters and compares quality. Both runs share the
+// binary space; the term-frequency run stores its pair graph from
+// termFrequencyRows instead of the space's own rows.
 func FeatureModeAblation(set schema.Set, tau float64) ([]FeatureModeRow, error) {
 	var out []FeatureModeRow
-	for _, mode := range []feature.Mode{feature.Binary, feature.TermFrequency} {
+	for _, features := range []string{"binary", "term-frequency"} {
 		start := time.Now()
-		sp := feature.BuildLite(set, feature.Config{
-			TermOpts: terms.DefaultOptions(),
-			Sim:      strsim.LCSSim{},
-			Tau:      0.8,
-			Mode:     mode,
-		})
-		m, err := buildModel(set, sp, nil, cluster.AvgJaccard, tau, DefaultTheta)
+		sp := feature.BuildLite(set, feature.DefaultConfig())
+		var ps *cluster.PairSims
+		if features == "term-frequency" {
+			var err error
+			if ps, err = cluster.PairSimsFromRows(context.TODO(), sp.NumSchemas(), 0, termFrequencyRows(set, sp)); err != nil {
+				return nil, err
+			}
+		}
+		m, err := buildModel(set, sp, ps, cluster.AvgJaccard, tau, DefaultTheta)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, FeatureModeRow{
-			Mode:    mode,
-			Metrics: eval.Evaluate(m, set),
-			Elapsed: time.Since(start),
+			Features: features,
+			Metrics:  eval.Evaluate(m, set),
+			Elapsed:  time.Since(start),
 		})
 	}
 	return out, nil
+}
+
+// termFrequencyRows returns the upper rows of the pair graph of §4.1's
+// alternative to binary features, in the form cluster.PairSimsFromRows takes.
+// Schema i's count vector c^i counts, per vocabulary term b, the term
+// occurrences of its attributes (terms.FromAttribute, repeats kept) whose
+// vocabulary term matches L_b at τ_t_sim; two schemas' similarity is the
+// generalized Jaccard Σ min / Σ max of their counts. A count is positive
+// exactly where the binary feature is set, so a row lists the neighbours of
+// the space's own Row, re-scored.
+func termFrequencyRows(set schema.Set, sp *feature.Space) func(i int, buf *feature.RowBuf) ([]int32, []float64) {
+	opts := sp.Config().TermOpts
+	counts := make([][]int32, len(set))
+	for i, s := range set {
+		counts[i] = make([]int32, sp.Dim())
+		for _, attr := range s.Attributes {
+			for _, t := range terms.FromAttribute(attr, opts) {
+				for _, b := range sp.Matches(sp.VocabIndex[t]) {
+					counts[i][b]++
+				}
+			}
+		}
+	}
+	return func(i int, buf *feature.RowBuf) ([]int32, []float64) {
+		js, sims := sp.Row(i, i, buf)
+		for k, j := range js {
+			sims[k] = generalizedJaccard(counts[i], counts[j])
+		}
+		return js, sims
+	}
+}
+
+// generalizedJaccard is Σ_j min(a_j, b_j) / Σ_j max(a_j, b_j), 0 when both
+// vectors are zero.
+func generalizedJaccard(a, b []int32) float64 {
+	var minSum, maxSum int
+	for j := range a {
+		minSum += int(min(a[j], b[j]))
+		maxSum += int(max(a[j], b[j]))
+	}
+	if maxSum == 0 {
+		return 0
+	}
+	return float64(minSum) / float64(maxSum)
 }
 
 // RenderFeatureModeAblation prints the binary-vs-frequency comparison.
@@ -167,7 +215,7 @@ func RenderFeatureModeAblation(rows []FeatureModeRow, tau float64) string {
 	fmt.Fprintf(&sb, "%-16s %10s %8s %10s %10s\n", "features", "precision", "recall", "unclust", "elapsed")
 	for _, r := range rows {
 		fmt.Fprintf(&sb, "%-16s %10.3f %8.3f %10.3f %10s\n",
-			r.Mode, r.Metrics.Precision, r.Metrics.Recall,
+			r.Features, r.Metrics.Precision, r.Metrics.Recall,
 			r.Metrics.FracUnclustered, r.Elapsed.Round(time.Millisecond))
 	}
 	return sb.String()

@@ -3,10 +3,10 @@ package feature
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
-	"schemaflow/internal/bitvec"
 	"schemaflow/internal/schema"
 	"schemaflow/internal/strsim"
 )
@@ -47,10 +47,10 @@ func extendCorpus(n int, seed int64) schema.Set {
 	return set
 }
 
-// sortedPermutation returns ext's vectors re-expressed over ext's vocabulary
+// canonicalBits returns sp's set-bit lists re-expressed over sp's vocabulary
 // sorted ascending — the canonical order BuildLite uses — so the two spaces
 // can be compared bit for bit.
-func canonicalVectors(sp *Space) (vocab []string, vecs []*bitvec.Vector) {
+func canonicalBits(sp *Space) (vocab []string, bits [][]int32) {
 	vocab = append([]string(nil), sp.Vocab...)
 	sort.Strings(vocab)
 	perm := make([]int, len(sp.Vocab)) // old index -> canonical index
@@ -61,42 +61,50 @@ func canonicalVectors(sp *Space) (vocab []string, vecs []*bitvec.Vector) {
 	for j, t := range sp.Vocab {
 		perm[j] = pos[t]
 	}
-	vecs = make([]*bitvec.Vector, len(sp.Vectors))
-	for i, v := range sp.Vectors {
-		nv := bitvec.New(len(vocab))
-		for _, j := range v.Indices() {
-			nv.Set(perm[j])
+	bits = make([][]int32, sp.NumSchemas())
+	for i := range bits {
+		for _, j := range sp.Bits(i) {
+			bits[i] = append(bits[i], int32(perm[j]))
 		}
-		vecs[i] = nv
+		slices.Sort(bits[i])
 	}
-	return vocab, vecs
+	return vocab, bits
 }
 
 // checkExtendEquivalence asserts that ext (built by chained Extend calls) is
 // equivalent to ref (a from-scratch BuildLite over the same schema set):
 // identical vocabulary set, bit-identical vectors once ext's appended
 // vocabulary order is put in canonical (sorted) order, exactly equal
-// pairwise similarities, and spelling tables that both meet their definition.
+// pairwise similarities, and spelling tables that hold the same spellings
+// and both meet their definition.
 func checkExtendEquivalence(t *testing.T, ext, ref *Space) {
 	t.Helper()
 	checkLexicon(t, ext)
 	checkLexicon(t, ref)
+	if len(ext.lex.spellings) != len(ref.lex.spellings) {
+		t.Fatalf("spellings: ext %d, ref %d", len(ext.lex.spellings), len(ref.lex.spellings))
+	}
+	for a := range ref.lex.spellings {
+		if _, _, ok := ext.Lexicon().Lookup(a); !ok {
+			t.Fatalf("spelling %q missing from the extended lexicon", a)
+		}
+	}
 	if ext.NumSchemas() != ref.NumSchemas() {
 		t.Fatalf("schema count: ext %d, ref %d", ext.NumSchemas(), ref.NumSchemas())
 	}
 	if ext.Dim() != ref.Dim() {
 		t.Fatalf("dimensionality: ext %d, ref %d", ext.Dim(), ref.Dim())
 	}
-	extVocab, extVecs := canonicalVectors(ext)
+	extVocab, extBits := canonicalBits(ext)
 	for j, term := range ref.Vocab {
 		if extVocab[j] != term {
 			t.Fatalf("vocab[%d]: ext %q, ref %q", j, extVocab[j], term)
 		}
 	}
-	for i := range ref.Vectors {
-		if !extVecs[i].Equal(ref.Vectors[i]) {
-			t.Fatalf("schema %d: canonicalized extended vector differs from rebuilt vector\next: %v\nref: %v",
-				i, extVecs[i], ref.Vectors[i])
+	for i := range ref.NumSchemas() {
+		if !slices.Equal(extBits[i], ref.Bits(i)) {
+			t.Fatalf("schema %d: canonicalized extended bits differ from rebuilt bits\next: %v\nref: %v",
+				i, extBits[i], ref.Bits(i))
 		}
 	}
 	for i := 0; i < ref.NumSchemas(); i++ {
@@ -124,7 +132,6 @@ func TestExtendEquivalence(t *testing.T) {
 		{"stem", func() Config { c := DefaultConfig(); c.Sim = strsim.StemSim{}; return c }()},
 		{"exact", func() Config { c := DefaultConfig(); c.Sim = strsim.ExactSim{}; return c }()},
 		{"lcsubsequence-fullscan", func() Config { c := DefaultConfig(); c.Sim = strsim.LCSeqSim{}; return c }()},
-		{"term-frequency-fallback", func() Config { c := DefaultConfig(); c.Mode = TermFrequency; return c }()},
 		// Deliberately asymmetric user similarities: the matcher must verify
 		// both ordered directions of every pair (see extend_asym_test.go for
 		// the focused match-list checks).
@@ -184,14 +191,14 @@ func TestExtendFromFullSpace(t *testing.T) {
 
 // TestExtendCopyOnWrite pins the isolation contract: extending a space must
 // leave the original untouched — same dimensionality, vocabulary length,
-// vectors, and similarities as before the call.
+// bit lists, and similarities as before the call.
 func TestExtendCopyOnWrite(t *testing.T) {
 	corpus := extendCorpus(20, 3)
 	sp := BuildLite(corpus[:19], DefaultConfig())
 	dim := sp.Dim()
-	vecs := make([]*bitvec.Vector, len(sp.Vectors))
-	for i, v := range sp.Vectors {
-		vecs[i] = v.Clone()
+	bits := make([][]int32, sp.NumSchemas())
+	for i := range bits {
+		bits[i] = slices.Clone(sp.Bits(i))
 	}
 	sims := make([]float64, 0)
 	for i := 0; i < sp.NumSchemas(); i++ {
@@ -225,9 +232,9 @@ func TestExtendCopyOnWrite(t *testing.T) {
 		}
 	}
 	checkLexicon(t, sp)
-	for i, v := range sp.Vectors {
-		if !v.Equal(vecs[i]) {
-			t.Fatalf("Extend mutated original vector %d", i)
+	for i, b := range bits {
+		if !slices.Equal(sp.Bits(i), b) {
+			t.Fatalf("Extend mutated original bit list %d", i)
 		}
 	}
 	k := 0
@@ -242,7 +249,7 @@ func TestExtendCopyOnWrite(t *testing.T) {
 }
 
 // TestExtendNoNewTerms covers the fast path: a newcomer whose terms are all
-// already in the vocabulary shares every existing vector and the matcher.
+// already in the vocabulary shares every existing bit list and the matcher.
 func TestExtendNoNewTerms(t *testing.T) {
 	set := schema.Set{
 		{Name: "a", Attributes: []string{"title", "author", "year"}},

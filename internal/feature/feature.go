@@ -21,29 +21,6 @@ import (
 	"schemaflow/internal/terms"
 )
 
-// Mode selects the feature representation.
-type Mode int
-
-const (
-	// Binary is the thesis' representation: F_j ∈ {0,1} (Section 4.1 —
-	// "schema attributes usually contain a few terms, so binary features
-	// are sufficient").
-	Binary Mode = iota
-	// TermFrequency keeps per-feature match counts (how many of the
-	// schema's terms matched vocabulary term j) and measures similarity by
-	// generalized Jaccard Σmin/Σmax. Provided to test the thesis' claim
-	// that counting adds nothing.
-	TermFrequency
-)
-
-// String implements fmt.Stringer.
-func (m Mode) String() string {
-	if m == TermFrequency {
-		return "term-frequency"
-	}
-	return "binary"
-}
-
 // Config controls feature-space construction.
 type Config struct {
 	// TermOpts controls term extraction from attribute names.
@@ -58,9 +35,6 @@ type Config struct {
 	// value of this struct must select the thesis defaults, so 0 cannot
 	// mean "match everything" — the negative escape hatch disambiguates.
 	Tau float64
-	// Mode selects binary (default, the thesis' choice) or term-frequency
-	// features.
-	Mode Mode
 }
 
 // DefaultConfig returns the thesis defaults: LCS similarity at τ = 0.8 with
@@ -87,7 +61,8 @@ func (c Config) normalized() Config {
 }
 
 // Space is the constructed vector space: the vocabulary L and one binary
-// feature vector per input schema. A Space is immutable after BuildLite, so
+// feature vector per input schema, held as the ascending list of its set bits
+// beside the bit→schema postings. A Space is immutable after BuildLite, so
 // reads are safe for concurrent use.
 type Space struct {
 	cfg Config
@@ -101,27 +76,17 @@ type Space struct {
 	// TermIDs[i] is T_i, the extracted term set of schema i, as ascending
 	// vocabulary ids.
 	TermIDs [][]int32
-	// Vectors[i] is F^i, the binary feature vector of schema i.
-	Vectors []*bitvec.Vector
-	// counts[i][j] is the number of schema-i term occurrences matching
-	// vocabulary term j; populated only in TermFrequency mode.
-	counts [][]uint16
 
-	// set is the input schema set the space embeds (schema i ↔ TermIDs[i]);
-	// retained so Extend can fall back to a full rebuild in TermFrequency
-	// mode.
-	set schema.Set
 	// termSchemas[j] lists, ascending, the schemas whose term set contains
 	// vocabulary term j — the inverted term→schema index Extend and Probe
-	// use to find only the vectors a new vocabulary term actually affects.
+	// use to find only the schemas a new vocabulary term actually affects.
 	termSchemas [][]int32
-	// bits[i] lists, ascending, the set bits of Vectors[i] (its length is
-	// the popcount), and postings[b] lists, ascending, the schemas whose
-	// vector sets bit b: the bit→schema index Row and Probe walk. Both are
-	// read off the vectors themselves rather than derived from the term
-	// relation, so they are exact under an asymmetric term similarity and in
-	// TermFrequency mode. BuildLite builds them with the vectors; Extend
-	// carries them over copy-on-write.
+	// bits[i] lists, ascending, the set bits of F^i, the binary feature
+	// vector of schema i (its length is the popcount), and postings[b] lists,
+	// ascending, the schemas whose vector sets bit b: the bit→schema index
+	// Row and Probe walk. A schema's bits are the union of its terms' match
+	// lists, so they are exact under an asymmetric term similarity too.
+	// BuildLite builds them; Extend carries them over copy-on-write.
 	bits     [][]int32
 	postings [][]int32
 
@@ -148,16 +113,16 @@ func BuildContext(ctx context.Context, set schema.Set, cfg Config) (*Space, erro
 // similarities of one schema off the inverted bit→schema index.
 func BuildLite(set schema.Set, cfg Config) *Space {
 	cfg = cfg.normalized()
-	sp := &Space{cfg: cfg, set: set}
+	sp := &Space{cfg: cfg}
 
 	// Term splitting, the per-term match lists (inside newMatchIndex), the
-	// term sets and the vectors are independent per spelling, term or schema
-	// and fan out by index; the vocabulary and the inverted index between
-	// them are built in order on one goroutine, so the space is the same for
-	// any worker count. A schema's term set is the union of its spellings'
-	// rows of the spelling table, so nothing past the vocabulary looks a
-	// term up by its string.
-	lists := sp.vocabulary(set)
+	// term sets and the bit lists are independent per spelling, term or
+	// schema and fan out by index; the vocabulary and the inverted indexes
+	// between them are built in order on one goroutine, so the space is the
+	// same for any worker count. A schema's term set is the union of its
+	// spellings' rows of the spelling table, so nothing past the vocabulary
+	// looks a term up by its string.
+	sp.vocabulary(set)
 	lex := sp.lex
 	sp.TermIDs = make([][]int32, len(set))
 	par.Each(len(set), func(i int) {
@@ -175,12 +140,12 @@ func BuildLite(set schema.Set, cfg Config) *Space {
 	sp.termSchemas = transpose(sp.TermIDs, len(sp.Vocab))
 
 	// Feature vectors: F^i = union over t in T_i of the vocabulary terms
-	// matching t. Because every schema term is itself in the vocabulary and
-	// the similarity is symmetric, per-vocabulary-term match lists can be
-	// reused across schemas. A schema's set-bit list is read off its vector
-	// into one slab, at an offset bounded by the lengths of its terms' match
-	// lists (two terms can match the same one, so a list may fall short of
-	// its room).
+	// matching t. Because every schema term is itself in the vocabulary, the
+	// per-vocabulary-term match lists are reused across schemas. Each worker
+	// marks a schema's matches on one scratch vector and reads them off in
+	// ascending order into one slab, at an offset bounded by the lengths of
+	// its terms' match lists (two terms can match the same one, so a list
+	// may fall short of its room), clearing the marks as it goes.
 	room := make([]int, len(set)+1)
 	for i, ids := range sp.TermIDs {
 		room[i+1] = room[i]
@@ -189,47 +154,30 @@ func BuildLite(set schema.Set, cfg Config) *Space {
 		}
 	}
 	slab := make([]int32, room[len(set)])
-	sp.Vectors = make([]*bitvec.Vector, len(set))
 	sp.bits = make([][]int32, len(set))
-	if cfg.Mode == TermFrequency {
-		sp.counts = make([][]uint16, len(set))
-	}
-	par.Each(len(set), func(i int) {
-		v := bitvec.New(len(sp.Vocab))
-		for _, t := range sp.TermIDs[i] {
-			for _, j := range sp.matcher.matchesOfVocab(int(t)) {
-				v.Set(int(j))
-			}
-		}
-		sp.Vectors[i] = v
-		list := v.IndicesAppend32(slab[room[i]:room[i]:room[i+1]])
+	par.EachWith(len(set), func() *bitvec.Vector { return bitvec.New(len(sp.Vocab)) }, func(v *bitvec.Vector, i int) {
+		list := sp.unionOfMatches(sp.TermIDs[i], v, slab[room[i]:room[i]:room[i+1]])
 		sp.bits[i] = list[:len(list):len(list)]
-		if cfg.Mode != TermFrequency {
-			return
-		}
-		// Count every term *occurrence* across the schema's attributes
-		// (binary mode deduplicates; counting is the point here). A
-		// spelling's term list is ascending with its repeats, and its row of
-		// ids holds the distinct terms in the same order.
-		c := make([]uint16, len(sp.Vocab))
-		for _, attr := range set[i].Attributes {
-			k := lex.spellings[attr]
-			x := -1
-			for n, t := range lists[k] {
-				if n == 0 || t != lists[k][n-1] {
-					x++
-				}
-				for _, j := range sp.matcher.matchesOfVocab(int(lex.ids[k][x])) {
-					if c[j] < ^uint16(0) {
-						c[j]++
-					}
-				}
-			}
-		}
-		sp.counts[i] = c
 	})
 	sp.postings = transpose(sp.bits, len(sp.Vocab))
 	return sp
+}
+
+// unionOfMatches appends to dst, ascending, the union of the match lists of
+// the vocabulary terms ids, marking them on v, which must be zero and is
+// left zero.
+func (sp *Space) unionOfMatches(ids []int32, v *bitvec.Vector, dst []int32) []int32 {
+	for _, t := range ids {
+		for _, j := range sp.matcher.matchesOfVocab(int(t)) {
+			v.Set(int(j))
+		}
+	}
+	start := len(dst)
+	dst = v.IndicesAppend32(dst)
+	for _, j := range dst[start:] {
+		v.Clear(int(j))
+	}
+	return dst
 }
 
 // transpose returns the inverse of lists, a relation from schemas to ids in
@@ -260,7 +208,7 @@ func transpose(lists [][]int32, dim int) [][]int32 {
 // Extend embeds one additional schema into the space incrementally and
 // returns the extended space plus the new schema's index. The receiver is
 // never mutated (copy-on-write): unchanged vocabulary entries, term sets,
-// match lists, and feature vectors are shared between the two spaces, so an
+// match lists, and bit lists are shared between the two spaces, so an
 // in-flight reader of the old space is unaffected.
 //
 // Instead of re-running Algorithm 1 over all n+1 schemas, Extend
@@ -270,15 +218,15 @@ func transpose(lists [][]int32, dim int) [][]int32 {
 //     below);
 //   - probes the existing candidate index for cross-matches in both
 //     directions and layers the new terms onto it (no index rebuild);
-//   - sets the new vocabulary bits on only the affected existing vectors,
+//   - sets the new vocabulary bits on only the affected existing schemas,
 //     found via the inverted term→schema index: F_i[j_new] = 1 iff T_i
 //     intersects the old-vocabulary match list of the new term;
-//   - embeds the newcomer's vector from the (extended) memoized match lists;
-//   - carries the set-bit lists and the bit→schema postings over the same
-//     way: the receiver's lists shared, a schema's new bits appended to a
-//     copy of its list (they are ≥ the old dim, so it stays ascending), one
-//     posting list opened per new bit, the newcomer appended to a copy of
-//     each list whose bit it sets;
+//   - embeds the newcomer's bits from the (extended) memoized match lists;
+//   - carries the set-bit lists and the bit→schema postings over
+//     copy-on-write: the receiver's lists shared, a schema's new bits
+//     appended to a copy of its list (they are ≥ the old dim, so it stays
+//     ascending), one posting list opened per new bit, the newcomer appended
+//     to a copy of each list whose bit it sets;
 //   - carries the spelling table (Lexicon) over the same way: the receiver's
 //     rows shared, one row appended per spelling the newcomer brings, over
 //     the extended vocabulary and match lists.
@@ -289,21 +237,10 @@ func transpose(lists [][]int32, dim int) [][]int32 {
 // Because novel terms are appended, vocabulary order — and therefore bit
 // positions — can differ from a from-scratch BuildLite over the extended
 // set; the embedding is identical up to that permutation (same vocabulary
-// set, same term↔schema incidence, bit-identical vectors after reordering,
-// and exactly equal pairwise similarities — Jaccard is permutation
-// invariant).
-//
-// In TermFrequency mode the per-occurrence counts cannot be patched without
-// re-scanning every attribute, so Extend falls back to a full BuildLite over
-// the extended set; the binary representation — the thesis' choice and the
-// online hot path — takes the incremental route.
+// set, same term↔schema incidence, the same bits after renumbering, and
+// exactly equal pairwise similarities — Jaccard is permutation invariant).
 func (sp *Space) Extend(s schema.Schema) (*Space, int) {
 	newIdx := len(sp.TermIDs)
-	if sp.cfg.Mode == TermFrequency {
-		mExtendFallback.Inc()
-		return BuildLite(append(sp.set[:newIdx:newIdx], s), sp.cfg), newIdx
-	}
-
 	ts := terms.Extract(s.Attributes, sp.cfg.TermOpts)
 	var newTerms []string
 	for t := range ts {
@@ -315,10 +252,7 @@ func (sp *Space) Extend(s schema.Schema) (*Space, int) {
 	oldDim := len(sp.Vocab)
 	newDim := oldDim + len(newTerms)
 
-	ns := &Space{
-		cfg: sp.cfg,
-		set: append(sp.set[:newIdx:newIdx], s),
-	}
+	ns := &Space{cfg: sp.cfg}
 
 	var rev [][]int32
 	if len(newTerms) == 0 {
@@ -358,13 +292,13 @@ func (sp *Space) Extend(s schema.Schema) (*Space, int) {
 	}
 	ns.termSchemas = termSchemas
 
-	// New vocabulary bits land only on the vectors of schemas that contain
-	// a term matching a new term — everyone else shares their old vector
-	// (re-headered to the new dimensionality without copying when the word
-	// count allows).
-	newBits := make(map[int32][]int)
+	// New vocabulary bits land only on the schemas that contain a term
+	// matching a new term — everyone else shares their old list. A schema's
+	// gained bits arrive ascending, a bit repeated once per term of the
+	// schema it matches.
+	newBits := make(map[int32][]int32)
 	for i, js := range rev {
-		bit := oldDim + i
+		bit := int32(oldDim + i)
 		for _, j := range js {
 			for _, owner := range sp.termSchemas[j] {
 				newBits[owner] = append(newBits[owner], bit)
@@ -375,45 +309,38 @@ func (sp *Space) Extend(s schema.Schema) (*Space, int) {
 	copy(postings, sp.postings)
 	bitLists := make([][]int32, newIdx+1)
 	copy(bitLists, sp.bits)
-	vectors := make([]*bitvec.Vector, newIdx+1)
-	for i := 0; i < newIdx; i++ {
-		gained := newBits[int32(i)]
-		if len(gained) == 0 {
-			vectors[i] = sp.Vectors[i].WithLen(newDim)
-			continue
-		}
-		v := sp.Vectors[i].CloneWithLen(newDim)
+	owners := make([]int32, 0, len(newBits))
+	for owner := range newBits {
+		owners = append(owners, owner)
+	}
+	slices.Sort(owners) // a new bit's postings list its owners ascending
+	for _, owner := range owners {
+		gained := slices.Compact(newBits[owner])
 		// Full slice expression: the append copies a list shared with sp.
-		own := bitLists[i][:len(bitLists[i]):len(bitLists[i])]
+		own := bitLists[owner]
+		bitLists[owner] = append(own[:len(own):len(own)], gained...)
 		for _, b := range gained {
-			if !v.Get(b) { // two of i's terms can match the same new term
-				v.Set(b)
-				own = append(own, int32(b))
-				postings[b] = append(postings[b], int32(i))
-			}
-		}
-		vectors[i], bitLists[i] = v, own
-	}
-	nv := bitvec.New(newDim)
-	for _, t := range ids {
-		for _, j := range ns.matcher.matchesOfVocab(int(t)) {
-			nv.Set(int(j))
+			postings[b] = append(postings[b], owner)
 		}
 	}
-	vectors[newIdx] = nv
-	bitLists[newIdx] = nv.IndicesAppend32(nil)
+	bitLists[newIdx] = ns.unionOfMatches(ids, bitvec.New(newDim), nil)
 	for _, b := range bitLists[newIdx] {
 		old := postings[b]
 		postings[b] = append(old[:len(old):len(old)], int32(newIdx))
 	}
-	ns.Vectors, ns.bits, ns.postings = vectors, bitLists, postings
+	ns.bits, ns.postings = bitLists, postings
 	return ns, newIdx
 }
 
-// Bits returns, ascending, the set bits of Vectors[i]: the list every reader
-// of a schema's features walks instead of the dense vector. It is shared and
-// must not be written.
+// Bits returns, ascending, the set bits of F^i, schema i's binary feature
+// vector: the one form the space holds it in. It is shared and must not be
+// written.
 func (sp *Space) Bits(i int) []int32 { return sp.bits[i] }
+
+// Matches returns the vocabulary ids whose terms match vocabulary term j at
+// τ_t_sim, each once, in the match index's own stable order: the bits term j
+// sets in a schema's feature vector. It is shared and must not be written.
+func (sp *Space) Matches(j int) []int32 { return sp.matcher.matchesOfVocab(j) }
 
 // RowBuf is the scratch space of Space.Row and Space.Probe, owned by one
 // caller at a time and reused across calls; the zero value is ready.
@@ -462,21 +389,18 @@ const PairFloor = 0.08
 
 // Row returns, ascending in j, every schema j > from other than i whose
 // feature vector shares a set bit with schema i's, with s_sim(S_i, S_j) beside
-// it. Every schema it leaves out has similarity exactly 0 to S_i in either
-// mode (a term-frequency count is positive exactly where the bit is set), so
-// the row is every positive similarity of S_i above from: from = i gives the
-// upper triangle, from = -1 the whole row. The schemas are found through the
+// it. Every schema it leaves out has similarity exactly 0 to S_i, so the row
+// is every positive similarity of S_i above from: from = i gives the upper
+// triangle, from = -1 the whole row. The schemas are found through the
 // bit→schema postings of i's set bits, each read backwards from its end
 // down to from, counting per schema how many of i's bits it shares and
-// marking it in a bitmap the row is then read off in index order; in binary
-// mode that count is |F^i ∩ F^j| and the similarity is
-// inter/(|F^i|+|F^j|−inter) over the set-bit lists' lengths — the integers
-// Vector.Jaccard divides, so the same float64 — and in term-frequency mode it
-// is the generalized Jaccard of the two count vectors. The returned slices
-// belong to buf and hold until its next use. Row is safe for concurrent use
-// with distinct bufs.
+// marking it in a bitmap the row is then read off in index order; that count
+// is |F^i ∩ F^j| and the similarity is inter/(|F^i|+|F^j|−inter) over the
+// set-bit lists' lengths — the integers Similarity divides, so the same
+// float64. The returned slices belong to buf and hold until its next use. Row
+// is safe for concurrent use with distinct bufs.
 func (sp *Space) Row(i, from int, buf *RowBuf) ([]int32, []float64) {
-	n := len(sp.Vectors)
+	n := len(sp.TermIDs)
 	buf.shared, buf.mark = grown(buf.shared, n), grown(buf.mark, (n+63)>>6)
 	shared, mark, lo := buf.shared, buf.mark[:(n+63)>>6], int32(from+1)
 	for _, b := range sp.bits[i] {
@@ -497,14 +421,8 @@ func (sp *Space) Row(i, from int, buf *RowBuf) ([]int32, []float64) {
 		if int(j) == i {
 			continue
 		}
-		var s float64
-		if sp.counts != nil {
-			s = generalizedJaccard(sp.counts[i], sp.counts[j])
-		} else {
-			s = float64(inter) / float64(count+int32(len(sp.bits[j]))-inter)
-		}
 		out = append(out, j)
-		sims = append(sims, s)
+		sims = append(sims, float64(inter)/float64(count+int32(len(sp.bits[j]))-inter))
 	}
 	buf.js, buf.sims = out, sims
 	return out, sims
@@ -522,17 +440,11 @@ func (sp *Space) Row(i, from int, buf *RowBuf) ([]int32, []float64) {
 // bit→schema postings, as Row counts them, plus gain_j, the distinct new bits
 // it gains; its popcount grows by gain_j; and the similarity
 // inter/(|F^s| + |F^j| + gain_j − inter) divides the integers ext's Row
-// divides, so it is the same float64. In TermFrequency mode per-occurrence
-// counts cannot be patched, and Probe is Extend followed by Row. The returned
+// divides, so it is the same float64. The returned
 // slices belong to buf and hold until its next use. Probe is safe for
 // concurrent use with distinct bufs.
 func (sp *Space) Probe(s schema.Schema, buf *RowBuf) ([]int32, []float64, int) {
-	if sp.cfg.Mode == TermFrequency {
-		ext, newIdx := sp.Extend(s)
-		js, sims := ext.Row(newIdx, -1, buf)
-		return js, sims, ext.Dim() - sp.Dim()
-	}
-	n := len(sp.Vectors)
+	n := len(sp.TermIDs)
 	buf.shared, buf.gain, buf.mark = grown(buf.shared, n), grown(buf.gain, n), grown(buf.mark, (n+63)>>6)
 	shared, gain, mark := buf.shared, buf.gain, buf.mark[:(n+63)>>6]
 
@@ -584,46 +496,41 @@ func (sp *Space) Probe(s schema.Schema, buf *RowBuf) ([]int32, []float64, int) {
 	return js, sims, len(novel)
 }
 
-// generalizedJaccard is Σ_j min(a_j, b_j) / Σ_j max(a_j, b_j).
-func generalizedJaccard(a, b []uint16) float64 {
-	var minSum, maxSum int
-	for j := range a {
-		x, y := int(a[j]), int(b[j])
-		if x < y {
-			minSum += x
-			maxSum += y
-		} else {
-			minSum += y
-			maxSum += x
-		}
-	}
-	if maxSum == 0 {
-		return 0
-	}
-	return float64(minSum) / float64(maxSum)
-}
-
 // Dim returns dim L, the dimensionality of the feature space.
 func (sp *Space) Dim() int { return len(sp.Vocab) }
 
 // NumSchemas returns the number of schemas embedded in the space.
-func (sp *Space) NumSchemas() int { return len(sp.Vectors) }
+func (sp *Space) NumSchemas() int { return len(sp.TermIDs) }
 
 // Config returns the configuration the space was built with.
 func (sp *Space) Config() Config { return sp.cfg }
 
 // Similarity returns s_sim(S_i, S_j), computed on demand: the Jaccard
-// coefficient of the two schemas' feature vectors, or in term-frequency mode
-// the generalized Jaccard of their counts. It is the definition Row's
-// entries equal.
+// coefficient |F^i ∩ F^j| / |F^i ∪ F^j| of the two schemas' feature vectors,
+// counted by merging their set-bit lists (two schemas without a bit are 0
+// apart). It is the definition Row's entries equal: the same integers, so the
+// same float64.
 func (sp *Space) Similarity(i, j int) float64 {
 	if i == j {
 		return 1
 	}
-	if sp.counts != nil {
-		return generalizedJaccard(sp.counts[i], sp.counts[j])
+	a, b := sp.bits[i], sp.bits[j]
+	inter := 0
+	for x, y := 0, 0; x < len(a) && y < len(b); {
+		switch {
+		case a[x] < b[y]:
+			x++
+		case a[x] > b[y]:
+			y++
+		default:
+			inter, x, y = inter+1, x+1, y+1
+		}
 	}
-	return sp.Vectors[i].Jaccard(sp.Vectors[j])
+	union := len(a) + len(b) - inter
+	if union == 0 {
+		return 0
+	}
+	return float64(inter) / float64(union)
 }
 
 // QueryVector embeds a keyword query into the feature space exactly as

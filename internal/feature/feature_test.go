@@ -3,13 +3,11 @@ package feature
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
 	"slices"
 	"testing"
-	"testing/quick"
 
 	"schemaflow/internal/dataset"
 	"schemaflow/internal/schema"
@@ -24,6 +22,9 @@ func smallSet() schema.Set {
 		{Name: "car1", Attributes: []string{"year", "type", "make", "model"}},
 	}
 }
+
+// hasBit reports whether schema i's feature vector sets bit j.
+func hasBit(sp *Space, i, j int) bool { return slices.Contains(sp.Bits(i), int32(j)) }
 
 func TestBuildVocabulary(t *testing.T) {
 	sp := BuildLite(smallSet(), DefaultConfig())
@@ -49,7 +50,7 @@ func TestOwnTermsAlwaysSet(t *testing.T) {
 	sp := BuildLite(smallSet(), DefaultConfig())
 	for i := range smallSet() {
 		for _, j := range sp.TermIDs[i] {
-			if !sp.Vectors[i].Get(int(j)) {
+			if !hasBit(sp, i, int(j)) {
 				t.Errorf("schema %d: own term %q not set", i, sp.Vocab[j])
 			}
 		}
@@ -58,8 +59,8 @@ func TestOwnTermsAlwaysSet(t *testing.T) {
 
 // TestTermIDsAreTheTermSets: TermIDs[i] is T_i — the distinct terms
 // terms.Extract finds in schema i — as ascending vocabulary ids, on a built
-// space in both modes and on an Extend product, whose appended ids are out of
-// term order; and termSchemas is its inverse.
+// space and on an Extend product, whose appended ids are out of term order;
+// and termSchemas is its inverse.
 func TestTermIDsAreTheTermSets(t *testing.T) {
 	set := dataset.Large(dataset.LargeConfig{N: 300, Domains: 6, Seed: 2})
 	check := func(label string, sp *Space, set schema.Set) {
@@ -84,12 +85,8 @@ func TestTermIDsAreTheTermSets(t *testing.T) {
 			}
 		}
 	}
-	for _, mode := range []Mode{Binary, TermFrequency} {
-		cfg := DefaultConfig()
-		cfg.Mode = mode
-		check(mode.String(), BuildLite(set, cfg), set)
-	}
 	sp := BuildLite(set, DefaultConfig())
+	check("built", sp, set)
 	arrival := schema.Schema{Name: "new", Attributes: []string{"zeppelin berth", "airship registry", "title"}}
 	ext, _ := sp.Extend(arrival)
 	if ext.Dim() == sp.Dim() {
@@ -98,20 +95,26 @@ func TestTermIDsAreTheTermSets(t *testing.T) {
 	check("extended", ext, append(set[:len(set):len(set)], arrival))
 }
 
-// TestSpaceBitsAreTheVectors: Bits(i) is Vectors[i]'s set bits, ascending,
-// and the postings are their transpose, on BuildLite spaces in both modes,
-// under the asymmetric prefixSim and lenBiasSim, and along Extend chains
-// whose arrivals give existing schemas new bits. Every space of a chain is
-// checked once the chain is done, and one space is extended twice, so an
-// Extend writing into a list it shares with its receiver fails too.
-func TestSpaceBitsAreTheVectors(t *testing.T) {
+// TestSpaceBitsAreTheUnionOfMatchLists: Bits(i) is the union of the match
+// lists of schema i's terms, ascending and each bit once — F^i of Algorithm 1
+// — and the postings are their transpose, on a BuildLite space, under the
+// asymmetric prefixSim and lenBiasSim, and along Extend chains whose arrivals
+// give existing schemas new bits. Every space of a chain is checked once the
+// chain is done, and one space is extended twice, so an Extend writing into a
+// list it shares with its receiver fails too.
+func TestSpaceBitsAreTheUnionOfMatchLists(t *testing.T) {
 	check := func(label string, sp *Space) {
 		t.Helper()
 		postings := make([][]int32, sp.Dim())
-		for i, v := range sp.Vectors {
-			want := v.IndicesAppend32(nil)
+		for i := range sp.NumSchemas() {
+			var want []int32
+			for _, term := range sp.TermIDs[i] {
+				want = append(want, sp.Matches(int(term))...)
+			}
+			slices.Sort(want)
+			want = slices.Compact(want)
 			if !slices.Equal(sp.Bits(i), want) {
-				t.Fatalf("%s: schema %d lists bits %v, its vector sets %v", label, i, sp.Bits(i), want)
+				t.Fatalf("%s: schema %d lists bits %v, its terms match %v", label, i, sp.Bits(i), want)
 			}
 			for _, b := range want {
 				postings[b] = append(postings[b], int32(i))
@@ -122,16 +125,12 @@ func TestSpaceBitsAreTheVectors(t *testing.T) {
 		}
 		for b := range postings {
 			if !slices.Equal(sp.postings[b], postings[b]) {
-				t.Fatalf("%s: bit %d posts schemas %v, the vectors %v", label, b, sp.postings[b], postings[b])
+				t.Fatalf("%s: bit %d posts schemas %v, the bit lists %v", label, b, sp.postings[b], postings[b])
 			}
 		}
 	}
 	set := dataset.Large(dataset.LargeConfig{N: 300, Domains: 6, Seed: 2})
-	for _, mode := range []Mode{Binary, TermFrequency} {
-		cfg := DefaultConfig()
-		cfg.Mode = mode
-		check(mode.String(), BuildLite(set, cfg))
-	}
+	check("built", BuildLite(set, DefaultConfig()))
 	gains := 0
 	for seed := int64(0); seed < 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -171,14 +170,14 @@ func TestFuzzyMatchSetsBits(t *testing.T) {
 	sp := BuildLite(smallSet(), DefaultConfig())
 	jAuthors := sp.VocabIndex["authors"]
 	jAuthor := sp.VocabIndex["author"]
-	if !sp.Vectors[0].Get(jAuthor) {
+	if !hasBit(sp, 0, jAuthor) {
 		t.Error("bib1 should fuzzy-match 'author'")
 	}
-	if !sp.Vectors[1].Get(jAuthors) {
+	if !hasBit(sp, 1, jAuthors) {
 		t.Error("bib2 should fuzzy-match 'authors'")
 	}
 	// 'make' (car1) must not appear in the bibliography vectors.
-	if sp.Vectors[0].Get(sp.VocabIndex["make"]) {
+	if hasBit(sp, 0, sp.VocabIndex["make"]) {
 		t.Error("bib1 matched 'make'")
 	}
 }
@@ -208,8 +207,8 @@ func TestBuildLiteMatchesBuild(t *testing.T) {
 	}
 	lite := BuildLite(set, DefaultConfig())
 	for i := range set {
-		if !full.Vectors[i].Equal(lite.Vectors[i]) {
-			t.Fatalf("schema %d vectors differ between BuildContext and BuildLite", i)
+		if !slices.Equal(full.Bits(i), lite.Bits(i)) {
+			t.Fatalf("schema %d bits differ between BuildContext and BuildLite", i)
 		}
 		for j := range set {
 			if full.Similarity(i, j) != lite.Similarity(i, j) {
@@ -220,39 +219,26 @@ func TestBuildLiteMatchesBuild(t *testing.T) {
 }
 
 // TestBuildLiteIsWorkerCountInvariant: term extraction, the match lists and
-// the vectors fan out by index; everything a space holds must be what one
-// goroutine builds, at 1, 2 and 7 workers, in both modes.
+// the bit lists fan out by index; everything a space holds must be what one
+// goroutine builds, at 1, 2 and 7 workers.
 func TestBuildLiteIsWorkerCountInvariant(t *testing.T) {
 	set := dataset.Large(dataset.LargeConfig{N: 600, Domains: 12, Seed: 5})
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	for _, mode := range []Mode{Binary, TermFrequency} {
-		cfg := DefaultConfig()
-		cfg.Mode = mode
-		runtime.GOMAXPROCS(1)
-		want := BuildLite(set, cfg)
-		if (want.counts != nil) != (mode == TermFrequency) {
-			t.Fatalf("%v: counts present = %v", mode, want.counts != nil)
+	want := BuildLite(set, DefaultConfig())
+	for _, procs := range []int{2, 7} {
+		runtime.GOMAXPROCS(procs)
+		got := BuildLite(set, DefaultConfig())
+		if !slices.Equal(got.Vocab, want.Vocab) || !reflect.DeepEqual(got.VocabIndex, want.VocabIndex) {
+			t.Fatalf("GOMAXPROCS %d: vocabulary differs", procs)
 		}
-		for _, procs := range []int{2, 7} {
-			runtime.GOMAXPROCS(procs)
-			got := BuildLite(set, cfg)
-			if !slices.Equal(got.Vocab, want.Vocab) || !reflect.DeepEqual(got.VocabIndex, want.VocabIndex) {
-				t.Fatalf("%v, GOMAXPROCS %d: vocabulary differs", mode, procs)
-			}
-			if !reflect.DeepEqual(got.TermIDs, want.TermIDs) || !reflect.DeepEqual(got.termSchemas, want.termSchemas) {
-				t.Fatalf("%v, GOMAXPROCS %d: term sets or the term→schema index differ", mode, procs)
-			}
-			if !reflect.DeepEqual(got.matcher.vocabMatches, want.matcher.vocabMatches) {
-				t.Fatalf("%v, GOMAXPROCS %d: match lists differ", mode, procs)
-			}
-			if !reflect.DeepEqual(got.counts, want.counts) {
-				t.Fatalf("%v, GOMAXPROCS %d: counts differ", mode, procs)
-			}
-			for i := range set {
-				if !got.Vectors[i].Equal(want.Vectors[i]) {
-					t.Fatalf("%v, GOMAXPROCS %d: vector %d differs", mode, procs, i)
-				}
-			}
+		if !reflect.DeepEqual(got.TermIDs, want.TermIDs) || !reflect.DeepEqual(got.termSchemas, want.termSchemas) {
+			t.Fatalf("GOMAXPROCS %d: term sets or the term→schema index differ", procs)
+		}
+		if !reflect.DeepEqual(got.matcher.vocabMatches, want.matcher.vocabMatches) {
+			t.Fatalf("GOMAXPROCS %d: match lists differ", procs)
+		}
+		if !reflect.DeepEqual(got.bits, want.bits) || !reflect.DeepEqual(got.postings, want.postings) {
+			t.Fatalf("GOMAXPROCS %d: bit lists or the bit→schema postings differ", procs)
 		}
 	}
 }
@@ -291,14 +277,14 @@ func TestStemAndExactStrategies(t *testing.T) {
 		{Name: "b", Attributes: []string{"connections", "speed"}},
 	}
 	stem := BuildLite(set, Config{TermOpts: terms.DefaultOptions(), Sim: strsim.StemSim{}, Tau: 0.99})
-	if !stem.Vectors[0].Get(stem.VocabIndex["connections"]) {
+	if !hasBit(stem, 0, stem.VocabIndex["connections"]) {
 		t.Fatal("stem strategy did not match plural")
 	}
 	exact := BuildLite(set, Config{TermOpts: terms.DefaultOptions(), Sim: strsim.ExactSim{}, Tau: 0.99})
-	if exact.Vectors[0].Get(exact.VocabIndex["connections"]) {
+	if hasBit(exact, 0, exact.VocabIndex["connections"]) {
 		t.Fatal("exact strategy matched distinct terms")
 	}
-	if !exact.Vectors[0].Get(exact.VocabIndex["connection"]) {
+	if !hasBit(exact, 0, exact.VocabIndex["connection"]) {
 		t.Fatal("exact strategy missed identity")
 	}
 }
@@ -310,87 +296,11 @@ func TestDefaultStrategyFallback(t *testing.T) {
 	full := BuildLite(set, Config{TermOpts: terms.DefaultOptions(), Sim: strsim.LCSeqSim{}, Tau: 0.95})
 	for i := range set {
 		for _, j := range full.TermIDs[i] {
-			if !full.Vectors[i].Get(int(j)) {
+			if !hasBit(full, i, int(j)) {
 				t.Fatalf("full-scan strategy: own term %q missing", full.Vocab[j])
 			}
 		}
 	}
-}
-
-func TestTermFrequencyMode(t *testing.T) {
-	set := schema.Set{
-		// "departure" occurs in two attributes here — TF sees 2, binary 1.
-		{Name: "a", Attributes: []string{"departure airport", "departure city", "airline"}},
-		{Name: "b", Attributes: []string{"departure airport", "airline"}},
-		{Name: "c", Attributes: []string{"make", "model"}},
-	}
-	cfg := Config{TermOpts: terms.DefaultOptions(), Tau: 0.8, Mode: TermFrequency}
-	sp := BuildLite(set, cfg)
-	// Binary vectors are unchanged by the mode.
-	bin := BuildLite(set, Config{TermOpts: terms.DefaultOptions(), Tau: 0.8})
-	for i := range set {
-		if !sp.Vectors[i].Equal(bin.Vectors[i]) {
-			t.Fatalf("TF mode changed binary vector %d", i)
-		}
-	}
-	// Generalized Jaccard penalizes the count mismatch: sim(a,b) < 1 even
-	// though their term sets heavily overlap, and must stay below the
-	// corresponding binary Jaccard here (min/max < inter/union with counts).
-	if sp.Similarity(0, 2) >= sp.Similarity(0, 1) {
-		t.Fatalf("unrelated pair as similar as related pair: %v vs %v",
-			sp.Similarity(0, 2), sp.Similarity(0, 1))
-	}
-}
-
-func TestGeneralizedJaccard(t *testing.T) {
-	tests := []struct {
-		a, b []uint16
-		want float64
-	}{
-		{[]uint16{1, 2, 0}, []uint16{1, 2, 0}, 1},
-		{[]uint16{1, 0}, []uint16{0, 1}, 0},
-		{[]uint16{2, 1}, []uint16{1, 1}, 2.0 / 3},
-		{[]uint16{0, 0}, []uint16{0, 0}, 0},
-	}
-	for _, tc := range tests {
-		if got := generalizedJaccard(tc.a, tc.b); math.Abs(got-tc.want) > 1e-12 {
-			t.Errorf("generalizedJaccard(%v,%v) = %v, want %v", tc.a, tc.b, got, tc.want)
-		}
-	}
-}
-
-func TestPropertyGeneralizedJaccard(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(50)
-		a := make([]uint16, n)
-		b := make([]uint16, n)
-		for i := range a {
-			a[i] = uint16(rng.Intn(4))
-			b[i] = uint16(rng.Intn(4))
-		}
-		v := generalizedJaccard(a, b)
-		if v != generalizedJaccard(b, a) {
-			return false
-		}
-		if v < 0 || v > 1 {
-			return false
-		}
-		// Identity.
-		return generalizedJaccard(a, a) == 1 || allZero(a)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func allZero(a []uint16) bool {
-	for _, v := range a {
-		if v != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // Config.Tau == 0 means "use the default 0.8"; a negative Tau is the escape
@@ -402,7 +312,7 @@ func TestNegativeTauMeansLiteralZero(t *testing.T) {
 	sp := BuildLite(set, Config{Tau: -1})
 	for i := 0; i < sp.NumSchemas(); i++ {
 		for j := range sp.Vocab {
-			if !sp.Vectors[i].Get(j) {
+			if !hasBit(sp, i, j) {
 				t.Fatalf("τ=0: schema %d missing bit %d (%q)", i, j, sp.Vocab[j])
 			}
 		}

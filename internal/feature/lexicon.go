@@ -127,10 +127,8 @@ func (lx *Lexicon) TermSim() strsim.TermSim { return lx.sim }
 
 // vocabulary splits every distinct attribute spelling of set into terms once,
 // in parallel, and builds from them the vocabulary L (sorted), VocabIndex, the
-// match index and the spelling table. It returns each spelling's terms, the
-// terms.FromAttribute list with its duplicates but in ascending order,
-// indexed as the spelling table indexes spellings.
-func (sp *Space) vocabulary(set schema.Set) [][]string {
+// match index and the spelling table.
+func (sp *Space) vocabulary(set schema.Set) {
 	spellings := make(map[string]int32)
 	var distinct []string // in schema order
 	for _, s := range set {
@@ -172,7 +170,6 @@ func (sp *Space) vocabulary(set schema.Set) [][]string {
 	})
 	canonNames, canon := withCanonical(nil, nil, canons)
 	sp.lex = &Lexicon{vocab: sp.Vocab, sim: sp.cfg.Sim, matches: sp.matcher.vocabMatches, spellings: spellings, ids: ids, canon: canon, canonNames: canonNames}
-	return lists
 }
 
 // termIDs maps a sorted term list to the ids of its distinct terms.

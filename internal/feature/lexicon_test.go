@@ -10,32 +10,28 @@ import (
 	"schemaflow/internal/terms"
 )
 
-// checkLexicon holds sp's spelling table to its definition: every attribute
-// spelling of the embedded schemas has as its terms the ids of
-// terms.ExtractList([]string{spelling}, …), in that order, and Match(a, b)
-// is L_a == L_b or t_sim(L_a, L_b) ≥ τ_t_sim, the similarity spelled out;
-// canonical ids are held to theirs by checkCanonical.
+// checkLexicon holds sp's spelling table to its definition: every spelling it
+// holds has as its terms the ids of terms.ExtractList([]string{spelling}, …),
+// in that order, and Match(a, b) is L_a == L_b or t_sim(L_a, L_b) ≥ τ_t_sim,
+// the similarity spelled out; canonical ids are held to theirs by
+// checkCanonical. That it holds every spelling of the embedded schemas is
+// checkExtendEquivalence's to compare against a BuildLite over them.
 func checkLexicon(t *testing.T, sp *Space) {
 	t.Helper()
 	lx, cfg := sp.Lexicon(), sp.Config()
 	var spellings []string
-	for _, s := range sp.set {
-		spellings = append(spellings, s.Attributes...)
+	for a := range lx.spellings {
+		spellings = append(spellings, a)
 	}
 	checkCanonical(t, lx, spellings)
-	for _, s := range sp.set {
-		for _, a := range s.Attributes {
-			ids, _, ok := lx.Lookup(a)
-			if !ok {
-				t.Fatalf("spelling %q missing from the lexicon", a)
-			}
-			var got []string
-			for _, j := range ids {
-				got = append(got, lx.Term(j))
-			}
-			if want := terms.ExtractList([]string{a}, cfg.TermOpts); !slices.Equal(got, want) {
-				t.Fatalf("spelling %q: terms %q, want %q", a, got, want)
-			}
+	for _, a := range spellings {
+		ids, _, _ := lx.Lookup(a)
+		var got []string
+		for _, j := range ids {
+			got = append(got, lx.Term(j))
+		}
+		if want := terms.ExtractList([]string{a}, cfg.TermOpts); !slices.Equal(got, want) {
+			t.Fatalf("spelling %q: terms %q, want %q", a, got, want)
 		}
 	}
 	for a, x := range sp.Vocab {

@@ -58,9 +58,8 @@ func extendRow(sp *Space, s schema.Schema, buf *RowBuf) ([]int32, []float64, int
 // TestPropertyProbeIsExtendThenRow holds Space.Probe to its definition, Extend
 // followed by Row of the arrival, compared with ==: the same schemas in the
 // same order, the same float64 similarities and the same count of novel
-// terms. It covers LCS and the asymmetric prefixSim, binary spaces and the
-// term-frequency fallback, BuildLite spaces and spaces that are a chain of
-// Extends with appended vocabulary, and arrivals mixing known, grown, cut and
+// terms. It covers LCS and the asymmetric prefixSim, BuildLite spaces and
+// spaces that are a chain of Extends with appended vocabulary, and arrivals mixing known, grown, cut and
 // novel words, with only novel terms, with no novel term, matching nothing,
 // and with an empty vector — one RowBuf reused across every probe.
 func TestPropertyProbeIsExtendThenRow(t *testing.T) {
@@ -70,9 +69,6 @@ func TestPropertyProbeIsExtendThenRow(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		cfg := DefaultConfig()
 		if seed%2 == 1 {
-			cfg.Mode = TermFrequency
-		}
-		if seed%4 >= 2 {
 			cfg.Sim, cfg.Tau = prefixSim{}, 0.6
 		}
 		set := rowCorpus(rng, 10+rng.Intn(40))
@@ -92,17 +88,15 @@ func TestPropertyProbeIsExtendThenRow(t *testing.T) {
 		}
 		for label, sp := range map[string]*Space{"lite": BuildLite(set, cfg), "extended": ext} {
 			for _, s := range arrivals {
-				name := fmt.Sprintf("seed %d, %v, %s, %s space, arrival %s %q", seed, cfg.Mode, cfg.Sim.Name(), label, s.Name, s.Attributes)
+				name := fmt.Sprintf("seed %d, %s, %s space, arrival %s %q", seed, cfg.Sim.Name(), label, s.Name, s.Attributes)
 				wantJs, wantSims, wantNew, grown := extendRow(sp, s, &defBuf)
 				js, sims, novel := sp.Probe(s, &buf)
 				if !slices.Equal(js, wantJs) || !slices.Equal(sims, wantSims) || novel != wantNew {
 					t.Fatalf("%s:\n Probe = %v %v, %d novel\nwant    %v %v, %d novel", name, js, sims, novel, wantJs, wantSims, wantNew)
 				}
-				if cfg.Mode == Binary {
-					for _, j := range js {
-						if grown.Vectors[j].Count() > sp.Vectors[j].Count() {
-							gains[cfg.Sim.Name()]++
-						}
+				for _, j := range js {
+					if len(grown.Bits(int(j))) > len(sp.Bits(int(j))) {
+						gains[cfg.Sim.Name()]++
 					}
 				}
 			}

@@ -3,6 +3,7 @@ package feature
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -34,21 +35,33 @@ func rowCorpus(rng *rand.Rand, n int) schema.Set {
 	return set
 }
 
-// TestPropertyRowIsTheDefinition holds Space.Row to Similarity: for every
+// jaccard is |a ∩ b| / |a ∪ b| of two duplicate-free bit lists, 0 when both
+// are empty.
+func jaccard(a, b []int32) float64 {
+	inter := 0
+	for _, x := range a {
+		if slices.Contains(b, x) {
+			inter++
+		}
+	}
+	if len(a)+len(b) == 0 {
+		return 0
+	}
+	return float64(inter) / float64(len(a)+len(b)-inter)
+}
+
+// TestPropertyRowIsTheDefinition holds Space.Row to Similarity, and
+// Similarity to the Jaccard coefficient of the two bit lists: for every
 // schema i and every from, the row is exactly [(j, Similarity(i, j)) : j >
 // from, j ≠ i, Similarity(i, j) > 0], ascending, compared with ==. It covers
-// both modes, under LCS and under the asymmetric prefixSim, on a BuildLite
-// space and on the product of a chain of Extends (the incremental route in
-// binary mode, which hands over the bit→schema index and the popcounts),
-// with one RowBuf reused across every call.
+// LCS and the asymmetric prefixSim, on a BuildLite space and on the product
+// of a chain of Extends (which hands over the bit→schema index and the
+// popcounts), with one RowBuf reused across every call.
 func TestPropertyRowIsTheDefinition(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		cfg := DefaultConfig()
 		if seed%2 == 1 {
-			cfg.Mode = TermFrequency
-		}
-		if seed%4 >= 2 {
 			cfg.Sim, cfg.Tau = prefixSim{}, 0.6
 		}
 		set := rowCorpus(rng, 30+rng.Intn(20))
@@ -59,7 +72,7 @@ func TestPropertyRowIsTheDefinition(t *testing.T) {
 		}
 		var buf RowBuf
 		for label, sp := range map[string]*Space{"lite": lite, "extended": ext} {
-			name := fmt.Sprintf("seed %d, %v, %s, %s", seed, cfg.Mode, cfg.Sim.Name(), label)
+			name := fmt.Sprintf("seed %d, %s, %s", seed, cfg.Sim.Name(), label)
 			positive := 0
 			for i := 0; i < sp.NumSchemas(); i++ {
 				for from := -1; from < sp.NumSchemas(); from++ {
@@ -70,6 +83,9 @@ func TestPropertyRowIsTheDefinition(t *testing.T) {
 					k := 0
 					for j := from + 1; j < sp.NumSchemas(); j++ {
 						want := sp.Similarity(i, j)
+						if j != i && want != jaccard(sp.Bits(i), sp.Bits(j)) {
+							t.Fatalf("%s: Similarity(%d, %d) = %v, the Jaccard of %v and %v is %v", name, i, j, want, sp.Bits(i), sp.Bits(j), jaccard(sp.Bits(i), sp.Bits(j)))
+						}
 						if j == i || want == 0 {
 							continue
 						}

@@ -384,9 +384,9 @@ func TestAddSchemaGrowsTheSpaceByExtend(t *testing.T) {
 		if got.Dim() != want.Dim() || !slices.Equal(got.Vocab, want.Vocab) {
 			t.Fatalf("%s: vocabulary %v, Extend's %v", s.Name, got.Vocab, want.Vocab)
 		}
-		for i, v := range want.Vectors {
-			if !got.Vectors[i].Equal(v) {
-				t.Fatalf("%s: schema %d's vector %v, Extend's %v", s.Name, i, got.Vectors[i], v)
+		for i := range want.NumSchemas() {
+			if !slices.Equal(got.Bits(i), want.Bits(i)) {
+				t.Fatalf("%s: schema %d's bits %v, Extend's %v", s.Name, i, got.Bits(i), want.Bits(i))
 			}
 		}
 		m = grown

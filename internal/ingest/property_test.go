@@ -108,8 +108,7 @@ func randomModel(t *testing.T, rng *rand.Rand, cfg feature.Config) *core.Model {
 // TestPropertyComparisonIsTheDefinition: the posting-driven comparison in
 // AssignRestricted is s_c_sim as defined — cluster.SchemaClusterSim over
 // Members[r] — to the last bit, for every domain, and so are Best, BestSim,
-// Domains and Fresh, on binary and term-frequency spaces, under a symmetric
-// and an asymmetric term similarity, on spaces that are Extend products, for
+// Domains and Fresh, under a symmetric and an asymmetric term similarity, on spaces that are Extend products, for
 // arrivals with only novel terms, no novel term, or nothing that matches, and
 // under any include restriction.
 func TestPropertyComparisonIsTheDefinition(t *testing.T) {
@@ -118,9 +117,6 @@ func TestPropertyComparisonIsTheDefinition(t *testing.T) {
 		cfg := feature.DefaultConfig()
 		if seed%3 == 1 {
 			cfg.Sim, cfg.Tau = prefixSim{}, 0.6
-		}
-		if seed%2 == 1 {
-			cfg.Mode = feature.TermFrequency
 		}
 		m := randomModel(t, rng, cfg)
 		nD := m.NumDomains()
@@ -182,7 +178,7 @@ func TestPropertyComparisonIsTheDefinition(t *testing.T) {
 				exp.Fresh = len(exp.Domains) == 0
 				if got.Best != exp.Best || math.Float64bits(got.BestSim) != math.Float64bits(exp.BestSim) ||
 					got.Fresh != exp.Fresh || !reflect.DeepEqual(got.Domains, exp.Domains) {
-					t.Fatalf("seed %d (%v, %s) arrival %s include #%d:\n got %+v\nwant %+v", seed, cfg.Mode, cfg.Sim.Name(), s.Name, ii, got, exp)
+					t.Fatalf("seed %d (%s) arrival %s include #%d:\n got %+v\nwant %+v", seed, cfg.Sim.Name(), s.Name, ii, got, exp)
 				}
 			}
 		}

@@ -75,7 +75,6 @@ func TestMediationIsWorkerCountInvariant(t *testing.T) {
 		{"dw+ss stem", built(dwss, Options{TermSimilarity: "stem"}), withTermSim(strsim.StemSim{})},
 		{"dw+ss exact t_sim", built(dwss, Options{TermSimilarity: "exact"}), withTermSim(strsim.ExactSim{})},
 		{"dw lcsubsequence", built(dataset.DW(1), Options{TermSimilarity: "lcsubsequence"}), withTermSim(strsim.LCSeqSim{})},
-		{"dw+ss term frequency", built(dwss, Options{TermFrequencyFeatures: true}), mediate.DefaultOptions()},
 		{"dw+ss after AddSchema", func() (*System, error) {
 			sys, err := Build(dwss, Options{})
 			if err != nil {

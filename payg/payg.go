@@ -132,10 +132,6 @@ type Options struct {
 	// SkipMediation skips building mediated schemas and mappings; Classify
 	// still works, Execute does not.
 	SkipMediation bool
-	// TermFrequencyFeatures switches from the thesis' binary feature
-	// vectors to term-frequency counts with generalized Jaccard — the
-	// §4.1 alternative, provided for comparison.
-	TermFrequencyFeatures bool
 	// MediationFreqThreshold is the attribute frequency threshold for
 	// mediated schemas (default 0.1).
 	MediationFreqThreshold float64
@@ -354,9 +350,6 @@ func (o Options) featureConfig() (feature.Config, error) {
 		// here is a requested literal threshold; pass feature.Config's own
 		// negative escape hatch so its zero-means-default rule keeps it.
 		cfg.Tau = -1
-	}
-	if o.TermFrequencyFeatures {
-		cfg.Mode = feature.TermFrequency
 	}
 	return cfg, nil
 }

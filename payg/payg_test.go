@@ -197,7 +197,6 @@ func TestAlternativeOptions(t *testing.T) {
 		{TermSimilarity: "lcsubsequence"},
 		{ApproximateClassifier: true},
 		{TauCSim: 0.3, Theta: 0.1},
-		{TermFrequencyFeatures: true},
 	} {
 		sys, err := Build(demoSchemas(), opts)
 		if err != nil {
