@@ -174,8 +174,8 @@ func run(exp string, seed int64, perSize int, outDir string) error {
 	if err := runExp("approx", func() error {
 		// At the default θ=0.02 the corpus typically has no uncertain
 		// schemas (the thesis' expectation), making exact and approximate
-		// identical; θ=0.15 widens the uncertainty so the enumeration is
-		// actually exercised.
+		// identical; θ=0.15 widens the uncertainty so the expectation over
+		// domain contents is actually exercised.
 		for _, nc := range []struct {
 			name  string
 			theta float64

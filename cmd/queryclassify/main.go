@@ -23,17 +23,16 @@ func main() {
 	in := flag.String("in", "", "schema file (.json or line format); required")
 	tau := flag.Float64("tau", 0.25, "clustering threshold tau_c_sim")
 	top := flag.Int("top", 3, "how many domains to print per query (at least 1)")
-	approx := flag.Bool("approx", false, "use the linear-time approximate classifier")
 	explain := flag.Bool("explain", false, "itemize the top domain's per-term score contributions")
 	flag.Parse()
 
-	if err := run(*in, *tau, *top, *approx, *explain, flag.Args()); err != nil {
+	if err := run(*in, *tau, *top, *explain, flag.Args()); err != nil {
 		fmt.Fprintln(os.Stderr, "queryclassify:", err)
 		os.Exit(1)
 	}
 }
 
-func run(in string, tau float64, top int, approx, explain bool, queries []string) error {
+func run(in string, tau float64, top int, explain bool, queries []string) error {
 	if top < 1 {
 		return fmt.Errorf("-top must be at least 1, got %d", top)
 	}
@@ -41,11 +40,7 @@ func run(in string, tau float64, top int, approx, explain bool, queries []string
 	if err != nil {
 		return err
 	}
-	sys, err := payg.Build(set, payg.Options{
-		TauCSim:               tau,
-		SkipMediation:         true,
-		ApproximateClassifier: approx,
-	})
+	sys, err := payg.Build(set, payg.Options{TauCSim: tau, SkipMediation: true})
 	if err != nil {
 		return err
 	}

@@ -21,26 +21,20 @@ bib2 | paper title, author, year
 }
 
 func TestRunWithQueries(t *testing.T) {
-	if err := run(writeSchemas(t), 0.2, 2, false, true, []string{"departure toronto", "title author"}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRunApproximate(t *testing.T) {
-	if err := run(writeSchemas(t), 0.2, 1, true, false, []string{"airline"}); err != nil {
+	if err := run(writeSchemas(t), 0.2, 2, true, []string{"departure toronto", "title author"}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunMissingInput(t *testing.T) {
-	if err := run("", 0.2, 3, false, false, nil); err == nil {
+	if err := run("", 0.2, 3, false, nil); err == nil {
 		t.Fatal("missing -in accepted")
 	}
 }
 
 func TestRunRejectsNonPositiveTop(t *testing.T) {
 	for _, top := range []int{0, -1} {
-		if err := run(writeSchemas(t), 0.2, top, false, false, []string{"airline"}); err == nil {
+		if err := run(writeSchemas(t), 0.2, top, false, []string{"airline"}); err == nil {
 			t.Fatalf("-top %d accepted", top)
 		}
 	}

@@ -14,8 +14,8 @@ import (
 
 // benchModel builds a model with a controllable number of uncertain schemas
 // per domain, which is the exponent of exact setup (Section 5.3).
-func benchModel(b *testing.B, nPerDomain, uncertainPerDomain int) *core.Model {
-	b.Helper()
+func benchModel(tb testing.TB, nPerDomain, uncertainPerDomain int) *core.Model {
+	tb.Helper()
 	words := [][]string{
 		{"title", "authors", "publication year", "venue", "pages", "publisher"},
 		{"make", "model", "mileage", "price", "color", "transmission"},
@@ -53,7 +53,7 @@ func benchModel(b *testing.B, nPerDomain, uncertainPerDomain int) *core.Model {
 	cl := cluster.FromAssignment(assign)
 	m, err := core.RestoreModel(set, sp, cl, memberships, core.DefaultOptions())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return m
 }
@@ -68,15 +68,14 @@ func benchSetup(b *testing.B, uncertain int, mode Mode) {
 	}
 }
 
-// Exact setup cost grows with 2^k where k is the per-domain uncertain
-// count; every uncertain schema here belongs to both domains, so k is twice
-// the per-block parameter. Past the k = 20 cap the exact mode transparently
-// falls back to the approximate rule — the last benchmark shows that cliff.
-func BenchmarkSetupExactK0(b *testing.B)          { benchSetup(b, 0, Exact) }
-func BenchmarkSetupExactK8(b *testing.B)          { benchSetup(b, 4, Exact) }
-func BenchmarkSetupExactK16(b *testing.B)         { benchSetup(b, 8, Exact) }
-func BenchmarkSetupExactK32Fallback(b *testing.B) { benchSetup(b, 16, Exact) }
-func BenchmarkSetupApproxK16(b *testing.B)        { benchSetup(b, 8, Approximate) }
+// Exact setup over k uncertain members per domain costs O(k³) for the size
+// distributions plus the members' terms; every uncertain schema here belongs
+// to both domains, so k is twice benchSetup's parameter.
+func BenchmarkSetupExactK0(b *testing.B)   { benchSetup(b, 0, Exact) }
+func BenchmarkSetupExactK8(b *testing.B)   { benchSetup(b, 4, Exact) }
+func BenchmarkSetupExactK16(b *testing.B)  { benchSetup(b, 8, Exact) }
+func BenchmarkSetupExactK32(b *testing.B)  { benchSetup(b, 16, Exact) }
+func BenchmarkSetupApproxK16(b *testing.B) { benchSetup(b, 8, Approximate) }
 
 // BenchmarkSetupWide is New at ~2,000 certain domains over a ~12k-term
 // vocabulary, the scale where a dense rows × dim table would be ~190 MB;

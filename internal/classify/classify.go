@@ -6,9 +6,10 @@
 // contents are themselves probabilistic, the prior Pr(D_r) and the
 // per-feature likelihoods Pr(F_j | D_r) are expectations over all 2^k
 // possible contents of the domain, where k is the number of *uncertain*
-// schemas (certain members appear in every possible content, which prunes
-// the enumeration from 2^|S(D_r)| — Section 5.3). All exponential work
-// happens at construction; classification is O(|D| · |matched query terms|).
+// schemas (certain members appear in every possible content — Section 5.3).
+// Every term of those expectations depends on a content only through its
+// size, whose distribution a Poisson-binomial recurrence gives, so setup is
+// polynomial in k; classification is O(|D| · |matched query terms|).
 //
 // Robustness follows Section 5.2: m-estimate smoothing with p = 1/dim L and
 // m = 1 + |S'|, which biases heavily toward tolerating missing terms, as
@@ -19,7 +20,6 @@ import (
 	"cmp"
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
 	"sync"
 
@@ -33,12 +33,13 @@ import (
 type Mode int
 
 const (
-	// Exact enumerates all 2^k subsets of each domain's uncertain schemas
-	// (the thesis' construction).
+	// Exact takes the expectations over every possible content of each
+	// domain (the thesis' construction).
 	Exact Mode = iota
-	// Approximate replaces the enumeration with expected counts
-	// (E[|S'|], E[count_j]) — the approximation the thesis' future-work
-	// section calls for to remove the exponential setup factor.
+	// Approximate replaces them with expected counts (E[|S'|], E[count_j]) —
+	// the approximation the thesis' future-work section proposes against
+	// the exponential setup factor. Only Figure 6.7's exact-versus-
+	// approximate comparison builds it.
 	Approximate
 )
 
@@ -54,11 +55,6 @@ func (m Mode) String() string {
 type Config struct {
 	// Mode selects exact or approximate setup. Default Exact.
 	Mode Mode
-	// MaxExactUncertain bounds the subset enumeration: a domain with more
-	// uncertain schemas than this falls back to the approximate rule
-	// (2^k blows up otherwise). Zero means 20. Set negative to forbid the
-	// fallback and fail instead.
-	MaxExactUncertain int
 	// P overrides the m-estimate prior fraction p. Zero means 1/dim L
 	// (Section 5.2). Set to 0.5 for the unbiased variant the thesis
 	// considers and rejects.
@@ -131,16 +127,15 @@ type statsScratch struct {
 	terms []int32   // the terms the current domain's members mention, ascending
 	count []float64 // per term: the members' count; zero between domains
 	p1    []float64 // per term: Pr(F_j=1 | D_r), valid at terms
-	accU  []float64
+	// accumulators' working state: A_u per uncertain member, and the flat
+	// triangular size distributions (row n at tri(n)) of how many of the
+	// first, and of the last, n uncertain members are drawn in.
+	accU, pre, suf []float64
 }
 
 // New builds the classifier from a probabilistic domain model. This is the
 // expensive setup phase of Section 5.3.
 func New(m *core.Model, cfg Config) (*Classifier, error) {
-	maxExact := cfg.MaxExactUncertain
-	if maxExact == 0 {
-		maxExact = 20
-	}
 	dim := m.Space.Dim()
 	if dim == 0 {
 		return nil, fmt.Errorf("classify: empty vocabulary")
@@ -189,7 +184,7 @@ func New(m *core.Model, cfg Config) (*Classifier, error) {
 	total := len(m.Schemas)
 	// fillRow computes one domain's statistics and writes its row of every
 	// table.
-	fillRow := func(i int, sc *statsScratch) error {
+	fillRow := func(sc *statsScratch, i int) {
 		r := domainOf[i]
 		d := &m.Domains[r]
 		// Only the terms some member mentions can move p1 off the smoothed
@@ -202,24 +197,10 @@ func New(m *core.Model, cfg Config) (*Classifier, error) {
 		slices.Sort(sc.terms)
 		sc.terms = slices.Compact(sc.terms)
 		var prior, p0 float64
-		var err error
-		useExact := cfg.Mode == Exact
-		if useExact {
-			k := len(d.Uncertain())
-			if k > maxExact {
-				if maxExact < 0 {
-					return fmt.Errorf("classify: domain %d has %d uncertain schemas; exact setup forbidden", r, k)
-				}
-				useExact = false
-			}
-		}
-		if useExact {
-			prior, p0, err = exactDomainStats(m, d, total, p, sc)
+		if cfg.Mode == Exact {
+			prior, p0 = exactDomainStats(m, d, total, p, sc)
 		} else {
-			prior, p0, err = approxDomainStats(m, d, total, p, sc)
-		}
-		if err != nil {
-			return fmt.Errorf("classify: domain %d: %w", r, err)
+			prior, p0 = approxDomainStats(m, d, total, p, sc)
 		}
 		if prior <= 0 {
 			// A domain whose every possible content is empty (all members
@@ -228,7 +209,7 @@ func New(m *core.Model, cfg Config) (*Classifier, error) {
 			// default stays zero, so its score is -Inf for every query.
 			c.logPrior[i] = math.Inf(-1)
 			c.base[i] = math.Inf(-1)
-			return nil
+			return
 		}
 		// Σ_j log Pr(F_j=0 | D_r) is summed over every term in index order,
 		// the unmentioned ones adding p0's log, whose two logs are taken once.
@@ -256,24 +237,15 @@ func New(m *core.Model, cfg Config) (*Classifier, error) {
 		c.logPrior[i] = math.Log(prior)
 		c.sumLog0[i] = sum0
 		c.base[i] = c.logPrior[i] + sum0
-		return nil
 	}
 
 	// Rows are independent, so they fan out, one row per claim. A row is
-	// computed exactly as on one goroutine — the tables do not depend on
-	// the worker count — and the first error in domain order is the one
-	// returned.
-	errs := make([]error, rows)
+	// computed exactly as on one goroutine: the tables do not depend on the
+	// worker count.
 	par.EachWith(rows, func() *statsScratch {
-		return &statsScratch{count: make([]float64, dim), p1: make([]float64, dim)}
-	}, func(sc *statsScratch, i int) {
-		errs[i] = fillRow(i, sc)
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
+		buf := make([]float64, 2*dim)
+		return &statsScratch{count: buf[:dim], p1: buf[dim:]}
+	}, fillRow)
 
 	// Transpose the row lists into columns. Rows are visited in order, so
 	// each column lists its rows ascending.
@@ -308,69 +280,29 @@ func (c *Classifier) TableBytes() int {
 		word*len(c.colStart)
 }
 
-// exactDomainStats computes Pr(D_r) and Pr(F_j = 1 | D_r) by enumerating the
-// 2^k subsets of uncertain schemas (Equations 5.3–5.9).
+// exactDomainStats computes Pr(D_r) and Pr(F_j = 1 | D_r) as expectations
+// over the 2^k possible contents S' of a domain with k uncertain schemas
+// (Equations 5.3–5.9).
 //
 // Write w(S') = Pr(D_r | D_r=S') · Pr(D_r=S') = (|S'|/|S|) · Pr(D_r=S').
 // Then Pr(D_r) = Σ w(S') and, with m-estimate m = 1+|S'|,
 //
 //	Pr(F_j=1 | D_r) = Σ_S' [ (count_j(S') + p·m) / (|S'|+m) ] · w(S') / Pr(D_r)
 //
-// Since count_j(S') = certainCount_j + Σ_{u ∈ S'} F_j^u, the sum over
-// subsets factors into three reusable accumulators (A, B, and a per-
-// uncertain-schema A_u), making setup O(2^k·k + dim L) per domain instead of
-// O(2^k · dim L).
+// Since count_j(S') = certainCount_j + Σ_{u ∈ S'} F_j^u, the sum factors into
+// the accumulators A, B and A_u of statsScratch.accumulators, and p1 is
+// (certainCount_j·A + B + Σ_{u mentions j} A_u) / Pr(D_r).
 //
 // It writes p1 into sc.p1 at sc.terms, the terms the domain's members
 // mention, and returns the prior and p0, the p1 of every other term:
 // (0·A + B)/Pr(D_r).
-func exactDomainStats(m *core.Model, d *core.Domain, totalSchemas int, p float64, sc *statsScratch) (float64, float64, error) {
+func exactDomainStats(m *core.Model, d *core.Domain, totalSchemas int, p float64, sc *statsScratch) (float64, float64) {
 	certain := d.Certain()
 	uncertain := d.Uncertain()
-	k := len(uncertain)
-	if k >= 63 {
-		return 0, 0, fmt.Errorf("%d uncertain schemas exceed enumeration width", k)
-	}
-
-	if cap(sc.accU) < k {
-		sc.accU = make([]float64, k)
-	}
-	var (
-		prior float64       // Σ w(S')
-		accA  float64       // Σ w(S') / (|S'|+m)
-		accB  float64       // Σ w(S') · p·m / (|S'|+m)
-		accU  = sc.accU[:k] // accU[u] = Σ_{S' ∋ u} w(S') / (|S'|+m)
-	)
-	clear(accU)
-	for mask := uint64(0); mask < 1<<uint(k); mask++ {
-		pS := 1.0
-		for u := 0; u < k; u++ {
-			if mask&(1<<uint(u)) != 0 {
-				pS *= uncertain[u].Prob
-			} else {
-				pS *= 1 - uncertain[u].Prob
-			}
-		}
-		size := len(certain) + bits.OnesCount64(mask)
-		w := float64(size) / float64(totalSchemas) * pS
-		if w == 0 {
-			continue
-		}
-		mEst := float64(1 + size)
-		denom := float64(size) + mEst
-		prior += w
-		accA += w / denom
-		accB += w * p * mEst / denom
-		for u := 0; u < k; u++ {
-			if mask&(1<<uint(u)) != 0 {
-				accU[u] += w / denom
-			}
-		}
-	}
+	prior, accA, accB, accU := sc.accumulators(len(certain), uncertain, totalSchemas, p)
 	if prior == 0 {
-		return 0, 0, nil
+		return 0, 0
 	}
-
 	certainCount, p1 := sc.count, sc.p1
 	for _, mem := range certain {
 		for _, j := range m.Space.Bits(mem.Schema) {
@@ -393,22 +325,97 @@ func exactDomainStats(m *core.Model, d *core.Domain, totalSchemas int, p float64
 	for _, j := range sc.terms {
 		p1[j] *= inv
 	}
-	return prior, accB * inv, nil
+	return prior, accB * inv
 }
 
-// approxDomainStats replaces the subset enumeration with expectations:
-// E[|S'|] = Σ_i Pr(S_i ∈ D_r), E[count_j] = Σ_i Pr(S_i ∈ D_r)·F_j^i. This is
-// the linear-time approximation the conclusion proposes for removing the
-// exponential setup factor; the benchmark harness quantifies its accuracy
-// cost against Exact. Like exactDomainStats it writes p1 at sc.terms and
-// returns the prior and p0 = (0 + p·m)/(E[|S'|] + m).
-func approxDomainStats(m *core.Model, d *core.Domain, totalSchemas int, p float64, sc *statsScratch) (float64, float64, error) {
+// accumulators returns, for a domain of c certain members and the given
+// uncertain ones out of total schemas, the sums over its possible contents
+// S' that exactDomainStats factors Pr(F_j=1 | D_r) into:
+//
+//	prior = Σ w(S'),  A = Σ w(S')/(|S'|+m),  B = Σ w(S')·p·m/(|S'|+m),
+//	A_u = Σ_{S' ∋ u} w(S')/(|S'|+m)   (accU[u], valid until the next call).
+//
+// Each summand depends on S' only through its size c+N, N the number of
+// uncertain members drawn in. Memberships are independent, so N is
+// Poisson-binomial and the sums run over sizes, not subsets: Pr(N=s) is the
+// last row of the prefix recurrence
+//
+//	pre[u+1][a] = pre[u][a]·(1−q_u) + pre[u][a−1]·q_u,
+//
+// and A_u weighs the size of the other k−1 members,
+// Pr(N₋ᵤ=s) = Σ_x pre[u][x]·suf[u+1][s−x], suf being the same recurrence
+// run from the last member back. That is O(k³) at every k, where the
+// subsets number 2^k. With k ≤ 1 it adds the very floats, in the same order,
+// that a walk over the subsets adds.
+func (sc *statsScratch) accumulators(c int, uncertain []core.Membership, total int, p float64) (prior, accA, accB float64, accU []float64) {
+	k := len(uncertain)
+	if n := tri(k + 1); len(sc.pre) < n {
+		buf := make([]float64, k+2*n)
+		sc.accU, sc.pre, sc.suf = buf[:k], buf[k:k+n], buf[k+n:]
+	}
+	pre, suf, accU := sc.pre, sc.suf, sc.accU[:k]
+	pre[0], suf[0] = 1, 1
+	for u := 0; u < k; u++ {
+		addMember(pre[tri(u):tri(u+1)], pre[tri(u+1):tri(u+2)], uncertain[u].Prob)
+		addMember(suf[tri(u):tri(u+1)], suf[tri(u+1):tri(u+2)], uncertain[k-1-u].Prob)
+	}
+	// stat returns the weight of a content of the given size drawn with
+	// probability pr, its m-estimate m and the denominator |S'|+m.
+	stat := func(size int, pr float64) (w, mEst, denom float64) {
+		w = float64(size) / float64(total) * pr
+		mEst = float64(1 + size)
+		return w, mEst, float64(size) + mEst
+	}
+	for s, pr := range pre[tri(k):tri(k+1)] {
+		w, mEst, denom := stat(c+s, pr) // w = 0 at size 0 adds nothing
+		prior += w
+		accA += w / denom
+		accB += w * p * mEst / denom
+	}
+	for u, mem := range uncertain {
+		left, right := pre[tri(u):tri(u+1)], suf[tri(k-1-u):tri(k-u)]
+		accU[u] = 0
+		for s := 0; s < k; s++ {
+			loo := 0.0 // Pr(N₋ᵤ = s)
+			for x := max(0, s-len(right)+1); x <= min(u, s); x++ {
+				loo += left[x] * right[s-x]
+			}
+			w, _, denom := stat(c+s+1, mem.Prob*loo)
+			accU[u] += w / denom
+		}
+	}
+	return prior, accA, accB, accU
+}
+
+// tri(n) = n(n+1)/2 is where row n, of n+1 entries, starts in a flat
+// triangular buffer.
+func tri(n int) int { return n * (n + 1) / 2 }
+
+// addMember extends the distribution of a count over n members (from, n+1
+// entries) to n+1 members (to, n+2 entries) by one drawn in with
+// probability q.
+func addMember(from, to []float64, q float64) {
+	n := len(from) - 1
+	to[0] = from[0] * (1 - q)
+	for a := 1; a <= n; a++ {
+		to[a] = from[a]*(1-q) + from[a-1]*q
+	}
+	to[n+1] = from[n] * q
+}
+
+// approxDomainStats replaces the expectations over contents with expected
+// counts: E[|S'|] = Σ_i Pr(S_i ∈ D_r), E[count_j] = Σ_i Pr(S_i ∈ D_r)·F_j^i,
+// plugged into one m-estimate. This is the linear-time approximation the
+// conclusion proposes; Figure 6.7's comparison measures its accuracy cost
+// against Exact. Like exactDomainStats it writes p1 at sc.terms and returns
+// the prior and p0 = (0 + p·m)/(E[|S'|] + m).
+func approxDomainStats(m *core.Model, d *core.Domain, totalSchemas int, p float64, sc *statsScratch) (float64, float64) {
 	expSize := 0.0
 	for _, mem := range d.Members {
 		expSize += mem.Prob
 	}
 	if expSize == 0 {
-		return 0, 0, nil
+		return 0, 0
 	}
 	expCount, p1 := sc.count, sc.p1
 	for _, mem := range d.Members {
@@ -423,7 +430,7 @@ func approxDomainStats(m *core.Model, d *core.Domain, totalSchemas int, p float6
 		p1[j] = (expCount[j] + p*mEst) / denom
 		expCount[j] = 0
 	}
-	return prior, p * mEst / denom, nil
+	return prior, p * mEst / denom
 }
 
 // Classify embeds the keyword query into the feature space and returns every

@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"slices"
 	"sort"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -222,7 +221,7 @@ func TestEntropyClosedForm(t *testing.T) {
 }
 
 func TestApproximateMatchesExactWhenAllCertain(t *testing.T) {
-	// With no uncertain schemas the subset enumeration has a single term,
+	// With no uncertain schemas the size distribution has a single term,
 	// and the approximate expectations coincide with it exactly.
 	m := buildModel(t, travelBibSet(), 0.2)
 	if m.UncertainCount() != 0 {
@@ -257,31 +256,6 @@ func TestConfigValidation(t *testing.T) {
 	m := buildModel(t, travelBibSet(), 0.2)
 	if _, err := New(m, Config{P: 1.5}); err == nil {
 		t.Fatal("invalid P accepted")
-	}
-}
-
-func TestForbiddenFallbackErrors(t *testing.T) {
-	// Build a model with one domain holding 2 uncertain schemas, then set
-	// MaxExactUncertain negative with a width the enumeration can't avoid.
-	set := travelBibSet()
-	memberships := [][]core.Membership{
-		{{Schema: 0, Prob: 1}},
-		{{Schema: 0, Prob: 0.6}, {Schema: 1, Prob: 0.4}},
-		{{Schema: 0, Prob: 0.7}, {Schema: 1, Prob: 0.3}},
-		{{Schema: 1, Prob: 1}},
-		{{Schema: 1, Prob: 1}},
-	}
-	m := modelWithMemberships(t, set, []int{0, 0, 0, 1, 1}, memberships)
-	// MaxExactUncertain: -1 forbids the approximate fallback but 2 ≤ any
-	// positive cap, so force failure with a cap of... -1 only fails when
-	// k > cap; with cap -1 any k > -1 triggers it? No: the check is
-	// k > maxExact, so k=2 > -1 → error. Exactly what we want.
-	if _, err := New(m, Config{MaxExactUncertain: -1}); err == nil {
-		t.Fatal("forbidden fallback did not error")
-	}
-	// Default config handles it fine.
-	if _, err := New(m, Config{}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -372,7 +346,7 @@ func TestExactMatchesReference(t *testing.T) {
 		scores := c.Classify(q)
 		for _, s := range scores {
 			want := referenceDomainScore(m, &m.Domains[s.Domain], fq, pAdd)
-			if math.Abs(s.LogPosterior-want) > 1e-9 {
+			if math.Abs(s.LogPosterior-want) > 1e-12*math.Abs(want) {
 				t.Fatalf("query %v domain %d: got %v, reference %v", q, s.Domain, s.LogPosterior, want)
 			}
 		}
@@ -380,7 +354,8 @@ func TestExactMatchesReference(t *testing.T) {
 }
 
 // TestPropertyExactMatchesReference fuzzes corpora, memberships and queries
-// against the reference oracle.
+// against the reference oracle, to 1e-12 relative. One corpus in four is
+// wide: 12–14 of its 14–16 schemas are uncertain members of both domains.
 func TestPropertyExactMatchesReference(t *testing.T) {
 	words := []string{
 		"title", "author", "year", "venue", "make", "model", "price",
@@ -388,7 +363,10 @@ func TestPropertyExactMatchesReference(t *testing.T) {
 	}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := 3 + rng.Intn(5)
+		n, uncertain := 3+rng.Intn(5), -1 // uncertain < 0: each schema by a coin
+		if rng.Intn(4) == 0 {
+			n, uncertain = 14+rng.Intn(3), 12+rng.Intn(3)
+		}
 		set := make(schema.Set, n)
 		for i := range set {
 			k := 2 + rng.Intn(3)
@@ -403,7 +381,7 @@ func TestPropertyExactMatchesReference(t *testing.T) {
 		memberships := make([][]core.Membership, n)
 		for i := range set {
 			assign[i] = rng.Intn(2)
-			if rng.Float64() < 0.5 {
+			if uncertain < 0 && rng.Float64() < 0.5 || uncertain >= 0 && i < n-uncertain {
 				memberships[i] = []core.Membership{{Schema: assign[i], Prob: 1}}
 			} else {
 				p := 0.1 + 0.8*rng.Float64()
@@ -441,7 +419,7 @@ func TestPropertyExactMatchesReference(t *testing.T) {
 			if math.IsInf(want, -1) != math.IsInf(s.LogPosterior, -1) {
 				return false
 			}
-			if !math.IsInf(want, -1) && math.Abs(s.LogPosterior-want) > 1e-8 {
+			if !math.IsInf(want, -1) && math.Abs(s.LogPosterior-want) > 1e-12*math.Abs(want) {
 				return false
 			}
 		}
@@ -452,6 +430,77 @@ func TestPropertyExactMatchesReference(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestExactAtAnyWidth: exact setup runs at any number k of uncertain
+// members, here 40 and 64, which no walk over 2^k subsets reaches. With one
+// membership probability q shared by all of them the content size is c + N,
+// N ~ Binomial(k, q), so over T schemas at m-estimate fraction p
+//
+//	prior = Σ_s (c+s)/T · b(s; k, q) = (c + k·q)/T
+//	A     = Σ_s (c+s)/T · b(s; k, q) / (2(c+s)+1)
+//	B     = Σ_s (c+s)/T · b(s; k, q) · p·(c+s+1) / (2(c+s)+1)
+//	A_u   = Σ_s (c+s+1)/T · q·b(s; k−1, q) / (2(c+s)+3)   for every u
+//
+// and the accumulators must match these to 1e-12 relative. New on a model
+// whose two domains hold 64 uncertain members each gives every row the
+// prior (c + k·q)/T.
+func TestExactAtAnyWidth(t *testing.T) {
+	binom := func(s, k int, q float64) float64 { // b(s; k, q) by log-gamma
+		lk, _ := math.Lgamma(float64(k + 1))
+		ls, _ := math.Lgamma(float64(s + 1))
+		lr, _ := math.Lgamma(float64(k - s + 1))
+		return math.Exp(lk - ls - lr + float64(s)*math.Log(q) + float64(k-s)*math.Log1p(-q))
+	}
+	near := func(got, want float64) bool { return math.Abs(got-want) <= 1e-12*math.Abs(want) }
+	const total, p = 200, 0.01
+	sc := &statsScratch{}
+	for _, k := range []int{40, 64} {
+		for _, c := range []int{0, 5} {
+			for _, q := range []float64{0.6, 0.05} {
+				members := make([]core.Membership, k)
+				for u := range members {
+					members[u] = core.Membership{Schema: u, Prob: q}
+				}
+				var wantA, wantB, wantU float64
+				for s := 0; s <= k; s++ {
+					size := float64(c + s)
+					w := size / total * binom(s, k, q)
+					wantA += w / (2*size + 1)
+					wantB += w * p * (size + 1) / (2*size + 1)
+					if s < k {
+						wantU += (size + 1) / total * q * binom(s, k-1, q) / (2*size + 3)
+					}
+				}
+				prior, accA, accB, accU := sc.accumulators(c, members, total, p)
+				if !near(prior, (float64(c)+float64(k)*q)/total) || !near(accA, wantA) || !near(accB, wantB) {
+					t.Errorf("k=%d c=%d q=%v: prior, A, B = %v, %v, %v; binomial %v, %v, %v",
+						k, c, q, prior, accA, accB, (float64(c)+float64(k)*q)/total, wantA, wantB)
+				}
+				for u, a := range accU {
+					if !near(a, wantU) {
+						t.Fatalf("k=%d c=%d q=%v: A_%d = %v; binomial %v", k, c, q, u, a, wantU)
+					}
+				}
+			}
+		}
+	}
+
+	m := benchModel(t, 70, 32) // per domain: 38 certain members and 64 uncertain ones
+	cl, err := New(m, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r, d := range m.Domains {
+		uncertain := d.Uncertain()
+		if len(uncertain) != 64 {
+			t.Fatalf("domain %d has %d uncertain members; want 64", r, len(uncertain))
+		}
+		want := (float64(len(d.Certain())) + 64*uncertain[0].Prob) / float64(len(m.Schemas))
+		if got := math.Exp(cl.logPrior[cl.row[r]]); math.Abs(got-want) > 1e-12*want {
+			t.Errorf("domain %d: prior %v; binomial %v", r, got, want)
+		}
 	}
 }
 
@@ -691,8 +740,6 @@ func TestClassifyAllocations(t *testing.T) {
 // the one a single goroutine computes — compared with ==, at 1, 2 and 7
 // workers, over 37 domains, with uncertain members, a domain no schema
 // belongs to (prior ≤ 0), both modes and a local subset of 13 rows.
-// The forbidden-fallback error must name the lowest offending domain whichever
-// worker met it.
 func TestNewIsWorkerCountInvariant(t *testing.T) {
 	const per, domains = 10, 37
 	set := dataset.Large(dataset.LargeConfig{N: per * domains, Domains: 8, Seed: 3})
@@ -720,18 +767,16 @@ func TestNewIsWorkerCountInvariant(t *testing.T) {
 		"exact":       {},
 		"approximate": {Mode: Approximate},
 		"local":       {Local: local},
-		"forbidden":   {Local: local, MaxExactUncertain: -1},
 	}
 	type tables struct {
 		def, colDelta, base, sumLog0, logPrior []float64
 		colStart                               []int
 		colRow                                 []int32
-		err                                    string
 	}
 	build := func(cfg Config) tables {
 		c, err := New(m, cfg)
 		if err != nil {
-			return tables{err: err.Error()}
+			t.Fatal(err)
 		}
 		return tables{def: c.def, colDelta: c.colDelta, base: c.base, sumLog0: c.sumLog0, logPrior: c.logPrior,
 			colStart: c.colStart, colRow: c.colRow}
@@ -747,17 +792,14 @@ func TestNewIsWorkerCountInvariant(t *testing.T) {
 	if got := len(want["local"].base); got != len(local) {
 		t.Fatalf("local table has %d rows; want %d", got, len(local))
 	}
-	if e := want["forbidden"].err; !strings.Contains(e, "domain 0 ") {
-		t.Fatalf("forbidden fallback error %q does not name domain 0, the lowest local one", e)
-	}
 	for _, procs := range []int{2, 7} {
 		runtime.GOMAXPROCS(procs)
 		for name, cfg := range configs {
 			got, w := build(cfg), want[name]
-			if got.err != w.err || !slices.Equal(got.def, w.def) || !slices.Equal(got.colStart, w.colStart) ||
+			if !slices.Equal(got.def, w.def) || !slices.Equal(got.colStart, w.colStart) ||
 				!slices.Equal(got.colRow, w.colRow) || !slices.Equal(got.colDelta, w.colDelta) ||
 				!slices.Equal(got.base, w.base) || !slices.Equal(got.sumLog0, w.sumLog0) || !slices.Equal(got.logPrior, w.logPrior) {
-				t.Errorf("%s: tables at GOMAXPROCS %d differ from one worker's (error %q, want %q)", name, procs, got.err, w.err)
+				t.Errorf("%s: tables at GOMAXPROCS %d differ from one worker's", name, procs)
 			}
 		}
 	}

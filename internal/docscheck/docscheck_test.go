@@ -135,8 +135,8 @@ func TestFlagsDocumented(t *testing.T) {
 }
 
 // TestConfigSurfaceRatchet is maxServerFlags for the serving config
-// structs, mediation's options, the feature space's config and the build's
-// options: each may lose fields freely, but growing one means editing its
+// structs, mediation's options, the feature space's config, the build's
+// options and the classifier's config: each may lose fields freely, but growing one means editing its
 // number on purpose (ROADMAP item 7).
 func TestConfigSurfaceRatchet(t *testing.T) {
 	for _, c := range []struct {
@@ -148,7 +148,8 @@ func TestConfigSurfaceRatchet(t *testing.T) {
 		{filepath.Join("payg", "manager.go"), "ManagerOptions", 10},
 		{filepath.Join("internal", "mediate", "mediate.go"), "Options", 5},
 		{filepath.Join("internal", "feature", "feature.go"), "Config", 3},
-		{filepath.Join("payg", "payg.go"), "Options", 9},
+		{filepath.Join("payg", "payg.go"), "Options", 8},
+		{filepath.Join("internal", "classify", "classify.go"), "Config", 3},
 	} {
 		n, err := ExportedFields(filepath.Join(repoRoot, c.file), c.typ)
 		if err != nil {
@@ -164,7 +165,7 @@ func TestConfigSurfaceRatchet(t *testing.T) {
 // non-test Go outside bench/ may shrink freely, but growing it means
 // editing this number on purpose (ROADMAP item 10).
 func TestProductionLinesRatchet(t *testing.T) {
-	const maxLines = 22467
+	const maxLines = 22455
 	sources, err := ProductionSources(repoRoot)
 	if err != nil {
 		t.Fatal(err)

@@ -17,13 +17,6 @@ import (
 	"schemaflow/internal/terms"
 )
 
-// newExactClassifier builds the exact subset-enumeration classifier with
-// default settings (the fallback cap applies, so huge uncertain sets degrade
-// gracefully rather than hanging the ablation).
-func newExactClassifier(m *core.Model) (*classify.Classifier, error) {
-	return classify.New(m, classify.Config{Mode: classify.Exact})
-}
-
 // Ablations of the design choices DESIGN.md calls out. These go beyond the
 // thesis' own figures: they quantify the alternatives the text discusses but
 // does not plot (stemming vs LCS t_sim, θ width, baseline clusterers).
@@ -86,7 +79,7 @@ type ThetaAblationRow struct {
 }
 
 // ThetaAblation varies θ, measuring how many schemas become uncertain, the
-// largest per-domain uncertain count (the exponent of classifier setup), the
+// largest per-domain uncertain count k (exact setup is O(k³) per domain), the
 // exact-classifier setup time, and clustering quality.
 func ThetaAblation(set schema.Set, tau float64, thetas []float64) ([]ThetaAblationRow, error) {
 	sp := feature.BuildLite(set, feature.DefaultConfig())
@@ -103,7 +96,7 @@ func ThetaAblation(set schema.Set, tau float64, thetas []float64) ([]ThetaAblati
 		count, maxPer := uncertainStats(m)
 		row := ThetaAblationRow{Theta: theta, Uncertain: count, MaxPerDomain: maxPer}
 		start := time.Now()
-		if _, err := newExactClassifier(m); err != nil {
+		if _, err := classify.New(m, classify.Config{}); err != nil {
 			return nil, err
 		}
 		row.SetupTime = time.Since(start)

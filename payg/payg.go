@@ -126,9 +126,6 @@ type Options struct {
 	// Theta is the membership uncertainty width θ (default 0.02; negative
 	// means a literal 0 — no membership is treated as uncertain).
 	Theta float64
-	// ApproximateClassifier selects the linear-time approximate classifier
-	// for every domain.
-	ApproximateClassifier bool
 	// SkipMediation skips building mediated schemas and mappings; Classify
 	// still works, Execute does not.
 	SkipMediation bool
@@ -286,11 +283,7 @@ func BuildContext(ctx context.Context, schemas []Schema, opts Options) (*System,
 // (resolved) options ask for over the model, its table restricted to local on
 // a shard (nil = every domain).
 func (o Options) newClassifier(model *core.Model, local []int) (*classify.Classifier, error) {
-	ccfg := classify.Config{Local: local}
-	if o.ApproximateClassifier {
-		ccfg.Mode = classify.Approximate
-	}
-	return classify.New(model, ccfg)
+	return classify.New(model, classify.Config{Local: local})
 }
 
 // assemble is the only way from a domain model to a serving System:

@@ -195,7 +195,6 @@ func TestAlternativeOptions(t *testing.T) {
 		{TermSimilarity: "stem"},
 		{TermSimilarity: "exact"},
 		{TermSimilarity: "lcsubsequence"},
-		{ApproximateClassifier: true},
 		{TauCSim: 0.3, Theta: 0.1},
 	} {
 		sys, err := Build(demoSchemas(), opts)

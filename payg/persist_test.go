@@ -139,8 +139,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 // TestLoadsSnapshotWithRemovedOptions: snapshots written before a field left
 // Options still carry it (gob matches fields by name and skips the ones the
 // receiver lacks). Such a snapshot must load and classify and ingest exactly
-// like a freshly built system — whatever Vectorizer said, since there is one
-// online path now.
+// like a freshly built system — whatever Vectorizer or ApproximateClassifier
+// said, since there is one online path and one serving classifier now.
 func TestLoadsSnapshotWithRemovedOptions(t *testing.T) {
 	sameAsFresh := func(t *testing.T, loaded, fresh *System) {
 		t.Helper()
@@ -182,6 +182,29 @@ func TestLoadsSnapshotWithRemovedOptions(t *testing.T) {
 			t.Fatalf("domains differ:\n got %+v\nwant %+v", got, want)
 		}
 		sameAsFresh(t, loaded, demo)
+	})
+
+	// testdata/snapshot-v4-approximate.gob is Save's output at the last
+	// commit that had Options.ApproximateClassifier, for
+	// Build(demoSchemas(), Options{ApproximateClassifier: true}). There that
+	// system's scores differed from the exact one's on every persistQueries
+	// query; loaded now, it is the exact system.
+	t.Run("v4-approximate", func(t *testing.T) {
+		raw, err := os.ReadFile("testdata/snapshot-v4-approximate.gob")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var carried struct {
+			Opts struct{ ApproximateClassifier bool }
+		}
+		if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&carried); err != nil || !carried.Opts.ApproximateClassifier {
+			t.Fatalf("testdata/snapshot-v4-approximate.gob does not carry ApproximateClassifier: true (%v) — the test would prove nothing", err)
+		}
+		loaded, err := Load(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameAsFresh(t, loaded, build(t, Options{}))
 	})
 }
 
