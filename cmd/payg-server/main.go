@@ -3,10 +3,10 @@
 // from a schema file, optionally attaches synthetic data so /query works,
 // and listens for JSON requests.
 //
-// The query path runs under a per-source resilience policy (timeout,
-// retries with backoff, circuit breaker) and degrades gracefully: when
-// some sources fail, /query returns the healthy sources' tuples plus a
-// "degraded" report instead of an error. The server itself drains
+// The synthetic sources are in memory, read in place and cannot fail; a
+// -flake source runs under a resilience policy (timeout, retries, circuit
+// breaker). When some sources fail, /query returns the healthy sources'
+// tuples plus a "degraded" report instead of an error. The server drains
 // connections on SIGINT/SIGTERM, recovers panics, and bounds request
 // bodies and durations.
 //
@@ -47,7 +47,7 @@
 // The server is observable in production: GET /metrics exposes the full
 // metrics registry (Prometheus text format; JSON with Accept:
 // application/json), GET /healthz reports ingestion status, serving
-// generation, and per-source circuit-breaker states, every request is
+// generation, and each -flake source's circuit breaker, every request is
 // logged as one structured JSON line on stderr, and -pprof mounts
 // net/http/pprof under /debug/pprof/. See docs/OPERATIONS.md for the
 // runbook and docs/METRICS.md for the metric reference.

@@ -127,6 +127,8 @@ type statsScratch struct {
 	terms []int32   // the terms the current domain's members mention, ascending
 	count []float64 // per term: the members' count; zero between domains
 	p1    []float64 // per term: Pr(F_j=1 | D_r), valid at terms
+	// uncertain lists the current domain's uncertain members, in order.
+	uncertain []core.Membership
 	// accumulators' working state: A_u per uncertain member, and the flat
 	// triangular size distributions (row n at tri(n)) of how many of the
 	// first, and of the last, n uncertain members are drawn in.
@@ -297,23 +299,31 @@ func (c *Classifier) TableBytes() int {
 // mention, and returns the prior and p0, the p1 of every other term:
 // (0·A + B)/Pr(D_r).
 func exactDomainStats(m *core.Model, d *core.Domain, totalSchemas int, p float64, sc *statsScratch) (float64, float64) {
-	certain := d.Certain()
-	uncertain := d.Uncertain()
-	prior, accA, accB, accU := sc.accumulators(len(certain), uncertain, totalSchemas, p)
-	if prior == 0 {
-		return 0, 0
-	}
-	certainCount, p1 := sc.count, sc.p1
-	for _, mem := range certain {
+	// One pass splits the members as Domain.Certain and Uncertain do: the
+	// certain ones are counted, the uncertain ones listed in order.
+	certain, certainCount, p1 := 0, sc.count, sc.p1
+	sc.uncertain = sc.uncertain[:0]
+	for _, mem := range d.Members {
+		if mem.Prob < 1 {
+			sc.uncertain = append(sc.uncertain, mem)
+			continue
+		}
+		certain++
 		for _, j := range m.Space.Bits(mem.Schema) {
 			certainCount[j]++
 		}
+	}
+	// prior is 0 only without a certain member, when nothing was counted:
+	// returning leaves the counts zero.
+	prior, accA, accB, accU := sc.accumulators(certain, sc.uncertain, totalSchemas, p)
+	if prior == 0 {
+		return 0, 0
 	}
 	for _, j := range sc.terms {
 		p1[j] = certainCount[j]*accA + accB
 		certainCount[j] = 0
 	}
-	for u, mem := range uncertain {
+	for u, mem := range sc.uncertain {
 		if accU[u] == 0 {
 			continue
 		}

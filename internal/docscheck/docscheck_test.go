@@ -143,7 +143,7 @@ func TestConfigSurfaceRatchet(t *testing.T) {
 		file, typ string
 		max       int
 	}{
-		{filepath.Join("internal", "server", "server.go"), "Config", 7},
+		{filepath.Join("internal", "server", "server.go"), "Config", 6},
 		{filepath.Join("internal", "shard", "router.go"), "RouterConfig", 3},
 		{filepath.Join("payg", "manager.go"), "ManagerOptions", 10},
 		{filepath.Join("internal", "mediate", "mediate.go"), "Options", 5},
@@ -165,7 +165,7 @@ func TestConfigSurfaceRatchet(t *testing.T) {
 // non-test Go outside bench/ may shrink freely, but growing it means
 // editing this number on purpose (ROADMAP item 10).
 func TestProductionLinesRatchet(t *testing.T) {
-	const maxLines = 22455
+	const maxLines = 22446
 	sources, err := ProductionSources(repoRoot)
 	if err != nil {
 		t.Fatal(err)

@@ -20,7 +20,7 @@ type definitionCase struct {
 	med        *mediate.Mediated
 	fetchers   []TupleSource
 	tuples     [][]Tuple // what each source holds
-	down       []bool    // the source fails every fetch
+	fails      []bool    // the source is down or holds a malformed tuple
 	memberProb []float64
 	q          Query
 }
@@ -42,8 +42,9 @@ func randomDefinitionCase(rng *rand.Rand) definitionCase {
 	}
 	probs := []float64{0.5, 0.25, 0.125, 0}
 	nSrc := 1 + rng.Intn(5)
+	short := rng.Intn(nSrc + 1) // the member holding a malformed tuple
 	c := definitionCase{med: med}
-	for si := 0; si < nSrc; si++ {
+	for si := 0; si <= nSrc; si++ {
 		width := 1 + rng.Intn(4)
 		s := schema.Schema{Name: fmt.Sprintf("s%d", rng.Intn(nSrc+1))} // names may repeat
 		for k := 0; k < width; k++ {
@@ -69,16 +70,26 @@ func randomDefinitionCase(rng *rand.Rand) definitionCase {
 				tuples[ti][k] = definitionValues[rng.Intn(len(definitionValues))]
 			}
 		}
-		c.tuples = append(c.tuples, tuples)
 		c.memberProb = append(c.memberProb, []float64{0, 1, 0.5, rng.Float64()}[rng.Intn(4)])
-		// A jittered fetch, so the sources finish in a different order
-		// from query to query; one in five is down.
-		f := NewFlakeSource(s.Name, tuples, rng.Int63())
-		f.LatencyJitter = 200 * time.Microsecond
-		down := rng.Intn(5) == 0
-		f.SetDown(down)
+		// About half the members are in memory, read in place. The others
+		// are fetched with jitter, so they finish in a different order from
+		// query to query; one in five of those is down. One in-memory
+		// member holds a tuple a value short, which must be reported.
+		fails := si == short
+		if fails {
+			tuples = slices.Insert(tuples, rng.Intn(len(tuples)+1), make(Tuple, width-1))
+		}
+		var f TupleSource = Source{Schema: s, Tuples: tuples}
+		if !fails && rng.Intn(2) == 0 {
+			flake := NewFlakeSource(s.Name, tuples, rng.Int63())
+			flake.LatencyJitter = 200 * time.Microsecond
+			fails = rng.Intn(5) == 0
+			flake.SetDown(fails)
+			f = flake
+		}
+		c.tuples = append(c.tuples, tuples)
 		c.fetchers = append(c.fetchers, f)
-		c.down = append(c.down, down)
+		c.fails = append(c.fails, fails)
 	}
 	for n := rng.Intn(nMed + 1); n > 0; n-- {
 		c.q.Select = append(c.q.Select, med.Attrs[rng.Intn(nMed)].Name)
@@ -131,7 +142,7 @@ func definitionAnswer(c definitionCase) []ResultTuple {
 	var answers []*answer
 	byKey := map[string]*answer{}
 	for si, tuples := range c.tuples {
-		if c.memberProb[si] == 0 || c.down[si] {
+		if c.memberProb[si] == 0 || c.fails[si] {
 			continue
 		}
 		for _, raw := range tuples {
@@ -203,8 +214,9 @@ func definitionAnswer(c definitionCase) []ResultTuple {
 
 // TestPropertyExecuteIsTheDefinition holds ExecuteContext to
 // definitionAnswer bit for bit — values, probability bits, source lists and
-// their order — and the failure report to the sources that were down, in
-// source order, on random domains whose fetches finish in random order.
+// their order — and the failure report to the sources that were down or
+// held a malformed tuple, in source order, on random domains that
+// interleave in-memory sources with fetched ones finishing in random order.
 func TestPropertyExecuteIsTheDefinition(t *testing.T) {
 	rng := rand.New(rand.NewSource(48))
 	cases := 3000
@@ -235,7 +247,7 @@ func TestPropertyExecuteIsTheDefinition(t *testing.T) {
 		}
 		var failed []string
 		for si, f := range c.fetchers {
-			if c.down[si] && c.memberProb[si] != 0 {
+			if c.fails[si] && c.memberProb[si] != 0 {
 				failed = append(failed, f.Name())
 			}
 		}

@@ -1,7 +1,8 @@
 // Package engine executes structured queries over a domain's mediated
-// schema M_r with the probability arithmetic of Section 4.4. A query goes
-// to every data source S_i of the domain at once; their tuples are then
-// consolidated in source order, whichever fetch finished first:
+// schema M_r with the probability arithmetic of Section 4.4. A query reads
+// every data source S_i of the domain, in-memory ones in place and the rest
+// at once; their tuples are then consolidated in source order, whichever
+// fetch finished first:
 //
 //   - each mapping φ of S_i maps a raw tuple to M_r when, through φ, the
 //     tuple meets every Where equality (case-insensitive) and populates a
@@ -75,10 +76,9 @@ type ResultTuple struct {
 
 // DomainExecutor answers structured queries over one domain: the mediated
 // schema, its probabilistic mappings, the domain membership probabilities,
-// and the data sources. Sources are fetched through the TupleSource
-// interface, optionally under a resilience policy (per-source timeout,
-// retries, circuit breaker) installed with SetPolicy; per-source breaker
-// state persists across queries on the same executor.
+// and the data sources. In-memory Sources are read in place; every other
+// TupleSource is fetched concurrently, optionally under a resilience policy
+// (per-attempt timeout, retries, circuit breaker) installed with SetPolicy.
 type DomainExecutor struct {
 	med      *mediate.Mediated
 	fetchers []TupleSource
@@ -124,24 +124,18 @@ func NewFetchExecutor(med *mediate.Mediated, fetchers []TupleSource, memberProb 
 	return &DomainExecutor{med: med, fetchers: fetchers, memberProb: memberProb}, nil
 }
 
-// SetPolicy installs a resilience policy on the per-source fetch path and
-// allocates one circuit breaker per source. Call before serving queries;
-// the breakers live as long as the executor.
-func (ex *DomainExecutor) SetPolicy(p resilience.Policy) {
-	ex.SetPolicyFunc(p, func(string) *resilience.Breaker { return p.NewBreaker() })
-}
-
-// SetPolicyFunc installs a resilience policy like SetPolicy, but sources
-// each circuit breaker from breakerFor (keyed by source name) instead of
-// allocating fresh ones. It lets an owner share per-source breaker state
-// across executors — in particular across a model rebuild and swap, where
-// the sources themselves (and their failure history) are unchanged. A nil
-// breakerFor result disables breaking for that source.
-func (ex *DomainExecutor) SetPolicyFunc(p resilience.Policy, breakerFor func(source string) *resilience.Breaker) {
+// SetPolicy installs a resilience policy on the fetch path of every source
+// but the in-memory Sources, with each one's circuit breaker from breakerFor
+// (keyed by source name; nil disables breaking). An owner handing out one
+// breaker per name keeps a source's failure history across executors, as
+// across a model swap. Call before serving queries.
+func (ex *DomainExecutor) SetPolicy(p resilience.Policy, breakerFor func(source string) *resilience.Breaker) {
 	ex.policy = &p
 	ex.breakers = make([]*resilience.Breaker, len(ex.fetchers))
 	for i, f := range ex.fetchers {
-		ex.breakers[i] = breakerFor(f.Name())
+		if _, inMemory := f.(Source); !inMemory {
+			ex.breakers[i] = breakerFor(f.Name())
+		}
 	}
 }
 
@@ -171,12 +165,12 @@ type Result struct {
 // Degraded reports whether any source failed to contribute.
 func (r *Result) Degraded() bool { return len(r.Failures) > 0 }
 
-// ExecuteContext runs the query with cancellation: every source fetch is
-// dispatched concurrently under ctx (and the resilience policy, when one
-// is installed). Sources that fail or are skipped by an open breaker are
-// reported in Result.Failures while the healthy sources' tuples are
-// consolidated and returned — a degraded answer, not an error. The only
-// errors are malformed queries and a dead ctx.
+// ExecuteContext runs the query with cancellation: in-memory sources are
+// read in place, the others fetched concurrently under ctx (and the policy,
+// when one is installed). Sources that fail, hold a malformed tuple or are
+// skipped by an open breaker are reported in Result.Failures while the
+// healthy sources' tuples are consolidated and returned — a degraded
+// answer, not an error. The only errors are malformed queries and a dead ctx.
 func (ex *DomainExecutor) ExecuteContext(ctx context.Context, q Query) (*Result, error) {
 	// attrs lists the Select attributes, then the Where ones; wants holds
 	// the Where values, lower-cased.
@@ -359,16 +353,21 @@ func best(ids []int, k int, rank func(a, b int) int) []int {
 	return h
 }
 
-// fetchAll dispatches every member source's fetch concurrently under ctx
-// and the installed policy. It returns the per-source tuple slices (nil
-// for failed or zero-probability sources), the failure report in source
-// order, and a hard error only when ctx itself died.
+// fetchAll reads the in-memory member sources in place and fetches the
+// others concurrently under ctx and the policy. It returns the per-source
+// tuple slices (nil for failed or zero-probability sources), the failure
+// report in source order, and a hard error only when ctx itself died.
 func (ex *DomainExecutor) fetchAll(ctx context.Context) ([][]Tuple, []SourceFailure, error) {
 	fetched := make([][]Tuple, len(ex.fetchers))
 	errs := make([]error, len(ex.fetchers))
 	var wg sync.WaitGroup
-	for si := range ex.fetchers {
+	for si, f := range ex.fetchers {
 		if ex.memberProb[si] == 0 {
+			continue
+		}
+		if src, inMemory := f.(Source); inMemory {
+			mFetchAttempts.With(src.Name()).Inc()
+			fetched[si], errs[si] = ex.checked(si, src.Tuples, nil)
 			continue
 		}
 		wg.Add(1)
@@ -388,7 +387,6 @@ func (ex *DomainExecutor) fetchAll(ctx context.Context) ([][]Tuple, []SourceFail
 		if err == nil {
 			continue
 		}
-		fetched[si] = nil
 		failures = append(failures, SourceFailure{
 			Source:  ex.fetchers[si].Name(),
 			Err:     err.Error(),
@@ -398,26 +396,20 @@ func (ex *DomainExecutor) fetchAll(ctx context.Context) ([][]Tuple, []SourceFail
 	return fetched, failures, nil
 }
 
-// fetchOne fetches source si under the policy (if any) and validates the
-// tuple widths against the mediated domain's member schema, so a source
-// returning malformed rows degrades the answer instead of panicking the
-// mapping step.
+// fetchOne fetches source si under the policy (if any) and checks what the
+// last attempt returned.
 func (ex *DomainExecutor) fetchOne(ctx context.Context, si int) ([]Tuple, error) {
 	name := ex.fetchers[si].Name()
 	attempts := 0
 	var tuples []Tuple
-	fetch := func(ctx context.Context) error {
+	fetch := func(ctx context.Context) (err error) {
 		attempts++
 		mFetchAttempts.With(name).Inc()
 		if attempts > 1 {
 			mFetchRetries.With(name).Inc()
 		}
-		ts, err := ex.fetchers[si].Fetch(ctx)
-		if err != nil {
-			return err
-		}
-		tuples = ts
-		return nil
+		tuples, err = ex.fetchers[si].Fetch(ctx)
+		return err
 	}
 	var err error
 	if ex.policy != nil {
@@ -425,6 +417,13 @@ func (ex *DomainExecutor) fetchOne(ctx context.Context, si int) ([]Tuple, error)
 	} else {
 		err = fetch(ctx)
 	}
+	return ex.checked(si, tuples, err)
+}
+
+// checked rejects and counts source si when err is set or a tuple's width is
+// not its schema's, so malformed rows degrade the answer, not panic.
+func (ex *DomainExecutor) checked(si int, tuples []Tuple, err error) ([]Tuple, error) {
+	name := ex.fetchers[si].Name()
 	if err == nil {
 		err = validateWidth(name, tuples, len(ex.med.Schemas[si].Attributes))
 	}

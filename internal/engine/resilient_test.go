@@ -19,7 +19,7 @@ func flakyExecutor(t *testing.T, p resilience.Policy) (*DomainExecutor, *FlakeSo
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex.SetPolicy(p)
+	ex.SetPolicy(p, func(string) *resilience.Breaker { return p.NewBreaker() })
 	dep := med.Attrs[med.AttrIndex("departure")].Name
 	return ex, flake, dep
 }
@@ -112,10 +112,14 @@ func TestBreakerOpensThenRecovers(t *testing.T) {
 	}
 	ex, flake, dep := flakyExecutor(t, p)
 	breakers := map[string]*resilience.Breaker{}
-	ex.SetPolicyFunc(p, func(source string) *resilience.Breaker {
+	ex.SetPolicy(p, func(source string) *resilience.Breaker {
 		breakers[source] = p.NewBreaker()
 		return breakers[source]
 	})
+	// The in-memory source air1 cannot fail, so it gets no breaker.
+	if len(breakers) != 1 || breakers["air2"] == nil {
+		t.Fatalf("breakers minted for %v, want air2 only", breakers)
+	}
 	flake.SetDown(true)
 	q := Query{Select: []string{dep}}
 

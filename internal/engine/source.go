@@ -5,11 +5,12 @@ import (
 	"fmt"
 )
 
-// TupleSource abstracts where a data source's tuples come from. The
-// in-memory Source satisfies it trivially; remote, slow, or failing
-// sources (the deep-web reality of Section 3.1) implement it with real
-// I/O. Fetch must honor ctx cancellation and is called concurrently with
-// other sources' fetches during query fan-out.
+// TupleSource abstracts where a data source's tuples come from. A Source
+// value is in memory and cannot block or fail: a query reads it in place,
+// with no goroutine, policy or breaker. Any other TupleSource — a remote,
+// slow or failing source (Section 3.1's deep web), a FlakeSource — is
+// fetched on its own goroutine under the policy, so Fetch must honor ctx
+// and is called concurrently with other sources' fetches.
 type TupleSource interface {
 	// Name identifies the source in result attribution and degraded
 	// reports; it must match the source's schema name.

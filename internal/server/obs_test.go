@@ -53,16 +53,13 @@ func quietServer(t *testing.T, withData bool, mutate func(*Config)) *Server {
 }
 
 func TestMetricsEndpointPrometheusText(t *testing.T) {
-	s := quietServer(t, true, nil)
+	s, _, queryBody := flakyServer(t, payg.DefaultPolicy())
 	// Drive every instrumented subsystem at least once so the exposition
 	// has series, not just registered families.
 	if code, _ := get(t, s, "/classify?q=departure"); code != http.StatusOK {
 		t.Fatalf("classify: %d", code)
 	}
-	req := httptest.NewRequest(http.MethodPost, "/query",
-		strings.NewReader(`{"domain":0,"select":["departure"]}`))
-	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, req)
+	postQuery(t, s, queryBody)
 
 	code, body := get(t, s, "/metrics")
 	if code != http.StatusOK {
@@ -83,11 +80,16 @@ func TestMetricsEndpointPrometheusText(t *testing.T) {
 		"# TYPE schemaflow_breaker_state gauge",
 		`schemaflow_build_phase_duration_seconds_bucket{phase="cluster",le="+Inf"}`,
 		`schemaflow_http_requests_total{route="/classify",code="200"}`,
-		`schemaflow_breaker_state{source="air1"} 0`,
+		`schemaflow_breaker_state{source="air2"} 0`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+	// air2 is fault-injected and can fail; air1 is in memory, read in place
+	// with no breaker.
+	if strings.Contains(body, `schemaflow_breaker_state{source="air1"}`) {
+		t.Error("/metrics has a breaker series for the in-memory source air1")
 	}
 }
 
@@ -125,7 +127,7 @@ func TestMetricsEndpointJSON(t *testing.T) {
 }
 
 func TestHealthzReportsBreakerStates(t *testing.T) {
-	s := quietServer(t, true, nil)
+	s, _, _ := flakyServer(t, payg.DefaultPolicy())
 	_, body := get(t, s, "/healthz")
 	var v struct {
 		Status       string            `json:"status"`
@@ -138,18 +140,19 @@ func TestHealthzReportsBreakerStates(t *testing.T) {
 	if v.Status != "ok" {
 		t.Fatalf("status = %q", v.Status)
 	}
-	// Breakers are pre-warmed at executor construction, so every source is
-	// visible (closed) before any query traffic.
-	if len(v.Sources) != 4 {
-		t.Fatalf("sources = %v, want all 4", v.Sources)
-	}
-	for name, st := range v.Sources {
-		if st != "closed" {
-			t.Fatalf("source %s state %q at startup", name, st)
-		}
+	// Breakers are pre-warmed at executor construction, so the one source
+	// that can fail is visible (closed) before any query traffic; the three
+	// in-memory sources have no breaker.
+	if len(v.Sources) != 1 || v.Sources["air2"] != "closed" {
+		t.Fatalf("sources = %v, want air2 closed only", v.Sources)
 	}
 	if v.BreakersOpen != 0 {
 		t.Fatalf("breakers_open = %d", v.BreakersOpen)
+	}
+	// With every source in memory there is no breaker at all.
+	_, body = get(t, quietServer(t, true, nil), "/healthz")
+	if !strings.Contains(body, `"sources":{}`) || !strings.Contains(body, `"breakers_open":0`) {
+		t.Fatalf("in-memory healthz = %s, want no sources and no open breakers", body)
 	}
 }
 
@@ -247,7 +250,7 @@ func TestDegradedQueryLoggedAndCounted(t *testing.T) {
 	policy := payg.DefaultPolicy()
 	policy.MaxRetries = 0
 	policy.BreakerThreshold = 0 // no breaking: hard failure every time
-	s, flake, queryBody := flakyServerCfg(t, Config{Policy: policy, Logger: logger})
+	s, flake, queryBody := flakyServerCfg(t, policy, Config{Logger: logger})
 
 	degradedBefore := mQueriesDegraded.Value()
 	flake.SetDown(true)

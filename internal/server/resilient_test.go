@@ -35,12 +35,13 @@ type queryJSON struct {
 // injector, and resolves a departure-ish attribute of the travel domain.
 func flakyServer(t *testing.T, policy payg.Policy) (*Server, *engine.FlakeSource, string) {
 	t.Helper()
-	return flakyServerCfg(t, Config{Policy: policy, Logger: discardLogger()})
+	return flakyServerCfg(t, policy, Config{Logger: discardLogger()})
 }
 
-// flakyServerCfg is flakyServer with full control over the server config
-// (Sources is filled in here).
-func flakyServerCfg(t *testing.T, cfg Config) (*Server, *engine.FlakeSource, string) {
+// flakyServerCfg is flakyServer with full control over the server config.
+// Like payg-server, it builds the manager under the policy itself and
+// serves it through NewWithManager.
+func flakyServerCfg(t *testing.T, policy payg.Policy, cfg Config) (*Server, *engine.FlakeSource, string) {
 	t.Helper()
 	schemas := []payg.Schema{
 		{Name: "air1", Attributes: []string{"departure", "destination", "airline"}},
@@ -59,11 +60,12 @@ func flakyServerCfg(t *testing.T, cfg Config) (*Server, *engine.FlakeSource, str
 		payg.Source{Schema: schemas[2]},
 		payg.Source{Schema: schemas[3]},
 	}
-	cfg.Sources = sources
-	s, err := NewWithConfig(sys, cfg)
+	mgr, err := payg.NewManager(sys, sources, payg.ManagerOptions{Policy: policy})
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := NewWithManager(mgr, cfg)
+	t.Cleanup(s.Close)
 	_, body := get(t, s, "/classify?q=departure&top=1")
 	var scores []struct {
 		Domain   int      `json:"domain"`

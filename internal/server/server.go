@@ -74,10 +74,6 @@ type Config struct {
 	// system's build order). Nil means /query answers 503; classification
 	// and schema browsing still work — the system never needs data.
 	Sources []payg.TupleSource
-	// Policy is the per-source resilience policy (timeout, retries,
-	// circuit breaker) applied to query fan-out. The zero value selects
-	// payg.DefaultPolicy.
-	Policy payg.Policy
 	// DriftThreshold is the fresh-arrival fraction that triggers a
 	// background recluster (payg.ManagerOptions.DriftThreshold: 0 means
 	// the default 0.5, negative disables drift-triggered rebuilds).
@@ -124,14 +120,13 @@ type Server struct {
 }
 
 // NewWithConfig builds a non-durable manager over sys and cfg's sources,
-// policy, drift threshold and cache size, and wires it to the handler. A
-// node that needs more of payg.ManagerOptions (a data dir, interval
-// rebuilds, sources for arrivals) builds its manager itself and calls
-// NewWithManager.
+// drift threshold and cache size, under payg.DefaultPolicy, and wires it to
+// the handler. A node that needs more of payg.ManagerOptions (a resilience
+// policy, a data dir, interval rebuilds, sources for arrivals) builds its
+// manager itself and calls NewWithManager.
 func NewWithConfig(sys *payg.System, cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	mgr, err := payg.NewManager(sys, cfg.Sources, payg.ManagerOptions{
-		Policy:         cfg.Policy,
 		DriftThreshold: cfg.DriftThreshold,
 		QueryCacheSize: cfg.QueryCacheSize,
 		Logf: func(format string, args ...any) {
@@ -148,8 +143,8 @@ func NewWithConfig(sys *payg.System, cfg Config) (*Server, error) {
 // payg.NewManager, recovered from a data dir (payg.LoadManagerDir) or
 // bootstrapped for follower mode (payg.LoadManagerAt) — to the HTTP
 // handler. The manager's own options apply; the Config fields that would
-// construct a new manager (Sources, Policy, DriftThreshold,
-// QueryCacheSize) are ignored.
+// construct a new manager (Sources, DriftThreshold, QueryCacheSize) are
+// ignored.
 func NewWithManager(mgr *payg.Manager, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{mgr: mgr, cfg: cfg, epoch: newRequestID()}
@@ -217,9 +212,10 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.ReadOnly {
 		resp["read_only"] = true
 	}
-	// Executor health: per-source breaker states, so an operator sees a
-	// degraded source here before queries start returning degraded
-	// answers. Absent when the server runs without data sources.
+	// Executor health: the breaker state of every source that can fail,
+	// so an operator sees a degraded source here before queries start
+	// returning degraded answers. Empty when every source is in memory;
+	// absent when the server runs without data sources.
 	if states := s.mgr.BreakerStates(); states != nil {
 		sources := make(map[string]string, len(states))
 		open := 0

@@ -31,7 +31,7 @@ func BenchmarkExecuteMixed(b *testing.B) {
 		fetchers[i] = Source{Schema: s, Tuples: ts}
 	}
 	policy := DefaultPolicy()
-	ex, err := sys.NewExecutorShared(fetchers, policy, NewBreakerPool(policy))
+	ex, err := sys.NewExecutor(fetchers, policy, NewBreakerPool(policy))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -95,7 +95,7 @@ type Executor struct {
 	sys      *System
 	fetchers []TupleSource
 	policy   Policy
-	pool     *BreakerPool // nil: each executor allocates fresh breakers
+	pool     *BreakerPool
 
 	mu        sync.Mutex
 	perDomain map[int]*engine.DomainExecutor
@@ -103,17 +103,11 @@ type Executor struct {
 
 // NewExecutor binds the system to one TupleSource per input schema
 // (aligned with the schema order passed to Build) under the policy. Use
-// resilience.Policy{} to disable timeouts, retries, and breaking.
-func (s *System) NewExecutor(fetchers []TupleSource, policy Policy) (*Executor, error) {
-	return s.NewExecutorShared(fetchers, policy, nil)
-}
-
-// NewExecutorShared is NewExecutor with a shared breaker pool: per-source
-// circuit breakers are taken from pool (keyed by source name) instead of
-// allocated fresh, so breaker state carries across executors bound to the
-// same pool — the mechanism behind zero-downtime model swaps that keep
-// failure history. A nil pool behaves like NewExecutor.
-func (s *System) NewExecutorShared(fetchers []TupleSource, policy Policy, pool *BreakerPool) (*Executor, error) {
+// resilience.Policy{} to disable timeouts, retries, and breaking; in-memory
+// Sources are read in place, under neither. Breakers come from pool, so
+// their state carries across executors bound to it (and a model swap keeps
+// its failure history); a nil pool means a private one.
+func (s *System) NewExecutor(fetchers []TupleSource, policy Policy, pool *BreakerPool) (*Executor, error) {
 	if s.mediated == nil {
 		return nil, fmt.Errorf("payg: system built with SkipMediation")
 	}
@@ -125,10 +119,13 @@ func (s *System) NewExecutorShared(fetchers []TupleSource, policy Policy, pool *
 			return nil, fmt.Errorf("payg: nil source for schema %d", i)
 		}
 	}
-	if pool != nil {
-		// Pre-warm one breaker per source so health and metrics report
-		// every source from startup, not only after its first query.
-		for _, f := range fetchers {
+	if pool == nil {
+		pool = NewBreakerPool(policy)
+	}
+	// Pre-warm the breaker of every source that can fail, so health and
+	// metrics report it from startup, not only after its first query.
+	for _, f := range fetchers {
+		if _, inMemory := f.(Source); !inMemory {
 			pool.Get(f.Name())
 		}
 	}
@@ -144,10 +141,10 @@ func (s *System) NewExecutorShared(fetchers []TupleSource, policy Policy, pool *
 // System returns the system the executor is bound to.
 func (e *Executor) System() *System { return e.sys }
 
-// Execute answers a structured query over one domain, fanning out to the
-// domain's member sources concurrently under ctx and the policy. Sources
-// that fail (or whose breaker is open) are reported in Result.Failures
-// while the healthy sources' consolidated tuples are returned.
+// Execute answers a structured query over one domain, fetching its member
+// sources concurrently under ctx and the policy. Sources that fail (or
+// whose breaker is open) are reported in Result.Failures while the healthy
+// sources' consolidated tuples are returned.
 func (e *Executor) Execute(ctx context.Context, domain int, q Query) (*Result, error) {
 	ex, err := e.executor(domain)
 	if err != nil {
@@ -169,11 +166,7 @@ func (e *Executor) executor(domain int) (*engine.DomainExecutor, error) {
 	if err != nil {
 		return nil, err
 	}
-	if e.pool != nil {
-		ex.SetPolicyFunc(e.policy, e.pool.Get)
-	} else {
-		ex.SetPolicy(e.policy)
-	}
+	ex.SetPolicy(e.policy, e.pool.Get)
 	e.perDomain[domain] = ex
 	return ex, nil
 }

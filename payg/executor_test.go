@@ -23,7 +23,7 @@ func executorFixture(t *testing.T, policy Policy) (*Executor, *engine.FlakeSourc
 	for i := 1; i < len(schemas); i++ {
 		fetchers[i] = Source{Schema: schemas[i]}
 	}
-	ex, err := sys.NewExecutor(fetchers, policy)
+	ex, err := sys.NewExecutor(fetchers, policy, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,11 +100,11 @@ func TestExecutorBreakerPersistsAcrossQueries(t *testing.T) {
 
 func TestExecutorValidation(t *testing.T) {
 	sys := build(t, Options{})
-	if _, err := sys.NewExecutor(make([]TupleSource, 2), DefaultPolicy()); err == nil {
+	if _, err := sys.NewExecutor(make([]TupleSource, 2), DefaultPolicy(), nil); err == nil {
 		t.Fatal("wrong fetcher count accepted")
 	}
 	fetchers := make([]TupleSource, len(demoSchemas()))
-	if _, err := sys.NewExecutor(fetchers, DefaultPolicy()); err == nil {
+	if _, err := sys.NewExecutor(fetchers, DefaultPolicy(), nil); err == nil {
 		t.Fatal("nil fetcher accepted")
 	}
 
@@ -113,7 +113,7 @@ func TestExecutorValidation(t *testing.T) {
 	for i, s := range demoSchemas() {
 		srcs[i] = Source{Schema: s}
 	}
-	if _, err := skip.NewExecutor(srcs, DefaultPolicy()); err == nil {
+	if _, err := skip.NewExecutor(srcs, DefaultPolicy(), nil); err == nil {
 		t.Fatal("SkipMediation system accepted")
 	}
 

@@ -230,7 +230,7 @@ func (m *Manager) bind(sys *System, sources []TupleSource, gen int) (*managedSta
 		if m.pool == nil {
 			m.pool = NewBreakerPool(m.opts.Policy)
 		}
-		exec, err := sys.NewExecutorShared(sources, m.opts.Policy, m.pool)
+		exec, err := sys.NewExecutor(sources, m.opts.Policy, m.pool)
 		if err != nil {
 			return nil, err
 		}
@@ -591,7 +591,7 @@ func (m *Manager) runRebuild(ctx context.Context, cancel context.CancelFunc, st 
 	next := &managedState{sys: newSys, gen: m.gen + 1}
 	if st.sources != nil {
 		sources := slices.Concat(st.sources, arrived)
-		exec, err := newSys.NewExecutorShared(sources, m.opts.Policy, m.pool)
+		exec, err := newSys.NewExecutor(sources, m.opts.Policy, m.pool)
 		if err != nil {
 			f.err = fmt.Errorf("payg: rebinding sources after rebuild: %w", err)
 			m.opts.Logf("payg: %v", f.err)
@@ -658,7 +658,7 @@ func (m *Manager) applyFeedback(fb Feedback, logWAL bool) (*FeedbackResult, erro
 	}
 	next := &managedState{sys: res.System, sources: st.sources, gen: m.gen + 1}
 	if st.sources != nil {
-		exec, err := res.System.NewExecutorShared(st.sources, m.opts.Policy, m.pool)
+		exec, err := res.System.NewExecutor(st.sources, m.opts.Policy, m.pool)
 		if err != nil {
 			return nil, fmt.Errorf("payg: rebinding sources: %w", err)
 		}
@@ -671,10 +671,10 @@ func (m *Manager) applyFeedback(fb Feedback, logWAL bool) (*FeedbackResult, erro
 	return res, nil
 }
 
-// BreakerStates reports every data source's circuit-breaker state, keyed
-// by source name — closed sources are healthy, open ones are being skipped
-// by the query path. Nil when the manager serves without data (no
-// executor, hence no breakers).
+// BreakerStates reports the circuit-breaker state of every data source but
+// the in-memory ones, keyed by source name — closed sources are healthy,
+// open ones are being skipped by the query path. Nil when the manager
+// serves without data (no executor, hence no breakers).
 func (m *Manager) BreakerStates() map[string]BreakerState {
 	if m.pool == nil {
 		return nil

@@ -42,8 +42,8 @@
 // traffic never blocks on it. ApplyFeedback swaps the same pointer, which
 // is why every swap bumps a generation: a rebuild whose base generation
 // went stale discards its result rather than clobber the edit, and the
-// journal survives for the next flight. Per-source circuit-breaker state
-// carries across swaps via a shared BreakerPool keyed by source name.
+// journal survives for the next flight. The circuit breakers of the sources
+// that can fail carry across swaps via a shared BreakerPool.
 //
 // Build phases, ingest/rebuild flow, breaker transitions, and query
 // outcomes are all instrumented on the internal/obs default registry,
@@ -557,21 +557,9 @@ func (s *System) MediatedAttributes(domain int) ([]string, error) {
 // Sources supplies the data: one Source per input schema, aligned with the
 // schema order passed to Build (schemas without data may use an empty
 // tuple list). Tuple probabilities combine mapping probability and domain
-// membership probability per Section 4.4 of the thesis.
+// membership probability per Section 4.4 of the thesis. Sources that can
+// fail are served by an Executor (NewExecutor).
 func (s *System) Execute(domain int, q Query, sources []Source) ([]ResultTuple, error) {
-	res, err := s.ExecuteContext(context.Background(), domain, q, sources)
-	if err != nil {
-		return nil, err
-	}
-	return res.Tuples, nil
-}
-
-// ExecuteContext is Execute with cancellation: the query's per-source
-// fan-out honors ctx, and the full Result — including the degraded-source
-// report — is returned. In-memory sources never fail, so the report is
-// empty here; resilient executors over remote sources come from
-// NewExecutor.
-func (s *System) ExecuteContext(ctx context.Context, domain int, q Query, sources []Source) (*Result, error) {
 	ex, err := s.domainExecutor(domain, func(mem int) (engine.TupleSource, error) {
 		if len(sources) != len(s.schemas) {
 			return nil, fmt.Errorf("payg: %d sources for %d schemas", len(sources), len(s.schemas))
@@ -589,7 +577,11 @@ func (s *System) ExecuteContext(ctx context.Context, domain int, q Query, source
 	if err != nil {
 		return nil, err
 	}
-	return ex.ExecuteContext(ctx, q)
+	res, err := ex.ExecuteContext(context.Background(), q)
+	if err != nil {
+		return nil, err
+	}
+	return res.Tuples, nil
 }
 
 // domainExecutor builds a per-domain engine executor, resolving each
