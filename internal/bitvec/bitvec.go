@@ -1,9 +1,9 @@
-// Package bitvec provides dense, fixed-length bit vectors with fast set
-// algebra (intersection/union cardinalities via popcount). Feature vectors in
-// this system are binary and high-dimensional (one bit per vocabulary term);
-// a schema's is kept as its set-bit list, and a dense vector is what a query
-// is embedded into, what Total Jaccard keeps per cluster (the AND and OR of
-// its members), and the scratch a set-bit list is gathered on.
+// Package bitvec provides dense, fixed-length bit vectors with in-place set
+// algebra and a popcount. Feature vectors in this system are binary and
+// high-dimensional (one bit per vocabulary term); a schema's is kept as its
+// set-bit list, and a dense vector is what a query is embedded into, what
+// Total Jaccard keeps per cluster (the AND and OR of its members), and the
+// scratch a set-bit list is gathered on.
 package bitvec
 
 import (
@@ -27,15 +27,6 @@ func New(n int) *Vector {
 		panic("bitvec: negative length")
 	}
 	return &Vector{n: n, words: make([]uint64, (n+wordBits-1)/wordBits)}
-}
-
-// FromIndices returns a vector of n bits with the given bit positions set.
-func FromIndices(n int, indices ...int) *Vector {
-	v := New(n)
-	for _, i := range indices {
-		v.Set(i)
-	}
-	return v
 }
 
 // Len returns the number of bits in the vector.
@@ -88,41 +79,6 @@ func (v *Vector) Clone() *Vector {
 	return c
 }
 
-// Equal reports whether v and u have the same length and the same bits.
-func (v *Vector) Equal(u *Vector) bool {
-	if v.n != u.n {
-		return false
-	}
-	for i, w := range v.words {
-		if w != u.words[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// AndCount returns |v ∩ u|, the number of positions set in both vectors.
-// It panics if the lengths differ.
-func (v *Vector) AndCount(u *Vector) int {
-	v.checkLen(u)
-	c := 0
-	for i, w := range v.words {
-		c += bits.OnesCount64(w & u.words[i])
-	}
-	return c
-}
-
-// OrCount returns |v ∪ u|, the number of positions set in either vector.
-// It panics if the lengths differ.
-func (v *Vector) OrCount(u *Vector) int {
-	v.checkLen(u)
-	c := 0
-	for i, w := range v.words {
-		c += bits.OnesCount64(w | u.words[i])
-	}
-	return c
-}
-
 // InPlaceAnd sets v to v ∩ u. It panics if the lengths differ.
 func (v *Vector) InPlaceAnd(u *Vector) {
 	v.checkLen(u)
@@ -151,14 +107,8 @@ func (v *Vector) checkLen(u *Vector) {
 	}
 }
 
-// Indices returns the positions of all set bits in increasing order.
-func (v *Vector) Indices() []int {
-	return v.IndicesAppend(make([]int, 0, v.Count()))
-}
-
 // IndicesAppend appends the positions of all set bits, in increasing order,
-// to dst and returns the extended slice. Passing a reused dst[:0] avoids the
-// per-call allocation of Indices on hot paths.
+// to dst and returns the extended slice.
 func (v *Vector) IndicesAppend(dst []int) []int {
 	for wi, w := range v.words {
 		for w != 0 {

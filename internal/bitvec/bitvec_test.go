@@ -2,6 +2,7 @@ package bitvec
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -72,28 +73,30 @@ func TestOutOfRangePanics(t *testing.T) {
 	}
 }
 
-func TestFromIndices(t *testing.T) {
-	v := FromIndices(100, 5, 50, 99)
-	want := []int{5, 50, 99}
-	got := v.Indices()
-	if len(got) != len(want) {
-		t.Fatalf("Indices = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Indices = %v, want %v", got, want)
+// and, or and not return a fresh vector holding a∩b, a∪b and the complement
+// of a, leaving their arguments as they were.
+func and(a, b *Vector) *Vector { c := a.Clone(); c.InPlaceAnd(b); return c }
+func or(a, b *Vector) *Vector  { c := a.Clone(); c.InPlaceOr(b); return c }
+func not(a *Vector) *Vector {
+	c := New(a.Len())
+	for i := range a.Len() {
+		if !a.Get(i) {
+			c.Set(i)
 		}
 	}
+	return c
 }
 
+// TestAndOrCounts counts an intersection and a union over vectors spanning
+// four words, the way the cluster oracles count a Jaccard coefficient.
 func TestAndOrCounts(t *testing.T) {
-	a := FromIndices(200, 1, 2, 3, 100, 150)
-	b := FromIndices(200, 2, 3, 4, 150, 199)
-	if got := a.AndCount(b); got != 3 {
-		t.Fatalf("AndCount = %d, want 3", got)
+	a := withBits(200, 1, 2, 3, 100, 150)
+	b := withBits(200, 2, 3, 4, 150, 199)
+	if got := and(a, b).Count(); got != 3 {
+		t.Fatalf("|a∩b| = %d, want 3", got)
 	}
-	if got := a.OrCount(b); got != 7 {
-		t.Fatalf("OrCount = %d, want 7", got)
+	if got := or(a, b).Count(); got != 7 {
+		t.Fatalf("|a∪b| = %d, want 7", got)
 	}
 }
 
@@ -101,38 +104,47 @@ func TestLengthMismatchPanics(t *testing.T) {
 	a, b := New(10), New(11)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("AndCount with mismatched lengths did not panic")
+			t.Fatal("InPlaceAnd with mismatched lengths did not panic")
 		}
 	}()
-	a.AndCount(b)
+	a.InPlaceAnd(b)
+}
+
+// withBits returns a vector of n bits with the given positions set.
+func withBits(n int, bits ...int) *Vector {
+	v := New(n)
+	for _, i := range bits {
+		v.Set(i)
+	}
+	return v
 }
 
 func TestInPlaceOps(t *testing.T) {
-	a := FromIndices(70, 1, 2, 3, 69)
-	b := FromIndices(70, 2, 3, 4)
+	a := withBits(70, 1, 2, 3, 69)
+	b := withBits(70, 2, 3, 4)
 	c := a.Clone()
 	c.InPlaceAnd(b)
-	if got := c.Indices(); len(got) != 2 || got[0] != 2 || got[1] != 3 {
+	if got := c.IndicesAppend(nil); !slices.Equal(got, []int{2, 3}) {
 		t.Fatalf("InPlaceAnd → %v, want [2 3]", got)
 	}
 	d := a.Clone()
 	d.InPlaceOr(b)
-	if d.Count() != 5 {
-		t.Fatalf("InPlaceOr count = %d, want 5", d.Count())
+	if got := d.IndicesAppend(nil); !slices.Equal(got, []int{1, 2, 3, 4, 69}) {
+		t.Fatalf("InPlaceOr → %v, want [1 2 3 4 69]", got)
 	}
 	// a must be unchanged by operations on its clones.
-	if !a.Equal(FromIndices(70, 1, 2, 3, 69)) {
-		t.Fatal("Clone ops mutated the original")
+	if got := a.IndicesAppend(nil); !slices.Equal(got, []int{1, 2, 3, 69}) {
+		t.Fatalf("Clone ops mutated the original: %v", got)
 	}
 }
 
 func TestCopyFrom(t *testing.T) {
-	a := FromIndices(70, 1, 69)
+	a := withBits(70, 1, 69)
 	b := New(70)
 	b.Set(5)
 	b.CopyFrom(a)
-	if !b.Equal(a) {
-		t.Fatal("CopyFrom did not copy")
+	if got := b.IndicesAppend(nil); !slices.Equal(got, []int{1, 69}) {
+		t.Fatalf("CopyFrom → %v, want [1 69]", got)
 	}
 	b.Set(10)
 	if a.Get(10) {
@@ -140,18 +152,8 @@ func TestCopyFrom(t *testing.T) {
 	}
 }
 
-func TestEqual(t *testing.T) {
-	a := FromIndices(64, 1)
-	if a.Equal(FromIndices(65, 1)) {
-		t.Fatal("vectors of different length reported equal")
-	}
-	if !a.Equal(FromIndices(64, 1)) {
-		t.Fatal("equal vectors reported unequal")
-	}
-}
-
 func TestString(t *testing.T) {
-	v := FromIndices(4, 0, 2)
+	v := withBits(4, 0, 2)
 	if got := v.String(); got != "1010" {
 		t.Fatalf("String = %q, want 1010", got)
 	}
@@ -172,7 +174,7 @@ func TestPropertyCountMatchesIndices(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		v := randomVec(1+rng.Intn(300), rng)
-		return v.Count() == len(v.Indices())
+		return v.Count() == len(v.IndicesAppend(nil))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -185,7 +187,7 @@ func TestPropertyInclusionExclusion(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(300)
 		a, b := randomVec(n, rng), randomVec(n, rng)
-		return a.Count()+b.Count() == a.AndCount(b)+a.OrCount(b)
+		return a.Count()+b.Count() == and(a, b).Count()+or(a, b).Count()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -193,16 +195,16 @@ func TestPropertyInclusionExclusion(t *testing.T) {
 }
 
 func TestPropertyDeMorganViaCounts(t *testing.T) {
-	// InPlace ops agree with the counting ops.
+	// ¬(a∪b) == ¬a∩¬b and ¬(a∩b) == ¬a∪¬b, bit for bit; and by count,
+	// n − |a∪b| == |¬a∩¬b|, so no operation sets a bit past the length.
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(300)
 		a, b := randomVec(n, rng), randomVec(n, rng)
-		and := a.Clone()
-		and.InPlaceAnd(b)
-		or := a.Clone()
-		or.InPlaceOr(b)
-		return and.Count() == a.AndCount(b) && or.Count() == a.OrCount(b)
+		nor, nand := and(not(a), not(b)), or(not(a), not(b))
+		return slices.Equal(not(or(a, b)).IndicesAppend(nil), nor.IndicesAppend(nil)) &&
+			slices.Equal(not(and(a, b)).IndicesAppend(nil), nand.IndicesAppend(nil)) &&
+			n-or(a, b).Count() == nor.Count() && n-and(a, b).Count() == nand.Count()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -215,7 +217,7 @@ func TestIndicesAppend32(t *testing.T) {
 		v.Set(i)
 	}
 	got := v.IndicesAppend32(nil)
-	want := v.Indices()
+	want := v.IndicesAppend(nil)
 	if len(got) != len(want) {
 		t.Fatalf("length %d, want %d", len(got), len(want))
 	}

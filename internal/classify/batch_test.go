@@ -91,9 +91,9 @@ func TestClassifyBatchEmpty(t *testing.T) {
 // TestConcurrentClassifyOnExtendedSpace hammers the online serving shape:
 // a classifier built over an Extend-produced space, read concurrently by
 // classification, query embedding, batch classification, and further
-// extensions from the same space. Run under -race this proves the
-// copy-on-write sharing and the matchesOfVocab memo are read-safe
-// post-construction.
+// extensions from the same space. Run under -race this proves that an
+// extension, which grows a copy of the space's schema set, and the
+// matchesOfVocab lists are read-safe post-construction.
 func TestConcurrentClassifyOnExtendedSpace(t *testing.T) {
 	set := append(travelBibSet(), schema.Set{
 		{Name: "car1", Attributes: []string{"make", "model", "mileage", "price"}},

@@ -340,7 +340,7 @@ func TestExactMatchesReference(t *testing.T) {
 	for _, q := range queries {
 		fqv := m.Space.QueryVector(q)
 		fq := make([]bool, m.Space.Dim())
-		for _, j := range fqv.Indices() {
+		for _, j := range fqv.IndicesAppend(nil) {
 			fq[j] = true
 		}
 		scores := c.Classify(q)
@@ -410,7 +410,7 @@ func TestPropertyExactMatchesReference(t *testing.T) {
 		q := []string{words[rng.Intn(len(words))], words[rng.Intn(len(words))]}
 		fqv := sp.QueryVector(q)
 		fq := make([]bool, sp.Dim())
-		for _, j := range fqv.Indices() {
+		for _, j := range fqv.IndicesAppend(nil) {
 			fq[j] = true
 		}
 		scores := c.Classify(q)

@@ -79,6 +79,21 @@ func vectorOf(sp *feature.Space, i int) *bitvec.Vector {
 	return v
 }
 
+// vectorJaccard is |andA ∩ andB| / |orA ∪ orB|, counted on copies, or 0 when
+// the union is empty: Total Jaccard of two clusters given each one's AND and
+// OR, and the Jaccard coefficient of two vectors passed twice each.
+func vectorJaccard(andA, andB, orA, orB *bitvec.Vector) float64 {
+	or := orA.Clone()
+	or.InPlaceOr(orB)
+	u := or.Count()
+	if u == 0 {
+		return 0
+	}
+	and := andA.Clone()
+	and.InPlaceAnd(andB)
+	return float64(and.Count()) / float64(u)
+}
+
 // oracleLinkage returns this round's c_sim over the live clusters.
 func oracleLinkage(sp *feature.Space, method Method, live []*oracleCluster) func(a, b int) float64 {
 	switch method {
@@ -100,13 +115,7 @@ func oracleLinkage(sp *feature.Space, method Method, live []*oracleCluster) func
 				or[r].InPlaceOr(vectorOf(sp, i))
 			}
 		}
-		return func(a, b int) float64 {
-			u := or[a].OrCount(or[b])
-			if u == 0 {
-				return 0
-			}
-			return float64(and[a].AndCount(and[b])) / float64(u)
-		}
+		return func(a, b int) float64 { return vectorJaccard(and[a], and[b], or[a], or[b]) }
 	default:
 		return func(a, b int) float64 { return fromScratch(sp, method, live[a].members, live[b].members) }
 	}

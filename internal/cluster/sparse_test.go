@@ -467,9 +467,7 @@ func TestPropertyFloorGraphIsTheDefinition(t *testing.T) {
 				for b := range n {
 					if mode == "binary" {
 						va, vb := vectorOf(sp, a), vectorOf(sp, b)
-						if u := va.OrCount(vb); u > 0 {
-							sim[a*n+b] = float64(va.AndCount(vb)) / float64(u)
-						}
+						sim[a*n+b] = vectorJaccard(va, vb, va, vb)
 					} else {
 						sim[a*n+b] = tfSim(a, b)
 					}

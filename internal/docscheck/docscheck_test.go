@@ -165,7 +165,7 @@ func TestConfigSurfaceRatchet(t *testing.T) {
 // non-test Go outside bench/ may shrink freely, but growing it means
 // editing this number on purpose (ROADMAP item 10).
 func TestProductionLinesRatchet(t *testing.T) {
-	const maxLines = 22446
+	const maxLines = 22112
 	sources, err := ProductionSources(repoRoot)
 	if err != nil {
 		t.Fatal(err)

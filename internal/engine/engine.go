@@ -29,6 +29,7 @@ import (
 	"sync"
 
 	"schemaflow/internal/mediate"
+	"schemaflow/internal/obs"
 	"schemaflow/internal/resilience"
 	"schemaflow/internal/schema"
 )
@@ -84,6 +85,10 @@ type DomainExecutor struct {
 	fetchers []TupleSource
 	// memberProb[i] is Pr(S_i ∈ D_r) for fetchers[i].
 	memberProb []float64
+	// attempts[i] is fetchers[i]'s schemaflow_source_fetch_attempts_total
+	// counter, resolved once here for every member a query fetches (nil for
+	// a member of probability 0, which none does).
+	attempts []*obs.Counter
 
 	policy   *resilience.Policy
 	breakers []*resilience.Breaker
@@ -121,7 +126,13 @@ func NewFetchExecutor(med *mediate.Mediated, fetchers []TupleSource, memberProb 
 	if len(memberProb) != len(fetchers) {
 		return nil, fmt.Errorf("engine: %d membership probabilities for %d sources", len(memberProb), len(fetchers))
 	}
-	return &DomainExecutor{med: med, fetchers: fetchers, memberProb: memberProb}, nil
+	attempts := make([]*obs.Counter, len(fetchers))
+	for i, f := range fetchers {
+		if memberProb[i] != 0 {
+			attempts[i] = mFetchAttempts.With(f.Name())
+		}
+	}
+	return &DomainExecutor{med: med, fetchers: fetchers, memberProb: memberProb, attempts: attempts}, nil
 }
 
 // SetPolicy installs a resilience policy on the fetch path of every source
@@ -366,7 +377,7 @@ func (ex *DomainExecutor) fetchAll(ctx context.Context) ([][]Tuple, []SourceFail
 			continue
 		}
 		if src, inMemory := f.(Source); inMemory {
-			mFetchAttempts.With(src.Name()).Inc()
+			ex.attempts[si].Inc()
 			fetched[si], errs[si] = ex.checked(si, src.Tuples, nil)
 			continue
 		}
@@ -404,7 +415,7 @@ func (ex *DomainExecutor) fetchOne(ctx context.Context, si int) ([]Tuple, error)
 	var tuples []Tuple
 	fetch := func(ctx context.Context) (err error) {
 		attempts++
-		mFetchAttempts.With(name).Inc()
+		ex.attempts[si].Inc()
 		if attempts > 1 {
 			mFetchRetries.With(name).Inc()
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"schemaflow/internal/obs"
 	"schemaflow/internal/resilience"
 )
 
@@ -224,5 +225,47 @@ func TestFlakeErrorRateIsReproducible(t *testing.T) {
 	}
 	if !sawErr || !sawOK {
 		t.Fatal("ErrRate 0.5 over 20 fetches should mix successes and failures")
+	}
+}
+
+// TestFetchAttemptsCountEveryAttempt: schemaflow_source_fetch_attempts_total
+// counts one attempt per query for an in-memory member, one per try for a
+// fetched member under retries, and nothing for a member of probability 0,
+// which has no series at all.
+func TestFetchAttemptsCountEveryAttempt(t *testing.T) {
+	p := resilience.Policy{MaxRetries: 2, BackoffBase: time.Microsecond}
+	med, sources := mediatedFixture(t)
+	flake := NewFlakeSource("air2-counted", sources[1].Tuples, 1)
+	flake.FailFirst = 2 // three attempts on the first query, one on the second
+	ex, err := NewFetchExecutor(med, []TupleSource{sources[0], flake}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex.SetPolicy(p, func(string) *resilience.Breaker { return p.NewBreaker() })
+	unfetched := NewFlakeSource("air2-unfetched", sources[1].Tuples, 1)
+	idle, err := NewFetchExecutor(med, []TupleSource{sources[0], unfetched}, []float64{1, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inMemory, fetched := mFetchAttempts.With("air1"), mFetchAttempts.With("air2-counted")
+	before, beforeFetched := inMemory.Value(), fetched.Value()
+	q := Query{Select: []string{med.Attrs[med.AttrIndex("departure")].Name}}
+	for _, e := range []*DomainExecutor{ex, ex, idle} {
+		if _, err := e.ExecuteContext(context.Background(), q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := inMemory.Value() - before; got != 3 {
+		t.Errorf("air1 (in memory, three queries) counted %d attempts, want 3", got)
+	}
+	if got := fetched.Value() - beforeFetched; got != 4 {
+		t.Errorf("air2-counted (two queries, two retries) counted %d attempts, want 4", got)
+	}
+	var exposition strings.Builder
+	if err := obs.Default().WritePrometheus(&exposition); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(exposition.String(), `source="air2-unfetched"`) {
+		t.Error("a member of probability 0 has a fetch-attempts series")
 	}
 }

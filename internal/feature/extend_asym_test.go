@@ -2,6 +2,7 @@ package feature
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 
@@ -9,8 +10,8 @@ import (
 )
 
 // prefixSim is deliberately asymmetric: sim(a, b) = 1 iff a is a prefix of
-// b. symmetricSim does not recognize it, so the matcher must verify every
-// candidate pair in both ordered directions.
+// b. symmetricSim does not recognize it, so crossMatches must scan the
+// reverse direction of every novel term on its own.
 type prefixSim struct{}
 
 func (prefixSim) Sim(a, b string) float64 {
@@ -41,43 +42,40 @@ func (lenBiasSim) Sim(a, b string) float64 {
 }
 func (lenBiasSim) Name() string { return "lenbias" }
 
-// checkMatchListEquivalence compares per-term match lists (by term name, so
-// vocabulary order differences don't matter) between an Extend-produced
-// space and a from-scratch reference — a stronger check than vector
-// equality, since a wrong match list can coincidentally produce the right
-// bits when the owning schemas overlap.
-func checkMatchListEquivalence(t *testing.T, ext, ref *Space) {
+// checkMatchListEquivalence compares per-term match lists between two spaces
+// over the same vocabulary, as sets of terms: a full scan lists a term's
+// matches ascending and the gram index in first-seen order. It is a stronger
+// check than vector equality, since a wrong match list can coincidentally
+// produce the right bits when the owning schemas overlap.
+func checkMatchListEquivalence(t *testing.T, got, want *Space) {
 	t.Helper()
-	for _, term := range ref.Vocab {
-		ej, ok := ext.VocabIndex[term]
+	for _, term := range want.Vocab {
+		gj, ok := got.VocabIndex[term]
 		if !ok {
-			t.Fatalf("term %q missing from extended vocabulary", term)
+			t.Fatalf("term %q missing from the vocabulary", term)
 		}
-		rj := ref.VocabIndex[term]
-		var em, rm []string
-		for _, j := range ext.matcher.matchesOfVocab(ej) {
-			em = append(em, ext.Vocab[j])
+		var gm, wm []string
+		for _, j := range got.matcher.matchesOfVocab(gj) {
+			gm = append(gm, got.Vocab[j])
 		}
-		for _, j := range ref.matcher.matchesOfVocab(rj) {
-			rm = append(rm, ref.Vocab[j])
+		for _, j := range want.matcher.matchesOfVocab(want.VocabIndex[term]) {
+			wm = append(wm, want.Vocab[j])
 		}
-		sort.Strings(em)
-		sort.Strings(rm)
-		if fmt.Sprint(em) != fmt.Sprint(rm) {
-			t.Fatalf("term %q: extended match list %v, rebuilt %v", term, em, rm)
+		sort.Strings(gm)
+		sort.Strings(wm)
+		if fmt.Sprint(gm) != fmt.Sprint(wm) {
+			t.Fatalf("term %q: match list %v, want %v", term, gm, wm)
 		}
 	}
 }
 
-// TestExtendAsymmetricSim pins the symmetry contract of the newcomer pair
-// scan in matchIndex.extended: with a user-supplied asymmetric similarity,
-// every ordered pair of appended terms must be verified in its own
-// direction — exactly as the cross-match loop does for new-vs-old pairs —
-// so that extension agrees with a from-scratch BuildLite.
+// TestExtendAsymmetricSim pins the symmetry contract on hand-picked terms
+// where prefix relations run one way only ("foob" is a prefix of "foobarbar"
+// but not vice versa): the grown space's match lists hold each term's matches
+// in its own direction (checkLexicon spells the similarity out), and Probe,
+// which cross-matches the newcomer's novel terms against the receiver's
+// vocabulary in both directions, reads the newcomer's row of that space.
 func TestExtendAsymmetricSim(t *testing.T) {
-	// Hand-picked terms where prefix relations run one way only: "foob" is
-	// a prefix of "foobarbar" but not vice versa, so the two directions of
-	// every pair differ.
 	base := schema.Set{
 		{Name: "a", Attributes: []string{"foo", "barbaz"}},
 		{Name: "b", Attributes: []string{"foobar", "qux"}},
@@ -86,15 +84,22 @@ func TestExtendAsymmetricSim(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Sim = prefixSim{}
 	sp := BuildLite(base, cfg)
-	ext, _ := sp.Extend(newcomer)
+	ext, n := sp.Extend(newcomer)
 	ref := BuildLite(append(base[:2:2], newcomer), cfg)
-	checkExtendEquivalence(t, ext, ref)
+	checkSameSpace(t, ext, ref)
 	checkMatchListEquivalence(t, ext, ref)
+
+	var buf, refBuf RowBuf
+	js, sims, novel := sp.Probe(newcomer, &buf)
+	wantJs, wantSims := ref.Row(n, -1, &refBuf)
+	if !slices.Equal(js, wantJs) || !slices.Equal(sims, wantSims) || novel != ref.Dim()-sp.Dim() {
+		t.Fatalf("Probe = %v %v, %d novel; the grown space's row %v %v, %d new terms", js, sims, novel, wantJs, wantSims, ref.Dim()-sp.Dim())
+	}
 }
 
-// TestExtendAsymmetricSimChained stresses the same contract over a larger
-// corpus with chained (overlay-of-overlay) extensions and two different
-// asymmetric similarities.
+// TestExtendAsymmetricSimChained holds a space grown by fifteen chained
+// Extends to BuildLite over the whole corpus, vectors and match lists alike,
+// under two different asymmetric similarities.
 func TestExtendAsymmetricSimChained(t *testing.T) {
 	sims := []struct {
 		name string
@@ -118,7 +123,7 @@ func TestExtendAsymmetricSimChained(t *testing.T) {
 					sp, _ = sp.Extend(sch)
 				}
 				ref := BuildLite(corpus, cfg)
-				checkExtendEquivalence(t, sp, ref)
+				checkSameSpace(t, sp, ref)
 				checkMatchListEquivalence(t, sp, ref)
 			})
 		}

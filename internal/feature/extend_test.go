@@ -3,12 +3,13 @@ package feature
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
-	"sort"
 	"testing"
 
 	"schemaflow/internal/schema"
 	"schemaflow/internal/strsim"
+	"schemaflow/internal/terms"
 )
 
 // extendCorpus generates a deterministic synthetic corpus with overlapping
@@ -47,81 +48,107 @@ func extendCorpus(n int, seed int64) schema.Set {
 	return set
 }
 
-// canonicalBits returns sp's set-bit lists re-expressed over sp's vocabulary
-// sorted ascending — the canonical order BuildLite uses — so the two spaces
-// can be compared bit for bit.
-func canonicalBits(sp *Space) (vocab []string, bits [][]int32) {
-	vocab = append([]string(nil), sp.Vocab...)
-	sort.Strings(vocab)
-	perm := make([]int, len(sp.Vocab)) // old index -> canonical index
-	pos := make(map[string]int, len(vocab))
-	for j, t := range vocab {
-		pos[t] = j
-	}
-	for j, t := range sp.Vocab {
-		perm[j] = pos[t]
-	}
-	bits = make([][]int32, sp.NumSchemas())
-	for i := range bits {
-		for _, j := range sp.Bits(i) {
-			bits[i] = append(bits[i], int32(perm[j]))
-		}
-		slices.Sort(bits[i])
-	}
-	return vocab, bits
-}
-
-// checkExtendEquivalence asserts that ext (built by chained Extend calls) is
-// equivalent to ref (a from-scratch BuildLite over the same schema set):
-// identical vocabulary set, bit-identical vectors once ext's appended
-// vocabulary order is put in canonical (sorted) order, exactly equal
+// checkSameSpace asserts that got and want embed the same schemas alike:
+// the same vocabulary in the same order, the same bit lists, exactly equal
 // pairwise similarities, and spelling tables that hold the same spellings
 // and both meet their definition.
-func checkExtendEquivalence(t *testing.T, ext, ref *Space) {
+func checkSameSpace(t *testing.T, got, want *Space) {
 	t.Helper()
-	checkLexicon(t, ext)
-	checkLexicon(t, ref)
-	if len(ext.lex.spellings) != len(ref.lex.spellings) {
-		t.Fatalf("spellings: ext %d, ref %d", len(ext.lex.spellings), len(ref.lex.spellings))
+	checkLexicon(t, got)
+	checkLexicon(t, want)
+	if len(got.lex.spellings) != len(want.lex.spellings) {
+		t.Fatalf("spellings: got %d, want %d", len(got.lex.spellings), len(want.lex.spellings))
 	}
-	for a := range ref.lex.spellings {
-		if _, _, ok := ext.Lexicon().Lookup(a); !ok {
-			t.Fatalf("spelling %q missing from the extended lexicon", a)
+	for a := range want.lex.spellings {
+		if _, _, ok := got.Lexicon().Lookup(a); !ok {
+			t.Fatalf("spelling %q missing", a)
 		}
 	}
-	if ext.NumSchemas() != ref.NumSchemas() {
-		t.Fatalf("schema count: ext %d, ref %d", ext.NumSchemas(), ref.NumSchemas())
+	if got.NumSchemas() != want.NumSchemas() {
+		t.Fatalf("schema count: got %d, want %d", got.NumSchemas(), want.NumSchemas())
 	}
-	if ext.Dim() != ref.Dim() {
-		t.Fatalf("dimensionality: ext %d, ref %d", ext.Dim(), ref.Dim())
+	if !slices.Equal(got.Vocab, want.Vocab) {
+		t.Fatalf("vocabulary: got %q, want %q", got.Vocab, want.Vocab)
 	}
-	extVocab, extBits := canonicalBits(ext)
-	for j, term := range ref.Vocab {
-		if extVocab[j] != term {
-			t.Fatalf("vocab[%d]: ext %q, ref %q", j, extVocab[j], term)
+	for i := range want.NumSchemas() {
+		if !slices.Equal(got.Bits(i), want.Bits(i)) {
+			t.Fatalf("schema %d: bits %v, want %v", i, got.Bits(i), want.Bits(i))
 		}
 	}
-	for i := range ref.NumSchemas() {
-		if !slices.Equal(extBits[i], ref.Bits(i)) {
-			t.Fatalf("schema %d: canonicalized extended bits differ from rebuilt bits\next: %v\nref: %v",
-				i, extBits[i], ref.Bits(i))
-		}
-	}
-	for i := 0; i < ref.NumSchemas(); i++ {
-		for j := i + 1; j < ref.NumSchemas(); j++ {
-			if got, want := ext.Similarity(i, j), ref.Similarity(i, j); got != want {
-				t.Fatalf("similarity(%d,%d): ext %v, ref %v", i, j, got, want)
+	for i := 0; i < want.NumSchemas(); i++ {
+		for j := i + 1; j < want.NumSchemas(); j++ {
+			if g, w := got.Similarity(i, j), want.Similarity(i, j); g != w {
+				t.Fatalf("similarity(%d,%d): got %v, want %v", i, j, g, w)
 			}
 		}
 	}
 }
 
-// TestExtendEquivalence is the tentpole's contract: a space grown one schema
-// at a time by Extend is indistinguishable from a from-scratch BuildLite
-// over the extended set — same vocabulary, bit-identical vectors (after
-// putting the appended vocabulary entries in canonical sorted order), and
-// exactly equal similarities — across every similarity function, including
-// the full-scan fallback and repeated (overlay-of-overlay) extension.
+// checkFields asserts that got holds what want holds, field for field. The
+// match index's lookup strategy is compared by kind, since the gram index
+// keeps a scratch pool.
+func checkFields(t *testing.T, label string, got, want *Space) {
+	t.Helper()
+	for _, f := range []struct {
+		name      string
+		got, want any
+	}{
+		{"configuration", got.cfg, want.cfg},
+		{"schemas", got.set, want.set},
+		{"vocabulary", got.Vocab, want.Vocab},
+		{"vocabulary index", got.VocabIndex, want.VocabIndex},
+		{"term sets", got.TermIDs, want.TermIDs},
+		{"term→schema index", got.termSchemas, want.termSchemas},
+		{"bit lists", got.bits, want.bits},
+		{"bit→schema postings", got.postings, want.postings},
+		{"match index vocabulary", got.matcher.vocab, want.matcher.vocab},
+		{"match threshold", got.matcher.threshold, want.matcher.threshold},
+		{"match minimum length", got.matcher.minLen, want.matcher.minLen},
+		{"match lists", got.matcher.vocabMatches, want.matcher.vocabMatches},
+		{"match strategy", fmt.Sprintf("%T", got.matcher.strategy), fmt.Sprintf("%T", want.matcher.strategy)},
+		{"spelling table", *got.lex, *want.lex},
+	} {
+		if !reflect.DeepEqual(f.got, f.want) {
+			t.Fatalf("%s: %s differ:\n got %v\nwant %v", label, f.name, f.got, f.want)
+		}
+	}
+}
+
+// TestExtendIsBuildLiteOfTheGrownSet holds Extend to its definition: applied
+// twice in a row, it returns, field for field, what BuildLite builds over the
+// receiver's schemas followed by the two arrivals, and each arrival's index.
+// It runs under the default gram index and under literal-zero MinLength and
+// τ_t_sim, which reach the second build only as the first one resolved them:
+// normalized again, they would read as the defaults 3 and 0.8, and the
+// arrivals' two-letter terms would drop out. The receiver's schema set has
+// room to append into, and a second arrival extends the same receiver, so
+// an Extend growing the set in place shows in the first product's schemas.
+func TestExtendIsBuildLiteOfTheGrownSet(t *testing.T) {
+	corpus := extendCorpus(21, 5)
+	short := schema.Schema{Name: "short", Attributes: []string{"mm dd yy", "price"}}
+	for name, cfg := range map[string]Config{
+		"default":      DefaultConfig(),
+		"literal-zero": {TermOpts: terms.Options{MinLength: -1}, Tau: -1},
+	} {
+		sp := BuildLite(slices.Grow(slices.Clone(corpus[:20]), 4), cfg)
+		ext, first := sp.Extend(corpus[20])
+		other, _ := sp.Extend(short)
+		ext, second := ext.Extend(short)
+		if first != 20 || second != 21 {
+			t.Fatalf("%s: arrivals at %d and %d, want 20 and 21", name, first, second)
+		}
+		checkFields(t, name, ext, BuildLite(append(corpus[:21:21], short), cfg))
+		checkFields(t, name+", second arrival on the receiver", other, BuildLite(append(corpus[:20:20], short), cfg))
+		if _, ok := ext.VocabIndex["mm"]; ok != (name == "literal-zero") {
+			t.Fatalf("%s: two-letter term kept = %v", name, ok)
+		}
+	}
+}
+
+// TestExtendEquivalence: a space grown one schema at a time by Extend is a
+// from-scratch BuildLite over the grown set — same vocabulary, the same bits
+// and exactly equal similarities — across every similarity function,
+// including the full-scan fallback and the asymmetric ones.
 func TestExtendEquivalence(t *testing.T) {
 	corpus := extendCorpus(40, 7)
 	cases := []struct {
@@ -132,9 +159,8 @@ func TestExtendEquivalence(t *testing.T) {
 		{"stem", func() Config { c := DefaultConfig(); c.Sim = strsim.StemSim{}; return c }()},
 		{"exact", func() Config { c := DefaultConfig(); c.Sim = strsim.ExactSim{}; return c }()},
 		{"lcsubsequence-fullscan", func() Config { c := DefaultConfig(); c.Sim = strsim.LCSeqSim{}; return c }()},
-		// Deliberately asymmetric user similarities: the matcher must verify
-		// both ordered directions of every pair (see extend_asym_test.go for
-		// the focused match-list checks).
+		// Deliberately asymmetric user similarities: a match list holds the
+		// terms its owner matches in that direction (see extend_asym_test.go).
 		{"asymmetric-prefix", func() Config { c := DefaultConfig(); c.Sim = prefixSim{}; return c }()},
 		{"asymmetric-lenbias", func() Config { c := DefaultConfig(); c.Sim = lenBiasSim{}; c.Tau = 0.6; return c }()},
 	}
@@ -149,7 +175,7 @@ func TestExtendEquivalence(t *testing.T) {
 					t.Fatalf("Extend returned index %d, want %d", idx, sp.NumSchemas()-1)
 				}
 			}
-			checkExtendEquivalence(t, sp, BuildLite(corpus, tc.cfg))
+			checkSameSpace(t, sp, BuildLite(corpus, tc.cfg))
 		})
 	}
 }
@@ -165,7 +191,7 @@ func TestExtendFromFullSpace(t *testing.T) {
 		t.Fatalf("index %d, want 29", idx)
 	}
 	ref := BuildLite(corpus, DefaultConfig())
-	checkExtendEquivalence(t, ext, ref)
+	checkSameSpace(t, ext, ref)
 
 	for _, q := range [][]string{
 		{"title", "author"},
@@ -173,25 +199,15 @@ func TestExtendFromFullSpace(t *testing.T) {
 		{"room", "rate", "guests", "check"},
 		{"mileage"},
 	} {
-		ev, rv := ext.QueryVector(q), ref.QueryVector(q)
-		var eterms, rterms []string
-		for _, j := range ev.Indices() {
-			eterms = append(eterms, ext.Vocab[j])
-		}
-		for _, j := range rv.Indices() {
-			rterms = append(rterms, ref.Vocab[j])
-		}
-		sort.Strings(eterms)
-		sort.Strings(rterms)
-		if fmt.Sprint(eterms) != fmt.Sprint(rterms) {
-			t.Fatalf("query %v: extended space embeds %v, rebuilt %v", q, eterms, rterms)
+		if got, want := ext.QueryVector(q).IndicesAppend(nil), ref.QueryVector(q).IndicesAppend(nil); !slices.Equal(got, want) {
+			t.Fatalf("query %v: extended space embeds %v, rebuilt %v", q, got, want)
 		}
 	}
 }
 
-// TestExtendCopyOnWrite pins the isolation contract: extending a space must
-// leave the original untouched — same dimensionality, vocabulary length,
-// bit lists, and similarities as before the call.
+// TestExtendCopyOnWrite: extending a space builds a new one and leaves the
+// receiver as it was — its schemas, dimensionality, spelling table, bit
+// lists and similarities — so a reader of the serving space is unaffected.
 func TestExtendCopyOnWrite(t *testing.T) {
 	corpus := extendCorpus(20, 3)
 	sp := BuildLite(corpus[:19], DefaultConfig())
@@ -212,29 +228,23 @@ func TestExtendCopyOnWrite(t *testing.T) {
 			fresh = append(fresh, a)
 		}
 	}
-	if len(fresh) == 0 {
-		t.Fatal("the newcomer brings no new spelling: the lexicon's copy-on-write is not exercised")
-	}
 
 	ext, _ := sp.Extend(corpus[19])
 	if ext.Dim() < dim {
 		t.Fatalf("extended dim %d below original %d", ext.Dim(), dim)
 	}
-	if sp.Dim() != dim || len(sp.Vocab) != dim || sp.NumSchemas() != 19 {
-		t.Fatal("Extend mutated the original space's shape")
+	if sp.Dim() != dim || len(sp.Vocab) != dim || sp.NumSchemas() != 19 || len(sp.set) != 19 {
+		t.Fatal("Extend changed the original space's shape")
 	}
 	for _, a := range fresh {
 		if _, _, ok := sp.Lexicon().Lookup(a); ok {
 			t.Fatalf("Extend wrote the newcomer's spelling %q into the original lexicon", a)
 		}
-		if _, _, ok := ext.Lexicon().Lookup(a); !ok {
-			t.Fatalf("extended lexicon lacks the newcomer's spelling %q", a)
-		}
 	}
 	checkLexicon(t, sp)
 	for i, b := range bits {
 		if !slices.Equal(sp.Bits(i), b) {
-			t.Fatalf("Extend mutated original bit list %d", i)
+			t.Fatalf("Extend changed original bit list %d", i)
 		}
 	}
 	k := 0
@@ -248,8 +258,9 @@ func TestExtendCopyOnWrite(t *testing.T) {
 	}
 }
 
-// TestExtendNoNewTerms covers the fast path: a newcomer whose terms are all
-// already in the vocabulary shares every existing bit list and the matcher.
+// TestExtendNoNewTerms: an arrival whose attributes bring no term the space
+// lacks keeps the dimensionality, lands at the next schema index and still
+// reads as BuildLite over the grown set.
 func TestExtendNoNewTerms(t *testing.T) {
 	set := schema.Set{
 		{Name: "a", Attributes: []string{"title", "author", "year"}},
@@ -264,5 +275,5 @@ func TestExtendNoNewTerms(t *testing.T) {
 	if idx != 2 || ext.NumSchemas() != 3 {
 		t.Fatalf("idx %d, n %d", idx, ext.NumSchemas())
 	}
-	checkExtendEquivalence(t, ext, BuildLite(append(set[:2:2], newcomer), DefaultConfig()))
+	checkSameSpace(t, ext, BuildLite(append(set[:2:2], newcomer), DefaultConfig()))
 }

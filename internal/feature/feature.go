@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sort"
 
 	"schemaflow/internal/bitvec"
 	"schemaflow/internal/par"
@@ -62,10 +61,12 @@ func (c Config) normalized() Config {
 
 // Space is the constructed vector space: the vocabulary L and one binary
 // feature vector per input schema, held as the ascending list of its set bits
-// beside the bit→schema postings. A Space is immutable after BuildLite, so
-// reads are safe for concurrent use.
+// beside the bit→schema postings. It keeps the schema set it was built over,
+// which Extend grows. A Space is immutable after BuildLite, so reads are safe
+// for concurrent use.
 type Space struct {
 	cfg Config
+	set schema.Set
 
 	// Vocab is L: the sorted list of all distinct canonical terms across
 	// all input schemas.
@@ -78,15 +79,14 @@ type Space struct {
 	TermIDs [][]int32
 
 	// termSchemas[j] lists, ascending, the schemas whose term set contains
-	// vocabulary term j — the inverted term→schema index Extend and Probe
-	// use to find only the schemas a new vocabulary term actually affects.
+	// vocabulary term j — the inverted term→schema index Probe uses to find
+	// only the schemas an arrival's novel term gives a new bit.
 	termSchemas [][]int32
 	// bits[i] lists, ascending, the set bits of F^i, the binary feature
 	// vector of schema i (its length is the popcount), and postings[b] lists,
 	// ascending, the schemas whose vector sets bit b: the bit→schema index
 	// Row and Probe walk. A schema's bits are the union of its terms' match
 	// lists, so they are exact under an asymmetric term similarity too.
-	// BuildLite builds them; Extend carries them over copy-on-write.
 	bits     [][]int32
 	postings [][]int32
 
@@ -112,8 +112,15 @@ func BuildContext(ctx context.Context, set schema.Set, cfg Config) (*Space, erro
 // Similarity computes one pair on demand and Row lists the positive
 // similarities of one schema off the inverted bit→schema index.
 func BuildLite(set schema.Set, cfg Config) *Space {
-	cfg = cfg.normalized()
-	sp := &Space{cfg: cfg}
+	return build(set, cfg.normalized())
+}
+
+// build is BuildLite with cfg already normalized. Extend calls it with the
+// configuration its receiver stored: normalizing twice is not the identity
+// for the literal-zero escape hatches (a MinLength or Tau of -1 becomes 0,
+// which a second pass reads as the default).
+func build(set schema.Set, cfg Config) *Space {
+	sp := &Space{cfg: cfg, set: set}
 
 	// Term splitting, the per-term match lists (inside newMatchIndex), the
 	// term sets and the bit lists are independent per spelling, term or
@@ -205,131 +212,12 @@ func transpose(lists [][]int32, dim int) [][]int32 {
 	return inv
 }
 
-// Extend embeds one additional schema into the space incrementally and
-// returns the extended space plus the new schema's index. The receiver is
-// never mutated (copy-on-write): unchanged vocabulary entries, term sets,
-// match lists, and bit lists are shared between the two spaces, so an
-// in-flight reader of the old space is unaffected.
-//
-// Instead of re-running Algorithm 1 over all n+1 schemas, Extend
-//
-//   - extracts only the newcomer's terms and appends the novel ones to the
-//     vocabulary (after the existing entries — order is NOT re-sorted, see
-//     below);
-//   - probes the existing candidate index for cross-matches in both
-//     directions and layers the new terms onto it (no index rebuild);
-//   - sets the new vocabulary bits on only the affected existing schemas,
-//     found via the inverted term→schema index: F_i[j_new] = 1 iff T_i
-//     intersects the old-vocabulary match list of the new term;
-//   - embeds the newcomer's bits from the (extended) memoized match lists;
-//   - carries the set-bit lists and the bit→schema postings over
-//     copy-on-write: the receiver's lists shared, a schema's new bits
-//     appended to a copy of its list (they are ≥ the old dim, so it stays
-//     ascending), one posting list opened per new bit, the newcomer appended
-//     to a copy of each list whose bit it sets;
-//   - carries the spelling table (Lexicon) over the same way: the receiver's
-//     rows shared, one row appended per spelling the newcomer brings, over
-//     the extended vocabulary and match lists.
-//
-// Per-arrival cost is O(new terms × candidates + affected schemas + dim)
-// rather than BuildLite's O(n × total terms).
-//
-// Because novel terms are appended, vocabulary order — and therefore bit
-// positions — can differ from a from-scratch BuildLite over the extended
-// set; the embedding is identical up to that permutation (same vocabulary
-// set, same term↔schema incidence, the same bits after renumbering, and
-// exactly equal pairwise similarities — Jaccard is permutation invariant).
+// Extend returns the space Algorithm 1 builds over the receiver's schemas
+// followed by s, and s's index in it: BuildLite over the grown set, with the
+// receiver's configuration. The receiver is not changed.
 func (sp *Space) Extend(s schema.Schema) (*Space, int) {
-	newIdx := len(sp.TermIDs)
-	ts := terms.Extract(s.Attributes, sp.cfg.TermOpts)
-	var newTerms []string
-	for t := range ts {
-		if _, ok := sp.VocabIndex[t]; !ok {
-			newTerms = append(newTerms, t)
-		}
-	}
-	sort.Strings(newTerms)
-	oldDim := len(sp.Vocab)
-	newDim := oldDim + len(newTerms)
-
-	ns := &Space{cfg: sp.cfg}
-
-	var rev [][]int32
-	if len(newTerms) == 0 {
-		// Vocabulary unchanged: every shared structure can be reused as is.
-		ns.Vocab = sp.Vocab
-		ns.VocabIndex = sp.VocabIndex
-		ns.matcher = sp.matcher
-	} else {
-		vocab := make([]string, newDim)
-		copy(vocab, sp.Vocab)
-		copy(vocab[oldDim:], newTerms)
-		ns.Vocab = vocab
-		vi := make(map[string]int, newDim)
-		for j, t := range vocab {
-			vi[t] = j
-		}
-		ns.VocabIndex = vi
-		ns.matcher, rev = sp.matcher.extended(vocab, newTerms)
-	}
-	ns.lex = sp.lex.extended(s, ns)
-	ids := make([]int32, 0, len(ts))
-	for t := range ts {
-		ids = append(ids, int32(ns.VocabIndex[t]))
-	}
-	slices.Sort(ids)
-	ns.TermIDs = append(sp.TermIDs[:newIdx:newIdx], ids)
-
-	// Inverted index: the newcomer joins the schema list of each of its
-	// terms (copy-on-write), and novel terms open singleton lists.
-	termSchemas := make([][]int32, newDim)
-	copy(termSchemas, sp.termSchemas)
-	for _, j := range ids {
-		old := termSchemas[j]
-		list := make([]int32, 0, len(old)+1)
-		list = append(list, old...)
-		termSchemas[j] = append(list, int32(newIdx))
-	}
-	ns.termSchemas = termSchemas
-
-	// New vocabulary bits land only on the schemas that contain a term
-	// matching a new term — everyone else shares their old list. A schema's
-	// gained bits arrive ascending, a bit repeated once per term of the
-	// schema it matches.
-	newBits := make(map[int32][]int32)
-	for i, js := range rev {
-		bit := int32(oldDim + i)
-		for _, j := range js {
-			for _, owner := range sp.termSchemas[j] {
-				newBits[owner] = append(newBits[owner], bit)
-			}
-		}
-	}
-	postings := make([][]int32, newDim)
-	copy(postings, sp.postings)
-	bitLists := make([][]int32, newIdx+1)
-	copy(bitLists, sp.bits)
-	owners := make([]int32, 0, len(newBits))
-	for owner := range newBits {
-		owners = append(owners, owner)
-	}
-	slices.Sort(owners) // a new bit's postings list its owners ascending
-	for _, owner := range owners {
-		gained := slices.Compact(newBits[owner])
-		// Full slice expression: the append copies a list shared with sp.
-		own := bitLists[owner]
-		bitLists[owner] = append(own[:len(own):len(own)], gained...)
-		for _, b := range gained {
-			postings[b] = append(postings[b], owner)
-		}
-	}
-	bitLists[newIdx] = ns.unionOfMatches(ids, bitvec.New(newDim), nil)
-	for _, b := range bitLists[newIdx] {
-		old := postings[b]
-		postings[b] = append(old[:len(old):len(old)], int32(newIdx))
-	}
-	ns.bits, ns.postings = bitLists, postings
-	return ns, newIdx
+	n := len(sp.set)
+	return build(append(sp.set[:n:n], s), sp.cfg), n
 }
 
 // Bits returns, ascending, the set bits of F^i, schema i's binary feature
@@ -428,21 +316,22 @@ func (sp *Space) Row(i, from int, buf *RowBuf) ([]int32, []float64) {
 	return out, sims
 }
 
-// Probe returns what ext.Row(newIdx, -1, buf) returns for ext, newIdx :=
-// sp.Extend(s) — every schema sharing a set bit with the arrival s,
-// ascending, beside its similarity to s — and the number of novel terms
-// Extend would append, without building ext. The arrival's bits on the old
+// Probe returns what ext.Row(n, -1, buf) returns for ext, n := sp.Extend(s)
+// — every schema sharing a set bit with the arrival s, ascending, beside its
+// similarity to s — and the number of novel terms s brings, the dimensions
+// ext adds, without building ext. The arrival's bits on the known
 // vocabulary are the match lists of its known terms and the forward matches
 // of its novel terms; each novel term is one of its own terms, so it sets
 // every new bit. A schema gains new bit u exactly when it holds a term on u's
 // reverse match list (found through the term→schema index), and then shares
-// u with the arrival. So schema j shares the old bits counted off the
+// u with the arrival. So schema j shares the known bits counted off the
 // bit→schema postings, as Row counts them, plus gain_j, the distinct new bits
 // it gains; its popcount grows by gain_j; and the similarity
 // inter/(|F^s| + |F^j| + gain_j − inter) divides the integers ext's Row
-// divides, so it is the same float64. The returned
-// slices belong to buf and hold until its next use. Probe is safe for
-// concurrent use with distinct bufs.
+// divides (a Jaccard count does not depend on where ext's sorted vocabulary
+// puts the new bits), so it is the same float64. The returned slices belong
+// to buf and hold until its next use. Probe is safe for concurrent use with
+// distinct bufs.
 func (sp *Space) Probe(s schema.Schema, buf *RowBuf) ([]int32, []float64, int) {
 	n := len(sp.TermIDs)
 	buf.shared, buf.gain, buf.mark = grown(buf.shared, n), grown(buf.gain, n), grown(buf.mark, (n+63)>>6)

@@ -59,8 +59,8 @@ func TestOwnTermsAlwaysSet(t *testing.T) {
 
 // TestTermIDsAreTheTermSets: TermIDs[i] is T_i — the distinct terms
 // terms.Extract finds in schema i — as ascending vocabulary ids, on a built
-// space and on an Extend product, whose appended ids are out of term order;
-// and termSchemas is its inverse.
+// space and on an Extend product whose arrival brings new terms; and
+// termSchemas is its inverse.
 func TestTermIDsAreTheTermSets(t *testing.T) {
 	set := dataset.Large(dataset.LargeConfig{N: 300, Domains: 6, Seed: 2})
 	check := func(label string, sp *Space, set schema.Set) {
@@ -100,8 +100,8 @@ func TestTermIDsAreTheTermSets(t *testing.T) {
 // — and the postings are their transpose, on a BuildLite space, under the
 // asymmetric prefixSim and lenBiasSim, and along Extend chains whose arrivals
 // give existing schemas new bits. Every space of a chain is checked once the
-// chain is done, and one space is extended twice, so an Extend writing into a
-// list it shares with its receiver fails too.
+// chain is done, and one space is extended twice, so an Extend writing into
+// its receiver fails too.
 func TestSpaceBitsAreTheUnionOfMatchLists(t *testing.T) {
 	check := func(label string, sp *Space) {
 		t.Helper()

@@ -1,7 +1,6 @@
 package feature
 
 import (
-	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -73,44 +72,18 @@ func canonicalName(name string) string {
 	return strings.Join(strings.Fields(strings.ToLower(name)), " ")
 }
 
-// withCanonical appends one row per canonical form in fresh to a table
-// whose rows so far have ids over the ascending forms names, and returns the
-// forms and every row's id. A form names lacks renumbers every id, into new
-// slices; otherwise names is shared and ids appended to copy-on-write.
-func withCanonical(names []string, ids []int32, fresh []string) ([]string, []int32) {
-	var added []string
-	for _, c := range fresh {
-		if _, ok := slices.BinarySearch(names, c); !ok {
-			added = append(added, c)
-		}
-	}
-	out := ids[:len(ids):len(ids)] // the first append copies
-	if len(added) > 0 {
-		slices.Sort(added)
-		added = slices.Compact(added)
-		merged := make([]string, 0, len(names)+len(added))
-		renumbered := make([]int32, len(names))
-		for i, j := 0, 0; i < len(names) || j < len(added); {
-			if j == len(added) || (i < len(names) && names[i] < added[j]) {
-				renumbered[i] = int32(len(merged))
-				merged = append(merged, names[i])
-				i++
-			} else {
-				merged = append(merged, added[j])
-				j++
-			}
-		}
-		names = merged
-		out = make([]int32, len(ids), len(ids)+len(fresh))
-		for k, c := range ids {
-			out[k] = renumbered[c]
-		}
-	}
-	for _, c := range fresh {
+// canonicalIDs numbers the distinct canonical forms in forms in ascending
+// order and returns them with the id of every entry of forms.
+func canonicalIDs(forms []string) ([]string, []int32) {
+	names := slices.Clone(forms)
+	slices.Sort(names)
+	names = slices.Compact(names)
+	ids := make([]int32, len(forms))
+	for k, c := range forms {
 		id, _ := slices.BinarySearch(names, c)
-		out = append(out, int32(id))
+		ids[k] = int32(id)
 	}
-	return names, out
+	return names, ids
 }
 
 // Term returns the vocabulary term with id j.
@@ -168,7 +141,7 @@ func (sp *Space) vocabulary(set schema.Set) {
 	par.Each(len(lists), func(k int) {
 		ids[k] = termIDs(lists[k], sp.VocabIndex)
 	})
-	canonNames, canon := withCanonical(nil, nil, canons)
+	canonNames, canon := canonicalIDs(canons)
 	sp.lex = &Lexicon{vocab: sp.Vocab, sim: sp.cfg.Sim, matches: sp.matcher.vocabMatches, spellings: spellings, ids: ids, canon: canon, canonNames: canonNames}
 }
 
@@ -181,34 +154,4 @@ func termIDs(sorted []string, index map[string]int) []int32 {
 		}
 	}
 	return ids
-}
-
-// extended returns the spelling table of ns, the product of Extend adding
-// schema s to the lexicon's space: the receiver's rows shared, a row appended
-// for each of s's new spellings (copy-on-write), over ns's vocabulary and
-// match lists. Canonical ids are renumbered only when s brings a new
-// canonical form.
-func (lx *Lexicon) extended(s schema.Schema, ns *Space) *Lexicon {
-	out := &Lexicon{vocab: ns.Vocab, sim: lx.sim, matches: ns.matcher.vocabMatches, spellings: lx.spellings, ids: lx.ids, canon: lx.canon, canonNames: lx.canonNames}
-	var fresh []string // canonical forms of the new spellings, in row order
-	copied := false
-	for _, a := range s.Attributes {
-		if _, ok := out.spellings[a]; ok {
-			continue
-		}
-		if !copied {
-			out.spellings = maps.Clone(lx.spellings)
-			out.ids = lx.ids[:len(lx.ids):len(lx.ids)] // the first append copies
-			copied = true
-		}
-		l := terms.FromAttribute(a, ns.cfg.TermOpts)
-		sort.Strings(l)
-		out.spellings[a] = int32(len(out.ids))
-		out.ids = append(out.ids, termIDs(l, ns.VocabIndex))
-		fresh = append(fresh, canonicalName(a))
-	}
-	if copied {
-		out.canonNames, out.canon = withCanonical(lx.canonNames, lx.canon, fresh)
-	}
-	return out
 }

@@ -91,7 +91,8 @@ func (t threshold) similar(a, b string) bool {
 }
 
 // symmetricSim reports whether the similarity function is known to satisfy
-// sim(a,b) == sim(b,a), letting extension verify each candidate pair once.
+// sim(a,b) == sim(b,a), letting crossMatches read one lookup as both
+// directions.
 // Unknown (user-supplied) similarities are conservatively treated as
 // asymmetric and verified in both directions.
 func symmetricSim(s strsim.TermSim) bool {
@@ -100,81 +101,6 @@ func symmetricSim(s strsim.TermSim) bool {
 		return true
 	}
 	return false
-}
-
-// extended returns a new matchIndex over newVocab = m.vocab ++ newTerms
-// (the appended terms occupy indices len(m.vocab)...), without rebuilding
-// the base index: the new terms are probed against the existing
-// index for cross-matches and layered on top of it (overlayStrategy). The
-// receiver is never mutated; shared structures are copied on write.
-//
-// The second return value rev holds, per new term, the OLD vocabulary
-// indices j with sim(vocab[j], newTerm) ≥ τ — i.e. the old-vocab match list
-// of each new term, which is exactly the set of columns whose owning
-// schemas gain the new bit (F_i[j_new] = 1 iff T_i intersects rev).
-func (m *matchIndex) extended(newVocab []string, newTerms []string) (*matchIndex, [][]int32) {
-	oldDim := len(m.vocab)
-	nm := &matchIndex{
-		vocab:        newVocab,
-		threshold:    m.threshold,
-		minLen:       m.minLen,
-		vocabMatches: make([][]int32, len(newVocab)),
-	}
-	copy(nm.vocabMatches, m.vocabMatches)
-
-	sym := symmetricSim(m.sim)
-	fwd, rev := m.crossMatches(newTerms)
-
-	// Match lists of the appended terms: the forward cross-matches, the
-	// term itself, and any matching fellow newcomers (new terms arrive one
-	// schema at a time, so this pair scan is tiny). Match lists follow the
-	// owner-first convention of matchesOf — w belongs in u's list iff
-	// sim(u, w) ≥ τ — so the scan must honor the same symmetry contract as
-	// the cross-match loop above: each unordered newcomer pair is verified
-	// once for a known-symmetric similarity and in both ordered directions
-	// for an unknown (possibly asymmetric) one.
-	n := len(newTerms)
-	pair := make([]bool, n*n) // pair[i*n+k]: newTerms[k] is in newTerms[i]'s list
-	for i := 0; i < n; i++ {
-		pair[i*n+i] = true // a term always matches itself
-		for k := i + 1; k < n; k++ {
-			f := m.similar(newTerms[i], newTerms[k])
-			r := f
-			if !sym {
-				r = m.similar(newTerms[k], newTerms[i])
-			}
-			pair[i*n+k] = f
-			pair[k*n+i] = r
-		}
-	}
-	for i := range newTerms {
-		list := make([]int32, 0, len(fwd[i])+1)
-		list = append(list, fwd[i]...)
-		for k := 0; k < n; k++ {
-			if pair[i*n+k] {
-				list = append(list, int32(oldDim+k))
-			}
-		}
-		nm.vocabMatches[oldDim+i] = list
-	}
-
-	// Copy-on-write append of new indices onto affected old match lists.
-	adds := make(map[int32][]int32)
-	for i, js := range rev {
-		for _, j := range js {
-			adds[j] = append(adds[j], int32(oldDim+i))
-		}
-	}
-	for j, extra := range adds {
-		old := nm.vocabMatches[j]
-		list := make([]int32, 0, len(old)+len(extra))
-		list = append(list, old...)
-		list = append(list, extra...)
-		nm.vocabMatches[j] = list
-	}
-
-	nm.strategy = m.extendStrategy(newVocab, newTerms)
-	return nm, rev
 }
 
 // crossMatches probes the index with terms outside its vocabulary: fwd[i]
@@ -203,60 +129,6 @@ func (m *matchIndex) crossMatches(newTerms []string) (fwd, rev [][]int32) {
 	return fwd, rev
 }
 
-// extendStrategy layers the appended terms onto the base index.
-func (m *matchIndex) extendStrategy(newVocab, newTerms []string) matchStrategy {
-	if len(newTerms) == 0 {
-		return m.strategy
-	}
-	switch s := m.strategy.(type) {
-	case fullScan:
-		return fullScan{newVocab, s.threshold}
-	case *overlayStrategy:
-		// Extension of an extension: keep the original base, grow the
-		// (small) overlay. The overlay index is rebuilt from the
-		// accumulated extra terms — O(extras since the last full build).
-		terms := make([]string, 0, len(s.extraTerms)+len(newTerms))
-		terms = append(terms, s.extraTerms...)
-		terms = append(terms, newTerms...)
-		return &overlayStrategy{
-			base:       s.base,
-			baseDim:    s.baseDim,
-			extraTerms: terms,
-			extra:      m.newStrategy(terms),
-		}
-	default:
-		terms := append([]string(nil), newTerms...)
-		return &overlayStrategy{
-			base:       s,
-			baseDim:    len(m.vocab),
-			extraTerms: terms,
-			extra:      m.newStrategy(terms),
-		}
-	}
-}
-
-// overlayStrategy answers lookups over a vocabulary that grew after its base
-// index was built: the immutable base index covers indices [0, baseDim) and
-// a small secondary index covers the appended terms at
-// [baseDim, baseDim+len(extraTerms)). Incremental space extension layers at
-// most one overlay — extending again grows extraTerms rather than nesting —
-// so lookups stay two probes regardless of how many schemas arrived since
-// the last full build.
-type overlayStrategy struct {
-	base       matchStrategy
-	baseDim    int
-	extraTerms []string
-	extra      matchStrategy
-}
-
-func (s *overlayStrategy) matches(term string) []int32 {
-	out := s.base.matches(term)
-	for _, j := range s.extra.matches(term) {
-		out = append(out, int32(s.baseDim)+j)
-	}
-	return out
-}
-
 // matchesOf returns the vocabulary indices whose terms match the given term
 // at τ. The term need not be in the vocabulary.
 func (m *matchIndex) matchesOf(term string) []int32 {
@@ -264,7 +136,7 @@ func (m *matchIndex) matchesOf(term string) []int32 {
 }
 
 // matchesOfVocab is matchesOf for vocabulary term j, read from the lists
-// computed when the index was built or extended.
+// computed when the index was built.
 func (m *matchIndex) matchesOfVocab(j int) []int32 { return m.vocabMatches[j] }
 
 // gramStrategy is the LCS similarity's lossless filter-and-verify lookup

@@ -64,7 +64,7 @@ func randomTerm(rng *rand.Rand, alphabet []rune, minRunes, span int) string {
 // on random vocabularies — repetitive terms, multi-byte runes, every gram
 // width the MinLength/τ grid produces — a lookup returns exactly the
 // brute-force match set in first-seen order, for probes inside and outside
-// the vocabulary, and a space grown by Extend (the overlay path) equals the
+// the vocabulary, and the gram-indexed space over the whole set equals the
 // full-scan reference space built over the same schemas.
 func TestGramPrefilterSound(t *testing.T) {
 	alphabets := [][]rune{[]rune("ab"), []rune("abc"), []rune("abcé"), []rune("aé日b")}
@@ -122,16 +122,13 @@ func checkSpaces(t *testing.T, attrs []string, tau float64, minLength int) {
 		set = append(set, schema.Schema{Name: fmt.Sprintf("s%d", i/3), Attributes: attrs[i : i+3]})
 	}
 	cfg := Config{TermOpts: terms.Options{MinLength: minLength, StopWords: map[string]bool{}}, Tau: tau}
-	gram := BuildLite(set[:len(set)/2], cfg)
-	for _, s := range set[len(set)/2:] {
-		gram, _ = gram.Extend(s)
-	}
+	gram := BuildLite(set, cfg)
 	cfg.Sim = unrecognizedLCS{}
 	full := BuildLite(set, cfg)
 	if _, ok := full.matcher.strategy.(fullScan); !ok {
 		t.Fatalf("wrapped sim did not select full scan (got %T)", full.matcher.strategy)
 	}
-	checkExtendEquivalence(t, gram, full)
+	checkSameSpace(t, gram, full)
 	checkMatchListEquivalence(t, gram, full)
 }
 
@@ -235,15 +232,12 @@ func TestQueryVectorAllocations(t *testing.T) {
 // result with the serial answer. Run under -race.
 func TestQueryVectorConcurrent(t *testing.T) {
 	set, term := compoundSet(10, 6, 6)
-	sp := BuildLite(set[:len(set)-5], DefaultConfig())
-	for _, s := range set[len(set)-5:] {
-		sp, _ = sp.Extend(s) // lookups go through the overlay as well
-	}
+	sp := BuildLite(set, DefaultConfig())
 	queries := make([][]string, 10)
 	want := make([]string, len(queries))
 	for i := range queries {
 		queries[i] = compoundQuery(term, i)
-		want[i] = fmt.Sprint(sp.QueryVector(queries[i]).Indices())
+		want[i] = fmt.Sprint(sp.QueryVector(queries[i]).IndicesAppend(nil))
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -252,7 +246,7 @@ func TestQueryVectorConcurrent(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < 200; r++ {
 				i := (g + r) % len(queries)
-				if got := fmt.Sprint(sp.QueryVector(queries[i]).Indices()); got != want[i] {
+				if got := fmt.Sprint(sp.QueryVector(queries[i]).IndicesAppend(nil)); got != want[i] {
 					t.Errorf("goroutine %d, query %v: got %s, serial answer %s", g, queries[i], got, want[i])
 					return
 				}

@@ -47,21 +47,24 @@ func probeSchema(rng *rand.Rand, name string, word func(*rand.Rand) string) sche
 	return s
 }
 
-// extendRow is the definition Probe answers to: the arrival's row of the
-// space Extend builds, copied out of buf, and the dimensions Extend added.
-func extendRow(sp *Space, s schema.Schema, buf *RowBuf) ([]int32, []float64, int, *Space) {
-	ext, newIdx := sp.Extend(s)
-	js, sims := ext.Row(newIdx, -1, buf)
-	return slices.Clone(js), slices.Clone(sims), ext.Dim() - sp.Dim(), ext
+// grownRow is the definition Probe answers to: the arrival's row of the space
+// BuildLite builds over sp's schemas followed by s, copied out of buf, and
+// the number of dimensions that space adds.
+func grownRow(sp *Space, s schema.Schema, cfg Config, buf *RowBuf) ([]int32, []float64, int, *Space) {
+	n := sp.NumSchemas()
+	grown := BuildLite(append(sp.set[:n:n], s), cfg)
+	js, sims := grown.Row(n, -1, buf)
+	return slices.Clone(js), slices.Clone(sims), grown.Dim() - sp.Dim(), grown
 }
 
-// TestPropertyProbeIsExtendThenRow holds Space.Probe to its definition, Extend
-// followed by Row of the arrival, compared with ==: the same schemas in the
-// same order, the same float64 similarities and the same count of novel
-// terms. It covers LCS and the asymmetric prefixSim, BuildLite spaces and
-// spaces that are a chain of Extends with appended vocabulary, and arrivals mixing known, grown, cut and
-// novel words, with only novel terms, with no novel term, matching nothing,
-// and with an empty vector — one RowBuf reused across every probe.
+// TestPropertyProbeIsExtendThenRow holds Space.Probe to its definition,
+// the arrival's row of the space Extend builds — BuildLite over the space's
+// schemas followed by the arrival, spelled out here — compared by schema id and with == on the float64s, and its count
+// of novel terms to the dimensions that space adds. It covers LCS and the
+// asymmetric prefixSim, spaces over a random corpus and over that corpus
+// grown by arrivals with novel words, and arrivals mixing known, grown, cut
+// and novel words, with only novel terms, with no novel term, matching
+// nothing, and with an empty vector — one RowBuf reused across every probe.
 func TestPropertyProbeIsExtendThenRow(t *testing.T) {
 	var buf, defBuf RowBuf
 	gains := map[string]int{}
@@ -72,12 +75,9 @@ func TestPropertyProbeIsExtendThenRow(t *testing.T) {
 			cfg.Sim, cfg.Tau = prefixSim{}, 0.6
 		}
 		set := rowCorpus(rng, 10+rng.Intn(40))
-		ext := BuildLite(set[:len(set)-4], cfg)
-		for _, s := range set[len(set)-4:] {
-			ext, _ = ext.Extend(s)
-		}
+		grownSet := slices.Clone(set)
 		for k := 0; k < 3; k++ {
-			ext, _ = ext.Extend(probeSchema(rng, fmt.Sprintf("grown%d", k), probeWord))
+			grownSet = append(grownSet, probeSchema(rng, fmt.Sprintf("grown%d", k), probeWord))
 		}
 		arrivals := []schema.Schema{
 			probeSchema(rng, "mixed", probeWord),
@@ -86,10 +86,10 @@ func TestPropertyProbeIsExtendThenRow(t *testing.T) {
 			{Name: "no-match", Attributes: []string{"ffffff", "gggggg vvvvvv"}},
 			{Name: "empty-vector", Attributes: []string{"ab"}},
 		}
-		for label, sp := range map[string]*Space{"lite": BuildLite(set, cfg), "extended": ext} {
+		for label, sp := range map[string]*Space{"corpus": BuildLite(set, cfg), "grown": BuildLite(grownSet, cfg)} {
 			for _, s := range arrivals {
 				name := fmt.Sprintf("seed %d, %s, %s space, arrival %s %q", seed, cfg.Sim.Name(), label, s.Name, s.Attributes)
-				wantJs, wantSims, wantNew, grown := extendRow(sp, s, &defBuf)
+				wantJs, wantSims, wantNew, grown := grownRow(sp, s, cfg, &defBuf)
 				js, sims, novel := sp.Probe(s, &buf)
 				if !slices.Equal(js, wantJs) || !slices.Equal(sims, wantSims) || novel != wantNew {
 					t.Fatalf("%s:\n Probe = %v %v, %d novel\nwant    %v %v, %d novel", name, js, sims, novel, wantJs, wantSims, wantNew)
@@ -103,7 +103,7 @@ func TestPropertyProbeIsExtendThenRow(t *testing.T) {
 		}
 	}
 	// The new-bit path must have been walked under both similarities: schemas
-	// that gain a bit the arrival appends.
+	// that gain a bit for a term the arrival brings.
 	for _, sim := range []string{"lcs", "prefix"} {
 		if gains[sim] == 0 {
 			t.Errorf("no probe under %s met a schema gaining a new bit", sim)
@@ -125,7 +125,7 @@ func TestProbeConcurrentFirstUse(t *testing.T) {
 	var defBuf RowBuf
 	for g := range arrivals {
 		arrivals[g] = probeSchema(rng, fmt.Sprintf("a%d", g), probeWord)
-		wantJs[g], wantSims[g], _, _ = extendRow(ref, arrivals[g], &defBuf)
+		wantJs[g], wantSims[g], _, _ = grownRow(ref, arrivals[g], cfg, &defBuf)
 	}
 
 	sp := BuildLite(set, cfg)

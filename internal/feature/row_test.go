@@ -54,9 +54,9 @@ func jaccard(a, b []int32) float64 {
 // Similarity to the Jaccard coefficient of the two bit lists: for every
 // schema i and every from, the row is exactly [(j, Similarity(i, j)) : j >
 // from, j ≠ i, Similarity(i, j) > 0], ascending, compared with ==. It covers
-// LCS and the asymmetric prefixSim, on a BuildLite space and on the product
-// of a chain of Extends (which hands over the bit→schema index and the
-// popcounts), with one RowBuf reused across every call.
+// LCS and the asymmetric prefixSim, on a BuildLite space over a random corpus
+// and on one over that corpus grown by arrivals with novel words, with one
+// RowBuf reused across every call.
 func TestPropertyRowIsTheDefinition(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -65,13 +65,12 @@ func TestPropertyRowIsTheDefinition(t *testing.T) {
 			cfg.Sim, cfg.Tau = prefixSim{}, 0.6
 		}
 		set := rowCorpus(rng, 30+rng.Intn(20))
-		lite := BuildLite(set, cfg)
-		ext := BuildLite(set[:len(set)-6], cfg)
-		for _, s := range set[len(set)-6:] {
-			ext, _ = ext.Extend(s)
+		grownSet := slices.Clone(set)
+		for k := 0; k < 6; k++ {
+			grownSet = append(grownSet, probeSchema(rng, fmt.Sprintf("grown%d", k), probeWord))
 		}
 		var buf RowBuf
-		for label, sp := range map[string]*Space{"lite": lite, "extended": ext} {
+		for label, sp := range map[string]*Space{"corpus": BuildLite(set, cfg), "grown": BuildLite(grownSet, cfg)} {
 			name := fmt.Sprintf("seed %d, %s, %s", seed, cfg.Sim.Name(), label)
 			positive := 0
 			for i := 0; i < sp.NumSchemas(); i++ {

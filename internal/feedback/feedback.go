@@ -215,19 +215,17 @@ func (s *Session) Apply(floor PairFloor) (*Result, error) {
 	return res, nil
 }
 
-// AddSchema grows a model with one new source incrementally — the essence of
-// pay-as-you-go: new sources keep arriving and must be integrated without
-// re-running the full clustering. The new schema joins the existing cluster
-// it is most similar to (per s_c_sim and the τ_c_sim gate of Algorithm 3),
-// or becomes a fresh singleton domain; every existing schema keeps its
-// cluster. The comparison is ingest.AssignRestricted's, on the model's own
-// space, which it does not copy; AddSchema then builds the extended space
-// itself (feature.Space.Extend, copy-on-write — novel terms are appended to
-// the vocabulary and only affected vectors are touched, instead of
-// re-embedding all n existing schemas), and memberships are recomputed by
-// Algorithm 3 over the extended space's pair graph (core.AssignDomainsRows)
-// at the floor for its n + 1 schemas, which may cross a blocking threshold
-// n did not, so the new schema gets a proper probabilistic assignment.
+// AddSchema grows a model with one new source — the essence of pay-as-you-go:
+// new sources keep arriving and must be integrated without re-running the
+// full clustering. The new schema joins the existing cluster it is most
+// similar to (per s_c_sim and the τ_c_sim gate of Algorithm 3), or becomes a
+// fresh singleton domain; every existing schema keeps its cluster. The
+// comparison is ingest.AssignRestricted's, on the model's own space, which it
+// does not copy; AddSchema then builds the grown space (feature.Space.Extend:
+// Algorithm 1 over the model's schemas followed by s), and memberships are
+// recomputed by Algorithm 3 over its pair graph (core.AssignDomainsRows) at
+// the floor for its n + 1 schemas, which may cross a blocking threshold n
+// did not, so the new schema gets a proper probabilistic assignment.
 //
 // It returns the new model and the new schema's primary domain id.
 func AddSchema(m *core.Model, s schema.Schema, floor PairFloor) (*core.Model, int, error) {

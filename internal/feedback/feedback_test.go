@@ -361,8 +361,8 @@ func TestAddSchemaPreservesDomainIDs(t *testing.T) {
 
 // TestAddSchemaGrowsTheSpaceByExtend: the arrival is compared on the model's
 // own space, and the model AddSchema returns holds the space Extend builds —
-// N+1 schemas, Extend's vocabulary in Extend's order, and its vectors bit for
-// bit — along a chain of arrivals with known, novel and no matching terms.
+// N+1 schemas, its vocabulary and its vectors bit for bit — along a chain of
+// arrivals with known, novel and no matching terms.
 func TestAddSchemaGrowsTheSpaceByExtend(t *testing.T) {
 	m := buildModel(t, testSet())
 	arrivals := []schema.Schema{

@@ -12,9 +12,10 @@
 //     an exact zero); clusters passing both the absolute τ_c_sim gate and
 //     the relative θ gate share the schema with probabilities proportional
 //     to similarity. The schema is scored on the serving feature space as
-//     it stands (feature.Space.Probe); no extended space is built. Nothing
-//     in the model — in particular the classifier's precomputed tables — is
-//     touched.
+//     it stands: feature.Space.Probe reads its row of the space Algorithm 1
+//     builds over the corpus and the arrival, without building that space.
+//     Nothing in the model — in particular the classifier's precomputed
+//     tables — is touched.
 //   - Window tracks assignment-quality drift: the fraction of recent
 //     arrivals that no existing domain could claim. A high ratio means the
 //     model no longer covers the incoming schema distribution and a full
@@ -61,10 +62,11 @@ type Assignment struct {
 // Assign routes one new schema against the model's current clusters using
 // Algorithm 3's gates (m.Opts.TauCSim and m.Opts.Theta). The newcomer is
 // scored on the serving feature space itself (feature.Space.Probe: its row
-// of the space Space.Extend would build — its novel terms still count
-// toward the Jaccard denominators exactly as in a full rebuild — without
-// building that space), so per-arrival cost is O(new terms × candidates +
-// affected schemas) instead of O(n × total terms), and nothing is copied.
+// of the space Algorithm 1 builds over the model's schemas followed by s,
+// Space.Extend's product — its novel terms count toward the Jaccard
+// denominators as in that build — without building that space), so
+// per-arrival cost is O(new terms × candidates + affected schemas) instead
+// of O(n × total terms), and nothing is copied.
 // The model itself is read, never written.
 func Assign(m *core.Model, s schema.Schema) (*Assignment, error) {
 	return AssignRestricted(m, s, nil)
@@ -85,8 +87,9 @@ var rowBufs = sync.Pool{New: func() any { return new(feature.RowBuf) }}
 //
 // This is the only copy of the newcomer comparison; feedback.AddSchema calls
 // it too. s_c_sim(S, C_r) averages Similarity(S, S_j) over C_r's members in
-// the extended space, and only a schema sharing a set bit with the newcomer
-// has a non-zero similarity to it — a couple of percent of a wide corpus. So
+// the space over the grown set, and only a schema sharing a set bit with the
+// newcomer has a non-zero similarity to it — a couple of percent of a wide
+// corpus. So
 // the sums are taken over the newcomer's row alone (feature.Space.Probe, the
 // row Space.Row would read off Space.Extend's product), ascending, each into
 // its schema's cluster: Members[r] is ascending too, hence every sum adds

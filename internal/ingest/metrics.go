@@ -13,12 +13,11 @@ var mAssignDuration = obs.Default().Histogram(
 	obs.DurationBuckets())
 
 // mExtendNewTerms tracks how many novel vocabulary terms each arrival
-// carries — what incremental feature-space extension would append — as
-// the probe that scores it on the serving space counts them. A mostly-zero
-// distribution means arrivals speak the vocabulary the model already knows
-// (cheapest path: every existing vector is shared); a fat tail means the
-// corpus vocabulary is still growing and rebuilds will keep shifting the
-// space.
+// carries — the dimensions a space over the grown set adds — as the probe
+// that scores it on the serving space counts them. A mostly-zero
+// distribution means arrivals speak the vocabulary the model already knows;
+// a fat tail means the corpus vocabulary is still growing and rebuilds will
+// keep shifting the space.
 var mExtendNewTerms = obs.Default().Histogram(
 	"schemaflow_ingest_extend_new_terms",
 	"Novel vocabulary terms per arriving schema (what incremental feature-space extension would append).",

@@ -66,8 +66,8 @@ func propSchema(rng *rand.Rand, name string, word func(*rand.Rand) string) schem
 func exactFloor(int) float64 { return 0 }
 
 // randomModel is a random clustering (not Algorithm 2's: the comparison must
-// hold for any) over a random corpus, grown by 0–3 AddSchemas so the space
-// the arrivals extend is itself an Extend product with appended vocabulary.
+// hold for any) over a random corpus, grown by 0–3 AddSchemas, some of whose
+// arrivals bring novel terms.
 func randomModel(t *testing.T, rng *rand.Rand, cfg feature.Config) *core.Model {
 	t.Helper()
 	n := 2 + rng.Intn(40)
@@ -108,9 +108,11 @@ func randomModel(t *testing.T, rng *rand.Rand, cfg feature.Config) *core.Model {
 // TestPropertyComparisonIsTheDefinition: the posting-driven comparison in
 // AssignRestricted is s_c_sim as defined — cluster.SchemaClusterSim over
 // Members[r] — to the last bit, for every domain, and so are Best, BestSim,
-// Domains and Fresh, under a symmetric and an asymmetric term similarity, on spaces that are Extend products, for
-// arrivals with only novel terms, no novel term, or nothing that matches, and
-// under any include restriction.
+// Domains and Fresh, under a symmetric and an asymmetric term similarity, on
+// models grown by AddSchema, for arrivals with only novel terms, no novel
+// term, or nothing that matches, and under any include restriction. The
+// definition reads the arrival's similarities off BuildLite over the model's
+// schemas followed by the arrival.
 func TestPropertyComparisonIsTheDefinition(t *testing.T) {
 	for seed := int64(0); seed < 120; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -133,8 +135,9 @@ func TestPropertyComparisonIsTheDefinition(t *testing.T) {
 			{Name: "no-match", Attributes: []string{"ffffff", "gggggg vvvvvv"}},
 		}
 		for _, s := range arrivals {
-			// The definition, over the same extension.
-			sp, newIdx := m.Space.Extend(s)
+			// The definition, over the grown set.
+			newIdx := len(m.Schemas)
+			sp := feature.BuildLite(append(m.Schemas[:newIdx:newIdx], s), cfg)
 			want := make([]float64, nD)
 			for r := range want {
 				want[r] = cluster.SchemaClusterSim(sp, newIdx, m.Clustering.Members[r])

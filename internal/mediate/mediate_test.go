@@ -261,11 +261,11 @@ func nameSim(opts Options, a, b string) float64 {
 }
 
 // TestExtendedLexiconKeepsTermOrder: greedy matching reads a name's terms in
-// term order, so a lexicon extended out of id order must still hand them over
-// in that order. Under the one-sided prefix t_sim "mail" matches "mailboxes"
-// and "mailing", "mailbox" only "mailboxes": in term order "mail mailbox" and
-// "mailboxes mailing" share one match (1/3); in id order — "mail" arrives
-// after "mailbox" and takes the larger id — they would share two (1).
+// term order, so the lexicon of a space grown by an arrival whose term sorts
+// first must hand them over in that order. Under the one-sided prefix t_sim
+// "mail" matches "mailboxes" and "mailing", "mailbox" only "mailboxes": in
+// term order "mail mailbox" and "mailboxes mailing" share one match (1/3);
+// with "mail" read after "mailbox" they would share two (1).
 func TestExtendedLexiconKeepsTermOrder(t *testing.T) {
 	opts := DefaultOptions()
 	opts.TermSim = prefixSim{}

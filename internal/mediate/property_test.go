@@ -168,9 +168,9 @@ func TestPropertyNameTableIsTheDefinition(t *testing.T) {
 		"First  Name", "first name", "firstName", "firstname", "FIRSTNAME",
 		"last name", "Last Name", "family name", "name",
 		"email", "email address", "Email  Address", "emails", "phone", "office phone",
-		// Terms out of alphabetical order, the second one novel to an
-		// extended lexicon half the time: term order is what greedy
-		// matching reads.
+		// Terms out of alphabetical order, the second one novel to the
+		// prefix a grown lexicon starts from half the time: term order is
+		// what greedy matching reads.
 		"name of first", "phone office", "emailing phones", "emails email",
 	}
 	canonical := func(a string) string { return strings.Join(strings.Fields(strings.ToLower(a)), " ") }
@@ -192,9 +192,7 @@ func TestPropertyNameTableIsTheDefinition(t *testing.T) {
 			opts.TermSim = prefixSim{}
 		}
 		// The lexicon is Build's own, or half the time that of a space built
-		// over a prefix of the domain and extended by the rest, where novel
-		// terms take ids out of alphabetical order and canonical ids are
-		// renumbered.
+		// over a prefix of the domain and extended by the rest.
 		lx := lexiconOf(set, opts)
 		if rng.Intn(2) == 0 {
 			cfg := feature.Config{TermOpts: terms.DefaultOptions(), Sim: opts.TermSim, Tau: opts.TermTau}

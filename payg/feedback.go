@@ -70,13 +70,14 @@ func (s *System) ApplyFeedback(fb Feedback) (*FeedbackResult, error) {
 	return &FeedbackResult{System: sys, DomainMap: res.DomainMap, NewDomainOf: res.NewDomainOf}, nil
 }
 
-// AddSchema integrates one new source incrementally: the schema joins its
-// most similar existing domain (or a fresh singleton), existing domains are
-// untouched — the serving feature space is extended copy-on-write rather
-// than rebuilt — memberships are recomputed over the pair graph Build would
-// choose for the extended space (pairFloor), and the classifier and
-// mediation are rebuilt over the extended corpus. It returns the new system
-// and the new schema's domain id.
+// AddSchema integrates one new source without reclustering: the schema joins
+// its most similar existing domain (or a fresh singleton) and every existing
+// schema keeps its cluster. The feature space is Algorithm 1 over the grown
+// corpus (feature.Space.Extend), memberships are recomputed over the pair
+// graph Build would choose for it (pairFloor), and the classifier and
+// mediation are rebuilt over the grown corpus — so a save and load of the
+// result serves it bit for bit. It returns the new system and the new
+// schema's domain id.
 func (s *System) AddSchema(sch Schema) (*System, int, error) {
 	model, domain, err := feedback.AddSchema(s.model, sch, s.opts.pairFloor)
 	if err != nil {

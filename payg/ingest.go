@@ -36,9 +36,9 @@ type Assignment struct {
 
 // Ingest computes the incremental assignment of one new schema against the
 // system's current domains: its feature vector is scored against the serving
-// feature space as it stands (its row of the incrementally extended space,
-// computed without building that space or rebuilding over the existing
-// corpus) and compared to every cluster, gated by τ_c_sim and θ exactly as
+// feature space as it stands (its row of the space Algorithm 1 builds over
+// the corpus and the arrival, computed without building that space) and
+// compared to every cluster, gated by τ_c_sim and θ exactly as
 // Algorithm 3 does at build time. The system is read, never modified — in
 // particular the classifier's precomputed tables are untouched — so Ingest
 // is safe to call concurrently with Classify and Execute. To actually grow a
