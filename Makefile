@@ -79,9 +79,10 @@ loadgen-smoke:
 	$(GO) test ./internal/obs -count=1 -race -run 'TestReservoir|TestConcurrent'
 
 # Short fuzz pass over every hand-written parser, the threshold LCS the
-# matcher's losslessness rests on, and the two readers of bytes from disk or
-# a peer: the snapshot decoder and the write-ahead log's recovery scan. FUZZTIME is overridable; CI's fuzz-smoke job uses 10s per
-# target. FuzzLoadSnapshot's inputs are whole snapshots and every execution
+# matcher's losslessness rests on, and the readers of bytes from disk or a
+# peer: the snapshot decoder, the write-ahead log's recovery scan and the
+# replay of one WAL record. FUZZTIME is overridable; CI's fuzz-smoke job uses
+# 10s per target. FuzzLoadSnapshot's inputs are whole snapshots and every execution
 # a Load, so minimising one interesting input would eat the default 60s
 # budget — more than the whole smoke run; 1s keeps the time on new inputs.
 FUZZTIME ?= 30s
@@ -96,6 +97,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzLCSAtLeast -fuzztime=$(FUZZTIME) ./internal/strsim
 	$(GO) test -fuzz=FuzzLoadSnapshot -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./payg
 	$(GO) test -fuzz=FuzzWALOpen -fuzztime=$(FUZZTIME) ./internal/wal
+	$(GO) test -fuzz=FuzzReplayRecord -fuzztime=$(FUZZTIME) ./payg
 
 fuzz-smoke:
 	$(MAKE) fuzz FUZZTIME=10s

@@ -39,13 +39,6 @@ func BuildDendrogram(sp *feature.Space, ps *PairSims, method Method) (*Dendrogra
 	return &Dendrogram{n: sp.NumSchemas(), merges: res.Merges}, nil
 }
 
-// Height returns the similarity of the k-th merge (0-based). Heights are
-// non-increasing for reducible linkages.
-func (d *Dendrogram) Height(k int) float64 { return d.merges[k].Sim }
-
-// NumMerges returns the length of the trace (n-1 for a connected run).
-func (d *Dendrogram) NumMerges() int { return len(d.merges) }
-
 // CutAt returns the partition a thresholded run at tau would produce: all
 // merges with similarity ≥ tau applied, the rest discarded. Any real tau is
 // a well-defined cut height (tau > 1 applies no merges and yields all

@@ -26,10 +26,10 @@ func TestDendrogramHeightsMonotone(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for k := 1; k < d.NumMerges(); k++ {
-			if d.Height(k) > d.Height(k-1)+1e-12 {
+		for k := 1; k < len(d.merges); k++ {
+			if d.merges[k].Sim > d.merges[k-1].Sim+1e-12 {
 				t.Errorf("%s: merge heights not non-increasing at %d: %v → %v",
-					method, k, d.Height(k-1), d.Height(k))
+					method, k, d.merges[k-1].Sim, d.merges[k].Sim)
 			}
 		}
 	}

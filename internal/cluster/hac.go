@@ -49,18 +49,6 @@ type Result struct {
 // NumClusters returns the number of clusters in the partition.
 func (r *Result) NumClusters() int { return len(r.Members) }
 
-// Singletons returns the ids of clusters containing exactly one schema —
-// the "unclustered schemas" of Section 6.1.2.
-func (r *Result) Singletons() []int {
-	var out []int
-	for c, m := range r.Members {
-		if len(m) == 1 {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // Agglomerative runs Algorithm 2: start from singleton clusters, repeatedly
 // merge the globally most similar pair of clusters under the linkage, and
 // stop when the best pair's similarity falls below tau (τ_c_sim). It is

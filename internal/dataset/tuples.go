@@ -2,7 +2,7 @@ package dataset
 
 import (
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 	"strings"
 
 	"schemaflow/internal/schema"
@@ -16,10 +16,11 @@ import (
 //
 // Which pool a column draws from depends on the attribute name alone, so it
 // is resolved once per column; a cell is then one draw and one slice read.
-// Draws stay row-major — a served row is a function of (schema, n, seed) that
-// tests and recorded hashes depend on.
+// Draws are row-major from a PCG seeded with (seed, 0), whose 16-byte state
+// costs nothing to seed — a served row is a function of (schema, n, seed)
+// that tests and recorded hashes depend on.
 func GenerateTuples(s schema.Schema, n int, seed int64) [][]string {
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(rand.NewPCG(uint64(seed), 0))
 	width := len(s.Attributes)
 	pools := make([][]string, width)
 	for c, attr := range s.Attributes {
@@ -32,7 +33,7 @@ func GenerateTuples(s schema.Schema, n int, seed int64) [][]string {
 	for r := range rows {
 		row := cells[r*width : (r+1)*width : (r+1)*width]
 		for c, pool := range pools {
-			row[c] = pool[rng.Intn(len(pool))]
+			row[c] = pool[rng.IntN(len(pool))]
 		}
 		rows[r] = row
 	}
@@ -61,6 +62,7 @@ var valuePools = []struct {
 	{[]string{"airline", "carrier"}, []string{"AirNorth", "SkyWays", "BlueJet", "TransPolar"}},
 	{[]string{"class", "level"}, []string{"economy", "business", "first"}},
 	{[]string{"airport"}, []string{"YYZ", "CAI", "LIM", "OSL", "PER", "UIO"}},
+	{nil, opaqueValues}, // last: no token names it
 }
 
 // opaqueValues is the pool of a column no token recognizes: v000 … v999.
@@ -72,16 +74,33 @@ var opaqueValues = func() []string {
 	return vs
 }()
 
-// poolFor returns the values a column named attr draws from: those of the
-// first pool one of whose tokens the lower-cased name contains.
-func poolFor(attr string) []string {
-	low := strings.ToLower(attr)
-	for _, pool := range valuePools {
+// poolTokens[b] lists the tokens that start with byte b, each with its
+// pool's place in valuePools.
+var poolTokens = func() (at [256][]poolToken) {
+	for p, pool := range valuePools {
 		for _, tok := range pool.tokens {
-			if strings.Contains(low, tok) {
-				return pool.values
+			at[tok[0]] = append(at[tok[0]], poolToken{tok, p})
+		}
+	}
+	return at
+}()
+
+type poolToken struct {
+	tok  string
+	pool int
+}
+
+// poolFor returns the values a column named attr draws from: those of the
+// first pool one of whose tokens the lower-cased name contains. One pass over
+// the name tries, at each byte, the tokens that start with it.
+func poolFor(attr string) []string {
+	low, first := strings.ToLower(attr), len(valuePools)-1
+	for i := 0; i < len(low) && first > 0; i++ {
+		for _, t := range poolTokens[low[i]] {
+			if t.pool < first && strings.HasPrefix(low[i:], t.tok) {
+				first = t.pool
 			}
 		}
 	}
-	return opaqueValues
+	return valuePools[first].values
 }

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -217,6 +218,9 @@ func definitionAnswer(c definitionCase) []ResultTuple {
 // their order — and the failure report to the sources that were down or
 // held a malformed tuple, in source order, on random domains that
 // interleave in-memory sources with fetched ones finishing in random order.
+// Each case asks its executor twice at once and then once more with the
+// Select list reversed and no Where or Limit, so answers also hold when
+// consolidation buffers are shared and reused by a query of another shape.
 func TestPropertyExecuteIsTheDefinition(t *testing.T) {
 	rng := rand.New(rand.NewSource(48))
 	cases := 3000
@@ -229,34 +233,51 @@ func TestPropertyExecuteIsTheDefinition(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := ex.ExecuteContext(context.Background(), c.q)
-		if err != nil {
-			t.Fatalf("case %d: %v", n, err)
+		again := c
+		again.q = Query{Select: slices.Clone(c.q.Select)}
+		slices.Reverse(again.q.Select)
+		runs := []definitionCase{c, c, again}
+		results := make([]*Result, len(runs))
+		errs := make([]error, len(runs))
+		var wg sync.WaitGroup
+		for r := 0; r < 2; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				results[r], errs[r] = ex.ExecuteContext(context.Background(), runs[r].q)
+			}()
 		}
-		want := definitionAnswer(c)
-		if len(res.Tuples) != len(want) {
-			t.Fatalf("case %d (%+v): %d tuples, want %d:\n got %+v\nwant %+v", n, c.q, len(res.Tuples), len(want), res.Tuples, want)
-		}
-		for i, got := range res.Tuples {
-			w := want[i]
-			if !slices.Equal(got.Values, w.Values) || math.Float64bits(got.Prob) != math.Float64bits(w.Prob) ||
-				!slices.Equal(got.Sources, w.Sources) || got.Values == nil || got.Sources == nil {
-				t.Fatalf("case %d (%+v) tuple %d: got %q %v %q, want %q %v %q",
-					n, c.q, i, got.Values, got.Prob, got.Sources, w.Values, w.Prob, w.Sources)
-			}
-		}
+		wg.Wait()
+		results[2], errs[2] = ex.ExecuteContext(context.Background(), again.q)
 		var failed []string
 		for si, f := range c.fetchers {
 			if c.fails[si] && c.memberProb[si] != 0 {
 				failed = append(failed, f.Name())
 			}
 		}
-		var reported []string
-		for _, f := range res.Failures {
-			reported = append(reported, f.Source)
-		}
-		if !slices.Equal(reported, failed) {
-			t.Fatalf("case %d: failures %q, want %q", n, reported, failed)
+		for r, res := range results {
+			if errs[r] != nil {
+				t.Fatalf("case %d run %d: %v", n, r, errs[r])
+			}
+			q, want := runs[r].q, definitionAnswer(runs[r])
+			if len(res.Tuples) != len(want) {
+				t.Fatalf("case %d run %d (%+v): %d tuples, want %d:\n got %+v\nwant %+v", n, r, q, len(res.Tuples), len(want), res.Tuples, want)
+			}
+			for i, got := range res.Tuples {
+				w := want[i]
+				if !slices.Equal(got.Values, w.Values) || math.Float64bits(got.Prob) != math.Float64bits(w.Prob) ||
+					!slices.Equal(got.Sources, w.Sources) || got.Values == nil || got.Sources == nil {
+					t.Fatalf("case %d run %d (%+v) tuple %d: got %q %v %q, want %q %v %q",
+						n, r, q, i, got.Values, got.Prob, got.Sources, w.Values, w.Prob, w.Sources)
+				}
+			}
+			var reported []string
+			for _, f := range res.Failures {
+				reported = append(reported, f.Source)
+			}
+			if !slices.Equal(reported, failed) {
+				t.Fatalf("case %d run %d: failures %q, want %q", n, r, reported, failed)
+			}
 		}
 	}
 }

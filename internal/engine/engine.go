@@ -214,6 +214,33 @@ type aggregate struct {
 	out      int     // 1 + its place in the answer; 0 when not returned
 }
 
+// consolidation is a consolidate call's working memory: contribs records
+// every (aggregate, source) pair; cols[j*width+i] is the source column
+// mapping j sends to attrs[i] (the first, or -1) and live lists the mappings
+// that can contribute; key holds one raw tuple's keys back to back, which
+// outs indexes with their summed Pr(φ) and the last mapping that gave each.
+type consolidation struct {
+	index      map[string]int
+	aggs       []aggregate
+	values     []string // aggregate a's are values[a*w:(a+1)*w]
+	contribs   []contribution
+	cols, live []int
+	key        []byte
+	outs       []output
+	order      []int
+}
+
+// consolidations keeps finished queries' buffers for the next: one pool for
+// all executors holds about one set per CPU, not one per domain executor.
+var consolidations sync.Pool
+
+type contribution struct{ agg, src int32 }
+
+type output struct {
+	start, end, mapping int
+	prob                float64
+}
+
 // consolidate is Section 4.4's arithmetic over the fetched tuples, as the
 // package documentation states it, and returns the limit best (all when
 // limit is 0), best first.
@@ -223,22 +250,12 @@ func (ex *DomainExecutor) consolidate(fetched [][]Tuple, attrs []int, wants []st
 	for i := 0; i < len(fetched) && len(wants) == 0; i++ {
 		n += len(fetched[i])
 	}
-	index := make(map[string]int, n)
-	aggs := make([]aggregate, 0, n)
-	values := make([]string, 0, n*w) // aggregate a's are values[a*w:(a+1)*w]
-	type contribution struct{ agg, src int32 }
-	contribs := make([]contribution, 0, n)
-	// cols[j*width+i] is the source column mapping j sends to attrs[i]
-	// (the first, or -1); live lists the mappings that can contribute.
-	var cols, live []int
-	// key holds one raw tuple's keys back to back; outs indexes them with
-	// their summed Pr(φ) and the last mapping that gave each.
-	var key []byte
-	type output struct {
-		start, end, mapping int
-		prob                float64
+	sc, _ := consolidations.Get().(*consolidation)
+	if sc == nil {
+		sc = &consolidation{index: make(map[string]int, n)}
 	}
-	var outs []output
+	index, aggs, values := sc.index, slices.Grow(sc.aggs[:0], n), slices.Grow(sc.values[:0], n*w)
+	contribs, cols, live, key, outs := slices.Grow(sc.contribs[:0], n), sc.cols, sc.live, sc.key, sc.outs
 
 	for si, tuples := range fetched {
 		mappings := ex.med.Mappings[si]
@@ -306,7 +323,7 @@ func (ex *DomainExecutor) consolidate(fetched [][]Tuple, attrs []int, wants []st
 		}
 	}
 
-	order := make([]int, len(aggs))
+	order := slices.Grow(sc.order[:0], len(aggs))[:len(aggs)]
 	for i := range order {
 		order[i] = i
 	}
@@ -316,10 +333,13 @@ func (ex *DomainExecutor) consolidate(fetched [][]Tuple, attrs []int, wants []st
 		}
 		return cmp.Compare(aggs[a].key, aggs[b].key)
 	})
-	out := make([]ResultTuple, len(order))
+	// The answer's values are copied out of the pooled buffer.
+	out, vals := make([]ResultTuple, len(order)), make([]string, len(order)*w)
 	for i, a := range order {
 		aggs[a].out = i + 1
-		out[i] = ResultTuple{Values: values[a*w : (a+1)*w : (a+1)*w], Prob: 1 - aggs[a].oneMinus}
+		v := vals[i*w : (i+1)*w : (i+1)*w]
+		copy(v, values[a*w:])
+		out[i] = ResultTuple{Values: v, Prob: 1 - aggs[a].oneMinus}
 	}
 	for _, c := range contribs {
 		if i := aggs[c.agg].out - 1; i >= 0 {
@@ -330,6 +350,9 @@ func (ex *DomainExecutor) consolidate(fetched [][]Tuple, attrs []int, wants []st
 		slices.Sort(out[i].Sources)
 		out[i].Sources = slices.Compact(out[i].Sources)
 	}
+	clear(index)
+	*sc = consolidation{index, aggs, values, contribs, cols, live, key, outs, order}
+	consolidations.Put(sc)
 	return out
 }
 

@@ -3,6 +3,8 @@ package mediate
 import (
 	"math"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"schemaflow/internal/feature"
@@ -261,11 +263,14 @@ func nameSim(opts Options, a, b string) float64 {
 }
 
 // TestExtendedLexiconKeepsTermOrder: greedy matching reads a name's terms in
-// term order, so the lexicon of a space grown by an arrival whose term sorts
-// first must hand them over in that order. Under the one-sided prefix t_sim
+// term order, so a lexicon grown by Space.Extend must number its terms in
+// that order when the arrival's term sorts before every existing one. The
+// base space numbers "mailbox", "mailboxes", "mailing" 0–2; the arrival's
+// "mail" takes id 0 and moves them up. Under the one-sided prefix t_sim
 // "mail" matches "mailboxes" and "mailing", "mailbox" only "mailboxes": in
 // term order "mail mailbox" and "mailboxes mailing" share one match (1/3);
-// with "mail" read after "mailbox" they would share two (1).
+// with "mail" read after "mailbox" they would share two (1). Mediation
+// through the grown lexicon lists Attrs by Name and equals Build's own.
 func TestExtendedLexiconKeepsTermOrder(t *testing.T) {
 	opts := DefaultOptions()
 	opts.TermSim = prefixSim{}
@@ -273,26 +278,40 @@ func TestExtendedLexiconKeepsTermOrder(t *testing.T) {
 		{Name: "base", Attributes: []string{"mailbox", "mailboxes mailing"}},
 		{Name: "arrival", Attributes: []string{"mail mailbox"}},
 	}
-	sp := feature.BuildLite(set[:1], feature.Config{TermOpts: terms.DefaultOptions(), Sim: opts.TermSim, Tau: opts.TermTau})
-	sp, _ = sp.Extend(set[1])
+	base := feature.BuildLite(set[:1], feature.Config{TermOpts: terms.DefaultOptions(), Sim: opts.TermSim, Tau: opts.TermTau})
+	sp, _ := base.Extend(set[1])
+	if ids, _, _ := base.Lexicon().Lookup("mailbox"); !slices.Equal(ids, []int32{0}) {
+		t.Fatalf("base lexicon: mailbox has ids %v, want [0]", ids)
+	}
+	for id, term := range []string{"mail", "mailbox", "mailboxes", "mailing"} {
+		if got := sp.Lexicon().Term(int32(id)); got != term {
+			t.Fatalf("grown lexicon: term %d is %q, want %q", id, got, term)
+		}
+	}
+	if ids, _, _ := sp.Lexicon().Lookup("mail mailbox"); !slices.Equal(ids, []int32{0, 1}) {
+		t.Fatalf("grown lexicon: \"mail mailbox\" has ids %v, want [0 1]", ids)
+	}
 	tab, err := new(Scratch).nameTable(set, opts, sp.Lexicon())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// attrs: mailbox, mailboxes mailing, mail mailbox.
 	if got := tab.sim(int(tab.attrs[2]), int(tab.attrs[1])); got != 1.0/3 {
-		t.Fatalf("sim(mail mailbox, mailboxes mailing) = %v through the extended lexicon, want 1/3", got)
+		t.Fatalf("sim(mail mailbox, mailboxes mailing) = %v through the grown lexicon, want 1/3", got)
 	}
 	ext, err := BuildWith(set, opts, sp.Lexicon(), new(Scratch))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !slices.IsSortedFunc(ext.Attrs, func(a, b MediatedAttr) int { return strings.Compare(a.Name, b.Name) }) {
+		t.Fatalf("Attrs through the grown lexicon are not sorted by Name: %+v", ext.Attrs)
 	}
 	own, err := Build(set, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(ext, own) {
-		t.Fatalf("through the extended lexicon:\n%+v\nstandalone:\n%+v", ext, own)
+		t.Fatalf("through the grown lexicon:\n%+v\nstandalone:\n%+v", ext, own)
 	}
 }
 

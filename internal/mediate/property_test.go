@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sort"
 	"strings"
@@ -161,8 +162,10 @@ func TestPropertyFrequencyMonotone(t *testing.T) {
 // name's frequency must be the fraction of schemas holding an attribute at
 // least θ_attr similar to it, counted here schema by schema. A third of the
 // runs use a one-sided t_sim, the one thing under which the direction of a
-// comparison shows. Every domain goes through the same Scratch, as a
-// worker's domains do.
+// comparison shows. Half read a lexicon grown by Space.Extend with a term
+// that sorts before every other; there term ids must ascend with terms and
+// BuildWith must list Attrs by Name and equal Build. Every domain goes
+// through the same Scratch, as a worker's domains do.
 func TestPropertyNameTableIsTheDefinition(t *testing.T) {
 	pool := []string{
 		"First  Name", "first name", "firstName", "firstname", "FIRSTNAME",
@@ -192,16 +195,37 @@ func TestPropertyNameTableIsTheDefinition(t *testing.T) {
 			opts.TermSim = prefixSim{}
 		}
 		// The lexicon is Build's own, or half the time that of a space built
-		// over a prefix of the domain and extended by the rest.
+		// over a prefix of the domain and grown by Space.Extend with the rest
+		// and then an arrival outside the domain whose one term, "aardvark",
+		// sorts before every other: it takes term id 0 and moves every other
+		// term's id up, and ids must still ascend with terms.
 		lx := lexiconOf(set, opts)
-		if rng.Intn(2) == 0 {
+		grown := rng.Intn(2) == 0
+		if grown {
 			cfg := feature.Config{TermOpts: terms.DefaultOptions(), Sim: opts.TermSim, Tau: opts.TermTau}
 			k := rng.Intn(len(set))
 			sp := feature.BuildLite(set[:k], cfg)
-			for _, s := range set[k:] {
+			for _, s := range append(set[k:len(set):len(set)], schema.Schema{Name: "arrival", Attributes: []string{"Aardvark"}}) {
 				sp, _ = sp.Extend(s)
 			}
 			lx = sp.Lexicon()
+			if ids, _, _ := lx.Lookup("Aardvark"); !slices.Equal(ids, []int32{0}) {
+				return false
+			}
+			var all []int32
+			for _, s := range set {
+				for _, a := range s.Attributes {
+					ids, _, _ := lx.Lookup(a)
+					all = append(all, ids...)
+				}
+			}
+			slices.Sort(all)
+			all = slices.Compact(all)
+			for i := 1; i < len(all); i++ {
+				if lx.Term(all[i-1]) >= lx.Term(all[i]) {
+					return false // ids out of term order
+				}
+			}
 		}
 		tab, err := sc.nameTable(set, opts, lx)
 		if err != nil {
@@ -281,7 +305,17 @@ func TestPropertyNameTableIsTheDefinition(t *testing.T) {
 				return false
 			}
 		}
-		return true
+		if !grown {
+			return true
+		}
+		// Mediation through the grown lexicon lists Attrs by Name and is
+		// mediation through the domain's own.
+		med, err := BuildWith(set, opts, lx, sc)
+		if err != nil || !slices.IsSortedFunc(med.Attrs, func(a, b MediatedAttr) int { return strings.Compare(a.Name, b.Name) }) {
+			return false
+		}
+		own, err := Build(set, opts)
+		return err == nil && reflect.DeepEqual(med, own)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -19,14 +19,18 @@ import (
 // sweep of one attribute at limit 20 over 200 domains, on
 // Large{N:6000,Domains:120,Seed:1} with five synthetic rows per source
 // seeded by schema index (the recipe of docs/runs/PR-24.txt). It moved to
-// 9099f255… when the similarity floor replaced the MinHash band test.
-const servedBytesDigest = "9099f2550ac6cf22125082a965faa6cb9b145d8f193f1d2bbdc05a158adcda48"
+// 9099f255… when the similarity floor replaced the MinHash band test, and to
+// ff9c296d… when GenerateTuples began drawing from math/rand/v2's PCG: the
+// served rows changed, the mediation and consolidation did not.
+const servedBytesDigest = "ff9c296d4fe14255c08d1aafefc26bb5d2fd497ed8050ca9bb22310d179123ae"
 
 // querySweepDigest hashes a richer /query sweep over the same node: selects
 // of one to three mediated attributes at limit 0 and limit 1, then a Where
 // on a value an unfiltered query returned, sent upper-cased. It was recorded
-// before the consolidation moved onto flat arrays and one key buffer.
-const querySweepDigest = "dd2c832a6c256618f858d32024a893b6150070ef5a36f7ab2bab733d90fdfcec"
+// before the consolidation moved onto flat arrays and one key buffer, held
+// when its buffers were pooled, and moved from dd2c832a… to 16bd121e… with
+// the served rows when GenerateTuples began drawing from math/rand/v2's PCG.
+const querySweepDigest = "16bd121e57dfaf490e4ef04d7c1596cd584854334f936518bef01d4e2327d773"
 
 // TestServedBytesDigest pins the bytes /domains and /query serve, so a change
 // to mediation, membership or the engine's consolidation shows as a moved

@@ -450,3 +450,56 @@ func TestRestoreRejectsManagerWithSources(t *testing.T) {
 		t.Fatal("Restore into a data-serving manager succeeded")
 	}
 }
+
+// FuzzReplayRecord: recovery replays each WAL payload through replayRecord,
+// which must reject it with an error or apply it cleanly — never panic —
+// whatever the bytes. Each input replays into a fresh manager over one small
+// built system. An applied ingest adds one pending schema; applied feedback
+// publishes the next generation, which still classifies over every domain.
+func FuzzReplayRecord(f *testing.F) {
+	sys, err := Build(demoSchemas(), Options{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	n, d := sys.NumSchemas(), sys.NumDomains()
+	for _, rec := range []walRecord{
+		{Kind: walKindIngest, Schema: &newcomerSchemas()[0]},
+		{Kind: walKindFeedback, Feedback: &Feedback{Moves: []Move{{Schema: 0, Domain: d - 1}}, Splits: []int{n - 1}}},
+		// Feedback a live manager would have refused: an out-of-range
+		// domain, a missing schema, negative indices.
+		{Kind: walKindFeedback, Feedback: &Feedback{Merges: [][2]int{{0, d}}}},
+		{Kind: walKindFeedback, Feedback: &Feedback{Moves: []Move{{Schema: n, Domain: 0}}}},
+		{Kind: walKindFeedback, Feedback: &Feedback{Splits: []int{-1}}},
+		{Kind: walKindFeedback, Feedback: &Feedback{Moves: []Move{{Schema: 0, Domain: -1}}, Merges: [][2]int{{-1, 0}}}},
+	} {
+		p, err := encodeWALRecord(rec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(p)
+	}
+	f.Add([]byte(`{"kind":"ingest","schema":{"name":"x","attributes":[]}}`))
+	f.Add([]byte(`{"kind":"feedback"}`))
+	f.Add([]byte(`{"kind":"checkpoint"}`))
+	f.Add([]byte(`{`))
+	f.Fuzz(func(t *testing.T, p []byte) {
+		m, err := NewManager(sys, nil, ManagerOptions{DriftThreshold: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Close()
+		if err := m.replayRecord(p); err != nil {
+			return
+		}
+		st := m.Status()
+		switch {
+		case st.Pending == 1 && st.Generation == 0:
+		case st.Pending == 0 && st.Generation == 1:
+			if got := len(m.Classify("departure airline title")); got > st.Domains {
+				t.Fatalf("%d scores over %d domains", got, st.Domains)
+			}
+		default:
+			t.Fatalf("applied %q: %d pending at generation %d, want one pending schema or one new generation", p, st.Pending, st.Generation)
+		}
+	})
+}
