@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt-check vet test race bench bench-ingest bench-assign bench-query bench-build bench-build-smoke bench-serve loadgen-smoke repro repro-check fuzz fuzz-smoke docs-check integration clean
+.PHONY: all build fmt-check vet test race bench bench-query bench-build bench-build-smoke repro repro-check fuzz fuzz-smoke docs-check integration clean
 
 all: build fmt-check vet test
 
@@ -41,16 +41,6 @@ repro-check:
 	PAYG_REPRO=1 $(GO) test ./cmd/payg-repro -run TestReproMatchesFullRun -count=1 -timeout 600s
 	PAYG_REPRO=1 $(GO) test ./payg -run TestBlockedBuildFidelity -count=1 -v
 
-# Ingest-vs-rebuild cost comparison (writes BENCH_ingest.json).
-bench-ingest:
-	$(GO) test ./payg -run TestIngestBenchArtifact -bench-artifact=true
-
-# Per-arrival assignment: scoring on the serving space (the row of its
-# incremental extension) vs a full rebuild at n = 300 and 1000 (writes
-# BENCH_assign.json).
-bench-assign:
-	$(GO) test ./internal/ingest -run TestAssignBenchArtifact -bench-assign-artifact=true
-
 # Repeated-query classification: generation-keyed result cache vs uncached
 # Classify, plus the parallel batch path (writes BENCH_query.json).
 bench-query:
@@ -65,18 +55,6 @@ bench-build:
 # CI smoke: smallest size only, artifact discarded outside the repo.
 bench-build-smoke:
 	$(GO) test ./payg -run TestBuildBenchArtifact -bench-build-artifact=true -bench-build-out=/tmp/BENCH_build.json -timeout 600s
-
-# Serving benchmark: drive a real payg-server with the closed-loop load
-# generator through the three headline chaos scenarios — steady state,
-# recluster storm, total source blackout (writes BENCH_serve.json).
-bench-serve:
-	PAYG_INTEGRATION=1 $(GO) test ./internal/integration -run TestServeBenchArtifact -bench-serve-artifact=true -count=1 -timeout 1200s -v
-
-# CI smoke for the load generator: a few seconds of closed-loop traffic
-# against an in-process server, plus the report/percentile unit tests.
-loadgen-smoke:
-	$(GO) test ./internal/loadgen -count=1 -loadgen-secs=5
-	$(GO) test ./internal/obs -count=1 -race -run 'TestReservoir|TestConcurrent'
 
 # Short fuzz pass over every hand-written parser, the threshold LCS the
 # matcher's losslessness rests on, and the readers of bytes from disk or a
@@ -110,8 +88,8 @@ docs-check:
 # End-to-end durability and chaos tests against the real payg-server
 # binary: SIGKILL mid-stream, restart, assert recovery; leader/follower
 # convergence; SLO-gated load scenarios (recluster storm, source
-# blackout, leader crash under load). Gated so plain `make test` stays
-# hermetic.
+# blackout, leader crash under load) that check every acked ingest by
+# name. Gated so plain `make test` stays hermetic.
 integration:
 	PAYG_INTEGRATION=1 $(GO) test ./internal/integration -count=1 -timeout 600s
 

@@ -396,15 +396,3 @@ func (m *Model) UncertainCount() int {
 	}
 	return n
 }
-
-// SingletonDomains returns the ids of domains whose underlying cluster has
-// exactly one schema (the "unclustered" schemas of the evaluation).
-func (m *Model) SingletonDomains() []int {
-	var out []int
-	for r := range m.Domains {
-		if len(m.Domains[r].Cluster) == 1 {
-			out = append(out, r)
-		}
-	}
-	return out
-}

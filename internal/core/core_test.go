@@ -187,17 +187,6 @@ func TestValidation(t *testing.T) {
 	}
 }
 
-func TestSingletonDomains(t *testing.T) {
-	m := pipeline(t, clusteredSet(), 0.2, 0.02)
-	singles := m.SingletonDomains()
-	if len(singles) != 1 {
-		t.Fatalf("singleton domains = %v, want exactly one (odd1)", singles)
-	}
-	if got := m.Domains[singles[0]].Cluster; len(got) != 1 || got[0] != 5 {
-		t.Fatalf("singleton cluster = %v", got)
-	}
-}
-
 func TestCertainUncertainSplit(t *testing.T) {
 	d := Domain{Members: []Membership{
 		{Schema: 0, Prob: 1},

@@ -94,20 +94,6 @@ type DomainExecutor struct {
 	breakers []*resilience.Breaker
 }
 
-// NewDomainExecutor wires a mediated domain to in-memory data sources. The
-// sources must be aligned 1:1 with med.Schemas; memberProb supplies
-// Pr(S_i ∈ D_r) (nil means certainty for all sources).
-func NewDomainExecutor(med *mediate.Mediated, sources []Source, memberProb []float64) (*DomainExecutor, error) {
-	fetchers := make([]TupleSource, len(sources))
-	for i := range sources {
-		if err := sources[i].Validate(); err != nil {
-			return nil, err
-		}
-		fetchers[i] = sources[i]
-	}
-	return NewFetchExecutor(med, fetchers, memberProb)
-}
-
 // NewFetchExecutor wires a mediated domain to arbitrary TupleSources
 // (remote, slow, failing). The fetchers must be aligned 1:1 with
 // med.Schemas; fetched tuples are width-validated against the mediated

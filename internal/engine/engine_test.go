@@ -35,6 +35,16 @@ func mediatedFixture(t *testing.T) (*mediate.Mediated, []Source) {
 	return med, sources
 }
 
+// asFetchers lists in-memory sources as the TupleSources NewFetchExecutor
+// takes.
+func asFetchers(sources []Source) []TupleSource {
+	out := make([]TupleSource, len(sources))
+	for i, s := range sources {
+		out[i] = s
+	}
+	return out
+}
+
 // execute runs q through ExecuteContext and returns its tuples.
 func execute(ex *DomainExecutor, q Query) ([]ResultTuple, error) {
 	res, err := ex.ExecuteContext(context.Background(), q)
@@ -46,7 +56,7 @@ func execute(ex *DomainExecutor, q Query) ([]ResultTuple, error) {
 
 func TestExecuteSelectsAndFilters(t *testing.T) {
 	med, sources := mediatedFixture(t)
-	ex, err := NewDomainExecutor(med, sources, nil)
+	ex, err := NewFetchExecutor(med, asFetchers(sources), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,11 +90,11 @@ func TestExecuteSelectsAndFilters(t *testing.T) {
 
 func TestMembershipProbabilityScalesTuples(t *testing.T) {
 	med, sources := mediatedFixture(t)
-	full, err := NewDomainExecutor(med, sources, []float64{1, 1})
+	full, err := NewFetchExecutor(med, asFetchers(sources), []float64{1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	half, err := NewDomainExecutor(med, sources, []float64{0.5, 0.5})
+	half, err := NewFetchExecutor(med, asFetchers(sources), []float64{0.5, 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +123,7 @@ func TestMembershipProbabilityScalesTuples(t *testing.T) {
 
 func TestZeroMembershipSkipsSource(t *testing.T) {
 	med, sources := mediatedFixture(t)
-	ex, err := NewDomainExecutor(med, sources, []float64{1, 0})
+	ex, err := NewFetchExecutor(med, asFetchers(sources), []float64{1, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +158,7 @@ func TestCrossSourceConsolidationNoisyOr(t *testing.T) {
 		{Schema: set[0], Tuples: []Tuple{{"Toronto"}}},
 		{Schema: set[1], Tuples: []Tuple{{"Toronto"}}},
 	}
-	ex, err := NewDomainExecutor(med, sources, []float64{0.8, 0.5})
+	ex, err := NewFetchExecutor(med, asFetchers(sources), []float64{0.8, 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +201,7 @@ func TestSameRawTupleConsolidationBySum(t *testing.T) {
 	// Select that no mapping populates, every mapping projects the empty
 	// value — forcing the collision.
 	med, sources := mediatedFixture(t)
-	ex, err := NewDomainExecutor(med, sources, nil)
+	ex, err := NewFetchExecutor(med, asFetchers(sources), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +224,7 @@ func TestSameRawTupleConsolidationBySum(t *testing.T) {
 
 func TestQueryLimit(t *testing.T) {
 	med, sources := mediatedFixture(t)
-	ex, err := NewDomainExecutor(med, sources, nil)
+	ex, err := NewFetchExecutor(med, asFetchers(sources), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +252,7 @@ func TestQueryLimit(t *testing.T) {
 
 func TestExecuteErrors(t *testing.T) {
 	med, sources := mediatedFixture(t)
-	ex, _ := NewDomainExecutor(med, sources, nil)
+	ex, _ := NewFetchExecutor(med, asFetchers(sources), nil)
 	if _, err := execute(ex, Query{Select: []string{"nonexistent"}}); err == nil {
 		t.Fatal("unknown Select attribute accepted")
 	}
@@ -251,17 +261,16 @@ func TestExecuteErrors(t *testing.T) {
 	}
 }
 
+// TestNewDomainExecutorValidation holds NewFetchExecutor to its counts: one
+// source and one membership probability per mediated schema. A tuple's width
+// is checked when a query reads it (TestPropertyExecuteIsTheDefinition).
 func TestNewDomainExecutorValidation(t *testing.T) {
 	med, sources := mediatedFixture(t)
-	if _, err := NewDomainExecutor(med, sources[:1], nil); err == nil {
+	if _, err := NewFetchExecutor(med, asFetchers(sources[:1]), nil); err == nil {
 		t.Fatal("source/schema count mismatch accepted")
 	}
-	if _, err := NewDomainExecutor(med, sources, []float64{1}); err == nil {
+	if _, err := NewFetchExecutor(med, asFetchers(sources), []float64{1}); err == nil {
 		t.Fatal("membership count mismatch accepted")
-	}
-	bad := []Source{sources[0], {Schema: sources[1].Schema, Tuples: []Tuple{{"only one value"}}}}
-	if _, err := NewDomainExecutor(med, bad, nil); err == nil {
-		t.Fatal("ragged tuple accepted")
 	}
 }
 

@@ -57,7 +57,7 @@ func TestPropertyExecuteInvariants(t *testing.T) {
 		for i := range memberProb {
 			memberProb[i] = 0.3 + 0.7*rng.Float64()
 		}
-		ex, err := NewDomainExecutor(med, sources, memberProb)
+		ex, err := NewFetchExecutor(med, asFetchers(sources), memberProb)
 		if err != nil {
 			return false
 		}
@@ -89,7 +89,7 @@ func TestPropertyExecuteInvariants(t *testing.T) {
 		for i := range halved {
 			halved[i] = memberProb[i] / 2
 		}
-		exHalf, err := NewDomainExecutor(med, sources, halved)
+		exHalf, err := NewFetchExecutor(med, asFetchers(sources), halved)
 		if err != nil {
 			return false
 		}
@@ -143,7 +143,7 @@ func BenchmarkExecute(b *testing.B) {
 		}
 		sources[i] = Source{Schema: set[i], Tuples: tuples}
 	}
-	ex, err := NewDomainExecutor(med, sources, nil)
+	ex, err := NewFetchExecutor(med, asFetchers(sources), nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -220,6 +220,10 @@ func (sp *Space) Extend(s schema.Schema) (*Space, int) {
 	return build(append(sp.set[:n:n], s), sp.cfg), n
 }
 
+// Schemas returns the schema set the space was built over, in index order.
+// It is shared and must not be written.
+func (sp *Space) Schemas() schema.Set { return sp.set }
+
 // Bits returns, ascending, the set bits of F^i, schema i's binary feature
 // vector: the one form the space holds it in. It is shared and must not be
 // written.

@@ -234,9 +234,7 @@ func AddSchema(m *core.Model, s schema.Schema, floor PairFloor) (*core.Model, in
 		return nil, 0, err
 	}
 	sp, newIdx := m.Space.Extend(s)
-	extended := make(schema.Set, 0, newIdx+1)
-	extended = append(extended, m.Schemas...)
-	extended = append(extended, s)
+	extended := sp.Schemas()
 	assign := make([]int, len(extended))
 	copy(assign, m.Clustering.Assign)
 	if a.Best >= 0 && a.BestSim >= m.Opts.TauCSim {

@@ -1,12 +1,8 @@
 package ingest
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
 	"math/rand"
-	"os"
-	"runtime"
 	"slices"
 	"testing"
 
@@ -16,11 +12,6 @@ import (
 	"schemaflow/internal/feature"
 	"schemaflow/internal/schema"
 )
-
-// benchAssignArtifact gates TestAssignBenchArtifact, which renders the
-// incremental-vs-rebuild assignment benchmark pairs to BENCH_assign.json at
-// the repository root (make bench-assign).
-var benchAssignArtifact = flag.Bool("bench-assign-artifact", false, "write BENCH_assign.json from the Assign benchmarks")
 
 // benchSet generates a deterministic synthetic corpus: five domain templates
 // with randomly dropped attributes plus mutated suffix variants, so arriving
@@ -257,72 +248,5 @@ func TestAssignEquivalentToRebuild(t *testing.T) {
 				t.Fatalf("%s: membership %d: %+v != %+v", s.Name, k, inc.Domains[k], reb.Domains[k])
 			}
 		}
-	}
-}
-
-// TestAssignBenchArtifact runs the benchmark pairs via testing.Benchmark and
-// writes the comparison to BENCH_assign.json (repo root) when
-// -bench-assign-artifact is set:
-//
-//	go test ./internal/ingest -run TestAssignBenchArtifact -bench-assign-artifact=true
-func TestAssignBenchArtifact(t *testing.T) {
-	if !*benchAssignArtifact {
-		t.Skip("set -bench-assign-artifact to regenerate BENCH_assign.json")
-	}
-	type row struct {
-		Name        string `json:"name"`
-		Iterations  int    `json:"iterations"`
-		NsPerOp     int64  `json:"ns_per_op"`
-		AllocsPerOp int64  `json:"allocs_per_op"`
-		BytesPerOp  int64  `json:"bytes_per_op"`
-	}
-	toRow := func(name string, r testing.BenchmarkResult) row {
-		return row{
-			Name:        name,
-			Iterations:  r.N,
-			NsPerOp:     r.NsPerOp(),
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-		}
-	}
-	type pair struct {
-		N           int     `json:"n"`
-		Incremental row     `json:"incremental"`
-		Rebuild     row     `json:"rebuild"`
-		Speedup     float64 `json:"speedup"`
-	}
-	var pairs []pair
-	for _, n := range []int{300, 1000} {
-		n := n
-		inc := testing.Benchmark(func(b *testing.B) { benchAssignIncremental(b, n) })
-		reb := testing.Benchmark(func(b *testing.B) { benchAssignRebuild(b, n) })
-		pairs = append(pairs, pair{
-			N:           n,
-			Incremental: toRow(fmt.Sprintf("BenchmarkAssignIncremental%d", n), inc),
-			Rebuild:     toRow(fmt.Sprintf("BenchmarkAssignRebuild%d", n), reb),
-			Speedup:     float64(reb.NsPerOp()) / float64(inc.NsPerOp()),
-		})
-	}
-	artifact := struct {
-		Description string `json:"description"`
-		GoVersion   string `json:"go_version"`
-		Corpus      string `json:"corpus"`
-		Pairs       []pair `json:"pairs"`
-	}{
-		Description: "Per-arrival schema assignment: the arrival's row of the incrementally extended feature space, computed on the serving space (Space.Probe), vs full BuildLite over n+1 schemas",
-		GoVersion:   runtime.Version(),
-		Corpus:      "synthetic 5-template corpus (seed 1), one held-out arrival with 2 novel terms",
-		Pairs:       pairs,
-	}
-	data, err := json.MarshalIndent(artifact, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("../../BENCH_assign.json", append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range pairs {
-		t.Logf("n=%d: incremental %d ns/op vs rebuild %d ns/op (%.0fx)",
-			p.N, p.Incremental.NsPerOp, p.Rebuild.NsPerOp, p.Speedup)
 	}
 }

@@ -1,42 +1,32 @@
 // Chaos and load scenarios: drive the real payg-server binary with the
-// closed-loop generator from internal/loadgen and hold it to explicit
-// SLO gates — bounded error rate, bounded p99, zero lost acks — while
+// closed-loop driver of driver_test.go and hold it to explicit SLO gates —
+// bounded error rate, bounded p99, every acked ingest served by name — while
 // injecting the failures operators actually see (source blackouts,
-// recluster storms, leader crashes). Gated behind PAYG_INTEGRATION=1
-// like the rest of this package; `make bench-serve` additionally runs
-// TestServeBenchArtifact to regenerate BENCH_serve.json.
+// recluster storms, leader crashes). Gated behind PAYG_INTEGRATION=1 like
+// the rest of this package.
 package integration
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"net/http"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
-
-	"schemaflow/internal/loadgen"
 )
 
 // SLO gates for the chaos scenarios. The p99 ceiling is deliberately
-// generous: CI runs this on one shared CPU with the server, generator,
-// and recluster storms all competing for it. The point is catching
-// cliffs (timeouts, stalls, lost writes), not benchmarking.
+// generous: CI runs this on one shared CPU with the server, driver, and
+// recluster storms all competing for it. The point is catching cliffs
+// (timeouts, stalls, lost writes), not benchmarking.
 const (
 	sloMaxErrorRate = 0.01 // transport + 5xx
-	sloMaxP99Ms     = 2000
+	sloMaxP99       = 2 * time.Second
 )
 
-var (
-	loadSecs           = flag.Float64("load-secs", 4, "duration of each chaos load scenario in seconds")
-	benchServeArtifact = flag.Bool("bench-serve-artifact", false, "write BENCH_serve.json at the repo root (make bench-serve)")
-	benchServeSecs     = flag.Float64("bench-serve-secs", 8, "per-scenario duration for the BENCH_serve.json artifact")
-	benchServeOut      = flag.String("bench-serve-out", "", "artifact output path (default <repo root>/BENCH_serve.json)")
-)
+var loadSecs = flag.Float64("load-secs", 4, "duration of each chaos load scenario in seconds")
 
 // sharedBin compiles cmd/payg-server once for all load tests in the
 // package run; the per-test t.TempDir would delete it out from under
@@ -95,71 +85,98 @@ func startLoadServer(t *testing.T, extra ...string) *serverProc {
 	return p
 }
 
-// runLoad drives one closed-loop scenario against base.
-func runLoad(t *testing.T, base, name string, mix loadgen.Mix, qps float64) loadgen.Scenario {
-	t.Helper()
-	sc, err := loadgen.Run(context.Background(), loadgen.Config{
-		BaseURL:  base,
-		QPS:      qps,
-		Workers:  6,
-		Duration: time.Duration(*loadSecs * float64(time.Second)),
-		Mix:      mix,
-		Seed:     1,
-		Name:     name,
-	})
-	if err != nil {
-		t.Fatalf("loadgen run %q: %v", name, err)
-	}
-	if sc.Requests == 0 || sc.AchievedQPS <= 0 {
-		t.Fatalf("scenario %q produced no throughput: %+v", name, sc)
-	}
-	return sc
-}
-
 // checkSLO applies the availability and latency gates to a finished
-// scenario. Client errors (4xx) are reported but not gated — stale
-// domain ids during reclusters are correct server behavior.
-func checkSLO(t *testing.T, sc loadgen.Scenario) {
+// scenario. Client errors (4xx) are reported but not gated — domain ids a
+// recluster or a feedback renumbered are stale, and a 400 is correct.
+func checkSLO(t *testing.T, r *loadRun) {
 	t.Helper()
-	t.Logf("scenario %q: %d requests, %.1f qps, errors=%d client_errors=%d error_rate=%v",
-		sc.Name, sc.Requests, sc.AchievedQPS, sc.Errors, sc.ClientErrors, sc.ErrorRate)
-	if sc.ErrorRate > sloMaxErrorRate {
-		t.Errorf("scenario %q: error rate %v breaches SLO %v; logs may show why", sc.Name, sc.ErrorRate, sloMaxErrorRate)
-	}
-	for name, ep := range sc.Endpoints {
-		t.Logf("  %-14s n=%-6d p50=%vms p95=%vms p99=%vms max=%vms", name, ep.Requests, ep.P50Ms, ep.P95Ms, ep.P99Ms, ep.MaxMs)
-		if ep.P99Ms > sloMaxP99Ms {
-			t.Errorf("scenario %q endpoint %q: p99 %vms breaches SLO %vms", sc.Name, name, ep.P99Ms, sloMaxP99Ms)
+	requests, failed := 0, 0
+	for k := range r.kinds {
+		ks := &r.kinds[k]
+		n := 0
+		for status, c := range ks.status {
+			n += c
+			if status == 0 || status >= 500 {
+				failed += c
+			}
+		}
+		if n == 0 {
+			continue
+		}
+		requests += n
+		tail := p99(ks.latencies)
+		t.Logf("  %-14s n=%-5d p99=%v statuses=%v", kindNames[k], n, tail.Round(time.Microsecond), ks.status)
+		if tail > sloMaxP99 {
+			t.Errorf("scenario %q %s: p99 %v breaches SLO %v", r.name, kindNames[k], tail, sloMaxP99)
 		}
 	}
+	t.Logf("scenario %q: %d requests in %v (%.1f req/s), %d transport errors or 5xx",
+		r.name, requests, r.elapsed.Round(time.Millisecond), float64(requests)/r.elapsed.Seconds(), failed)
+	if requests == 0 {
+		t.Fatalf("scenario %q sent no request", r.name)
+	}
+	if rate := float64(failed) / float64(requests); rate > sloMaxErrorRate {
+		t.Errorf("scenario %q: error rate %.4f breaches SLO %v; logs may show why", r.name, rate, sloMaxErrorRate)
+	}
 }
 
-// lostAcks verifies the zero-lost-acks invariant: every 202-acked ingest
-// is still present server-side after the run, as a clustered schema or a
-// pending journal entry. The count can legitimately exceed the floor —
-// a client-side timeout drops the response but the WAL kept the write —
-// so only a deficit is a loss.
-func lostAcks(t *testing.T, base string, initialSchemas uint64, sc loadgen.Scenario) uint64 {
+// checkAckedByName forces a recluster, which folds every pending arrival
+// into the served model, and requires each ingest the server answered 202
+// to be a member of a domain in GET /domains, by name.
+func checkAckedByName(t *testing.T, base string, r *loadRun) {
 	t.Helper()
-	resp, err := http.Get(base + "/healthz")
+	if len(r.acked) == 0 {
+		t.Fatalf("scenario %q acked no ingest; there is nothing to check", r.name)
+	}
+	resp, err := http.Post(base+"/admin/recluster", "application/json", nil)
 	if err != nil {
-		t.Fatalf("healthz after %q: %v", sc.Name, err)
-	}
-	defer resp.Body.Close()
-	var st struct {
-		Schemas float64 `json:"schemas"`
-		Pending float64 `json:"pending_schemas"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
-	have := uint64(st.Schemas) + uint64(st.Pending)
-	want := initialSchemas + sc.AckedIngests
-	t.Logf("scenario %q: acked %d ingests; server holds %d schemas+pending (floor %d)", sc.Name, sc.AckedIngests, have, want)
-	if have < want {
-		return want - have
+	var st struct {
+		Pending int `json:"pending_schemas"`
 	}
-	return 0
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || st.Pending != 0 {
+		t.Fatalf("POST /admin/recluster after %q: status %d, %d pending, %v", r.name, resp.StatusCode, st.Pending, err)
+	}
+	var domains []wireDomain
+	getJSON(t, base+"/domains", &domains)
+	served := map[string]bool{}
+	for _, d := range domains {
+		for _, s := range d.Schemas {
+			served[s.Name] = true
+		}
+	}
+	var lost []string
+	for _, name := range r.acked {
+		if !served[name] {
+			lost = append(lost, name)
+		}
+	}
+	t.Logf("scenario %q: acked %d ingests, %d of them missing from /domains", r.name, len(r.acked), len(lost))
+	if len(lost) > 0 {
+		t.Errorf("scenario %q lost %d of %d acked ingests: %v", r.name, len(lost), len(r.acked), lost)
+	}
+}
+
+// lostAcks is the count floor for the router, whose acks cannot all be
+// checked by name: it journals an arrival no shard can take, and that one
+// never reaches a domain. Every 202-acked ingest must still be held
+// server-side, as a clustered schema, a pending arrival or a journaled
+// one. The count can
+// legitimately exceed the floor — a client-side timeout drops the response
+// but the WAL kept the write — so only a deficit is a loss.
+func lostAcks(t *testing.T, base string, initialSchemas int, r *loadRun) int {
+	t.Helper()
+	var st struct {
+		Schemas int `json:"schemas"`
+		Pending int `json:"pending_schemas"`
+	}
+	getJSON(t, base+"/healthz", &st)
+	have, want := st.Schemas+st.Pending, initialSchemas+len(r.acked)
+	t.Logf("scenario %q: acked %d ingests; server holds %d schemas+pending (floor %d)", r.name, len(r.acked), have, want)
+	return max(want-have, 0)
 }
 
 // counterTotal sums a counter family's samples from GET /metrics?format=json.
@@ -200,12 +217,9 @@ func counterTotal(t *testing.T, base, family string) float64 {
 func TestLoadSteadyState(t *testing.T) {
 	integrationGate(t)
 	p := startLoadServer(t)
-	sc := runLoad(t, p.base, "steady-state", loadgen.DefaultMix(), 150)
-	sc.LostAcks = lostAcks(t, p.base, 4, sc)
-	checkSLO(t, sc)
-	if sc.LostAcks != 0 {
-		t.Errorf("steady-state lost %d acked ingests", sc.LostAcks)
-	}
+	r := runLoad(t, p.base, "steady-state", defaultMix)
+	checkSLO(t, r)
+	checkAckedByName(t, p.base, r)
 }
 
 // TestLoadReclusterStorm forces a full background recluster every 300ms
@@ -238,7 +252,7 @@ func TestLoadReclusterStorm(t *testing.T) {
 		}
 	}()
 
-	sc := runLoad(t, p.base, "recluster-storm", loadgen.DefaultMix(), 150)
+	r := runLoad(t, p.base, "recluster-storm", defaultMix)
 	close(stop)
 	wg.Wait()
 	if storms == 0 {
@@ -246,11 +260,8 @@ func TestLoadReclusterStorm(t *testing.T) {
 	}
 	t.Logf("forced %d reclusters during load", storms)
 
-	sc.LostAcks = lostAcks(t, p.base, 4, sc)
-	checkSLO(t, sc)
-	if sc.LostAcks != 0 {
-		t.Errorf("recluster storm lost %d acked ingests", sc.LostAcks)
-	}
+	checkSLO(t, r)
+	checkAckedByName(t, p.base, r)
 	if gen := healthGeneration(t, p.base); gen < 2 {
 		t.Errorf("generation %d after a recluster storm; swaps are not happening", gen)
 	}
@@ -265,16 +276,12 @@ func TestLoadSourceBlackout(t *testing.T) {
 	integrationGate(t)
 	p := startLoadServer(t, "-flake", "*:down=1s+2s")
 
-	mix := loadgen.Mix{Classify: 20, Batch: 5, Query: 65, Ingest: 8, Feedback: 2}
-	sc := runLoad(t, p.base, "source-blackout", mix, 150)
-	sc.LostAcks = lostAcks(t, p.base, 4, sc)
-	checkSLO(t, sc)
-	if sc.LostAcks != 0 {
-		t.Errorf("blackout lost %d acked ingests", sc.LostAcks)
-	}
+	r := runLoad(t, p.base, "source-blackout", mix{20, 5, 65, 8, 2})
+	checkSLO(t, r)
+	checkAckedByName(t, p.base, r)
 	if degraded := counterTotal(t, p.base, "schemaflow_queries_degraded_total"); degraded == 0 {
-		t.Errorf("blackout ran but schemaflow_queries_degraded_total = 0; the outage never bit (queries=%d)",
-			sc.Endpoints["query"].Requests)
+		t.Errorf("blackout ran but schemaflow_queries_degraded_total = 0; the outage never bit (query statuses %v)",
+			r.kinds[kindQuery].status)
 	}
 }
 
@@ -338,7 +345,7 @@ func TestLoadFollowerPromotionUnderLoad(t *testing.T) {
 
 	// Followers have no sources (/query is 503 there) and refuse writes,
 	// so the follower-side mix is classify-only.
-	sc := runLoad(t, follower.base, "follower-promotion", loadgen.Mix{Classify: 4, Batch: 1}, 150)
+	r := runLoad(t, follower.base, "follower-promotion", mix{4, 1, 0, 0, 0})
 	<-done
 	if restarted == nil {
 		t.Fatal("leader never restarted")
@@ -346,7 +353,7 @@ func TestLoadFollowerPromotionUnderLoad(t *testing.T) {
 	t.Cleanup(restarted.stop)
 	waitHealthy(t, restarted)
 
-	checkSLO(t, sc)
+	checkSLO(t, r)
 
 	// Convergence: after the leader recovers, the follower must reach its
 	// generation again.
@@ -359,81 +366,4 @@ func TestLoadFollowerPromotionUnderLoad(t *testing.T) {
 		}
 		time.Sleep(100 * time.Millisecond)
 	}
-}
-
-// TestServeBenchArtifact regenerates BENCH_serve.json (make bench-serve):
-// the three headline chaos scenarios, run back-to-back on fresh servers,
-// each a bit longer than the SLO-gate tests.
-func TestServeBenchArtifact(t *testing.T) {
-	integrationGate(t)
-	if !*benchServeArtifact {
-		t.Skip("run via make bench-serve (-bench-serve-artifact)")
-	}
-	*loadSecs = *benchServeSecs
-
-	var scenarios []loadgen.Scenario
-
-	{ // steady-state
-		p := startLoadServer(t)
-		sc := runLoad(t, p.base, "steady-state", loadgen.DefaultMix(), 150)
-		sc.LostAcks = lostAcks(t, p.base, 4, sc)
-		scenarios = append(scenarios, sc)
-		p.stop()
-	}
-
-	{ // recluster-storm
-		p := startLoadServer(t)
-		stop := make(chan struct{})
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			tick := time.NewTicker(300 * time.Millisecond)
-			defer tick.Stop()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-tick.C:
-					if resp, err := http.Post(p.base+"/admin/recluster", "application/json", nil); err == nil {
-						resp.Body.Close()
-					}
-				}
-			}
-		}()
-		sc := runLoad(t, p.base, "recluster-storm", loadgen.DefaultMix(), 150)
-		close(stop)
-		wg.Wait()
-		sc.LostAcks = lostAcks(t, p.base, 4, sc)
-		scenarios = append(scenarios, sc)
-		p.stop()
-	}
-
-	{ // source-blackout: dark from 1/4 into the run for half the run
-		from := time.Duration(*benchServeSecs * float64(time.Second) / 4)
-		dur := time.Duration(*benchServeSecs * float64(time.Second) / 2)
-		p := startLoadServer(t, "-flake", "*:down="+from.String()+"+"+dur.String())
-		sc := runLoad(t, p.base, "source-blackout", loadgen.Mix{Classify: 20, Batch: 5, Query: 65, Ingest: 8, Feedback: 2}, 150)
-		sc.LostAcks = lostAcks(t, p.base, 4, sc)
-		scenarios = append(scenarios, sc)
-		p.stop()
-	}
-
-	rep := &loadgen.Report{
-		Description: "payg-server closed-loop load benchmark: steady state, recluster storm, and total source blackout (make bench-serve)",
-		GoVersion:   runtime.Version(),
-		NumCPU:      runtime.NumCPU(),
-		Scenarios:   scenarios,
-	}
-	if err := rep.Validate(); err != nil {
-		t.Fatalf("artifact failed validation: %v", err)
-	}
-	out := *benchServeOut
-	if out == "" {
-		out = filepath.Join(repoRoot(t), "BENCH_serve.json")
-	}
-	if err := rep.WriteFile(out); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s", out)
 }

@@ -15,16 +15,12 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"schemaflow/internal/loadgen"
 )
 
 // routerMix omits feedback: feedback through a degraded topology is a
-// deliberate 502 (divergence refusal), which the generator would count
+// deliberate 502 (divergence refusal), which the driver would count
 // against the error-rate SLO.
-func routerMix() loadgen.Mix {
-	return loadgen.Mix{Classify: 55, Batch: 5, Query: 30, Ingest: 10}
-}
+var routerMix = mix{55, 5, 30, 10, 0}
 
 // splitDataDir runs the binary in -shard-split mode and returns the
 // shard dirs.
@@ -141,11 +137,10 @@ func TestRouterSteadyState(t *testing.T) {
 		}
 	}
 
-	sc := runLoad(t, router.base, "router-steady-state", routerMix(), 150)
-	sc.LostAcks = lostAcks(t, router.base, 4, sc)
-	checkSLO(t, sc)
-	if sc.LostAcks != 0 {
-		t.Errorf("router steady state lost %d acked ingests", sc.LostAcks)
+	r := runLoad(t, router.base, "router-steady-state", routerMix)
+	checkSLO(t, r)
+	if lost := lostAcks(t, router.base, 4, r); lost != 0 {
+		t.Errorf("router steady state lost %d acked ingests", lost)
 	}
 }
 
@@ -168,10 +163,10 @@ func TestRouterShardBlackout(t *testing.T) {
 		victim.cmd.Wait()
 	}()
 
-	sc := runLoad(t, router.base, "router-shard-blackout", routerMix(), 150)
+	r := runLoad(t, router.base, "router-shard-blackout", routerMix)
 	<-killed
 
-	checkSLO(t, sc)
+	checkSLO(t, r)
 	if degraded := counterTotal(t, router.base, "schemaflow_router_degraded_responses_total"); degraded == 0 {
 		t.Error("shard blackout ran but schemaflow_router_degraded_responses_total = 0; the outage never bit")
 	}
@@ -200,8 +195,7 @@ func TestRouterShardBlackout(t *testing.T) {
 		}
 		time.Sleep(100 * time.Millisecond)
 	}
-	sc.LostAcks = lostAcks(t, router.base, 4, sc)
-	if sc.LostAcks != 0 {
-		t.Errorf("shard blackout lost %d acked ingests", sc.LostAcks)
+	if lost := lostAcks(t, router.base, 4, r); lost != 0 {
+		t.Errorf("shard blackout lost %d acked ingests", lost)
 	}
 }

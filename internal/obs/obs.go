@@ -285,16 +285,6 @@ func (h *Histogram) Cumulative() []uint64 {
 // Uppers returns the finite bucket upper bounds.
 func (h *Histogram) Uppers() []float64 { return h.upper }
 
-// NewHistogram returns a standalone histogram over the given bucket upper
-// bounds (sorted ascending, +Inf implicit), attached to no registry. It is
-// for tools that want the registry's bucket math and atomic recording
-// without exposing a metrics endpoint — the load harness records
-// per-endpoint latency into standalone histograms and serializes them into
-// its JSON report instead of serving them.
-func NewHistogram(buckets []float64) *Histogram {
-	return newHistogram(checkBuckets("standalone", buckets))
-}
-
 // HistogramVec is a histogram family split by labels; every child shares
 // the family's buckets.
 type HistogramVec struct{ f *family }

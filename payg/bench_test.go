@@ -1,19 +1,10 @@
 package payg
 
 import (
-	"encoding/json"
-	"flag"
-	"os"
-	"runtime"
 	"testing"
 
 	"schemaflow/internal/dataset"
 )
-
-// benchArtifact gates TestIngestBenchArtifact, which renders the
-// ingest-vs-rebuild benchmark pair to BENCH_ingest.json at the repository
-// root (make bench-ingest).
-var benchArtifact = flag.Bool("bench-artifact", false, "write BENCH_ingest.json from the ingest benchmarks")
 
 // benchCorpus returns the DW stand-in corpus split into a base set and one
 // held-out newcomer for the ingest path to assign. The newcomer comes from
@@ -70,58 +61,4 @@ func BenchmarkFullRebuild(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// TestIngestBenchArtifact runs the pair via testing.Benchmark and writes the
-// comparison to BENCH_ingest.json (repo root) when -bench-artifact is set:
-//
-//	go test ./payg -run TestIngestBenchArtifact -bench-artifact=true
-func TestIngestBenchArtifact(t *testing.T) {
-	if !*benchArtifact {
-		t.Skip("set -bench-artifact to regenerate BENCH_ingest.json")
-	}
-	ingest := testing.Benchmark(BenchmarkIngest)
-	rebuild := testing.Benchmark(BenchmarkFullRebuild)
-	type row struct {
-		Name        string `json:"name"`
-		Iterations  int    `json:"iterations"`
-		NsPerOp     int64  `json:"ns_per_op"`
-		AllocsPerOp int64  `json:"allocs_per_op"`
-		BytesPerOp  int64  `json:"bytes_per_op"`
-	}
-	artifact := struct {
-		Description string  `json:"description"`
-		GoVersion   string  `json:"go_version"`
-		Corpus      string  `json:"corpus"`
-		Ingest      row     `json:"ingest"`
-		FullRebuild row     `json:"full_rebuild"`
-		Speedup     float64 `json:"speedup"`
-	}{
-		Description: "Online ingest (assign one schema to existing domains) vs full model rebuild over the same corpus",
-		GoVersion:   runtime.Version(),
-		Corpus:      "DW stand-in (63 schemas, seed 1)",
-		Ingest: row{
-			Name:        "BenchmarkIngest",
-			Iterations:  ingest.N,
-			NsPerOp:     ingest.NsPerOp(),
-			AllocsPerOp: ingest.AllocsPerOp(),
-			BytesPerOp:  ingest.AllocedBytesPerOp(),
-		},
-		FullRebuild: row{
-			Name:        "BenchmarkFullRebuild",
-			Iterations:  rebuild.N,
-			NsPerOp:     rebuild.NsPerOp(),
-			AllocsPerOp: rebuild.AllocsPerOp(),
-			BytesPerOp:  rebuild.AllocedBytesPerOp(),
-		},
-		Speedup: float64(rebuild.NsPerOp()) / float64(ingest.NsPerOp()),
-	}
-	data, err := json.MarshalIndent(artifact, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("../BENCH_ingest.json", append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("ingest %v vs rebuild %v (%.0fx)", ingest, rebuild, artifact.Speedup)
 }

@@ -588,17 +588,15 @@ func (m *Manager) runRebuild(ctx context.Context, cancel context.CancelFunc, st 
 		m.opts.Logf("payg: rebuild discarded (base generation changed)")
 		return
 	}
-	next := &managedState{sys: newSys, gen: m.gen + 1}
+	var sources []TupleSource
 	if st.sources != nil {
-		sources := slices.Concat(st.sources, arrived)
-		exec, err := newSys.NewExecutor(sources, m.opts.Policy, m.pool)
-		if err != nil {
-			f.err = fmt.Errorf("payg: rebinding sources after rebuild: %w", err)
-			m.opts.Logf("payg: %v", f.err)
-			return
-		}
-		next.exec = exec
-		next.sources = sources
+		sources = slices.Concat(st.sources, arrived)
+	}
+	next, err := m.bind(newSys, sources, m.gen+1)
+	if err != nil {
+		f.err = fmt.Errorf("payg: rebinding sources after rebuild: %w", err)
+		m.opts.Logf("payg: %v", f.err)
+		return
 	}
 	// Clamped: a Restore that lands mid-flight at this same generation may
 	// have swapped in a shorter list.
@@ -656,13 +654,9 @@ func (m *Manager) applyFeedback(fb Feedback, logWAL bool) (*FeedbackResult, erro
 			return nil, err
 		}
 	}
-	next := &managedState{sys: res.System, sources: st.sources, gen: m.gen + 1}
-	if st.sources != nil {
-		exec, err := res.System.NewExecutor(st.sources, m.opts.Policy, m.pool)
-		if err != nil {
-			return nil, fmt.Errorf("payg: rebinding sources: %w", err)
-		}
-		next.exec = exec
+	next, err := m.bind(res.System, st.sources, m.gen+1)
+	if err != nil {
+		return nil, fmt.Errorf("payg: rebinding sources: %w", err)
 	}
 	m.gen++
 	m.cur.Store(next)
